@@ -1,13 +1,21 @@
 //! Engine-equivalence regression gate: the determinism-suite configs
 //! (mono / split / dvfs, each with and without a chaos campaign, all on
-//! the 3-tenant workload) must keep producing the exact report, series
-//! and trace bytes the tick-loop engine produced before the event-queue
-//! rewrite — at 1, 2 and 8 threads. The series/trace hashes below were
-//! generated from the pre-refactor per-tick engine; the report hashes
-//! were regenerated when the `balancer` report section landed (a pure
-//! schema addition: `"balancer": null` on every non-balanced run, with
-//! all other bytes — and the series/trace artifacts — unchanged). Any
-//! engine change that drifts a single byte of any artifact fails here.
+//! the 3-tenant workload) plus the fleet-balancer, rolling-drain and
+//! power-domain paths must keep producing the exact report, series and
+//! trace bytes pinned below — at 1, 2 and 8 threads.
+//!
+//! The first six rows' series/trace hashes were generated from the
+//! original per-tick engine, before the event-queue rewrite; their
+//! report hashes were regenerated when the `balancer` report section
+//! landed (a pure schema addition: `"balancer": null` on every
+//! non-balanced run, with all other bytes — and the series/trace
+//! artifacts — unchanged). The last four rows (`balancer`,
+//! `balancer_split_chaos`, `mono_drain`, `split_power`) were generated
+//! from the event-queue engine while it still had separate cell-major
+//! and window-major drivers, so they pin the balancer-window path and
+//! the drain/power campaign bookkeeping across the unification into one
+//! window driver. Any engine change that drifts a single byte of any
+//! artifact fails here.
 //!
 //! Regenerate (only when an *intentional* semantic change lands):
 //! `ENGINE_GOLDEN_PRINT=1 cargo test -p litegpu-bench --test
@@ -72,6 +80,42 @@ const GOLDEN: &[(&str, &[&str], u64, u64, u64)] = &[
         0xa6b31b7069b9bf19,
         0x2bad5179e3a27965,
         0xc5c8d9ece9abf736,
+    ),
+    (
+        "balancer",
+        &["--serving", "mono", "--balancer", "--skew", "2x2.5"],
+        0x9fa6c29b05948ed4,
+        0xe66d5e65644873c6,
+        0x248997aa055880ee,
+    ),
+    (
+        "balancer_split_chaos",
+        &[
+            "--serving",
+            "split",
+            "--chaos",
+            "rack",
+            "--balancer",
+            "--skew",
+            "2x2.5",
+        ],
+        0x3810f273b4b3c226,
+        0xf7fe9367eda4de68,
+        0xcaf8926fb8201fcc,
+    ),
+    (
+        "mono_drain",
+        &["--serving", "mono", "--chaos", "drain"],
+        0x269926aebe636480,
+        0x446d07ba198b594c,
+        0x8567f010e9339bee,
+    ),
+    (
+        "split_power",
+        &["--serving", "split", "--chaos", "power"],
+        0x778e8a80ff54dc70,
+        0xcd26f3cbee47a6d8,
+        0x89c9dc84d6981707,
     ),
 ];
 
@@ -147,7 +191,7 @@ fn event_engine_matches_tick_loop_goldens() {
     }
     assert!(
         drift.is_empty(),
-        "engine output drifted from tick-loop goldens:\n{}",
+        "engine output drifted from the pinned goldens:\n{}",
         drift.join("\n")
     );
 }
