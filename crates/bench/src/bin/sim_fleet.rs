@@ -194,12 +194,7 @@ fn parse_args() -> Args {
         litegpu_bench::cli::warn_ignored(
             &argv,
             "under --serving mono",
-            &[
-                "--prefill-fraction",
-                "--kv-gbps",
-                "--kv-backlog",
-                "--no-baseline",
-            ],
+            &["--prefill-fraction", "--kv-gbps", "--kv-backlog"],
         );
     }
     if a.ctrl == "off" {

@@ -12,10 +12,10 @@
 //! artifacts — unchanged). The last four rows (`balancer`,
 //! `balancer_split_chaos`, `mono_drain`, `split_power`) were generated
 //! from the event-queue engine while it still had separate cell-major
-//! and window-major drivers, so they pin the balancer-window path and
-//! the drain/power campaign bookkeeping across the unification into one
-//! window driver. Any engine change that drifts a single byte of any
-//! artifact fails here.
+//! and window-major run loops, so they pin the balancer-window path and
+//! the drain/power campaign bookkeeping across the merge into one window
+//! loop. Any engine change that drifts a single byte of any artifact
+//! fails here.
 //!
 //! Regenerate (only when an *intentional* semantic change lands):
 //! `ENGINE_GOLDEN_PRINT=1 cargo test -p litegpu-bench --test

@@ -6,7 +6,7 @@
 //! cells into shards, stepped on any number of threads, produces the same
 //! merged totals: per-instance and per-(cell, tenant) RNG streams are
 //! derived from `(seed, global index)`, all accumulators are integers,
-//! and shard merging is integer addition. That is the engine's core
+//! and merging is integer addition. That is the engine's core
 //! guarantee — **same seed ⇒ byte-identical [`FleetReport`] JSON at any
 //! shard and thread count** — and `tests/fleet_determinism.rs` enforces
 //! it.
@@ -27,20 +27,29 @@
 //! per-priority-class arrival counts) and issues commands — autoscaler
 //! parks/activations (with warm/cold boot latency), power-gating of
 //! parked instances, routing-weight refreshes, and admission changes.
-//! All controller state is per-cell, lives inside the shard partition,
-//! and draws from the cell's own RNG stream, so controlled runs keep the
+//! All controller state is per-cell, lives inside the cell, and draws
+//! from the cell's own RNG stream, so controlled runs keep the
 //! byte-identical guarantee. Without a control plane every instance
 //! (live or down — no router means stranded traffic) weighs equally in
 //! the split.
 //!
-//! Within a shard, cells step cell-major (the whole horizon of one cell
-//! before the next), which keeps each cell's working set hot in cache.
-//! The per-cell hot loop is an **event-queue scheduler**, not a
-//! per-tick scan: all timestamps are integer microseconds quantized to
-//! the tick grid, each cell owns a binary-heap event queue
-//! (`(tick, instance)` entries, ordered by timestamp then instance
-//! index so ties drain in a total order), and the loop only *processes*
-//! a tick when something is due there. The event sources are
+//! Every run takes one path (`run_windows`): the horizon is
+//! cut into *windows* — one fleet-balancer interval each, or the whole
+//! horizon without a balancer — and each worker thread advances its
+//! cells window by window. A cell is built on first touch and owns every
+//! counter it accumulates; at the horizon it merges into its worker's
+//! totals and is dropped, so a balancer-free run holds one cell per
+//! worker at a time, with that cell's working set hot in cache.
+//!
+//! Within a window the per-cell hot loop (`CellSim::run_until`) is an
+//! **event-queue scheduler**, not a per-tick scan. Each processed tick
+//! runs seven phase methods in order — chaos, lifecycle, control, kv,
+//! route, serve, sample — each a no-op when nothing of its kind is due.
+//! All timestamps are integer microseconds quantized to the tick grid,
+//! each cell owns a binary-heap event queue (`(tick, instance)` entries,
+//! ordered by timestamp then instance index so ties drain in a total
+//! order), and the loop only *processes* a tick when something is due
+//! there. The event sources are
 //!
 //! - **step completions** — instances holding queued or running work sit
 //!   in a sorted busy list and are served every tick until idle again;
@@ -60,16 +69,16 @@
 //!
 //! Between events, idle instances accrue nothing per tick: idle energy,
 //! live-tick and clock-residency counters are billed **lazily** in
-//! closed-form spans (`accrue_idle_span`) whenever an instance is next
+//! closed-form spans (`CellSim::accrue`) whenever an instance is next
 //! touched — or when a mode/clock transition, series sample, or the
 //! horizon end forces the span closed. Spurious wakeups are harmless by
 //! construction (every phase is a no-op when nothing is due — exactly
 //! what the per-tick engine executed on quiet ticks), so correctness
 //! only ever hinges on *never missing* a due event; the equivalence
-//! suite (`crates/bench/tests/engine_equivalence.rs`) pins the result
-//! to the pre-refactor engine's bytes, and the hot path stays Poisson
-//! arithmetic plus [`StepCostTable`] lookups, with no roofline
-//! evaluation, no allocation beyond queue churn, and no locks.
+//! suite (`crates/bench/tests/engine_equivalence.rs`) pins the output
+//! bytes, and the hot path stays Poisson arithmetic plus
+//! [`StepCostTable`] lookups, with no roofline evaluation, no allocation
+//! beyond queue churn, and no locks.
 
 use crate::report::{FleetReport, RunMeta, TenantMeta};
 use crate::state::{
@@ -800,6 +809,10 @@ impl SplitShared {
 struct Shared<'a> {
     cfg: &'a FleetConfig,
     lut: &'a StepCostTable,
+    /// Ticks in the horizon.
+    ticks: u32,
+    /// Ticks per series window (0 disables the series layer).
+    series_every: u32,
     knobs: ServeKnobs,
     rates: FailureRates,
     power: InstancePower,
@@ -985,7 +998,6 @@ impl CellTraffic {
         &mut self,
         shared: &Shared<'_>,
         n_insts: usize,
-        ticks: u32,
         scale: f64,
     ) -> Vec<(u32, u16, u64)> {
         let local: Option<Vec<Vec<PoissonPlan>>> = (n_insts != shared.cfg.cell_size as usize
@@ -996,7 +1008,7 @@ impl CellTraffic {
             let t = ti as usize;
             let plans = local.as_ref().map_or(&shared.arr_plans[t], |l| &l[t]);
             let rng = &mut self.rngs[t];
-            for (k, plan) in plans.iter().enumerate().take(ticks as usize) {
+            for (k, plan) in plans.iter().enumerate() {
                 let n = plan.draw(rng);
                 if n > 0 {
                     evs.push((k as u32, pos as u16, ti, n));
@@ -1210,7 +1222,7 @@ impl CellCtl {
         kv: Option<&KvLinkState>,
         shared: &Shared<'_>,
         chaos_down: u32,
-        mut trace: Option<&mut TraceSink<'_>>,
+        mut trace: Option<&mut TraceSink>,
         acc: &mut ShardTotals,
     ) {
         let mut obs = CellObs::new(tick, self.interval_ticks as f64 * shared.cfg.tick_s);
@@ -1257,7 +1269,7 @@ impl CellCtl {
         // — or the hot loop — in no-op re-assertions. Effectiveness is
         // pure cell-local sim state, so the filter stays shard-invariant.
         let (cell, tick_arg) = (self.cell, tick as u64);
-        let trace_cmd = |ts: &mut Option<&mut TraceSink<'_>>, kind: &'static str, slot: u32| {
+        let trace_cmd = |ts: &mut Option<&mut TraceSink>, kind: &'static str, slot: u32| {
             if let Some(ts) = ts.as_deref_mut() {
                 ts.buf.push(TraceEvent::instant(
                     "ctrl", kind, t_start_us, cell, slot, tick_arg,
@@ -1381,7 +1393,7 @@ fn deliver_transfers(
     drained: &[bool],
     max_batch: u32,
     knobs: &ServeKnobs,
-    mut trace: Option<&mut TraceSink<'_>>,
+    mut trace: Option<&mut TraceSink>,
     acc: &mut ShardTotals,
     mut on_deliver: impl FnMut(usize),
 ) {
@@ -1472,14 +1484,6 @@ fn reroute_decode_retries(
     Some(target)
 }
 
-/// The telemetry one shard produced beside its totals: deterministic
-/// series/trace layers plus the (wall-clock, non-deterministic) profile.
-struct ShardTelemetry {
-    series: Option<SeriesRecorder>,
-    trace: Vec<TraceEvent>,
-    profile: Option<PhaseProfile>,
-}
-
 /// Wall-clock phase timer; each `mark` attributes the time since the
 /// previous mark (or `reset`) to a phase. A disabled timer never reads
 /// the clock, so profiling-off runs pay nothing.
@@ -1512,10 +1516,9 @@ impl ProfTimer {
     }
 }
 
-/// Snapshot of the monotone [`ShardTotals`] counters the series layer
-/// differences per window. Cell-major stepping makes per-cell deltas
-/// exact: between two snapshots only the current cell touches `acc`.
-#[derive(Default)]
+/// Snapshot of a cell's monotone [`ShardTotals`] counters, which the
+/// series layer differences per window. The cell owns its totals, so a
+/// delta counts exactly the cell's own work in the window.
 struct CounterSnap {
     arrived: u64,
     completed: u64,
@@ -1555,37 +1558,6 @@ impl CounterSnap {
                 .iter()
                 .map(|t| (t.arrived, t.completed, t.shed))
                 .collect(),
-        }
-    }
-
-    /// Shifts this snapshot forward by the counter movement between
-    /// `pause` and `now` — the additions *other* cells of the shard made
-    /// to the accumulator while this cell's stepping was paused between
-    /// fleet windows — so the next window delta still counts only this
-    /// cell's own additions. With cell-major stepping the movement is
-    /// zero and this is a no-op.
-    fn advance(&mut self, pause: &Self, now: &Self) {
-        self.arrived += now.arrived - pause.arrived;
-        self.completed += now.completed - pause.completed;
-        self.rejected += now.rejected - pause.rejected;
-        self.admission_shed += now.admission_shed - pause.admission_shed;
-        self.routing_shed += now.routing_shed - pause.routing_shed;
-        self.tokens += now.tokens - pause.tokens;
-        self.energy_uj += now.energy_uj - pause.energy_uj;
-        self.failures += now.failures - pause.failures;
-        self.restores += now.restores - pause.restores;
-        self.repairs += now.repairs - pause.repairs;
-        self.kv_stalls += now.kv_stalls - pause.kv_stalls;
-        self.ttft_count += now.ttft_count - pause.ttft_count;
-        self.ttft_sum_us += now.ttft_sum_us - pause.ttft_sum_us;
-        for (s, (n, p)) in self
-            .per_tenant
-            .iter_mut()
-            .zip(now.per_tenant.iter().zip(&pause.per_tenant))
-        {
-            s.0 += n.0 - p.0;
-            s.1 += n.1 - p.1;
-            s.2 += n.2 - p.2;
         }
     }
 }
@@ -1703,200 +1675,44 @@ impl SeriesIds {
     }
 }
 
-/// Samples one window of series metrics for one cell: counter deltas
-/// since `snap` plus gauges of current state. Returns the fresh snapshot
-/// the caller carries to the next window.
-#[allow(clippy::too_many_arguments)]
-fn sample_series(
-    series: &mut SeriesRecorder,
-    ids: &SeriesIds,
-    w: usize,
-    now_us: u64,
-    snap: &CounterSnap,
-    acc: &ShardTotals,
-    insts: &[InstanceState],
-    ctl: Option<&CellCtl>,
-    phases: &[Phase],
-    kv: Option<&KvLinkState>,
-    cell: &CellState,
-    drained: &[bool],
-    tenant_scratch: &mut [u64],
-) -> CounterSnap {
-    let c = CounterSnap::take(acc);
-    series.add_at(ids.arrived, w, c.arrived - snap.arrived);
-    series.add_at(ids.completed, w, c.completed - snap.completed);
-    series.add_at(ids.rejected, w, c.rejected - snap.rejected);
-    series.add_at(
-        ids.admission_shed,
-        w,
-        c.admission_shed - snap.admission_shed,
-    );
-    series.add_at(ids.routing_shed, w, c.routing_shed - snap.routing_shed);
-    series.add_at(ids.tokens, w, c.tokens - snap.tokens);
-    series.add_at(ids.energy_uj, w, c.energy_uj - snap.energy_uj);
-    series.add_at(ids.failures, w, c.failures - snap.failures);
-    series.add_at(ids.restores, w, c.restores - snap.restores);
-    series.add_at(ids.repairs, w, c.repairs - snap.repairs);
-    series.add_at(ids.kv_stalls, w, c.kv_stalls - snap.kv_stalls);
-    series.add_at(ids.ttft_count, w, c.ttft_count - snap.ttft_count);
-    series.add_at(
-        ids.ttft_sum_us,
-        w,
-        (c.ttft_sum_us - snap.ttft_sum_us) as u64,
-    );
-    for (t, (&(a1, c1, s1), &(a0, c0, s0))) in c.per_tenant.iter().zip(&snap.per_tenant).enumerate()
-    {
-        let [ta, tc, tshed, _] = ids.tenants[t];
-        series.add_at(ta, w, a1 - a0);
-        series.add_at(tc, w, c1 - c0);
-        series.add_at(tshed, w, s1 - s0);
-    }
-    // Gauges: this cell's state at the window's end instant (summing the
-    // per-cell contributions gives the fleet-wide value).
-    let mut queued = 0u64;
-    let mut active = 0u64;
-    let mut up = 0u64;
-    tenant_scratch.fill(0);
-    for inst in insts {
-        queued += inst.queued();
-        active += inst.active() as u64;
-        up += u64::from(inst.up);
-        inst.queued_by_tenant(tenant_scratch);
-    }
-    series.add_at(ids.queued, w, queued);
-    series.add_at(ids.active, w, active);
-    series.add_at(ids.up, w, up);
-    for (t, &q) in tenant_scratch.iter().enumerate() {
-        series.add_at(ids.tenants[t][3], w, q);
-    }
-    series.add_at(ids.draining, w, drained.iter().map(|&d| u64::from(d)).sum());
-    series.add_at(ids.repair_pending, w, cell.pending_len());
-    series.add_at(ids.spares_free, w, cell.spares_free as u64);
-    if let (Some(link), Some((backlog, inflight))) = (kv, ids.kv) {
-        series.add_at(backlog, w, link.backlog_us(now_us));
-        series.add_at(inflight, w, link.inflight_bytes());
-    }
-    if let Some((pp, pd)) = ids.pools {
-        let (mut prefill, mut decode) = (0u64, 0u64);
-        for &p in phases {
-            match p {
-                Phase::Prefill => prefill += 1,
-                Phase::Decode => decode += 1,
-                Phase::Mixed => {}
-            }
-        }
-        series.add_at(pp, w, prefill);
-        series.add_at(pd, w, decode);
-    }
-    if let (Some(c), Some(ci_ids)) = (ctl, &ids.ctl) {
-        let (mut live, mut warm, mut cold, mut booting) = (0u64, 0u64, 0u64, 0u64);
-        for m in &c.modes {
-            match m {
-                SlotMode::Live => live += 1,
-                SlotMode::Warm => warm += 1,
-                SlotMode::Cold => cold += 1,
-                SlotMode::Booting { .. } => booting += 1,
-            }
-        }
-        series.add_at(ci_ids.live, w, live);
-        series.add_at(ci_ids.warm, w, warm);
-        series.add_at(ci_ids.cold, w, cold);
-        series.add_at(ci_ids.booting, w, booting);
-        // DVFS operating-point distribution over live, up slots.
-        for (i, &ci) in c.clocks.iter().enumerate() {
-            if c.modes[i] == SlotMode::Live && insts[i].up {
-                series.add_at(ci_ids.clock_live[ci as usize], w, 1);
-            }
-        }
-    }
-    if let Some([cq, cu, ca, cc]) = ids.per_cell {
-        series.add_at(cq, w, queued);
-        series.add_at(cu, w, up);
-        series.add_at(ca, w, c.arrived - snap.arrived);
-        series.add_at(cc, w, c.completed - snap.completed);
-    }
-    c
+/// The cell's busy set: slots holding queued or running work. The list
+/// stays sorted: busy slots must serve in index order, because
+/// concurrent prefill completions share one FIFO KV link per cell and
+/// the enqueue order is part of the deterministic byte contract.
+struct BusySet {
+    member: Vec<bool>,
+    list: Vec<u32>,
 }
 
-/// Lazily bills instance `i`'s idle ticks `[accrued[i], to)` at its
-/// current administrative mode — the event engine's replacement for the
-/// tick loop's per-tick energy walk over every instance.
-///
-/// Exactness rests on two facts. First, an idle instance's serve was a
-/// pure no-op (`spent == 0`, no RNG draw, `carry_us` already zero), so
-/// a Live idle tick billed exactly the static floor plus one
-/// live/clock/phase tick and a Warm or Booting tick exactly the floor.
-/// Second, every input of that per-tick amount (`up`, mode, clock,
-/// clamp, phase) is constant across the span, because each mutation
-/// site runs behind an accrual barrier: the failure lifecycle and
-/// chaos outages accrue the instance first, control ticks, boot
-/// promotions and thermal-clamp changes accrue the whole cell first,
-/// and the serve path closes its own span every busy tick.
-#[allow(clippy::too_many_arguments)]
-fn accrue_idle_span(
-    acc: &mut ShardTotals,
-    power: &InstancePower,
-    tick_us: u64,
-    nominal_ci: u8,
-    insts: &[InstanceState],
-    ctl: Option<&CellCtl>,
-    clamp: &[u8],
-    phases: &[Phase],
-    accrued: &mut [u32],
-    i: usize,
-    to: u32,
-) {
-    let from = accrued[i];
-    if to <= from {
-        return;
+impl BusySet {
+    /// Inserts `i` (idempotent).
+    fn add(&mut self, i: usize) {
+        if !self.member[i] {
+            self.member[i] = true;
+            let p = self.list.partition_point(|&x| (x as usize) < i);
+            self.list.insert(p, i as u32);
+        }
     }
-    accrued[i] = to;
-    let inst = &insts[i];
-    if !inst.up {
-        return;
-    }
-    let k = (to - from) as u64;
-    let e = power.idle_mw * tick_us / 1000;
-    match ctl.map_or(SlotMode::Live, |c| c.modes[i]) {
-        SlotMode::Live => {
-            acc.energy_uj += e * k;
-            acc.idle_energy_uj += e * k;
-            acc.live_ticks += k;
-            let ci = ctl.map_or(nominal_ci, |c| c.clocks[i]).min(clamp[i]) as usize;
-            acc.clock_ticks[ci] += k;
-            match phases[i] {
-                Phase::Prefill => acc.prefill_live_ticks += k,
-                Phase::Decode => acc.decode_live_ticks += k,
-                Phase::Mixed => {}
+
+    /// Drops `i` if present.
+    fn remove(&mut self, i: usize) {
+        if self.member[i] {
+            self.member[i] = false;
+            if let Ok(p) = self.list.binary_search(&(i as u32)) {
+                self.list.remove(p);
             }
         }
-        SlotMode::Warm | SlotMode::Booting { .. } => {
-            acc.energy_uj += e * k;
-            acc.idle_energy_uj += e * k;
-        }
-        SlotMode::Cold => {}
     }
 }
 
-/// Inserts `i` into the busy set (idempotent). The list stays sorted:
-/// busy instances must serve in index order, because concurrent prefill
-/// completions share one FIFO KV link per cell and the enqueue order is
-/// part of the deterministic byte contract.
-fn busy_add(busy: &mut [bool], list: &mut Vec<u32>, i: usize) {
-    if !busy[i] {
-        busy[i] = true;
-        let p = list.partition_point(|&x| (x as usize) < i);
-        list.insert(p, i as u32);
-    }
-}
-
-/// Drops `i` from the busy set if present.
-fn busy_remove(busy: &mut [bool], list: &mut Vec<u32>, i: usize) {
-    if busy[i] {
-        busy[i] = false;
-        if let Ok(p) = list.binary_search(&(i as u32)) {
-            list.remove(p);
-        }
+/// The first tick at or after `us`, or `u32::MAX` when that tick lies
+/// at or past the horizon of `ticks` — how a wakeup channel says never.
+fn tick_or_never(us: u64, tick_us: u64, ticks: u32) -> u32 {
+    let t = us.div_ceil(tick_us);
+    if t < ticks as u64 {
+        t as u32
+    } else {
+        u32::MAX
     }
 }
 
@@ -1907,20 +1723,11 @@ fn next_boot_tick(modes: &[SlotMode], tick_us: u64, ticks: u32) -> u32 {
     modes
         .iter()
         .filter_map(|m| match m {
-            SlotMode::Booting { until_us } => Some(until_us.div_ceil(tick_us)),
+            SlotMode::Booting { until_us } => Some(*until_us),
             _ => None,
         })
         .min()
-        .map_or(
-            u32::MAX,
-            |t| {
-                if t < ticks as u64 {
-                    t as u32
-                } else {
-                    u32::MAX
-                }
-            },
-        )
+        .map_or(u32::MAX, |us| tick_or_never(us, tick_us, ticks))
 }
 
 /// One cell's read-only state published at a fleet-tick boundary: the
@@ -1949,21 +1756,21 @@ struct CellPlan {
 }
 
 /// One cell's complete simulation state, stepped through the horizon in
-/// resumable segments.
+/// resumable windows.
 ///
-/// The cell-major engine ([`simulate_cells`]) runs a single segment
-/// covering the whole horizon — that path is byte-identical to the
-/// pre-extraction loop. The fleet-balancer engine ([`run_balanced`])
-/// runs one segment per fleet window, with [`CellSim::publish`] /
-/// [`CellSim::apply_plan`] at each boundary. Pausing is exact: every
-/// piece of loop state (wakeup heap, accrual clocks, arrival cursor,
-/// periodic channels, the current tick) lives here, and the only
-/// cross-window correction needed is the series snapshot drift — other
-/// cells of the same shard advance the shard accumulator while this
-/// cell is paused, so the sampling snapshot is advanced by the same
-/// amount on re-entry ([`CounterSnap::advance`]).
+/// The cell owns everything it accumulates — its [`ShardTotals`], its
+/// trace events, its wakeup heap, its accrual clocks and every periodic
+/// channel — so it can stop at any window edge and resume exactly, and
+/// its series deltas count only its own work. [`run_windows`] builds a
+/// cell on first touch, runs it window by window
+/// ([`CellSim::run_until`]), applies the fleet plan between windows
+/// ([`CellSim::publish`] / [`CellSim::apply_plan`]), and at the horizon
+/// merges it into its worker ([`CellSim::finalize`]) and drops it.
 struct CellSim<'a> {
+    shared: &'a Shared<'a>,
     cell_idx: u32,
+    /// Everything this cell has accumulated so far.
+    acc: ShardTotals,
     cell: CellState,
     insts: Vec<InstanceState>,
     phases: Vec<Phase>,
@@ -1971,29 +1778,32 @@ struct CellSim<'a> {
     traffic: CellTraffic,
     ctl: Option<CellCtl>,
     chaos: Option<&'a CellChaos>,
-    outage_fired: Vec<bool>,
-    partition_fired: Vec<bool>,
-    thermal_fired: Vec<bool>,
-    drain_fired: Vec<bool>,
-    drain_restored: Vec<bool>,
+    /// Per slot at the current tick: drained, thermal clock clamp (grid
+    /// index, `u8::MAX` when unclamped) and inside an outage window.
     drained: Vec<bool>,
     clamp: Vec<u8>,
     chaos_outed: Vec<bool>,
-    /// Request-span sampler carried between segments; the borrowing
-    /// [`TraceSink`] is reassembled inside each `run_until` call.
-    sampler: Option<SpanSampler>,
-    series_ids: Option<SeriesIds>,
-    series_every: u32,
-    snap: CounterSnap,
-    /// Shard-accumulator snapshot at the last segment exit, for the
-    /// re-entry drift compensation (kept only when sampling series).
-    pause: Option<CounterSnap>,
-    heap: BinaryHeap<Reverse<(u32, u32)>>,
-    accrued: Vec<u32>,
-    busy: Vec<bool>,
-    busy_list: Vec<u32>,
-    lifecycle_now: Vec<u32>,
     clamp_scratch: Vec<u8>,
+    /// This tick's chaos verdicts: the cell is partitioned; some slot was
+    /// forced down (which makes decode retries due).
+    partitioned: bool,
+    forced_down: bool,
+    trace: Option<TraceSink>,
+    series_ids: Option<SeriesIds>,
+    /// Counter values at the last series sample.
+    snap: CounterSnap,
+    tenant_scratch: Vec<u64>,
+    /// The wakeup heap over `(tick, local idx)`: `idx == u32::MAX` is a
+    /// generic "process this tick" entry (chaos window edges,
+    /// repair-dispatch readiness); `idx < n` requests that slot's
+    /// failure lifecycle at that tick.
+    heap: BinaryHeap<Reverse<(u32, u32)>>,
+    /// Per slot: the tick up to which idle time is billed.
+    accrued: Vec<u32>,
+    busy: BusySet,
+    lifecycle_now: Vec<u32>,
+    /// The whole horizon of the cell's own arrival batches
+    /// `(tick, tenant, count)`, consumed through a cursor.
     arrivals: Vec<(u32, u16, u64)>,
     arr_ptr: usize,
     /// Spilled-in cohorts from other cells, sorted by tick (appended in
@@ -2008,39 +1818,36 @@ struct CellSim<'a> {
     kv_next: u32,
     kv_blocked: bool,
     decode_retry: bool,
+    /// The next tick to process.
     tick: u32,
 }
 
 impl<'a> CellSim<'a> {
     fn new(
-        shared: &'a Shared<'_>,
+        shared: &'a Shared<'a>,
         seed: u64,
         cell_idx: u32,
-        series_every: u32,
         series: Option<&mut SeriesRecorder>,
         prof: &mut ProfTimer,
-        acc: &ShardTotals,
     ) -> Self {
         let cfg = shared.cfg;
-        let rates = &shared.rates;
         let n_tenants = cfg.workload.tenants.len();
-        let ticks = cfg.num_ticks();
         let tick_us = shared.knobs.tick_us;
         let tel = &cfg.telemetry;
         let first = cell_idx * cfg.cell_size;
         let last = (first + cfg.cell_size).min(cfg.instances);
-        let cell = CellState::new(cfg.spares_per_cell, cfg.repair_crews_per_cell);
         let insts: Vec<InstanceState> = (first..last)
-            .map(|g| InstanceState::new(seed, g as u64, rates, n_tenants))
+            .map(|g| InstanceState::new(seed, g as u64, &shared.rates, n_tenants))
             .collect();
+        let n = insts.len();
         // Phase roles: monolithic cells are all-Mixed; split cells start
         // at the configured fraction (prefill pool on the low-indexed
         // stable primaries) and the phase-aware autoscaler rebalances.
         let phases: Vec<Phase> = match &shared.split {
-            None => vec![Phase::Mixed; insts.len()],
+            None => vec![Phase::Mixed; n],
             Some(s) => {
-                let np = s.prefill_slots(insts.len());
-                (0..insts.len())
+                let np = s.prefill_slots(n);
+                (0..n)
                     .map(|i| {
                         if i < np {
                             Phase::Prefill
@@ -2051,21 +1858,10 @@ impl<'a> CellSim<'a> {
                     .collect()
             }
         };
-        let kv: Option<KvLinkState> = shared
-            .split
+        let ctl = cfg
+            .ctrl
             .as_ref()
-            .map(|s| KvLinkState::new(s.kv_bytes_per_s, s.kv_max_backlog_us));
-        let mut traffic = CellTraffic::new(seed, cell_idx, n_tenants, insts.len());
-        let ctl = cfg.ctrl.as_ref().map(|c| {
-            CellCtl::new(
-                c,
-                seed,
-                cell_idx,
-                insts.len(),
-                cfg.tick_s,
-                shared.nominal_ci,
-            )
-        });
+            .map(|c| CellCtl::new(c, seed, cell_idx, n, cfg.tick_s, shared.nominal_ci));
         let chaos = shared
             .chaos
             .get(cell_idx as usize)
@@ -2081,742 +1877,818 @@ impl<'a> CellSim<'a> {
                 tel.per_cell_series.then_some(cell_idx),
             )
         });
-        let n = insts.len();
-        // The wakeup heap over `(tick, local idx)`: `idx == u32::MAX`
-        // is a generic "process this tick" entry (chaos window edges,
-        // repair-dispatch readiness); `idx < n` requests that
-        // instance's failure lifecycle at that tick.
-        let mut heap: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
-        for (i, inst) in insts.iter().enumerate() {
-            let nf = inst.next_failure_at_us();
-            if nf != u64::MAX && nf / tick_us < ticks as u64 {
-                heap.push(Reverse(((nf / tick_us) as u32, i as u32)));
-            }
-        }
-        if let Some(ch) = chaos {
-            // Chaos window edges are static: schedule every boundary
-            // that must be observed at its exact tick. Outages fire at
-            // the tick containing their start (the `start < t_end`
-            // test); the other windows matter from the first tick at or
-            // after each boundary (the `start <= t_start < end` test).
-            let mut wake = |t: u64| {
-                if t < ticks as u64 {
-                    heap.push(Reverse((t as u32, u32::MAX)));
-                }
-            };
-            for (_, start, _, _) in &ch.outages {
-                wake(start / tick_us);
-            }
-            for &(start, _) in &ch.partitions {
-                wake(start.div_ceil(tick_us));
-            }
-            for (start, end, _) in &ch.drains {
-                wake(start.div_ceil(tick_us));
-                wake(end.div_ceil(tick_us));
-            }
-            for (start, end, _, _) in &ch.thermals {
-                wake(start.div_ceil(tick_us));
-                wake(end.div_ceil(tick_us));
-            }
-        }
         // The whole horizon of arrivals, drawn up front (stream-exact —
         // see `precompute_arrivals`), consumed through a cursor.
+        let mut traffic = CellTraffic::new(seed, cell_idx, n_tenants, n);
         prof.reset();
         let rate_scale = cfg
             .cell_rate_multipliers
             .get(cell_idx as usize)
             .copied()
             .unwrap_or(1.0);
-        let arrivals = traffic.precompute_arrivals(shared, n, ticks, rate_scale);
+        let arrivals = traffic.precompute_arrivals(shared, n, rate_scale);
         prof.mark(PHASE_ROUTE);
-        // Periodic wakeup channels.
-        let next_ctrl = ctl.as_ref().map_or(u32::MAX, |c| c.interval_ticks);
-        Self {
+        let acc = ShardTotals::new(n_tenants, shared.lut.num_clocks());
+        let mut sim = Self {
+            shared,
             cell_idx,
-            cell,
+            snap: CounterSnap::take(&acc),
+            acc,
+            cell: CellState::new(cfg.spares_per_cell, cfg.repair_crews_per_cell),
             insts,
             phases,
-            kv,
+            kv: shared
+                .split
+                .as_ref()
+                .map(|s| KvLinkState::new(s.kv_bytes_per_s, s.kv_max_backlog_us)),
             traffic,
+            next_ctrl: ctl.as_ref().map_or(u32::MAX, |c| c.interval_ticks),
             ctl,
             chaos,
-            outage_fired: vec![false; chaos.map_or(0, |c| c.outages.len())],
-            partition_fired: vec![false; chaos.map_or(0, |c| c.partitions.len())],
-            thermal_fired: vec![false; chaos.map_or(0, |c| c.thermals.len())],
-            drain_fired: vec![false; chaos.map_or(0, |c| c.drains.len())],
-            drain_restored: vec![false; chaos.map_or(0, |c| c.drains.len())],
             drained: vec![false; n],
             clamp: vec![u8::MAX; n],
             chaos_outed: vec![false; n],
-            sampler: (tel.trace_every > 0).then(|| SpanSampler::new(tel.trace_every)),
-            snap: CounterSnap::take(acc),
-            pause: series_ids.is_some().then(|| CounterSnap::take(acc)),
-            series_ids,
-            series_every,
-            heap,
-            accrued: vec![0u32; n],
-            busy: vec![false; n],
-            busy_list: Vec::new(),
-            lifecycle_now: Vec::new(),
             clamp_scratch: vec![u8::MAX; n],
+            partitioned: false,
+            forced_down: false,
+            trace: (tel.trace_every > 0).then(|| TraceSink {
+                buf: Vec::new(),
+                sampler: SpanSampler::new(tel.trace_every),
+                cell: cell_idx,
+            }),
+            series_ids,
+            tenant_scratch: vec![0; n_tenants],
+            heap: BinaryHeap::new(),
+            accrued: vec![0; n],
+            busy: BusySet {
+                member: vec![false; n],
+                list: Vec::new(),
+            },
+            lifecycle_now: Vec::new(),
             arrivals,
             arr_ptr: 0,
             inflow: Vec::new(),
             inflow_ptr: 0,
             flow: FlowCtl::default(),
-            next_ctrl,
             next_boot: u32::MAX,
-            next_sample: if series_every > 0 {
-                series_every - 1
-            } else {
-                u32::MAX
-            },
+            next_sample: shared.series_every.checked_sub(1).unwrap_or(u32::MAX),
             kv_next: u32::MAX,
             kv_blocked: false,
             decode_retry: false,
             tick: 0,
+        };
+        for i in 0..n {
+            sim.wake(sim.insts[i].next_failure_at_us() / tick_us, i as u32);
+        }
+        if let Some(ch) = chaos {
+            // Chaos window edges are static: schedule every edge that
+            // must be observed at its exact tick. Outages fire at the
+            // tick containing their start; the other windows matter
+            // from the first tick at or after each edge.
+            for (_, start, _, _) in &ch.outages {
+                sim.wake(start / tick_us, u32::MAX);
+            }
+            for &(start, _) in &ch.partitions {
+                sim.wake(start.div_ceil(tick_us), u32::MAX);
+            }
+            for (start, end, _) in &ch.drains {
+                sim.wake(start.div_ceil(tick_us), u32::MAX);
+                sim.wake(end.div_ceil(tick_us), u32::MAX);
+            }
+            for (start, end, _, _) in &ch.thermals {
+                sim.wake(start.div_ceil(tick_us), u32::MAX);
+                sim.wake(end.div_ceil(tick_us), u32::MAX);
+            }
+        }
+        sim
+    }
+
+    /// Schedules tick `t` — for slot `idx`'s failure lifecycle, or just
+    /// to process the tick when `idx == u32::MAX`. Ticks at or past the
+    /// horizon are dropped.
+    fn wake(&mut self, t: u64, idx: u32) {
+        if t < self.shared.ticks as u64 {
+            self.heap.push(Reverse((t as u32, idx)));
         }
     }
 
-    /// Steps this cell until its clock reaches `until` (the cell may
-    /// pause *past* `until` after an idle jump — that is fine, the next
-    /// segment resumes from there). Every phase of the loop body is
-    /// identical to the pre-extraction cell-major loop; only the loop
-    /// bound changed from the horizon to `until`.
-    #[allow(clippy::too_many_arguments)]
+    /// Slot `i`'s administrative mode (always live without a control
+    /// plane).
+    fn mode(&self, i: usize) -> SlotMode {
+        self.ctl.as_ref().map_or(SlotMode::Live, |c| c.modes[i])
+    }
+
+    /// Slot `i`'s operating point: its DVFS clock (nominal without a
+    /// control plane) capped by any thermal clamp. The grid is priced
+    /// whenever any thermal event exists.
+    fn clock(&self, i: usize) -> usize {
+        self.ctl
+            .as_ref()
+            .map_or(self.shared.nominal_ci, |c| c.clocks[i])
+            .min(self.clamp[i]) as usize
+    }
+
+    /// Slots out of service by announced chaos: drained or inside an
+    /// outage window.
+    fn chaos_down(&self) -> u32 {
+        self.drained
+            .iter()
+            .zip(&self.chaos_outed)
+            .filter(|(&d, &o)| d || o)
+            .count() as u32
+    }
+
+    /// Appends `ev` to the cell's trace when tracing is on.
+    fn emit(&mut self, ev: TraceEvent) {
+        if let Some(ts) = self.trace.as_mut() {
+            ts.buf.push(ev);
+        }
+    }
+
+    /// Lazily bills slot `i`'s idle ticks `[accrued[i], to)` at its
+    /// current administrative mode — the event engine's replacement for
+    /// the tick loop's per-tick energy walk over every instance.
+    ///
+    /// Exactness rests on two facts. First, an idle instance's serve was
+    /// a pure no-op (`spent == 0`, no RNG draw, `carry_us` already zero),
+    /// so a Live idle tick billed exactly the static floor plus one
+    /// live/clock/phase tick and a Warm or Booting tick exactly the
+    /// floor. Second, every input of that per-tick amount (`up`, mode,
+    /// clock, clamp, phase) is constant across the span, because each
+    /// mutation site runs behind an accrual barrier: the failure
+    /// lifecycle and chaos outages accrue the instance first, control
+    /// ticks, boot promotions and thermal-clamp changes accrue the whole
+    /// cell first, and the serve path closes its own span every busy
+    /// tick.
+    fn accrue(&mut self, i: usize, to: u32) {
+        let from = self.accrued[i];
+        if to <= from {
+            return;
+        }
+        self.accrued[i] = to;
+        if !self.insts[i].up {
+            return;
+        }
+        let k = (to - from) as u64;
+        let e = self.shared.power.idle_mw * self.shared.knobs.tick_us / 1000;
+        let (mode, ci) = (self.mode(i), self.clock(i));
+        let acc = &mut self.acc;
+        match mode {
+            SlotMode::Live => {
+                acc.energy_uj += e * k;
+                acc.idle_energy_uj += e * k;
+                acc.live_ticks += k;
+                acc.clock_ticks[ci] += k;
+                match self.phases[i] {
+                    Phase::Prefill => acc.prefill_live_ticks += k,
+                    Phase::Decode => acc.decode_live_ticks += k,
+                    Phase::Mixed => {}
+                }
+            }
+            SlotMode::Warm | SlotMode::Booting { .. } => {
+                acc.energy_uj += e * k;
+                acc.idle_energy_uj += e * k;
+            }
+            SlotMode::Cold => {}
+        }
+    }
+
+    /// Closes every slot's open idle span at `to`.
+    fn accrue_all(&mut self, to: u32) {
+        for i in 0..self.insts.len() {
+            self.accrue(i, to);
+        }
+    }
+
+    /// Steps this cell until its clock reaches `until`. Each processed
+    /// tick runs the seven phases in order — [`Self::chaos`],
+    /// [`Self::lifecycle`], [`Self::control`], [`Self::kv`],
+    /// [`Self::route`], [`Self::serve`], [`Self::sample`] — each a no-op
+    /// when nothing of its kind is due, then jumps to the next tick with
+    /// work ([`Self::next_tick`]). The cell may stop *past* `until` after
+    /// an idle jump; the next window resumes from there.
     fn run_until(
         &mut self,
-        shared: &Shared<'_>,
         until: u32,
-        acc: &mut ShardTotals,
-        series: &mut Option<SeriesRecorder>,
-        trace_buf: &mut Vec<TraceEvent>,
+        mut series: Option<&mut SeriesRecorder>,
         prof: &mut ProfTimer,
-        tenant_scratch: &mut [u64],
     ) {
-        // Re-entry drift compensation: while this cell was paused, the
-        // shard's other cells advanced `acc`; shift the sampling
-        // snapshot by the same amount so the next window delta counts
-        // only this cell's own additions.
-        if let Some(pause) = self.pause.take() {
-            if self.series_ids.is_some() {
-                self.snap.advance(&pause, &CounterSnap::take(acc));
+        while self.tick < until {
+            prof.reset();
+            self.chaos();
+            prof.mark(PHASE_CHAOS);
+            self.lifecycle();
+            prof.mark(PHASE_LIFECYCLE);
+            self.control();
+            prof.mark(PHASE_CONTROL);
+            self.kv();
+            prof.mark(PHASE_KV);
+            self.route();
+            prof.mark(PHASE_ROUTE);
+            self.serve();
+            prof.mark(PHASE_SERVE);
+            self.sample(series.as_deref_mut());
+            prof.mark(PHASE_SAMPLE);
+            self.tick = self.next_tick();
+        }
+    }
+
+    /// Chaos phase: returns repaired units to the spare pool, hands every
+    /// ready repair job to a crew, then applies the campaign at this
+    /// tick ([`Self::outages`], [`Self::windows`]).
+    fn chaos(&mut self) {
+        let tick_us = self.shared.knobs.tick_us;
+        let t_start = self.tick as u64 * tick_us;
+        self.cell.reclaim_repaired(t_start);
+        for job in self
+            .cell
+            .dispatch_repairs(t_start, self.shared.rates.repair_us)
+        {
+            self.acc.repairs_dispatched += 1;
+            self.acc.repair_wait_us += job.wait_us;
+            if !job.replenish {
+                self.insts[job.local_idx as usize].schedule_recovery(job.done_us);
+                // The recovery can already be due this tick (a
+                // zero-length repair); the lifecycle phase drains the
+                // heap after this one, so a same-tick wakeup still runs.
+                let rt = job.done_us.div_ceil(tick_us).max(self.tick as u64);
+                self.wake(rt, job.local_idx);
+            }
+            self.emit(TraceEvent::complete(
+                "chaos",
+                "repair",
+                t_start,
+                job.done_us.saturating_sub(t_start),
+                self.cell_idx,
+                job.local_idx,
+                job.wait_us,
+            ));
+        }
+        self.partitioned = false;
+        self.forced_down = false;
+        if let Some(ch) = self.chaos {
+            self.outages(ch);
+            self.windows(ch, t_start);
+        }
+    }
+
+    /// Correlated outages fire once, at the tick containing their window
+    /// start (a wakeup, and processed ticks only move forward, so the
+    /// tick is exact): every affected up instance goes down for the
+    /// window. Spares apply, but the swap can only run once the domain is
+    /// back, so spare recovery lands at window end + swap; either way the
+    /// repair crew is requested for window end.
+    fn outages(&mut self, ch: &CellChaos) {
+        let tick_us = self.shared.knobs.tick_us;
+        let tick = self.tick;
+        for (kind, start, end, locals) in &ch.outages {
+            if start / tick_us != tick as u64 {
+                continue;
+            }
+            self.emit(TraceEvent::complete(
+                "chaos",
+                if *kind == 2 {
+                    "power_outage"
+                } else {
+                    "rack_outage"
+                },
+                *start,
+                end - start,
+                self.cell_idx,
+                locals.first().copied().unwrap_or(0),
+                locals.len() as u64,
+            ));
+            for &li in locals {
+                let iu = li as usize;
+                if !self.insts[iu].up {
+                    continue;
+                }
+                self.accrue(iu, tick);
+                self.acc.failures += 1;
+                self.acc.by_kind[*kind] += 1;
+                let spare = self.cell.try_take_spare();
+                let until = if spare {
+                    self.acc.spare_hits += 1;
+                    end.saturating_add(self.shared.rates.swap_us.max(1))
+                } else {
+                    self.acc.spare_misses += 1;
+                    u64::MAX
+                };
+                self.insts[iu].force_down(*start, until, &mut self.acc);
+                self.cell.enqueue_repair(*end, li, spare);
+                self.wake(self.insts[iu].down_until_at_us().div_ceil(tick_us), li);
+                // The repair job becomes dispatchable at the first tick
+                // whose start reaches the window end.
+                self.wake(end.div_ceil(tick_us).max(tick as u64 + 1), u32::MAX);
+                self.forced_down = true;
+                self.busy.remove(iu);
             }
         }
-        let cell_idx = self.cell_idx;
-        let knobs = &shared.knobs;
-        let rates = &shared.rates;
-        let power = &shared.power;
-        let ticks = shared.cfg.num_ticks();
-        let tick_us = knobs.tick_us;
-        let CellSim {
-            cell,
-            insts,
-            phases,
-            kv,
-            traffic,
-            ctl,
-            chaos,
-            outage_fired,
-            partition_fired,
-            thermal_fired,
-            drain_fired,
-            drain_restored,
-            drained,
-            clamp,
-            chaos_outed,
-            sampler,
-            series_ids,
-            series_every,
-            snap: snap_ref,
-            pause: pause_ref,
-            heap,
-            accrued,
-            busy,
-            busy_list,
-            lifecycle_now,
-            clamp_scratch,
-            arrivals,
-            arr_ptr: arr_ptr_ref,
-            inflow,
-            inflow_ptr: inflow_ptr_ref,
-            flow,
-            next_ctrl: next_ctrl_ref,
-            next_boot: next_boot_ref,
-            next_sample: next_sample_ref,
-            kv_next: kv_next_ref,
-            kv_blocked: kv_blocked_ref,
-            decode_retry: decode_retry_ref,
-            tick: tick_ref,
-            ..
-        } = self;
-        let series_every = *series_every;
-        let mut snap = core::mem::take(snap_ref);
-        let mut sink = sampler.take().map(|sampler| TraceSink {
-            buf: trace_buf,
-            sampler,
-            cell: cell_idx,
-        });
-        let n = insts.len();
-        let mut arr_ptr = *arr_ptr_ref;
-        let mut inflow_ptr = *inflow_ptr_ref;
-        let mut next_ctrl = *next_ctrl_ref;
-        let mut next_boot = *next_boot_ref;
-        let mut next_sample = *next_sample_ref;
-        let mut kv_next = *kv_next_ref;
-        let mut kv_blocked = *kv_blocked_ref;
-        let mut decode_retry = *decode_retry_ref;
-        let mut tick = *tick_ref;
-        macro_rules! accrue {
-            ($i:expr, $to:expr) => {
-                accrue_idle_span(
-                    acc,
-                    power,
-                    tick_us,
-                    shared.nominal_ci,
-                    &insts,
-                    ctl.as_ref(),
-                    &clamp,
-                    &phases,
-                    accrued,
-                    $i,
-                    $to,
-                )
-            };
-        }
-        macro_rules! accrue_all {
-            ($to:expr) => {
-                for i in 0..n {
-                    accrue!(i, $to);
-                }
-            };
-        }
-        while tick < until {
-            let t_start = tick as u64 * tick_us;
-            let t_end = t_start + tick_us;
-            prof.reset();
-            cell.reclaim_repaired(t_start);
-            for job in cell.dispatch_repairs(t_start, rates.repair_us) {
-                acc.repairs_dispatched += 1;
-                acc.repair_wait_us += job.wait_us;
-                if !job.replenish {
-                    insts[job.local_idx as usize].schedule_recovery(job.done_us);
-                    // The recovery can already be due this tick (a
-                    // zero-length repair); the heap drains after
-                    // dispatch, so a same-tick wakeup still runs.
-                    let rt = job.done_us.div_ceil(tick_us).max(tick as u64);
-                    if rt < ticks as u64 {
-                        heap.push(Reverse((rt as u32, job.local_idx)));
-                    }
-                }
-                if let Some(ts) = sink.as_mut() {
-                    ts.buf.push(TraceEvent::complete(
+    }
+
+    /// The windowed campaign state at this tick: partitions, drains and
+    /// thermal clamps, plus which slots sit inside an outage window. A
+    /// window is active while `start <= t_start < end`. Every window edge
+    /// is a wakeup and processed ticks only move forward, so a window's
+    /// first active tick is `start.div_ceil(tick_us)` — where its event
+    /// is counted and traced — and a drain that was ever active restores
+    /// at `end.div_ceil(tick_us)`.
+    fn windows(&mut self, ch: &CellChaos, t_start: u64) {
+        let tick_us = self.shared.knobs.tick_us;
+        let tick = self.tick as u64;
+        let active = |s: u64, e: u64| s <= t_start && t_start < e;
+        let first = |edge: u64| edge.div_ceil(tick_us) == tick;
+        for &(start, end) in &ch.partitions {
+            if active(start, end) {
+                self.partitioned = true;
+                if first(start) {
+                    self.acc.by_kind[3] += 1; // DomainKind::Partition.
+                    self.emit(TraceEvent::complete(
                         "chaos",
-                        "repair",
-                        t_start,
-                        job.done_us.saturating_sub(t_start),
-                        cell_idx,
-                        job.local_idx,
-                        job.wait_us,
+                        "partition",
+                        start,
+                        end - start,
+                        self.cell_idx,
+                        0,
+                        self.insts.len() as u64,
                     ));
                 }
             }
-            lifecycle_now.clear();
-            while let Some(&Reverse((t, i))) = heap.peek() {
-                if t > tick {
-                    break;
+        }
+        self.drained.fill(false);
+        for &(start, end, ref locals) in &ch.drains {
+            let lead = locals.first().copied().unwrap_or(0);
+            if active(start, end) {
+                if first(start) {
+                    self.acc.drains += locals.len() as u64;
+                    self.emit(TraceEvent::complete(
+                        "chaos",
+                        "drain",
+                        start,
+                        end - start,
+                        self.cell_idx,
+                        lead,
+                        locals.len() as u64,
+                    ));
                 }
-                heap.pop();
-                // Dedup duplicate instance wakeups: equal entries pop
-                // adjacently, and a doubled lifecycle call could
-                // recover-and-refail within one tick where the tick
-                // loop called it exactly once.
-                if i != u32::MAX && lifecycle_now.last() != Some(&i) {
-                    lifecycle_now.push(i);
+                for &li in locals {
+                    self.drained[li as usize] = true;
                 }
-            }
-            let mut partitioned = false;
-            let mut forced_down = false;
-            if let Some(ch) = chaos {
-                // Correlated outages fire once, at the tick containing
-                // their window start: every affected up instance goes down
-                // for the window. Spares apply, but the swap can only run
-                // once the domain is back, so spare recovery lands at
-                // window end + swap; either way the repair crew is
-                // requested for window end.
-                for (e, (kind, start, end, locals)) in ch.outages.iter().enumerate() {
-                    if outage_fired[e] || *start >= t_end {
-                        continue;
-                    }
-                    outage_fired[e] = true;
-                    let at = (*start).max(t_start);
-                    if let Some(ts) = sink.as_mut() {
-                        ts.buf.push(TraceEvent::complete(
-                            "chaos",
-                            if *kind == 2 {
-                                "power_outage"
-                            } else {
-                                "rack_outage"
-                            },
-                            *start,
-                            end - start,
-                            cell_idx,
-                            locals.first().copied().unwrap_or(0),
-                            locals.len() as u64,
-                        ));
-                    }
-                    for &li in locals {
-                        let iu = li as usize;
-                        if !insts[iu].up {
-                            continue;
-                        }
-                        accrue!(iu, tick);
-                        acc.failures += 1;
-                        acc.by_kind[*kind] += 1;
-                        if cell.try_take_spare() {
-                            acc.spare_hits += 1;
-                            insts[iu].force_down(at, end.saturating_add(rates.swap_us.max(1)), acc);
-                            cell.enqueue_repair(*end, li, true);
-                        } else {
-                            acc.spare_misses += 1;
-                            insts[iu].force_down(at, u64::MAX, acc);
-                            cell.enqueue_repair(*end, li, false);
-                        }
-                        let du = insts[iu].down_until_at_us();
-                        if du != u64::MAX {
-                            let rt = du.div_ceil(tick_us);
-                            if rt < ticks as u64 {
-                                heap.push(Reverse((rt as u32, li)));
-                            }
-                        }
-                        // The repair job becomes dispatchable at the
-                        // first tick whose start reaches the window end.
-                        let dt = end.div_ceil(tick_us).max(tick as u64 + 1);
-                        if dt < ticks as u64 {
-                            heap.push(Reverse((dt as u32, u32::MAX)));
-                        }
-                        forced_down = true;
-                        busy_remove(busy, busy_list, iu);
-                    }
-                }
-                let active = |s: u64, e: u64| s <= t_start && t_start < e;
-                for (e, &(start, end)) in ch.partitions.iter().enumerate() {
-                    if active(start, end) {
-                        partitioned = true;
-                        if !partition_fired[e] {
-                            partition_fired[e] = true;
-                            acc.by_kind[3] += 1; // DomainKind::Partition.
-                            if let Some(ts) = sink.as_mut() {
-                                ts.buf.push(TraceEvent::complete(
-                                    "chaos",
-                                    "partition",
-                                    start,
-                                    end - start,
-                                    cell_idx,
-                                    0,
-                                    insts.len() as u64,
-                                ));
-                            }
-                        }
-                    }
-                }
-                drained.fill(false);
-                for (e, (start, end, locals)) in ch.drains.iter().enumerate() {
-                    if active(*start, *end) {
-                        if !drain_fired[e] {
-                            drain_fired[e] = true;
-                            acc.drains += locals.len() as u64;
-                            if let Some(ts) = sink.as_mut() {
-                                ts.buf.push(TraceEvent::complete(
-                                    "chaos",
-                                    "drain",
-                                    *start,
-                                    end - start,
-                                    cell_idx,
-                                    locals.first().copied().unwrap_or(0),
-                                    locals.len() as u64,
-                                ));
-                            }
-                        }
-                        for &li in locals {
-                            drained[li as usize] = true;
-                        }
-                    } else if drain_fired[e] && !drain_restored[e] && t_start >= *end {
-                        drain_restored[e] = true;
-                        acc.drain_restores += locals.len() as u64;
-                        if let Some(ts) = sink.as_mut() {
-                            ts.buf.push(TraceEvent::instant(
-                                "chaos",
-                                "drain_restore",
-                                *end,
-                                cell_idx,
-                                locals.first().copied().unwrap_or(0),
-                                locals.len() as u64,
-                            ));
-                        }
-                    }
-                }
-                clamp_scratch.fill(u8::MAX);
-                for (e, (start, end, cci, locals)) in ch.thermals.iter().enumerate() {
-                    if active(*start, *end) {
-                        if !thermal_fired[e] {
-                            thermal_fired[e] = true;
-                            acc.by_kind[4] += 1; // DomainKind::Thermal.
-                            if let Some(ts) = sink.as_mut() {
-                                ts.buf.push(TraceEvent::complete(
-                                    "chaos",
-                                    "thermal",
-                                    *start,
-                                    end - start,
-                                    cell_idx,
-                                    locals.first().copied().unwrap_or(0),
-                                    locals.len() as u64,
-                                ));
-                            }
-                        }
-                        for &li in locals {
-                            clamp_scratch[li as usize] = clamp_scratch[li as usize].min(*cci);
-                        }
-                    }
-                }
-                if clamp_scratch != clamp {
-                    // A clamp change re-prices Live idle ticks (the
-                    // clock-tick attribution): close every open accrual
-                    // span at the old operating points before
-                    // committing the new clamps.
-                    accrue_all!(tick);
-                    clamp.copy_from_slice(clamp_scratch);
-                }
-                chaos_outed.fill(false);
-                for (_, start, end, locals) in &ch.outages {
-                    if active(*start, *end) {
-                        for &li in locals {
-                            chaos_outed[li as usize] = true;
-                        }
-                    }
-                }
-            }
-            prof.mark(PHASE_CHAOS);
-            for &i in lifecycle_now.iter() {
-                let iu = i as usize;
-                let was_up = insts[iu].up;
-                accrue!(iu, tick);
-                insts[iu].lifecycle(i, t_start, tick_us, rates, cell, acc);
-                let inst = &insts[iu];
-                if was_up && !inst.up {
-                    forced_down = true;
-                    let du = inst.down_until_at_us();
-                    if du != u64::MAX {
-                        let rt = du.div_ceil(tick_us);
-                        if rt < ticks as u64 {
-                            heap.push(Reverse((rt as u32, i)));
-                        }
-                    }
-                    // The failure enqueued a repair job, dispatchable at
-                    // the next tick at the earliest (this tick's
-                    // dispatch phase already ran).
-                    if tick + 1 < ticks {
-                        heap.push(Reverse((tick + 1, u32::MAX)));
-                    }
-                    busy_remove(busy, busy_list, iu);
-                } else if !was_up && inst.up {
-                    // Recovered. The lifecycle returns after a recovery,
-                    // so a next-failure time already in the past still
-                    // fails no earlier than the next tick.
-                    let nf = inst.next_failure_at_us();
-                    if nf != u64::MAX {
-                        let ft = (nf / tick_us).max(tick as u64 + 1);
-                        if ft < ticks as u64 {
-                            heap.push(Reverse((ft as u32, i)));
-                        }
-                    }
-                    if !inst.is_idle() {
-                        busy_add(busy, busy_list, iu);
-                    }
-                }
-            }
-            // A failed decode instance's requeued work (KV lost) must go
-            // back through the prefill pool — decode slots never prefill,
-            // so anything the lifecycle parked on their queue re-routes.
-            // Decode-side queues only ever appear through a force-down
-            // flush, so the sweep is due exactly on force-down ticks and
-            // while a previous sweep left work unplaced (`decode_retry`
-            // then forces every tick until the pool can take it).
-            if shared.split.is_some() && (forced_down || decode_retry) {
-                decode_retry = false;
-                for i in 0..n {
-                    if phases[i] == Phase::Decode && insts[i].queued() > 0 {
-                        if let Some(tgt) = reroute_decode_retries(insts, phases, ctl.as_ref(), i) {
-                            if tgt != i {
-                                busy_add(busy, busy_list, tgt);
-                            }
-                        }
-                        if insts[i].queued() > 0 {
-                            decode_retry = true;
-                        }
-                    }
-                }
-            }
-            prof.mark(PHASE_LIFECYCLE);
-            // `next_boot`/`next_ctrl` stay at `u32::MAX` without a
-            // control plane, so these fire only when `ctl` is present.
-            if tick >= next_boot {
-                // Booting → Live changes the billing mode: close every
-                // open span first.
-                accrue_all!(tick);
-                if let Some(c) = ctl.as_mut() {
-                    c.finish_boots(t_start);
-                    next_boot = next_boot_tick(&c.modes, tick_us, ticks);
-                }
-            }
-            if tick == next_ctrl {
-                // The control plane observes announced chaos state
-                // (active outage windows + drains) so the autoscaler
-                // can hold replacement capacity live instead of
-                // parking it into the blast radius.
-                let chaos_down = drained
-                    .iter()
-                    .zip(chaos_outed.iter())
-                    .filter(|(&d, &o)| d || o)
-                    .count() as u32;
-                // Control may change modes, clocks and phases — all
-                // accrual inputs.
-                accrue_all!(tick);
-                if let Some(c) = ctl.as_mut() {
-                    c.control(
-                        tick,
-                        t_start,
-                        insts,
-                        phases,
-                        kv.as_ref(),
-                        shared,
-                        chaos_down,
-                        sink.as_mut(),
-                        acc,
-                    );
-                    next_ctrl = next_ctrl.saturating_add(c.interval_ticks);
-                    next_boot = next_boot_tick(&c.modes, tick_us, ticks);
-                }
-            }
-            prof.mark(PHASE_CONTROL);
-            // `kv_next` stays at `u32::MAX` (and `kv_blocked` false)
-            // without a KV link, so this fires only when one exists.
-            if let Some(link) = kv.as_mut().filter(|_| kv_blocked || tick >= kv_next) {
-                deliver_transfers(
-                    link,
-                    t_start,
-                    insts,
-                    phases,
-                    ctl.as_ref(),
-                    drained,
-                    shared.lut.max_batch,
-                    knobs,
-                    sink.as_mut(),
-                    acc,
-                    |i| busy_add(busy, busy_list, i),
-                );
-                // A landed head with no decode room blocks FIFO: the
-                // next tick must process another delivery attempt.
-                kv_blocked = link.peek_landed(t_start).is_some();
-            }
-            prof.mark(PHASE_KV);
-            if arrivals.get(arr_ptr).is_some_and(|&(t, _, _)| t == tick) {
-                let lo = arr_ptr;
-                while arrivals.get(arr_ptr).is_some_and(|&(t, _, _)| t == tick) {
-                    arr_ptr += 1;
-                }
-                traffic.route_event(
-                    tick,
-                    shared,
-                    ctl.as_mut(),
-                    phases,
-                    insts,
-                    partitioned,
-                    drained,
-                    acc,
-                    flow,
-                    &arrivals[lo..arr_ptr],
-                    |i| busy_add(busy, busy_list, i),
-                );
-            }
-            // Cross-cell spill-over: cohorts other cells redirected here
-            // land after the cell's own same-tick arrivals (a fixed,
-            // deterministic admission order) and go through the exact
-            // same routing/admission path.
-            if inflow.get(inflow_ptr).is_some_and(|&(t, _, _)| t == tick) {
-                let lo = inflow_ptr;
-                while inflow.get(inflow_ptr).is_some_and(|&(t, _, _)| t == tick) {
-                    inflow_ptr += 1;
-                }
-                traffic.route_event(
-                    tick,
-                    shared,
-                    ctl.as_mut(),
-                    phases,
-                    insts,
-                    partitioned,
-                    drained,
-                    acc,
-                    flow,
-                    &inflow[lo..inflow_ptr],
-                    |i| busy_add(busy, busy_list, i),
-                );
-            }
-            prof.mark(PHASE_ROUTE);
-            let mut keep = 0usize;
-            for r in 0..busy_list.len() {
-                let iu = busy_list[r] as usize;
-                accrue!(iu, tick);
-                let mode = ctl.as_ref().map_or(SlotMode::Live, |c| c.modes[iu]);
-                // A thermal excursion caps the slot's operating point
-                // below whatever DVFS (or nominal) asked for; the grid is
-                // priced whenever any thermal event exists.
-                let ci = ctl
-                    .as_ref()
-                    .map_or(shared.nominal_ci, |c| c.clocks[iu])
-                    .min(clamp[iu]) as usize;
-                let inst = &mut insts[iu];
-                let (spent, nominal_spent) = if mode == SlotMode::Live {
-                    inst.serve(
-                        tick,
-                        shared.lut,
-                        knobs,
-                        phases[iu],
-                        ci as u8,
-                        kv.as_mut(),
-                        sink.as_mut(),
-                        acc,
-                    )
-                } else {
-                    (0, 0)
-                };
-                // Energy: powered states only. A down instance draws
-                // nothing (its unit is out for swap/repair); a gated
-                // (cold) instance draws nothing — that is the §3 win.
-                // Dynamic power bills at the slot's operating point; the
-                // nominal-clock counterfactual of the same served work
-                // accumulates beside it, so the report can state exactly
-                // what serving-time DVFS saved.
-                if inst.up {
-                    match mode {
-                        SlotMode::Live => {
-                            let dyn_uj = power.dyn_mw[ci] * spent / 1000;
-                            acc.energy_uj += (power.idle_mw * tick_us) / 1000 + dyn_uj;
-                            acc.idle_energy_uj +=
-                                power.idle_mw * (tick_us - spent.min(tick_us)) / 1000;
-                            acc.live_ticks += 1;
-                            acc.clock_ticks[ci] += 1;
-                            acc.dvfs_dyn_uj += dyn_uj;
-                            acc.dvfs_nominal_dyn_uj +=
-                                power.dyn_mw[shared.nominal_ci as usize] * nominal_spent / 1000;
-                            match phases[iu] {
-                                Phase::Prefill => acc.prefill_live_ticks += 1,
-                                Phase::Decode => acc.decode_live_ticks += 1,
-                                Phase::Mixed => {}
-                            }
-                        }
-                        SlotMode::Warm | SlotMode::Booting { .. } => {
-                            let e = power.idle_mw * tick_us / 1000;
-                            acc.energy_uj += e;
-                            acc.idle_energy_uj += e;
-                        }
-                        SlotMode::Cold => {}
-                    }
-                }
-                accrued[iu] = tick + 1;
-                if insts[iu].up && !insts[iu].is_idle() {
-                    busy_list[keep] = iu as u32;
-                    keep += 1;
-                } else {
-                    busy[iu] = false;
-                }
-            }
-            busy_list.truncate(keep);
-            prof.mark(PHASE_SERVE);
-            if let Some(link) = kv.as_ref() {
-                kv_next = match link.head_complete_us() {
-                    Some(c) => {
-                        let t = c.div_ceil(tick_us);
-                        if t < ticks as u64 {
-                            t as u32
-                        } else {
-                            u32::MAX
-                        }
-                    }
-                    None => u32::MAX,
-                };
-            }
-            if tick == next_sample {
-                // Sampling reads the energy counter: bill this tick's
-                // idle instances into the closing window first.
-                accrue_all!(tick + 1);
-                if let Some(s) = series.as_mut() {
-                    let w = ((tick + 1) / series_every - 1) as usize;
-                    let t_end = (tick as u64 + 1) * tick_us;
-                    snap = sample_series(
-                        s,
-                        series_ids.as_ref().expect("ids resolved with the recorder"),
-                        w,
-                        t_end,
-                        &snap,
-                        acc,
-                        insts,
-                        ctl.as_ref(),
-                        phases,
-                        kv.as_ref(),
-                        cell,
-                        drained,
-                        tenant_scratch,
-                    );
-                }
-                next_sample = next_sample.saturating_add(series_every);
-            }
-            prof.mark(PHASE_SAMPLE);
-            if !busy_list.is_empty() || kv_blocked || decode_retry {
-                // Work (or a blocked KV head, or unplaced decode
-                // retries) forces the very next tick.
-                tick += 1;
-            } else {
-                // Idle: jump to the earliest due channel. `max(tick+1)`
-                // guards against stale already-passed channel values.
-                let mut nxt = ticks;
-                if let Some(&Reverse((t, _))) = heap.peek() {
-                    nxt = nxt.min(t);
-                }
-                if let Some(&(t, _, _)) = arrivals.get(arr_ptr) {
-                    nxt = nxt.min(t);
-                }
-                if let Some(&(t, _, _)) = inflow.get(inflow_ptr) {
-                    nxt = nxt.min(t);
-                }
-                nxt = nxt
-                    .min(next_ctrl)
-                    .min(next_boot)
-                    .min(next_sample)
-                    .min(kv_next);
-                tick = nxt.max(tick + 1);
+            } else if first(end) && start.div_ceil(tick_us) < end.div_ceil(tick_us) {
+                self.acc.drain_restores += locals.len() as u64;
+                self.emit(TraceEvent::instant(
+                    "chaos",
+                    "drain_restore",
+                    end,
+                    self.cell_idx,
+                    lead,
+                    locals.len() as u64,
+                ));
             }
         }
-        // Write the segment's loop state back for the next segment (or
-        // `finalize`).
-        *arr_ptr_ref = arr_ptr;
-        *inflow_ptr_ref = inflow_ptr;
-        *next_ctrl_ref = next_ctrl;
-        *next_boot_ref = next_boot;
-        *next_sample_ref = next_sample;
-        *kv_next_ref = kv_next;
-        *kv_blocked_ref = kv_blocked;
-        *decode_retry_ref = decode_retry;
-        *tick_ref = tick;
-        *snap_ref = snap;
-        *sampler = sink.map(|ts| ts.sampler);
-        *pause_ref = series_ids.is_some().then(|| CounterSnap::take(acc));
+        self.clamp_scratch.fill(u8::MAX);
+        for &(start, end, cci, ref locals) in &ch.thermals {
+            if active(start, end) {
+                if first(start) {
+                    self.acc.by_kind[4] += 1; // DomainKind::Thermal.
+                    self.emit(TraceEvent::complete(
+                        "chaos",
+                        "thermal",
+                        start,
+                        end - start,
+                        self.cell_idx,
+                        locals.first().copied().unwrap_or(0),
+                        locals.len() as u64,
+                    ));
+                }
+                for &li in locals {
+                    let c = &mut self.clamp_scratch[li as usize];
+                    *c = (*c).min(cci);
+                }
+            }
+        }
+        if self.clamp_scratch != self.clamp {
+            // A clamp change re-prices Live idle ticks (the clock-tick
+            // attribution): close every open accrual span at the old
+            // operating points before committing the new clamps.
+            self.accrue_all(self.tick);
+            self.clamp.copy_from_slice(&self.clamp_scratch);
+        }
+        self.chaos_outed.fill(false);
+        for (_, start, end, locals) in &ch.outages {
+            if active(*start, *end) {
+                for &li in locals {
+                    self.chaos_outed[li as usize] = true;
+                }
+            }
+        }
     }
 
-    /// Publishes this cell's fleet-scope observation at a window
-    /// boundary at `now_us`, together with the upcoming window's
-    /// arrival batches (`tick < b_next`) the planner may spill.
-    fn publish(&mut self, now_us: u64, b_next: u32) -> CellSnapshot {
+    /// Lifecycle phase: runs the failure lifecycle of every slot with a
+    /// wakeup due at this tick, schedules each state change's follow-up
+    /// wakeups, then re-routes work failed decode slots left queued.
+    fn lifecycle(&mut self) {
+        let tick = self.tick;
+        let tick_us = self.shared.knobs.tick_us;
+        let t_start = tick as u64 * tick_us;
+        self.lifecycle_now.clear();
+        while let Some(&Reverse((t, i))) = self.heap.peek() {
+            if t > tick {
+                break;
+            }
+            self.heap.pop();
+            // Dedup duplicate instance wakeups: equal entries pop
+            // adjacently, and a doubled lifecycle call could
+            // recover-and-refail within one tick where the tick loop
+            // called it exactly once.
+            if i != u32::MAX && self.lifecycle_now.last() != Some(&i) {
+                self.lifecycle_now.push(i);
+            }
+        }
+        for k in 0..self.lifecycle_now.len() {
+            let i = self.lifecycle_now[k];
+            let iu = i as usize;
+            let was_up = self.insts[iu].up;
+            self.accrue(iu, tick);
+            self.insts[iu].lifecycle(
+                i,
+                t_start,
+                tick_us,
+                &self.shared.rates,
+                &mut self.cell,
+                &mut self.acc,
+            );
+            let up = self.insts[iu].up;
+            if was_up && !up {
+                self.forced_down = true;
+                self.wake(self.insts[iu].down_until_at_us().div_ceil(tick_us), i);
+                // The failure enqueued a repair job, dispatchable at the
+                // next tick at the earliest (this tick's dispatch already
+                // ran).
+                self.wake(tick as u64 + 1, u32::MAX);
+                self.busy.remove(iu);
+            } else if !was_up && up {
+                // Recovered. The lifecycle returns after a recovery, so a
+                // next-failure time already in the past still fails no
+                // earlier than the next tick.
+                let nf = self.insts[iu].next_failure_at_us() / tick_us;
+                self.wake(nf.max(tick as u64 + 1), i);
+                if !self.insts[iu].is_idle() {
+                    self.busy.add(iu);
+                }
+            }
+        }
+        // A failed decode instance's requeued work (KV lost) must go
+        // back through the prefill pool — decode slots never prefill, so
+        // anything the lifecycle parked on their queue re-routes.
+        // Decode-side queues only ever appear through a force-down flush,
+        // so the sweep is due exactly on force-down ticks and while a
+        // previous sweep left work unplaced (`decode_retry` then forces
+        // every tick until the pool can take it).
+        if self.shared.split.is_some() && (self.forced_down || self.decode_retry) {
+            self.decode_retry = false;
+            for i in 0..self.insts.len() {
+                if self.phases[i] == Phase::Decode && self.insts[i].queued() > 0 {
+                    let ctl = self.ctl.as_ref();
+                    if let Some(tgt) = reroute_decode_retries(&mut self.insts, &self.phases, ctl, i)
+                    {
+                        if tgt != i {
+                            self.busy.add(tgt);
+                        }
+                    }
+                    if self.insts[i].queued() > 0 {
+                        self.decode_retry = true;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Control phase: promotes finished boots, and on control ticks runs
+    /// the cell's controller stack. Both change accrual inputs (modes,
+    /// clocks, phases), so every open idle span closes first. Without a
+    /// control plane `next_boot`/`next_ctrl` stay at `u32::MAX` and
+    /// neither fires.
+    fn control(&mut self) {
+        let tick = self.tick;
+        let tick_us = self.shared.knobs.tick_us;
+        let t_start = tick as u64 * tick_us;
+        if tick >= self.next_boot {
+            self.accrue_all(tick);
+            if let Some(c) = self.ctl.as_mut() {
+                c.finish_boots(t_start);
+                self.next_boot = next_boot_tick(&c.modes, tick_us, self.shared.ticks);
+            }
+        }
+        if tick == self.next_ctrl {
+            // The control plane observes announced chaos state (active
+            // outage windows + drains) so the autoscaler can hold
+            // replacement capacity live instead of parking it into the
+            // blast radius.
+            let chaos_down = self.chaos_down();
+            self.accrue_all(tick);
+            if let Some(c) = self.ctl.as_mut() {
+                c.control(
+                    tick,
+                    t_start,
+                    &self.insts,
+                    &mut self.phases,
+                    self.kv.as_ref(),
+                    self.shared,
+                    chaos_down,
+                    self.trace.as_mut(),
+                    &mut self.acc,
+                );
+                self.next_ctrl = self.next_ctrl.saturating_add(c.interval_ticks);
+                self.next_boot = next_boot_tick(&c.modes, tick_us, self.shared.ticks);
+            }
+        }
+    }
+
+    /// KV phase: delivers landed KV transfers into the decode pool.
+    /// Without a KV link `kv_next` stays at `u32::MAX` and `kv_blocked`
+    /// false, so this never fires.
+    fn kv(&mut self) {
+        let t_start = self.tick as u64 * self.shared.knobs.tick_us;
+        let due = self.kv_blocked || self.tick >= self.kv_next;
+        let Some(link) = self.kv.as_mut().filter(|_| due) else {
+            return;
+        };
+        deliver_transfers(
+            link,
+            t_start,
+            &mut self.insts,
+            &self.phases,
+            self.ctl.as_ref(),
+            &self.drained,
+            self.shared.lut.max_batch,
+            &self.shared.knobs,
+            self.trace.as_mut(),
+            &mut self.acc,
+            |i| self.busy.add(i),
+        );
+        // A landed head with no decode room blocks FIFO: the next tick
+        // must process another delivery attempt.
+        self.kv_blocked = link.peek_landed(t_start).is_some();
+    }
+
+    /// Route phase: routes this tick's arrival batches, the cell's own
+    /// first and then the cohorts other cells spilled here, through the
+    /// same admission and routing path — spilled work lands after the
+    /// cell's own, a fixed, deterministic admission order.
+    fn route(&mut self) {
+        let tick = self.tick;
+        for (batches, ptr) in [
+            (&self.arrivals, &mut self.arr_ptr),
+            (&self.inflow, &mut self.inflow_ptr),
+        ] {
+            let lo = *ptr;
+            while batches.get(*ptr).is_some_and(|&(t, _, _)| t == tick) {
+                *ptr += 1;
+            }
+            if *ptr > lo {
+                self.traffic.route_event(
+                    tick,
+                    self.shared,
+                    self.ctl.as_mut(),
+                    &self.phases,
+                    &mut self.insts,
+                    self.partitioned,
+                    &self.drained,
+                    &mut self.acc,
+                    &mut self.flow,
+                    &batches[lo..*ptr],
+                    |i| self.busy.add(i),
+                );
+            }
+        }
+    }
+
+    /// Serve phase: steps every busy slot in index order, bills its tick
+    /// of energy, and drops slots that went idle (or down) from the busy
+    /// set; then re-arms the KV wakeup at the link's new head.
+    fn serve(&mut self) {
+        let tick = self.tick;
+        let shared = self.shared;
+        let (power, tick_us) = (&shared.power, shared.knobs.tick_us);
+        let mut keep = 0usize;
+        for r in 0..self.busy.list.len() {
+            let iu = self.busy.list[r] as usize;
+            self.accrue(iu, tick);
+            let (mode, ci) = (self.mode(iu), self.clock(iu));
+            let (spent, nominal_spent) = if mode == SlotMode::Live {
+                self.insts[iu].serve(
+                    tick,
+                    shared.lut,
+                    &shared.knobs,
+                    self.phases[iu],
+                    ci as u8,
+                    self.kv.as_mut(),
+                    self.trace.as_mut(),
+                    &mut self.acc,
+                )
+            } else {
+                (0, 0)
+            };
+            // Energy: powered states only. A down instance draws nothing
+            // (its unit is out for swap/repair); a gated (cold) instance
+            // draws nothing — that is the §3 win. Dynamic power bills at
+            // the slot's operating point; the nominal-clock
+            // counterfactual of the same served work accumulates beside
+            // it, so the report can state exactly what serving-time DVFS
+            // saved.
+            let acc = &mut self.acc;
+            if self.insts[iu].up {
+                match mode {
+                    SlotMode::Live => {
+                        let dyn_uj = power.dyn_mw[ci] * spent / 1000;
+                        acc.energy_uj += (power.idle_mw * tick_us) / 1000 + dyn_uj;
+                        acc.idle_energy_uj += power.idle_mw * (tick_us - spent.min(tick_us)) / 1000;
+                        acc.live_ticks += 1;
+                        acc.clock_ticks[ci] += 1;
+                        acc.dvfs_dyn_uj += dyn_uj;
+                        acc.dvfs_nominal_dyn_uj +=
+                            power.dyn_mw[shared.nominal_ci as usize] * nominal_spent / 1000;
+                        match self.phases[iu] {
+                            Phase::Prefill => acc.prefill_live_ticks += 1,
+                            Phase::Decode => acc.decode_live_ticks += 1,
+                            Phase::Mixed => {}
+                        }
+                    }
+                    SlotMode::Warm | SlotMode::Booting { .. } => {
+                        let e = power.idle_mw * tick_us / 1000;
+                        acc.energy_uj += e;
+                        acc.idle_energy_uj += e;
+                    }
+                    SlotMode::Cold => {}
+                }
+            }
+            self.accrued[iu] = tick + 1;
+            if self.insts[iu].up && !self.insts[iu].is_idle() {
+                self.busy.list[keep] = iu as u32;
+                keep += 1;
+            } else {
+                self.busy.member[iu] = false;
+            }
+        }
+        self.busy.list.truncate(keep);
+        if let Some(link) = self.kv.as_ref() {
+            self.kv_next = link
+                .head_complete_us()
+                .map_or(u32::MAX, |c| tick_or_never(c, tick_us, shared.ticks));
+        }
+    }
+
+    /// Sample phase: at the last tick of each series window, bills every
+    /// slot through the window end (sampling reads the energy counter)
+    /// and records the window.
+    fn sample(&mut self, series: Option<&mut SeriesRecorder>) {
+        if self.tick != self.next_sample {
+            return;
+        }
+        let end = self.tick + 1;
+        self.accrue_all(end);
+        let every = self.shared.series_every;
+        if let Some(s) = series {
+            let now_us = end as u64 * self.shared.knobs.tick_us;
+            self.record_window(s, (end / every - 1) as usize, now_us);
+        }
+        self.next_sample = self.next_sample.saturating_add(every);
+    }
+
+    /// Records one series window for this cell: counter deltas since the
+    /// last sample plus gauges of the state at `now_us` (summing the
+    /// per-cell gauges gives the fleet-wide value).
+    fn record_window(&mut self, series: &mut SeriesRecorder, w: usize, now_us: u64) {
+        let ids = self
+            .series_ids
+            .as_ref()
+            .expect("ids resolved with the recorder");
+        let c = CounterSnap::take(&self.acc);
+        let snap = &self.snap;
+        series.add_at(ids.arrived, w, c.arrived - snap.arrived);
+        series.add_at(ids.completed, w, c.completed - snap.completed);
+        series.add_at(ids.rejected, w, c.rejected - snap.rejected);
+        series.add_at(
+            ids.admission_shed,
+            w,
+            c.admission_shed - snap.admission_shed,
+        );
+        series.add_at(ids.routing_shed, w, c.routing_shed - snap.routing_shed);
+        series.add_at(ids.tokens, w, c.tokens - snap.tokens);
+        series.add_at(ids.energy_uj, w, c.energy_uj - snap.energy_uj);
+        series.add_at(ids.failures, w, c.failures - snap.failures);
+        series.add_at(ids.restores, w, c.restores - snap.restores);
+        series.add_at(ids.repairs, w, c.repairs - snap.repairs);
+        series.add_at(ids.kv_stalls, w, c.kv_stalls - snap.kv_stalls);
+        series.add_at(ids.ttft_count, w, c.ttft_count - snap.ttft_count);
+        series.add_at(
+            ids.ttft_sum_us,
+            w,
+            (c.ttft_sum_us - snap.ttft_sum_us) as u64,
+        );
+        for (t, (&(a1, c1, s1), &(a0, c0, s0))) in
+            c.per_tenant.iter().zip(&snap.per_tenant).enumerate()
+        {
+            let [ta, tc, tshed, _] = ids.tenants[t];
+            series.add_at(ta, w, a1 - a0);
+            series.add_at(tc, w, c1 - c0);
+            series.add_at(tshed, w, s1 - s0);
+        }
+        let mut queued = 0u64;
+        let mut active = 0u64;
+        let mut up = 0u64;
+        self.tenant_scratch.fill(0);
+        for inst in &self.insts {
+            queued += inst.queued();
+            active += inst.active() as u64;
+            up += u64::from(inst.up);
+            inst.queued_by_tenant(&mut self.tenant_scratch);
+        }
+        series.add_at(ids.queued, w, queued);
+        series.add_at(ids.active, w, active);
+        series.add_at(ids.up, w, up);
+        for (t, &q) in self.tenant_scratch.iter().enumerate() {
+            series.add_at(ids.tenants[t][3], w, q);
+        }
+        let draining = self.drained.iter().map(|&d| u64::from(d)).sum();
+        series.add_at(ids.draining, w, draining);
+        series.add_at(ids.repair_pending, w, self.cell.pending_len());
+        series.add_at(ids.spares_free, w, self.cell.spares_free as u64);
+        if let (Some(link), Some((backlog, inflight))) = (self.kv.as_ref(), ids.kv) {
+            series.add_at(backlog, w, link.backlog_us(now_us));
+            series.add_at(inflight, w, link.inflight_bytes());
+        }
+        if let Some((pp, pd)) = ids.pools {
+            let (mut prefill, mut decode) = (0u64, 0u64);
+            for &p in &self.phases {
+                match p {
+                    Phase::Prefill => prefill += 1,
+                    Phase::Decode => decode += 1,
+                    Phase::Mixed => {}
+                }
+            }
+            series.add_at(pp, w, prefill);
+            series.add_at(pd, w, decode);
+        }
+        if let (Some(ctl), Some(ci_ids)) = (self.ctl.as_ref(), &ids.ctl) {
+            let (mut live, mut warm, mut cold, mut booting) = (0u64, 0u64, 0u64, 0u64);
+            for m in &ctl.modes {
+                match m {
+                    SlotMode::Live => live += 1,
+                    SlotMode::Warm => warm += 1,
+                    SlotMode::Cold => cold += 1,
+                    SlotMode::Booting { .. } => booting += 1,
+                }
+            }
+            series.add_at(ci_ids.live, w, live);
+            series.add_at(ci_ids.warm, w, warm);
+            series.add_at(ci_ids.cold, w, cold);
+            series.add_at(ci_ids.booting, w, booting);
+            // DVFS operating-point distribution over live, up slots.
+            for (i, &ci) in ctl.clocks.iter().enumerate() {
+                if ctl.modes[i] == SlotMode::Live && self.insts[i].up {
+                    series.add_at(ci_ids.clock_live[ci as usize], w, 1);
+                }
+            }
+        }
+        if let Some([cq, cu, ca, cc]) = ids.per_cell {
+            series.add_at(cq, w, queued);
+            series.add_at(cu, w, up);
+            series.add_at(ca, w, c.arrived - snap.arrived);
+            series.add_at(cc, w, c.completed - snap.completed);
+        }
+        self.snap = c;
+    }
+
+    /// The next tick to process: the very next one while any slot holds
+    /// work (or a KV head is blocked, or decode retries are unplaced);
+    /// otherwise the earliest due channel, never before the next tick
+    /// (channel values may be stale, already-passed ticks).
+    fn next_tick(&self) -> u32 {
+        if !self.busy.list.is_empty() || self.kv_blocked || self.decode_retry {
+            return self.tick + 1;
+        }
+        let due =
+            |batches: &[(u32, u16, u64)], ptr: usize| batches.get(ptr).map_or(u32::MAX, |b| b.0);
+        [
+            self.heap.peek().map_or(u32::MAX, |Reverse((t, _))| *t),
+            due(&self.arrivals, self.arr_ptr),
+            due(&self.inflow, self.inflow_ptr),
+            self.next_ctrl,
+            self.next_boot,
+            self.next_sample,
+            self.kv_next,
+        ]
+        .into_iter()
+        .fold(self.shared.ticks, u32::min)
+        .max(self.tick + 1)
+    }
+
+    /// Publishes this cell's fleet-scope observation at the window edge
+    /// `b`, together with the next window's arrival batches
+    /// (`tick < b_next`) the planner may spill.
+    fn publish(&mut self, b: u32, b_next: u32) -> CellSnapshot {
         let mut obs = FleetCellObs::new();
         for inst in &self.insts {
             obs.queued += inst.queued();
@@ -2833,16 +2705,12 @@ impl<'a> CellSim<'a> {
             None => obs.up,
         };
         obs.arrived_window = core::mem::take(&mut self.flow.window_arrived);
+        let now_us = b as u64 * self.shared.knobs.tick_us;
         obs.kv_backlog_us = self.kv.as_ref().map_or(0, |k| k.backlog_us(now_us));
-        obs.chaos_down = self
-            .drained
-            .iter()
-            .zip(&self.chaos_outed)
-            .filter(|(&d, &o)| d || o)
-            .count() as u32;
+        obs.chaos_down = self.chaos_down();
         // Everything still pending with `tick < b_next` is exactly the
         // coming window: `run_until` consumed every batch due before
-        // the boundary.
+        // the edge.
         let end = self.arrivals[self.arr_ptr..].partition_point(|&(t, _, _)| t < b_next);
         CellSnapshot {
             obs,
@@ -2854,21 +2722,21 @@ impl<'a> CellSim<'a> {
     /// quota, removes spilled requests from this cell's pending
     /// arrivals, and lands cohorts other cells redirected here. Spill
     /// accounting books the outflow at the source and the inflow at the
-    /// destination, each into its own shard's accumulator, so the
-    /// merged flow matrix conserves exactly.
-    fn apply_plan(&mut self, plan: CellPlan, acc: &mut ShardTotals) {
+    /// destination, each in its own cell's totals, so the merged flow
+    /// matrix conserves exactly.
+    fn apply_plan(&mut self, plan: CellPlan) {
         self.flow.quota_left = plan.quota.unwrap_or(u64::MAX);
         for &(rel, n) in &plan.deduct {
             self.arrivals[self.arr_ptr + rel].2 -= n;
         }
         for &(dst, n) in &plan.outflow {
-            acc.spill_out += n;
-            *acc.spill_flow.entry((self.cell_idx, dst)).or_insert(0) += n;
+            self.acc.spill_out += n;
+            *self.acc.spill_flow.entry((self.cell_idx, dst)).or_insert(0) += n;
         }
         if !plan.inflow.is_empty() {
-            acc.spilled_cohorts += plan.inflow.len() as u64;
+            self.acc.spilled_cohorts += plan.inflow.len() as u64;
             for &(_, _, n) in &plan.inflow {
-                acc.spill_in += n;
+                self.acc.spill_in += n;
             }
             let first = plan.inflow[0].0;
             self.inflow.extend_from_slice(&plan.inflow);
@@ -2881,33 +2749,20 @@ impl<'a> CellSim<'a> {
         }
     }
 
-    /// End-of-horizon accounting: closes every remaining idle span and
-    /// books pending downtime and in-flight KV bytes.
-    fn finalize(&mut self, shared: &Shared<'_>, acc: &mut ShardTotals) {
-        let ticks = shared.cfg.num_ticks();
-        let tick_us = shared.knobs.tick_us;
-        for i in 0..self.insts.len() {
-            accrue_idle_span(
-                acc,
-                &shared.power,
-                tick_us,
-                shared.nominal_ci,
-                &self.insts,
-                self.ctl.as_ref(),
-                &self.clamp,
-                &self.phases,
-                &mut self.accrued,
-                i,
-                ticks,
-            );
-        }
-        let horizon_us = ticks as u64 * tick_us;
+    /// End-of-horizon accounting: closes every remaining idle span,
+    /// books pending downtime and in-flight KV bytes, and hands back the
+    /// cell's totals and trace events.
+    fn finalize(mut self) -> (ShardTotals, Vec<TraceEvent>) {
+        let ticks = self.shared.ticks;
+        self.accrue_all(ticks);
+        let horizon_us = ticks as u64 * self.shared.knobs.tick_us;
         for inst in &self.insts {
-            acc.downtime_us += inst.pending_downtime_us(horizon_us);
+            self.acc.downtime_us += inst.pending_downtime_us(horizon_us);
         }
         if let Some(link) = &self.kv {
-            acc.kv_bytes_inflight_end += link.inflight_bytes();
+            self.acc.kv_bytes_inflight_end += link.inflight_bytes();
         }
+        (self.acc, self.trace.map_or_else(Vec::new, |ts| ts.buf))
     }
 }
 
@@ -3015,268 +2870,196 @@ fn plan_fleet(
     plans
 }
 
-/// Steps the whole fleet window-by-window under a fleet-scope balancer.
-///
-/// Each fleet tick is a snapshot → pure function → commands cycle:
-/// every cell runs to the boundary ([`CellSim::run_until`]), publishes
-/// a read-only snapshot, exactly one thread runs the
-/// [`FleetController`] over the assembled [`FleetObs`] (cells still
-/// never read each other's state — only the planner sees the fleet),
-/// and every cell applies its own directive before the next window.
-/// Per-shard accumulators and telemetry are built exactly as in the
-/// cell-major path, so the fixed-order merge — and with it the
-/// byte-identity guarantee over `(shards, threads)` — is unchanged.
-fn run_balanced(
-    shared: &Shared<'_>,
-    seed: u64,
-    shards: u32,
-    threads: u32,
-    bal: &BalancerConfig,
-    slots: &mut [Option<(ShardTotals, ShardTelemetry)>],
-) {
-    let cfg = shared.cfg;
-    let cells = cfg.num_cells();
-    let ticks = cfg.num_ticks();
-    let tick_us = shared.knobs.tick_us;
-    let n_tenants = cfg.workload.tenants.len();
-    let tel = &cfg.telemetry;
-    let series_every = if tel.series_dt_us > 0 {
-        (((tel.series_dt_us + tick_us / 2) / tick_us) as u32).max(1)
-    } else {
-        0
-    };
-    let bal_ticks = ((bal.interval_s / cfg.tick_s).round() as u32).max(1);
-    let bal_window_s = bal_ticks as f64 * cfg.tick_s;
-    let bounds = |s: u32| (s as u64 * cells as u64 / shards as u64) as u32;
-    // Fleet-tick rendezvous state: one slot per cell for the published
-    // snapshot and the returned plan. Each cell's slot is written and
-    // read by its owning worker only (plus the leader), so the locks
-    // are uncontended; they exist to make the handoff race-free.
-    let snaps: Vec<Mutex<Option<CellSnapshot>>> = (0..cells).map(|_| Mutex::new(None)).collect();
-    let plans: Vec<Mutex<Option<CellPlan>>> = (0..cells).map(|_| Mutex::new(None)).collect();
-    let controller: Mutex<Box<dyn FleetController + Send>> = Mutex::new(bal.build());
-    let barrier = Barrier::new(threads as usize);
-    struct BalCtx<'a> {
-        shard: u32,
-        acc: ShardTotals,
-        series: Option<SeriesRecorder>,
-        trace_buf: Vec<TraceEvent>,
-        prof: ProfTimer,
-        tenant_scratch: Vec<u64>,
-        sims: Vec<CellSim<'a>>,
+/// Why a planner lock can fail: another worker panicked holding it.
+const POISONED: &str = "a fleet worker panicked holding a planner lock";
+
+/// The fleet-tick rendezvous of a balanced run: the fleet controller,
+/// one snapshot slot and one plan slot per cell, and the barrier the
+/// workers meet at. Each cell's slots are written and read by its owning
+/// worker and the leader only, so the locks are uncontended; they make
+/// the hand-off race-free.
+struct Planner {
+    controller: Mutex<Box<dyn FleetController + Send>>,
+    window_s: f64,
+    barrier: Barrier,
+    snaps: Vec<Mutex<Option<CellSnapshot>>>,
+    plans: Vec<Mutex<Option<CellPlan>>>,
+}
+
+impl Planner {
+    fn new(bal: &BalancerConfig, cells: u32, threads: u32, window_s: f64) -> Self {
+        Self {
+            controller: Mutex::new(bal.build()),
+            window_s,
+            barrier: Barrier::new(threads as usize),
+            snaps: (0..cells).map(|_| Mutex::new(None)).collect(),
+            plans: (0..cells).map(|_| Mutex::new(None)).collect(),
+        }
     }
-    let worker = |w: u32| -> Vec<(u32, (ShardTotals, ShardTelemetry))> {
-        // Per-owned-shard contexts, cells constructed in index order
-        // (metric-registration order is part of the series bytes).
-        let mut ctxs: Vec<BalCtx<'_>> = Vec::new();
-        let mut s = w;
-        while s < shards {
-            let acc = ShardTotals::new(n_tenants, shared.lut.num_clocks());
-            let mut series = (series_every > 0).then(|| {
-                SeriesRecorder::new(
-                    series_every as u64 * tick_us,
-                    (ticks / series_every.max(1)) as usize,
-                )
-            });
-            let mut prof = ProfTimer::new(tel.profile);
-            let sims: Vec<CellSim<'_>> = (bounds(s)..bounds(s + 1))
-                .map(|c| {
-                    CellSim::new(
-                        shared,
-                        seed,
-                        c,
-                        series_every,
-                        series.as_mut(),
-                        &mut prof,
-                        &acc,
-                    )
+
+    fn publish(&self, cell: u32, snap: CellSnapshot) {
+        *self.snaps[cell as usize].lock().expect(POISONED) = Some(snap);
+    }
+
+    /// Waits until every worker has published at the window edge `b`;
+    /// one thread then plans the next window for every cell.
+    fn plan(&self, shared: &Shared<'_>, b: u32) {
+        if self.barrier.wait().is_leader() {
+            let published: Vec<CellSnapshot> = self
+                .snaps
+                .iter()
+                .map(|m| {
+                    m.lock()
+                        .expect(POISONED)
+                        .take()
+                        .expect("every cell published")
                 })
                 .collect();
-            ctxs.push(BalCtx {
-                shard: s,
-                acc,
-                series,
-                trace_buf: Vec::new(),
-                prof,
-                tenant_scratch: vec![0u64; n_tenants],
-                sims,
-            });
-            s += threads;
-        }
-        // One sweep through the owned cells per window: apply the
-        // previous window's plan, run to the boundary, and publish —
-        // per cell, while its state is hot in cache. Sweeping the fleet
-        // once per window instead of three times is what keeps the
-        // balancer's overhead small at 100k-instance scale, where a
-        // full pass over cell state is memory-bound.
-        let mut have_plans = false;
-        let mut b = bal_ticks.min(ticks);
-        loop {
-            let b_next = b.saturating_add(bal_ticks).min(ticks);
-            let now_us = b as u64 * tick_us;
-            let publishing = b < ticks;
-            for cx in ctxs.iter_mut() {
-                for sim in cx.sims.iter_mut() {
-                    if have_plans {
-                        let plan = plans[sim.cell_idx as usize]
-                            .lock()
-                            .unwrap()
-                            .take()
-                            .expect("leader planned every cell");
-                        sim.apply_plan(plan, &mut cx.acc);
-                    }
-                    sim.run_until(
-                        shared,
-                        b,
-                        &mut cx.acc,
-                        &mut cx.series,
-                        &mut cx.trace_buf,
-                        &mut cx.prof,
-                        &mut cx.tenant_scratch,
-                    );
-                    if publishing {
-                        let snap = sim.publish(now_us, b_next);
-                        *snaps[sim.cell_idx as usize].lock().unwrap() = Some(snap);
-                    }
-                }
-            }
-            if !publishing {
-                break;
-            }
-            if barrier.wait().is_leader() {
-                let published: Vec<CellSnapshot> = snaps
-                    .iter()
-                    .map(|m| m.lock().unwrap().take().expect("every cell published"))
-                    .collect();
-                let mut ctl = controller.lock().unwrap();
-                let fleet_plans = plan_fleet(shared, ctl.as_mut(), bal_window_s, b, published);
-                for (c, p) in fleet_plans.into_iter().enumerate() {
-                    *plans[c].lock().unwrap() = Some(p);
-                }
-            }
-            barrier.wait();
-            have_plans = true;
-            b = b_next;
-        }
-        ctxs.into_iter()
-            .map(|mut cx| {
-                for sim in cx.sims.iter_mut() {
-                    sim.finalize(shared, &mut cx.acc);
-                }
-                cx.trace_buf.sort_unstable();
-                (
-                    cx.shard,
-                    (
-                        cx.acc,
-                        ShardTelemetry {
-                            series: cx.series,
-                            trace: cx.trace_buf,
-                            profile: cx.prof.p,
-                        },
-                    ),
-                )
-            })
-            .collect()
-    };
-    if threads == 1 {
-        for (s, out) in worker(0) {
-            slots[s as usize] = Some(out);
-        }
-    } else {
-        let out: Vec<Vec<(u32, (ShardTotals, ShardTelemetry))>> = std::thread::scope(|scope| {
-            let worker = &worker;
-            let handles: Vec<_> = (0..threads)
-                .map(|w| scope.spawn(move || worker(w)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("balanced shard worker panicked"))
-                .collect()
-        });
-        for chunk in out {
-            for (s, r) in chunk {
-                slots[s as usize] = Some(r);
+            let mut ctl = self.controller.lock().expect(POISONED);
+            let plans = plan_fleet(shared, ctl.as_mut(), self.window_s, b, published);
+            for (slot, plan) in self.plans.iter().zip(plans) {
+                *slot.lock().expect(POISONED) = Some(plan);
             }
         }
+        self.barrier.wait();
+    }
+
+    fn take(&self, cell: u32) -> CellPlan {
+        self.plans[cell as usize]
+            .lock()
+            .expect(POISONED)
+            .take()
+            .expect("leader planned every cell")
     }
 }
 
-/// Steps every cell in `[cell_lo, cell_hi)` through the whole horizon
-/// on the event-queue scheduler.
-///
-/// Instead of walking every instance every tick, each cell keeps a
-/// min-heap of *wakeups* — `(tick, instance)` failure/recovery events
-/// plus generic "process this tick" entries for chaos window edges and
-/// repair-dispatch readiness — alongside periodic channels (control
-/// interval, boot completions, series sampling, next KV-transfer
-/// landing) and the precomputed arrival schedule. A tick is *processed*
-/// only when some channel is due or an instance holds work; between
-/// processed ticks the cell provably does nothing, and idle energy is
-/// billed lazily per instance when its span closes. Spurious wakeups
-/// are byte-safe by construction (every phase below no-ops when nothing
-/// is due — the tick loop ran all of them every tick); only a missing
-/// wakeup could diverge, which the engine-equivalence goldens pin.
-fn simulate_cells(
-    shared: &Shared<'_>,
-    seed: u64,
-    cell_lo: u32,
-    cell_hi: u32,
-) -> (ShardTotals, ShardTelemetry) {
-    let cfg = shared.cfg;
-    let n_tenants = cfg.workload.tenants.len();
-    let mut acc = ShardTotals::new(n_tenants, shared.lut.num_clocks());
-    let ticks = cfg.num_ticks();
-    let tick_us = shared.knobs.tick_us;
-    let tel = &cfg.telemetry;
-    // The series grid: whole ticks per window, trailing partial window
-    // dropped. Integer-derived once, so every shard agrees on the grid.
-    let series_every = if tel.series_dt_us > 0 {
-        (((tel.series_dt_us + tick_us / 2) / tick_us) as u32).max(1)
-    } else {
-        0
-    };
-    let mut series = (series_every > 0).then(|| {
-        SeriesRecorder::new(
-            series_every as u64 * tick_us,
-            (ticks / series_every.max(1)) as usize,
-        )
-    });
-    let mut trace_buf: Vec<TraceEvent> = Vec::new();
-    let mut prof = ProfTimer::new(tel.profile);
-    let mut tenant_scratch = vec![0u64; n_tenants];
-    for cell_idx in cell_lo..cell_hi {
-        let mut sim = CellSim::new(
-            shared,
-            seed,
-            cell_idx,
-            series_every,
-            series.as_mut(),
-            &mut prof,
-            &acc,
-        );
-        sim.run_until(
-            shared,
-            ticks,
-            &mut acc,
-            &mut series,
-            &mut trace_buf,
-            &mut prof,
-            &mut tenant_scratch,
-        );
-        sim.finalize(shared, &mut acc);
+/// One worker thread's share of a run: the merged totals of every cell
+/// it finished plus its telemetry layers (deterministic series and trace,
+/// wall-clock profile).
+struct Worker {
+    acc: ShardTotals,
+    series: Option<SeriesRecorder>,
+    trace: Vec<TraceEvent>,
+    prof: ProfTimer,
+}
+
+impl Worker {
+    fn new(shared: &Shared<'_>) -> Self {
+        let every = shared.series_every;
+        Self {
+            acc: ShardTotals::new(shared.cfg.workload.tenants.len(), shared.lut.num_clocks()),
+            series: (every > 0).then(|| {
+                SeriesRecorder::new(
+                    every as u64 * shared.knobs.tick_us,
+                    (shared.ticks / every) as usize,
+                )
+            }),
+            trace: Vec::new(),
+            prof: ProfTimer::new(shared.cfg.telemetry.profile),
+        }
     }
-    // Pre-sort this shard's events on the worker thread: the main-thread
-    // merge then sees one sorted run per shard, which the stable sort
-    // there merges in O(n log shards) instead of a full re-sort.
-    trace_buf.sort_unstable();
-    (
-        acc,
-        ShardTelemetry {
-            series,
-            trace: trace_buf,
-            profile: prof.p,
-        },
-    )
+
+    /// Runs `sim` to the window edge `b`. Short of the horizon the cell
+    /// publishes its snapshot for the planner and comes back to stay
+    /// live; at the horizon it is finalized, merged into this worker and
+    /// dropped.
+    fn step<'a>(
+        &mut self,
+        mut sim: CellSim<'a>,
+        b: u32,
+        b_next: u32,
+        planner: Option<&Planner>,
+    ) -> Option<CellSim<'a>> {
+        sim.run_until(b, self.series.as_mut(), &mut self.prof);
+        if b < sim.shared.ticks {
+            let p = planner.expect("only a balancer cuts the horizon into windows");
+            p.publish(sim.cell_idx, sim.publish(b, b_next));
+            return Some(sim);
+        }
+        self.prof.reset();
+        let (acc, trace) = sim.finalize();
+        self.acc.merge(&acc);
+        self.trace.extend(trace);
+        self.prof.mark(PHASE_MERGE);
+        None
+    }
+}
+
+/// Runs every cell through the horizon, window by window, on `threads`
+/// workers; returns each worker's result.
+///
+/// A window is one balancer interval, or the whole horizon without a
+/// fleet balancer — then there is no planner and no barrier, and each
+/// cell runs start to finish in one go. Worker `w` owns shards
+/// `w, w + threads, …`; shard `s` holds cells
+/// `[s·cells/shards, (s+1)·cells/shards)`. A worker builds each of its
+/// cells on first touch and, once a cell reaches the horizon, merges its
+/// totals into the worker's and drops it, so a one-window run holds one
+/// cell per worker at a time.
+///
+/// Under a balancer every window edge is a snapshot → pure function →
+/// commands cycle: each cell runs to the edge and publishes a read-only
+/// snapshot, exactly one thread runs the [`FleetController`] over the
+/// assembled [`FleetObs`] (cells never read each other's state — only
+/// the planner sees the fleet), and each cell applies its own plan at
+/// the start of the next window. Apply, run and publish happen in one
+/// sweep per window, while the cell's state is hot in cache; that keeps
+/// the balancer's overhead small at 100k-instance scale, where a full
+/// pass over cell state is memory-bound.
+///
+/// Cells only meet in integer additions (totals, series) and a
+/// total-order sort (trace), so the merged result is byte-identical for
+/// any `(shards, threads)` and any window length that moves no work
+/// between cells.
+fn run_windows(shared: &Shared<'_>, seed: u64, shards: u32, threads: u32) -> Vec<Worker> {
+    let cfg = shared.cfg;
+    let (cells, ticks) = (cfg.num_cells(), shared.ticks);
+    let bal = cfg.ctrl.as_ref().and_then(|c| c.balancer.as_ref());
+    let window = bal.map_or(ticks, |b| {
+        ((b.interval_s / cfg.tick_s).round() as u32).max(1)
+    });
+    let next = |b: u32| b.saturating_add(window).min(ticks);
+    let planner = bal.map(|b| Planner::new(b, cells, threads, window as f64 * cfg.tick_s));
+    let planner = planner.as_ref();
+    let bounds = |s: u32| (s as u64 * cells as u64 / shards as u64) as u32;
+    let worker = |w: u32| -> Worker {
+        let mut wk = Worker::new(shared);
+        let mut live = Vec::new();
+        let mut b = next(0);
+        for s in (w..shards).step_by(threads as usize) {
+            for c in bounds(s)..bounds(s + 1) {
+                let sim = CellSim::new(shared, seed, c, wk.series.as_mut(), &mut wk.prof);
+                live.extend(wk.step(sim, b, next(b), planner));
+            }
+        }
+        while b < ticks {
+            let p = planner.expect("only a balancer cuts the horizon into windows");
+            p.plan(shared, b);
+            b = next(b);
+            for mut sim in std::mem::take(&mut live) {
+                sim.apply_plan(p.take(sim.cell_idx));
+                live.extend(wk.step(sim, b, next(b), planner));
+            }
+        }
+        // Pre-sort this worker's events on its own thread: the merge then
+        // sees one sorted run per worker, which the stable sort there
+        // merges in O(n log workers) instead of a full re-sort.
+        wk.trace.sort_unstable();
+        wk
+    };
+    if threads == 1 {
+        return vec![worker(0)];
+    }
+    std::thread::scope(|scope| {
+        let worker = &worker;
+        let handles: Vec<_> = (0..threads)
+            .map(|w| scope.spawn(move || worker(w)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("fleet worker panicked"))
+            .collect()
+    })
 }
 
 /// A fleet run together with whatever telemetry the config asked for.
@@ -3284,7 +3067,7 @@ fn simulate_cells(
 /// The `report` is byte-identical for any `(shards, threads)` and for
 /// any [`TelemetryConfig`]; `series` and `trace` are themselves
 /// shard/thread-invariant (deterministic merges over deterministic
-/// shard-local recordings). Only `profile` is wall-clock and varies
+/// cell-local recordings). Only `profile` is wall-clock and varies
 /// between runs — it must never feed back into simulation state.
 #[derive(Debug)]
 pub struct FleetRun {
@@ -3349,9 +3132,33 @@ pub fn run_sharded_full(
     let ticks = cfg.num_ticks();
     let knobs = cfg.knobs();
     let tenants_meta = cfg.tenant_meta(&knobs);
+    let lambda: Vec<Vec<f64>> = cfg
+        .workload
+        .share_fractions()
+        .iter()
+        .zip(&cfg.workload.tenants)
+        .map(|(share, t)| {
+            let base = cfg.workload.rate_per_instance_s * share * cfg.tick_s;
+            (0..ticks)
+                .map(|k| base * t.pattern.multiplier_at((k as f64 + 0.5) * cfg.tick_s))
+                .collect()
+        })
+        .collect();
+    let tel = &cfg.telemetry;
     let shared = Shared {
         cfg,
         lut: &lut,
+        ticks,
+        // The series grid: whole ticks per window, trailing partial
+        // window dropped. Integer-derived once, so every worker agrees
+        // on the grid; a window longer than `u32::MAX` ticks saturates
+        // (and then records none).
+        series_every: if tel.series_dt_us > 0 {
+            let every = tel.series_dt_us.saturating_add(knobs.tick_us / 2) / knobs.tick_us;
+            u32::try_from(every).unwrap_or(u32::MAX).max(1)
+        } else {
+            0
+        },
         rates: cfg.failure_rates(),
         power: cfg.instance_power(lut.clock_points()),
         cap_rps: cfg.capacity_rps(&lut),
@@ -3372,100 +3179,50 @@ pub fn run_sharded_full(
         },
         priority_order: cfg.workload.priority_order(),
         classes: cfg.workload.tenants.iter().map(|t| t.priority).collect(),
-        lambda: cfg
-            .workload
-            .share_fractions()
-            .iter()
-            .zip(&cfg.workload.tenants)
-            .map(|(share, t)| {
-                let base = cfg.workload.rate_per_instance_s * share * cfg.tick_s;
-                (0..ticks)
-                    .map(|k| base * t.pattern.multiplier_at((k as f64 + 0.5) * cfg.tick_s))
-                    .collect()
-            })
-            .collect(),
-        arr_plans: Vec::new(),
+        arr_plans: plan_arrivals(&lambda, cfg.cell_size as f64),
+        lambda,
         chaos: compile_cell_chaos(cfg, lut.clock_points()),
         knobs,
     };
-    let mut shared = shared;
-    shared.arr_plans = plan_arrivals(&shared.lambda, cfg.cell_size as f64);
-    let shared = shared;
     let cells = cfg.num_cells();
     let shards = shards.clamp(1, cells);
     let threads = threads.clamp(1, shards);
-    // Shard s owns cells [s·cells/shards, (s+1)·cells/shards).
-    let bounds = |s: u32| (s as u64 * cells as u64 / shards as u64) as u32;
+    let workers = run_windows(&shared, seed, shards, threads);
 
-    let mut slots: Vec<Option<(ShardTotals, ShardTelemetry)>> = (0..shards).map(|_| None).collect();
-    if let Some(bal) = cfg.ctrl.as_ref().and_then(|c| c.balancer.as_ref()) {
-        run_balanced(&shared, seed, shards, threads, bal, &mut slots);
-    } else if threads == 1 {
-        for (s, slot) in slots.iter_mut().enumerate() {
-            let s = s as u32;
-            *slot = Some(simulate_cells(&shared, seed, bounds(s), bounds(s + 1)));
-        }
-    } else {
-        std::thread::scope(|scope| {
-            let shared = &shared;
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        let mut s = w;
-                        while s < shards {
-                            out.push((s, simulate_cells(shared, seed, bounds(s), bounds(s + 1))));
-                            s += threads;
-                        }
-                        out
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (s, acc) in h.join().expect("shard worker panicked") {
-                    slots[s as usize] = Some(acc);
-                }
-            }
-        });
-    }
-
-    // Merge in fixed shard order so series/trace bytes are invariant
-    // to the thread schedule. Series merging is elementwise addition
-    // (commutative), and the trace gets a total-order sort afterwards,
-    // but fixed order keeps the invariant self-evident.
+    // Merge in fixed worker order. Totals and series merge by integer
+    // addition and the trace gets a total-order sort afterwards, so the
+    // bytes do not depend on which worker stepped which cell.
     let merge_start = Instant::now();
-    let tel = &cfg.telemetry;
     let mut totals = ShardTotals::new(cfg.workload.tenants.len(), lut.num_clocks());
     let mut series: Option<SeriesRecorder> = None;
     let mut trace: Option<Vec<TraceEvent>> = (tel.trace_every > 0).then(Vec::new);
     let mut profile: Option<PhaseProfile> = tel.profile.then(PhaseProfile::new);
-    for slot in &mut slots {
-        let (acc, shard_tel) = slot.take().expect("every shard simulated");
-        totals.merge(&acc);
-        if let Some(s) = shard_tel.series {
+    for wk in workers {
+        totals.merge(&wk.acc);
+        if let Some(s) = wk.series {
             match series.as_mut() {
                 Some(m) => m.merge(&s),
                 None => series = Some(s),
             }
         }
         if let Some(t) = trace.as_mut() {
-            t.extend(shard_tel.trace);
+            t.extend(wk.trace);
         }
-        if let (Some(p), Some(sp)) = (profile.as_mut(), shard_tel.profile.as_ref()) {
-            p.merge(sp);
+        if let (Some(p), Some(wp)) = (profile.as_mut(), wk.prof.p.as_ref()) {
+            p.merge(wp);
         }
     }
     // Sort into the schema's total order (field order is the sort key),
-    // making the byte stream independent of shard boundaries. Each shard
-    // arrives pre-sorted, so the stable (run-merging) sort only pays the
-    // k-way merge of the per-shard runs.
+    // making the byte stream independent of worker boundaries. Each
+    // worker arrives pre-sorted, so the stable (run-merging) sort only
+    // pays the k-way merge of the per-worker runs.
     if let Some(t) = trace.as_mut() {
         t.sort();
     }
     if let Some(p) = profile.as_mut() {
         p.record(PHASE_MERGE, merge_start.elapsed().as_nanos() as u64);
     }
-    let horizon_s_eff = cfg.num_ticks() as f64 * cfg.tick_s;
+    let horizon_s_eff = ticks as f64 * cfg.tick_s;
     let report = FleetReport::finalize(
         &totals,
         RunMeta {

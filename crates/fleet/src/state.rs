@@ -32,12 +32,12 @@ use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
-/// Where a serving tick appends its sampled trace events. Span ids are
-/// computed unconditionally (they are part of simulation state), but
-/// events are emitted only for spans in the 1-in-`every` sample — so a
-/// trace never perturbs the simulation, only observes it.
-pub(crate) struct TraceSink<'a> {
-    pub buf: &'a mut Vec<TraceEvent>,
+/// A cell's trace: the buffer its ticks append sampled events to. Span
+/// ids are computed unconditionally (they are part of simulation state),
+/// but events are emitted only for spans in the 1-in-`every` sample — so
+/// a trace never perturbs the simulation, only observes it.
+pub(crate) struct TraceSink {
+    pub buf: Vec<TraceEvent>,
     /// Division-free 1-in-`every` request-span sampler (0 disables
     /// request spans).
     pub sampler: SpanSampler,
@@ -126,8 +126,8 @@ impl FailureRates {
     }
 }
 
-/// One tenant's integer accumulators within a shard. Merging is plain
-/// addition, so the merge order cannot affect the result.
+/// One tenant's integer accumulators within a [`ShardTotals`]. Merging
+/// is plain addition, so the merge order cannot affect the result.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct TenantTotals {
     /// Requests that arrived for this tenant.
@@ -329,8 +329,9 @@ impl KvLinkState {
     }
 }
 
-/// Integer accumulators for one shard. Merging is plain addition, so the
-/// merge order cannot affect the result.
+/// Integer accumulators for one cell, and for the merged totals of many
+/// cells. Merging is plain addition, so the merge order cannot affect
+/// the result.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct ShardTotals {
     pub arrived: u64,
@@ -416,10 +417,10 @@ pub(crate) struct ShardTotals {
     /// nominal clock, microjoules. `nominal − actual` is the energy DVFS
     /// saved; the idle floor is identical in both worlds.
     pub dvfs_nominal_dyn_uj: u64,
-    /// Requests the fleet balancer redirected out of this shard's cells
+    /// Requests the fleet balancer redirected out of these cells
     /// (deducted from their arrival schedules before routing).
     pub spill_out: u64,
-    /// Requests the fleet balancer redirected *into* this shard's cells.
+    /// Requests the fleet balancer redirected *into* these cells.
     /// Fleet-wide, `spill_in == spill_out` exactly (cohort conservation).
     pub spill_in: u64,
     /// Redirected cohorts (batches) received; each appears exactly once.
@@ -878,7 +879,7 @@ impl InstanceState {
         phase: Phase,
         clock: u8,
         mut kv: Option<&mut KvLinkState>,
-        mut trace: Option<&mut TraceSink<'_>>,
+        mut trace: Option<&mut TraceSink>,
         acc: &mut ShardTotals,
     ) -> (u64, u64) {
         if !self.up {

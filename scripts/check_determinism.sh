@@ -9,7 +9,10 @@
 # end through the sim_fleet binary. The telemetry layers ride along:
 # every run also exports the time-series JSONL and the Chrome trace
 # JSON, and those artifact bytes must be identical across thread counts
-# too. Shared by ci.sh and .github/workflows/ci.yml (ci.sh invokes this
+# too. Each combo also runs on 3 shards over 2 threads: uneven shard
+# bounds (cells 0/2/5/8) with two shards on one worker, because which
+# cells a worker merges together depends on shards and threads both.
+# Shared by ci.sh and .github/workflows/ci.yml (ci.sh invokes this
 # script, so the workflow cannot skip it).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -30,15 +33,19 @@ for combo in mono split dvfs mono_chaos split_chaos dvfs_chaos balancer; do
     # catch a rendezvous ordering bug first.
     balancer)    combo_flags=(--serving mono --balancer --skew 2x2.5) ;;
   esac
-  for threads in 1 2 8; do
+  for run in t1 t2 t8 s3t2; do
+    case "$run" in
+      s3t2) shards=3 threads=2 ;;
+      *)    shards=8 threads="${run#t}" ;;
+    esac
     cargo run --release -q -p litegpu-bench --bin sim_fleet -- \
       --gpu lite --instances 64 --cell-size 8 --hours 0.5 --accel 50000 \
       --ctrl auto --workload multi "${combo_flags[@]}" --no-baseline \
-      --shards 8 --threads "$threads" \
-      --series "$det_dir/series_${combo}_t$threads.jsonl" --series-dt 60000000 \
-      --trace "$det_dir/trace_${combo}_t$threads.json" --trace-every 16 \
+      --shards "$shards" --threads "$threads" \
+      --series "$det_dir/series_${combo}_$run.jsonl" --series-dt 60000000 \
+      --trace "$det_dir/trace_${combo}_$run.json" --trace-every 16 \
       --quiet-json 2>/dev/null
-    cp target/experiments/fleet_lite.json "$det_dir/fleet_lite_${combo}_t$threads.json"
+    cp target/experiments/fleet_lite.json "$det_dir/fleet_lite_${combo}_$run.json"
   done
   for artifact in fleet_lite series trace; do
     case "$artifact" in
@@ -46,10 +53,11 @@ for combo in mono split dvfs mono_chaos split_chaos dvfs_chaos balancer; do
       series)     a="$det_dir/series_${combo}"     ext=jsonl ;;
       trace)      a="$det_dir/trace_${combo}"      ext=json ;;
     esac
-    cmp "${a}_t1.$ext" "${a}_t2.$ext"
-    cmp "${a}_t1.$ext" "${a}_t8.$ext"
+    for run in t2 t8 s3t2; do
+      cmp "${a}_t1.$ext" "${a}_$run.$ext"
+    done
   done
-  echo "    $combo: report, series and trace byte-identical across 1/2/8 threads."
+  echo "    $combo: report, series and trace byte-identical across 1/2/8 threads and 3 shards on 2 threads."
 done
 
 # The TCO sweep layers its own parallelism (work-stolen candidates) on

@@ -337,6 +337,36 @@ fn balancer_byte_identical_across_shards_and_threads() {
     }
 }
 
+/// Window edges change no bytes: a balancer that never spills cuts the
+/// horizon into 60 windows of 30 s, yet the run reproduces the
+/// one-window twin — the same config with only `balancer` removed —
+/// byte for byte: series (per-cell series on), trace, and report apart
+/// from its `balancer` section and `controller` label. Two shards on one
+/// worker put four cells on the same worker across windows.
+#[test]
+fn noop_balancer_windows_are_byte_inert() {
+    for (label, cfg) in telemetry_variants() {
+        let mut on = with_telemetry(&with_balancer(&cfg));
+        let ctrl = on.ctrl.as_mut().expect("balancer config");
+        ctrl.balancer.as_mut().expect("balancer").spill_permille = 0;
+        let mut off = on.clone();
+        off.ctrl.as_mut().expect("balancer config").balancer = None;
+        let render = |cfg: &FleetConfig| {
+            let mut fr = run_sharded_full(cfg, 11, 2, 1).expect("run");
+            fr.report.balancer = None;
+            fr.report.controller.clear();
+            let series = fr.series.take().expect("series requested").to_jsonl();
+            let trace = render_chrome_trace(fr.trace.as_mut().expect("trace requested"));
+            (fr.report.to_json(), series, trace)
+        };
+        let (on_report, on_series, on_trace) = render(&on);
+        let (off_report, off_series, off_trace) = render(&off);
+        assert_eq!(on_series, off_series, "{label}: series bytes");
+        assert_eq!(on_trace, off_trace, "{label}: trace bytes");
+        assert_eq!(on_report, off_report, "{label}: report bytes");
+    }
+}
+
 /// Exact conservation of spill-over routing: every redirected cohort is
 /// admitted exactly once, the flow matrix's row/column sums match the
 /// spilled totals on both sides, quota clamps stay within the admission

@@ -141,7 +141,8 @@ fn request_span_async_legs_balance() {
 
 /// Series counters are exact: over a horizon that tiles the sample
 /// grid, per-window deltas sum back to the report's totals — fleet-wide,
-/// per tenant, and per cell.
+/// per tenant, and per cell. A grid coarser than the horizon records no
+/// window at all.
 #[test]
 fn series_counters_reconcile_with_the_report() {
     let cfg = ctrl_chaos_cfg();
@@ -182,6 +183,15 @@ fn series_counters_reconcile_with_the_report() {
     for metric in ["arrived", "completed"] {
         let total: u64 = (0..cells).map(|c| sum(&format!("cell{c}/{metric}"))).sum();
         assert_eq!(total, sum(metric), "cells must tile fleet {metric}");
+    }
+    // A window longer than the horizon records none — also past 2^32
+    // ticks, where the ticks per window must saturate rather than wrap.
+    for secs in [3600u64, 1 << 32] {
+        let mut long = cfg.clone();
+        long.telemetry.series_dt_us = secs * 1_000_000;
+        let fr = run_sharded_full(&long, 5, 4, 2).expect("run");
+        let series = fr.series.expect("series requested");
+        assert_eq!(series.windows(), 0, "{secs} s windows over a 0.5 h run");
     }
 }
 
