@@ -39,7 +39,9 @@
 //! cells window by window. A cell is built on first touch and owns every
 //! counter it accumulates; at the horizon it merges into its worker's
 //! totals and is dropped, so a balancer-free run holds one cell per
-//! worker at a time, with that cell's working set hot in cache.
+//! worker at a time, with that cell's working set hot in cache. The
+//! per-tick arrival means come from one `ArrivalTable` per run that
+//! covers only the ticks the current window sweep draws.
 //!
 //! Within a window the per-cell hot loop (`CellSim::run_until`) is an
 //! **event-queue scheduler**, not a per-tick scan. Each processed tick
@@ -53,10 +55,11 @@
 //!
 //! - **step completions** — instances holding queued or running work sit
 //!   in a sorted busy list and are served every tick until idle again;
-//! - **arrival cohorts** — each (cell, tenant) Poisson stream is
-//!   pre-drawn over the horizon (same RNG draws, same order as the old
-//!   per-tick engine, so the streams are bit-identical) into a sorted
-//!   arrival schedule consumed by a cursor;
+//! - **arrival cohorts** — each (cell, tenant) Poisson stream is drawn
+//!   one window ahead (same RNG draws, same order as the old per-tick
+//!   engine, so the streams are bit-identical) into a sorted arrival
+//!   schedule consumed by a cursor; the cell never jumps past the tick
+//!   it has drawn up to, so the draw frontier is itself a wakeup;
 //! - **KV-transfer deliveries** — the phase-split link wakes the cell
 //!   when its FIFO head lands (or every tick while the head is blocked
 //!   on a full decode batch);
@@ -109,7 +112,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::{Barrier, Mutex};
+use std::ops::Range;
+use std::sync::{Barrier, Mutex, RwLock};
 use std::time::Instant;
 
 /// Per-cell prefill→decode KV bandwidth budget for phase-split serving.
@@ -533,6 +537,12 @@ impl FleetConfig {
                 return Err(FleetError::InvalidParameter { name, value });
             }
         }
+        if (self.horizon_s / self.tick_s).ceil() > u32::MAX as f64 {
+            return Err(FleetError::InvalidParameter {
+                name: "horizon_s (tick count must fit in u32)",
+                value: self.horizon_s,
+            });
+        }
         for event in &self.chaos.events {
             if event.end_us <= event.start_us {
                 return Err(FleetError::InvalidParameter {
@@ -829,15 +839,9 @@ struct Shared<'a> {
     priority_order: Vec<u16>,
     /// Tenant priority classes, indexed by tenant id.
     classes: Vec<PriorityClass>,
-    /// Per-tenant per-tick arrival mean per instance
-    /// (`lambda[tenant][tick]`), precomputed once per run.
-    lambda: Vec<Vec<f64>>,
-    /// Pre-resolved Poisson draws (`plans[tenant][tick]`) for a
-    /// full-size cell (`cell_size` instances): the λ ≤ 0 sentinel and
-    /// the `e^-λ` thresholds are computed once per run instead of once
-    /// per (cell, tick). Cells of any other size (the tail cell, or a
-    /// fleet smaller than one cell) build their own local table.
-    arr_plans: Vec<Vec<PoissonPlan>>,
+    /// Per-tenant arrival mean per instance and tick before the tenant's
+    /// traffic pattern applies; [`ArrivalTable`] modulates it per tick.
+    arrival_base: Vec<f64>,
     /// Per-cell slices of the compiled chaos schedule (empty when the
     /// config has no chaos events).
     chaos: Vec<CellChaos>,
@@ -950,12 +954,87 @@ impl Default for FlowCtl {
     }
 }
 
+/// The per-tick arrival means of the ticks the current window sweep
+/// draws, from `lo` on, shared read-only by every cell of the run.
+///
+/// A one-window run builds it once for the whole horizon; under a fleet
+/// balancer the planner refills it for each sweep, so a balanced run
+/// never holds more than two windows of it.
+struct ArrivalTable {
+    /// First tick covered.
+    lo: u32,
+    /// Per-instance arrival mean per tenant and tick
+    /// (`lambda[tenant][tick - lo]`).
+    lambda: Vec<Vec<f64>>,
+    /// Pre-resolved Poisson draws (`full[tenant][tick - lo]`) for a
+    /// full-size cell at rate multiplier 1: the λ ≤ 0 sentinel and the
+    /// `e^-λ` thresholds are computed once per tick instead of once per
+    /// (cell, tick). `None` when no cell has that shape.
+    full: Option<Vec<Vec<PoissonPlan>>>,
+}
+
+impl ArrivalTable {
+    fn new(shared: &Shared<'_>, lo: u32, hi: u32) -> Self {
+        let cfg = shared.cfg;
+        let tenants = shared.arrival_base.len();
+        let any_full = (0..cfg.num_cells()).any(|c| arrival_scale(cfg, c).is_none());
+        let mut table = Self {
+            lo,
+            lambda: vec![Vec::new(); tenants],
+            full: any_full.then(|| vec![Vec::new(); tenants]),
+        };
+        table.fill(shared, lo, hi);
+        table
+    }
+
+    /// Re-targets the table at the ticks `[lo, hi)`, reusing its buffers.
+    fn fill(&mut self, shared: &Shared<'_>, lo: u32, hi: u32) {
+        let cfg = shared.cfg;
+        self.lo = lo;
+        for (t, lambda) in self.lambda.iter_mut().enumerate() {
+            let (base, pattern) = (shared.arrival_base[t], &cfg.workload.tenants[t].pattern);
+            lambda.clear();
+            lambda.extend(
+                (lo..hi).map(|k| base * pattern.multiplier_at((k as f64 + 0.5) * cfg.tick_s)),
+            );
+            if let Some(full) = self.full.as_mut() {
+                full[t].clear();
+                full[t].extend(
+                    lambda
+                        .iter()
+                        .map(|&l| PoissonPlan::new(l * cfg.cell_size as f64)),
+                );
+            }
+        }
+    }
+}
+
+/// How cell `c` scales the per-instance arrival mean: `None` for a
+/// full-size cell at rate multiplier 1, which draws from the shared
+/// [`ArrivalTable::full`] plans; otherwise `instances × multiplier`,
+/// multiplied out before it meets λ (`λ · n · m` rounds differently,
+/// which would shift every draw).
+fn arrival_scale(cfg: &FleetConfig, c: u32) -> Option<f64> {
+    let n = (cfg.instances - c * cfg.cell_size).min(cfg.cell_size);
+    let m = cfg
+        .cell_rate_multipliers
+        .get(c as usize)
+        .copied()
+        .unwrap_or(1.0);
+    (n != cfg.cell_size || m != 1.0).then_some(n as f64 * m)
+}
+
 /// One cell's tenant-tagged arrival machinery: a dedicated RNG stream per
 /// tenant (inside the shard partition, so draws never depend on shard or
-/// thread layout) plus the reusable routing buffers that keep the
-/// per-tick hot loop allocation-free.
+/// thread layout), the frontier up to which those streams are drawn,
+/// plus the reusable routing buffers that keep the per-tick hot loop
+/// allocation-free.
 struct CellTraffic {
     rngs: Vec<StdRng>,
+    /// See [`arrival_scale`].
+    scale: Option<f64>,
+    /// Every tick before this one has been drawn.
+    drawn: u32,
     eff: Vec<u64>,
     shares: Vec<u64>,
     scratch: Vec<(u128, u32)>,
@@ -966,9 +1045,9 @@ impl CellTraffic {
     /// never alias the per-instance or cell-control streams.
     const STREAM: u64 = 0x7E4A_4D7A_11C0_FFEE;
 
-    fn new(seed: u64, cell_idx: u32, n_tenants: usize, n_slots: usize) -> Self {
+    fn new(seed: u64, cell_idx: u32, cfg: &FleetConfig, n_slots: usize) -> Self {
         Self {
-            rngs: (0..n_tenants)
+            rngs: (0..cfg.workload.tenants.len())
                 .map(|t| {
                     StdRng::seed_from_u64(
                         seed ^ Self::STREAM
@@ -977,46 +1056,72 @@ impl CellTraffic {
                     )
                 })
                 .collect(),
+            scale: arrival_scale(cfg, cell_idx),
+            drawn: 0,
             eff: Vec::with_capacity(n_slots),
             shares: Vec::with_capacity(n_slots),
             scratch: Vec::with_capacity(n_slots),
         }
     }
 
-    /// Draws the whole horizon of every tenant's exogenous arrivals up
-    /// front, returning the non-empty batches as `(tick, tenant, count)`
-    /// sorted by tick and, within a tick, by admission (priority) order.
+    /// Draws every tenant's exogenous arrivals for the ticks
+    /// `[drawn, hi)` and appends the non-empty batches to `out` as
+    /// `(tick, tenant, count)`, sorted by tick and, within a tick, by
+    /// admission (priority) order.
     ///
-    /// The per-(cell, tenant) RNG streams are independent, so drawing
-    /// tenant-major here consumes each stream exactly as the tick-major
-    /// per-tick draws did — the counts are bit-identical. Zero-count
-    /// draws touched no simulation state in the tick loop (arrivals,
-    /// admission and routing counters all moved only for `n > 0`), so
-    /// dropping them here is also exact; it is what lets the event
-    /// engine skip ticks in which no tenant's draw produced work.
-    fn precompute_arrivals(
+    /// The per-(cell, tenant) RNG streams are independent and each is
+    /// consumed in tick order, window after window, so drawing
+    /// tenant-major one window at a time consumes each stream exactly as
+    /// the tick-major per-tick draws did — the counts are bit-identical.
+    /// Zero-count draws touched no simulation state in the tick loop
+    /// (arrivals, admission and routing counters all moved only for
+    /// `n > 0`), so dropping them here is also exact; it is what lets
+    /// the event engine skip ticks in which no tenant's draw produced
+    /// work.
+    fn draw(
         &mut self,
         shared: &Shared<'_>,
-        n_insts: usize,
-        scale: f64,
-    ) -> Vec<(u32, u16, u64)> {
-        let local: Option<Vec<Vec<PoissonPlan>>> = (n_insts != shared.cfg.cell_size as usize
-            || scale != 1.0)
-            .then(|| plan_arrivals(&shared.lambda, n_insts as f64 * scale));
+        table: &ArrivalTable,
+        hi: u32,
+        out: &mut Vec<(u32, u16, u64)>,
+    ) {
+        let lo = self.drawn;
+        let ks = (lo - table.lo) as usize..(hi - table.lo) as usize;
         let mut evs: Vec<(u32, u16, u16, u64)> = Vec::new();
         for (pos, &ti) in shared.priority_order.iter().enumerate() {
             let t = ti as usize;
-            let plans = local.as_ref().map_or(&shared.arr_plans[t], |l| &l[t]);
             let rng = &mut self.rngs[t];
-            for (k, plan) in plans.iter().enumerate() {
-                let n = plan.draw(rng);
+            let mut push = |k: u32, n: u64| {
                 if n > 0 {
-                    evs.push((k as u32, pos as u16, ti, n));
+                    evs.push((k, pos as u16, ti, n));
+                }
+            };
+            match self.scale {
+                None => {
+                    let full = table
+                        .full
+                        .as_ref()
+                        .expect("a full-size cell has shared plans");
+                    for (k, plan) in (lo..).zip(&full[t][ks.clone()]) {
+                        push(k, plan.draw(rng));
+                    }
+                }
+                Some(scale) => {
+                    for (k, &l) in (lo..).zip(&table.lambda[t][ks.clone()]) {
+                        push(k, PoissonPlan::new(l * scale).draw(rng));
+                    }
                 }
             }
         }
         evs.sort_unstable_by_key(|&(k, pos, _, _)| (k, pos));
-        evs.into_iter().map(|(k, _, ti, n)| (k, ti, n)).collect()
+        let batches = evs.into_iter().map(|(k, _, ti, n)| (k, ti, n));
+        if out.is_empty() {
+            // Collects in place, into the allocation `evs` already holds.
+            *out = batches.collect();
+        } else {
+            out.extend(batches);
+        }
+        self.drawn = hi;
     }
 
     /// Routes one tick's precomputed arrival batches over the cell in
@@ -1134,15 +1239,6 @@ impl CellTraffic {
             }
         }
     }
-}
-
-/// Builds the `plans[tenant][tick]` Poisson table for cells of
-/// `n_insts` instances from the per-instance means.
-fn plan_arrivals(lambda: &[Vec<f64>], n_insts: f64) -> Vec<Vec<PoissonPlan>> {
-    lambda
-        .iter()
-        .map(|lt| lt.iter().map(|&l| PoissonPlan::new(l * n_insts)).collect())
-        .collect()
 }
 
 /// One cell's control-plane runtime: the policy stack, the cell's own
@@ -1802,13 +1898,12 @@ struct CellSim<'a> {
     accrued: Vec<u32>,
     busy: BusySet,
     lifecycle_now: Vec<u32>,
-    /// The whole horizon of the cell's own arrival batches
-    /// `(tick, tenant, count)`, consumed through a cursor.
+    /// The cell's own arrival batches `(tick, tenant, count)` drawn so
+    /// far, up to [`CellTraffic::drawn`], consumed through a cursor.
     arrivals: Vec<(u32, u16, u64)>,
     arr_ptr: usize,
-    /// Spilled-in cohorts from other cells, sorted by tick (appended in
-    /// window order, and each window's plan is tick-sorted); consumed
-    /// through a cursor like `arrivals`.
+    /// Spilled-in cohorts from other cells, sorted by tick (each window's
+    /// plan is tick-sorted); consumed through a cursor like `arrivals`.
     inflow: Vec<(u32, u16, u64)>,
     inflow_ptr: usize,
     flow: FlowCtl,
@@ -1827,6 +1922,8 @@ impl<'a> CellSim<'a> {
         shared: &'a Shared<'a>,
         seed: u64,
         cell_idx: u32,
+        table: &ArrivalTable,
+        hi: u32,
         series: Option<&mut SeriesRecorder>,
         prof: &mut ProfTimer,
     ) -> Self {
@@ -1877,16 +1974,14 @@ impl<'a> CellSim<'a> {
                 tel.per_cell_series.then_some(cell_idx),
             )
         });
-        // The whole horizon of arrivals, drawn up front (stream-exact —
-        // see `precompute_arrivals`), consumed through a cursor.
-        let mut traffic = CellTraffic::new(seed, cell_idx, n_tenants, n);
+        // The first window of arrivals, drawn as the cell is built and
+        // before its remaining buffers: drawing it after them measurably
+        // raised the peak RSS of one-window runs (heap placement). Later
+        // windows come from `Self::draw`.
+        let mut traffic = CellTraffic::new(seed, cell_idx, cfg, n);
+        let mut arrivals = Vec::new();
         prof.reset();
-        let rate_scale = cfg
-            .cell_rate_multipliers
-            .get(cell_idx as usize)
-            .copied()
-            .unwrap_or(1.0);
-        let arrivals = traffic.precompute_arrivals(shared, n, rate_scale);
+        traffic.draw(shared, table, hi, &mut arrivals);
         prof.mark(PHASE_ROUTE);
         let acc = ShardTotals::new(n_tenants, shared.lut.num_clocks());
         let mut sim = Self {
@@ -2664,7 +2759,8 @@ impl<'a> CellSim<'a> {
     /// The next tick to process: the very next one while any slot holds
     /// work (or a KV head is blocked, or decode retries are unplaced);
     /// otherwise the earliest due channel, never before the next tick
-    /// (channel values may be stale, already-passed ticks).
+    /// (channel values may be stale, already-passed ticks) and never past
+    /// the arrival frontier, where the next draw may land work.
     fn next_tick(&self) -> u32 {
         if !self.busy.list.is_empty() || self.kv_blocked || self.decode_retry {
             return self.tick + 1;
@@ -2681,14 +2777,28 @@ impl<'a> CellSim<'a> {
             self.kv_next,
         ]
         .into_iter()
-        .fold(self.shared.ticks, u32::min)
+        .fold(self.traffic.drawn, u32::min)
         .max(self.tick + 1)
     }
 
+    /// Draws this cell's own arrivals up to tick `hi` from `table`
+    /// (booked under the route phase), after dropping the batches, own
+    /// and spilled-in, that are already routed.
+    fn draw(&mut self, table: &ArrivalTable, hi: u32, prof: &mut ProfTimer) {
+        prof.reset();
+        self.arrivals.drain(..self.arr_ptr);
+        self.inflow.drain(..self.inflow_ptr);
+        (self.arr_ptr, self.inflow_ptr) = (0, 0);
+        self.traffic
+            .draw(self.shared, table, hi, &mut self.arrivals);
+        prof.mark(PHASE_ROUTE);
+    }
+
     /// Publishes this cell's fleet-scope observation at the window edge
-    /// `b`, together with the next window's arrival batches
-    /// (`tick < b_next`) the planner may spill.
-    fn publish(&mut self, b: u32, b_next: u32) -> CellSnapshot {
+    /// `b`, together with the next window's arrival batches the planner
+    /// may spill: everything drawn and not yet routed, since
+    /// [`Self::draw`] has just drawn exactly that window.
+    fn publish(&mut self, b: u32) -> CellSnapshot {
         let mut obs = FleetCellObs::new();
         for inst in &self.insts {
             obs.queued += inst.queued();
@@ -2708,13 +2818,9 @@ impl<'a> CellSim<'a> {
         let now_us = b as u64 * self.shared.knobs.tick_us;
         obs.kv_backlog_us = self.kv.as_ref().map_or(0, |k| k.backlog_us(now_us));
         obs.chaos_down = self.chaos_down();
-        // Everything still pending with `tick < b_next` is exactly the
-        // coming window: `run_until` consumed every batch due before
-        // the edge.
-        let end = self.arrivals[self.arr_ptr..].partition_point(|&(t, _, _)| t < b_next);
         CellSnapshot {
             obs,
-            window: self.arrivals[self.arr_ptr..self.arr_ptr + end].to_vec(),
+            window: self.arrivals[self.arr_ptr..].to_vec(),
         }
     }
 
@@ -2738,14 +2844,10 @@ impl<'a> CellSim<'a> {
             for &(_, _, n) in &plan.inflow {
                 self.acc.spill_in += n;
             }
-            let first = plan.inflow[0].0;
+            // The cell stands at the window edge (it never jumps past its
+            // arrival frontier), and every cohort is due at or after it.
+            debug_assert!(self.tick <= plan.inflow[0].0);
             self.inflow.extend_from_slice(&plan.inflow);
-            // Rewind the idle jump if the cell had already skipped past
-            // the first redirected cohort: between the rewound tick and
-            // the previously computed jump target nothing else is due
-            // (the jump was the minimum over every channel), so the
-            // extra processed ticks only route the new inflow.
-            self.tick = self.tick.min(first);
         }
     }
 
@@ -2902,8 +3004,9 @@ impl Planner {
     }
 
     /// Waits until every worker has published at the window edge `b`;
-    /// one thread then plans the next window for every cell.
-    fn plan(&self, shared: &Shared<'_>, b: u32) {
+    /// one thread then plans the next window for every cell and refills
+    /// `table` with the ticks `draw` that the next sweep's cells draw.
+    fn plan(&self, shared: &Shared<'_>, b: u32, table: &RwLock<ArrivalTable>, draw: Range<u32>) {
         if self.barrier.wait().is_leader() {
             let published: Vec<CellSnapshot> = self
                 .snaps
@@ -2920,6 +3023,8 @@ impl Planner {
             for (slot, plan) in self.plans.iter().zip(plans) {
                 *slot.lock().expect(POISONED) = Some(plan);
             }
+            let mut table = table.write().expect(POISONED);
+            table.fill(shared, draw.start, draw.end);
         }
         self.barrier.wait();
     }
@@ -2960,20 +3065,22 @@ impl Worker {
     }
 
     /// Runs `sim` to the window edge `b`. Short of the horizon the cell
-    /// publishes its snapshot for the planner and comes back to stay
-    /// live; at the horizon it is finalized, merged into this worker and
-    /// dropped.
+    /// draws its arrivals up to `b_next` from `table`, publishes its
+    /// snapshot for the planner and comes back to stay live; at the
+    /// horizon it is finalized, merged into this worker and dropped.
     fn step<'a>(
         &mut self,
         mut sim: CellSim<'a>,
         b: u32,
         b_next: u32,
         planner: Option<&Planner>,
+        table: &RwLock<ArrivalTable>,
     ) -> Option<CellSim<'a>> {
         sim.run_until(b, self.series.as_mut(), &mut self.prof);
         if b < sim.shared.ticks {
             let p = planner.expect("only a balancer cuts the horizon into windows");
-            p.publish(sim.cell_idx, sim.publish(b, b_next));
+            sim.draw(&table.read().expect(POISONED), b_next, &mut self.prof);
+            p.publish(sim.cell_idx, sim.publish(b));
             return Some(sim);
         }
         self.prof.reset();
@@ -3002,10 +3109,16 @@ impl Worker {
 /// snapshot, exactly one thread runs the [`FleetController`] over the
 /// assembled [`FleetObs`] (cells never read each other's state — only
 /// the planner sees the fleet), and each cell applies its own plan at
-/// the start of the next window. Apply, run and publish happen in one
-/// sweep per window, while the cell's state is hot in cache; that keeps
-/// the balancer's overhead small at 100k-instance scale, where a full
-/// pass over cell state is memory-bound.
+/// the start of the next window. Apply, run, draw and publish happen in
+/// one sweep per window, while the cell's state is hot in cache; that
+/// keeps the balancer's overhead small at 100k-instance scale, where a
+/// full pass over cell state is memory-bound.
+///
+/// Every cell draws its arrivals one window ahead from the run's one
+/// [`ArrivalTable`]: its first window when it is built and the next one
+/// before it publishes, so the first sweep's table covers two windows.
+/// The leader refills it for the coming sweep while every worker waits
+/// at the barrier, so workers only ever read it.
 ///
 /// Cells only meet in integer additions (totals, series) and a
 /// total-order sort (trace), so the merged result is byte-identical for
@@ -3021,6 +3134,8 @@ fn run_windows(shared: &Shared<'_>, seed: u64, shards: u32, threads: u32) -> Vec
     let next = |b: u32| b.saturating_add(window).min(ticks);
     let planner = bal.map(|b| Planner::new(b, cells, threads, window as f64 * cfg.tick_s));
     let planner = planner.as_ref();
+    let table = RwLock::new(ArrivalTable::new(shared, 0, next(next(0))));
+    let table = &table;
     let bounds = |s: u32| (s as u64 * cells as u64 / shards as u64) as u32;
     let worker = |w: u32| -> Worker {
         let mut wk = Worker::new(shared);
@@ -3028,17 +3143,25 @@ fn run_windows(shared: &Shared<'_>, seed: u64, shards: u32, threads: u32) -> Vec
         let mut b = next(0);
         for s in (w..shards).step_by(threads as usize) {
             for c in bounds(s)..bounds(s + 1) {
-                let sim = CellSim::new(shared, seed, c, wk.series.as_mut(), &mut wk.prof);
-                live.extend(wk.step(sim, b, next(b), planner));
+                let sim = CellSim::new(
+                    shared,
+                    seed,
+                    c,
+                    &table.read().expect(POISONED),
+                    b,
+                    wk.series.as_mut(),
+                    &mut wk.prof,
+                );
+                live.extend(wk.step(sim, b, next(b), planner, table));
             }
         }
         while b < ticks {
             let p = planner.expect("only a balancer cuts the horizon into windows");
-            p.plan(shared, b);
+            p.plan(shared, b, table, next(b)..next(next(b)));
             b = next(b);
             for mut sim in std::mem::take(&mut live) {
                 sim.apply_plan(p.take(sim.cell_idx));
-                live.extend(wk.step(sim, b, next(b), planner));
+                live.extend(wk.step(sim, b, next(b), planner, table));
             }
         }
         // Pre-sort this worker's events on its own thread: the merge then
@@ -3132,18 +3255,6 @@ pub fn run_sharded_full(
     let ticks = cfg.num_ticks();
     let knobs = cfg.knobs();
     let tenants_meta = cfg.tenant_meta(&knobs);
-    let lambda: Vec<Vec<f64>> = cfg
-        .workload
-        .share_fractions()
-        .iter()
-        .zip(&cfg.workload.tenants)
-        .map(|(share, t)| {
-            let base = cfg.workload.rate_per_instance_s * share * cfg.tick_s;
-            (0..ticks)
-                .map(|k| base * t.pattern.multiplier_at((k as f64 + 0.5) * cfg.tick_s))
-                .collect()
-        })
-        .collect();
     let tel = &cfg.telemetry;
     let shared = Shared {
         cfg,
@@ -3179,8 +3290,12 @@ pub fn run_sharded_full(
         },
         priority_order: cfg.workload.priority_order(),
         classes: cfg.workload.tenants.iter().map(|t| t.priority).collect(),
-        arr_plans: plan_arrivals(&lambda, cfg.cell_size as f64),
-        lambda,
+        arrival_base: cfg
+            .workload
+            .share_fractions()
+            .iter()
+            .map(|share| cfg.workload.rate_per_instance_s * share * cfg.tick_s)
+            .collect(),
         chaos: compile_cell_chaos(cfg, lut.clock_points()),
         knobs,
     };
@@ -3777,5 +3892,26 @@ mod tests {
         c.ctrl.as_mut().unwrap().router = None;
         let err = run_sharded(&c, 1, 1, 1).unwrap_err();
         assert!(matches!(err, FleetError::Ctrl(_)));
+    }
+
+    /// A horizon whose tick count does not fit in `u32` is rejected
+    /// instead of silently truncated to `u32::MAX` ticks.
+    #[test]
+    fn horizons_past_u32_ticks_rejected() {
+        let mut c = small_cfg();
+        c.tick_s = 1.0;
+        c.horizon_s = u32::MAX as f64;
+        assert!(c.validate().is_ok(), "u32::MAX ticks fit");
+        assert_eq!(c.num_ticks(), u32::MAX);
+        c.horizon_s = u32::MAX as f64 + 1.0;
+        assert!(matches!(
+            c.validate().unwrap_err(),
+            FleetError::InvalidParameter {
+                name: "horizon_s (tick count must fit in u32)",
+                ..
+            }
+        ));
+        // The rejection comes before any per-tick allocation.
+        assert!(run_sharded(&c, 1, 1, 1).is_err());
     }
 }

@@ -217,8 +217,9 @@ fn knuth(rng: &mut StdRng, l: f64) -> u64 {
 /// [`PoissonPlan::draw`] consumes the RNG stream exactly as
 /// `poisson(rng, lambda)` would — same number of uniforms, same count —
 /// which `plan_matches_poisson_draws_and_stream` pins. That equivalence
-/// is what lets the event-driven engine draw a whole horizon of
-/// arrivals per tenant up front without perturbing any stream.
+/// is what lets the event-driven engine draw each tenant's arrivals a
+/// whole fleet window ahead, one window after another, without
+/// perturbing any stream.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PoissonPlan {
     /// Number of full-`CHUNK` sub-draws; `u32::MAX` is the λ ≤ 0 (or

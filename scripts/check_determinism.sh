@@ -3,8 +3,9 @@
 # counts — across all three serving/control combos (monolithic,
 # phase-split, and DVFS-enabled phase-split clock scaling), each also
 # under a compiled chaos campaign (rack outages + repair crews for mono,
-# cell partitions for split, thermal clock clamps for the DVFS combo) —
-# and diff the serialized FleetReport bytes. Byte-identical reports at
+# cell partitions for split, thermal clock clamps for the DVFS combo),
+# plus the fleet-scope balancer on a skewed and on a flat fleet — and
+# diff the serialized FleetReport bytes. Byte-identical reports at
 # any shard/thread count are the engine's core guarantee, checked end to
 # end through the sim_fleet binary. The telemetry layers ride along:
 # every run also exports the time-series JSONL and the Chrome trace
@@ -19,7 +20,7 @@ cd "$(dirname "$0")/.."
 
 det_dir="target/ci-determinism"
 mkdir -p "$det_dir"
-for combo in mono split dvfs mono_chaos split_chaos dvfs_chaos balancer; do
+for combo in mono split dvfs mono_chaos split_chaos dvfs_chaos balancer balancer_flat; do
   case "$combo" in
     mono)        combo_flags=(--serving mono) ;;
     split)       combo_flags=(--serving split) ;;
@@ -32,6 +33,10 @@ for combo in mono split dvfs mono_chaos split_chaos dvfs_chaos balancer; do
     # cell (and shard) boundaries, so this combo is the one that would
     # catch a rendezvous ordering bug first.
     balancer)    combo_flags=(--serving mono --balancer --skew 2x2.5) ;;
+    # The balancer on an unskewed fleet: every cell stays at rate
+    # multiplier 1, so all workers read the shared full-cell arrival
+    # plans, which the planner refills between windows.
+    balancer_flat) combo_flags=(--serving mono --balancer) ;;
   esac
   for run in t1 t2 t8 s3t2; do
     case "$run" in

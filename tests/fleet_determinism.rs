@@ -343,10 +343,33 @@ fn balancer_byte_identical_across_shards_and_threads() {
 /// byte for byte: series (per-cell series on), trace, and report apart
 /// from its `balancer` section and `controller` label. Two shards on one
 /// worker put four cells on the same worker across windows.
+///
+/// Arrivals are drawn one window ahead, so the monolithic variant also
+/// runs every cell shape that draw handles: no skew (every cell reads
+/// the shared full-cell plans), 61 instances (a 5-instance tail cell
+/// beside them) and zero-rate cells.
 #[test]
 fn noop_balancer_windows_are_byte_inert() {
+    let mut cases = Vec::new();
     for (label, cfg) in telemetry_variants() {
-        let mut on = with_telemetry(&with_balancer(&cfg));
+        let skewed = with_balancer(&cfg);
+        if label == "mono" {
+            let mut flat = skewed.clone();
+            flat.cell_rate_multipliers.clear();
+            let mut tail = flat.clone();
+            tail.instances = 61;
+            let mut zero = skewed.clone();
+            zero.cell_rate_multipliers = vec![2.0, 2.0, 2.0, 2.0, 0.0, 0.0, 0.0, 0.0];
+            cases.extend([
+                ("mono/flat", flat),
+                ("mono/tail", tail),
+                ("mono/zero", zero),
+            ]);
+        }
+        cases.push((label, skewed));
+    }
+    for (label, cfg) in cases {
+        let mut on = with_telemetry(&cfg);
         let ctrl = on.ctrl.as_mut().expect("balancer config");
         ctrl.balancer.as_mut().expect("balancer").spill_permille = 0;
         let mut off = on.clone();
