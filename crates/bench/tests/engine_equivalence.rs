@@ -17,10 +17,21 @@
 //! loop. Any engine change that drifts a single byte of any artifact
 //! fails here.
 //!
+//! A second, library-level golden (`hand_built_chaos_shapes_match_goldens`)
+//! pins chaos schedules that the campaign compiler behind `sim_fleet
+//! --chaos` never produces: same-tick outages over overlapping slots, a
+//! mid-tick outage start, a drain shorter than a tick, stacked windows
+//! of every kind in one cell, a window ending past the horizon and an
+//! outage on the last tick.
+//!
 //! Regenerate (only when an *intentional* semantic change lands):
 //! `ENGINE_GOLDEN_PRINT=1 cargo test -p litegpu-bench --test
 //! engine_equivalence -- --nocapture` and paste the printed table.
 
+use litegpu_fleet::engine::{
+    run_sharded_full, ChaosSpec, DomainEvent, DomainEventKind, FleetConfig, TelemetryConfig,
+};
+use litegpu_telemetry::render_chrome_trace;
 use std::process::Command;
 
 /// FNV-1a 64-bit over the artifact bytes — dependency-free and stable.
@@ -194,4 +205,100 @@ fn event_engine_matches_tick_loop_goldens() {
         "engine output drifted from the pinned goldens:\n{}",
         drift.join("\n")
     );
+}
+
+/// `(report fnv, series fnv, trace fnv)` of [`chaos_shapes_cfg`] at
+/// seed 7 on 8 shards.
+const CHAOS_SHAPES_GOLDEN: (u64, u64, u64) =
+    (0x51913e3007d911d2, 0xc24e068edbfad8f3, 0x3ba32508dd4d8771);
+
+/// One hand-built chaos event over `[start_s, end_s)` on the global
+/// instances `slots`.
+fn event(kind: DomainEventKind, start_s: f64, end_s: f64, slots: Vec<u32>) -> DomainEvent {
+    DomainEvent {
+        kind,
+        start_us: (start_s * 1e6) as u64,
+        end_us: (end_s * 1e6) as u64,
+        instances: slots,
+    }
+}
+
+/// The controlled Lite fleet, 64 instances in 8-wide cells for 30
+/// simulated minutes at 0.05 req/s/instance (low enough that the
+/// autoscaler parks capacity, so its chaos-down floor binds), under a
+/// schedule of edge cases: every window edge of each cell is listed in
+/// the comments, in ticks of 1 s.
+fn chaos_shapes_cfg() -> FleetConfig {
+    use DomainEventKind::*;
+    let mut cfg = FleetConfig::lite_ctrl_demo();
+    cfg.workload.rate_per_instance_s = 0.05;
+    cfg.instances = 64;
+    cfg.cell_size = 8;
+    cfg.horizon_s = 1800.0;
+    cfg.failure_acceleration = 50_000.0;
+    cfg.telemetry = TelemetryConfig {
+        series_dt_us: 60_000_000,
+        trace_every: 16,
+        ..TelemetryConfig::default()
+    };
+    cfg.chaos = ChaosSpec {
+        events: vec![
+            // Cell 0: both outages fire on tick 300, in schedule order;
+            // the second starts mid-tick over two slots already down.
+            event(RackLoss, 300.0, 420.0, (0..4).collect()),
+            event(PowerDomainLoss, 300.5, 500.0, (2..8).collect()),
+            // Cell 4: a mid-tick outage whose ticks carry no other edge
+            // (fires on tick 400, window edges at ticks 401 and 701).
+            event(PowerDomainLoss, 400.5, 700.5, vec![32, 33]),
+            // Cell 1: a drain shorter than one tick (both edges at 601).
+            event(RollingDrain, 600.2, 600.7, (8..12).collect()),
+            // Cell 2: a partition, a thermal clamp and a drain stacked in
+            // one cell; the drain ends past the horizon.
+            event(NetworkPartition, 700.5, 900.5, vec![16]),
+            event(
+                ThermalExcursion { clamp: 0.7 },
+                650.0,
+                1000.0,
+                (16..20).collect(),
+            ),
+            event(RollingDrain, 800.0, 2000.0, (20..24).collect()),
+            // Cell 3: an outage that fires on the last tick.
+            event(RackLoss, 1799.5, 1900.0, (24..28).collect()),
+        ],
+    };
+    cfg
+}
+
+#[test]
+fn hand_built_chaos_shapes_match_goldens() {
+    let print = std::env::var("ENGINE_GOLDEN_PRINT").is_ok();
+    let cfg = chaos_shapes_cfg();
+    for threads in [1u32, 2] {
+        let mut run = run_sharded_full(&cfg, 7, 8, threads).expect("chaos shapes run");
+        // Every shape registers: one partition and one thermal window,
+        // only cell 2's drain (the sub-tick drain spans no tick start)
+        // and no restore inside the horizon.
+        let (fb, ch) = (&run.report.failure_breakdown, run.report.chaos.as_ref());
+        let ch = ch.expect("chaos section");
+        assert!(fb.rack > 0 && fb.power > 0 && ch.partition_shed > 0);
+        assert_eq!((fb.partition_events, fb.thermal_events), (1, 1));
+        assert_eq!((ch.drains, ch.drain_restores), (4, 0));
+        let report = fnv1a64(run.report.to_json().trim_end().as_bytes());
+        let series = fnv1a64(
+            run.series
+                .as_ref()
+                .expect("series on")
+                .to_jsonl()
+                .as_bytes(),
+        );
+        let trace = fnv1a64(render_chrome_trace(run.trace.as_mut().expect("trace on")).as_bytes());
+        if print && threads == 1 {
+            println!("chaos shapes: ({report:#018x}, {series:#018x}, {trace:#018x})");
+        }
+        assert_eq!(
+            (report, series, trace),
+            CHAOS_SHAPES_GOLDEN,
+            "chaos shapes t{threads} drifted (report, series, trace)"
+        );
+    }
 }
