@@ -86,9 +86,15 @@ pub fn apportion(n: u64, weights: &[u64]) -> Vec<u64> {
 }
 
 /// In-place variant of [`apportion`] for hot loops: writes the shares
-/// into `shares` and uses `scratch` for the remainder sort, so a caller
+/// into `shares` and uses `scratch` to rank the remainders, so a caller
 /// that reuses both buffers (e.g. the fleet engine's per-tick routing)
 /// performs no allocation once they have grown to the slot count.
+///
+/// Cost: one pass over the weights when every floor share is zero —
+/// `n · max w < Σw`, the common case of routing a few requests over a
+/// cell — with no division; otherwise one division per weight (64-bit
+/// whenever the products fit) plus a selection over the positive
+/// remainders, never a full sort.
 pub fn apportion_into(
     n: u64,
     weights: &[u64],
@@ -97,10 +103,91 @@ pub fn apportion_into(
 ) {
     shares.clear();
     scratch.clear();
+    shares.resize(weights.len(), 0);
+    let (mut total, mut max_w, mut argmax) = (0u128, 0u64, 0usize);
+    for (i, &w) in weights.iter().enumerate() {
+        total += w as u128;
+        if w > max_w {
+            (max_w, argmax) = (w, i);
+        }
+    }
+    if total == 0 || n == 0 {
+        return;
+    }
+    // Largest remainder first, ties toward the lowest slot index: a total
+    // order, so the selected set is unique.
+    let by_rank = |a: &(u128, u32), b: &(u128, u32)| b.0.cmp(&a.0).then(a.1.cmp(&b.1));
+    if n == 1 {
+        // One item: either a single positive weight takes it as its floor
+        // share, or it is the one leftover and goes to the largest
+        // remainder `wᵢ` — the argmax either way.
+        shares[argmax] = 1;
+        return;
+    }
+    let top = n as u128 * max_w as u128;
+    if top < total {
+        // Every floor share ⌊n·wᵢ/W⌋ is 0, and the remainders `n·wᵢ` rank
+        // exactly like `wᵢ`: the `n` largest positive weights take one
+        // item each (there are more than `n` of them, as `n·max w < W`).
+        scratch.extend(
+            weights
+                .iter()
+                .enumerate()
+                .filter(|&(_, &w)| w > 0)
+                .map(|(i, &w)| (w as u128, i as u32)),
+        );
+        scratch.select_nth_unstable_by(n as usize - 1, by_rank);
+        for &(_, i) in &scratch[..n as usize] {
+            shares[i as usize] = 1;
+        }
+        return;
+    }
+    let mut assigned: u64 = 0;
+    if let (Ok(total), true) = (u64::try_from(total), top <= u64::MAX as u128) {
+        for (i, &w) in weights.iter().enumerate() {
+            let exact = n * w;
+            let (share, rem) = (exact / total, exact % total);
+            shares[i] = share;
+            assigned += share;
+            if rem > 0 {
+                scratch.push((rem as u128, i as u32));
+            }
+        }
+    } else {
+        for (i, &w) in weights.iter().enumerate() {
+            let exact = n as u128 * w as u128;
+            let share = (exact / total) as u64;
+            shares[i] = share;
+            assigned += share;
+            let rem = exact % total;
+            if rem > 0 {
+                scratch.push((rem, i as u32));
+            }
+        }
+    }
+    // The leftover is Σ remainders / W, so fewer leftover items than
+    // positive remainders exist: zero remainders never take one.
+    let left = (n - assigned) as usize;
+    if left > 0 {
+        scratch.select_nth_unstable_by(left - 1, by_rank);
+        for &(_, i) in &scratch[..left] {
+            shares[i as usize] += 1;
+        }
+    }
+}
+
+/// The sort-based largest-remainder split that [`apportion_into`]
+/// replaced: every slot's floor share and remainder in 128-bit
+/// arithmetic, then a full sort of the remainders. Kept as the oracle
+/// the randomized test compares against.
+#[cfg(test)]
+fn apportion_reference(n: u64, weights: &[u64]) -> Vec<u64> {
+    let mut shares = Vec::new();
+    let mut scratch: Vec<(u128, u32)> = Vec::new();
     let total: u128 = weights.iter().map(|&w| w as u128).sum();
     if total == 0 || n == 0 {
         shares.resize(weights.len(), 0);
-        return;
+        return shares;
     }
     let mut assigned: u64 = 0;
     for (i, &w) in weights.iter().enumerate() {
@@ -110,20 +197,18 @@ pub fn apportion_into(
         assigned += share;
         scratch.push((exact % total, i as u32));
     }
-    // Largest remainder first; ties broken toward the lowest slot index,
-    // making the comparator total so the result is independent of the
-    // sort algorithm.
     scratch.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
     for &(_, i) in scratch.iter().take((n - assigned) as usize) {
         shares[i as usize] += 1;
     }
+    shares
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::controller::InstanceObs;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn weights_track_free_capacity_of_live_slots() {
@@ -303,6 +388,45 @@ mod tests {
                     assert!(w > 0 || *s == 0);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn apportion_into_matches_the_sort_based_reference() {
+        // Randomized shapes: 1–70 slots; zero, small (the zero-floor
+        // branch), moderate and full-range weights (the 128-bit path);
+        // item counts of 0, 1, small, moderate and up to `u64::MAX`.
+        let mut rng = StdRng::seed_from_u64(0xA9_9071);
+        let (mut shares, mut scratch) = (Vec::new(), Vec::new());
+        for case in 0..20_000 {
+            let len = rng.random_range(1..=70usize);
+            let w_max = match case % 4 {
+                0 => 3,
+                1 => 1_000,
+                2 => u32::MAX as u64,
+                _ => u64::MAX,
+            };
+            let weights: Vec<u64> = (0..len)
+                .map(|_| match rng.random_range(0..8u32) {
+                    0 | 1 => 0,
+                    2 => w_max,
+                    _ => rng.random_range(0..=w_max),
+                })
+                .collect();
+            let n = match rng.random_range(0..6u32) {
+                0 => 0,
+                1 => 1,
+                2 => rng.random_range(2..=8),
+                3 => rng.random_range(2..=10_000),
+                4 => u64::MAX,
+                _ => rng.random(),
+            };
+            apportion_into(n, &weights, &mut shares, &mut scratch);
+            assert_eq!(
+                shares,
+                apportion_reference(n, &weights),
+                "n={n} weights={weights:?}"
+            );
         }
     }
 }
