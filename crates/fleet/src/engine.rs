@@ -860,6 +860,14 @@ struct CellChaos {
     thermals: Vec<(u64, u64, u8, Vec<u32>)>,
     /// Drain windows: (start_us, end_us, locals).
     drains: Vec<(u64, u64, Vec<u32>)>,
+    /// `(start_us / tick_us, index into outages)`, stably sorted by tick:
+    /// the firing order. Same-tick outages keep schedule order, which
+    /// decides which of them takes the cell's spare.
+    outage_ticks: Vec<(u64, usize)>,
+    /// The first tick at or after every window edge (outages included),
+    /// sorted and deduplicated: the only ticks at which the windowed
+    /// state of [`CellSim::windows`] can change.
+    edges: Vec<u64>,
 }
 
 impl CellChaos {
@@ -871,8 +879,9 @@ impl CellChaos {
     }
 }
 
-/// Splits the global chaos schedule into per-cell slices.
-fn compile_cell_chaos(cfg: &FleetConfig, clock_points: &[f64]) -> Vec<CellChaos> {
+/// Splits the global chaos schedule into per-cell slices, each with its
+/// outage firing order and window edges on the `tick_us` grid.
+fn compile_cell_chaos(cfg: &FleetConfig, clock_points: &[f64], tick_us: u64) -> Vec<CellChaos> {
     if cfg.chaos.events.is_empty() {
         return Vec::new();
     }
@@ -904,6 +913,22 @@ fn compile_cell_chaos(cfg: &FleetConfig, clock_points: &[f64]) -> Vec<CellChaos>
                 DomainEventKind::RollingDrain => out[c].drains.push((s, e, locals)),
             }
         }
+    }
+    for ch in &mut out {
+        let starts = ch.outages.iter().map(|o| o.1 / tick_us);
+        ch.outage_ticks = starts.zip(0..).collect();
+        // Stable: same-tick outages keep schedule order.
+        ch.outage_ticks.sort_by_key(|&(t, _)| t);
+        let windows = ch.outages.iter().map(|o| (o.1, o.2));
+        let windows = windows
+            .chain(ch.partitions.iter().copied())
+            .chain(ch.thermals.iter().map(|t| (t.0, t.1)))
+            .chain(ch.drains.iter().map(|d| (d.0, d.1)));
+        ch.edges = windows
+            .flat_map(|(s, e)| [s.div_ceil(tick_us), e.div_ceil(tick_us)])
+            .collect();
+        ch.edges.sort_unstable();
+        ch.edges.dedup();
     }
     out
 }
@@ -1880,10 +1905,16 @@ struct CellSim<'a> {
     clamp: Vec<u8>,
     chaos_outed: Vec<bool>,
     clamp_scratch: Vec<u8>,
-    /// This tick's chaos verdicts: the cell is partitioned; some slot was
-    /// forced down (which makes decode retries due).
+    /// The cell is inside a partition window (windowed state, like the
+    /// per-slot vectors above).
     partitioned: bool,
+    /// Some slot was forced down this tick (which makes decode retries
+    /// due).
     forced_down: bool,
+    /// Cursors into the cell's [`CellChaos::outage_ticks`] (the next
+    /// outage to fire) and [`CellChaos::edges`] (the next window edge).
+    outage_ptr: usize,
+    edge_ptr: usize,
     trace: Option<TraceSink>,
     series_ids: Option<SeriesIds>,
     /// Counter values at the last series sample.
@@ -2006,6 +2037,8 @@ impl<'a> CellSim<'a> {
             clamp_scratch: vec![u8::MAX; n],
             partitioned: false,
             forced_down: false,
+            outage_ptr: 0,
+            edge_ptr: 0,
             trace: (tel.trace_every > 0).then(|| TraceSink {
                 buf: Vec::new(),
                 sampler: SpanSampler::new(tel.trace_every),
@@ -2040,8 +2073,8 @@ impl<'a> CellSim<'a> {
             // must be observed at its exact tick. Outages fire at the
             // tick containing their start; the other windows matter
             // from the first tick at or after each edge.
-            for (_, start, _, _) in &ch.outages {
-                sim.wake(start / tick_us, u32::MAX);
+            for &(t, _) in &ch.outage_ticks {
+                sim.wake(t, u32::MAX);
             }
             for &(start, _) in &ch.partitions {
                 sim.wake(start.div_ceil(tick_us), u32::MAX);
@@ -2219,7 +2252,6 @@ impl<'a> CellSim<'a> {
                 job.wait_us,
             ));
         }
-        self.partitioned = false;
         self.forced_down = false;
         if let Some(ch) = self.chaos {
             self.outages(ch);
@@ -2229,17 +2261,21 @@ impl<'a> CellSim<'a> {
 
     /// Correlated outages fire once, at the tick containing their window
     /// start (a wakeup, and processed ticks only move forward, so the
-    /// tick is exact): every affected up instance goes down for the
-    /// window. Spares apply, but the swap can only run once the domain is
-    /// back, so spare recovery lands at window end + swap; either way the
+    /// tick is exact), popped in firing order from the cell's outage
+    /// cursor: every affected up instance goes down for the window.
+    /// Spares apply, but the swap can only run once the domain is back,
+    /// so spare recovery lands at window end + swap; either way the
     /// repair crew is requested for window end.
     fn outages(&mut self, ch: &CellChaos) {
         let tick_us = self.shared.knobs.tick_us;
         let tick = self.tick;
-        for (kind, start, end, locals) in &ch.outages {
-            if start / tick_us != tick as u64 {
-                continue;
+        while let Some(&(t, oi)) = ch.outage_ticks.get(self.outage_ptr) {
+            if t > tick as u64 {
+                break;
             }
+            debug_assert_eq!(t, tick as u64, "every outage start tick is a wakeup");
+            self.outage_ptr += 1;
+            let (kind, start, end, locals) = &ch.outages[oi];
             self.emit(TraceEvent::complete(
                 "chaos",
                 if *kind == 2 {
@@ -2283,16 +2319,27 @@ impl<'a> CellSim<'a> {
 
     /// The windowed campaign state at this tick: partitions, drains and
     /// thermal clamps, plus which slots sit inside an outage window. A
-    /// window is active while `start <= t_start < end`. Every window edge
-    /// is a wakeup and processed ticks only move forward, so a window's
-    /// first active tick is `start.div_ceil(tick_us)` — where its event
-    /// is counted and traced — and a drain that was ever active restores
-    /// at `end.div_ceil(tick_us)`.
+    /// window is active while `start <= t_start < end`, so the state is
+    /// a step function of the tick that only changes at the cell's
+    /// [`CellChaos::edges`]: it is recomputed on the first processed tick
+    /// at or past an edge and otherwise left as it is. Partition, drain
+    /// and thermal edges are wakeups and processed ticks only move
+    /// forward, so a window's first active tick is
+    /// `start.div_ceil(tick_us)` — where its event is counted and traced
+    /// — and a drain that was ever active restores at
+    /// `end.div_ceil(tick_us)`.
     fn windows(&mut self, ch: &CellChaos, t_start: u64) {
         let tick_us = self.shared.knobs.tick_us;
         let tick = self.tick as u64;
+        if ch.edges.get(self.edge_ptr).is_none_or(|&e| e > tick) {
+            return;
+        }
+        while ch.edges.get(self.edge_ptr).is_some_and(|&e| e <= tick) {
+            self.edge_ptr += 1;
+        }
         let active = |s: u64, e: u64| s <= t_start && t_start < e;
         let first = |edge: u64| edge.div_ceil(tick_us) == tick;
+        self.partitioned = false;
         for &(start, end) in &ch.partitions {
             if active(start, end) {
                 self.partitioned = true;
@@ -3296,7 +3343,7 @@ pub fn run_sharded_full(
             .iter()
             .map(|share| cfg.workload.rate_per_instance_s * share * cfg.tick_s)
             .collect(),
-        chaos: compile_cell_chaos(cfg, lut.clock_points()),
+        chaos: compile_cell_chaos(cfg, lut.clock_points(), knobs.tick_us),
         knobs,
     };
     let cells = cfg.num_cells();
