@@ -1504,6 +1504,11 @@ impl CellCtl {
 /// recorded here, so the wait for decode batch room lands in it.
 /// `on_deliver(i)` fires per delivery with the target slot (the event
 /// engine's busy-set hook).
+///
+/// The eligible slots (decode phase, up, serving, not drained) are
+/// gathered once per call into `cands` as `(batch, slot)`: nothing in
+/// here changes eligibility, and a delivery only grows its target's
+/// batch, so each transfer scans the candidates alone.
 #[allow(clippy::too_many_arguments)]
 fn deliver_transfers(
     kv: &mut KvLinkState,
@@ -1516,24 +1521,28 @@ fn deliver_transfers(
     knobs: &ServeKnobs,
     mut trace: Option<&mut TraceSink>,
     acc: &mut ShardTotals,
+    cands: &mut Vec<(u32, u32)>,
     mut on_deliver: impl FnMut(usize),
 ) {
+    if kv.peek_landed(now_us).is_none() {
+        return;
+    }
+    let serving = |i: usize| ctl.is_none_or(|c| c.modes[i] == SlotMode::Live);
+    cands.clear();
+    cands.extend(
+        (insts.iter().enumerate())
+            .filter(|&(i, s)| phases[i] == Phase::Decode && s.up && serving(i) && !drained[i])
+            .map(|(i, s)| (s.active(), i as u32)),
+    );
     while let Some(job) = kv.peek_landed(now_us) {
-        let serving = |i: usize| ctl.is_none_or(|c| c.modes[i] == SlotMode::Live);
-        let target = insts
-            .iter()
-            .enumerate()
-            .filter(|(i, s)| {
-                phases[*i] == Phase::Decode
-                    && s.up
-                    && serving(*i)
-                    && !drained[*i]
-                    && s.active() + job.count <= max_batch
-            })
-            .min_by_key(|(i, s)| (s.active(), *i))
-            .map(|(i, _)| i);
+        let target = cands
+            .iter_mut()
+            .filter(|c| c.0 + job.count <= max_batch)
+            .min();
         match target {
-            Some(i) => {
+            Some(c) => {
+                c.0 += job.count;
+                let i = c.1 as usize;
                 let job = kv.pop().expect("peeked");
                 KvLinkState::record_delivery(
                     &job,
@@ -1943,6 +1952,8 @@ struct CellSim<'a> {
     next_sample: u32,
     kv_next: u32,
     kv_blocked: bool,
+    /// Reusable `(batch, slot)` buffer of [`deliver_transfers`].
+    kv_cands: Vec<(u32, u32)>,
     decode_retry: bool,
     /// The next tick to process.
     tick: u32,
@@ -2062,6 +2073,7 @@ impl<'a> CellSim<'a> {
             next_sample: shared.series_every.checked_sub(1).unwrap_or(u32::MAX),
             kv_next: u32::MAX,
             kv_blocked: false,
+            kv_cands: Vec::new(),
             decode_retry: false,
             tick: 0,
         };
@@ -2567,6 +2579,7 @@ impl<'a> CellSim<'a> {
             &self.shared.knobs,
             self.trace.as_mut(),
             &mut self.acc,
+            &mut self.kv_cands,
             |i| self.busy.add(i),
         );
         // A landed head with no decode room blocks FIFO: the next tick
