@@ -996,17 +996,31 @@ struct ArrivalTable {
     /// `e^-λ` thresholds are computed once per tick instead of once per
     /// (cell, tick). `None` when no cell has that shape.
     full: Option<Vec<Vec<PoissonPlan>>>,
+    /// Tenant ids grouped by equal traffic pattern, so that each distinct
+    /// pattern is evaluated once per tick.
+    by_pattern: Vec<Vec<usize>>,
 }
 
 impl ArrivalTable {
     fn new(shared: &Shared<'_>, lo: u32, hi: u32) -> Self {
         let cfg = shared.cfg;
-        let tenants = shared.arrival_base.len();
+        let tenants = &cfg.workload.tenants;
         let any_full = (0..cfg.num_cells()).any(|c| arrival_scale(cfg, c).is_none());
+        let mut by_pattern: Vec<Vec<usize>> = Vec::new();
+        for (t, tenant) in tenants.iter().enumerate() {
+            match by_pattern
+                .iter_mut()
+                .find(|g| tenants[g[0]].pattern == tenant.pattern)
+            {
+                Some(g) => g.push(t),
+                None => by_pattern.push(vec![t]),
+            }
+        }
         let mut table = Self {
             lo,
-            lambda: vec![Vec::new(); tenants],
-            full: any_full.then(|| vec![Vec::new(); tenants]),
+            lambda: vec![Vec::new(); tenants.len()],
+            full: any_full.then(|| vec![Vec::new(); tenants.len()]),
+            by_pattern,
         };
         table.fill(shared, lo, hi);
         table
@@ -1016,20 +1030,42 @@ impl ArrivalTable {
     fn fill(&mut self, shared: &Shared<'_>, lo: u32, hi: u32) {
         let cfg = shared.cfg;
         self.lo = lo;
-        for (t, lambda) in self.lambda.iter_mut().enumerate() {
-            let (base, pattern) = (shared.arrival_base[t], &cfg.workload.tenants[t].pattern);
-            lambda.clear();
-            lambda.extend(
-                (lo..hi).map(|k| base * pattern.multiplier_at((k as f64 + 0.5) * cfg.tick_s)),
-            );
-            if let Some(full) = self.full.as_mut() {
-                full[t].clear();
-                full[t].extend(
+        for group in &self.by_pattern {
+            let pattern = &cfg.workload.tenants[group[0]].pattern;
+            for &t in group {
+                self.lambda[t].clear();
+            }
+            for k in lo..hi {
+                let m = pattern.multiplier_at((k as f64 + 0.5) * cfg.tick_s);
+                for &t in group {
+                    self.lambda[t].push(shared.arrival_base[t] * m);
+                }
+            }
+        }
+        if let Some(full) = self.full.as_mut() {
+            for (plans, lambda) in full.iter_mut().zip(&self.lambda) {
+                let mut last = None;
+                plans.clear();
+                plans.extend(
                     lambda
                         .iter()
-                        .map(|&l| PoissonPlan::new(l * cfg.cell_size as f64)),
+                        .map(|&l| reuse_plan(&mut last, l * cfg.cell_size as f64)),
                 );
             }
+        }
+    }
+}
+
+/// [`PoissonPlan::new`], reusing the previous plan while λ repeats bit
+/// for bit (tick after tick under a flat pattern): a plan is a function
+/// of λ alone, and building one costs an `exp`.
+fn reuse_plan(last: &mut Option<(u64, PoissonPlan)>, lambda: f64) -> PoissonPlan {
+    match *last {
+        Some((bits, plan)) if bits == lambda.to_bits() => plan,
+        _ => {
+            let plan = PoissonPlan::new(lambda);
+            *last = Some((lambda.to_bits(), plan));
+            plan
         }
     }
 }
@@ -1132,8 +1168,9 @@ impl CellTraffic {
                     }
                 }
                 Some(scale) => {
+                    let mut last = None;
                     for (k, &l) in (lo..).zip(&table.lambda[t][ks.clone()]) {
-                        push(k, PoissonPlan::new(l * scale).draw(rng));
+                        push(k, reuse_plan(&mut last, l * scale).draw(rng));
                     }
                 }
             }
