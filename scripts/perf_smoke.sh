@@ -56,9 +56,11 @@ measured_bal=$(read_field "$out_dir/BENCH_fleet_100k_bal.json" ticks_per_sec)
 
 # Commit stamp: short hash, with a -dirty suffix when the working tree
 # differs from HEAD (so a locally generated artifact is never mistaken
-# for a clean CI measurement of that commit).
+# for a clean CI measurement of that commit). The artifact this script
+# rewrites is excluded, or every run after the first on a clean tree
+# would stamp itself dirty.
 commit=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
-if ! git diff --quiet 2>/dev/null; then commit="$commit-dirty"; fi
+if ! git diff --quiet -- . ":(exclude)$bench" 2>/dev/null; then commit="$commit-dirty"; fi
 
 # One commit-stamped artifact tracking all three modes plus the perf
 # trajectory (historical entries from perf_baseline.json + this run).
