@@ -66,9 +66,9 @@
 //! - **control ticks** — the periodic controller cadence, plus boot
 //!   completions promoted on their own schedule;
 //! - **chaos / lifecycle events** — instance failure and recovery
-//!   times, campaign window edges (outage/partition/drain/thermal
-//!   start and end), and repair-crew dispatch completions, all pushed
-//!   as heap wakeups when their integer-µs times are computed.
+//!   times, outage starts, partition starts, drain and thermal window
+//!   edges, and repair-crew dispatch readiness, all pushed as heap
+//!   wakeups when their integer-µs times are computed.
 //!
 //! Between events, idle instances accrue nothing per tick: idle energy,
 //! live-tick and clock-residency counters are billed **lazily** in
@@ -79,9 +79,14 @@
 //! what the per-tick engine executed on quiet ticks), so correctness
 //! only ever hinges on *never missing* a due event; the equivalence
 //! suite (`crates/bench/tests/engine_equivalence.rs`) pins the output
-//! bytes, and the hot path stays Poisson arithmetic plus
-//! [`StepCostTable`] lookups, with no roofline evaluation, no allocation
-//! beyond queue churn, and no locks.
+//! bytes. Per-event work does not grow with cell size or campaign
+//! length where it need not: routing a batch whose floor shares are all
+//! zero is one pass without division, a KV delivery scans only the
+//! decode slots gathered for its call, and a chaos tick pops due outages
+//! from a cursor and recomputes window state only past a window edge.
+//! The hot path evaluates no roofline, allocates nothing beyond queue
+//! churn and takes no lock per tick (a cell reads the shared
+//! `ArrivalTable` once per window).
 
 use crate::report::{FleetReport, RunMeta, TenantMeta};
 use crate::state::{
