@@ -142,27 +142,21 @@ pub fn apportion_into(
         }
         return;
     }
+    // 64-bit division whenever `W` and every product `n·wᵢ` fit.
+    let narrow = total <= u64::MAX as u128 && top <= u64::MAX as u128;
     let mut assigned: u64 = 0;
-    if let (Ok(total), true) = (u64::try_from(total), top <= u64::MAX as u128) {
-        for (i, &w) in weights.iter().enumerate() {
-            let exact = n * w;
-            let (share, rem) = (exact / total, exact % total);
-            shares[i] = share;
-            assigned += share;
-            if rem > 0 {
-                scratch.push((rem as u128, i as u32));
-            }
-        }
-    } else {
-        for (i, &w) in weights.iter().enumerate() {
+    for (i, &w) in weights.iter().enumerate() {
+        let (share, rem) = if narrow {
+            let (exact, total) = (n * w, total as u64);
+            (exact / total, (exact % total) as u128)
+        } else {
             let exact = n as u128 * w as u128;
-            let share = (exact / total) as u64;
-            shares[i] = share;
-            assigned += share;
-            let rem = exact % total;
-            if rem > 0 {
-                scratch.push((rem, i as u32));
-            }
+            ((exact / total) as u64, exact % total)
+        };
+        shares[i] = share;
+        assigned += share;
+        if rem > 0 {
+            scratch.push((rem, i as u32));
         }
     }
     // The leftover is Σ remainders / W, so fewer leftover items than
@@ -176,39 +170,38 @@ pub fn apportion_into(
     }
 }
 
-/// The sort-based largest-remainder split that [`apportion_into`]
-/// replaced: every slot's floor share and remainder in 128-bit
-/// arithmetic, then a full sort of the remainders. Kept as the oracle
-/// the randomized test compares against.
-#[cfg(test)]
-fn apportion_reference(n: u64, weights: &[u64]) -> Vec<u64> {
-    let mut shares = Vec::new();
-    let mut scratch: Vec<(u128, u32)> = Vec::new();
-    let total: u128 = weights.iter().map(|&w| w as u128).sum();
-    if total == 0 || n == 0 {
-        shares.resize(weights.len(), 0);
-        return shares;
-    }
-    let mut assigned: u64 = 0;
-    for (i, &w) in weights.iter().enumerate() {
-        let exact = n as u128 * w as u128;
-        let share = (exact / total) as u64;
-        shares.push(share);
-        assigned += share;
-        scratch.push((exact % total, i as u32));
-    }
-    scratch.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-    for &(_, i) in scratch.iter().take((n - assigned) as usize) {
-        shares[i as usize] += 1;
-    }
-    shares
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::controller::InstanceObs;
     use rand::{Rng, SeedableRng};
+
+    /// The sort-based largest-remainder split that [`apportion_into`]
+    /// replaced: every slot's floor share and remainder in 128-bit
+    /// arithmetic, then a full sort of the remainders. Kept as the oracle
+    /// the randomized test compares against.
+    fn apportion_reference(n: u64, weights: &[u64]) -> Vec<u64> {
+        let mut shares = Vec::new();
+        let mut scratch: Vec<(u128, u32)> = Vec::new();
+        let total: u128 = weights.iter().map(|&w| w as u128).sum();
+        if total == 0 || n == 0 {
+            shares.resize(weights.len(), 0);
+            return shares;
+        }
+        let mut assigned: u64 = 0;
+        for (i, &w) in weights.iter().enumerate() {
+            let exact = n as u128 * w as u128;
+            let share = (exact / total) as u64;
+            shares.push(share);
+            assigned += share;
+            scratch.push((exact % total, i as u32));
+        }
+        scratch.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        for &(_, i) in scratch.iter().take((n - assigned) as usize) {
+            shares[i as usize] += 1;
+        }
+        shares
+    }
 
     #[test]
     fn weights_track_free_capacity_of_live_slots() {
