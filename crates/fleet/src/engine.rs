@@ -2385,12 +2385,14 @@ impl<'a> CellSim<'a> {
     fn windows(&mut self, ch: &CellChaos, t_start: u64) {
         let tick_us = self.shared.knobs.tick_us;
         let tick = self.tick as u64;
-        if ch.edges.get(self.edge_ptr).is_none_or(|&e| e > tick) {
+        let passed = ch.edges[self.edge_ptr..]
+            .iter()
+            .take_while(|&&e| e <= tick)
+            .count();
+        if passed == 0 {
             return;
         }
-        while ch.edges.get(self.edge_ptr).is_some_and(|&e| e <= tick) {
-            self.edge_ptr += 1;
-        }
+        self.edge_ptr += passed;
         let active = |s: u64, e: u64| s <= t_start && t_start < e;
         let first = |edge: u64| edge.div_ceil(tick_us) == tick;
         self.partitioned = false;
