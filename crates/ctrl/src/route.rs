@@ -90,10 +90,10 @@ pub fn apportion(n: u64, weights: &[u64]) -> Vec<u64> {
 /// that reuses both buffers (e.g. the fleet engine's per-tick routing)
 /// performs no allocation once they have grown to the slot count.
 ///
-/// Cost: one pass over the weights when every floor share is zero —
-/// `n · max w < Σw`, the common case of routing a few requests over a
-/// cell — with no division; otherwise one division per weight (64-bit
-/// whenever the products fit) plus a selection over the positive
+/// Cost: one pass over the weights, with no division when every floor
+/// share is zero (`n · max w < Σw`, the usual batch of a few requests
+/// over a cell); otherwise one division per positive weight (64-bit
+/// whenever the products fit) and a selection over the positive
 /// remainders, never a full sort.
 pub fn apportion_into(
     n: u64,
@@ -104,19 +104,24 @@ pub fn apportion_into(
     shares.clear();
     scratch.clear();
     shares.resize(weights.len(), 0);
+    if n == 0 {
+        return;
+    }
+    // The one pass: the weight sum, the first largest weight and, when
+    // more than one item is to place, every positive weight.
     let (mut total, mut max_w, mut argmax) = (0u128, 0u64, 0usize);
     for (i, &w) in weights.iter().enumerate() {
         total += w as u128;
         if w > max_w {
             (max_w, argmax) = (w, i);
         }
+        if n > 1 && w > 0 {
+            scratch.push((w as u128, i as u32));
+        }
     }
-    if total == 0 || n == 0 {
+    if total == 0 {
         return;
     }
-    // Largest remainder first, ties toward the lowest slot index: a total
-    // order, so the selected set is unique.
-    let by_rank = |a: &(u128, u32), b: &(u128, u32)| b.0.cmp(&a.0).then(a.1.cmp(&b.1));
     if n == 1 {
         // One item: either a single positive weight takes it as its floor
         // share, or it is the one leftover and goes to the largest
@@ -124,41 +129,42 @@ pub fn apportion_into(
         shares[argmax] = 1;
         return;
     }
+    // Largest remainder first, ties toward the lowest slot index: a total
+    // order, so the selected set is unique.
+    let by_rank = |a: &(u128, u32), b: &(u128, u32)| b.0.cmp(&a.0).then(a.1.cmp(&b.1));
     let top = n as u128 * max_w as u128;
     if top < total {
         // Every floor share ⌊n·wᵢ/W⌋ is 0, and the remainders `n·wᵢ` rank
         // exactly like `wᵢ`: the `n` largest positive weights take one
         // item each (there are more than `n` of them, as `n·max w < W`).
-        scratch.extend(
-            weights
-                .iter()
-                .enumerate()
-                .filter(|&(_, &w)| w > 0)
-                .map(|(i, &w)| (w as u128, i as u32)),
-        );
         scratch.select_nth_unstable_by(n as usize - 1, by_rank);
         for &(_, i) in &scratch[..n as usize] {
             shares[i as usize] = 1;
         }
         return;
     }
-    // 64-bit division whenever `W` and every product `n·wᵢ` fit.
+    // Floor shares of the positive weights, their remainders replacing
+    // them in `scratch`; 64-bit division whenever `W` and every `n·wᵢ`
+    // fit.
     let narrow = total <= u64::MAX as u128 && top <= u64::MAX as u128;
-    let mut assigned: u64 = 0;
-    for (i, &w) in weights.iter().enumerate() {
+    let (mut assigned, mut kept) = (0u64, 0usize);
+    for k in 0..scratch.len() {
+        let (w, i) = scratch[k];
         let (share, rem) = if narrow {
-            let (exact, total) = (n * w, total as u64);
+            let (exact, total) = (n * w as u64, total as u64);
             (exact / total, (exact % total) as u128)
         } else {
-            let exact = n as u128 * w as u128;
+            let exact = n as u128 * w;
             ((exact / total) as u64, exact % total)
         };
-        shares[i] = share;
+        shares[i as usize] = share;
         assigned += share;
         if rem > 0 {
-            scratch.push((rem, i as u32));
+            scratch[kept] = (rem, i);
+            kept += 1;
         }
     }
+    scratch.truncate(kept);
     // The leftover is Σ remainders / W, so fewer leftover items than
     // positive remainders exist: zero remainders never take one.
     let left = (n - assigned) as usize;
