@@ -26,14 +26,13 @@ with them and with debug info, in a target directory of its own:
 
 A frame interrupted before its prologue hides its caller, and the
 standard library carries no frame pointers, so stacks through it end
-early. Python 3 standard library only; x86_64 and aarch64.
+early. Python 3 standard library only; x86_64 Linux only.
 """
 
 import argparse
 import collections
 import ctypes
 import os
-import platform
 import signal
 import struct
 import subprocess
@@ -48,15 +47,8 @@ PTRACE_EVENT_STOP = 128
 NT_PRSTATUS = 1
 WALL = 0x40000000
 
-MACHINE = platform.machine()
-if MACHINE == "x86_64":
-    # user_regs_struct: 27 u64, rbp at 4, rip at 16, rsp at 19.
-    REGS_WORDS, PC, FP, LR = 27, 16, 4, None
-elif MACHINE == "aarch64":
-    # user_pt_regs: x0..x30, sp, pc, pstate; fp is x29, lr x30.
-    REGS_WORDS, PC, FP, LR = 34, 32, 29, 30
-else:
-    sys.exit(f"stack_sample.py: unsupported machine {MACHINE}")
+# x86_64 user_regs_struct: 27 u64 words, rbp at 4, rip at 16.
+REGS_WORDS, PC, FP = 27, 16, 4
 
 libc = ctypes.CDLL(None, use_errno=True)
 libc.ptrace.restype = ctypes.c_long
@@ -73,12 +65,12 @@ def ptrace(req, tid, addr=0, data=0):
 
 
 def registers(tid):
-    """`(pc, fp, lr)` of a ptrace-stopped thread, or None."""
+    """`(pc, fp)` of a ptrace-stopped thread, or None."""
     buf = (ctypes.c_uint64 * REGS_WORDS)()
     iov = IoVec(ctypes.cast(buf, ctypes.c_void_p), ctypes.sizeof(buf))
     if not ptrace(PTRACE_GETREGSET, tid, NT_PRSTATUS, ctypes.addressof(iov)):
         return None
-    return buf[PC], buf[FP], buf[LR] if LR is not None else None
+    return buf[PC], buf[FP]
 
 
 def stop(tid):
@@ -100,12 +92,10 @@ def stop(tid):
         ptrace(PTRACE_CONT, tid, 0, sig)
 
 
-def walk(mem, pc, fp, lr, max_depth=256):
+def walk(mem, pc, fp, max_depth=256):
     """Return addresses of the frame-pointer chain, innermost first. Each
     caller's return address is moved back one byte, into its call."""
     stack = [pc]
-    if lr is not None:
-        stack.append(lr - 1)
     while fp and len(stack) < max_depth:
         try:
             raw = os.pread(mem, 16, fp)
@@ -224,6 +214,8 @@ def short_loc(loc):
 
 
 def main():
+    if os.uname().machine != "x86_64":
+        sys.exit("stack_sample.py: x86_64 only")
     ap = argparse.ArgumentParser(
         description=__doc__.split("\n\n")[0],
         usage="%(prog)s [options] -- COMMAND [ARGS...]",
