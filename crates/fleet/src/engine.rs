@@ -2385,14 +2385,10 @@ impl<'a> CellSim<'a> {
     fn windows(&mut self, ch: &CellChaos, t_start: u64) {
         let tick_us = self.shared.knobs.tick_us;
         let tick = self.tick as u64;
-        let passed = ch.edges[self.edge_ptr..]
-            .iter()
-            .take_while(|&&e| e <= tick)
-            .count();
-        if passed == 0 {
+        if ch.edges.get(self.edge_ptr).is_none_or(|&e| e > tick) {
             return;
         }
-        self.edge_ptr += passed;
+        self.edge_ptr += ch.edges[self.edge_ptr..].partition_point(|&e| e <= tick);
         let active = |s: u64, e: u64| s <= t_start && t_start < e;
         let first = |edge: u64| edge.div_ceil(tick_us) == tick;
         self.partitioned = false;
