@@ -92,9 +92,8 @@ pub fn apportion(n: u64, weights: &[u64]) -> Vec<u64> {
 ///
 /// Cost: one pass over the weights, with no division when every floor
 /// share is zero (`n · max w < Σw`, the usual batch of a few requests
-/// over a cell); otherwise one division per positive weight (64-bit
-/// whenever the products fit) and a selection over the positive
-/// remainders, never a full sort.
+/// over a cell); otherwise one 128-bit division per positive weight and
+/// a selection over the positive remainders, never a full sort.
 pub fn apportion_into(
     n: u64,
     weights: &[u64],
@@ -132,8 +131,7 @@ pub fn apportion_into(
     // Largest remainder first, ties toward the lowest slot index: a total
     // order, so the selected set is unique.
     let by_rank = |a: &(u128, u32), b: &(u128, u32)| b.0.cmp(&a.0).then(a.1.cmp(&b.1));
-    let top = n as u128 * max_w as u128;
-    if top < total {
+    if (n as u128 * max_w as u128) < total {
         // Every floor share ⌊n·wᵢ/W⌋ is 0, and the remainders `n·wᵢ` rank
         // exactly like `wᵢ`: the `n` largest positive weights take one
         // item each (there are more than `n` of them, as `n·max w < W`).
@@ -144,19 +142,12 @@ pub fn apportion_into(
         return;
     }
     // Floor shares of the positive weights, their remainders replacing
-    // them in `scratch`; 64-bit division whenever `W` and every `n·wᵢ`
-    // fit.
-    let narrow = total <= u64::MAX as u128 && top <= u64::MAX as u128;
+    // them in `scratch`.
     let (mut assigned, mut kept) = (0u64, 0usize);
     for k in 0..scratch.len() {
         let (w, i) = scratch[k];
-        let (share, rem) = if narrow {
-            let (exact, total) = (n * w as u64, total as u64);
-            (exact / total, (exact % total) as u128)
-        } else {
-            let exact = n as u128 * w;
-            ((exact / total) as u64, exact % total)
-        };
+        let exact = n as u128 * w;
+        let (share, rem) = ((exact / total) as u64, exact % total);
         shares[i as usize] = share;
         assigned += share;
         if rem > 0 {
