@@ -1049,12 +1049,11 @@ impl ArrivalTable {
         }
         if let Some(full) = self.full.as_mut() {
             for (plans, lambda) in full.iter_mut().zip(&self.lambda) {
-                let mut last = None;
                 plans.clear();
                 plans.extend(
                     lambda
                         .iter()
-                        .map(|&l| reuse_plan(&mut last, l * cfg.cell_size as f64)),
+                        .map(|&l| PoissonPlan::new(l * cfg.cell_size as f64)),
                 );
             }
         }
@@ -1062,8 +1061,9 @@ impl ArrivalTable {
 }
 
 /// [`PoissonPlan::new`], reusing the previous plan while λ repeats bit
-/// for bit (tick after tick under a flat pattern): a plan is a function
-/// of λ alone, and building one costs an `exp`.
+/// for bit (tick after tick under a flat pattern), for a cell's inline
+/// draws: a plan is a function of λ alone, and building one costs an
+/// `exp`.
 fn reuse_plan(last: &mut Option<(u64, PoissonPlan)>, lambda: f64) -> PoissonPlan {
     match *last {
         Some((bits, plan)) if bits == lambda.to_bits() => plan,
@@ -2376,12 +2376,14 @@ impl<'a> CellSim<'a> {
     /// window is active while `start <= t_start < end`, so the state is
     /// a step function of the tick that only changes at the cell's
     /// [`CellChaos::edges`]: it is recomputed on the first processed tick
-    /// at or past an edge and otherwise left as it is. Partition, drain
-    /// and thermal edges are wakeups and processed ticks only move
-    /// forward, so a window's first active tick is
+    /// at or past an edge and otherwise left as it is. Partition starts
+    /// and drain and thermal edges are wakeups and processed ticks only
+    /// move forward, so a window's first active tick is
     /// `start.div_ceil(tick_us)` — where its event is counted and traced
     /// — and a drain that was ever active restores at
-    /// `end.div_ceil(tick_us)`.
+    /// `end.div_ceil(tick_us)`. A partition end needs no wakeup: nothing
+    /// is counted or traced there, and the next processed tick's
+    /// recompute clears `partitioned`.
     fn windows(&mut self, ch: &CellChaos, t_start: u64) {
         let tick_us = self.shared.knobs.tick_us;
         let tick = self.tick as u64;
