@@ -2,7 +2,7 @@
 """Stack sampler for Linux hosts without `perf`: frame-pointer stacks via ptrace.
 
 Runs COMMAND, attaches to it with PTRACE_SEIZE once it has exec'd, and
-about every --interval-ms interrupts every thread (/proc/PID/task),
+about every 0.5 ms interrupts every thread (/proc/PID/task),
 reads its registers and walks its frame-pointer chain through
 /proc/PID/mem. Addresses are resolved with `addr2line -i -f -C`, which
 expands inlined frames, so a sample inside a function inlined into its
@@ -49,6 +49,11 @@ WALL = 0x40000000
 
 # x86_64 user_regs_struct: 27 u64 words, rbp at 4, rip at 16.
 REGS_WORDS, PC, FP = 27, 16, 4
+
+# Sampling period, seconds.
+INTERVAL_S = 0.0005
+# Functions (and lines per --function) listed.
+TOP = 40
 
 libc = ctypes.CDLL(None, use_errno=True)
 libc.ptrace.restype = ctypes.c_long
@@ -220,8 +225,6 @@ def main():
         description=__doc__.split("\n\n")[0],
         usage="%(prog)s [options] -- COMMAND [ARGS...]",
     )
-    ap.add_argument("--interval-ms", type=float, default=0.5, help="sampling period (default 0.5)")
-    ap.add_argument("--top", type=int, default=40, help="functions to list (default 40)")
     ap.add_argument("--function", action="append", default=[], metavar="NAME",
                     help="also break NAME (substring of the demangled name) down by line")
     ap.add_argument("command", nargs=argparse.REMAINDER)
@@ -248,11 +251,10 @@ def main():
     raw = []  # One list of `(file, addr)` per thread sample.
     maps = Maps(pid)
     mem = os.open(f"/proc/{pid}/mem", os.O_RDONLY)
-    interval = a.interval_ms / 1000.0
     start = time.monotonic()
     done = False
     while not done:
-        time.sleep(interval)
+        time.sleep(INTERVAL_S)
         # Deliver any signal that stopped a thread between samples, and
         # notice the exit of the whole process.
         while True:
@@ -302,7 +304,7 @@ def main():
     sym = symbolize(by_file)
 
     n = len(raw)
-    print(f"# {n} thread samples over {elapsed:.2f} s ({a.interval_ms} ms period), "
+    print(f"# {n} thread samples over {elapsed:.2f} s ({INTERVAL_S * 1000} ms period), "
           f"command exited with {proc.returncode}")
     if n == 0:
         return proc.returncode or 0
@@ -318,12 +320,12 @@ def main():
             if hit is not None:
                 per_line[name][short_loc(hit)] += 1
     print(f"{'incl%':>7} {'excl%':>7}  function")
-    for fn, c in incl.most_common(a.top):
+    for fn, c in incl.most_common(TOP):
         print(f"{100 * c / n:7.2f} {100 * excl[fn] / n:7.2f}  {fn}")
     for name, lines in per_line.items():
         total = sum(lines.values())
         print(f"\n# by line inside *{name}*: {total} samples ({100 * total / n:.2f}% of all)")
-        for loc, c in lines.most_common(a.top):
+        for loc, c in lines.most_common(TOP):
             print(f"{100 * c / n:7.2f}  {loc}")
     return proc.returncode or 0
 
