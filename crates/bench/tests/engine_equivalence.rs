@@ -1,8 +1,8 @@
 //! Engine-equivalence regression gate: the determinism-suite configs
 //! (mono / split / dvfs, each with and without a chaos campaign, all on
-//! the 3-tenant workload) plus the fleet-balancer, rolling-drain and
-//! power-domain paths must keep producing the exact report, series and
-//! trace bytes pinned below — at 1, 2 and 8 threads.
+//! the 3-tenant workload) plus the fleet-balancer, rolling-drain,
+//! power-domain and admission-quota paths must keep producing the exact
+//! report, series and trace bytes pinned below — at 1, 2 and 8 threads.
 //!
 //! The first six rows' series/trace hashes were generated from the
 //! original per-tick engine, before the event-queue rewrite; their
@@ -14,8 +14,12 @@
 //! from the event-queue engine while it still had separate cell-major
 //! and window-major run loops, so they pin the balancer-window path and
 //! the drain/power campaign bookkeeping across the merge into one window
-//! loop. Any engine change that drifts a single byte of any artifact
-//! fails here.
+//! loop. The `balancer_quota` row is the `balancer` run under a fleet
+//! admission quota (`--quota-headroom 0.3`): the quota clamps about an
+//! eighth of the arrivals, and thousands of batches only in part, so it
+//! pins the quota shed that no other row reaches (the default headroom
+//! is unlimited). Any engine change that drifts a single byte of any
+//! artifact fails here.
 //!
 //! A second, library-level golden (`hand_built_chaos_shapes_match_goldens`)
 //! pins chaos schedules that the campaign compiler behind `sim_fleet
@@ -127,6 +131,21 @@ const GOLDEN: &[(&str, &[&str], u64, u64, u64)] = &[
         0x778e8a80ff54dc70,
         0xcd26f3cbee47a6d8,
         0x89c9dc84d6981707,
+    ),
+    (
+        "balancer_quota",
+        &[
+            "--serving",
+            "mono",
+            "--balancer",
+            "--skew",
+            "2x2.5",
+            "--quota-headroom",
+            "0.3",
+        ],
+        0xd2e363293f382f5d,
+        0x27eb3b71a41649ac,
+        0x5ba3d1c0ad966ceb,
     ),
 ];
 
