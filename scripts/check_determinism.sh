@@ -4,8 +4,9 @@
 # phase-split, and DVFS-enabled phase-split clock scaling), each also
 # under a compiled chaos campaign (rack outages + repair crews for mono,
 # cell partitions for split, thermal clock clamps for the DVFS combo),
-# plus the fleet-scope balancer on a skewed and on a flat fleet — and
-# diff the serialized FleetReport bytes. Byte-identical reports at
+# plus the fleet-scope balancer on a skewed and on a flat fleet and
+# under a fleet admission quota — and diff the serialized FleetReport
+# bytes. Byte-identical reports at
 # any shard/thread count are the engine's core guarantee, checked end to
 # end through the sim_fleet binary. The telemetry layers ride along:
 # every run also exports the time-series JSONL and the Chrome trace
@@ -20,7 +21,7 @@ cd "$(dirname "$0")/.."
 
 det_dir="target/ci-determinism"
 mkdir -p "$det_dir"
-for combo in mono split dvfs mono_chaos split_chaos dvfs_chaos balancer balancer_flat; do
+for combo in mono split dvfs mono_chaos split_chaos dvfs_chaos balancer balancer_flat balancer_quota; do
   case "$combo" in
     mono)        combo_flags=(--serving mono) ;;
     split)       combo_flags=(--serving split) ;;
@@ -37,6 +38,10 @@ for combo in mono split dvfs mono_chaos split_chaos dvfs_chaos balancer balancer
     # multiplier 1, so all workers read the shared full-cell arrival
     # plans, which the planner refills between windows.
     balancer_flat) combo_flags=(--serving mono --balancer) ;;
+    # The skewed balancer under an admission quota at 0.3x headroom: the
+    # quota sheds part of the arrivals at the cell boundary, some batches
+    # whole and many only in part.
+    balancer_quota) combo_flags=(--serving mono --balancer --skew 2x2.5 --quota-headroom 0.3) ;;
   esac
   for run in t1 t2 t8 s3t2; do
     case "$run" in
