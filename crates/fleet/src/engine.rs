@@ -965,25 +965,6 @@ enum SlotMode {
     Booting { until_us: u64 },
 }
 
-/// Per-cell flow state the fleet balancer manages between fleet ticks:
-/// the admission quota left for the current fleet window and the window
-/// arrival counter published in the next [`FleetCellObs`] snapshot.
-/// `quota_left == u64::MAX` means "unlimited" and is byte-inert — an
-/// uncontrolled run never sheds on it and never reads `window_arrived`.
-struct FlowCtl {
-    quota_left: u64,
-    window_arrived: u64,
-}
-
-impl Default for FlowCtl {
-    fn default() -> Self {
-        Self {
-            quota_left: u64::MAX,
-            window_arrived: 0,
-        }
-    }
-}
-
 /// The per-tick arrival means of the ticks the current window sweep
 /// draws, from `lo` on, shared read-only by every cell of the run.
 ///
@@ -1090,20 +1071,15 @@ fn arrival_scale(cfg: &FleetConfig, c: u32) -> Option<f64> {
     (n != cfg.cell_size || m != 1.0).then_some(n as f64 * m)
 }
 
-/// One cell's tenant-tagged arrival machinery: a dedicated RNG stream per
-/// tenant (inside the shard partition, so draws never depend on shard or
-/// thread layout), the frontier up to which those streams are drawn,
-/// plus the reusable routing buffers that keep the per-tick hot loop
-/// allocation-free.
+/// One cell's arrival streams: a dedicated RNG stream per tenant
+/// (inside the shard partition, so draws never depend on shard or
+/// thread layout) and the frontier up to which they are drawn.
 struct CellTraffic {
     rngs: Vec<StdRng>,
     /// See [`arrival_scale`].
     scale: Option<f64>,
     /// Every tick before this one has been drawn.
     drawn: u32,
-    eff: Vec<u64>,
-    shares: Vec<u64>,
-    scratch: Vec<(u128, u32)>,
 }
 
 impl CellTraffic {
@@ -1111,7 +1087,7 @@ impl CellTraffic {
     /// never alias the per-instance or cell-control streams.
     const STREAM: u64 = 0x7E4A_4D7A_11C0_FFEE;
 
-    fn new(seed: u64, cell_idx: u32, cfg: &FleetConfig, n_slots: usize) -> Self {
+    fn new(seed: u64, cell_idx: u32, cfg: &FleetConfig) -> Self {
         Self {
             rngs: (0..cfg.workload.tenants.len())
                 .map(|t| {
@@ -1124,9 +1100,6 @@ impl CellTraffic {
                 .collect(),
             scale: arrival_scale(cfg, cell_idx),
             drawn: 0,
-            eff: Vec::with_capacity(n_slots),
-            shares: Vec::with_capacity(n_slots),
-            scratch: Vec::with_capacity(n_slots),
         }
     }
 
@@ -1190,122 +1163,6 @@ impl CellTraffic {
         }
         self.drawn = hi;
     }
-
-    /// Routes one tick's precomputed arrival batches over the cell in
-    /// priority order with exact largest-remainder splits. Controlled
-    /// cells route over live instances by the (control-tick-stale)
-    /// weights and apply admission control; uncontrolled cells split
-    /// uniformly over **all** instances — no router means a down
-    /// instance's share queues behind it (stranded traffic, exactly what
-    /// the router exists to fix). Under phase-split serving, queue room
-    /// is granted to the prefill pool only: decode instances receive
-    /// their work over the KV link, never the front door. Chaos hooks: a
-    /// partitioned cell sheds every arrival at the front door
-    /// (attributed to `partition_shed`), and drained slots take no new
-    /// routing regardless of controller presence — a drain is a planned,
-    /// announced exclusion, unlike a silent failure. `on_admit(i)` fires
-    /// for every slot that admitted work (the event engine's busy-set
-    /// hook). `flow` carries the fleet balancer's admission quota: once
-    /// a window's quota is spent, further guaranteed-class arrivals are
-    /// shed at the boundary (counted as `quota_clamped` inside
-    /// `admission_shed`); an unlimited quota is byte-inert.
-    #[allow(clippy::too_many_arguments)]
-    fn route_event(
-        &mut self,
-        tick: u32,
-        shared: &Shared<'_>,
-        mut ctl: Option<&mut CellCtl>,
-        phases: &[Phase],
-        insts: &mut [InstanceState],
-        partitioned: bool,
-        drained: &[bool],
-        acc: &mut ShardTotals,
-        flow: &mut FlowCtl,
-        batches: &[(u32, u16, u64)],
-        mut on_admit: impl FnMut(usize),
-    ) {
-        self.eff.clear();
-        match ctl {
-            Some(ref c) => self.eff.extend(
-                c.modes
-                    .iter()
-                    .zip(insts.iter())
-                    .zip(&c.weights)
-                    .zip(phases)
-                    .zip(drained)
-                    .map(|((((m, inst), &w), &p), &d)| {
-                        if *m == SlotMode::Live && inst.up && p != Phase::Decode && !d {
-                            w
-                        } else {
-                            0
-                        }
-                    }),
-            ),
-            None => self.eff.extend(
-                phases
-                    .iter()
-                    .zip(drained)
-                    .map(|(&p, &d)| u64::from(p != Phase::Decode && !d)),
-            ),
-        }
-        let allow_be = ctl.as_ref().is_none_or(|c| c.allow_best_effort);
-        let any_target = !partitioned && self.eff.iter().any(|&w| w > 0);
-        for &(_, ti, n) in batches {
-            let t = ti as usize;
-            acc.arrived += n;
-            acc.per_tenant[t].arrived += n;
-            flow.window_arrived += n;
-            let class = shared.classes[t];
-            if let Some(c) = ctl.as_deref_mut() {
-                c.arrived_since += n;
-                c.arrived_by_class[class.index()] += n;
-            }
-            if class == PriorityClass::BestEffort && !allow_be {
-                acc.rejected += n;
-                acc.admission_shed += n;
-                acc.per_tenant[t].shed += n;
-                continue;
-            }
-            // Fleet admission quota: shed whatever exceeds the window's
-            // remaining budget at the boundary. `u64::MAX` (no balancer,
-            // or no quota directive) never sheds.
-            let n = if flow.quota_left >= n {
-                flow.quota_left -= n;
-                n
-            } else {
-                let shed = n - flow.quota_left;
-                flow.quota_left = 0;
-                acc.rejected += shed;
-                acc.admission_shed += shed;
-                acc.quota_clamped += shed;
-                acc.per_tenant[t].shed += shed;
-                n - shed
-            };
-            if n == 0 {
-                continue;
-            }
-            if !any_target {
-                acc.rejected += n;
-                acc.routing_shed += n;
-                if partitioned {
-                    acc.partition_shed += n;
-                }
-                acc.per_tenant[t].shed += n;
-                continue;
-            }
-            apportion_into(n, &self.eff, &mut self.shares, &mut self.scratch);
-            for (i, &share) in self.shares.iter().enumerate() {
-                if share > 0 {
-                    let admitted = insts[i].push_arrivals(tick, share, ti, &shared.knobs, acc);
-                    acc.routed += admitted;
-                    acc.per_tenant[t].routed += admitted;
-                    if admitted > 0 && insts[i].up {
-                        on_admit(i);
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// One cell's control-plane runtime: the policy stack, the cell's own
@@ -1314,8 +1171,6 @@ impl CellTraffic {
 struct CellCtl {
     stack: litegpu_ctrl::ControllerStack,
     rng: StdRng,
-    /// Owning cell index (trace `pid`).
-    cell: u32,
     modes: Vec<SlotMode>,
     weights: Vec<u64>,
     /// Per-slot DVFS operating point (index into the table's clock grid;
@@ -1352,7 +1207,6 @@ impl CellCtl {
         Self {
             stack: ctrl.build(),
             rng,
-            cell: cell_idx,
             modes: vec![SlotMode::Live; n_slots],
             weights: vec![1; n_slots],
             clocks: vec![nominal_ci; n_slots],
@@ -1373,287 +1227,6 @@ impl CellCtl {
             }
         }
     }
-
-    /// Runs one control tick: observe, consult the policy stack, apply.
-    #[allow(clippy::too_many_arguments)]
-    fn control(
-        &mut self,
-        tick: u32,
-        t_start_us: u64,
-        insts: &[InstanceState],
-        phases: &mut [Phase],
-        kv: Option<&KvLinkState>,
-        shared: &Shared<'_>,
-        chaos_down: u32,
-        mut trace: Option<&mut TraceSink>,
-        acc: &mut ShardTotals,
-    ) {
-        let mut obs = CellObs::new(tick, self.interval_ticks as f64 * shared.cfg.tick_s);
-        obs.arrived_since_last = core::mem::take(&mut self.arrived_since);
-        obs.arrived_by_class = core::mem::take(&mut self.arrived_by_class);
-        obs.capacity_rps_per_instance = shared.cap_rps;
-        obs.max_queue = shared.knobs.max_queue;
-        obs.chaos_down = chaos_down;
-        obs.phase_split = shared.split.as_ref().map(|s| PhaseObs {
-            prefill_capacity_rps: s.prefill_capacity_rps,
-            decode_capacity_rps: s.decode_capacity_rps,
-            kv_backlog_us: kv.map_or(0, |k| k.backlog_us(t_start_us)),
-        });
-        obs.clock_points = shared.clock_points.clone();
-        obs.slots = self
-            .modes
-            .iter()
-            .zip(insts)
-            .zip(phases.iter())
-            .zip(&self.clocks)
-            .map(|(((m, inst), &phase), &clock)| InstanceObs {
-                mode: if !inst.up {
-                    Mode::Down
-                } else {
-                    match m {
-                        SlotMode::Live => Mode::Live,
-                        SlotMode::Warm => Mode::Warm,
-                        SlotMode::Cold => Mode::Cold,
-                        SlotMode::Booting { .. } => Mode::Booting,
-                    }
-                },
-                phase,
-                clock,
-                queued: inst.queued(),
-                active: inst.active(),
-            })
-            .collect();
-        // Every state-*changing* command becomes one control-plane trace
-        // instant, emitted by the arm that applies it (so tracing costs
-        // nothing on the no-op path). Policies re-assert idempotent
-        // state each tick (the gater paints every parked slot cold, the
-        // router re-sends unchanged weights); tracing only transitions
-        // keeps every state change in the timeline without drowning it
-        // — or the hot loop — in no-op re-assertions. Effectiveness is
-        // pure cell-local sim state, so the filter stays shard-invariant.
-        let (cell, tick_arg) = (self.cell, tick as u64);
-        let trace_cmd = |ts: &mut Option<&mut TraceSink>, kind: &'static str, slot: u32| {
-            if let Some(ts) = ts.as_deref_mut() {
-                ts.buf.push(TraceEvent::instant(
-                    "ctrl", kind, t_start_us, cell, slot, tick_arg,
-                ));
-            }
-        };
-        for cmd in self.stack.control(&obs, &mut self.rng) {
-            match cmd {
-                Command::Activate { slot } => {
-                    let s = slot as usize;
-                    if s >= self.modes.len() {
-                        continue;
-                    }
-                    let boot_us = match self.modes[s] {
-                        SlotMode::Warm => self.warm_up_us,
-                        SlotMode::Cold => self.cold_up_us,
-                        _ => continue,
-                    };
-                    self.modes[s] = if boot_us == 0 {
-                        SlotMode::Live
-                    } else {
-                        SlotMode::Booting {
-                            until_us: t_start_us.saturating_add(boot_us),
-                        }
-                    };
-                    acc.scale_ups += 1;
-                    trace_cmd(&mut trace, "activate", slot);
-                }
-                Command::Park { slot } => {
-                    let s = slot as usize;
-                    if s < insts.len()
-                        && self.modes[s] == SlotMode::Live
-                        && insts[s].up
-                        && insts[s].is_idle()
-                    {
-                        // Parking alone keeps the instance powered at its
-                        // idle floor; only a power-gating policy's SetCold
-                        // (issued later in this same command batch) may
-                        // drop it to zero draw. Without a gater, parked
-                        // capacity correctly keeps paying the floor.
-                        self.modes[s] = SlotMode::Warm;
-                        acc.scale_downs += 1;
-                        trace_cmd(&mut trace, "park", slot);
-                    }
-                }
-                Command::SetWarm { slot } => {
-                    if let Some(m @ SlotMode::Cold) = self.modes.get_mut(slot as usize) {
-                        *m = SlotMode::Warm;
-                        trace_cmd(&mut trace, "set_warm", slot);
-                    }
-                }
-                Command::SetCold { slot } => {
-                    if let Some(m @ SlotMode::Warm) = self.modes.get_mut(slot as usize) {
-                        *m = SlotMode::Cold;
-                        trace_cmd(&mut trace, "set_cold", slot);
-                    }
-                }
-                Command::SetWeights { weights } if weights.len() == self.modes.len() => {
-                    if trace.is_some() && weights != self.weights {
-                        trace_cmd(&mut trace, "set_weights", u32::MAX);
-                    }
-                    self.weights = weights;
-                }
-                Command::SetAdmission { allow_best_effort } => {
-                    if trace.is_some() && allow_best_effort != self.allow_best_effort {
-                        trace_cmd(&mut trace, "set_admission", u32::MAX);
-                    }
-                    self.allow_best_effort = allow_best_effort;
-                }
-                Command::SetPhase { slot, phase } => {
-                    // Phase moves apply only to idle slots: migrating a
-                    // live KV batch or queued prompts between pools is
-                    // not modeled, so busy slots converge as they drain.
-                    let s = slot as usize;
-                    if s < insts.len()
-                        && shared.split.is_some()
-                        && phases[s] != phase
-                        && phase != Phase::Mixed
-                        && insts[s].is_idle()
-                    {
-                        phases[s] = phase;
-                        acc.phase_rebalances += 1;
-                        trace_cmd(&mut trace, "set_phase", slot);
-                    }
-                }
-                Command::SetClock { slot, clock } => {
-                    // Retunes take effect at the next data tick; an
-                    // out-of-grid index is a controller bug and ignored.
-                    let s = slot as usize;
-                    if s < insts.len()
-                        && (clock as usize) < shared.lut.num_clocks()
-                        && self.clocks[s] != clock
-                    {
-                        self.clocks[s] = clock;
-                        acc.clock_retunes += 1;
-                        trace_cmd(&mut trace, "set_clock", slot);
-                    }
-                }
-                // `Command` is #[non_exhaustive]; a variant this engine
-                // doesn't know is ignored (commands are advisory).
-                _ => {}
-            }
-        }
-    }
-}
-
-/// Delivers landed KV transfers into the decode pool, FIFO. A transfer
-/// waits (head-of-line) until some live decode instance has batch room;
-/// the target is the least-loaded live decode slot, ties to the lowest
-/// index — a deterministic choice from cell-local state only. TTFT is
-/// recorded here, so the wait for decode batch room lands in it.
-/// `on_deliver(i)` fires per delivery with the target slot (the event
-/// engine's busy-set hook).
-///
-/// The eligible slots (decode phase, up, serving, not drained) are
-/// gathered once per call into `cands` as `(batch, slot)`: nothing in
-/// here changes eligibility, and a delivery only grows its target's
-/// batch, so each transfer scans the candidates alone.
-#[allow(clippy::too_many_arguments)]
-fn deliver_transfers(
-    kv: &mut KvLinkState,
-    now_us: u64,
-    insts: &mut [InstanceState],
-    phases: &[Phase],
-    ctl: Option<&CellCtl>,
-    drained: &[bool],
-    max_batch: u32,
-    knobs: &ServeKnobs,
-    mut trace: Option<&mut TraceSink>,
-    acc: &mut ShardTotals,
-    cands: &mut Vec<(u32, u32)>,
-    mut on_deliver: impl FnMut(usize),
-) {
-    if kv.peek_landed(now_us).is_none() {
-        return;
-    }
-    let serving = |i: usize| ctl.is_none_or(|c| c.modes[i] == SlotMode::Live);
-    cands.clear();
-    cands.extend(
-        (insts.iter().enumerate())
-            .filter(|&(i, s)| phases[i] == Phase::Decode && s.up && serving(i) && !drained[i])
-            .map(|(i, s)| (s.active(), i as u32)),
-    );
-    while let Some(job) = kv.peek_landed(now_us) {
-        let target = cands
-            .iter_mut()
-            .filter(|c| c.0 + job.count <= max_batch)
-            .min();
-        match target {
-            Some(c) => {
-                c.0 += job.count;
-                let i = c.1 as usize;
-                let job = kv.pop().expect("peeked");
-                KvLinkState::record_delivery(
-                    &job,
-                    now_us,
-                    &knobs.tenants[job.tenant as usize],
-                    acc,
-                );
-                if let Some(ts) = trace.as_deref_mut() {
-                    if ts.sampler.sampled(job.span) {
-                        let tid = insts[i].global_index();
-                        ts.buf.push(TraceEvent::async_end(
-                            "req",
-                            "kv_transfer",
-                            now_us,
-                            ts.cell,
-                            tid,
-                            job.span,
-                            job.bytes,
-                        ));
-                        ts.buf.push(TraceEvent::async_begin(
-                            "req",
-                            "decode",
-                            now_us,
-                            ts.cell,
-                            tid,
-                            job.span,
-                            job.count as u64,
-                        ));
-                    }
-                }
-                insts[i].admit_decode_cohort(&job);
-                on_deliver(i);
-            }
-            None => break,
-        }
-    }
-}
-
-/// Re-routes a failed decode instance's requeued work to the prefill
-/// pool (its KV caches died with it, so it must re-prefill — and decode
-/// instances never prefill). Target: the least-queued prefill slot that
-/// is up and actually serving, ties to the lowest index; parking the
-/// work behind a down or parked "prefill" slot would strand it for the
-/// whole repair. If the cell transiently has no serving prefill slot
-/// (rebalance in flight, pool down), the runs stay parked on the source
-/// instance and re-route on a later tick — admitted work is never
-/// dropped. The runs were admitted once already, so the queue cap does
-/// not re-apply and no routing counters move. Returns the slot the runs
-/// landed on (`None` when there was nothing queued), so the event
-/// engine can mark the target busy.
-fn reroute_decode_retries(
-    insts: &mut [InstanceState],
-    phases: &[Phase],
-    ctl: Option<&CellCtl>,
-    from: usize,
-) -> Option<usize> {
-    let runs = insts[from].take_queued_runs();
-    if runs.is_empty() {
-        return None;
-    }
-    let serving = |i: usize| ctl.is_none_or(|c| c.modes[i] == SlotMode::Live);
-    let target = insts
-        .iter()
-        .enumerate()
-        .filter(|(i, s)| phases[*i] == Phase::Prefill && s.up && serving(*i))
-        .min_by_key(|(i, s)| (s.queued(), *i))
-        .map_or(from, |(i, _)| i);
-    insts[target].accept_requeued_runs(runs);
-    Some(target)
 }
 
 /// Wall-clock phase timer; each `mark` attributes the time since the
@@ -1988,13 +1561,22 @@ struct CellSim<'a> {
     /// plan is tick-sorted); consumed through a cursor like `arrivals`.
     inflow: Vec<(u32, u16, u64)>,
     inflow_ptr: usize,
-    flow: FlowCtl,
+    /// Routing buffers of [`Self::route`]: per-slot routing weights,
+    /// per-slot shares of one batch, and [`apportion_into`]'s scratch.
+    eff: Vec<u64>,
+    shares: Vec<u64>,
+    scratch: Vec<(u128, u32)>,
+    /// The fleet admission quota left for the current fleet window
+    /// (`u64::MAX`, unlimited, without a quota directive) and the
+    /// arrivals counted toward the next [`FleetCellObs`] snapshot.
+    quota_left: u64,
+    window_arrived: u64,
     next_ctrl: u32,
     next_boot: u32,
     next_sample: u32,
     kv_next: u32,
     kv_blocked: bool,
-    /// Reusable `(batch, slot)` buffer of [`deliver_transfers`].
+    /// Reusable `(batch, slot)` buffer of [`Self::kv`].
     kv_cands: Vec<(u32, u32)>,
     decode_retry: bool,
     /// The next tick to process.
@@ -2062,7 +1644,7 @@ impl<'a> CellSim<'a> {
         // before its remaining buffers: drawing it after them measurably
         // raised the peak RSS of one-window runs (heap placement). Later
         // windows come from `Self::draw`.
-        let mut traffic = CellTraffic::new(seed, cell_idx, cfg, n);
+        let mut traffic = CellTraffic::new(seed, cell_idx, cfg);
         let mut arrivals = Vec::new();
         prof.reset();
         traffic.draw(shared, table, hi, &mut arrivals);
@@ -2110,7 +1692,11 @@ impl<'a> CellSim<'a> {
             arr_ptr: 0,
             inflow: Vec::new(),
             inflow_ptr: 0,
-            flow: FlowCtl::default(),
+            eff: Vec::with_capacity(n),
+            shares: Vec::with_capacity(n),
+            scratch: Vec::with_capacity(n),
+            quota_left: u64::MAX,
+            window_arrived: 0,
             next_boot: u32::MAX,
             next_sample: shared.series_every.checked_sub(1).unwrap_or(u32::MAX),
             kv_next: u32::MAX,
@@ -2541,122 +2127,420 @@ impl<'a> CellSim<'a> {
         // so the sweep is due exactly on force-down ticks and while a
         // previous sweep left work unplaced (`decode_retry` then forces
         // every tick until the pool can take it).
+        //
+        // Target: the least-queued prefill slot that is up and actually
+        // serving, ties to the lowest index; parking the work behind a
+        // down or parked "prefill" slot would strand it for the whole
+        // repair. With no such slot (rebalance in flight, pool down) the
+        // runs stay on the source and re-route on a later tick — admitted
+        // work is never dropped. The runs were admitted once already, so
+        // the queue cap does not re-apply and no routing counters move.
         if self.shared.split.is_some() && (self.forced_down || self.decode_retry) {
             self.decode_retry = false;
             for i in 0..self.insts.len() {
-                if self.phases[i] == Phase::Decode && self.insts[i].queued() > 0 {
-                    let ctl = self.ctl.as_ref();
-                    if let Some(tgt) = reroute_decode_retries(&mut self.insts, &self.phases, ctl, i)
-                    {
-                        if tgt != i {
-                            self.busy.add(tgt);
-                        }
-                    }
-                    if self.insts[i].queued() > 0 {
-                        self.decode_retry = true;
-                    }
+                if self.phases[i] != Phase::Decode || self.insts[i].queued() == 0 {
+                    continue;
+                }
+                let runs = self.insts[i].take_queued_runs();
+                let target = (0..self.insts.len())
+                    .filter(|&j| {
+                        self.phases[j] == Phase::Prefill
+                            && self.insts[j].up
+                            && self.mode(j) == SlotMode::Live
+                    })
+                    .min_by_key(|&j| (self.insts[j].queued(), j))
+                    .unwrap_or(i);
+                self.insts[target].accept_requeued_runs(runs);
+                if target == i {
+                    self.decode_retry = true;
+                } else {
+                    self.busy.add(target);
                 }
             }
         }
     }
 
     /// Control phase: promotes finished boots, and on control ticks runs
-    /// the cell's controller stack. Both change accrual inputs (modes,
-    /// clocks, phases), so every open idle span closes first. Without a
-    /// control plane `next_boot`/`next_ctrl` stay at `u32::MAX` and
-    /// neither fires.
+    /// the cell's controller stack ([`Self::control_tick`]). Both change
+    /// accrual inputs (modes, clocks, phases), so every open idle span
+    /// closes first. Without a control plane `next_boot`/`next_ctrl` stay
+    /// at `u32::MAX` and neither fires.
     fn control(&mut self) {
         let tick = self.tick;
         let tick_us = self.shared.knobs.tick_us;
-        let t_start = tick as u64 * tick_us;
         if tick >= self.next_boot {
             self.accrue_all(tick);
             if let Some(c) = self.ctl.as_mut() {
-                c.finish_boots(t_start);
+                c.finish_boots(tick as u64 * tick_us);
                 self.next_boot = next_boot_tick(&c.modes, tick_us, self.shared.ticks);
             }
         }
         if tick == self.next_ctrl {
-            // The control plane observes announced chaos state (active
-            // outage windows + drains) so the autoscaler can hold
-            // replacement capacity live instead of parking it into the
-            // blast radius.
-            let chaos_down = self.chaos_down();
             self.accrue_all(tick);
-            if let Some(c) = self.ctl.as_mut() {
-                c.control(
-                    tick,
-                    t_start,
-                    &self.insts,
-                    &mut self.phases,
-                    self.kv.as_ref(),
-                    self.shared,
-                    chaos_down,
-                    self.trace.as_mut(),
-                    &mut self.acc,
-                );
-                self.next_ctrl = self.next_ctrl.saturating_add(c.interval_ticks);
-                self.next_boot = next_boot_tick(&c.modes, tick_us, self.shared.ticks);
-            }
+            self.control_tick();
         }
     }
 
-    /// KV phase: delivers landed KV transfers into the decode pool.
-    /// Without a KV link `kv_next` stays at `u32::MAX` and `kv_blocked`
-    /// false, so this never fires.
+    /// Runs one control tick: observes the cell, consults the policy
+    /// stack, applies its commands, and re-arms the control and boot
+    /// wakeups.
+    fn control_tick(&mut self) {
+        let shared = self.shared;
+        let tick = self.tick;
+        let t_start_us = tick as u64 * shared.knobs.tick_us;
+        // The control plane observes announced chaos state (active
+        // outage windows + drains) so the autoscaler can hold
+        // replacement capacity live instead of parking it into the
+        // blast radius.
+        let chaos_down = self.chaos_down();
+        let Some(c) = self.ctl.as_mut() else {
+            return;
+        };
+        let mut obs = CellObs::new(tick, c.interval_ticks as f64 * shared.cfg.tick_s);
+        obs.arrived_since_last = core::mem::take(&mut c.arrived_since);
+        obs.arrived_by_class = core::mem::take(&mut c.arrived_by_class);
+        obs.capacity_rps_per_instance = shared.cap_rps;
+        obs.max_queue = shared.knobs.max_queue;
+        obs.chaos_down = chaos_down;
+        obs.phase_split = shared.split.as_ref().map(|s| PhaseObs {
+            prefill_capacity_rps: s.prefill_capacity_rps,
+            decode_capacity_rps: s.decode_capacity_rps,
+            kv_backlog_us: self.kv.as_ref().map_or(0, |k| k.backlog_us(t_start_us)),
+        });
+        obs.clock_points = shared.clock_points.clone();
+        obs.slots = c
+            .modes
+            .iter()
+            .zip(&self.insts)
+            .zip(&self.phases)
+            .zip(&c.clocks)
+            .map(|(((m, inst), &phase), &clock)| InstanceObs {
+                mode: if !inst.up {
+                    Mode::Down
+                } else {
+                    match m {
+                        SlotMode::Live => Mode::Live,
+                        SlotMode::Warm => Mode::Warm,
+                        SlotMode::Cold => Mode::Cold,
+                        SlotMode::Booting { .. } => Mode::Booting,
+                    }
+                },
+                phase,
+                clock,
+                queued: inst.queued(),
+                active: inst.active(),
+            })
+            .collect();
+        // Every state-*changing* command becomes one control-plane trace
+        // instant, emitted by the arm that applies it (so tracing costs
+        // nothing on the no-op path). Policies re-assert idempotent
+        // state each tick (the gater paints every parked slot cold, the
+        // router re-sends unchanged weights); tracing only transitions
+        // keeps every state change in the timeline without drowning it
+        // — or the hot loop — in no-op re-assertions. Effectiveness is
+        // pure cell-local sim state, so the filter stays shard-invariant.
+        let (cell, tick_arg) = (self.cell_idx, tick as u64);
+        let trace_cmd = |trace: &mut Option<TraceSink>, kind: &'static str, slot: u32| {
+            if let Some(ts) = trace {
+                ts.buf.push(TraceEvent::instant(
+                    "ctrl", kind, t_start_us, cell, slot, tick_arg,
+                ));
+            }
+        };
+        let (insts, acc, trace) = (&self.insts, &mut self.acc, &mut self.trace);
+        for cmd in c.stack.control(&obs, &mut c.rng) {
+            match cmd {
+                Command::Activate { slot } => {
+                    let s = slot as usize;
+                    if s >= c.modes.len() {
+                        continue;
+                    }
+                    let boot_us = match c.modes[s] {
+                        SlotMode::Warm => c.warm_up_us,
+                        SlotMode::Cold => c.cold_up_us,
+                        _ => continue,
+                    };
+                    c.modes[s] = if boot_us == 0 {
+                        SlotMode::Live
+                    } else {
+                        SlotMode::Booting {
+                            until_us: t_start_us.saturating_add(boot_us),
+                        }
+                    };
+                    acc.scale_ups += 1;
+                    trace_cmd(trace, "activate", slot);
+                }
+                Command::Park { slot } => {
+                    let s = slot as usize;
+                    if s < insts.len()
+                        && c.modes[s] == SlotMode::Live
+                        && insts[s].up
+                        && insts[s].is_idle()
+                    {
+                        // Parking alone keeps the instance powered at its
+                        // idle floor; only a power-gating policy's SetCold
+                        // (issued later in this same command batch) may
+                        // drop it to zero draw. Without a gater, parked
+                        // capacity correctly keeps paying the floor.
+                        c.modes[s] = SlotMode::Warm;
+                        acc.scale_downs += 1;
+                        trace_cmd(trace, "park", slot);
+                    }
+                }
+                Command::SetWarm { slot } => {
+                    if let Some(m @ SlotMode::Cold) = c.modes.get_mut(slot as usize) {
+                        *m = SlotMode::Warm;
+                        trace_cmd(trace, "set_warm", slot);
+                    }
+                }
+                Command::SetCold { slot } => {
+                    if let Some(m @ SlotMode::Warm) = c.modes.get_mut(slot as usize) {
+                        *m = SlotMode::Cold;
+                        trace_cmd(trace, "set_cold", slot);
+                    }
+                }
+                Command::SetWeights { weights } if weights.len() == c.modes.len() => {
+                    if trace.is_some() && weights != c.weights {
+                        trace_cmd(trace, "set_weights", u32::MAX);
+                    }
+                    c.weights = weights;
+                }
+                Command::SetAdmission { allow_best_effort } => {
+                    if trace.is_some() && allow_best_effort != c.allow_best_effort {
+                        trace_cmd(trace, "set_admission", u32::MAX);
+                    }
+                    c.allow_best_effort = allow_best_effort;
+                }
+                Command::SetPhase { slot, phase } => {
+                    // Phase moves apply only to idle slots: migrating a
+                    // live KV batch or queued prompts between pools is
+                    // not modeled, so busy slots converge as they drain.
+                    let s = slot as usize;
+                    if s < insts.len()
+                        && shared.split.is_some()
+                        && self.phases[s] != phase
+                        && phase != Phase::Mixed
+                        && insts[s].is_idle()
+                    {
+                        self.phases[s] = phase;
+                        acc.phase_rebalances += 1;
+                        trace_cmd(trace, "set_phase", slot);
+                    }
+                }
+                Command::SetClock { slot, clock } => {
+                    // Retunes take effect at the next data tick; an
+                    // out-of-grid index is a controller bug and ignored.
+                    let s = slot as usize;
+                    if s < insts.len()
+                        && (clock as usize) < shared.lut.num_clocks()
+                        && c.clocks[s] != clock
+                    {
+                        c.clocks[s] = clock;
+                        acc.clock_retunes += 1;
+                        trace_cmd(trace, "set_clock", slot);
+                    }
+                }
+                // `Command` is #[non_exhaustive]; a variant this engine
+                // doesn't know is ignored (commands are advisory).
+                _ => {}
+            }
+        }
+        self.next_ctrl = self.next_ctrl.saturating_add(c.interval_ticks);
+        self.next_boot = next_boot_tick(&c.modes, shared.knobs.tick_us, shared.ticks);
+    }
+
+    /// KV phase: delivers landed KV transfers into the decode pool, FIFO.
+    /// A transfer waits (head-of-line) until some live decode instance
+    /// has batch room; the target is the least-loaded live decode slot,
+    /// ties to the lowest index — a deterministic choice from cell-local
+    /// state only. TTFT is recorded here, so the wait for decode batch
+    /// room lands in it. Without a KV link `kv_next` stays at `u32::MAX`
+    /// and `kv_blocked` false, so this never fires.
+    ///
+    /// The eligible slots (decode phase, up, serving, not drained) are
+    /// gathered once per call into `kv_cands` as `(batch, slot)`: nothing
+    /// in here changes eligibility, and a delivery only grows its
+    /// target's batch, so each transfer scans the candidates alone.
     fn kv(&mut self) {
-        let t_start = self.tick as u64 * self.shared.knobs.tick_us;
+        let now_us = self.tick as u64 * self.shared.knobs.tick_us;
         let due = self.kv_blocked || self.tick >= self.kv_next;
         let Some(link) = self.kv.as_mut().filter(|_| due) else {
             return;
         };
-        deliver_transfers(
-            link,
-            t_start,
-            &mut self.insts,
-            &self.phases,
-            self.ctl.as_ref(),
-            &self.drained,
-            self.shared.lut.max_batch,
-            &self.shared.knobs,
-            self.trace.as_mut(),
-            &mut self.acc,
-            &mut self.kv_cands,
-            |i| self.busy.add(i),
-        );
+        if link.peek_landed(now_us).is_some() {
+            let serving =
+                |i: usize| (self.ctl.as_ref()).is_none_or(|c| c.modes[i] == SlotMode::Live);
+            let (phases, drained) = (&self.phases, &self.drained);
+            self.kv_cands.clear();
+            self.kv_cands.extend(
+                (self.insts.iter().enumerate())
+                    .filter(|&(i, s)| {
+                        phases[i] == Phase::Decode && s.up && serving(i) && !drained[i]
+                    })
+                    .map(|(i, s)| (s.active(), i as u32)),
+            );
+            let max_batch = self.shared.lut.max_batch;
+            while let Some(job) = link.peek_landed(now_us) {
+                let Some(c) = (self.kv_cands.iter_mut())
+                    .filter(|c| c.0 + job.count <= max_batch)
+                    .min()
+                else {
+                    break;
+                };
+                c.0 += job.count;
+                let i = c.1 as usize;
+                let job = link.pop().expect("peeked");
+                let tk = &self.shared.knobs.tenants[job.tenant as usize];
+                KvLinkState::record_delivery(&job, now_us, tk, &mut self.acc);
+                if let Some(ts) = self.trace.as_mut() {
+                    if ts.sampler.sampled(job.span) {
+                        let tid = self.insts[i].global_index();
+                        ts.buf.push(TraceEvent::async_end(
+                            "req",
+                            "kv_transfer",
+                            now_us,
+                            ts.cell,
+                            tid,
+                            job.span,
+                            job.bytes,
+                        ));
+                        ts.buf.push(TraceEvent::async_begin(
+                            "req",
+                            "decode",
+                            now_us,
+                            ts.cell,
+                            tid,
+                            job.span,
+                            job.count as u64,
+                        ));
+                    }
+                }
+                self.insts[i].admit_decode_cohort(&job);
+                self.busy.add(i);
+            }
+        }
         // A landed head with no decode room blocks FIFO: the next tick
         // must process another delivery attempt.
-        self.kv_blocked = link.peek_landed(t_start).is_some();
+        self.kv_blocked = link.peek_landed(now_us).is_some();
     }
 
     /// Route phase: routes this tick's arrival batches, the cell's own
-    /// first and then the cohorts other cells spilled here, through the
-    /// same admission and routing path — spilled work lands after the
-    /// cell's own, a fixed, deterministic admission order.
+    /// first and then the cohorts other cells spilled here — a fixed,
+    /// deterministic admission order — in priority order with exact
+    /// largest-remainder splits.
+    ///
+    /// Controlled cells route over live instances by the
+    /// (control-tick-stale) weights and apply admission control;
+    /// uncontrolled cells split uniformly over **all** instances — no
+    /// router means a down instance's share queues behind it (stranded
+    /// traffic, exactly what the router exists to fix). Under
+    /// phase-split serving, queue room is granted to the prefill pool
+    /// only: decode instances receive their work over the KV link, never
+    /// the front door. Chaos: a partitioned cell sheds every arrival at
+    /// the front door (attributed to `partition_shed`), and drained
+    /// slots take no new routing regardless of controller presence — a
+    /// drain is a planned, announced exclusion, unlike a silent failure.
+    /// Once a fleet window's admission quota is spent, further
+    /// guaranteed-class arrivals are shed at the boundary (counted as
+    /// `quota_clamped` inside `admission_shed`); an unlimited quota is
+    /// byte-inert.
+    ///
+    /// Eligibility is built once per tick: routing only queues work, and
+    /// nothing it reads (slot modes, `up`, weights, phases, drains,
+    /// admission, partition) changes while a tick routes.
     fn route(&mut self) {
         let tick = self.tick;
-        for (batches, ptr) in [
-            (&self.arrivals, &mut self.arr_ptr),
-            (&self.inflow, &mut self.inflow_ptr),
-        ] {
-            let lo = *ptr;
-            while batches.get(*ptr).is_some_and(|&(t, _, _)| t == tick) {
-                *ptr += 1;
+        let due = |batches: &[(u32, u16, u64)], from: usize| {
+            from + batches[from..].iter().take_while(|b| b.0 == tick).count()
+        };
+        let (own, spilled) = (self.arr_ptr, self.inflow_ptr);
+        self.arr_ptr = due(&self.arrivals, own);
+        self.inflow_ptr = due(&self.inflow, spilled);
+        if self.arr_ptr == own && self.inflow_ptr == spilled {
+            return;
+        }
+        self.eff.clear();
+        match self.ctl.as_ref() {
+            Some(c) => self.eff.extend(
+                c.modes
+                    .iter()
+                    .zip(&self.insts)
+                    .zip(&c.weights)
+                    .zip(&self.phases)
+                    .zip(&self.drained)
+                    .map(|((((m, inst), &w), &p), &d)| {
+                        if *m == SlotMode::Live && inst.up && p != Phase::Decode && !d {
+                            w
+                        } else {
+                            0
+                        }
+                    }),
+            ),
+            None => self.eff.extend(
+                self.phases
+                    .iter()
+                    .zip(&self.drained)
+                    .map(|(&p, &d)| u64::from(p != Phase::Decode && !d)),
+            ),
+        }
+        let allow_be = self.ctl.as_ref().is_none_or(|c| c.allow_best_effort);
+        let any_target = !self.partitioned && self.eff.iter().any(|&w| w > 0);
+        let batches = self.arrivals[own..self.arr_ptr].iter();
+        let acc = &mut self.acc;
+        for &(_, ti, n) in batches.chain(&self.inflow[spilled..self.inflow_ptr]) {
+            let t = ti as usize;
+            acc.arrived += n;
+            acc.per_tenant[t].arrived += n;
+            self.window_arrived += n;
+            let class = self.shared.classes[t];
+            if let Some(c) = self.ctl.as_mut() {
+                c.arrived_since += n;
+                c.arrived_by_class[class.index()] += n;
             }
-            if *ptr > lo {
-                self.traffic.route_event(
-                    tick,
-                    self.shared,
-                    self.ctl.as_mut(),
-                    &self.phases,
-                    &mut self.insts,
-                    self.partitioned,
-                    &self.drained,
-                    &mut self.acc,
-                    &mut self.flow,
-                    &batches[lo..*ptr],
-                    |i| self.busy.add(i),
-                );
+            if class == PriorityClass::BestEffort && !allow_be {
+                acc.rejected += n;
+                acc.admission_shed += n;
+                acc.per_tenant[t].shed += n;
+                continue;
+            }
+            // Fleet admission quota: shed whatever exceeds the window's
+            // remaining budget at the boundary. `u64::MAX` (no balancer,
+            // or no quota directive) never sheds.
+            let n = if self.quota_left >= n {
+                self.quota_left -= n;
+                n
+            } else {
+                let shed = n - self.quota_left;
+                self.quota_left = 0;
+                acc.rejected += shed;
+                acc.admission_shed += shed;
+                acc.quota_clamped += shed;
+                acc.per_tenant[t].shed += shed;
+                n - shed
+            };
+            if n == 0 {
+                continue;
+            }
+            if !any_target {
+                acc.rejected += n;
+                acc.routing_shed += n;
+                if self.partitioned {
+                    acc.partition_shed += n;
+                }
+                acc.per_tenant[t].shed += n;
+                continue;
+            }
+            apportion_into(n, &self.eff, &mut self.shares, &mut self.scratch);
+            for (i, &share) in self.shares.iter().enumerate() {
+                if share > 0 {
+                    let inst = &mut self.insts[i];
+                    let admitted = inst.push_arrivals(tick, share, ti, &self.shared.knobs, acc);
+                    acc.routed += admitted;
+                    acc.per_tenant[t].routed += admitted;
+                    if admitted > 0 && inst.up {
+                        self.busy.add(i);
+                    }
+                }
             }
         }
     }
@@ -2916,7 +2800,7 @@ impl<'a> CellSim<'a> {
                 .count() as u32,
             None => obs.up,
         };
-        obs.arrived_window = core::mem::take(&mut self.flow.window_arrived);
+        obs.arrived_window = core::mem::take(&mut self.window_arrived);
         let now_us = b as u64 * self.shared.knobs.tick_us;
         obs.kv_backlog_us = self.kv.as_ref().map_or(0, |k| k.backlog_us(now_us));
         obs.chaos_down = self.chaos_down();
@@ -2933,7 +2817,7 @@ impl<'a> CellSim<'a> {
     /// destination, each in its own cell's totals, so the merged flow
     /// matrix conserves exactly.
     fn apply_plan(&mut self, plan: CellPlan) {
-        self.flow.quota_left = plan.quota.unwrap_or(u64::MAX);
+        self.quota_left = plan.quota.unwrap_or(u64::MAX);
         for &(rel, n) in &plan.deduct {
             self.arrivals[self.arr_ptr + rel].2 -= n;
         }

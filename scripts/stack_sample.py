@@ -21,7 +21,7 @@ with them and with debug info, in a target directory of its own:
     CARGO_PROFILE_RELEASE_DEBUG=true RUSTFLAGS="-C force-frame-pointers=yes" \\
         CARGO_TARGET_DIR=.fp_build cargo build --release --offline \\
         --manifest-path perfbench/Cargo.toml
-    scripts/stack_sample.py --function route_event -- \\
+    scripts/stack_sample.py --function CellSim::route -- \\
         .fp_build/release/perfbench --child --workload dense_split --seed 1 --trace 0
 
 A frame interrupted before its prologue hides its caller, and the
