@@ -91,7 +91,7 @@
 use crate::report::{FleetReport, RunMeta, TenantMeta};
 use crate::state::{
     CellState, FailureRates, InstanceState, KvLinkState, ServeKnobs, ShardTotals, TenantKnobs,
-    TraceSink,
+    TenantTotals, TraceSink,
 };
 use crate::traffic::PoissonPlan;
 use crate::workload::WorkloadSpec;
@@ -1261,50 +1261,43 @@ impl ProfTimer {
     }
 }
 
-/// Snapshot of a cell's monotone [`ShardTotals`] counters, which the
-/// series layer differences per window. The cell owns its totals, so a
-/// delta counts exactly the cell's own work in the window.
-struct CounterSnap {
-    arrived: u64,
-    completed: u64,
-    rejected: u64,
-    admission_shed: u64,
-    routing_shed: u64,
-    tokens: u64,
-    energy_uj: u64,
-    failures: u64,
-    restores: u64,
-    repairs: u64,
-    kv_stalls: u64,
-    ttft_count: u64,
-    ttft_sum_us: u128,
-    /// Per tenant: (arrived, completed, shed).
-    per_tenant: Vec<(u64, u64, u64)>,
-}
+/// A series counter: its metric name and how to read its monotone
+/// total.
+type Counter<T> = (&'static str, fn(&T) -> u64);
 
-impl CounterSnap {
-    fn take(acc: &ShardTotals) -> Self {
-        Self {
-            arrived: acc.arrived,
-            completed: acc.completed,
-            rejected: acc.rejected,
-            admission_shed: acc.admission_shed,
-            routing_shed: acc.routing_shed,
-            tokens: acc.generated_tokens,
-            energy_uj: acc.energy_uj,
-            failures: acc.failures,
-            restores: acc.restores,
-            repairs: acc.repairs_dispatched,
-            kv_stalls: acc.kv_backpressure_stalls,
-            ttft_count: acc.ttft.total(),
-            ttft_sum_us: acc.ttft.sum_us(),
-            per_tenant: acc
-                .per_tenant
-                .iter()
-                .map(|t| (t.arrived, t.completed, t.shed))
-                .collect(),
-        }
-    }
+/// The series counters of a cell's [`ShardTotals`], recorded as deltas
+/// per window. The cell owns its totals, so a delta counts exactly the
+/// cell's own work in the window. `ttft_sum_us` reads the 128-bit sum
+/// truncated to 64 bits; deltas wrap, which truncates the 128-bit delta.
+const COUNTERS: [Counter<ShardTotals>; 13] = [
+    ("arrived", |a| a.arrived),
+    ("completed", |a| a.completed),
+    ("rejected", |a| a.rejected),
+    ("admission_shed", |a| a.admission_shed),
+    ("routing_shed", |a| a.routing_shed),
+    ("tokens", |a| a.generated_tokens),
+    ("energy_uj", |a| a.energy_uj),
+    ("failures", |a| a.failures),
+    ("restores", |a| a.restores),
+    ("repairs", |a| a.repairs_dispatched),
+    ("kv_stalls", |a| a.kv_backpressure_stalls),
+    ("ttft_count", |a| a.ttft.total()),
+    ("ttft_sum_us", |a| a.ttft.sum_us() as u64),
+];
+
+/// The per-tenant series counters, recorded as `tenant{t}/{name}`.
+const TENANT_COUNTERS: [Counter<TenantTotals>; 3] = [
+    ("arrived", |t| t.arrived),
+    ("completed", |t| t.completed),
+    ("shed", |t| t.shed),
+];
+
+/// Every series counter's current value in [`SeriesIds::counters`]
+/// order: [`COUNTERS`], then [`TENANT_COUNTERS`] for each tenant.
+fn counter_values(acc: &ShardTotals) -> impl Iterator<Item = u64> + '_ {
+    let tenants =
+        (acc.per_tenant.iter()).flat_map(|t| TENANT_COUNTERS.iter().map(move |(_, get)| get(t)));
+    COUNTERS.iter().map(|(_, get)| get(acc)).chain(tenants)
 }
 
 /// Pre-resolved metric ids for one cell's sampling: every name is
@@ -1314,21 +1307,10 @@ impl CounterSnap {
 /// export a stable schema — e.g. every DVFS grid rung appears even in
 /// windows (or runs) that never touch it.
 struct SeriesIds {
-    arrived: MetricId,
-    completed: MetricId,
-    rejected: MetricId,
-    admission_shed: MetricId,
-    routing_shed: MetricId,
-    tokens: MetricId,
-    energy_uj: MetricId,
-    failures: MetricId,
-    restores: MetricId,
-    repairs: MetricId,
-    kv_stalls: MetricId,
-    ttft_count: MetricId,
-    ttft_sum_us: MetricId,
-    /// Per tenant: arrived, completed, shed (counters) and queued gauge.
-    tenants: Vec<[MetricId; 4]>,
+    /// One id per [`counter_values`] entry.
+    counters: Vec<MetricId>,
+    /// Per-tenant queued gauges.
+    tenant_queued: Vec<MetricId>,
     queued: MetricId,
     active: MetricId,
     up: MetricId,
@@ -1362,29 +1344,16 @@ impl SeriesIds {
         per_cell: Option<u32>,
     ) -> Self {
         use MetricKind::{Counter, Gauge};
+        let mut counters: Vec<MetricId> = COUNTERS.iter().map(|c| s.id(c.0, Counter)).collect();
+        for t in 0..n_tenants {
+            for c in &TENANT_COUNTERS {
+                counters.push(s.id(&format!("tenant{t}/{}", c.0), Counter));
+            }
+        }
         Self {
-            arrived: s.id("arrived", Counter),
-            completed: s.id("completed", Counter),
-            rejected: s.id("rejected", Counter),
-            admission_shed: s.id("admission_shed", Counter),
-            routing_shed: s.id("routing_shed", Counter),
-            tokens: s.id("tokens", Counter),
-            energy_uj: s.id("energy_uj", Counter),
-            failures: s.id("failures", Counter),
-            restores: s.id("restores", Counter),
-            repairs: s.id("repairs", Counter),
-            kv_stalls: s.id("kv_stalls", Counter),
-            ttft_count: s.id("ttft_count", Counter),
-            ttft_sum_us: s.id("ttft_sum_us", Counter),
-            tenants: (0..n_tenants)
-                .map(|t| {
-                    [
-                        s.id(&format!("tenant{t}/arrived"), Counter),
-                        s.id(&format!("tenant{t}/completed"), Counter),
-                        s.id(&format!("tenant{t}/shed"), Counter),
-                        s.id(&format!("tenant{t}/queued"), Gauge),
-                    ]
-                })
+            counters,
+            tenant_queued: (0..n_tenants)
+                .map(|t| s.id(&format!("tenant{t}/queued"), Gauge))
                 .collect(),
             queued: s.id("queued", Gauge),
             active: s.id("active", Gauge),
@@ -1412,8 +1381,8 @@ impl SeriesIds {
                 [
                     s.id(&format!("cell{c}/queued"), Gauge),
                     s.id(&format!("cell{c}/up"), Gauge),
-                    s.id(&format!("cell{c}/arrived"), Counter),
-                    s.id(&format!("cell{c}/completed"), Counter),
+                    s.id(&format!("cell{c}/{}", COUNTERS[0].0), Counter),
+                    s.id(&format!("cell{c}/{}", COUNTERS[1].0), Counter),
                 ]
             }),
         }
@@ -1541,8 +1510,8 @@ struct CellSim<'a> {
     edge_ptr: usize,
     trace: Option<TraceSink>,
     series_ids: Option<SeriesIds>,
-    /// Counter values at the last series sample.
-    snap: CounterSnap,
+    /// [`counter_values`] at the last series sample.
+    snap: Vec<u64>,
     tenant_scratch: Vec<u64>,
     /// The wakeup heap over `(tick, local idx)`: `idx == u32::MAX` is a
     /// generic "process this tick" entry (chaos window edges,
@@ -1653,7 +1622,7 @@ impl<'a> CellSim<'a> {
         let mut sim = Self {
             shared,
             cell_idx,
-            snap: CounterSnap::take(&acc),
+            snap: counter_values(&acc).collect(),
             acc,
             cell: CellState::new(cfg.spares_per_cell, cfg.repair_crews_per_cell),
             insts,
@@ -2645,36 +2614,14 @@ impl<'a> CellSim<'a> {
             .series_ids
             .as_ref()
             .expect("ids resolved with the recorder");
-        let c = CounterSnap::take(&self.acc);
-        let snap = &self.snap;
-        series.add_at(ids.arrived, w, c.arrived - snap.arrived);
-        series.add_at(ids.completed, w, c.completed - snap.completed);
-        series.add_at(ids.rejected, w, c.rejected - snap.rejected);
-        series.add_at(
-            ids.admission_shed,
-            w,
-            c.admission_shed - snap.admission_shed,
-        );
-        series.add_at(ids.routing_shed, w, c.routing_shed - snap.routing_shed);
-        series.add_at(ids.tokens, w, c.tokens - snap.tokens);
-        series.add_at(ids.energy_uj, w, c.energy_uj - snap.energy_uj);
-        series.add_at(ids.failures, w, c.failures - snap.failures);
-        series.add_at(ids.restores, w, c.restores - snap.restores);
-        series.add_at(ids.repairs, w, c.repairs - snap.repairs);
-        series.add_at(ids.kv_stalls, w, c.kv_stalls - snap.kv_stalls);
-        series.add_at(ids.ttft_count, w, c.ttft_count - snap.ttft_count);
-        series.add_at(
-            ids.ttft_sum_us,
-            w,
-            (c.ttft_sum_us - snap.ttft_sum_us) as u64,
-        );
-        for (t, (&(a1, c1, s1), &(a0, c0, s0))) in
-            c.per_tenant.iter().zip(&snap.per_tenant).enumerate()
-        {
-            let [ta, tc, tshed, _] = ids.tenants[t];
-            series.add_at(ta, w, a1 - a0);
-            series.add_at(tc, w, c1 - c0);
-            series.add_at(tshed, w, s1 - s0);
+        for (k, (v, prev)) in counter_values(&self.acc).zip(&mut self.snap).enumerate() {
+            let delta = v.wrapping_sub(*prev);
+            *prev = v;
+            series.add_at(ids.counters[k], w, delta);
+            // The per-cell arrived and completed counters.
+            if let (Some(cell), 0 | 1) = (ids.per_cell, k) {
+                series.add_at(cell[2 + k], w, delta);
+            }
         }
         let mut queued = 0u64;
         let mut active = 0u64;
@@ -2690,7 +2637,7 @@ impl<'a> CellSim<'a> {
         series.add_at(ids.active, w, active);
         series.add_at(ids.up, w, up);
         for (t, &q) in self.tenant_scratch.iter().enumerate() {
-            series.add_at(ids.tenants[t][3], w, q);
+            series.add_at(ids.tenant_queued[t], w, q);
         }
         let draining = self.drained.iter().map(|&d| u64::from(d)).sum();
         series.add_at(ids.draining, w, draining);
@@ -2733,13 +2680,10 @@ impl<'a> CellSim<'a> {
                 }
             }
         }
-        if let Some([cq, cu, ca, cc]) = ids.per_cell {
+        if let Some([cq, cu, ..]) = ids.per_cell {
             series.add_at(cq, w, queued);
             series.add_at(cu, w, up);
-            series.add_at(ca, w, c.arrived - snap.arrived);
-            series.add_at(cc, w, c.completed - snap.completed);
         }
-        self.snap = c;
     }
 
     /// The next tick to process: the very next one while any slot holds
