@@ -1744,7 +1744,9 @@ impl<'a> CellSim<'a> {
 
     /// Lazily bills slot `i`'s idle ticks `[accrued[i], to)` at its
     /// current administrative mode — the event engine's replacement for
-    /// the tick loop's per-tick energy walk over every instance.
+    /// the tick loop's per-tick energy walk over every instance, and the
+    /// only code that prices a tick per slot mode ([`Self::serve`] bills
+    /// busy ticks through it too).
     ///
     /// Exactness rests on two facts. First, an idle instance's serve was
     /// a pure no-op (`spent == 0`, no RNG draw, `carry_us` already zero),
@@ -1756,13 +1758,15 @@ impl<'a> CellSim<'a> {
     /// lifecycle and chaos outages accrue the instance first, control
     /// ticks, boot promotions and thermal-clamp changes accrue the whole
     /// cell first, and the serve path closes its own span every busy
-    /// tick.
+    /// tick (serving itself changes none of these inputs).
     fn accrue(&mut self, i: usize, to: u32) {
         let from = self.accrued[i];
         if to <= from {
             return;
         }
         self.accrued[i] = to;
+        // A down instance draws nothing (its unit is out for swap or
+        // repair), and neither does a gated (cold) one — the §3 win.
         if !self.insts[i].up {
             return;
         }
@@ -2517,6 +2521,15 @@ impl<'a> CellSim<'a> {
     /// Serve phase: steps every busy slot in index order, bills its tick
     /// of energy, and drops slots that went idle (or down) from the busy
     /// set; then re-arms the KV wakeup at the link's new head.
+    ///
+    /// [`Self::accrue`] bills the tick as an idle one (serving changes
+    /// none of its inputs); a live slot that is up then adds what its
+    /// served time changes. Dynamic power bills at the slot's operating
+    /// point, and the nominal-clock counterfactual of the same served
+    /// work accumulates beside it, so the report can state exactly what
+    /// serving-time DVFS saved. The served part of the idle floor moves
+    /// out of idle energy: `e` minus the floor of the unserved time,
+    /// never more than the `e` just billed.
     fn serve(&mut self) {
         let tick = self.tick;
         let shared = self.shared;
@@ -2524,7 +2537,6 @@ impl<'a> CellSim<'a> {
         let mut keep = 0usize;
         for r in 0..self.busy.list.len() {
             let iu = self.busy.list[r] as usize;
-            self.accrue(iu, tick);
             let (mode, ci) = (self.mode(iu), self.clock(iu));
             let (spent, nominal_spent) = if mode == SlotMode::Live {
                 self.insts[iu].serve(
@@ -2540,40 +2552,17 @@ impl<'a> CellSim<'a> {
             } else {
                 (0, 0)
             };
-            // Energy: powered states only. A down instance draws nothing
-            // (its unit is out for swap/repair); a gated (cold) instance
-            // draws nothing — that is the §3 win. Dynamic power bills at
-            // the slot's operating point; the nominal-clock
-            // counterfactual of the same served work accumulates beside
-            // it, so the report can state exactly what serving-time DVFS
-            // saved.
-            let acc = &mut self.acc;
-            if self.insts[iu].up {
-                match mode {
-                    SlotMode::Live => {
-                        let dyn_uj = power.dyn_mw[ci] * spent / 1000;
-                        acc.energy_uj += (power.idle_mw * tick_us) / 1000 + dyn_uj;
-                        acc.idle_energy_uj += power.idle_mw * (tick_us - spent.min(tick_us)) / 1000;
-                        acc.live_ticks += 1;
-                        acc.clock_ticks[ci] += 1;
-                        acc.dvfs_dyn_uj += dyn_uj;
-                        acc.dvfs_nominal_dyn_uj +=
-                            power.dyn_mw[shared.nominal_ci as usize] * nominal_spent / 1000;
-                        match self.phases[iu] {
-                            Phase::Prefill => acc.prefill_live_ticks += 1,
-                            Phase::Decode => acc.decode_live_ticks += 1,
-                            Phase::Mixed => {}
-                        }
-                    }
-                    SlotMode::Warm | SlotMode::Booting { .. } => {
-                        let e = power.idle_mw * tick_us / 1000;
-                        acc.energy_uj += e;
-                        acc.idle_energy_uj += e;
-                    }
-                    SlotMode::Cold => {}
-                }
+            self.accrue(iu, tick + 1);
+            if mode == SlotMode::Live && self.insts[iu].up {
+                let acc = &mut self.acc;
+                let dyn_uj = power.dyn_mw[ci] * spent / 1000;
+                acc.energy_uj += dyn_uj;
+                acc.dvfs_dyn_uj += dyn_uj;
+                acc.dvfs_nominal_dyn_uj +=
+                    power.dyn_mw[shared.nominal_ci as usize] * nominal_spent / 1000;
+                let e = power.idle_mw * tick_us / 1000;
+                acc.idle_energy_uj -= e - power.idle_mw * (tick_us - spent.min(tick_us)) / 1000;
             }
-            self.accrued[iu] = tick + 1;
             if self.insts[iu].up && !self.insts[iu].is_idle() {
                 self.busy.list[keep] = iu as u32;
                 keep += 1;
