@@ -326,13 +326,6 @@ pub struct TelemetryConfig {
     pub profile: bool,
 }
 
-impl TelemetryConfig {
-    /// Whether any deterministic layer (series or trace) is on.
-    pub fn observes(&self) -> bool {
-        self.series_dt_us > 0 || self.trace_every > 0
-    }
-}
-
 /// A complete fleet-simulation configuration.
 ///
 /// Start from a preset ([`FleetConfig::lite_demo`] /
@@ -378,8 +371,7 @@ pub struct FleetConfig {
     /// default; compile campaigns with the `litegpu-chaos` crate.
     pub chaos: ChaosSpec,
     /// The multi-tenant workload (tenants, shares, patterns, priorities,
-    /// SLOs). Legacy single-source configs convert with
-    /// `TrafficModel::into()`.
+    /// SLOs).
     pub workload: WorkloadSpec,
     /// Per-cell arrival-rate multipliers for skewed load (hot/cold
     /// cells). Empty means uniform (1.0 everywhere); otherwise the

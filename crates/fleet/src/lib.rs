@@ -22,8 +22,7 @@
 //!   tenants with their own traffic patterns, rate shares, prompt/output
 //!   shapes, priority classes and TTFT/TBT SLO targets; arrivals are
 //!   tenant-tagged end to end and the report carries a per-tenant SLO
-//!   section ([`report::FleetReport::per_tenant`]). Legacy single-source
-//!   configs migrate with `TrafficModel::into()`.
+//!   section ([`report::FleetReport::per_tenant`]).
 //! - **Serving can phase-split.** [`engine::ServingMode::PhaseSplit`]
 //!   partitions each cell into Splitwise-style prefill and decode pools:
 //!   completed prefills stream their KV caches (prompt length ×
@@ -83,7 +82,7 @@ pub use report::{
     BalancerSection, ChaosSection, DvfsReport, FailureBreakdown, FleetReport, FlowEntry,
     KvTransferReport, TenantReport,
 };
-pub use traffic::{LengthDist, TrafficModel, TrafficPattern};
+pub use traffic::{LengthDist, TrafficPattern};
 pub use workload::{PriorityClass, Tenant, WorkloadSpec};
 
 /// Errors produced by the fleet simulator.

@@ -129,51 +129,6 @@ impl TrafficPattern {
     }
 }
 
-/// A per-instance request source.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct TrafficModel {
-    /// Mean arrival rate per instance at multiplier 1, requests/second.
-    pub rate_per_instance_s: f64,
-    /// Time-varying modulation.
-    pub pattern: TrafficPattern,
-    /// Mean output length, tokens (geometric-tailed per cohort).
-    pub output_len_mean: u32,
-}
-
-impl TrafficModel {
-    /// The paper-flavoured default: diurnal swing peaking mid-afternoon,
-    /// ~500-token outputs.
-    pub fn diurnal_demo(rate_per_instance_s: f64) -> Self {
-        Self {
-            rate_per_instance_s,
-            pattern: TrafficPattern::Diurnal {
-                amplitude: 0.6,
-                peak_hour: 15.0,
-            },
-            output_len_mean: 500,
-        }
-    }
-
-    /// Flat traffic at the given per-instance rate.
-    pub fn constant(rate_per_instance_s: f64) -> Self {
-        Self {
-            rate_per_instance_s,
-            pattern: TrafficPattern::Constant,
-            output_len_mean: 500,
-        }
-    }
-
-    /// Rate multiplier at simulated time `t_s` (≥ 0, dimensionless).
-    pub fn multiplier_at(&self, t_s: f64) -> f64 {
-        self.pattern.multiplier_at(t_s)
-    }
-
-    /// Arrival rate per instance at time `t_s`, requests/second.
-    pub fn rate_at(&self, t_s: f64) -> f64 {
-        self.rate_per_instance_s * self.multiplier_at(t_s)
-    }
-}
-
 /// Draws a Poisson-distributed count with mean `lambda`.
 ///
 /// Knuth's product method for small means; larger means split into
@@ -270,13 +225,10 @@ impl PoissonPlan {
 
 /// A seedable per-tenant output-length distribution.
 ///
-/// Today this is the geometric-tailed sampler the fleet always used
-/// (mirroring `litegpu_sim`'s `LengthDist::GeometricMean`), packaged so
-/// each [`crate::workload::Tenant`] carries its own distribution and
-/// every draw comes from an explicit RNG stream. The mean is preserved
-/// exactly by construction, so the single-tenant
-/// `TrafficModel → WorkloadSpec` conversion samples the same lengths the
-/// legacy sampler would.
+/// The geometric-tailed sampler the fleet always used (mirroring
+/// `litegpu_sim`'s `LengthDist::GeometricMean`), packaged so each
+/// [`crate::workload::Tenant`] carries its own distribution and every
+/// draw comes from an explicit RNG stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct LengthDist {
     /// Mean length, tokens (clamped to ≥ 1 at sampling time).
@@ -302,13 +254,6 @@ impl LengthDist {
     }
 }
 
-/// Draws a geometric-tailed output length around `mean` (≥ 1 token).
-/// Thin wrapper over [`LengthDist::geometric`] kept for call sites that
-/// don't hold a distribution.
-pub fn sample_output_len(rng: &mut StdRng, mean: u32) -> u32 {
-    LengthDist::geometric(mean).sample(rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,14 +261,17 @@ mod tests {
 
     #[test]
     fn constant_pattern_is_flat() {
-        let t = TrafficModel::constant(2.0);
-        assert_eq!(t.rate_at(0.0), 2.0);
-        assert_eq!(t.rate_at(1e6), 2.0);
+        let t = TrafficPattern::Constant;
+        assert_eq!(t.multiplier_at(0.0), 1.0);
+        assert_eq!(t.multiplier_at(1e6), 1.0);
     }
 
     #[test]
     fn diurnal_peaks_at_peak_hour_and_means_one() {
-        let t = TrafficModel::diurnal_demo(1.0);
+        let t = TrafficPattern::Diurnal {
+            amplitude: 0.6,
+            peak_hour: 15.0,
+        };
         let peak = t.multiplier_at(15.0 * 3600.0);
         let trough = t.multiplier_at(3.0 * 3600.0);
         assert!((peak - 1.6).abs() < 1e-9, "peak = {peak}");
@@ -339,11 +287,7 @@ mod tests {
 
     #[test]
     fn trace_interpolates_and_clamps() {
-        let t = TrafficModel {
-            rate_per_instance_s: 1.0,
-            pattern: TrafficPattern::trace(vec![(100.0, 1.0), (200.0, 3.0)]).unwrap(),
-            output_len_mean: 500,
-        };
+        let t = TrafficPattern::trace(vec![(100.0, 1.0), (200.0, 3.0)]).unwrap();
         assert_eq!(t.multiplier_at(0.0), 1.0);
         assert_eq!(t.multiplier_at(300.0), 3.0);
         assert!((t.multiplier_at(150.0) - 2.0).abs() < 1e-9);
@@ -409,20 +353,6 @@ mod tests {
         assert!(TrafficPattern::Trace(vec![(1.0, 1.0), (0.0, 1.0)])
             .validate()
             .is_err());
-    }
-
-    #[test]
-    fn length_dist_matches_legacy_sampler_under_the_same_seed() {
-        // The satellite contract: packaging the sampler as a seedable
-        // per-tenant distribution must not move the draws — same seed,
-        // same mean, byte-identical sequence.
-        let dist = LengthDist::geometric(500);
-        assert_eq!(dist.mean(), 500);
-        let mut a = StdRng::seed_from_u64(77);
-        let mut b = StdRng::seed_from_u64(77);
-        for _ in 0..500 {
-            assert_eq!(dist.sample(&mut a), sample_output_len(&mut b, 500));
-        }
     }
 
     #[test]
@@ -520,21 +450,19 @@ mod tests {
     fn output_lengths_center_on_mean() {
         let mut rng = StdRng::seed_from_u64(9);
         let n = 20_000;
-        let sum: f64 = (0..n)
-            .map(|_| sample_output_len(&mut rng, 500) as f64)
-            .sum();
+        let dist = LengthDist::geometric(500);
+        let sum: f64 = (0..n).map(|_| dist.sample(&mut rng) as f64).sum();
         let mean = sum / n as f64;
         assert!((mean - 500.0).abs() < 25.0, "mean = {mean}");
-        assert!(sample_output_len(&mut rng, 0) >= 1);
+        assert!(LengthDist::geometric(0).sample(&mut rng) >= 1);
     }
 
     #[test]
     fn output_lengths_deterministic_and_bounded_at_extremes() {
         let draw = |seed: u64, mean: u32| {
             let mut rng = StdRng::seed_from_u64(seed);
-            (0..200)
-                .map(|_| sample_output_len(&mut rng, mean))
-                .collect::<Vec<_>>()
+            let dist = LengthDist::geometric(mean);
+            (0..200).map(|_| dist.sample(&mut rng)).collect::<Vec<_>>()
         };
         for mean in [1u32, 10, 2000] {
             assert_eq!(draw(5, mean), draw(5, mean), "mean {mean}");
@@ -545,9 +473,8 @@ mod tests {
         // 16×mean trims a negligible e^-16 tail).
         let mut rng = StdRng::seed_from_u64(17);
         let n = 50_000;
-        let sum: f64 = (0..n)
-            .map(|_| sample_output_len(&mut rng, 2000) as f64)
-            .sum();
+        let dist = LengthDist::geometric(2000);
+        let sum: f64 = (0..n).map(|_| dist.sample(&mut rng) as f64).sum();
         let mean = sum / n as f64;
         assert!((mean / 2000.0 - 1.0).abs() < 0.05, "mean = {mean}");
     }

@@ -12,25 +12,14 @@
 //! at any shard/thread count), routes arrivals in priority order, and
 //! reports per-tenant SLO attainment in
 //! [`crate::report::FleetReport::per_tenant`].
-//!
-//! The legacy single-source [`TrafficModel`] converts mechanically:
-//!
-//! ```
-//! use litegpu_fleet::{TrafficModel, WorkloadSpec};
-//!
-//! let spec: WorkloadSpec = TrafficModel::diurnal_demo(1.5).into();
-//! assert_eq!(spec.tenants.len(), 1);
-//! assert_eq!(spec.rate_per_instance_s, 1.5);
-//! ```
 
-use crate::traffic::{LengthDist, TrafficModel, TrafficPattern};
+use crate::traffic::{LengthDist, TrafficPattern};
 pub use litegpu_ctrl::PriorityClass;
 
 /// One traffic source sharing the fleet.
 ///
 /// A tenant's SLO targets default to the engine-wide constraints from
-/// `EngineParams` when left `None`, which is what the single-tenant
-/// [`TrafficModel`] conversion relies on.
+/// `EngineParams` when left `None`.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Tenant {
     /// Tenant name (report key; keep unique within a spec).
@@ -146,12 +135,33 @@ impl WorkloadSpec {
     /// The paper-flavoured single-tenant default: diurnal swing peaking
     /// mid-afternoon, ~500-token outputs, interactive priority.
     pub fn diurnal_demo(rate_per_instance_s: f64) -> Self {
-        TrafficModel::diurnal_demo(rate_per_instance_s).into()
+        let pattern = TrafficPattern::Diurnal {
+            amplitude: 0.6,
+            peak_hour: 15.0,
+        };
+        Self {
+            rate_per_instance_s,
+            tenants: vec![Tenant::new(
+                "default",
+                pattern,
+                1.0,
+                PriorityClass::Interactive,
+            )],
+        }
     }
 
     /// Flat single-tenant traffic at the given per-instance rate.
     pub fn constant(rate_per_instance_s: f64) -> Self {
-        TrafficModel::constant(rate_per_instance_s).into()
+        let pattern = TrafficPattern::Constant;
+        Self {
+            rate_per_instance_s,
+            tenants: vec![Tenant::new(
+                "default",
+                pattern,
+                1.0,
+                PriorityClass::Interactive,
+            )],
+        }
     }
 
     /// The multi-tenant demo: three tenants with distinct shapes, SLOs
@@ -281,28 +291,13 @@ impl WorkloadSpec {
     }
 }
 
-impl From<TrafficModel> for WorkloadSpec {
-    /// Single-tenant conversion: one `default` tenant with the model's
-    /// pattern and output-length mean, interactive priority, and
-    /// engine-default SLOs — the mechanical migration path for existing
-    /// configs.
-    fn from(m: TrafficModel) -> Self {
-        let mut t = Tenant::new("default", m.pattern, 1.0, PriorityClass::Interactive);
-        t.output_len = LengthDist::geometric(m.output_len_mean);
-        Self {
-            rate_per_instance_s: m.rate_per_instance_s,
-            tenants: vec![t],
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn traffic_model_converts_to_single_tenant_spec() {
-        let spec: WorkloadSpec = TrafficModel::diurnal_demo(1.5).into();
+    fn diurnal_demo_is_one_default_interactive_tenant() {
+        let spec = WorkloadSpec::diurnal_demo(1.5);
         spec.validate().unwrap();
         assert_eq!(spec.tenants.len(), 1);
         assert_eq!(spec.tenants[0].name, "default");
@@ -310,10 +305,11 @@ mod tests {
         assert_eq!(spec.tenants[0].output_len.mean(), 500);
         assert_eq!(spec.tenants[0].ttft_slo_s, None);
         assert!((spec.mean_output_len() - 500.0).abs() < 1e-9);
-        // Rate splits reproduce the model's modulated rate exactly.
-        let m = TrafficModel::diurnal_demo(1.5);
+        // The one tenant carries the whole modulated rate.
+        let pattern = &spec.tenants[0].pattern;
         for t_s in [0.0, 3.0 * 3600.0, 15.0 * 3600.0] {
-            assert!((spec.tenant_rate_at(0, t_s) - m.rate_at(t_s)).abs() < 1e-12);
+            let want = 1.5 * pattern.multiplier_at(t_s);
+            assert!((spec.tenant_rate_at(0, t_s) - want).abs() < 1e-12);
         }
     }
 
