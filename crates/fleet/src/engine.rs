@@ -58,8 +58,9 @@
 //! - **arrival cohorts** — each (cell, tenant) Poisson stream is drawn
 //!   one window ahead (same RNG draws, same order as the old per-tick
 //!   engine, so the streams are bit-identical) into a sorted arrival
-//!   schedule consumed by a cursor; the cell never jumps past the tick
-//!   it has drawn up to, so the draw frontier is itself a wakeup;
+//!   schedule consumed by a cursor, and cohorts other cells spilled
+//!   here wait behind a second cursor; the cell never jumps past the
+//!   tick it has drawn up to, so the draw frontier is itself a wakeup;
 //! - **KV-transfer deliveries** — the phase-split link wakes the cell
 //!   when its FIFO head lands (or every tick while the head is blocked
 //!   on a full decode batch);
@@ -80,10 +81,11 @@
 //! only ever hinges on *never missing* a due event; the equivalence
 //! suite (`crates/bench/tests/engine_equivalence.rs`) pins the output
 //! bytes. Per-event work does not grow with cell size or campaign
-//! length where it need not: routing a batch whose floor shares are all
-//! zero is one pass without division, a KV delivery scans only the
-//! decode slots gathered for its call, and a chaos tick pops due outages
-//! from a cursor and recomputes window state only past a window edge.
+//! length where it need not: routing builds slot eligibility once per
+//! tick and splits a batch whose floor shares are all zero in one pass
+//! without division, a KV delivery scans only the decode slots gathered
+//! for its call, and a chaos tick pops due outages from a cursor and
+//! recomputes window state only past a window edge.
 //! The hot path evaluates no roofline, allocates nothing beyond queue
 //! churn and takes no lock per tick (a cell reads the shared
 //! `ArrivalTable` once per window).
@@ -1465,9 +1467,12 @@ struct CellPlan {
 /// resumable windows.
 ///
 /// The cell owns everything it accumulates — its [`ShardTotals`], its
-/// trace events, its wakeup heap, its accrual clocks and every periodic
-/// channel — so it can stop at any window edge and resume exactly, and
-/// its series deltas count only its own work. [`run_windows`] builds a
+/// trace events, its wakeup heap, its accrual clocks, its routing and
+/// admission state and every periodic channel — so it can stop at any
+/// window edge and resume exactly, and its series deltas count only its
+/// own work. Every per-cell mechanism (routing, KV delivery, the failure
+/// lifecycle and decode retries, control, serving and billing) is a
+/// method on that state. [`run_windows`] builds a
 /// cell on first touch, runs it window by window
 /// ([`CellSim::run_until`]), applies the fleet plan between windows
 /// ([`CellSim::publish`] / [`CellSim::apply_plan`]), and at the horizon
