@@ -1289,8 +1289,8 @@ const TENANT_COUNTERS: [Counter<TenantTotals>; 3] = [
 /// Every series counter's current value in [`SeriesIds::counters`]
 /// order: [`COUNTERS`], then [`TENANT_COUNTERS`] for each tenant.
 fn counter_values(acc: &ShardTotals) -> impl Iterator<Item = u64> + '_ {
-    let tenants =
-        (acc.per_tenant.iter()).flat_map(|t| TENANT_COUNTERS.iter().map(move |(_, get)| get(t)));
+    let tenants = acc.per_tenant.iter();
+    let tenants = tenants.flat_map(|t| TENANT_COUNTERS.iter().map(move |(_, get)| get(t)));
     COUNTERS.iter().map(|(_, get)| get(acc)).chain(tenants)
 }
 
@@ -2338,23 +2338,22 @@ impl<'a> CellSim<'a> {
             return;
         };
         if link.peek_landed(now_us).is_some() {
-            let serving =
-                |i: usize| (self.ctl.as_ref()).is_none_or(|c| c.modes[i] == SlotMode::Live);
-            let (phases, drained) = (&self.phases, &self.drained);
+            let ctl = self.ctl.as_ref();
             self.kv_cands.clear();
             self.kv_cands.extend(
                 (self.insts.iter().enumerate())
                     .filter(|&(i, s)| {
-                        phases[i] == Phase::Decode && s.up && serving(i) && !drained[i]
+                        self.phases[i] == Phase::Decode
+                            && s.up
+                            && ctl.is_none_or(|c| c.modes[i] == SlotMode::Live)
+                            && !self.drained[i]
                     })
                     .map(|(i, s)| (s.active(), i as u32)),
             );
             let max_batch = self.shared.lut.max_batch;
             while let Some(job) = link.peek_landed(now_us) {
-                let Some(c) = (self.kv_cands.iter_mut())
-                    .filter(|c| c.0 + job.count <= max_batch)
-                    .min()
-                else {
+                let fits = |c: &&mut (u32, u32)| c.0 + job.count <= max_batch;
+                let Some(c) = self.kv_cands.iter_mut().filter(fits).min() else {
                     break;
                 };
                 c.0 += job.count;
