@@ -2111,20 +2111,20 @@ impl<'a> CellSim<'a> {
                 if self.phases[i] != Phase::Decode || self.insts[i].queued() == 0 {
                     continue;
                 }
-                let runs = self.insts[i].take_queued_runs();
                 let target = (0..self.insts.len())
                     .filter(|&j| {
                         self.phases[j] == Phase::Prefill
                             && self.insts[j].up
                             && self.mode(j) == SlotMode::Live
                     })
-                    .min_by_key(|&j| (self.insts[j].queued(), j))
-                    .unwrap_or(i);
-                self.insts[target].accept_requeued_runs(runs);
-                if target == i {
-                    self.decode_retry = true;
-                } else {
-                    self.busy.add(target);
+                    .min_by_key(|&j| (self.insts[j].queued(), j));
+                match target {
+                    Some(j) => {
+                        let runs = self.insts[i].take_queued_runs();
+                        self.insts[j].accept_requeued_runs(runs);
+                        self.busy.add(j);
+                    }
+                    None => self.decode_retry = true,
                 }
             }
         }
@@ -2352,8 +2352,11 @@ impl<'a> CellSim<'a> {
             );
             let max_batch = self.shared.lut.max_batch;
             while let Some(job) = link.peek_landed(now_us) {
-                let fits = |c: &&mut (u32, u32)| c.0 + job.count <= max_batch;
-                let Some(c) = self.kv_cands.iter_mut().filter(fits).min() else {
+                let room = self
+                    .kv_cands
+                    .iter_mut()
+                    .filter(|c| c.0 + job.count <= max_batch);
+                let Some(c) = room.min() else {
                     break;
                 };
                 c.0 += job.count;
