@@ -92,8 +92,8 @@
 
 use crate::report::{FleetReport, RunMeta, TenantMeta};
 use crate::state::{
-    CellState, FailureRates, InstanceState, KvLinkState, ServeKnobs, ShardTotals, TenantKnobs,
-    TenantTotals, TraceSink,
+    CellState, FailureRates, InstanceState, KvLinkState, ServeKnobs, TenantKnobs, TenantTotals,
+    Totals, TraceSink,
 };
 use crate::traffic::PoissonPlan;
 use crate::workload::WorkloadSpec;
@@ -1259,11 +1259,11 @@ impl ProfTimer {
 /// total.
 type Counter<T> = (&'static str, fn(&T) -> u64);
 
-/// The series counters of a cell's [`ShardTotals`], recorded as deltas
+/// The series counters of a cell's [`Totals`], recorded as deltas
 /// per window. The cell owns its totals, so a delta counts exactly the
 /// cell's own work in the window. `ttft_sum_us` reads the 128-bit sum
 /// truncated to 64 bits; deltas wrap, which truncates the 128-bit delta.
-const COUNTERS: [Counter<ShardTotals>; 13] = [
+const COUNTERS: [Counter<Totals>; 13] = [
     ("arrived", |a| a.arrived),
     ("completed", |a| a.completed),
     ("rejected", |a| a.rejected),
@@ -1288,7 +1288,7 @@ const TENANT_COUNTERS: [Counter<TenantTotals>; 3] = [
 
 /// Every series counter's current value in [`SeriesIds::counters`]
 /// order: [`COUNTERS`], then [`TENANT_COUNTERS`] for each tenant.
-fn counter_values(acc: &ShardTotals) -> impl Iterator<Item = u64> + '_ {
+fn counter_values(acc: &Totals) -> impl Iterator<Item = u64> + '_ {
     let tenants = acc.per_tenant.iter();
     let tenants = tenants.flat_map(|t| TENANT_COUNTERS.iter().map(move |(_, get)| get(t)));
     COUNTERS.iter().map(|(_, get)| get(acc)).chain(tenants)
@@ -1466,7 +1466,7 @@ struct CellPlan {
 /// One cell's complete simulation state, stepped through the horizon in
 /// resumable windows.
 ///
-/// The cell owns everything it accumulates — its [`ShardTotals`], its
+/// The cell owns everything it accumulates — its [`Totals`], its
 /// trace events, its wakeup heap, its accrual clocks, its routing and
 /// admission state and every periodic channel — so it can stop at any
 /// window edge and resume exactly, and its series deltas count only its
@@ -1481,7 +1481,7 @@ struct CellSim<'a> {
     shared: &'a Shared<'a>,
     cell_idx: u32,
     /// Everything this cell has accumulated so far.
-    acc: ShardTotals,
+    acc: Totals,
     cell: CellState,
     insts: Vec<InstanceState>,
     phases: Vec<Phase>,
@@ -1615,7 +1615,7 @@ impl<'a> CellSim<'a> {
         prof.reset();
         traffic.draw(shared, table, hi, &mut arrivals);
         prof.mark(PHASE_ROUTE);
-        let acc = ShardTotals::new(n_tenants, shared.lut.num_clocks());
+        let acc = Totals::new(n_tenants, shared.lut.num_clocks());
         let mut sim = Self {
             shared,
             cell_idx,
@@ -2772,7 +2772,7 @@ impl<'a> CellSim<'a> {
     /// End-of-horizon accounting: closes every remaining idle span,
     /// books pending downtime and in-flight KV bytes, and hands back the
     /// cell's totals and trace events.
-    fn finalize(mut self) -> (ShardTotals, Vec<TraceEvent>) {
+    fn finalize(mut self) -> (Totals, Vec<TraceEvent>) {
         let ticks = self.shared.ticks;
         self.accrue_all(ticks);
         let horizon_us = ticks as u64 * self.shared.knobs.tick_us;
@@ -2960,7 +2960,7 @@ impl Planner {
 /// it finished plus its telemetry layers (deterministic series and trace,
 /// wall-clock profile).
 struct Worker {
-    acc: ShardTotals,
+    acc: Totals,
     series: Option<SeriesRecorder>,
     trace: Vec<TraceEvent>,
     prof: ProfTimer,
@@ -2970,7 +2970,7 @@ impl Worker {
     fn new(shared: &Shared<'_>) -> Self {
         let every = shared.series_every;
         Self {
-            acc: ShardTotals::new(shared.cfg.workload.tenants.len(), shared.lut.num_clocks()),
+            acc: Totals::new(shared.cfg.workload.tenants.len(), shared.lut.num_clocks()),
             series: (every > 0).then(|| {
                 SeriesRecorder::new(
                     every as u64 * shared.knobs.tick_us,
@@ -3226,7 +3226,7 @@ pub fn run_sharded_full(
     // addition and the trace gets a total-order sort afterwards, so the
     // bytes do not depend on which worker stepped which cell.
     let merge_start = Instant::now();
-    let mut totals = ShardTotals::new(cfg.workload.tenants.len(), lut.num_clocks());
+    let mut totals = Totals::new(cfg.workload.tenants.len(), lut.num_clocks());
     let mut series: Option<SeriesRecorder> = None;
     let mut trace: Option<Vec<TraceEvent>> = (tel.trace_every > 0).then(Vec::new);
     let mut profile: Option<PhaseProfile> = tel.profile.then(PhaseProfile::new);

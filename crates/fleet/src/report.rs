@@ -14,7 +14,7 @@
 //! accrued a number, only to the integer sums, which is what keeps the
 //! report byte-identical across engines and partitions.
 
-use crate::state::{ShardTotals, TenantTotals};
+use crate::state::{TenantTotals, Totals};
 use litegpu_ctrl::PriorityClass;
 
 /// Per-tenant metadata threaded from the config into the report.
@@ -408,7 +408,7 @@ pub struct FleetReport {
 
 impl FleetReport {
     /// Finalizes merged totals into the public report.
-    pub(crate) fn finalize(totals: &ShardTotals, meta: RunMeta) -> Self {
+    pub(crate) fn finalize(totals: &Totals, meta: RunMeta) -> Self {
         let instance_time_us = meta.instances as u128 * (meta.horizon_s * 1e6) as u128;
         let availability = if instance_time_us == 0 {
             1.0
@@ -733,8 +733,8 @@ impl FleetReport {
 mod tests {
     use super::*;
 
-    fn totals() -> ShardTotals {
-        let mut t = ShardTotals::new(2, 1);
+    fn totals() -> Totals {
+        let mut t = Totals::new(2, 1);
         t.arrived = 100;
         t.completed = 90;
         t.generated_tokens = 45_000;

@@ -126,7 +126,7 @@ impl FailureRates {
     }
 }
 
-/// One tenant's integer accumulators within a [`ShardTotals`]. Merging
+/// One tenant's integer accumulators within a [`Totals`]. Merging
 /// is plain addition, so the merge order cannot affect the result.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct TenantTotals {
@@ -264,7 +264,7 @@ impl KvLinkState {
         bytes: u64,
         span: u64,
         ttfts: &[(u64, u64)],
-        acc: &mut ShardTotals,
+        acc: &mut Totals,
     ) {
         let service =
             ((bytes as u128 * 1_000_000).div_ceil(self.bytes_per_s as u128) as u64).max(1);
@@ -292,7 +292,7 @@ impl KvLinkState {
     /// prefill cost + the full hand-off delay (link queueing,
     /// serialization, and any ticks spent head-of-line waiting for
     /// decode batch room) — against the tenant's SLO.
-    pub fn record_delivery(job: &KvTransfer, now_us: u64, tk: &TenantKnobs, acc: &mut ShardTotals) {
+    pub fn record_delivery(job: &KvTransfer, now_us: u64, tk: &TenantKnobs, acc: &mut Totals) {
         acc.kv_bytes_delivered += job.bytes;
         let delay = now_us.saturating_sub(job.ready_us);
         for &(wait_us, w) in &job.ttfts {
@@ -333,7 +333,7 @@ impl KvLinkState {
 /// cells. Merging is plain addition, so the merge order cannot affect
 /// the result.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub(crate) struct ShardTotals {
+pub(crate) struct Totals {
     pub arrived: u64,
     /// Arrivals not admitted to any queue: queue-full rejections plus
     /// both shed kinds (`routing_shed`, `admission_shed`).
@@ -440,7 +440,7 @@ pub(crate) struct ShardTotals {
     pub per_tenant: Vec<TenantTotals>,
 }
 
-impl ShardTotals {
+impl Totals {
     pub fn new(n_tenants: usize, n_clocks: usize) -> Self {
         Self {
             ttft: LatencyHistogram::new(),
@@ -721,7 +721,7 @@ impl InstanceState {
         tick_us: u64,
         rates: &FailureRates,
         cell: &mut CellState,
-        acc: &mut ShardTotals,
+        acc: &mut Totals,
     ) {
         if !self.up {
             if tick_start_us >= self.down_until_us {
@@ -764,7 +764,7 @@ impl InstanceState {
     /// Takes the instance down at `fail_at` until `down_until_us`
     /// (`u64::MAX` = until a crew dispatch schedules recovery), flushing
     /// running cohorts back to the queue as retries.
-    pub fn force_down(&mut self, fail_at: u64, down_until_us: u64, acc: &mut ShardTotals) {
+    pub fn force_down(&mut self, fail_at: u64, down_until_us: u64, acc: &mut Totals) {
         self.up = false;
         self.down_since_us = fail_at;
         self.down_until_us = down_until_us;
@@ -803,7 +803,7 @@ impl InstanceState {
         n: u64,
         tenant: u16,
         knobs: &ServeKnobs,
-        acc: &mut ShardTotals,
+        acc: &mut Totals,
     ) -> u64 {
         let room = (knobs.max_queue as u64).saturating_sub(self.queued);
         let admitted = n.min(room);
@@ -880,7 +880,7 @@ impl InstanceState {
         clock: u8,
         mut kv: Option<&mut KvLinkState>,
         mut trace: Option<&mut TraceSink>,
-        acc: &mut ShardTotals,
+        acc: &mut Totals,
     ) -> (u64, u64) {
         if !self.up {
             return (0, 0);
@@ -1253,7 +1253,7 @@ mod tests {
         tick: u32,
         lambda: f64,
         knobs: &ServeKnobs,
-        acc: &mut ShardTotals,
+        acc: &mut Totals,
     ) {
         let n = poisson(&mut inst.rng, lambda);
         if n == 0 {
@@ -1268,7 +1268,7 @@ mod tests {
     fn requests_flow_to_completion() {
         let lut = lut();
         let knobs = knobs();
-        let mut acc = ShardTotals::new(1, 1);
+        let mut acc = Totals::new(1, 1);
         let mut inst = InstanceState::new(1, 0, &no_failures(), 1);
         for tick in 0..120u32 {
             poisson_arrivals(&mut inst, tick, 2.0, &knobs, &mut acc);
@@ -1292,7 +1292,7 @@ mod tests {
         let lut = lut();
         let mut knobs = knobs();
         knobs.max_queue = 5;
-        let mut acc = ShardTotals::new(1, 1);
+        let mut acc = Totals::new(1, 1);
         let mut inst = InstanceState::new(2, 0, &no_failures(), 1);
         // Down instance: arrivals accumulate, nothing serves.
         inst.up = false;
@@ -1335,7 +1335,7 @@ mod tests {
                 },
             ],
         };
-        let mut acc = ShardTotals::new(2, 1);
+        let mut acc = Totals::new(2, 1);
         let mut inst = InstanceState::new(3, 0, &no_failures(), 2);
         for tick in 0..200u32 {
             for tenant in 0..2u16 {
@@ -1375,7 +1375,7 @@ mod tests {
         );
         knobs.tenants[0].output_len = LengthDist::geometric(5000);
         knobs.tick_us = lut.prefill_us(2);
-        let mut acc = ShardTotals::new(1, 1);
+        let mut acc = Totals::new(1, 1);
         let mut inst = InstanceState::new(8, 0, &no_failures(), 1);
         inst.push_arrivals(0, 1, 0, &knobs, &mut acc);
         inst.push_arrivals(0, 1, 0, &knobs, &mut acc);
@@ -1389,7 +1389,7 @@ mod tests {
             tenants: vec![knobs.tenants[0]; 2],
             ..knobs.clone()
         };
-        let mut acc = ShardTotals::new(2, 1);
+        let mut acc = Totals::new(2, 1);
         let mut inst = InstanceState::new(8, 0, &no_failures(), 2);
         inst.push_arrivals(0, 1, 0, &knobs2, &mut acc);
         inst.push_arrivals(0, 1, 1, &knobs2, &mut acc);
@@ -1486,7 +1486,7 @@ mod tests {
             swap_us: 1_500_000,    // 1.5 ticks.
             repair_us: 3_600_000_000,
         };
-        let mut acc = ShardTotals::new(1, 1);
+        let mut acc = Totals::new(1, 1);
         let mut cell = CellState::new(1, 1);
         let mut inst = InstanceState::new(3, 0, &rates, 1);
         // Long outputs so the cohorts are still decoding when the
@@ -1531,7 +1531,7 @@ mod tests {
             swap_us: 1_000_000,
             repair_us: 10_000_000,
         };
-        let mut acc = ShardTotals::new(1, 1);
+        let mut acc = Totals::new(1, 1);
         let mut cell = CellState::new(0, 1);
         let mut inst = InstanceState::new(4, 0, &rates, 1);
         inst.next_failure_us = 500_000;
@@ -1557,7 +1557,7 @@ mod tests {
     fn kv_link_prices_queues_and_backpressures() {
         // 1 MB/s link: a 1 MB transfer takes exactly 1 s of link time.
         let mut link = KvLinkState::new(1_000_000, 1_500_000);
-        let mut acc = ShardTotals::new(1, 1);
+        let mut acc = Totals::new(1, 1);
         let tk = knobs().tenants[0];
         link.enqueue(0, 0, 1, 100, 0, 1_000_000, 0, &[(200_000, 1)], &mut acc);
         assert_eq!(acc.kv_transfers, 1);
@@ -1590,7 +1590,7 @@ mod tests {
     fn prefill_phase_hands_off_instead_of_decoding() {
         let lut = lut();
         let knobs = knobs();
-        let mut acc = ShardTotals::new(1, 1);
+        let mut acc = Totals::new(1, 1);
         let mut link = KvLinkState::new(1_000_000_000_000, 1_000_000);
         let mut inst = InstanceState::new(5, 0, &no_failures(), 1);
         acc.arrived += 4;
@@ -1625,7 +1625,7 @@ mod tests {
     fn decode_phase_admits_cohorts_and_never_prefills() {
         let lut = lut();
         let knobs = knobs();
-        let mut acc = ShardTotals::new(1, 1);
+        let mut acc = Totals::new(1, 1);
         let mut inst = InstanceState::new(6, 0, &no_failures(), 1);
         // Queued prompts on a decode instance must not prefill.
         inst.push_arrivals(0, 2, 0, &knobs, &mut acc);
@@ -1655,7 +1655,7 @@ mod tests {
     fn requeued_runs_move_between_instances_without_recounting() {
         let lut = lut();
         let knobs = knobs();
-        let mut acc = ShardTotals::new(1, 1);
+        let mut acc = Totals::new(1, 1);
         let mut decode = InstanceState::new(7, 0, &no_failures(), 1);
         let mut prefill = InstanceState::new(7, 1, &no_failures(), 1);
         // Failure-requeued runs sit on the decode instance's queue.
@@ -1682,7 +1682,7 @@ mod tests {
         let lut = lut();
         let mut knobs = knobs();
         knobs.tick_us = 2_000_000;
-        let mut acc = ShardTotals::new(1, 1);
+        let mut acc = Totals::new(1, 1);
         let mut inst = InstanceState::new(8, 0, &no_failures(), 1);
         // Seed a running batch, then add fresh prompts.
         inst.admit_decode_cohort(&KvTransfer {
@@ -1707,8 +1707,8 @@ mod tests {
 
     #[test]
     fn totals_merge_is_addition() {
-        let mut a = ShardTotals::new(2, 1);
-        let mut b = ShardTotals::new(2, 1);
+        let mut a = Totals::new(2, 1);
+        let mut b = Totals::new(2, 1);
         a.arrived = 5;
         a.ttft.record(1000, 5);
         a.per_tenant[0].arrived = 3;
@@ -1717,10 +1717,10 @@ mod tests {
         b.ttft.record(2000, 7);
         b.per_tenant[0].arrived = 4;
         b.per_tenant[1].ttft.record(900, 1);
-        let mut ab = ShardTotals::new(2, 1);
+        let mut ab = Totals::new(2, 1);
         ab.merge(&a);
         ab.merge(&b);
-        let mut ba = ShardTotals::new(2, 1);
+        let mut ba = Totals::new(2, 1);
         ba.merge(&b);
         ba.merge(&a);
         assert_eq!(ab, ba);
