@@ -1,8 +1,9 @@
 //! Engine-equivalence regression gate: the determinism-suite configs
 //! (mono / split / dvfs, each with and without a chaos campaign, all on
 //! the 3-tenant workload) plus the fleet-balancer, rolling-drain,
-//! power-domain and admission-quota paths must keep producing the exact
-//! report, series and trace bytes pinned below — at 1, 2 and 8 threads.
+//! power-domain, admission-quota and controller-less paths must keep
+//! producing the exact report, series and trace bytes pinned below — at
+//! 1, 2 and 8 threads.
 //!
 //! The first six rows' series/trace hashes were generated from the
 //! original per-tick engine, before the event-queue rewrite; their
@@ -18,8 +19,15 @@
 //! admission quota (`--quota-headroom 0.3`): the quota clamps about an
 //! eighth of the arrivals, and thousands of batches only in part, so it
 //! pins the quota shed that no other row reaches (the default headroom
-//! is unlimited). Any engine change that drifts a single byte of any
-//! artifact fails here.
+//! is unlimited). The three `off_*` rows run without a cell controller
+//! (`--ctrl off` overrides the base `--ctrl auto`; each report says
+//! `"controller": "none"`): every slot keeps its default state, and a
+//! down slot keeps its share of the uniform split (stranded traffic).
+//! `off_mono_chaos` runs rack outages, `off_split_drain` rolling drains,
+//! and `off_split_thermal` thermal clamps on slots at the nominal clock,
+//! where a clamp that lands exactly on a grid point must pin that point.
+//! Any engine change that drifts a single byte of any artifact fails
+//! here.
 //!
 //! A second, library-level golden (`hand_built_chaos_shapes_match_goldens`)
 //! pins chaos schedules that the campaign compiler behind `sim_fleet
@@ -146,6 +154,27 @@ const GOLDEN: &[(&str, &[&str], u64, u64, u64)] = &[
         0xd2e363293f382f5d,
         0x27eb3b71a41649ac,
         0x5ba3d1c0ad966ceb,
+    ),
+    (
+        "off_mono_chaos",
+        &["--ctrl", "off", "--serving", "mono", "--chaos", "rack"],
+        0xa8b2af31f124f575,
+        0x971c130d68a319ff,
+        0xea7b9ab9a0cecefa,
+    ),
+    (
+        "off_split_thermal",
+        &["--ctrl", "off", "--serving", "split", "--chaos", "thermal"],
+        0xc5ed2ad7e24a688c,
+        0xf27f36173c956b35,
+        0x1f27c19f8d4d11c3,
+    ),
+    (
+        "off_split_drain",
+        &["--ctrl", "off", "--serving", "split", "--chaos", "drain"],
+        0x9a23372214fbc774,
+        0x94774da37d6e7671,
+        0x0b7f75dafcf37b8c,
     ),
 ];
 
