@@ -62,6 +62,7 @@
 //! assert!(report.availability > 0.0);
 //! ```
 
+mod config;
 pub mod engine;
 pub mod hist;
 pub mod provision;
