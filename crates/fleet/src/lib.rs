@@ -62,6 +62,7 @@
 //! assert!(report.availability > 0.0);
 //! ```
 
+mod arrivals;
 mod config;
 pub mod engine;
 pub mod hist;
