@@ -91,34 +91,22 @@
 //! churn and takes no lock per tick (a cell reads the shared
 //! `ArrivalTable` once per window).
 
-use crate::arrivals::{ArrivalTable, CellTraffic};
+use crate::arrivals::ArrivalTable;
+use crate::cell::{compile_cell_chaos, CellChaos, CellSim, ProfTimer};
 use crate::config::InstancePower;
 pub use crate::config::{
     ChaosSpec, DomainEvent, DomainEventKind, FleetConfig, KvLink, ServingMode, TelemetryConfig,
 };
 use crate::report::{FleetReport, RunMeta};
-use crate::state::{
-    CellState, FailureRates, InstanceState, KvLinkState, ServeKnobs, TenantTotals, Totals,
-    TraceSink,
-};
+use crate::state::{FailureRates, ServeKnobs, Totals};
 use crate::Result;
 use litegpu_cluster::power_mgmt;
 use litegpu_ctrl::{
-    apportion_into, BalancerConfig, CellObs, ClockPoint, Command, CtrlConfig, FleetCellObs,
-    FleetController, FleetObs, InstanceObs, Mode, Phase, PhaseObs, PriorityClass,
+    BalancerConfig, ClockPoint, FleetCellObs, FleetController, FleetObs, PriorityClass,
 };
 use litegpu_roofline::StepCostTable;
-use litegpu_telemetry::profile::{
-    PHASE_CHAOS, PHASE_CONTROL, PHASE_KV, PHASE_LIFECYCLE, PHASE_MERGE, PHASE_ROUTE, PHASE_SAMPLE,
-    PHASE_SERVE,
-};
-use litegpu_telemetry::{
-    MetricId, MetricKind, PhaseProfile, SeriesRecorder, SpanSampler, TraceEvent,
-};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use litegpu_telemetry::profile::PHASE_MERGE;
+use litegpu_telemetry::{PhaseProfile, SeriesRecorder, TraceEvent};
 use std::ops::Range;
 use std::sync::{Barrier, Mutex, RwLock};
 use std::time::Instant;
@@ -126,19 +114,19 @@ use std::time::Instant;
 /// Phase-split context derived once per run (integer link parameters +
 /// per-phase capacities for the phase-aware autoscaler).
 #[derive(Debug, Clone, Copy)]
-struct SplitShared {
+pub(crate) struct SplitShared {
     prefill_fraction: f64,
     /// Cell link bandwidth, integer bytes/second.
-    kv_bytes_per_s: u64,
+    pub(crate) kv_bytes_per_s: u64,
     /// Back-pressure threshold, µs of link time.
-    kv_max_backlog_us: u64,
-    prefill_capacity_rps: f64,
-    decode_capacity_rps: f64,
+    pub(crate) kv_max_backlog_us: u64,
+    pub(crate) prefill_capacity_rps: f64,
+    pub(crate) decode_capacity_rps: f64,
 }
 
 impl SplitShared {
     /// The static per-cell pool split: at least one slot per pool.
-    fn prefill_slots(&self, cell_slots: usize) -> usize {
+    pub(crate) fn prefill_slots(&self, cell_slots: usize) -> usize {
         ((cell_slots as f64 * self.prefill_fraction).round() as usize).clamp(1, cell_slots - 1)
     }
 }
@@ -146,1773 +134,58 @@ impl SplitShared {
 /// Read-only per-run context shared by every shard.
 pub(crate) struct Shared<'a> {
     pub(crate) cfg: &'a FleetConfig,
-    lut: &'a StepCostTable,
+    pub(crate) lut: &'a StepCostTable,
     /// Ticks in the horizon.
-    ticks: u32,
+    pub(crate) ticks: u32,
     /// Ticks per series window (0 disables the series layer).
-    series_every: u32,
-    knobs: ServeKnobs,
-    rates: FailureRates,
-    power: InstancePower,
-    cap_rps: f64,
+    pub(crate) series_every: u32,
+    pub(crate) knobs: ServeKnobs,
+    pub(crate) rates: FailureRates,
+    pub(crate) power: InstancePower,
+    pub(crate) cap_rps: f64,
     /// DVFS operating points as controllers observe them (empty on
     /// nominal-only runs).
-    clock_points: Vec<ClockPoint>,
+    pub(crate) clock_points: Vec<ClockPoint>,
     /// Index of the nominal clock point in the step-cost table.
-    nominal_ci: u8,
+    pub(crate) nominal_ci: u8,
     /// Phase-split parameters (`None` for monolithic serving).
-    split: Option<SplitShared>,
+    pub(crate) split: Option<SplitShared>,
     /// Tenant indices in admission order (priority class, then
     /// declaration order).
     pub(crate) priority_order: Vec<u16>,
     /// Tenant priority classes, indexed by tenant id.
-    classes: Vec<PriorityClass>,
+    pub(crate) classes: Vec<PriorityClass>,
     /// Per-tenant arrival mean per instance and tick before the tenant's
     /// traffic pattern applies; [`ArrivalTable`] modulates it per tick.
     pub(crate) arrival_base: Vec<f64>,
     /// Per-cell slices of the compiled chaos schedule (empty when the
     /// config has no chaos events).
-    chaos: Vec<CellChaos>,
-}
-
-/// One cell's slice of the compiled chaos schedule. Computed from the
-/// global [`ChaosSpec`] before sharding, so domain membership never
-/// depends on the shard/thread layout; instance indices are cell-local.
-#[derive(Debug, Clone, Default)]
-struct CellChaos {
-    /// Outage events: (breakdown kind index, start_us, end_us, locals).
-    outages: Vec<(usize, u64, u64, Vec<u32>)>,
-    /// Partition windows covering this cell (partitions cut whole cells).
-    partitions: Vec<(u64, u64)>,
-    /// Thermal events: (start_us, end_us, clamp clock index, locals).
-    thermals: Vec<(u64, u64, u8, Vec<u32>)>,
-    /// Drain windows: (start_us, end_us, locals).
-    drains: Vec<(u64, u64, Vec<u32>)>,
-    /// `(start_us / tick_us, index into outages)`, stably sorted by tick:
-    /// the firing order. Same-tick outages keep schedule order, which
-    /// decides which of them takes the cell's spare.
-    outage_ticks: Vec<(u64, usize)>,
-    /// The first tick at or after every window edge (outages included),
-    /// sorted and deduplicated: the only ticks at which the windowed
-    /// state of [`CellSim::windows`] can change.
-    edges: Vec<u64>,
-}
-
-impl CellChaos {
-    fn is_empty(&self) -> bool {
-        self.outages.is_empty()
-            && self.partitions.is_empty()
-            && self.thermals.is_empty()
-            && self.drains.is_empty()
-    }
-}
-
-/// Splits the global chaos schedule into per-cell slices, each with its
-/// outage firing order and window edges on the `tick_us` grid.
-fn compile_cell_chaos(cfg: &FleetConfig, clock_points: &[f64], tick_us: u64) -> Vec<CellChaos> {
-    if cfg.chaos.events.is_empty() {
-        return Vec::new();
-    }
-    let cells = cfg.num_cells() as usize;
-    let mut out = vec![CellChaos::default(); cells];
-    for event in &cfg.chaos.events {
-        let mut by_cell: Vec<Vec<u32>> = vec![Vec::new(); cells];
-        for &g in &event.instances {
-            let c = (g / cfg.cell_size) as usize;
-            by_cell[c].push(g - c as u32 * cfg.cell_size);
-        }
-        for (c, locals) in by_cell.into_iter().enumerate() {
-            if locals.is_empty() {
-                continue;
-            }
-            let (s, e) = (event.start_us, event.end_us);
-            match event.kind {
-                DomainEventKind::RackLoss | DomainEventKind::PowerDomainLoss => {
-                    out[c]
-                        .outages
-                        .push((event.kind.breakdown_index(), s, e, locals));
-                }
-                DomainEventKind::NetworkPartition => out[c].partitions.push((s, e)),
-                DomainEventKind::ThermalExcursion { clamp } => {
-                    out[c]
-                        .thermals
-                        .push((s, e, clamp_clock_idx(clock_points, clamp), locals));
-                }
-                DomainEventKind::RollingDrain => out[c].drains.push((s, e, locals)),
-            }
-        }
-    }
-    for ch in &mut out {
-        let starts = ch.outages.iter().map(|o| o.1 / tick_us);
-        ch.outage_ticks = starts.zip(0..).collect();
-        // Stable: same-tick outages keep schedule order.
-        ch.outage_ticks.sort_by_key(|&(t, _)| t);
-        let windows = ch.outages.iter().map(|o| (o.1, o.2));
-        let windows = windows
-            .chain(ch.partitions.iter().copied())
-            .chain(ch.thermals.iter().map(|t| (t.0, t.1)))
-            .chain(ch.drains.iter().map(|d| (d.0, d.1)));
-        ch.edges = windows
-            .flat_map(|(s, e)| [s.div_ceil(tick_us), e.div_ceil(tick_us)])
-            .collect();
-        ch.edges.sort_unstable();
-        ch.edges.dedup();
-    }
-    out
-}
-
-/// The clock-grid index a thermal clamp pins affected slots to: the
-/// highest operating point not above the clamp, or the grid's lowest
-/// point when the clamp undercuts the whole grid.
-fn clamp_clock_idx(clock_points: &[f64], clamp: f64) -> u8 {
-    let mut lowest = 0;
-    let mut best: Option<usize> = None;
-    for (i, &c) in clock_points.iter().enumerate() {
-        if c < clock_points[lowest] {
-            lowest = i;
-        }
-        if c <= clamp + 1e-9 && best.is_none_or(|b: usize| c > clock_points[b]) {
-            best = Some(i);
-        }
-    }
-    best.unwrap_or(lowest) as u8
-}
-
-/// Administrative state of one instance slot (orthogonal to the failure
-/// lifecycle's up/down).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SlotMode {
-    Live,
-    Warm,
-    Cold,
-    Booting { until_us: u64 },
-}
-
-/// One cell's control-plane runtime: the policy stack, the cell's own
-/// RNG stream, and the administrative state the stack manages. Lives
-/// entirely inside the shard partition.
-struct CellCtl {
-    stack: litegpu_ctrl::ControllerStack,
-    rng: StdRng,
-    modes: Vec<SlotMode>,
-    weights: Vec<u64>,
-    /// Per-slot DVFS operating point (index into the table's clock grid;
-    /// all-nominal without a DVFS policy).
-    clocks: Vec<u8>,
-    arrived_since: u64,
-    arrived_by_class: [u64; 3],
-    allow_best_effort: bool,
-    interval_ticks: u32,
-    warm_up_us: u64,
-    cold_up_us: u64,
-}
-
-impl CellCtl {
-    /// Distinct stream constant so cell-control RNG streams never alias
-    /// the per-instance streams (which mix with a different odd constant).
-    const STREAM: u64 = 0x5EED_C311_0C7A_11E5;
-
-    fn new(
-        ctrl: &CtrlConfig,
-        seed: u64,
-        cell_idx: u32,
-        n_slots: usize,
-        tick_s: f64,
-        nominal_ci: u8,
-    ) -> Self {
-        let rng = StdRng::seed_from_u64(
-            seed ^ Self::STREAM ^ (cell_idx as u64).wrapping_mul(0xD1B5_4A32_D192_ED03),
-        );
-        let (warm_s, cold_s) = ctrl
-            .autoscaler
-            .map(|a| (a.warm_start_s, a.cold_start_s))
-            .unwrap_or((0.0, 0.0));
-        Self {
-            stack: ctrl.build(),
-            rng,
-            modes: vec![SlotMode::Live; n_slots],
-            weights: vec![1; n_slots],
-            clocks: vec![nominal_ci; n_slots],
-            arrived_since: 0,
-            arrived_by_class: [0; 3],
-            allow_best_effort: true,
-            interval_ticks: ((ctrl.control_interval_s / tick_s).round() as u32).max(1),
-            warm_up_us: (warm_s * 1e6).round() as u64,
-            cold_up_us: (cold_s * 1e6).round() as u64,
-        }
-    }
-
-    /// Promotes slots whose activation completed by `now_us`.
-    fn finish_boots(&mut self, now_us: u64) {
-        for m in &mut self.modes {
-            if matches!(m, SlotMode::Booting { until_us } if *until_us <= now_us) {
-                *m = SlotMode::Live;
-            }
-        }
-    }
-}
-
-/// Wall-clock phase timer; each `mark` attributes the time since the
-/// previous mark (or `reset`) to a phase. A disabled timer never reads
-/// the clock, so profiling-off runs pay nothing.
-struct ProfTimer {
-    p: Option<PhaseProfile>,
-    last: Instant,
-}
-
-impl ProfTimer {
-    fn new(enabled: bool) -> Self {
-        Self {
-            p: enabled.then(PhaseProfile::new),
-            last: Instant::now(),
-        }
-    }
-
-    /// Restarts the interval without attributing the elapsed time.
-    fn reset(&mut self) {
-        if self.p.is_some() {
-            self.last = Instant::now();
-        }
-    }
-
-    fn mark(&mut self, phase: usize) {
-        if let Some(p) = self.p.as_mut() {
-            let now = Instant::now();
-            p.record(phase, now.duration_since(self.last).as_nanos() as u64);
-            self.last = now;
-        }
-    }
-}
-
-/// A series counter: its metric name and how to read its monotone
-/// total.
-type Counter<T> = (&'static str, fn(&T) -> u64);
-
-/// The series counters of a cell's [`Totals`], recorded as deltas
-/// per window. The cell owns its totals, so a delta counts exactly the
-/// cell's own work in the window. `ttft_sum_us` reads the 128-bit sum
-/// truncated to 64 bits; deltas wrap, which truncates the 128-bit delta.
-const COUNTERS: [Counter<Totals>; 13] = [
-    ("arrived", |a| a.arrived),
-    ("completed", |a| a.completed),
-    ("rejected", |a| a.rejected),
-    ("admission_shed", |a| a.admission_shed),
-    ("routing_shed", |a| a.routing_shed),
-    ("tokens", |a| a.generated_tokens),
-    ("energy_uj", |a| a.energy_uj),
-    ("failures", |a| a.failures),
-    ("restores", |a| a.restores),
-    ("repairs", |a| a.repairs_dispatched),
-    ("kv_stalls", |a| a.kv_backpressure_stalls),
-    ("ttft_count", |a| a.ttft.total()),
-    ("ttft_sum_us", |a| a.ttft.sum_us() as u64),
-];
-
-/// The per-tenant series counters, recorded as `tenant{t}/{name}`.
-const TENANT_COUNTERS: [Counter<TenantTotals>; 3] = [
-    ("arrived", |t| t.arrived),
-    ("completed", |t| t.completed),
-    ("shed", |t| t.shed),
-];
-
-/// Every series counter's current value in [`SeriesIds::counters`]
-/// order: [`COUNTERS`], then [`TENANT_COUNTERS`] for each tenant.
-fn counter_values(acc: &Totals) -> impl Iterator<Item = u64> + '_ {
-    let tenants = acc.per_tenant.iter();
-    let tenants = tenants.flat_map(|t| TENANT_COUNTERS.iter().map(move |(_, get)| get(t)));
-    COUNTERS.iter().map(|(_, get)| get(acc)).chain(tenants)
-}
-
-/// Pre-resolved metric ids for one cell's sampling: every name is
-/// formatted and resolved once per cell, so each sample instant is pure
-/// array accumulation (no string formatting or map lookups in the tick
-/// loop). Registration happens at cell setup, which also gives the
-/// export a stable schema — e.g. every DVFS grid rung appears even in
-/// windows (or runs) that never touch it.
-struct SeriesIds {
-    /// One id per [`counter_values`] entry.
-    counters: Vec<MetricId>,
-    /// Per-tenant queued gauges.
-    tenant_queued: Vec<MetricId>,
-    queued: MetricId,
-    active: MetricId,
-    up: MetricId,
-    draining: MetricId,
-    repair_pending: MetricId,
-    spares_free: MetricId,
-    /// KV-link backlog µs and in-flight bytes (phase-split cells).
-    kv: Option<(MetricId, MetricId)>,
-    /// Prefill / decode pool sizes (phase-split cells).
-    pools: Option<(MetricId, MetricId)>,
-    ctl: Option<CtlSeriesIds>,
-    /// Per-cell queued, up gauges and arrived, completed counters.
-    per_cell: Option<[MetricId; 4]>,
-}
-
-/// Control-plane slot-mode gauges plus one gauge per DVFS grid rung.
-struct CtlSeriesIds {
-    live: MetricId,
-    warm: MetricId,
-    cold: MetricId,
-    booting: MetricId,
-    clock_live: Vec<MetricId>,
-}
-
-impl SeriesIds {
-    fn new(
-        s: &mut SeriesRecorder,
-        n_tenants: usize,
-        clocks: Option<usize>,
-        has_split: bool,
-        per_cell: Option<u32>,
-    ) -> Self {
-        use MetricKind::{Counter, Gauge};
-        let mut counters: Vec<MetricId> = COUNTERS.iter().map(|c| s.id(c.0, Counter)).collect();
-        for t in 0..n_tenants {
-            for c in &TENANT_COUNTERS {
-                counters.push(s.id(&format!("tenant{t}/{}", c.0), Counter));
-            }
-        }
-        Self {
-            counters,
-            tenant_queued: (0..n_tenants)
-                .map(|t| s.id(&format!("tenant{t}/queued"), Gauge))
-                .collect(),
-            queued: s.id("queued", Gauge),
-            active: s.id("active", Gauge),
-            up: s.id("up", Gauge),
-            draining: s.id("draining", Gauge),
-            repair_pending: s.id("repair_pending", Gauge),
-            spares_free: s.id("spares_free", Gauge),
-            kv: has_split.then(|| {
-                (
-                    s.id("kv_backlog_us", Gauge),
-                    s.id("kv_inflight_bytes", Gauge),
-                )
-            }),
-            pools: has_split.then(|| (s.id("pool_prefill", Gauge), s.id("pool_decode", Gauge))),
-            ctl: clocks.map(|n| CtlSeriesIds {
-                live: s.id("live", Gauge),
-                warm: s.id("warm", Gauge),
-                cold: s.id("cold", Gauge),
-                booting: s.id("booting", Gauge),
-                clock_live: (0..n)
-                    .map(|ci| s.id(&format!("clock{ci}/live"), Gauge))
-                    .collect(),
-            }),
-            per_cell: per_cell.map(|c| {
-                [
-                    s.id(&format!("cell{c}/queued"), Gauge),
-                    s.id(&format!("cell{c}/up"), Gauge),
-                    s.id(&format!("cell{c}/{}", COUNTERS[0].0), Counter),
-                    s.id(&format!("cell{c}/{}", COUNTERS[1].0), Counter),
-                ]
-            }),
-        }
-    }
-}
-
-/// The cell's busy set: slots holding queued or running work. The list
-/// stays sorted: busy slots must serve in index order, because
-/// concurrent prefill completions share one FIFO KV link per cell and
-/// the enqueue order is part of the deterministic byte contract.
-struct BusySet {
-    member: Vec<bool>,
-    list: Vec<u32>,
-}
-
-impl BusySet {
-    /// Inserts `i` (idempotent).
-    fn add(&mut self, i: usize) {
-        if !self.member[i] {
-            self.member[i] = true;
-            let p = self.list.partition_point(|&x| (x as usize) < i);
-            self.list.insert(p, i as u32);
-        }
-    }
-
-    /// Drops `i` if present.
-    fn remove(&mut self, i: usize) {
-        if self.member[i] {
-            self.member[i] = false;
-            if let Ok(p) = self.list.binary_search(&(i as u32)) {
-                self.list.remove(p);
-            }
-        }
-    }
-}
-
-/// The first tick at or after `us`, or `u32::MAX` when that tick lies
-/// at or past the horizon of `ticks` — how a wakeup channel says never.
-fn tick_or_never(us: u64, tick_us: u64, ticks: u32) -> u32 {
-    let t = us.div_ceil(tick_us);
-    if t < ticks as u64 {
-        t as u32
-    } else {
-        u32::MAX
-    }
-}
-
-/// The earliest tick at which a booting slot finishes (`u32::MAX` when
-/// nothing completes inside the horizon): the boot-promotion wakeup
-/// channel, rescanned after every control tick and promotion.
-fn next_boot_tick(modes: &[SlotMode], tick_us: u64, ticks: u32) -> u32 {
-    modes
-        .iter()
-        .filter_map(|m| match m {
-            SlotMode::Booting { until_us } => Some(*until_us),
-            _ => None,
-        })
-        .min()
-        .map_or(u32::MAX, |us| tick_or_never(us, tick_us, ticks))
+    pub(crate) chaos: Vec<CellChaos>,
 }
 
 /// One cell's read-only state published at a fleet-tick boundary: the
 /// fleet-scope observation row plus the cell's own upcoming-window
 /// arrival batches `(tick, tenant, count)` that the planner may spill.
-struct CellSnapshot {
-    obs: FleetCellObs,
-    window: Vec<(u32, u16, u64)>,
+pub(crate) struct CellSnapshot {
+    pub(crate) obs: FleetCellObs,
+    pub(crate) window: Vec<(u32, u16, u64)>,
 }
 
 /// The per-cell outcome of one fleet plan, applied between windows.
 /// Everything in here was computed by the pure planner from published
 /// snapshots only, so applying it is deterministic for any thread count.
 #[derive(Default)]
-struct CellPlan {
+pub(crate) struct CellPlan {
     /// Admission budget for the coming window (`None` = unlimited).
-    quota: Option<u64>,
+    pub(crate) quota: Option<u64>,
     /// Arrival batches to shrink at the source: `(index relative to the
     /// cell's arrival cursor, requests to remove)`.
-    deduct: Vec<(usize, u64)>,
+    pub(crate) deduct: Vec<(usize, u64)>,
     /// Per-destination spill totals booked at the source: `(dst, requests)`.
-    outflow: Vec<(u32, u64)>,
+    pub(crate) outflow: Vec<(u32, u64)>,
     /// Redirected cohorts arriving here: `(tick, tenant, count)`, sorted
     /// by `(tick, admission order, source cell)`.
-    inflow: Vec<(u32, u16, u64)>,
-}
-
-/// One cell's complete simulation state, stepped through the horizon in
-/// resumable windows.
-///
-/// The cell owns everything it accumulates — its [`Totals`], its
-/// trace events, its wakeup heap, its accrual clocks, its routing and
-/// admission state and every periodic channel — so it can stop at any
-/// window edge and resume exactly, and its series deltas count only its
-/// own work. Every per-cell mechanism (routing, KV delivery, the failure
-/// lifecycle and decode retries, control, serving and billing) is a
-/// method on that state. [`run_windows`] builds a
-/// cell on first touch, runs it window by window
-/// ([`CellSim::run_until`]), applies the fleet plan between windows
-/// ([`CellSim::publish`] / [`CellSim::apply_plan`]), and at the horizon
-/// merges it into its worker ([`CellSim::finalize`]) and drops it.
-struct CellSim<'a> {
-    shared: &'a Shared<'a>,
-    cell_idx: u32,
-    /// Everything this cell has accumulated so far.
-    acc: Totals,
-    cell: CellState,
-    insts: Vec<InstanceState>,
-    phases: Vec<Phase>,
-    kv: Option<KvLinkState>,
-    traffic: CellTraffic,
-    ctl: Option<CellCtl>,
-    chaos: Option<&'a CellChaos>,
-    /// Per slot at the current tick: drained, thermal clock clamp (grid
-    /// index, `u8::MAX` when unclamped) and inside an outage window.
-    drained: Vec<bool>,
-    clamp: Vec<u8>,
-    chaos_outed: Vec<bool>,
-    clamp_scratch: Vec<u8>,
-    /// The cell is inside a partition window (windowed state, like the
-    /// per-slot vectors above).
-    partitioned: bool,
-    /// Some slot was forced down this tick (which makes decode retries
-    /// due).
-    forced_down: bool,
-    /// Cursors into the cell's [`CellChaos::outage_ticks`] (the next
-    /// outage to fire) and [`CellChaos::edges`] (the next window edge).
-    outage_ptr: usize,
-    edge_ptr: usize,
-    trace: Option<TraceSink>,
-    series_ids: Option<SeriesIds>,
-    /// [`counter_values`] at the last series sample.
-    snap: Vec<u64>,
-    tenant_scratch: Vec<u64>,
-    /// The wakeup heap over `(tick, local idx)`: `idx == u32::MAX` is a
-    /// generic "process this tick" entry (chaos window edges,
-    /// repair-dispatch readiness); `idx < n` requests that slot's
-    /// failure lifecycle at that tick.
-    heap: BinaryHeap<Reverse<(u32, u32)>>,
-    /// Per slot: the tick up to which idle time is billed.
-    accrued: Vec<u32>,
-    busy: BusySet,
-    lifecycle_now: Vec<u32>,
-    /// The cell's own arrival batches `(tick, tenant, count)` drawn so
-    /// far, up to [`CellTraffic::drawn`], consumed through a cursor.
-    arrivals: Vec<(u32, u16, u64)>,
-    arr_ptr: usize,
-    /// Spilled-in cohorts from other cells, sorted by tick (each window's
-    /// plan is tick-sorted); consumed through a cursor like `arrivals`.
-    inflow: Vec<(u32, u16, u64)>,
-    inflow_ptr: usize,
-    /// Routing buffers of [`Self::route`]: per-slot routing weights,
-    /// per-slot shares of one batch, and [`apportion_into`]'s scratch.
-    eff: Vec<u64>,
-    shares: Vec<u64>,
-    scratch: Vec<(u128, u32)>,
-    /// The fleet admission quota left for the current fleet window
-    /// (`u64::MAX`, unlimited, without a quota directive) and the
-    /// arrivals counted toward the next [`FleetCellObs`] snapshot.
-    quota_left: u64,
-    window_arrived: u64,
-    next_ctrl: u32,
-    next_boot: u32,
-    next_sample: u32,
-    kv_next: u32,
-    kv_blocked: bool,
-    /// Reusable `(batch, slot)` buffer of [`Self::kv`].
-    kv_cands: Vec<(u32, u32)>,
-    decode_retry: bool,
-    /// The next tick to process.
-    tick: u32,
-}
-
-impl<'a> CellSim<'a> {
-    fn new(
-        shared: &'a Shared<'a>,
-        seed: u64,
-        cell_idx: u32,
-        table: &ArrivalTable,
-        hi: u32,
-        series: Option<&mut SeriesRecorder>,
-        prof: &mut ProfTimer,
-    ) -> Self {
-        let cfg = shared.cfg;
-        let n_tenants = cfg.workload.tenants.len();
-        let tick_us = shared.knobs.tick_us;
-        let tel = &cfg.telemetry;
-        let first = cell_idx * cfg.cell_size;
-        let last = (first + cfg.cell_size).min(cfg.instances);
-        let insts: Vec<InstanceState> = (first..last)
-            .map(|g| InstanceState::new(seed, g as u64, &shared.rates, n_tenants))
-            .collect();
-        let n = insts.len();
-        // Phase roles: monolithic cells are all-Mixed; split cells start
-        // at the configured fraction (prefill pool on the low-indexed
-        // stable primaries) and the phase-aware autoscaler rebalances.
-        let phases: Vec<Phase> = match &shared.split {
-            None => vec![Phase::Mixed; n],
-            Some(s) => {
-                let np = s.prefill_slots(n);
-                (0..n)
-                    .map(|i| {
-                        if i < np {
-                            Phase::Prefill
-                        } else {
-                            Phase::Decode
-                        }
-                    })
-                    .collect()
-            }
-        };
-        let ctl = cfg
-            .ctrl
-            .as_ref()
-            .map(|c| CellCtl::new(c, seed, cell_idx, n, cfg.tick_s, shared.nominal_ci));
-        let chaos = shared
-            .chaos
-            .get(cell_idx as usize)
-            .filter(|c| !c.is_empty());
-        // Resolve this cell's metric ids once: re-resolution across
-        // cells is idempotent, and the tick loop then samples by index.
-        let series_ids = series.map(|s| {
-            SeriesIds::new(
-                s,
-                n_tenants,
-                ctl.is_some().then(|| shared.lut.num_clocks()),
-                shared.split.is_some(),
-                tel.per_cell_series.then_some(cell_idx),
-            )
-        });
-        // The first window of arrivals, drawn as the cell is built and
-        // before its remaining buffers: drawing it after them measurably
-        // raised the peak RSS of one-window runs (heap placement). Later
-        // windows come from `Self::draw`.
-        let mut traffic = CellTraffic::new(seed, cell_idx, cfg);
-        let mut arrivals = Vec::new();
-        prof.reset();
-        traffic.draw(shared, table, hi, &mut arrivals);
-        prof.mark(PHASE_ROUTE);
-        let acc = Totals::new(n_tenants, shared.lut.num_clocks());
-        let mut sim = Self {
-            shared,
-            cell_idx,
-            snap: counter_values(&acc).collect(),
-            acc,
-            cell: CellState::new(cfg.spares_per_cell, cfg.repair_crews_per_cell),
-            insts,
-            phases,
-            kv: shared
-                .split
-                .as_ref()
-                .map(|s| KvLinkState::new(s.kv_bytes_per_s, s.kv_max_backlog_us)),
-            traffic,
-            next_ctrl: ctl.as_ref().map_or(u32::MAX, |c| c.interval_ticks),
-            ctl,
-            chaos,
-            drained: vec![false; n],
-            clamp: vec![u8::MAX; n],
-            chaos_outed: vec![false; n],
-            clamp_scratch: vec![u8::MAX; n],
-            partitioned: false,
-            forced_down: false,
-            outage_ptr: 0,
-            edge_ptr: 0,
-            trace: (tel.trace_every > 0).then(|| TraceSink {
-                buf: Vec::new(),
-                sampler: SpanSampler::new(tel.trace_every),
-                cell: cell_idx,
-            }),
-            series_ids,
-            tenant_scratch: vec![0; n_tenants],
-            heap: BinaryHeap::new(),
-            accrued: vec![0; n],
-            busy: BusySet {
-                member: vec![false; n],
-                list: Vec::new(),
-            },
-            lifecycle_now: Vec::new(),
-            arrivals,
-            arr_ptr: 0,
-            inflow: Vec::new(),
-            inflow_ptr: 0,
-            eff: Vec::with_capacity(n),
-            shares: Vec::with_capacity(n),
-            scratch: Vec::with_capacity(n),
-            quota_left: u64::MAX,
-            window_arrived: 0,
-            next_boot: u32::MAX,
-            next_sample: shared.series_every.checked_sub(1).unwrap_or(u32::MAX),
-            kv_next: u32::MAX,
-            kv_blocked: false,
-            kv_cands: Vec::new(),
-            decode_retry: false,
-            tick: 0,
-        };
-        for i in 0..n {
-            sim.wake(sim.insts[i].next_failure_at_us() / tick_us, i as u32);
-        }
-        if let Some(ch) = chaos {
-            // Chaos window edges are static: schedule every edge that
-            // must be observed at its exact tick. Outages fire at the
-            // tick containing their start; the other windows matter
-            // from the first tick at or after each edge.
-            for &(t, _) in &ch.outage_ticks {
-                sim.wake(t, u32::MAX);
-            }
-            for &(start, _) in &ch.partitions {
-                sim.wake(start.div_ceil(tick_us), u32::MAX);
-            }
-            for (start, end, _) in &ch.drains {
-                sim.wake(start.div_ceil(tick_us), u32::MAX);
-                sim.wake(end.div_ceil(tick_us), u32::MAX);
-            }
-            for (start, end, _, _) in &ch.thermals {
-                sim.wake(start.div_ceil(tick_us), u32::MAX);
-                sim.wake(end.div_ceil(tick_us), u32::MAX);
-            }
-        }
-        sim
-    }
-
-    /// Schedules tick `t` — for slot `idx`'s failure lifecycle, or just
-    /// to process the tick when `idx == u32::MAX`. Ticks at or past the
-    /// horizon are dropped.
-    fn wake(&mut self, t: u64, idx: u32) {
-        if t < self.shared.ticks as u64 {
-            self.heap.push(Reverse((t as u32, idx)));
-        }
-    }
-
-    /// Slot `i`'s administrative mode (always live without a control
-    /// plane).
-    fn mode(&self, i: usize) -> SlotMode {
-        self.ctl.as_ref().map_or(SlotMode::Live, |c| c.modes[i])
-    }
-
-    /// Slot `i`'s operating point: its DVFS clock (nominal without a
-    /// control plane) capped by any thermal clamp. The grid is priced
-    /// whenever any thermal event exists.
-    fn clock(&self, i: usize) -> usize {
-        self.ctl
-            .as_ref()
-            .map_or(self.shared.nominal_ci, |c| c.clocks[i])
-            .min(self.clamp[i]) as usize
-    }
-
-    /// Slots out of service by announced chaos: drained or inside an
-    /// outage window.
-    fn chaos_down(&self) -> u32 {
-        self.drained
-            .iter()
-            .zip(&self.chaos_outed)
-            .filter(|(&d, &o)| d || o)
-            .count() as u32
-    }
-
-    /// Appends `ev` to the cell's trace when tracing is on.
-    fn emit(&mut self, ev: TraceEvent) {
-        if let Some(ts) = self.trace.as_mut() {
-            ts.buf.push(ev);
-        }
-    }
-
-    /// Lazily bills slot `i`'s idle ticks `[accrued[i], to)` at its
-    /// current administrative mode — the event engine's replacement for
-    /// the tick loop's per-tick energy walk over every instance, and the
-    /// only code that prices a tick per slot mode ([`Self::serve`] bills
-    /// busy ticks through it too).
-    ///
-    /// Exactness rests on two facts. First, an idle instance's serve was
-    /// a pure no-op (`spent == 0`, no RNG draw, `carry_us` already zero),
-    /// so a Live idle tick billed exactly the static floor plus one
-    /// live/clock/phase tick and a Warm or Booting tick exactly the
-    /// floor. Second, every input of that per-tick amount (`up`, mode,
-    /// clock, clamp, phase) is constant across the span, because each
-    /// mutation site runs behind an accrual barrier: the failure
-    /// lifecycle and chaos outages accrue the instance first, control
-    /// ticks, boot promotions and thermal-clamp changes accrue the whole
-    /// cell first, and the serve path closes its own span every busy
-    /// tick (serving itself changes none of these inputs).
-    fn accrue(&mut self, i: usize, to: u32) {
-        let from = self.accrued[i];
-        if to <= from {
-            return;
-        }
-        self.accrued[i] = to;
-        // A down instance draws nothing (its unit is out for swap or
-        // repair), and neither does a gated (cold) one — the §3 win.
-        if !self.insts[i].up {
-            return;
-        }
-        let k = (to - from) as u64;
-        let e = self.shared.power.idle_mw * self.shared.knobs.tick_us / 1000;
-        let (mode, ci) = (self.mode(i), self.clock(i));
-        let acc = &mut self.acc;
-        match mode {
-            SlotMode::Live => {
-                acc.energy_uj += e * k;
-                acc.idle_energy_uj += e * k;
-                acc.live_ticks += k;
-                acc.clock_ticks[ci] += k;
-                match self.phases[i] {
-                    Phase::Prefill => acc.prefill_live_ticks += k,
-                    Phase::Decode => acc.decode_live_ticks += k,
-                    Phase::Mixed => {}
-                }
-            }
-            SlotMode::Warm | SlotMode::Booting { .. } => {
-                acc.energy_uj += e * k;
-                acc.idle_energy_uj += e * k;
-            }
-            SlotMode::Cold => {}
-        }
-    }
-
-    /// Closes every slot's open idle span at `to`.
-    fn accrue_all(&mut self, to: u32) {
-        for i in 0..self.insts.len() {
-            self.accrue(i, to);
-        }
-    }
-
-    /// Steps this cell until its clock reaches `until`. Each processed
-    /// tick runs the seven phases in order — [`Self::chaos`],
-    /// [`Self::lifecycle`], [`Self::control`], [`Self::kv`],
-    /// [`Self::route`], [`Self::serve`], [`Self::sample`] — each a no-op
-    /// when nothing of its kind is due, then jumps to the next tick with
-    /// work ([`Self::next_tick`]). The cell may stop *past* `until` after
-    /// an idle jump; the next window resumes from there.
-    fn run_until(
-        &mut self,
-        until: u32,
-        mut series: Option<&mut SeriesRecorder>,
-        prof: &mut ProfTimer,
-    ) {
-        while self.tick < until {
-            prof.reset();
-            self.chaos();
-            prof.mark(PHASE_CHAOS);
-            self.lifecycle();
-            prof.mark(PHASE_LIFECYCLE);
-            self.control();
-            prof.mark(PHASE_CONTROL);
-            self.kv();
-            prof.mark(PHASE_KV);
-            self.route();
-            prof.mark(PHASE_ROUTE);
-            self.serve();
-            prof.mark(PHASE_SERVE);
-            self.sample(series.as_deref_mut());
-            prof.mark(PHASE_SAMPLE);
-            self.tick = self.next_tick();
-        }
-    }
-
-    /// Chaos phase: returns repaired units to the spare pool, hands every
-    /// ready repair job to a crew, then applies the campaign at this
-    /// tick ([`Self::outages`], [`Self::windows`]).
-    fn chaos(&mut self) {
-        let tick_us = self.shared.knobs.tick_us;
-        let t_start = self.tick as u64 * tick_us;
-        self.cell.reclaim_repaired(t_start);
-        for job in self
-            .cell
-            .dispatch_repairs(t_start, self.shared.rates.repair_us)
-        {
-            self.acc.repairs_dispatched += 1;
-            self.acc.repair_wait_us += job.wait_us;
-            if !job.replenish {
-                self.insts[job.local_idx as usize].schedule_recovery(job.done_us);
-                // The recovery can already be due this tick (a
-                // zero-length repair); the lifecycle phase drains the
-                // heap after this one, so a same-tick wakeup still runs.
-                let rt = job.done_us.div_ceil(tick_us).max(self.tick as u64);
-                self.wake(rt, job.local_idx);
-            }
-            self.emit(TraceEvent::complete(
-                "chaos",
-                "repair",
-                t_start,
-                job.done_us.saturating_sub(t_start),
-                self.cell_idx,
-                job.local_idx,
-                job.wait_us,
-            ));
-        }
-        self.forced_down = false;
-        if let Some(ch) = self.chaos {
-            self.outages(ch);
-            self.windows(ch, t_start);
-        }
-    }
-
-    /// Correlated outages fire once, at the tick containing their window
-    /// start (a wakeup, and processed ticks only move forward, so the
-    /// tick is exact), popped in firing order from the cell's outage
-    /// cursor: every affected up instance goes down for the window.
-    /// Spares apply, but the swap can only run once the domain is back,
-    /// so spare recovery lands at window end + swap; either way the
-    /// repair crew is requested for window end.
-    fn outages(&mut self, ch: &CellChaos) {
-        let tick_us = self.shared.knobs.tick_us;
-        let tick = self.tick;
-        while let Some(&(t, oi)) = ch.outage_ticks.get(self.outage_ptr) {
-            if t > tick as u64 {
-                break;
-            }
-            debug_assert_eq!(t, tick as u64, "every outage start tick is a wakeup");
-            self.outage_ptr += 1;
-            let (kind, start, end, locals) = &ch.outages[oi];
-            self.emit(TraceEvent::complete(
-                "chaos",
-                if *kind == 2 {
-                    "power_outage"
-                } else {
-                    "rack_outage"
-                },
-                *start,
-                end - start,
-                self.cell_idx,
-                locals.first().copied().unwrap_or(0),
-                locals.len() as u64,
-            ));
-            for &li in locals {
-                let iu = li as usize;
-                if !self.insts[iu].up {
-                    continue;
-                }
-                self.accrue(iu, tick);
-                self.acc.failures += 1;
-                self.acc.by_kind[*kind] += 1;
-                let spare = self.cell.try_take_spare();
-                let until = if spare {
-                    self.acc.spare_hits += 1;
-                    end.saturating_add(self.shared.rates.swap_us.max(1))
-                } else {
-                    self.acc.spare_misses += 1;
-                    u64::MAX
-                };
-                self.insts[iu].force_down(*start, until, &mut self.acc);
-                self.cell.enqueue_repair(*end, li, spare);
-                self.wake(self.insts[iu].down_until_at_us().div_ceil(tick_us), li);
-                // The repair job becomes dispatchable at the first tick
-                // whose start reaches the window end.
-                self.wake(end.div_ceil(tick_us).max(tick as u64 + 1), u32::MAX);
-                self.forced_down = true;
-                self.busy.remove(iu);
-            }
-        }
-    }
-
-    /// The windowed campaign state at this tick: partitions, drains and
-    /// thermal clamps, plus which slots sit inside an outage window. A
-    /// window is active while `start <= t_start < end`, so the state is
-    /// a step function of the tick that only changes at the cell's
-    /// [`CellChaos::edges`]: it is recomputed on the first processed tick
-    /// at or past an edge and otherwise left as it is. Partition starts
-    /// and drain and thermal edges are wakeups and processed ticks only
-    /// move forward, so a window's first active tick is
-    /// `start.div_ceil(tick_us)` — where its event is counted and traced
-    /// — and a drain that was ever active restores at
-    /// `end.div_ceil(tick_us)`. A partition end needs no wakeup: nothing
-    /// is counted or traced there, and the next processed tick's
-    /// recompute clears `partitioned`.
-    fn windows(&mut self, ch: &CellChaos, t_start: u64) {
-        let tick_us = self.shared.knobs.tick_us;
-        let tick = self.tick as u64;
-        if ch.edges.get(self.edge_ptr).is_none_or(|&e| e > tick) {
-            return;
-        }
-        self.edge_ptr += ch.edges[self.edge_ptr..].partition_point(|&e| e <= tick);
-        let active = |s: u64, e: u64| s <= t_start && t_start < e;
-        let first = |edge: u64| edge.div_ceil(tick_us) == tick;
-        self.partitioned = false;
-        for &(start, end) in &ch.partitions {
-            if active(start, end) {
-                self.partitioned = true;
-                if first(start) {
-                    self.acc.by_kind[3] += 1; // DomainKind::Partition.
-                    self.emit(TraceEvent::complete(
-                        "chaos",
-                        "partition",
-                        start,
-                        end - start,
-                        self.cell_idx,
-                        0,
-                        self.insts.len() as u64,
-                    ));
-                }
-            }
-        }
-        self.drained.fill(false);
-        for &(start, end, ref locals) in &ch.drains {
-            let lead = locals.first().copied().unwrap_or(0);
-            if active(start, end) {
-                if first(start) {
-                    self.acc.drains += locals.len() as u64;
-                    self.emit(TraceEvent::complete(
-                        "chaos",
-                        "drain",
-                        start,
-                        end - start,
-                        self.cell_idx,
-                        lead,
-                        locals.len() as u64,
-                    ));
-                }
-                for &li in locals {
-                    self.drained[li as usize] = true;
-                }
-            } else if first(end) && start.div_ceil(tick_us) < end.div_ceil(tick_us) {
-                self.acc.drain_restores += locals.len() as u64;
-                self.emit(TraceEvent::instant(
-                    "chaos",
-                    "drain_restore",
-                    end,
-                    self.cell_idx,
-                    lead,
-                    locals.len() as u64,
-                ));
-            }
-        }
-        self.clamp_scratch.fill(u8::MAX);
-        for &(start, end, cci, ref locals) in &ch.thermals {
-            if active(start, end) {
-                if first(start) {
-                    self.acc.by_kind[4] += 1; // DomainKind::Thermal.
-                    self.emit(TraceEvent::complete(
-                        "chaos",
-                        "thermal",
-                        start,
-                        end - start,
-                        self.cell_idx,
-                        locals.first().copied().unwrap_or(0),
-                        locals.len() as u64,
-                    ));
-                }
-                for &li in locals {
-                    let c = &mut self.clamp_scratch[li as usize];
-                    *c = (*c).min(cci);
-                }
-            }
-        }
-        if self.clamp_scratch != self.clamp {
-            // A clamp change re-prices Live idle ticks (the clock-tick
-            // attribution): close every open accrual span at the old
-            // operating points before committing the new clamps.
-            self.accrue_all(self.tick);
-            self.clamp.copy_from_slice(&self.clamp_scratch);
-        }
-        self.chaos_outed.fill(false);
-        for (_, start, end, locals) in &ch.outages {
-            if active(*start, *end) {
-                for &li in locals {
-                    self.chaos_outed[li as usize] = true;
-                }
-            }
-        }
-    }
-
-    /// Lifecycle phase: runs the failure lifecycle of every slot with a
-    /// wakeup due at this tick, schedules each state change's follow-up
-    /// wakeups, then re-routes work failed decode slots left queued.
-    fn lifecycle(&mut self) {
-        let tick = self.tick;
-        let tick_us = self.shared.knobs.tick_us;
-        let t_start = tick as u64 * tick_us;
-        self.lifecycle_now.clear();
-        while let Some(&Reverse((t, i))) = self.heap.peek() {
-            if t > tick {
-                break;
-            }
-            self.heap.pop();
-            // Dedup duplicate instance wakeups: equal entries pop
-            // adjacently, and a doubled lifecycle call could
-            // recover-and-refail within one tick where the tick loop
-            // called it exactly once.
-            if i != u32::MAX && self.lifecycle_now.last() != Some(&i) {
-                self.lifecycle_now.push(i);
-            }
-        }
-        for k in 0..self.lifecycle_now.len() {
-            let i = self.lifecycle_now[k];
-            let iu = i as usize;
-            let was_up = self.insts[iu].up;
-            self.accrue(iu, tick);
-            self.insts[iu].lifecycle(
-                i,
-                t_start,
-                tick_us,
-                &self.shared.rates,
-                &mut self.cell,
-                &mut self.acc,
-            );
-            let up = self.insts[iu].up;
-            if was_up && !up {
-                self.forced_down = true;
-                self.wake(self.insts[iu].down_until_at_us().div_ceil(tick_us), i);
-                // The failure enqueued a repair job, dispatchable at the
-                // next tick at the earliest (this tick's dispatch already
-                // ran).
-                self.wake(tick as u64 + 1, u32::MAX);
-                self.busy.remove(iu);
-            } else if !was_up && up {
-                // Recovered. The lifecycle returns after a recovery, so a
-                // next-failure time already in the past still fails no
-                // earlier than the next tick.
-                let nf = self.insts[iu].next_failure_at_us() / tick_us;
-                self.wake(nf.max(tick as u64 + 1), i);
-                if !self.insts[iu].is_idle() {
-                    self.busy.add(iu);
-                }
-            }
-        }
-        // A failed decode instance's requeued work (KV lost) must go
-        // back through the prefill pool — decode slots never prefill, so
-        // anything the lifecycle parked on their queue re-routes.
-        // Decode-side queues only ever appear through a force-down flush,
-        // so the sweep is due exactly on force-down ticks and while a
-        // previous sweep left work unplaced (`decode_retry` then forces
-        // every tick until the pool can take it).
-        //
-        // Target: the least-queued prefill slot that is up and actually
-        // serving, ties to the lowest index; parking the work behind a
-        // down or parked "prefill" slot would strand it for the whole
-        // repair. With no such slot (rebalance in flight, pool down) the
-        // runs stay on the source and re-route on a later tick — admitted
-        // work is never dropped. The runs were admitted once already, so
-        // the queue cap does not re-apply and no routing counters move.
-        if self.shared.split.is_some() && (self.forced_down || self.decode_retry) {
-            self.decode_retry = false;
-            for i in 0..self.insts.len() {
-                if self.phases[i] != Phase::Decode || self.insts[i].queued() == 0 {
-                    continue;
-                }
-                let target = (0..self.insts.len())
-                    .filter(|&j| {
-                        self.phases[j] == Phase::Prefill
-                            && self.insts[j].up
-                            && self.mode(j) == SlotMode::Live
-                    })
-                    .min_by_key(|&j| (self.insts[j].queued(), j));
-                match target {
-                    Some(j) => {
-                        let runs = self.insts[i].take_queued_runs();
-                        self.insts[j].accept_requeued_runs(runs);
-                        self.busy.add(j);
-                    }
-                    None => self.decode_retry = true,
-                }
-            }
-        }
-    }
-
-    /// Control phase: promotes finished boots, and on control ticks runs
-    /// the cell's controller stack ([`Self::control_tick`]). Both change
-    /// accrual inputs (modes, clocks, phases), so every open idle span
-    /// closes first. Without a control plane `next_boot`/`next_ctrl` stay
-    /// at `u32::MAX` and neither fires.
-    fn control(&mut self) {
-        let tick = self.tick;
-        let tick_us = self.shared.knobs.tick_us;
-        if tick >= self.next_boot {
-            self.accrue_all(tick);
-            if let Some(c) = self.ctl.as_mut() {
-                c.finish_boots(tick as u64 * tick_us);
-                self.next_boot = next_boot_tick(&c.modes, tick_us, self.shared.ticks);
-            }
-        }
-        if tick == self.next_ctrl {
-            self.accrue_all(tick);
-            self.control_tick();
-        }
-    }
-
-    /// Runs one control tick: observes the cell, consults the policy
-    /// stack, applies its commands, and re-arms the control and boot
-    /// wakeups.
-    fn control_tick(&mut self) {
-        let shared = self.shared;
-        let tick = self.tick;
-        let t_start_us = tick as u64 * shared.knobs.tick_us;
-        // The control plane observes announced chaos state (active
-        // outage windows + drains) so the autoscaler can hold
-        // replacement capacity live instead of parking it into the
-        // blast radius.
-        let chaos_down = self.chaos_down();
-        let Some(c) = self.ctl.as_mut() else {
-            return;
-        };
-        let mut obs = CellObs::new(tick, c.interval_ticks as f64 * shared.cfg.tick_s);
-        obs.arrived_since_last = core::mem::take(&mut c.arrived_since);
-        obs.arrived_by_class = core::mem::take(&mut c.arrived_by_class);
-        obs.capacity_rps_per_instance = shared.cap_rps;
-        obs.max_queue = shared.knobs.max_queue;
-        obs.chaos_down = chaos_down;
-        obs.phase_split = shared.split.as_ref().map(|s| PhaseObs {
-            prefill_capacity_rps: s.prefill_capacity_rps,
-            decode_capacity_rps: s.decode_capacity_rps,
-            kv_backlog_us: self.kv.as_ref().map_or(0, |k| k.backlog_us(t_start_us)),
-        });
-        obs.clock_points = shared.clock_points.clone();
-        obs.slots = c
-            .modes
-            .iter()
-            .zip(&self.insts)
-            .zip(&self.phases)
-            .zip(&c.clocks)
-            .map(|(((m, inst), &phase), &clock)| InstanceObs {
-                mode: if !inst.up {
-                    Mode::Down
-                } else {
-                    match m {
-                        SlotMode::Live => Mode::Live,
-                        SlotMode::Warm => Mode::Warm,
-                        SlotMode::Cold => Mode::Cold,
-                        SlotMode::Booting { .. } => Mode::Booting,
-                    }
-                },
-                phase,
-                clock,
-                queued: inst.queued(),
-                active: inst.active(),
-            })
-            .collect();
-        // Every state-*changing* command becomes one control-plane trace
-        // instant, emitted by the arm that applies it (so tracing costs
-        // nothing on the no-op path). Policies re-assert idempotent
-        // state each tick (the gater paints every parked slot cold, the
-        // router re-sends unchanged weights); tracing only transitions
-        // keeps every state change in the timeline without drowning it
-        // — or the hot loop — in no-op re-assertions. Effectiveness is
-        // pure cell-local sim state, so the filter stays shard-invariant.
-        let (cell, tick_arg) = (self.cell_idx, tick as u64);
-        let trace_cmd = |trace: &mut Option<TraceSink>, kind: &'static str, slot: u32| {
-            if let Some(ts) = trace {
-                ts.buf.push(TraceEvent::instant(
-                    "ctrl", kind, t_start_us, cell, slot, tick_arg,
-                ));
-            }
-        };
-        let (insts, acc, trace) = (&self.insts, &mut self.acc, &mut self.trace);
-        for cmd in c.stack.control(&obs, &mut c.rng) {
-            match cmd {
-                Command::Activate { slot } => {
-                    let s = slot as usize;
-                    if s >= c.modes.len() {
-                        continue;
-                    }
-                    let boot_us = match c.modes[s] {
-                        SlotMode::Warm => c.warm_up_us,
-                        SlotMode::Cold => c.cold_up_us,
-                        _ => continue,
-                    };
-                    c.modes[s] = if boot_us == 0 {
-                        SlotMode::Live
-                    } else {
-                        SlotMode::Booting {
-                            until_us: t_start_us.saturating_add(boot_us),
-                        }
-                    };
-                    acc.scale_ups += 1;
-                    trace_cmd(trace, "activate", slot);
-                }
-                Command::Park { slot } => {
-                    let s = slot as usize;
-                    if s < insts.len()
-                        && c.modes[s] == SlotMode::Live
-                        && insts[s].up
-                        && insts[s].is_idle()
-                    {
-                        // Parking alone keeps the instance powered at its
-                        // idle floor; only a power-gating policy's SetCold
-                        // (issued later in this same command batch) may
-                        // drop it to zero draw. Without a gater, parked
-                        // capacity correctly keeps paying the floor.
-                        c.modes[s] = SlotMode::Warm;
-                        acc.scale_downs += 1;
-                        trace_cmd(trace, "park", slot);
-                    }
-                }
-                Command::SetWarm { slot } => {
-                    if let Some(m @ SlotMode::Cold) = c.modes.get_mut(slot as usize) {
-                        *m = SlotMode::Warm;
-                        trace_cmd(trace, "set_warm", slot);
-                    }
-                }
-                Command::SetCold { slot } => {
-                    if let Some(m @ SlotMode::Warm) = c.modes.get_mut(slot as usize) {
-                        *m = SlotMode::Cold;
-                        trace_cmd(trace, "set_cold", slot);
-                    }
-                }
-                Command::SetWeights { weights } if weights.len() == c.modes.len() => {
-                    if trace.is_some() && weights != c.weights {
-                        trace_cmd(trace, "set_weights", u32::MAX);
-                    }
-                    c.weights = weights;
-                }
-                Command::SetAdmission { allow_best_effort } => {
-                    if trace.is_some() && allow_best_effort != c.allow_best_effort {
-                        trace_cmd(trace, "set_admission", u32::MAX);
-                    }
-                    c.allow_best_effort = allow_best_effort;
-                }
-                Command::SetPhase { slot, phase } => {
-                    // Phase moves apply only to idle slots: migrating a
-                    // live KV batch or queued prompts between pools is
-                    // not modeled, so busy slots converge as they drain.
-                    let s = slot as usize;
-                    if s < insts.len()
-                        && shared.split.is_some()
-                        && self.phases[s] != phase
-                        && phase != Phase::Mixed
-                        && insts[s].is_idle()
-                    {
-                        self.phases[s] = phase;
-                        acc.phase_rebalances += 1;
-                        trace_cmd(trace, "set_phase", slot);
-                    }
-                }
-                Command::SetClock { slot, clock } => {
-                    // Retunes take effect at the next data tick; an
-                    // out-of-grid index is a controller bug and ignored.
-                    let s = slot as usize;
-                    if s < insts.len()
-                        && (clock as usize) < shared.lut.num_clocks()
-                        && c.clocks[s] != clock
-                    {
-                        c.clocks[s] = clock;
-                        acc.clock_retunes += 1;
-                        trace_cmd(trace, "set_clock", slot);
-                    }
-                }
-                // `Command` is #[non_exhaustive]; a variant this engine
-                // doesn't know is ignored (commands are advisory).
-                _ => {}
-            }
-        }
-        self.next_ctrl = self.next_ctrl.saturating_add(c.interval_ticks);
-        self.next_boot = next_boot_tick(&c.modes, shared.knobs.tick_us, shared.ticks);
-    }
-
-    /// KV phase: delivers landed KV transfers into the decode pool, FIFO.
-    /// A transfer waits (head-of-line) until some live decode instance
-    /// has batch room; the target is the least-loaded live decode slot,
-    /// ties to the lowest index — a deterministic choice from cell-local
-    /// state only. TTFT is recorded here, so the wait for decode batch
-    /// room lands in it. Without a KV link `kv_next` stays at `u32::MAX`
-    /// and `kv_blocked` false, so this never fires.
-    ///
-    /// The eligible slots (decode phase, up, serving, not drained) are
-    /// gathered once per call into `kv_cands` as `(batch, slot)`: nothing
-    /// in here changes eligibility, and a delivery only grows its
-    /// target's batch, so each transfer scans the candidates alone.
-    fn kv(&mut self) {
-        let now_us = self.tick as u64 * self.shared.knobs.tick_us;
-        let due = self.kv_blocked || self.tick >= self.kv_next;
-        let Some(link) = self.kv.as_mut().filter(|_| due) else {
-            return;
-        };
-        if link.peek_landed(now_us).is_some() {
-            let ctl = self.ctl.as_ref();
-            self.kv_cands.clear();
-            self.kv_cands.extend(
-                (self.insts.iter().enumerate())
-                    .filter(|&(i, s)| {
-                        self.phases[i] == Phase::Decode
-                            && s.up
-                            && ctl.is_none_or(|c| c.modes[i] == SlotMode::Live)
-                            && !self.drained[i]
-                    })
-                    .map(|(i, s)| (s.active(), i as u32)),
-            );
-            let max_batch = self.shared.lut.max_batch;
-            while let Some(job) = link.peek_landed(now_us) {
-                let room = self
-                    .kv_cands
-                    .iter_mut()
-                    .filter(|c| c.0 + job.count <= max_batch);
-                let Some(c) = room.min() else {
-                    break;
-                };
-                c.0 += job.count;
-                let i = c.1 as usize;
-                let job = link.pop().expect("peeked");
-                let tk = &self.shared.knobs.tenants[job.tenant as usize];
-                KvLinkState::record_delivery(&job, now_us, tk, &mut self.acc);
-                if let Some(ts) = self.trace.as_mut() {
-                    if ts.sampler.sampled(job.span) {
-                        let tid = self.insts[i].global_index();
-                        ts.buf.push(TraceEvent::async_end(
-                            "req",
-                            "kv_transfer",
-                            now_us,
-                            ts.cell,
-                            tid,
-                            job.span,
-                            job.bytes,
-                        ));
-                        ts.buf.push(TraceEvent::async_begin(
-                            "req",
-                            "decode",
-                            now_us,
-                            ts.cell,
-                            tid,
-                            job.span,
-                            job.count as u64,
-                        ));
-                    }
-                }
-                self.insts[i].admit_decode_cohort(&job);
-                self.busy.add(i);
-            }
-        }
-        // A landed head with no decode room blocks FIFO: the next tick
-        // must process another delivery attempt.
-        self.kv_blocked = link.peek_landed(now_us).is_some();
-    }
-
-    /// Route phase: routes this tick's arrival batches, the cell's own
-    /// first and then the cohorts other cells spilled here — a fixed,
-    /// deterministic admission order — in priority order with exact
-    /// largest-remainder splits.
-    ///
-    /// Controlled cells route over live instances by the
-    /// (control-tick-stale) weights and apply admission control;
-    /// uncontrolled cells split uniformly over **all** instances — no
-    /// router means a down instance's share queues behind it (stranded
-    /// traffic, exactly what the router exists to fix). Under
-    /// phase-split serving, queue room is granted to the prefill pool
-    /// only: decode instances receive their work over the KV link, never
-    /// the front door. Chaos: a partitioned cell sheds every arrival at
-    /// the front door (attributed to `partition_shed`), and drained
-    /// slots take no new routing regardless of controller presence — a
-    /// drain is a planned, announced exclusion, unlike a silent failure.
-    /// Once a fleet window's admission quota is spent, further
-    /// guaranteed-class arrivals are shed at the boundary (counted as
-    /// `quota_clamped` inside `admission_shed`); an unlimited quota is
-    /// byte-inert.
-    ///
-    /// Eligibility is built once per tick: routing only queues work, and
-    /// nothing it reads (slot modes, `up`, weights, phases, drains,
-    /// admission, partition) changes while a tick routes.
-    fn route(&mut self) {
-        let tick = self.tick;
-        let due = |batches: &[(u32, u16, u64)], from: usize| {
-            from + batches[from..].iter().take_while(|b| b.0 == tick).count()
-        };
-        let (own, spilled) = (self.arr_ptr, self.inflow_ptr);
-        self.arr_ptr = due(&self.arrivals, own);
-        self.inflow_ptr = due(&self.inflow, spilled);
-        if self.arr_ptr == own && self.inflow_ptr == spilled {
-            return;
-        }
-        self.eff.clear();
-        match self.ctl.as_ref() {
-            Some(c) => self.eff.extend(
-                c.modes
-                    .iter()
-                    .zip(&self.insts)
-                    .zip(&c.weights)
-                    .zip(&self.phases)
-                    .zip(&self.drained)
-                    .map(|((((m, inst), &w), &p), &d)| {
-                        if *m == SlotMode::Live && inst.up && p != Phase::Decode && !d {
-                            w
-                        } else {
-                            0
-                        }
-                    }),
-            ),
-            None => self.eff.extend(
-                self.phases
-                    .iter()
-                    .zip(&self.drained)
-                    .map(|(&p, &d)| u64::from(p != Phase::Decode && !d)),
-            ),
-        }
-        let allow_be = self.ctl.as_ref().is_none_or(|c| c.allow_best_effort);
-        let any_target = !self.partitioned && self.eff.iter().any(|&w| w > 0);
-        let batches = self.arrivals[own..self.arr_ptr].iter();
-        let acc = &mut self.acc;
-        for &(_, ti, n) in batches.chain(&self.inflow[spilled..self.inflow_ptr]) {
-            let t = ti as usize;
-            acc.arrived += n;
-            acc.per_tenant[t].arrived += n;
-            self.window_arrived += n;
-            let class = self.shared.classes[t];
-            if let Some(c) = self.ctl.as_mut() {
-                c.arrived_since += n;
-                c.arrived_by_class[class.index()] += n;
-            }
-            if class == PriorityClass::BestEffort && !allow_be {
-                acc.rejected += n;
-                acc.admission_shed += n;
-                acc.per_tenant[t].shed += n;
-                continue;
-            }
-            // Fleet admission quota: shed whatever exceeds the window's
-            // remaining budget at the boundary. `u64::MAX` (no balancer,
-            // or no quota directive) never sheds.
-            let n = if self.quota_left >= n {
-                self.quota_left -= n;
-                n
-            } else {
-                let shed = n - self.quota_left;
-                self.quota_left = 0;
-                acc.rejected += shed;
-                acc.admission_shed += shed;
-                acc.quota_clamped += shed;
-                acc.per_tenant[t].shed += shed;
-                n - shed
-            };
-            if n == 0 {
-                continue;
-            }
-            if !any_target {
-                acc.rejected += n;
-                acc.routing_shed += n;
-                if self.partitioned {
-                    acc.partition_shed += n;
-                }
-                acc.per_tenant[t].shed += n;
-                continue;
-            }
-            apportion_into(n, &self.eff, &mut self.shares, &mut self.scratch);
-            for (i, &share) in self.shares.iter().enumerate() {
-                if share > 0 {
-                    let inst = &mut self.insts[i];
-                    let admitted = inst.push_arrivals(tick, share, ti, &self.shared.knobs, acc);
-                    acc.routed += admitted;
-                    acc.per_tenant[t].routed += admitted;
-                    if admitted > 0 && inst.up {
-                        self.busy.add(i);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Serve phase: steps every busy slot in index order, bills its tick
-    /// of energy, and drops slots that went idle (or down) from the busy
-    /// set; then re-arms the KV wakeup at the link's new head.
-    ///
-    /// [`Self::accrue`] bills the tick as an idle one (serving changes
-    /// none of its inputs); a live slot that is up then adds what its
-    /// served time changes. Dynamic power bills at the slot's operating
-    /// point, and the nominal-clock counterfactual of the same served
-    /// work accumulates beside it, so the report can state exactly what
-    /// serving-time DVFS saved. The served part of the idle floor moves
-    /// out of idle energy: `e` minus the floor of the unserved time,
-    /// never more than the `e` just billed.
-    fn serve(&mut self) {
-        let tick = self.tick;
-        let shared = self.shared;
-        let (power, tick_us) = (&shared.power, shared.knobs.tick_us);
-        let mut keep = 0usize;
-        for r in 0..self.busy.list.len() {
-            let iu = self.busy.list[r] as usize;
-            let (mode, ci) = (self.mode(iu), self.clock(iu));
-            let (spent, nominal_spent) = if mode == SlotMode::Live {
-                self.insts[iu].serve(
-                    tick,
-                    shared.lut,
-                    &shared.knobs,
-                    self.phases[iu],
-                    ci as u8,
-                    self.kv.as_mut(),
-                    self.trace.as_mut(),
-                    &mut self.acc,
-                )
-            } else {
-                (0, 0)
-            };
-            self.accrue(iu, tick + 1);
-            if mode == SlotMode::Live && self.insts[iu].up {
-                let acc = &mut self.acc;
-                let dyn_uj = power.dyn_mw[ci] * spent / 1000;
-                acc.energy_uj += dyn_uj;
-                acc.dvfs_dyn_uj += dyn_uj;
-                acc.dvfs_nominal_dyn_uj +=
-                    power.dyn_mw[shared.nominal_ci as usize] * nominal_spent / 1000;
-                let e = power.idle_mw * tick_us / 1000;
-                acc.idle_energy_uj -= e - power.idle_mw * (tick_us - spent.min(tick_us)) / 1000;
-            }
-            if self.insts[iu].up && !self.insts[iu].is_idle() {
-                self.busy.list[keep] = iu as u32;
-                keep += 1;
-            } else {
-                self.busy.member[iu] = false;
-            }
-        }
-        self.busy.list.truncate(keep);
-        if let Some(link) = self.kv.as_ref() {
-            self.kv_next = link
-                .head_complete_us()
-                .map_or(u32::MAX, |c| tick_or_never(c, tick_us, shared.ticks));
-        }
-    }
-
-    /// Sample phase: at the last tick of each series window, bills every
-    /// slot through the window end (sampling reads the energy counter)
-    /// and records the window.
-    fn sample(&mut self, series: Option<&mut SeriesRecorder>) {
-        if self.tick != self.next_sample {
-            return;
-        }
-        let end = self.tick + 1;
-        self.accrue_all(end);
-        let every = self.shared.series_every;
-        if let Some(s) = series {
-            let now_us = end as u64 * self.shared.knobs.tick_us;
-            self.record_window(s, (end / every - 1) as usize, now_us);
-        }
-        self.next_sample = self.next_sample.saturating_add(every);
-    }
-
-    /// Records one series window for this cell: counter deltas since the
-    /// last sample plus gauges of the state at `now_us` (summing the
-    /// per-cell gauges gives the fleet-wide value).
-    fn record_window(&mut self, series: &mut SeriesRecorder, w: usize, now_us: u64) {
-        let ids = self
-            .series_ids
-            .as_ref()
-            .expect("ids resolved with the recorder");
-        for (k, (v, prev)) in counter_values(&self.acc).zip(&mut self.snap).enumerate() {
-            let delta = v.wrapping_sub(*prev);
-            *prev = v;
-            series.add_at(ids.counters[k], w, delta);
-            // The per-cell arrived and completed counters.
-            if let (Some(cell), 0 | 1) = (ids.per_cell, k) {
-                series.add_at(cell[2 + k], w, delta);
-            }
-        }
-        let mut queued = 0u64;
-        let mut active = 0u64;
-        let mut up = 0u64;
-        self.tenant_scratch.fill(0);
-        for inst in &self.insts {
-            queued += inst.queued();
-            active += inst.active() as u64;
-            up += u64::from(inst.up);
-            inst.queued_by_tenant(&mut self.tenant_scratch);
-        }
-        series.add_at(ids.queued, w, queued);
-        series.add_at(ids.active, w, active);
-        series.add_at(ids.up, w, up);
-        for (t, &q) in self.tenant_scratch.iter().enumerate() {
-            series.add_at(ids.tenant_queued[t], w, q);
-        }
-        let draining = self.drained.iter().map(|&d| u64::from(d)).sum();
-        series.add_at(ids.draining, w, draining);
-        series.add_at(ids.repair_pending, w, self.cell.pending_len());
-        series.add_at(ids.spares_free, w, self.cell.spares_free as u64);
-        if let (Some(link), Some((backlog, inflight))) = (self.kv.as_ref(), ids.kv) {
-            series.add_at(backlog, w, link.backlog_us(now_us));
-            series.add_at(inflight, w, link.inflight_bytes());
-        }
-        if let Some((pp, pd)) = ids.pools {
-            let (mut prefill, mut decode) = (0u64, 0u64);
-            for &p in &self.phases {
-                match p {
-                    Phase::Prefill => prefill += 1,
-                    Phase::Decode => decode += 1,
-                    Phase::Mixed => {}
-                }
-            }
-            series.add_at(pp, w, prefill);
-            series.add_at(pd, w, decode);
-        }
-        if let (Some(ctl), Some(ci_ids)) = (self.ctl.as_ref(), &ids.ctl) {
-            let (mut live, mut warm, mut cold, mut booting) = (0u64, 0u64, 0u64, 0u64);
-            for m in &ctl.modes {
-                match m {
-                    SlotMode::Live => live += 1,
-                    SlotMode::Warm => warm += 1,
-                    SlotMode::Cold => cold += 1,
-                    SlotMode::Booting { .. } => booting += 1,
-                }
-            }
-            series.add_at(ci_ids.live, w, live);
-            series.add_at(ci_ids.warm, w, warm);
-            series.add_at(ci_ids.cold, w, cold);
-            series.add_at(ci_ids.booting, w, booting);
-            // DVFS operating-point distribution over live, up slots.
-            for (i, &ci) in ctl.clocks.iter().enumerate() {
-                if ctl.modes[i] == SlotMode::Live && self.insts[i].up {
-                    series.add_at(ci_ids.clock_live[ci as usize], w, 1);
-                }
-            }
-        }
-        if let Some([cq, cu, ..]) = ids.per_cell {
-            series.add_at(cq, w, queued);
-            series.add_at(cu, w, up);
-        }
-    }
-
-    /// The next tick to process: the very next one while any slot holds
-    /// work (or a KV head is blocked, or decode retries are unplaced);
-    /// otherwise the earliest due channel, never before the next tick
-    /// (channel values may be stale, already-passed ticks) and never past
-    /// the arrival frontier, where the next draw may land work.
-    fn next_tick(&self) -> u32 {
-        if !self.busy.list.is_empty() || self.kv_blocked || self.decode_retry {
-            return self.tick + 1;
-        }
-        let due =
-            |batches: &[(u32, u16, u64)], ptr: usize| batches.get(ptr).map_or(u32::MAX, |b| b.0);
-        [
-            self.heap.peek().map_or(u32::MAX, |Reverse((t, _))| *t),
-            due(&self.arrivals, self.arr_ptr),
-            due(&self.inflow, self.inflow_ptr),
-            self.next_ctrl,
-            self.next_boot,
-            self.next_sample,
-            self.kv_next,
-        ]
-        .into_iter()
-        .fold(self.traffic.drawn, u32::min)
-        .max(self.tick + 1)
-    }
-
-    /// Draws this cell's own arrivals up to tick `hi` from `table`
-    /// (booked under the route phase), after dropping the batches, own
-    /// and spilled-in, that are already routed.
-    fn draw(&mut self, table: &ArrivalTable, hi: u32, prof: &mut ProfTimer) {
-        prof.reset();
-        self.arrivals.drain(..self.arr_ptr);
-        self.inflow.drain(..self.inflow_ptr);
-        (self.arr_ptr, self.inflow_ptr) = (0, 0);
-        self.traffic
-            .draw(self.shared, table, hi, &mut self.arrivals);
-        prof.mark(PHASE_ROUTE);
-    }
-
-    /// Publishes this cell's fleet-scope observation at the window edge
-    /// `b`, together with the next window's arrival batches the planner
-    /// may spill: everything drawn and not yet routed, since
-    /// [`Self::draw`] has just drawn exactly that window.
-    fn publish(&mut self, b: u32) -> CellSnapshot {
-        let mut obs = FleetCellObs::new();
-        for inst in &self.insts {
-            obs.queued += inst.queued();
-            obs.active += inst.active() as u64;
-            obs.up += u32::from(inst.up);
-        }
-        obs.live = match self.ctl.as_ref() {
-            Some(c) => c
-                .modes
-                .iter()
-                .zip(&self.insts)
-                .filter(|(m, inst)| **m == SlotMode::Live && inst.up)
-                .count() as u32,
-            None => obs.up,
-        };
-        obs.arrived_window = core::mem::take(&mut self.window_arrived);
-        let now_us = b as u64 * self.shared.knobs.tick_us;
-        obs.kv_backlog_us = self.kv.as_ref().map_or(0, |k| k.backlog_us(now_us));
-        obs.chaos_down = self.chaos_down();
-        CellSnapshot {
-            obs,
-            window: self.arrivals[self.arr_ptr..].to_vec(),
-        }
-    }
-
-    /// Applies one window's fleet directives: resets the admission
-    /// quota, removes spilled requests from this cell's pending
-    /// arrivals, and lands cohorts other cells redirected here. Spill
-    /// accounting books the outflow at the source and the inflow at the
-    /// destination, each in its own cell's totals, so the merged flow
-    /// matrix conserves exactly.
-    fn apply_plan(&mut self, plan: CellPlan) {
-        self.quota_left = plan.quota.unwrap_or(u64::MAX);
-        for &(rel, n) in &plan.deduct {
-            self.arrivals[self.arr_ptr + rel].2 -= n;
-        }
-        for &(dst, n) in &plan.outflow {
-            self.acc.spill_out += n;
-            *self.acc.spill_flow.entry((self.cell_idx, dst)).or_insert(0) += n;
-        }
-        if !plan.inflow.is_empty() {
-            self.acc.spilled_cohorts += plan.inflow.len() as u64;
-            for &(_, _, n) in &plan.inflow {
-                self.acc.spill_in += n;
-            }
-            // The cell stands at the window edge (it never jumps past its
-            // arrival frontier), and every cohort is due at or after it.
-            debug_assert!(self.tick <= plan.inflow[0].0);
-            self.inflow.extend_from_slice(&plan.inflow);
-        }
-    }
-
-    /// End-of-horizon accounting: closes every remaining idle span,
-    /// books pending downtime and in-flight KV bytes, and hands back the
-    /// cell's totals and trace events.
-    fn finalize(mut self) -> (Totals, Vec<TraceEvent>) {
-        let ticks = self.shared.ticks;
-        self.accrue_all(ticks);
-        let horizon_us = ticks as u64 * self.shared.knobs.tick_us;
-        for inst in &self.insts {
-            self.acc.downtime_us += inst.pending_downtime_us(horizon_us);
-        }
-        if let Some(link) = &self.kv {
-            self.acc.kv_bytes_inflight_end += link.inflight_bytes();
-        }
-        (self.acc, self.trace.map_or_else(Vec::new, |ts| ts.buf))
-    }
+    pub(crate) inflow: Vec<(u32, u16, u64)>,
 }
 
 /// The pure fleet planner: turns the published snapshots into one

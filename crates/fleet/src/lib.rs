@@ -63,6 +63,7 @@
 //! ```
 
 mod arrivals;
+mod cell;
 mod config;
 pub mod engine;
 pub mod hist;
