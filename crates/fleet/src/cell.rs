@@ -8,8 +8,9 @@
 
 use crate::arrivals::{ArrivalTable, CellTraffic};
 use crate::config::{DomainEventKind, FleetConfig};
-use crate::engine::{CellPlan, CellSnapshot, Shared};
+use crate::engine::Shared;
 use crate::state::{CellState, InstanceState, KvLinkState, TenantTotals, Totals, TraceSink};
+use crate::window::{CellPlan, CellSnapshot};
 use litegpu_ctrl::{
     apportion_into, CellObs, Command, CtrlConfig, FleetCellObs, InstanceObs, Mode, Phase, PhaseObs,
     PriorityClass,

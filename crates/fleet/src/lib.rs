@@ -71,6 +71,7 @@ pub mod provision;
 pub mod report;
 pub mod state;
 pub mod traffic;
+mod window;
 pub mod workload;
 
 pub use engine::{
