@@ -144,23 +144,12 @@ enum SlotMode {
     Booting { until_us: u64 },
 }
 
-/// One cell's control-plane runtime: the policy stack, the cell's own
-/// RNG stream, and the administrative state the stack manages. Lives
-/// entirely inside the shard partition.
+/// One cell's control-plane runtime: the policy stack and the cell's own
+/// RNG stream. Lives entirely inside the shard partition; the slot state
+/// the stack manages lives in the cell.
 struct CellCtl {
     stack: litegpu_ctrl::ControllerStack,
     rng: StdRng,
-    modes: Vec<SlotMode>,
-    weights: Vec<u64>,
-    /// Per-slot DVFS operating point (index into the table's clock grid;
-    /// all-nominal without a DVFS policy).
-    clocks: Vec<u8>,
-    arrived_since: u64,
-    arrived_by_class: [u64; 3],
-    allow_best_effort: bool,
-    interval_ticks: u32,
-    warm_up_us: u64,
-    cold_up_us: u64,
 }
 
 impl CellCtl {
@@ -168,42 +157,12 @@ impl CellCtl {
     /// the per-instance streams (which mix with a different odd constant).
     const STREAM: u64 = 0x5EED_C311_0C7A_11E5;
 
-    fn new(
-        ctrl: &CtrlConfig,
-        seed: u64,
-        cell_idx: u32,
-        n_slots: usize,
-        tick_s: f64,
-        nominal_ci: u8,
-    ) -> Self {
-        let rng = StdRng::seed_from_u64(
-            seed ^ Self::STREAM ^ (cell_idx as u64).wrapping_mul(0xD1B5_4A32_D192_ED03),
-        );
-        let (warm_s, cold_s) = ctrl
-            .autoscaler
-            .map(|a| (a.warm_start_s, a.cold_start_s))
-            .unwrap_or((0.0, 0.0));
+    fn new(ctrl: &CtrlConfig, seed: u64, cell_idx: u32) -> Self {
         Self {
             stack: ctrl.build(),
-            rng,
-            modes: vec![SlotMode::Live; n_slots],
-            weights: vec![1; n_slots],
-            clocks: vec![nominal_ci; n_slots],
-            arrived_since: 0,
-            arrived_by_class: [0; 3],
-            allow_best_effort: true,
-            interval_ticks: ((ctrl.control_interval_s / tick_s).round() as u32).max(1),
-            warm_up_us: (warm_s * 1e6).round() as u64,
-            cold_up_us: (cold_s * 1e6).round() as u64,
-        }
-    }
-
-    /// Promotes slots whose activation completed by `now_us`.
-    fn finish_boots(&mut self, now_us: u64) {
-        for m in &mut self.modes {
-            if matches!(m, SlotMode::Booting { until_us } if *until_us <= now_us) {
-                *m = SlotMode::Live;
-            }
+            rng: StdRng::seed_from_u64(
+                seed ^ Self::STREAM ^ (cell_idx as u64).wrapping_mul(0xD1B5_4A32_D192_ED03),
+            ),
         }
     }
 }
@@ -445,8 +404,22 @@ pub(crate) struct CellSim<'a> {
     cell: CellState,
     insts: Vec<InstanceState>,
     phases: Vec<Phase>,
+    /// Per-slot administrative state: mode, routing weight and DVFS
+    /// operating point (index into the table's clock grid). A cell
+    /// without a control plane keeps the defaults: every slot live, at
+    /// weight 1 and the nominal clock.
+    modes: Vec<SlotMode>,
+    weights: Vec<u64>,
+    clocks: Vec<u8>,
+    /// Arrivals since the last control tick, in total and per priority
+    /// class (read only by [`Self::control_tick`]), and the best-effort
+    /// admission the last control tick set.
+    arrived_since: u64,
+    arrived_by_class: [u64; 3],
+    allow_best_effort: bool,
     kv: Option<KvLinkState>,
     traffic: CellTraffic,
+    /// The policy stack (`None` without a control plane).
     ctl: Option<CellCtl>,
     chaos: Option<&'a CellChaos>,
     /// Per slot at the current tick: drained, thermal clock clamp (grid
@@ -547,10 +520,7 @@ impl<'a> CellSim<'a> {
                     .collect()
             }
         };
-        let ctl = cfg
-            .ctrl
-            .as_ref()
-            .map(|c| CellCtl::new(c, seed, cell_idx, n, cfg.tick_s, shared.nominal_ci));
+        let ctl = cfg.ctrl.as_ref().map(|c| CellCtl::new(c, seed, cell_idx));
         let chaos = shared
             .chaos
             .get(cell_idx as usize)
@@ -584,12 +554,18 @@ impl<'a> CellSim<'a> {
             cell: CellState::new(cfg.spares_per_cell, cfg.repair_crews_per_cell),
             insts,
             phases,
+            modes: vec![SlotMode::Live; n],
+            weights: vec![1; n],
+            clocks: vec![shared.nominal_ci; n],
+            arrived_since: 0,
+            arrived_by_class: [0; 3],
+            allow_best_effort: true,
             kv: shared
                 .split
                 .as_ref()
                 .map(|s| KvLinkState::new(s.kv_bytes_per_s, s.kv_max_backlog_us)),
             traffic,
-            next_ctrl: ctl.as_ref().map_or(u32::MAX, |c| c.interval_ticks),
+            next_ctrl: shared.ctrl_every,
             ctl,
             chaos,
             drained: vec![false; n],
@@ -666,20 +642,10 @@ impl<'a> CellSim<'a> {
         }
     }
 
-    /// Slot `i`'s administrative mode (always live without a control
-    /// plane).
-    fn mode(&self, i: usize) -> SlotMode {
-        self.ctl.as_ref().map_or(SlotMode::Live, |c| c.modes[i])
-    }
-
-    /// Slot `i`'s operating point: its DVFS clock (nominal without a
-    /// control plane) capped by any thermal clamp. The grid is priced
-    /// whenever any thermal event exists.
+    /// Slot `i`'s operating point: its DVFS clock capped by any thermal
+    /// clamp. The grid is priced whenever any thermal event exists.
     fn clock(&self, i: usize) -> usize {
-        self.ctl
-            .as_ref()
-            .map_or(self.shared.nominal_ci, |c| c.clocks[i])
-            .min(self.clamp[i]) as usize
+        self.clocks[i].min(self.clamp[i]) as usize
     }
 
     /// Slots out of service by announced chaos: drained or inside an
@@ -729,7 +695,7 @@ impl<'a> CellSim<'a> {
         }
         let k = (to - from) as u64;
         let e = self.shared.power.idle_mw * self.shared.knobs.tick_us / 1000;
-        let (mode, ci) = (self.mode(i), self.clock(i));
+        let (mode, ci) = (self.modes[i], self.clock(i));
         let acc = &mut self.acc;
         match mode {
             SlotMode::Live => {
@@ -1075,7 +1041,7 @@ impl<'a> CellSim<'a> {
                     .filter(|&j| {
                         self.phases[j] == Phase::Prefill
                             && self.insts[j].up
-                            && self.mode(j) == SlotMode::Live
+                            && self.modes[j] == SlotMode::Live
                     })
                     .min_by_key(|&j| (self.insts[j].queued(), j));
                 match target {
@@ -1100,10 +1066,13 @@ impl<'a> CellSim<'a> {
         let tick_us = self.shared.knobs.tick_us;
         if tick >= self.next_boot {
             self.accrue_all(tick);
-            if let Some(c) = self.ctl.as_mut() {
-                c.finish_boots(tick as u64 * tick_us);
-                self.next_boot = next_boot_tick(&c.modes, tick_us, self.shared.ticks);
+            let now_us = tick as u64 * tick_us;
+            for m in &mut self.modes {
+                if matches!(m, SlotMode::Booting { until_us } if *until_us <= now_us) {
+                    *m = SlotMode::Live;
+                }
             }
+            self.next_boot = next_boot_tick(&self.modes, tick_us, self.shared.ticks);
         }
         if tick == self.next_ctrl {
             self.accrue_all(tick);
@@ -1126,9 +1095,9 @@ impl<'a> CellSim<'a> {
         let Some(c) = self.ctl.as_mut() else {
             return;
         };
-        let mut obs = CellObs::new(tick, c.interval_ticks as f64 * shared.cfg.tick_s);
-        obs.arrived_since_last = core::mem::take(&mut c.arrived_since);
-        obs.arrived_by_class = core::mem::take(&mut c.arrived_by_class);
+        let mut obs = CellObs::new(tick, shared.ctrl_every as f64 * shared.cfg.tick_s);
+        obs.arrived_since_last = core::mem::take(&mut self.arrived_since);
+        obs.arrived_by_class = core::mem::take(&mut self.arrived_by_class);
         obs.capacity_rps_per_instance = shared.cap_rps;
         obs.max_queue = shared.knobs.max_queue;
         obs.chaos_down = chaos_down;
@@ -1138,12 +1107,10 @@ impl<'a> CellSim<'a> {
             kv_backlog_us: self.kv.as_ref().map_or(0, |k| k.backlog_us(t_start_us)),
         });
         obs.clock_points = shared.clock_points.clone();
-        obs.slots = c
-            .modes
-            .iter()
+        obs.slots = (self.modes.iter())
             .zip(&self.insts)
             .zip(&self.phases)
-            .zip(&c.clocks)
+            .zip(&self.clocks)
             .map(|(((m, inst), &phase), &clock)| InstanceObs {
                 mode: if !inst.up {
                     Mode::Down
@@ -1182,15 +1149,12 @@ impl<'a> CellSim<'a> {
             match cmd {
                 Command::Activate { slot } => {
                     let s = slot as usize;
-                    if s >= c.modes.len() {
-                        continue;
-                    }
-                    let boot_us = match c.modes[s] {
-                        SlotMode::Warm => c.warm_up_us,
-                        SlotMode::Cold => c.cold_up_us,
+                    let boot_us = match self.modes.get(s) {
+                        Some(SlotMode::Warm) => shared.boot_us.0,
+                        Some(SlotMode::Cold) => shared.boot_us.1,
                         _ => continue,
                     };
-                    c.modes[s] = if boot_us == 0 {
+                    self.modes[s] = if boot_us == 0 {
                         SlotMode::Live
                     } else {
                         SlotMode::Booting {
@@ -1203,7 +1167,7 @@ impl<'a> CellSim<'a> {
                 Command::Park { slot } => {
                     let s = slot as usize;
                     if s < insts.len()
-                        && c.modes[s] == SlotMode::Live
+                        && self.modes[s] == SlotMode::Live
                         && insts[s].up
                         && insts[s].is_idle()
                     {
@@ -1212,34 +1176,34 @@ impl<'a> CellSim<'a> {
                         // (issued later in this same command batch) may
                         // drop it to zero draw. Without a gater, parked
                         // capacity correctly keeps paying the floor.
-                        c.modes[s] = SlotMode::Warm;
+                        self.modes[s] = SlotMode::Warm;
                         acc.scale_downs += 1;
                         trace_cmd(trace, "park", slot);
                     }
                 }
                 Command::SetWarm { slot } => {
-                    if let Some(m @ SlotMode::Cold) = c.modes.get_mut(slot as usize) {
+                    if let Some(m @ SlotMode::Cold) = self.modes.get_mut(slot as usize) {
                         *m = SlotMode::Warm;
                         trace_cmd(trace, "set_warm", slot);
                     }
                 }
                 Command::SetCold { slot } => {
-                    if let Some(m @ SlotMode::Warm) = c.modes.get_mut(slot as usize) {
+                    if let Some(m @ SlotMode::Warm) = self.modes.get_mut(slot as usize) {
                         *m = SlotMode::Cold;
                         trace_cmd(trace, "set_cold", slot);
                     }
                 }
-                Command::SetWeights { weights } if weights.len() == c.modes.len() => {
-                    if trace.is_some() && weights != c.weights {
+                Command::SetWeights { weights } if weights.len() == insts.len() => {
+                    if trace.is_some() && weights != self.weights {
                         trace_cmd(trace, "set_weights", u32::MAX);
                     }
-                    c.weights = weights;
+                    self.weights = weights;
                 }
                 Command::SetAdmission { allow_best_effort } => {
-                    if trace.is_some() && allow_best_effort != c.allow_best_effort {
+                    if trace.is_some() && allow_best_effort != self.allow_best_effort {
                         trace_cmd(trace, "set_admission", u32::MAX);
                     }
-                    c.allow_best_effort = allow_best_effort;
+                    self.allow_best_effort = allow_best_effort;
                 }
                 Command::SetPhase { slot, phase } => {
                     // Phase moves apply only to idle slots: migrating a
@@ -1263,9 +1227,9 @@ impl<'a> CellSim<'a> {
                     let s = slot as usize;
                     if s < insts.len()
                         && (clock as usize) < shared.lut.num_clocks()
-                        && c.clocks[s] != clock
+                        && self.clocks[s] != clock
                     {
-                        c.clocks[s] = clock;
+                        self.clocks[s] = clock;
                         acc.clock_retunes += 1;
                         trace_cmd(trace, "set_clock", slot);
                     }
@@ -1275,8 +1239,8 @@ impl<'a> CellSim<'a> {
                 _ => {}
             }
         }
-        self.next_ctrl = self.next_ctrl.saturating_add(c.interval_ticks);
-        self.next_boot = next_boot_tick(&c.modes, shared.knobs.tick_us, shared.ticks);
+        self.next_ctrl = self.next_ctrl.saturating_add(shared.ctrl_every);
+        self.next_boot = next_boot_tick(&self.modes, shared.knobs.tick_us, shared.ticks);
     }
 
     /// KV phase: delivers landed KV transfers into the decode pool, FIFO.
@@ -1298,14 +1262,13 @@ impl<'a> CellSim<'a> {
             return;
         };
         if link.peek_landed(now_us).is_some() {
-            let ctl = self.ctl.as_ref();
             self.kv_cands.clear();
             self.kv_cands.extend(
                 (self.insts.iter().enumerate())
                     .filter(|&(i, s)| {
                         self.phases[i] == Phase::Decode
                             && s.up
-                            && ctl.is_none_or(|c| c.modes[i] == SlotMode::Live)
+                            && self.modes[i] == SlotMode::Live
                             && !self.drained[i]
                     })
                     .map(|(i, s)| (s.active(), i as u32)),
@@ -1391,31 +1354,23 @@ impl<'a> CellSim<'a> {
         if self.arr_ptr == own && self.inflow_ptr == spilled {
             return;
         }
+        let uncontrolled = self.ctl.is_none();
         self.eff.clear();
-        match self.ctl.as_ref() {
-            Some(c) => self.eff.extend(
-                c.modes
-                    .iter()
-                    .zip(&self.insts)
-                    .zip(&c.weights)
-                    .zip(&self.phases)
-                    .zip(&self.drained)
-                    .map(|((((m, inst), &w), &p), &d)| {
-                        if *m == SlotMode::Live && inst.up && p != Phase::Decode && !d {
-                            w
-                        } else {
-                            0
-                        }
-                    }),
-            ),
-            None => self.eff.extend(
-                self.phases
-                    .iter()
-                    .zip(&self.drained)
-                    .map(|(&p, &d)| u64::from(p != Phase::Decode && !d)),
-            ),
-        }
-        let allow_be = self.ctl.as_ref().is_none_or(|c| c.allow_best_effort);
+        self.eff.extend(
+            (self.modes.iter())
+                .zip(&self.insts)
+                .zip(&self.weights)
+                .zip(&self.phases)
+                .zip(&self.drained)
+                .map(|((((m, inst), &w), &p), &d)| {
+                    let up = inst.up || uncontrolled;
+                    if *m == SlotMode::Live && up && p != Phase::Decode && !d {
+                        w
+                    } else {
+                        0
+                    }
+                }),
+        );
         let any_target = !self.partitioned && self.eff.iter().any(|&w| w > 0);
         let batches = self.arrivals[own..self.arr_ptr].iter();
         let acc = &mut self.acc;
@@ -1425,11 +1380,9 @@ impl<'a> CellSim<'a> {
             acc.per_tenant[t].arrived += n;
             self.window_arrived += n;
             let class = self.shared.classes[t];
-            if let Some(c) = self.ctl.as_mut() {
-                c.arrived_since += n;
-                c.arrived_by_class[class.index()] += n;
-            }
-            if class == PriorityClass::BestEffort && !allow_be {
+            self.arrived_since += n;
+            self.arrived_by_class[class.index()] += n;
+            if class == PriorityClass::BestEffort && !self.allow_best_effort {
                 acc.rejected += n;
                 acc.admission_shed += n;
                 acc.per_tenant[t].shed += n;
@@ -1496,7 +1449,7 @@ impl<'a> CellSim<'a> {
         let mut keep = 0usize;
         for r in 0..self.busy.list.len() {
             let iu = self.busy.list[r] as usize;
-            let (mode, ci) = (self.mode(iu), self.clock(iu));
+            let (mode, ci) = (self.modes[iu], self.clock(iu));
             let (spent, nominal_spent) = if mode == SlotMode::Live {
                 self.insts[iu].serve(
                     tick,
@@ -1607,9 +1560,9 @@ impl<'a> CellSim<'a> {
             series.add_at(pp, w, prefill);
             series.add_at(pd, w, decode);
         }
-        if let (Some(ctl), Some(ci_ids)) = (self.ctl.as_ref(), &ids.ctl) {
+        if let Some(ci_ids) = &ids.ctl {
             let (mut live, mut warm, mut cold, mut booting) = (0u64, 0u64, 0u64, 0u64);
-            for m in &ctl.modes {
+            for m in &self.modes {
                 match m {
                     SlotMode::Live => live += 1,
                     SlotMode::Warm => warm += 1,
@@ -1622,8 +1575,8 @@ impl<'a> CellSim<'a> {
             series.add_at(ci_ids.cold, w, cold);
             series.add_at(ci_ids.booting, w, booting);
             // DVFS operating-point distribution over live, up slots.
-            for (i, &ci) in ctl.clocks.iter().enumerate() {
-                if ctl.modes[i] == SlotMode::Live && self.insts[i].up {
+            for (i, &ci) in self.clocks.iter().enumerate() {
+                if self.modes[i] == SlotMode::Live && self.insts[i].up {
                     series.add_at(ci_ids.clock_live[ci as usize], w, 1);
                 }
             }
@@ -1683,15 +1636,9 @@ impl<'a> CellSim<'a> {
             obs.active += inst.active() as u64;
             obs.up += u32::from(inst.up);
         }
-        obs.live = match self.ctl.as_ref() {
-            Some(c) => c
-                .modes
-                .iter()
-                .zip(&self.insts)
-                .filter(|(m, inst)| **m == SlotMode::Live && inst.up)
-                .count() as u32,
-            None => obs.up,
-        };
+        obs.live = (self.modes.iter().zip(&self.insts))
+            .filter(|(m, inst)| **m == SlotMode::Live && inst.up)
+            .count() as u32;
         obs.arrived_window = core::mem::take(&mut self.window_arrived);
         let now_us = b as u64 * self.shared.knobs.tick_us;
         obs.kv_backlog_us = self.kv.as_ref().map_or(0, |k| k.backlog_us(now_us));

@@ -144,6 +144,10 @@ pub(crate) struct Shared<'a> {
     pub(crate) clock_points: Vec<ClockPoint>,
     /// Index of the nominal clock point in the step-cost table.
     pub(crate) nominal_ci: u8,
+    /// Ticks between control ticks (`u32::MAX`, never, without a control
+    /// plane) and the warm and cold activation latencies, µs.
+    pub(crate) ctrl_every: u32,
+    pub(crate) boot_us: (u64, u64),
     /// Phase-split parameters (`None` for monolithic serving).
     pub(crate) split: Option<SplitShared>,
     /// Tenant indices in admission order (priority class, then
@@ -251,6 +255,17 @@ pub fn run_sharded_full(
         cap_rps: cfg.capacity_rps(&lut),
         clock_points: cfg.clock_obs(&lut, &knobs),
         nominal_ci: lut.nominal_clock_idx() as u8,
+        ctrl_every: cfg.ctrl.as_ref().map_or(u32::MAX, |c| {
+            ((c.control_interval_s / cfg.tick_s).round() as u32).max(1)
+        }),
+        boot_us: cfg
+            .ctrl
+            .as_ref()
+            .and_then(|c| c.autoscaler)
+            .map_or((0, 0), |a| {
+                let us = |s: f64| (s * 1e6).round() as u64;
+                (us(a.warm_start_s), us(a.cold_start_s))
+            }),
         split: match &cfg.serving {
             ServingMode::Monolithic => None,
             ServingMode::PhaseSplit {
