@@ -144,6 +144,36 @@ enum SlotMode {
     Booting { until_us: u64 },
 }
 
+/// One instance slot's state beside its [`InstanceState`]: the serving
+/// role and the administrative state the control plane manages (a cell
+/// without a control plane keeps the defaults: live, weight 1, nominal
+/// clock), the campaign's windowed state at the current tick, and the
+/// tick up to which its idle time is billed.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    phase: Phase,
+    mode: SlotMode,
+    /// Routing weight.
+    weight: u64,
+    /// DVFS operating point (index into the table's clock grid).
+    clock: u8,
+    /// Drained, thermal clock clamp (grid index, `u8::MAX` when
+    /// unclamped) and inside an outage window.
+    drained: bool,
+    clamp: u8,
+    chaos_outed: bool,
+    accrued: u32,
+}
+
+impl Slot {
+    /// The operating point the slot serves at: its DVFS clock capped by
+    /// any thermal clamp. The grid is priced whenever any thermal event
+    /// exists.
+    fn clock_idx(&self) -> usize {
+        self.clock.min(self.clamp) as usize
+    }
+}
+
 /// One cell's control-plane runtime: the policy stack and the cell's own
 /// RNG stream. Lives entirely inside the shard partition; the slot state
 /// the stack manages lives in the cell.
@@ -371,11 +401,11 @@ fn tick_or_never(us: u64, tick_us: u64, ticks: u32) -> u32 {
 /// The earliest tick at which a booting slot finishes (`u32::MAX` when
 /// nothing completes inside the horizon): the boot-promotion wakeup
 /// channel, rescanned after every control tick and promotion.
-fn next_boot_tick(modes: &[SlotMode], tick_us: u64, ticks: u32) -> u32 {
-    modes
+fn next_boot_tick(slots: &[Slot], tick_us: u64, ticks: u32) -> u32 {
+    slots
         .iter()
-        .filter_map(|m| match m {
-            SlotMode::Booting { until_us } => Some(*until_us),
+        .filter_map(|s| match s.mode {
+            SlotMode::Booting { until_us } => Some(until_us),
             _ => None,
         })
         .min()
@@ -403,14 +433,8 @@ pub(crate) struct CellSim<'a> {
     acc: Totals,
     cell: CellState,
     insts: Vec<InstanceState>,
-    phases: Vec<Phase>,
-    /// Per-slot administrative state: mode, routing weight and DVFS
-    /// operating point (index into the table's clock grid). A cell
-    /// without a control plane keeps the defaults: every slot live, at
-    /// weight 1 and the nominal clock.
-    modes: Vec<SlotMode>,
-    weights: Vec<u64>,
-    clocks: Vec<u8>,
+    /// One [`Slot`] per instance, indexed like `insts`.
+    slots: Vec<Slot>,
     /// Arrivals since the last control tick, in total and per priority
     /// class (read only by [`Self::control_tick`]), and the best-effort
     /// admission the last control tick set.
@@ -422,14 +446,11 @@ pub(crate) struct CellSim<'a> {
     /// The policy stack (`None` without a control plane).
     ctl: Option<CellCtl>,
     chaos: Option<&'a CellChaos>,
-    /// Per slot at the current tick: drained, thermal clock clamp (grid
-    /// index, `u8::MAX` when unclamped) and inside an outage window.
-    drained: Vec<bool>,
-    clamp: Vec<u8>,
-    chaos_outed: Vec<bool>,
+    /// The thermal clamps [`Self::windows`] recomputes, before they
+    /// commit to the slots.
     clamp_scratch: Vec<u8>,
     /// The cell is inside a partition window (windowed state, like the
-    /// per-slot vectors above).
+    /// slots' drain, clamp and outage flags).
     partitioned: bool,
     /// Some slot was forced down this tick (which makes decode retries
     /// due).
@@ -448,8 +469,6 @@ pub(crate) struct CellSim<'a> {
     /// repair-dispatch readiness); `idx < n` requests that slot's
     /// failure lifecycle at that tick.
     heap: BinaryHeap<Reverse<(u32, u32)>>,
-    /// Per slot: the tick up to which idle time is billed.
-    accrued: Vec<u32>,
     busy: BusySet,
     lifecycle_now: Vec<u32>,
     /// The cell's own arrival batches `(tick, tenant, count)` drawn so
@@ -505,21 +524,23 @@ impl<'a> CellSim<'a> {
         // Phase roles: monolithic cells are all-Mixed; split cells start
         // at the configured fraction (prefill pool on the low-indexed
         // stable primaries) and the phase-aware autoscaler rebalances.
-        let phases: Vec<Phase> = match &shared.split {
-            None => vec![Phase::Mixed; n],
-            Some(s) => {
-                let np = s.prefill_slots(n);
-                (0..n)
-                    .map(|i| {
-                        if i < np {
-                            Phase::Prefill
-                        } else {
-                            Phase::Decode
-                        }
-                    })
-                    .collect()
-            }
-        };
+        let np = shared.split.map(|s| s.prefill_slots(n));
+        let slots = (0..n)
+            .map(|i| Slot {
+                phase: match np {
+                    None => Phase::Mixed,
+                    Some(np) if i < np => Phase::Prefill,
+                    Some(_) => Phase::Decode,
+                },
+                mode: SlotMode::Live,
+                weight: 1,
+                clock: shared.nominal_ci,
+                drained: false,
+                clamp: u8::MAX,
+                chaos_outed: false,
+                accrued: 0,
+            })
+            .collect();
         let ctl = cfg.ctrl.as_ref().map(|c| CellCtl::new(c, seed, cell_idx));
         let chaos = shared
             .chaos
@@ -553,10 +574,7 @@ impl<'a> CellSim<'a> {
             acc,
             cell: CellState::new(cfg.spares_per_cell, cfg.repair_crews_per_cell),
             insts,
-            phases,
-            modes: vec![SlotMode::Live; n],
-            weights: vec![1; n],
-            clocks: vec![shared.nominal_ci; n],
+            slots,
             arrived_since: 0,
             arrived_by_class: [0; 3],
             allow_best_effort: true,
@@ -568,9 +586,6 @@ impl<'a> CellSim<'a> {
             next_ctrl: shared.ctrl_every,
             ctl,
             chaos,
-            drained: vec![false; n],
-            clamp: vec![u8::MAX; n],
-            chaos_outed: vec![false; n],
             clamp_scratch: vec![u8::MAX; n],
             partitioned: false,
             forced_down: false,
@@ -584,7 +599,6 @@ impl<'a> CellSim<'a> {
             series_ids,
             tenant_scratch: vec![0; n_tenants],
             heap: BinaryHeap::new(),
-            accrued: vec![0; n],
             busy: BusySet {
                 member: vec![false; n],
                 list: Vec::new(),
@@ -642,19 +656,12 @@ impl<'a> CellSim<'a> {
         }
     }
 
-    /// Slot `i`'s operating point: its DVFS clock capped by any thermal
-    /// clamp. The grid is priced whenever any thermal event exists.
-    fn clock(&self, i: usize) -> usize {
-        self.clocks[i].min(self.clamp[i]) as usize
-    }
-
     /// Slots out of service by announced chaos: drained or inside an
     /// outage window.
     fn chaos_down(&self) -> u32 {
-        self.drained
+        self.slots
             .iter()
-            .zip(&self.chaos_outed)
-            .filter(|(&d, &o)| d || o)
+            .filter(|s| s.drained || s.chaos_outed)
             .count() as u32
     }
 
@@ -665,7 +672,7 @@ impl<'a> CellSim<'a> {
         }
     }
 
-    /// Lazily bills slot `i`'s idle ticks `[accrued[i], to)` at its
+    /// Lazily bills slot `i`'s idle ticks `[accrued, to)` at its
     /// current administrative mode — the event engine's replacement for
     /// the tick loop's per-tick energy walk over every instance, and the
     /// only code that prices a tick per slot mode ([`Self::serve`] bills
@@ -683,11 +690,12 @@ impl<'a> CellSim<'a> {
     /// cell first, and the serve path closes its own span every busy
     /// tick (serving itself changes none of these inputs).
     fn accrue(&mut self, i: usize, to: u32) {
-        let from = self.accrued[i];
+        let slot = &mut self.slots[i];
+        let from = slot.accrued;
         if to <= from {
             return;
         }
-        self.accrued[i] = to;
+        slot.accrued = to;
         // A down instance draws nothing (its unit is out for swap or
         // repair), and neither does a gated (cold) one — the §3 win.
         if !self.insts[i].up {
@@ -695,15 +703,14 @@ impl<'a> CellSim<'a> {
         }
         let k = (to - from) as u64;
         let e = self.shared.power.idle_mw * self.shared.knobs.tick_us / 1000;
-        let (mode, ci) = (self.modes[i], self.clock(i));
         let acc = &mut self.acc;
-        match mode {
+        match slot.mode {
             SlotMode::Live => {
                 acc.energy_uj += e * k;
                 acc.idle_energy_uj += e * k;
                 acc.live_ticks += k;
-                acc.clock_ticks[ci] += k;
-                match self.phases[i] {
+                acc.clock_ticks[slot.clock_idx()] += k;
+                match slot.phase {
                     Phase::Prefill => acc.prefill_live_ticks += k,
                     Phase::Decode => acc.decode_live_ticks += k,
                     Phase::Mixed => {}
@@ -893,7 +900,10 @@ impl<'a> CellSim<'a> {
                 }
             }
         }
-        self.drained.fill(false);
+        for s in &mut self.slots {
+            s.drained = false;
+            s.chaos_outed = false;
+        }
         for &(start, end, ref locals) in &ch.drains {
             let lead = locals.first().copied().unwrap_or(0);
             if active(start, end) {
@@ -910,7 +920,7 @@ impl<'a> CellSim<'a> {
                     ));
                 }
                 for &li in locals {
-                    self.drained[li as usize] = true;
+                    self.slots[li as usize].drained = true;
                 }
             } else if first(end) && start.div_ceil(tick_us) < end.div_ceil(tick_us) {
                 self.acc.drain_restores += locals.len() as u64;
@@ -945,18 +955,20 @@ impl<'a> CellSim<'a> {
                 }
             }
         }
-        if self.clamp_scratch != self.clamp {
+        let clamps = self.slots.iter().map(|s| s.clamp);
+        if !clamps.eq(self.clamp_scratch.iter().copied()) {
             // A clamp change re-prices Live idle ticks (the clock-tick
             // attribution): close every open accrual span at the old
             // operating points before committing the new clamps.
             self.accrue_all(self.tick);
-            self.clamp.copy_from_slice(&self.clamp_scratch);
+            for (s, &c) in self.slots.iter_mut().zip(&self.clamp_scratch) {
+                s.clamp = c;
+            }
         }
-        self.chaos_outed.fill(false);
         for (_, start, end, locals) in &ch.outages {
             if active(*start, *end) {
                 for &li in locals {
-                    self.chaos_outed[li as usize] = true;
+                    self.slots[li as usize].chaos_outed = true;
                 }
             }
         }
@@ -1034,14 +1046,13 @@ impl<'a> CellSim<'a> {
         if self.shared.split.is_some() && (self.forced_down || self.decode_retry) {
             self.decode_retry = false;
             for i in 0..self.insts.len() {
-                if self.phases[i] != Phase::Decode || self.insts[i].queued() == 0 {
+                if self.slots[i].phase != Phase::Decode || self.insts[i].queued() == 0 {
                     continue;
                 }
                 let target = (0..self.insts.len())
                     .filter(|&j| {
-                        self.phases[j] == Phase::Prefill
-                            && self.insts[j].up
-                            && self.modes[j] == SlotMode::Live
+                        let s = &self.slots[j];
+                        s.phase == Phase::Prefill && self.insts[j].up && s.mode == SlotMode::Live
                     })
                     .min_by_key(|&j| (self.insts[j].queued(), j));
                 match target {
@@ -1067,12 +1078,12 @@ impl<'a> CellSim<'a> {
         if tick >= self.next_boot {
             self.accrue_all(tick);
             let now_us = tick as u64 * tick_us;
-            for m in &mut self.modes {
-                if matches!(m, SlotMode::Booting { until_us } if *until_us <= now_us) {
-                    *m = SlotMode::Live;
+            for s in &mut self.slots {
+                if matches!(s.mode, SlotMode::Booting { until_us } if until_us <= now_us) {
+                    s.mode = SlotMode::Live;
                 }
             }
-            self.next_boot = next_boot_tick(&self.modes, tick_us, self.shared.ticks);
+            self.next_boot = next_boot_tick(&self.slots, tick_us, self.shared.ticks);
         }
         if tick == self.next_ctrl {
             self.accrue_all(tick);
@@ -1107,23 +1118,20 @@ impl<'a> CellSim<'a> {
             kv_backlog_us: self.kv.as_ref().map_or(0, |k| k.backlog_us(t_start_us)),
         });
         obs.clock_points = shared.clock_points.clone();
-        obs.slots = (self.modes.iter())
-            .zip(&self.insts)
-            .zip(&self.phases)
-            .zip(&self.clocks)
-            .map(|(((m, inst), &phase), &clock)| InstanceObs {
+        obs.slots = (self.slots.iter().zip(&self.insts))
+            .map(|(s, inst)| InstanceObs {
                 mode: if !inst.up {
                     Mode::Down
                 } else {
-                    match m {
+                    match s.mode {
                         SlotMode::Live => Mode::Live,
                         SlotMode::Warm => Mode::Warm,
                         SlotMode::Cold => Mode::Cold,
                         SlotMode::Booting { .. } => Mode::Booting,
                     }
                 },
-                phase,
-                clock,
+                phase: s.phase,
+                clock: s.clock,
                 queued: inst.queued(),
                 active: inst.active(),
             })
@@ -1149,12 +1157,12 @@ impl<'a> CellSim<'a> {
             match cmd {
                 Command::Activate { slot } => {
                     let s = slot as usize;
-                    let boot_us = match self.modes.get(s) {
+                    let boot_us = match self.slots.get(s).map(|s| s.mode) {
                         Some(SlotMode::Warm) => shared.boot_us.0,
                         Some(SlotMode::Cold) => shared.boot_us.1,
                         _ => continue,
                     };
-                    self.modes[s] = if boot_us == 0 {
+                    self.slots[s].mode = if boot_us == 0 {
                         SlotMode::Live
                     } else {
                         SlotMode::Booting {
@@ -1167,7 +1175,7 @@ impl<'a> CellSim<'a> {
                 Command::Park { slot } => {
                     let s = slot as usize;
                     if s < insts.len()
-                        && self.modes[s] == SlotMode::Live
+                        && self.slots[s].mode == SlotMode::Live
                         && insts[s].up
                         && insts[s].is_idle()
                     {
@@ -1176,28 +1184,35 @@ impl<'a> CellSim<'a> {
                         // (issued later in this same command batch) may
                         // drop it to zero draw. Without a gater, parked
                         // capacity correctly keeps paying the floor.
-                        self.modes[s] = SlotMode::Warm;
+                        self.slots[s].mode = SlotMode::Warm;
                         acc.scale_downs += 1;
                         trace_cmd(trace, "park", slot);
                     }
                 }
                 Command::SetWarm { slot } => {
-                    if let Some(m @ SlotMode::Cold) = self.modes.get_mut(slot as usize) {
+                    if let Some(m @ SlotMode::Cold) =
+                        self.slots.get_mut(slot as usize).map(|s| &mut s.mode)
+                    {
                         *m = SlotMode::Warm;
                         trace_cmd(trace, "set_warm", slot);
                     }
                 }
                 Command::SetCold { slot } => {
-                    if let Some(m @ SlotMode::Warm) = self.modes.get_mut(slot as usize) {
+                    if let Some(m @ SlotMode::Warm) =
+                        self.slots.get_mut(slot as usize).map(|s| &mut s.mode)
+                    {
                         *m = SlotMode::Cold;
                         trace_cmd(trace, "set_cold", slot);
                     }
                 }
                 Command::SetWeights { weights } if weights.len() == insts.len() => {
-                    if trace.is_some() && weights != self.weights {
+                    let old = self.slots.iter().map(|s| s.weight);
+                    if trace.is_some() && !old.eq(weights.iter().copied()) {
                         trace_cmd(trace, "set_weights", u32::MAX);
                     }
-                    self.weights = weights;
+                    for (s, w) in self.slots.iter_mut().zip(weights) {
+                        s.weight = w;
+                    }
                 }
                 Command::SetAdmission { allow_best_effort } => {
                     if trace.is_some() && allow_best_effort != self.allow_best_effort {
@@ -1212,11 +1227,11 @@ impl<'a> CellSim<'a> {
                     let s = slot as usize;
                     if s < insts.len()
                         && shared.split.is_some()
-                        && self.phases[s] != phase
+                        && self.slots[s].phase != phase
                         && phase != Phase::Mixed
                         && insts[s].is_idle()
                     {
-                        self.phases[s] = phase;
+                        self.slots[s].phase = phase;
                         acc.phase_rebalances += 1;
                         trace_cmd(trace, "set_phase", slot);
                     }
@@ -1227,9 +1242,9 @@ impl<'a> CellSim<'a> {
                     let s = slot as usize;
                     if s < insts.len()
                         && (clock as usize) < shared.lut.num_clocks()
-                        && self.clocks[s] != clock
+                        && self.slots[s].clock != clock
                     {
-                        self.clocks[s] = clock;
+                        self.slots[s].clock = clock;
                         acc.clock_retunes += 1;
                         trace_cmd(trace, "set_clock", slot);
                     }
@@ -1240,7 +1255,7 @@ impl<'a> CellSim<'a> {
             }
         }
         self.next_ctrl = self.next_ctrl.saturating_add(shared.ctrl_every);
-        self.next_boot = next_boot_tick(&self.modes, shared.knobs.tick_us, shared.ticks);
+        self.next_boot = next_boot_tick(&self.slots, shared.knobs.tick_us, shared.ticks);
     }
 
     /// KV phase: delivers landed KV transfers into the decode pool, FIFO.
@@ -1264,14 +1279,14 @@ impl<'a> CellSim<'a> {
         if link.peek_landed(now_us).is_some() {
             self.kv_cands.clear();
             self.kv_cands.extend(
-                (self.insts.iter().enumerate())
-                    .filter(|&(i, s)| {
-                        self.phases[i] == Phase::Decode
-                            && s.up
-                            && self.modes[i] == SlotMode::Live
-                            && !self.drained[i]
+                (self.insts.iter().zip(&self.slots).enumerate())
+                    .filter(|(_, (inst, s))| {
+                        s.phase == Phase::Decode
+                            && inst.up
+                            && s.mode == SlotMode::Live
+                            && !s.drained
                     })
-                    .map(|(i, s)| (s.active(), i as u32)),
+                    .map(|(i, (inst, _))| (inst.active(), i as u32)),
             );
             let max_batch = self.shared.lut.max_batch;
             while let Some(job) = link.peek_landed(now_us) {
@@ -1356,21 +1371,15 @@ impl<'a> CellSim<'a> {
         }
         let uncontrolled = self.ctl.is_none();
         self.eff.clear();
-        self.eff.extend(
-            (self.modes.iter())
-                .zip(&self.insts)
-                .zip(&self.weights)
-                .zip(&self.phases)
-                .zip(&self.drained)
-                .map(|((((m, inst), &w), &p), &d)| {
-                    let up = inst.up || uncontrolled;
-                    if *m == SlotMode::Live && up && p != Phase::Decode && !d {
-                        w
-                    } else {
-                        0
-                    }
-                }),
-        );
+        self.eff
+            .extend(self.slots.iter().zip(&self.insts).map(|(s, inst)| {
+                let up = inst.up || uncontrolled;
+                if s.mode == SlotMode::Live && up && s.phase != Phase::Decode && !s.drained {
+                    s.weight
+                } else {
+                    0
+                }
+            }));
         let any_target = !self.partitioned && self.eff.iter().any(|&w| w > 0);
         let batches = self.arrivals[own..self.arr_ptr].iter();
         let acc = &mut self.acc;
@@ -1449,13 +1458,14 @@ impl<'a> CellSim<'a> {
         let mut keep = 0usize;
         for r in 0..self.busy.list.len() {
             let iu = self.busy.list[r] as usize;
-            let (mode, ci) = (self.modes[iu], self.clock(iu));
+            let slot = self.slots[iu];
+            let (mode, ci) = (slot.mode, slot.clock_idx());
             let (spent, nominal_spent) = if mode == SlotMode::Live {
                 self.insts[iu].serve(
                     tick,
                     shared.lut,
                     &shared.knobs,
-                    self.phases[iu],
+                    slot.phase,
                     ci as u8,
                     self.kv.as_mut(),
                     self.trace.as_mut(),
@@ -1540,7 +1550,7 @@ impl<'a> CellSim<'a> {
         for (t, &q) in self.tenant_scratch.iter().enumerate() {
             series.add_at(ids.tenant_queued[t], w, q);
         }
-        let draining = self.drained.iter().map(|&d| u64::from(d)).sum();
+        let draining = self.slots.iter().map(|s| u64::from(s.drained)).sum();
         series.add_at(ids.draining, w, draining);
         series.add_at(ids.repair_pending, w, self.cell.pending_len());
         series.add_at(ids.spares_free, w, self.cell.spares_free as u64);
@@ -1549,21 +1559,14 @@ impl<'a> CellSim<'a> {
             series.add_at(inflight, w, link.inflight_bytes());
         }
         if let Some((pp, pd)) = ids.pools {
-            let (mut prefill, mut decode) = (0u64, 0u64);
-            for &p in &self.phases {
-                match p {
-                    Phase::Prefill => prefill += 1,
-                    Phase::Decode => decode += 1,
-                    Phase::Mixed => {}
-                }
-            }
-            series.add_at(pp, w, prefill);
-            series.add_at(pd, w, decode);
+            let pool = |p| self.slots.iter().filter(|s| s.phase == p).count() as u64;
+            series.add_at(pp, w, pool(Phase::Prefill));
+            series.add_at(pd, w, pool(Phase::Decode));
         }
         if let Some(ci_ids) = &ids.ctl {
             let (mut live, mut warm, mut cold, mut booting) = (0u64, 0u64, 0u64, 0u64);
-            for m in &self.modes {
-                match m {
+            for s in &self.slots {
+                match s.mode {
                     SlotMode::Live => live += 1,
                     SlotMode::Warm => warm += 1,
                     SlotMode::Cold => cold += 1,
@@ -1575,9 +1578,9 @@ impl<'a> CellSim<'a> {
             series.add_at(ci_ids.cold, w, cold);
             series.add_at(ci_ids.booting, w, booting);
             // DVFS operating-point distribution over live, up slots.
-            for (i, &ci) in self.clocks.iter().enumerate() {
-                if self.modes[i] == SlotMode::Live && self.insts[i].up {
-                    series.add_at(ci_ids.clock_live[ci as usize], w, 1);
+            for (s, inst) in self.slots.iter().zip(&self.insts) {
+                if s.mode == SlotMode::Live && inst.up {
+                    series.add_at(ci_ids.clock_live[s.clock as usize], w, 1);
                 }
             }
         }
@@ -1636,8 +1639,8 @@ impl<'a> CellSim<'a> {
             obs.active += inst.active() as u64;
             obs.up += u32::from(inst.up);
         }
-        obs.live = (self.modes.iter().zip(&self.insts))
-            .filter(|(m, inst)| **m == SlotMode::Live && inst.up)
+        obs.live = (self.slots.iter().zip(&self.insts))
+            .filter(|(s, inst)| s.mode == SlotMode::Live && inst.up)
             .count() as u32;
         obs.arrived_window = core::mem::take(&mut self.window_arrived);
         let now_us = b as u64 * self.shared.knobs.tick_us;
