@@ -50,15 +50,6 @@ pub(crate) struct CellChaos {
     edges: Vec<u64>,
 }
 
-impl CellChaos {
-    fn is_empty(&self) -> bool {
-        self.outages.is_empty()
-            && self.partitions.is_empty()
-            && self.thermals.is_empty()
-            && self.drains.is_empty()
-    }
-}
-
 /// Splits the global chaos schedule into per-cell slices, each with its
 /// outage firing order and window edges on the `tick_us` grid.
 pub(crate) fn compile_cell_chaos(
@@ -119,19 +110,12 @@ pub(crate) fn compile_cell_chaos(
 
 /// The clock-grid index a thermal clamp pins affected slots to: the
 /// highest operating point not above the clamp, or the grid's lowest
-/// point when the clamp undercuts the whole grid.
+/// point when the clamp undercuts the whole grid. The grid is strictly
+/// ascending (`StepCostTable::build_with_clocks` rejects any other).
 fn clamp_clock_idx(clock_points: &[f64], clamp: f64) -> u8 {
-    let mut lowest = 0;
-    let mut best: Option<usize> = None;
-    for (i, &c) in clock_points.iter().enumerate() {
-        if c < clock_points[lowest] {
-            lowest = i;
-        }
-        if c <= clamp + 1e-9 && best.is_none_or(|b: usize| c > clock_points[b]) {
-            best = Some(i);
-        }
-    }
-    best.unwrap_or(lowest) as u8
+    (clock_points.iter())
+        .rposition(|&c| c <= clamp + 1e-9)
+        .unwrap_or(0) as u8
 }
 
 /// Administrative state of one instance slot (orthogonal to the failure
@@ -542,10 +526,7 @@ impl<'a> CellSim<'a> {
             })
             .collect();
         let ctl = cfg.ctrl.as_ref().map(|c| CellCtl::new(c, seed, cell_idx));
-        let chaos = shared
-            .chaos
-            .get(cell_idx as usize)
-            .filter(|c| !c.is_empty());
+        let chaos = shared.chaos.get(cell_idx as usize);
         // Resolve this cell's metric ids once: re-resolution across
         // cells is idempotent, and the tick loop then samples by index.
         let series_ids = series.map(|s| {
@@ -628,20 +609,15 @@ impl<'a> CellSim<'a> {
             // Chaos window edges are static: schedule every edge that
             // must be observed at its exact tick. Outages fire at the
             // tick containing their start; the other windows matter
-            // from the first tick at or after each edge.
-            for &(t, _) in &ch.outage_ticks {
+            // from the first tick at or after each edge: partition
+            // starts, and drain and thermal starts and ends.
+            let edges = (ch.drains.iter().map(|d| (d.0, d.1)))
+                .chain(ch.thermals.iter().map(|t| (t.0, t.1)))
+                .flat_map(|(start, end)| [start, end])
+                .chain(ch.partitions.iter().map(|p| p.0))
+                .map(|us| us.div_ceil(tick_us));
+            for t in ch.outage_ticks.iter().map(|o| o.0).chain(edges) {
                 sim.wake(t, u32::MAX);
-            }
-            for &(start, _) in &ch.partitions {
-                sim.wake(start.div_ceil(tick_us), u32::MAX);
-            }
-            for (start, end, _) in &ch.drains {
-                sim.wake(start.div_ceil(tick_us), u32::MAX);
-                sim.wake(end.div_ceil(tick_us), u32::MAX);
-            }
-            for (start, end, _, _) in &ch.thermals {
-                sim.wake(start.div_ceil(tick_us), u32::MAX);
-                sim.wake(end.div_ceil(tick_us), u32::MAX);
             }
         }
         sim
@@ -670,6 +646,13 @@ impl<'a> CellSim<'a> {
         if let Some(ts) = self.trace.as_mut() {
             ts.buf.push(ev);
         }
+    }
+
+    /// Traces the chaos window `[start, end)` `name` over `n` slots,
+    /// the first of them local slot `lead`.
+    fn emit_window(&mut self, name: &'static str, start: u64, end: u64, lead: u32, n: u64) {
+        let ev = TraceEvent::complete("chaos", name, start, end - start, self.cell_idx, lead, n);
+        self.emit(ev);
     }
 
     /// Lazily bills slot `i`'s idle ticks `[accrued, to)` at its
@@ -819,19 +802,10 @@ impl<'a> CellSim<'a> {
             debug_assert_eq!(t, tick as u64, "every outage start tick is a wakeup");
             self.outage_ptr += 1;
             let (kind, start, end, locals) = &ch.outages[oi];
-            self.emit(TraceEvent::complete(
-                "chaos",
-                if *kind == 2 {
-                    "power_outage"
-                } else {
-                    "rack_outage"
-                },
-                *start,
-                end - start,
-                self.cell_idx,
-                locals.first().copied().unwrap_or(0),
-                locals.len() as u64,
-            ));
+            let power = *kind == 2; // DomainKind::Power.
+            let name = if power { "power_outage" } else { "rack_outage" };
+            let lead = locals.first().copied().unwrap_or(0);
+            self.emit_window(name, *start, *end, lead, locals.len() as u64);
             for &li in locals {
                 let iu = li as usize;
                 if !self.insts[iu].up {
@@ -888,15 +862,7 @@ impl<'a> CellSim<'a> {
                 self.partitioned = true;
                 if first(start) {
                     self.acc.by_kind[3] += 1; // DomainKind::Partition.
-                    self.emit(TraceEvent::complete(
-                        "chaos",
-                        "partition",
-                        start,
-                        end - start,
-                        self.cell_idx,
-                        0,
-                        self.insts.len() as u64,
-                    ));
+                    self.emit_window("partition", start, end, 0, self.insts.len() as u64);
                 }
             }
         }
@@ -909,15 +875,7 @@ impl<'a> CellSim<'a> {
             if active(start, end) {
                 if first(start) {
                     self.acc.drains += locals.len() as u64;
-                    self.emit(TraceEvent::complete(
-                        "chaos",
-                        "drain",
-                        start,
-                        end - start,
-                        self.cell_idx,
-                        lead,
-                        locals.len() as u64,
-                    ));
+                    self.emit_window("drain", start, end, lead, locals.len() as u64);
                 }
                 for &li in locals {
                     self.slots[li as usize].drained = true;
@@ -939,15 +897,8 @@ impl<'a> CellSim<'a> {
             if active(start, end) {
                 if first(start) {
                     self.acc.by_kind[4] += 1; // DomainKind::Thermal.
-                    self.emit(TraceEvent::complete(
-                        "chaos",
-                        "thermal",
-                        start,
-                        end - start,
-                        self.cell_idx,
-                        locals.first().copied().unwrap_or(0),
-                        locals.len() as u64,
-                    ));
+                    let lead = locals.first().copied().unwrap_or(0);
+                    self.emit_window("thermal", start, end, lead, locals.len() as u64);
                 }
                 for &li in locals {
                     let c = &mut self.clamp_scratch[li as usize];
