@@ -455,14 +455,12 @@ pub(crate) struct CellSim<'a> {
     heap: BinaryHeap<Reverse<(u32, u32)>>,
     busy: BusySet,
     lifecycle_now: Vec<u32>,
-    /// The cell's own arrival batches `(tick, tenant, count)` drawn so
-    /// far, up to [`CellTraffic::drawn`], consumed through a cursor.
+    /// The cell's arrival schedule `(tick, tenant, count)`, sorted by
+    /// tick and consumed through a cursor: its own batches drawn up to
+    /// [`CellTraffic::drawn`], and the cohorts other cells spilled here
+    /// ([`Self::apply_plan`]).
     arrivals: Vec<(u32, u16, u64)>,
     arr_ptr: usize,
-    /// Spilled-in cohorts from other cells, sorted by tick (each window's
-    /// plan is tick-sorted); consumed through a cursor like `arrivals`.
-    inflow: Vec<(u32, u16, u64)>,
-    inflow_ptr: usize,
     /// Routing buffers of [`Self::route`]: per-slot routing weights,
     /// per-slot shares of one batch, and [`apportion_into`]'s scratch.
     eff: Vec<u64>,
@@ -587,8 +585,6 @@ impl<'a> CellSim<'a> {
             lifecycle_now: Vec::new(),
             arrivals,
             arr_ptr: 0,
-            inflow: Vec::new(),
-            inflow_ptr: 0,
             eff: Vec::with_capacity(n),
             shares: Vec::with_capacity(n),
             scratch: Vec::with_capacity(n),
@@ -1311,13 +1307,12 @@ impl<'a> CellSim<'a> {
     /// admission, partition) changes while a tick routes.
     fn route(&mut self) {
         let tick = self.tick;
-        let due = |batches: &[(u32, u16, u64)], from: usize| {
-            from + batches[from..].iter().take_while(|b| b.0 == tick).count()
-        };
-        let (own, spilled) = (self.arr_ptr, self.inflow_ptr);
-        self.arr_ptr = due(&self.arrivals, own);
-        self.inflow_ptr = due(&self.inflow, spilled);
-        if self.arr_ptr == own && self.inflow_ptr == spilled {
+        let from = self.arr_ptr;
+        self.arr_ptr += self.arrivals[from..]
+            .iter()
+            .take_while(|b| b.0 == tick)
+            .count();
+        if self.arr_ptr == from {
             return;
         }
         let uncontrolled = self.ctl.is_none();
@@ -1332,9 +1327,8 @@ impl<'a> CellSim<'a> {
                 }
             }));
         let any_target = !self.partitioned && self.eff.iter().any(|&w| w > 0);
-        let batches = self.arrivals[own..self.arr_ptr].iter();
         let acc = &mut self.acc;
-        for &(_, ti, n) in batches.chain(&self.inflow[spilled..self.inflow_ptr]) {
+        for &(_, ti, n) in &self.arrivals[from..self.arr_ptr] {
             let t = ti as usize;
             acc.arrived += n;
             acc.per_tenant[t].arrived += n;
@@ -1550,12 +1544,9 @@ impl<'a> CellSim<'a> {
         if !self.busy.list.is_empty() || self.kv_blocked || self.decode_retry {
             return self.tick + 1;
         }
-        let due =
-            |batches: &[(u32, u16, u64)], ptr: usize| batches.get(ptr).map_or(u32::MAX, |b| b.0);
         [
             self.heap.peek().map_or(u32::MAX, |Reverse((t, _))| *t),
-            due(&self.arrivals, self.arr_ptr),
-            due(&self.inflow, self.inflow_ptr),
+            self.arrivals.get(self.arr_ptr).map_or(u32::MAX, |b| b.0),
             self.next_ctrl,
             self.next_boot,
             self.next_sample,
@@ -1567,13 +1558,12 @@ impl<'a> CellSim<'a> {
     }
 
     /// Draws this cell's own arrivals up to tick `hi` from `table`
-    /// (booked under the route phase), after dropping the batches, own
-    /// and spilled-in, that are already routed.
+    /// (booked under the route phase), after dropping the batches that
+    /// are already routed.
     pub(crate) fn draw(&mut self, table: &ArrivalTable, hi: u32, prof: &mut ProfTimer) {
         prof.reset();
         self.arrivals.drain(..self.arr_ptr);
-        self.inflow.drain(..self.inflow_ptr);
-        (self.arr_ptr, self.inflow_ptr) = (0, 0);
+        self.arr_ptr = 0;
         self.traffic
             .draw(self.shared, table, hi, &mut self.arrivals);
         prof.mark(PHASE_ROUTE);
@@ -1605,10 +1595,17 @@ impl<'a> CellSim<'a> {
 
     /// Applies one window's fleet directives: resets the admission
     /// quota, removes spilled requests from this cell's pending
-    /// arrivals, and lands cohorts other cells redirected here. Spill
-    /// accounting books the outflow at the source and the inflow at the
-    /// destination, each in its own cell's totals, so the merged flow
-    /// matrix conserves exactly.
+    /// arrivals, and lands cohorts other cells redirected here in the
+    /// arrival schedule. Spill accounting books the outflow at the source
+    /// and the inflow at the destination, each in its own cell's totals,
+    /// so the merged flow matrix conserves exactly.
+    ///
+    /// The cell stands at the window edge (it never jumps past its
+    /// arrival frontier) with nothing routed since [`Self::draw`], and
+    /// every cohort is due in the coming window, so all of them route
+    /// before the next [`Self::publish`], which therefore offers the
+    /// planner only the cell's own batches. A stable sort by tick keeps a
+    /// tick's own batches ahead of the cohorts spilled into it.
     pub(crate) fn apply_plan(&mut self, plan: CellPlan) {
         self.quota_left = plan.quota.unwrap_or(u64::MAX);
         for &(rel, n) in &plan.deduct {
@@ -1623,10 +1620,9 @@ impl<'a> CellSim<'a> {
             for &(_, _, n) in &plan.inflow {
                 self.acc.spill_in += n;
             }
-            // The cell stands at the window edge (it never jumps past its
-            // arrival frontier), and every cohort is due at or after it.
             debug_assert!(self.tick <= plan.inflow[0].0);
-            self.inflow.extend_from_slice(&plan.inflow);
+            self.arrivals.extend_from_slice(&plan.inflow);
+            self.arrivals[self.arr_ptr..].sort_by_key(|b| b.0);
         }
     }
 
