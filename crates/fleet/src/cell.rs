@@ -1248,7 +1248,7 @@ impl<'a> CellSim<'a> {
                 let i = c.1 as usize;
                 let job = link.pop().expect("peeked");
                 let tk = &self.shared.knobs.tenants[job.tenant as usize];
-                KvLinkState::record_delivery(&job, now_us, tk, &mut self.acc);
+                link.record_delivery(&job, now_us, tk, &mut self.acc);
                 if let Some(ts) = self.trace.as_mut() {
                     if ts.sampler.sampled(job.span) {
                         let tid = self.insts[i].global_index();

@@ -203,9 +203,10 @@ pub(crate) struct KvTransfer {
     /// Trace span id of the cohort (`(prefill instance global index
     /// << 32) | launch counter`; RNG-free, shard-invariant).
     pub span: u64,
-    /// One `(queue+prefill wait µs, weight)` entry per non-retry queue
-    /// run in the cohort; TTFT is recorded from these at delivery.
-    pub ttfts: Vec<(u64, u64)>,
+    /// The cohort's entries in the link's TTFT FIFO
+    /// ([`KvLinkState::record_delivery`] drains them): one per non-retry
+    /// queue run.
+    pub ttft_runs: u32,
 }
 
 /// One cell's prefill→decode KV link: a serialized bandwidth budget with
@@ -225,6 +226,11 @@ pub(crate) struct KvLinkState {
     /// Transfers in flight or awaiting decode capacity, completion-ordered
     /// (a single serialized link keeps FIFO = completion order).
     queue: VecDeque<KvTransfer>,
+    /// One `(queue+prefill wait µs, weight)` entry per non-retry queue
+    /// run of every queued transfer, in queue order: TTFT is recorded
+    /// from these at delivery. Deliveries pop the queue head, whose
+    /// entries are therefore always at the front.
+    ttfts: VecDeque<(u64, u64)>,
 }
 
 impl KvLinkState {
@@ -234,6 +240,7 @@ impl KvLinkState {
             max_backlog_us,
             free_us: 0,
             queue: VecDeque::new(),
+            ttfts: VecDeque::new(),
         }
     }
 
@@ -251,8 +258,8 @@ impl KvLinkState {
     /// accounting (bytes, busy time, queueing + serialization delay).
     /// TTFT is *not* recorded here: it waits for
     /// [`KvLinkState::record_delivery`], so time spent head-of-line for
-    /// decode batch room lands in it too. `ttfts` carries one
-    /// `(wait_us, weight)` entry per non-retry queue run in the cohort.
+    /// decode batch room lands in it too. The cohort's `ttft_runs` TTFT
+    /// entries are already pushed onto the link's TTFT FIFO.
     #[allow(clippy::too_many_arguments)]
     pub fn enqueue(
         &mut self,
@@ -263,7 +270,7 @@ impl KvLinkState {
         oldest_arrival_tick: u32,
         bytes: u64,
         span: u64,
-        ttfts: &[(u64, u64)],
+        ttft_runs: u32,
         acc: &mut Totals,
     ) {
         let service =
@@ -283,19 +290,26 @@ impl KvLinkState {
             oldest_arrival_tick,
             bytes,
             span,
-            ttfts: ttfts.to_vec(),
+            ttft_runs,
         });
     }
 
-    /// Records a landed transfer's delivery into the decode pool at
-    /// `now_us`: delivered bytes, and the cohort's TTFTs — queue wait +
-    /// prefill cost + the full hand-off delay (link queueing,
+    /// Records the delivery into the decode pool, at `now_us`, of the
+    /// transfer just popped off the queue head: delivered bytes, and the
+    /// cohort's TTFTs, drained from the front of the TTFT FIFO — queue
+    /// wait + prefill cost + the full hand-off delay (link queueing,
     /// serialization, and any ticks spent head-of-line waiting for
     /// decode batch room) — against the tenant's SLO.
-    pub fn record_delivery(job: &KvTransfer, now_us: u64, tk: &TenantKnobs, acc: &mut Totals) {
+    pub fn record_delivery(
+        &mut self,
+        job: &KvTransfer,
+        now_us: u64,
+        tk: &TenantKnobs,
+        acc: &mut Totals,
+    ) {
         acc.kv_bytes_delivered += job.bytes;
         let delay = now_us.saturating_sub(job.ready_us);
-        for &(wait_us, w) in &job.ttfts {
+        for (wait_us, w) in self.ttfts.drain(..job.ttft_runs as usize) {
             let ttft = wait_us + delay;
             acc.ttft.record(ttft, w);
             let tt = &mut acc.per_tenant[job.tenant as usize];
@@ -904,7 +918,6 @@ impl InstanceState {
         // per-tick runs are 1-2 requests would never amortize a prefill
         // launch the way the engine's capacity estimate assumes.
         let mut prefill_spent = 0u64;
-        let mut ttft_scratch: Vec<(u64, u64)> = Vec::new();
         while phase != Phase::Decode
             && self.queued > 0
             && (phase == Phase::Prefill || self.active < lut.max_batch)
@@ -963,7 +976,7 @@ impl InstanceState {
             // clock starts at the oldest popped run's arrival. Under
             // phase-split, TTFT is deferred to the KV-link hand-off so
             // the transfer delay lands in it.
-            ttft_scratch.clear();
+            let mut ttft_runs = 0u32;
             let mut oldest = tick;
             let mut remaining = b;
             while remaining > 0 {
@@ -980,8 +993,9 @@ impl InstanceState {
                         if wait_us <= tk.ttft_slo_us {
                             tt.ttft_slo_ok += take as u64;
                         }
-                    } else {
-                        ttft_scratch.push((wait_us, take as u64));
+                    } else if let Some(link) = kv.as_deref_mut() {
+                        link.ttfts.push_back((wait_us, take as u64));
+                        ttft_runs += 1;
                     }
                 }
                 front.count -= take;
@@ -1063,7 +1077,7 @@ impl InstanceState {
                     oldest,
                     tk.kv_bytes_per_req * b as u64,
                     span,
-                    &ttft_scratch,
+                    ttft_runs,
                     acc,
                 );
             }
@@ -1559,7 +1573,8 @@ mod tests {
         let mut link = KvLinkState::new(1_000_000, 1_500_000);
         let mut acc = Totals::new(1, 1);
         let tk = knobs().tenants[0];
-        link.enqueue(0, 0, 1, 100, 0, 1_000_000, 0, &[(200_000, 1)], &mut acc);
+        link.ttfts.push_back((200_000, 1));
+        link.enqueue(0, 0, 1, 100, 0, 1_000_000, 0, 1, &mut acc);
         assert_eq!(acc.kv_transfers, 1);
         assert_eq!(acc.kv_bytes_queued, 1_000_000);
         assert_eq!(acc.kv_link_busy_us, 1_000_000);
@@ -1567,7 +1582,7 @@ mod tests {
         // waits land in it too).
         assert_eq!(acc.per_tenant[0].ttft_recorded, 0);
         // Second transfer queues behind the first: delay 2 s.
-        link.enqueue(0, 0, 1, 100, 0, 1_000_000, 0, &[], &mut acc);
+        link.enqueue(0, 0, 1, 100, 0, 1_000_000, 0, 0, &mut acc);
         assert_eq!(link.backlog_us(0), 2_000_000);
         assert!(link.backlogged(0), "2 s backlog > 1.5 s threshold");
         assert!(!link.backlogged(1_000_000));
@@ -1580,7 +1595,7 @@ mod tests {
         assert_eq!(link.inflight_bytes(), 1_000_000);
         // Delivery one tick after landing: TTFT = queue+prefill wait
         // (0.2 s) + hand-off delay (2 s incl. the decode-room wait).
-        KvLinkState::record_delivery(&first, 2_000_000, &tk, &mut acc);
+        link.record_delivery(&first, 2_000_000, &tk, &mut acc);
         assert_eq!(acc.kv_bytes_delivered, 1_000_000);
         assert_eq!(acc.per_tenant[0].ttft_recorded, 1);
         assert_eq!(acc.per_tenant[0].ttft_slo_ok, 0, "2.2 s misses the 1 s SLO");
@@ -1616,7 +1631,8 @@ mod tests {
         // ...TTFT is deferred to delivery (transfer + decode-room
         // waits must land in it)...
         assert_eq!(acc.per_tenant[0].ttft_recorded, 0);
-        assert_eq!(link.pop().unwrap().ttfts.len(), 1, "one non-retry run");
+        assert_eq!(link.ttfts.len(), 1, "one non-retry run");
+        assert_eq!(link.pop().unwrap().ttft_runs, 1);
         // ...and no tokens were generated by the prefill instance.
         assert_eq!(acc.generated_tokens, 0);
     }
@@ -1642,7 +1658,7 @@ mod tests {
             oldest_arrival_tick: 0,
             bytes: 3_000_000,
             span: 0,
-            ttfts: Vec::new(),
+            ttft_runs: 0,
         });
         assert_eq!(inst.active(), 3);
         inst.serve(1, &lut, &knobs, Phase::Decode, 0, None, None, &mut acc);
@@ -1694,7 +1710,7 @@ mod tests {
             oldest_arrival_tick: 0,
             bytes: 0,
             span: 0,
-            ttfts: Vec::new(),
+            ttft_runs: 0,
         });
         inst.push_arrivals(0, 4, 0, &knobs, &mut acc);
         inst.serve(0, &lut, &knobs, Phase::Mixed, 0, None, None, &mut acc);
