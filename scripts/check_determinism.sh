@@ -1,19 +1,20 @@
 #!/usr/bin/env bash
-# Determinism gate: run the controlled 3-tenant fleet at several thread
-# counts — across all three serving/control combos (monolithic,
+# Determinism gate: run the 3-tenant fleet at several thread counts —
+# across all three controlled serving/control combos (monolithic,
 # phase-split, and DVFS-enabled phase-split clock scaling), each also
 # under a compiled chaos campaign (rack outages + repair crews for mono,
 # cell partitions for split, thermal clock clamps for the DVFS combo),
 # plus the fleet-scope balancer on a skewed and on a flat fleet and
-# under a fleet admission quota — and diff the serialized FleetReport
-# bytes. Byte-identical reports at
-# any shard/thread count are the engine's core guarantee, checked end to
-# end through the sim_fleet binary. The telemetry layers ride along:
-# every run also exports the time-series JSONL and the Chrome trace
-# JSON, and those artifact bytes must be identical across thread counts
-# too. Each combo also runs on 3 shards over 2 threads: uneven shard
-# bounds (cells 0/2/5/8) with two shards on one worker, because which
-# cells a worker merges together depends on shards and threads both.
+# under a fleet admission quota, and a controller-less phase-split fleet
+# under rack outages — and diff the serialized FleetReport bytes.
+# Byte-identical reports at any shard/thread count are the engine's core
+# guarantee, checked end to end through the sim_fleet binary. The
+# telemetry layers ride along: every run also exports the time-series
+# JSONL and the Chrome trace JSON, and those artifact bytes must be
+# identical across thread counts too. Each combo also runs on 3 shards
+# over 2 threads: uneven shard bounds (cells 0/2/5/8) with two shards on
+# one worker, because which cells a worker merges together depends on
+# shards and threads both.
 # Shared by ci.sh and .github/workflows/ci.yml (ci.sh invokes this
 # script, so the workflow cannot skip it).
 set -euo pipefail
@@ -21,7 +22,7 @@ cd "$(dirname "$0")/.."
 
 det_dir="target/ci-determinism"
 mkdir -p "$det_dir"
-for combo in mono split dvfs mono_chaos split_chaos dvfs_chaos balancer balancer_flat balancer_quota; do
+for combo in mono split dvfs mono_chaos split_chaos dvfs_chaos balancer balancer_flat balancer_quota uncontrolled; do
   case "$combo" in
     mono)        combo_flags=(--serving mono) ;;
     split)       combo_flags=(--serving split) ;;
@@ -42,6 +43,10 @@ for combo in mono split dvfs mono_chaos split_chaos dvfs_chaos balancer balancer
     # quota sheds part of the arrivals at the cell boundary, some batches
     # whole and many only in part.
     balancer_quota) combo_flags=(--serving mono --balancer --skew 2x2.5 --quota-headroom 0.3) ;;
+    # No cell controller (--ctrl off overrides the base --ctrl auto):
+    # every slot keeps its default state, and a slot a rack outage takes
+    # down keeps its share of the split (stranded traffic).
+    uncontrolled) combo_flags=(--ctrl off --serving split --chaos rack) ;;
   esac
   for run in t1 t2 t8 s3t2; do
     case "$run" in
