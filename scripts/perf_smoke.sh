@@ -6,7 +6,8 @@
 # event-driven scheduler exists for; plus a "fleet100k_balancer" twin
 # with the fleet-scope spill-over balancer at an hourly fleet tick) —
 # then emit one commit-stamped BENCH_fleet.json artifact at the repo
-# root and fail on a >20% ticks/sec regression of any mode against the
+# root (copied to target/ci-perf/BENCH_fleet.json, the path the CI
+# workflow uploads) and fail on a >20% ticks/sec regression of any mode against the
 # checked-in baseline (scripts/perf_baseline.json). The job also fails
 # outright if the artifact is missing any mode's entry, so no leg can
 # silently drop out of the gate. A dedicated balancer gate asserts the
@@ -88,6 +89,7 @@ if ! git diff --quiet -- . ":(exclude)$bench" 2>/dev/null; then commit="$commit-
   echo '  ]'
   echo '}'
 } > "$bench"
+cp "$bench" "$out_dir/$bench"
 
 # All JSON files are produced by this repo with stable formatting, so
 # grep-based field reads stay dependency-free.
