@@ -28,7 +28,7 @@ use std::collections::BinaryHeap;
 use std::time::Instant;
 
 /// One cell's slice of the compiled chaos schedule. Computed from the
-/// global [`ChaosSpec`] before sharding, so domain membership never
+/// global [`ChaosSpec`](crate::ChaosSpec) before sharding, so domain membership never
 /// depends on the shard/thread layout; instance indices are cell-local.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CellChaos {
@@ -405,8 +405,8 @@ fn next_boot_tick(slots: &[Slot], tick_us: u64, ticks: u32) -> u32 {
 /// window edge and resume exactly, and its series deltas count only its
 /// own work. Every per-cell mechanism (routing, KV delivery, the failure
 /// lifecycle and decode retries, control, serving and billing) is a
-/// method on that state. [`run_windows`] builds a
-/// cell on first touch, runs it window by window
+/// method on that state. [`run_windows`](crate::window::run_windows)
+/// builds a cell on first touch, runs it window by window
 /// ([`CellSim::run_until`]), applies the fleet plan between windows
 /// ([`CellSim::publish`] / [`CellSim::apply_plan`]), and at the horizon
 /// merges it into its worker ([`CellSim::finalize`]) and drops it.
@@ -1137,17 +1137,15 @@ impl<'a> CellSim<'a> {
                     }
                 }
                 Command::SetWarm { slot } => {
-                    if let Some(m @ SlotMode::Cold) =
-                        self.slots.get_mut(slot as usize).map(|s| &mut s.mode)
-                    {
+                    let mode = self.slots.get_mut(slot as usize).map(|s| &mut s.mode);
+                    if let Some(m @ SlotMode::Cold) = mode {
                         *m = SlotMode::Warm;
                         trace_cmd(trace, "set_warm", slot);
                     }
                 }
                 Command::SetCold { slot } => {
-                    if let Some(m @ SlotMode::Warm) =
-                        self.slots.get_mut(slot as usize).map(|s| &mut s.mode)
-                    {
+                    let mode = self.slots.get_mut(slot as usize).map(|s| &mut s.mode);
+                    if let Some(m @ SlotMode::Warm) = mode {
                         *m = SlotMode::Cold;
                         trace_cmd(trace, "set_cold", slot);
                     }
@@ -1308,10 +1306,8 @@ impl<'a> CellSim<'a> {
     fn route(&mut self) {
         let tick = self.tick;
         let from = self.arr_ptr;
-        self.arr_ptr += self.arrivals[from..]
-            .iter()
-            .take_while(|b| b.0 == tick)
-            .count();
+        let due = self.arrivals[from..].iter().take_while(|b| b.0 == tick);
+        self.arr_ptr += due.count();
         if self.arr_ptr == from {
             return;
         }

@@ -12,12 +12,11 @@
 //! it.
 //!
 //! Traffic is a multi-tenant [`WorkloadSpec`](crate::WorkloadSpec): each
-//! tenant's arrivals are
-//! drawn per *cell* from the tenant's own dedicated RNG stream (demand is
-//! exogenous — it does not shrink when instances park or fail) and routed
-//! over the cell's instances with exact integer largest-remainder
-//! splitting, **in priority order**: `Interactive` tenants claim queue
-//! room first, then `Batch`, then `BestEffort`. When the control plane's
+//! tenant's arrivals are drawn per *cell* from the tenant's own dedicated
+//! RNG stream (demand is exogenous — it does not shrink when instances
+//! park or fail) and routed over the cell's instances with exact integer
+//! largest-remainder splitting, **in priority order**: `Interactive`
+//! tenants claim queue room first, then `Batch`, then `BestEffort`. When the control plane's
 //! admission control has revoked best-effort admission
 //! ([`litegpu_ctrl::Command::SetAdmission`]), best-effort arrivals are
 //! shed at the cell boundary and counted per tenant.
@@ -30,9 +29,10 @@
 //! parked instances, routing-weight refreshes, and admission changes.
 //! All controller state is per-cell, lives inside the cell, and draws
 //! from the cell's own RNG stream, so controlled runs keep the
-//! byte-identical guarantee. Without a control plane every instance
-//! (live or down — no router means stranded traffic) weighs equally in
-//! the split.
+//! byte-identical guarantee. A cell without a control plane runs the same
+//! code with default slot state — every slot live, at weight 1 and the
+//! nominal clock — except that a down instance keeps its equal share of
+//! the split: no router means stranded traffic.
 //!
 //! Every run takes one path (`run_windows`): the horizon is
 //! cut into *windows* — one fleet-balancer interval each, or the whole
@@ -58,10 +58,10 @@
 //!   in a sorted busy list and are served every tick until idle again;
 //! - **arrival cohorts** — each (cell, tenant) Poisson stream is drawn
 //!   one window ahead (same RNG draws, same order as the old per-tick
-//!   engine, so the streams are bit-identical) into a sorted arrival
-//!   schedule consumed by a cursor, and cohorts other cells spilled
-//!   here wait behind a second cursor; the cell never jumps past the
-//!   tick it has drawn up to, so the draw frontier is itself a wakeup;
+//!   engine, so the streams are bit-identical) into one sorted arrival
+//!   schedule consumed by a cursor, which the cohorts other cells spill
+//!   here join at each window edge; the cell never jumps past the tick
+//!   it has drawn up to, so the draw frontier is itself a wakeup;
 //! - **KV-transfer deliveries** — the phase-split link wakes the cell
 //!   when its FIFO head lands (or every tick while the head is blocked
 //!   on a full decode batch);
@@ -90,6 +90,24 @@
 //! The hot path evaluates no roofline, allocates nothing beyond queue
 //! churn and takes no lock per tick (a cell reads the shared
 //! `ArrivalTable` once per window).
+//!
+//! # Where the code lives
+//!
+//! This module keeps the per-run setup (`Shared`, derived once from the
+//! [`FleetConfig`] before any worker starts), [`FleetRun`] and the three
+//! entry points: [`run`], [`run_sharded`] and [`run_sharded_full`]. The
+//! rest of the engine sits in crate-private modules:
+//!
+//! - `config.rs` — [`FleetConfig`] and the types it holds (re-exported
+//!   here), their validation and the per-run quantities derived from
+//!   them;
+//! - `arrivals.rs` — the run's `ArrivalTable` and each cell's
+//!   `CellTraffic` streams;
+//! - `cell.rs` — `CellSim`, one cell stepped through the seven phases,
+//!   with its slot table, its slice of the chaos schedule and its
+//!   control-plane runtime;
+//! - `window.rs` — `run_windows`: the worker threads, and the
+//!   balancer's snapshot → plan rendezvous at each window edge.
 
 use crate::cell::{compile_cell_chaos, CellChaos};
 use crate::config::InstancePower;
@@ -236,6 +254,7 @@ pub fn run_sharded_full(
     let knobs = cfg.knobs();
     let tenants_meta = cfg.tenant_meta(&knobs);
     let tel = &cfg.telemetry;
+    let us = |s: f64| (s * 1e6).round() as u64;
     let shared = Shared {
         cfg,
         lut: &lut,
@@ -258,14 +277,8 @@ pub fn run_sharded_full(
         ctrl_every: cfg.ctrl.as_ref().map_or(u32::MAX, |c| {
             ((c.control_interval_s / cfg.tick_s).round() as u32).max(1)
         }),
-        boot_us: cfg
-            .ctrl
-            .as_ref()
-            .and_then(|c| c.autoscaler)
-            .map_or((0, 0), |a| {
-                let us = |s: f64| (s * 1e6).round() as u64;
-                (us(a.warm_start_s), us(a.cold_start_s))
-            }),
+        boot_us: (cfg.ctrl.as_ref().and_then(|c| c.autoscaler))
+            .map_or((0, 0), |a| (us(a.warm_start_s), us(a.cold_start_s))),
         split: match &cfg.serving {
             ServingMode::Monolithic => None,
             ServingMode::PhaseSplit {
@@ -274,7 +287,7 @@ pub fn run_sharded_full(
             } => Some(SplitShared {
                 prefill_fraction: *prefill_fraction,
                 kv_bytes_per_s: (kv_link.bandwidth_gbps * 1e9).round() as u64,
-                kv_max_backlog_us: (kv_link.max_backlog_s * 1e6).round() as u64,
+                kv_max_backlog_us: us(kv_link.max_backlog_s),
                 prefill_capacity_rps: cfg.prefill_capacity_rps_at(&lut, lut.nominal_clock_idx()),
                 decode_capacity_rps: cfg.decode_capacity_rps_at(&lut, lut.nominal_clock_idx()),
             }),
