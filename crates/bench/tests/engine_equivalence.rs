@@ -1,9 +1,9 @@
 //! Engine-equivalence regression gate: the determinism-suite configs
 //! (mono / split / dvfs, each with and without a chaos campaign, all on
 //! the 3-tenant workload) plus the fleet-balancer, rolling-drain,
-//! power-domain, admission-quota and controller-less paths must keep
-//! producing the exact report, series and trace bytes pinned below — at
-//! 1, 2 and 8 threads.
+//! power-domain, admission-quota, controller-less and balancer-only
+//! paths must keep producing the exact report, series and trace bytes
+//! pinned below — at 1, 2 and 8 threads.
 //!
 //! The first six rows' series/trace hashes were generated from the
 //! original per-tick engine, before the event-queue rewrite; their
@@ -19,13 +19,18 @@
 //! admission quota (`--quota-headroom 0.3`): the quota clamps about an
 //! eighth of the arrivals, and thousands of batches only in part, so it
 //! pins the quota shed that no other row reaches (the default headroom
-//! is unlimited). The three `off_*` rows run without a cell controller
-//! (`--ctrl off` overrides the base `--ctrl auto`; each report says
-//! `"controller": "none"`): every slot keeps its default state, and a
-//! down slot keeps its share of the uniform split (stranded traffic).
+//! is unlimited). The first three `off_*` rows run without a cell
+//! controller (`--ctrl off` overrides the base `--ctrl auto`; each report
+//! says `"controller": "none"`): every slot keeps its default state, and
+//! a down slot keeps its share of the uniform split (stranded traffic).
 //! `off_mono_chaos` runs rack outages, `off_split_drain` rolling drains,
 //! and `off_split_thermal` thermal clamps on slots at the nominal clock,
 //! where a clamp that lands exactly on a grid point must pin that point.
+//! `off_balancer` adds the skewed-fleet balancer to `--ctrl off` under
+//! rack outages (the report's controller reads `"balancer"`): the only
+//! row whose control plane has no cell policy at all. Its cells still
+//! take control ticks that issue no command, and a down slot loses its
+//! share of the split as on a controlled fleet; the row pins that.
 //! Any engine change that drifts a single byte of any artifact fails
 //! here.
 //!
@@ -175,6 +180,23 @@ const GOLDEN: &[(&str, &[&str], u64, u64, u64)] = &[
         0x9a23372214fbc774,
         0x94774da37d6e7671,
         0x0b7f75dafcf37b8c,
+    ),
+    (
+        "off_balancer",
+        &[
+            "--ctrl",
+            "off",
+            "--serving",
+            "mono",
+            "--chaos",
+            "rack",
+            "--balancer",
+            "--skew",
+            "2x2.5",
+        ],
+        0xef5a579bc274e691,
+        0x700ecc4a9f3ea0e0,
+        0x07788e4a4aef7a21,
     ),
 ];
 
