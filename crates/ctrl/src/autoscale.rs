@@ -25,7 +25,7 @@
 //! [`Command::SetPhase`] — so a prompt-heavy shift grows the prefill
 //! pool at the decode pool's expense without changing fleet size.
 
-use crate::controller::{CellObs, Command, Controller, Mode, Phase, PriorityClass};
+use crate::controller::{CellObs, Command, Mode, Phase, PriorityClass};
 use rand::rngs::StdRng;
 
 /// Autoscaler policy parameters.
@@ -109,14 +109,10 @@ impl Autoscaler {
             Some(p) => self.cfg.ewma_alpha * rate + (1.0 - self.cfg.ewma_alpha) * p,
         }
     }
-}
 
-impl Controller for Autoscaler {
-    fn name(&self) -> &'static str {
-        "autoscale"
-    }
-
-    fn control(&mut self, obs: &CellObs, _pending: &[Command], _rng: &mut StdRng) -> Vec<Command> {
+    /// Runs one control tick: appends this tick's admission, scaling and
+    /// phase-partition commands to `cmds`.
+    pub fn control(&mut self, obs: &CellObs, cmds: &mut Vec<Command>, _rng: &mut StdRng) {
         let interval = obs.interval_s.max(1e-9);
         let be = obs.arrived_by_class[PriorityClass::BestEffort.index()];
         // Untagged arrivals (legacy single-class callers leave
@@ -194,7 +190,6 @@ impl Controller for Autoscaler {
 
         let live = obs.live();
         let planned = live + obs.booting();
-        let mut cmds = Vec::new();
         if admission_changed {
             cmds.push(Command::SetAdmission {
                 allow_best_effort: allow,
@@ -259,14 +254,13 @@ impl Controller for Autoscaler {
                 }
             }
         }
-        cmds
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::controller::InstanceObs;
+    use crate::controller::{issued, InstanceObs};
     use rand::SeedableRng;
 
     fn obs(slots: Vec<InstanceObs>, arrived: u64) -> CellObs {
@@ -301,7 +295,7 @@ mod tests {
         // 4 live, all idle, 5 arrivals in 5 s = 1 rps; capacity at 70%
         // utilization is 1.4 rps/instance => 1 instance suffices.
         let o = obs(vec![slot(Mode::Live, 0, 0); 4], 5);
-        let cmds = a.control(&o, &[], &mut rng);
+        let cmds = issued(&[], |c| a.control(&o, c, &mut rng));
         assert_eq!(
             cmds,
             vec![
@@ -330,7 +324,7 @@ mod tests {
             ],
             0,
         );
-        let cmds = a.control(&o, &[], &mut rng);
+        let cmds = issued(&[], |c| a.control(&o, c, &mut rng));
         assert_eq!(
             cmds,
             vec![Command::Park { slot: 3 }, Command::Park { slot: 1 }]
@@ -346,12 +340,12 @@ mod tests {
         // floor rises to 3 so the cell keeps replacement capacity live.
         let mut o = obs(vec![slot(Mode::Live, 0, 0); 4], 0);
         o.chaos_down = 2;
-        let cmds = a.control(&o, &[], &mut rng);
+        let cmds = issued(&[], |c| a.control(&o, c, &mut rng));
         assert_eq!(cmds, vec![Command::Park { slot: 3 }]);
         // The same cell without the campaign parks all the way down.
         let mut b = Autoscaler::new(AutoscalerConfig::default());
         let o = obs(vec![slot(Mode::Live, 0, 0); 4], 0);
-        assert_eq!(b.control(&o, &[], &mut rng).len(), 3);
+        assert_eq!(issued(&[], |c| b.control(&o, c, &mut rng)).len(), 3);
     }
 
     #[test]
@@ -370,7 +364,7 @@ mod tests {
             ],
             28,
         );
-        let cmds = a.control(&o, &[], &mut rng);
+        let cmds = issued(&[], |c| a.control(&o, c, &mut rng));
         assert_eq!(
             cmds,
             vec![Command::Activate { slot: 2 }, Command::Activate { slot: 1 }]
@@ -385,7 +379,7 @@ mod tests {
             vec![slot(Mode::Live, 10, 4), slot(Mode::Cold, 0, 0)],
             0, // No fresh arrivals, but a standing backlog.
         );
-        let cmds = a.control(&o, &[], &mut rng);
+        let cmds = issued(&[], |c| a.control(&o, c, &mut rng));
         assert_eq!(cmds, vec![Command::Activate { slot: 1 }]);
     }
 
@@ -394,10 +388,10 @@ mod tests {
         let mut a = Autoscaler::new(AutoscalerConfig::default());
         let mut rng = StdRng::seed_from_u64(1);
         let o1 = obs(vec![slot(Mode::Live, 0, 0); 2], 100);
-        a.control(&o1, &[], &mut rng);
+        issued(&[], |c| a.control(&o1, c, &mut rng));
         let after_spike = a.ewma_rps().unwrap();
         let o2 = obs(vec![slot(Mode::Live, 0, 0); 2], 0);
-        a.control(&o2, &[], &mut rng);
+        issued(&[], |c| a.control(&o2, c, &mut rng));
         let after_quiet = a.ewma_rps().unwrap();
         assert!(after_quiet > 0.0, "EWMA should remember the spike");
         assert!(after_quiet < after_spike);
@@ -411,7 +405,7 @@ mod tests {
         });
         let mut rng = StdRng::seed_from_u64(1);
         let o = obs(vec![slot(Mode::Live, 0, 0); 6], 0);
-        assert_eq!(a.control(&o, &[], &mut rng).len(), 1);
+        assert_eq!(issued(&[], |c| a.control(&o, c, &mut rng)).len(), 1);
     }
 
     #[test]
@@ -424,7 +418,7 @@ mod tests {
         // the guaranteed demand.
         let mut o = obs(vec![slot(Mode::Live, 0, 1); 2], 20);
         o.arrived_by_class = [5, 5, 10];
-        let cmds = a.control(&o, &[], &mut rng);
+        let cmds = issued(&[], |c| a.control(&o, c, &mut rng));
         assert!(cmds.contains(&Command::SetAdmission {
             allow_best_effort: false
         }));
@@ -438,11 +432,11 @@ mod tests {
         // exactly once (idempotent state, not re-asserted every tick).
         let mut quiet = obs(vec![slot(Mode::Live, 0, 1); 2], 0);
         quiet.arrived_by_class = [0; 3];
-        let cmds = a.control(&quiet, &[], &mut rng);
+        let cmds = issued(&[], |c| a.control(&quiet, c, &mut rng));
         assert!(cmds.contains(&Command::SetAdmission {
             allow_best_effort: true
         }));
-        let cmds = a.control(&quiet, &[], &mut rng);
+        let cmds = issued(&[], |c| a.control(&quiet, c, &mut rng));
         assert!(!cmds
             .iter()
             .any(|c| matches!(c, Command::SetAdmission { .. })));
@@ -480,7 +474,7 @@ mod tests {
             decode_capacity_rps: 2.0,
             kv_backlog_us: 0,
         });
-        let cmds = a.control(&o, &[], &mut rng);
+        let cmds = issued(&[], |c| a.control(&o, c, &mut rng));
         // The partition converges to: slot 0 prefill, slots 1..6 decode.
         assert!(cmds.contains(&Command::SetPhase {
             slot: 0,
@@ -516,7 +510,7 @@ mod tests {
             decode_capacity_rps: 4.0,
             kv_backlog_us: 0,
         });
-        let cmds = a.control(&o, &[], &mut rng);
+        let cmds = issued(&[], |c| a.control(&o, c, &mut rng));
         let parks = cmds
             .iter()
             .filter(|c| matches!(c, Command::Park { .. }))
@@ -537,7 +531,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut o = obs(vec![slot(Mode::Live, 0, 1); 2], 100);
         o.arrived_by_class = [0, 0, 100];
-        let cmds = a.control(&o, &[], &mut rng);
+        let cmds = issued(&[], |c| a.control(&o, c, &mut rng));
         assert!(!cmds
             .iter()
             .any(|c| matches!(c, Command::SetAdmission { .. })));
@@ -554,7 +548,7 @@ mod tests {
         // 20 rps massively overloads the 2-slot cell.
         let mut o = obs(vec![slot(Mode::Live, 0, 1); 2], 100);
         o.arrived_by_class = [0; 3];
-        let cmds = a.control(&o, &[], &mut rng);
+        let cmds = issued(&[], |c| a.control(&o, c, &mut rng));
         assert!((a.ewma_rps().unwrap() - 20.0).abs() < 1e-9);
         assert!(!cmds
             .iter()

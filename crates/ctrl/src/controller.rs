@@ -1,15 +1,13 @@
-//! The control-plane contract: per-cell observations, commands, and the
-//! [`Controller`] trait every policy module implements.
+//! The control-plane contract: per-cell observations and the commands
+//! every policy module issues.
 //!
 //! The data plane (the fleet engine) builds a [`CellObs`] snapshot of one
-//! cell at each control tick, hands it to the cell's controllers, and
-//! applies the returned [`Command`]s. Everything a controller can see and
+//! cell at each control tick, hands it to the cell's policy stack, and
+//! applies the [`Command`]s it issues. Everything a controller can see and
 //! do is strictly cell-local, which is what lets controlled fleets keep
 //! the engine's byte-identical-at-any-shard-count guarantee: per-cell
 //! controller state lives inside the shard partition and randomized
 //! policies draw from the cell's own RNG stream.
-
-use rand::rngs::StdRng;
 
 /// Scheduling class of a traffic source, ordered from most to least
 /// protected.
@@ -383,20 +381,14 @@ impl Command {
     }
 }
 
-/// A deterministic per-cell control policy.
-///
-/// `control` runs once per control tick. `pending` carries the commands
-/// emitted earlier in the same control tick by upstream policies (the
-/// power gater, for example, must see the autoscaler's parks to keep the
-/// warm pool consistent). `rng` is the cell's own control-plane stream —
-/// the only randomness a policy may use without breaking the engine's
-/// shard-count determinism.
-pub trait Controller {
-    /// Short policy name (for labels and reports).
-    fn name(&self) -> &'static str;
-
-    /// Computes this policy's commands for one control tick.
-    fn control(&mut self, obs: &CellObs, pending: &[Command], rng: &mut StdRng) -> Vec<Command>;
+/// The commands one policy's `control` issues after `pending`: runs it on
+/// a buffer that already holds `pending` and returns only what it
+/// appended.
+#[cfg(test)]
+pub(crate) fn issued(pending: &[Command], control: impl FnOnce(&mut Vec<Command>)) -> Vec<Command> {
+    let mut cmds = pending.to_vec();
+    control(&mut cmds);
+    cmds.split_off(pending.len())
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@
 //! guarantee. On fleets whose data plane priced only the nominal clock
 //! ([`CellObs::clock_points`] is empty) the controller stands down.
 
-use crate::controller::{CellObs, ClockPoint, Command, Controller, Mode, Phase};
+use crate::controller::{CellObs, ClockPoint, Command, Mode, Phase};
 use rand::rngs::StdRng;
 
 /// DVFS policy parameters.
@@ -92,17 +92,14 @@ impl DvfsController {
         }
         nominal
     }
-}
 
-impl Controller for DvfsController {
-    fn name(&self) -> &'static str {
-        "dvfs"
-    }
-
-    fn control(&mut self, obs: &CellObs, pending: &[Command], _rng: &mut StdRng) -> Vec<Command> {
+    /// Runs one control tick: appends a `SetClock` for every serving slot
+    /// whose pool's point changes. The entries already in `cmds` are the
+    /// commands earlier policies issued this tick.
+    pub fn control(&mut self, obs: &CellObs, cmds: &mut Vec<Command>, _rng: &mut StdRng) {
         // Nominal-only data planes price no alternative points.
         if obs.clock_points.len() < 2 {
-            return Vec::new();
+            return;
         }
         let interval = obs.interval_s.max(1e-9);
         let rate = obs.arrived_since_last as f64 / interval;
@@ -115,16 +112,16 @@ impl Controller for DvfsController {
         // to demand, pushing clocks back toward nominal under pressure.
         let demand = ewma + obs.queued_total() as f64 / interval;
 
-        // Work on the pool partition as it will stand after this tick's
-        // pending commands: the autoscaler runs first in the stack, so
-        // its SetPhase moves and activations are already decided.
+        // Work on the pool partition as it will stand after the commands
+        // already issued this tick: the autoscaler runs first in the
+        // stack, so its SetPhase moves and activations are decided.
         let mut phases: Vec<Phase> = obs.slots.iter().map(|s| s.phase).collect();
         let mut serving: Vec<bool> = obs
             .slots
             .iter()
             .map(|s| matches!(s.mode, Mode::Live | Mode::Booting))
             .collect();
-        for cmd in pending {
+        for cmd in cmds.iter() {
             match cmd {
                 Command::SetPhase { slot, phase } => {
                     if let Some(p) = phases.get_mut(*slot as usize) {
@@ -148,7 +145,6 @@ impl Controller for DvfsController {
         // Every admitted request needs one residency in each pool, so
         // each pool prices the full demand stream against its own
         // capacity — the same convention the phase-aware autoscaler uses.
-        let mut cmds = Vec::new();
         for phase in [Phase::Mixed, Phase::Prefill, Phase::Decode] {
             let count = phases
                 .iter()
@@ -173,14 +169,13 @@ impl Controller for DvfsController {
                 }
             }
         }
-        cmds
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::controller::{InstanceObs, PhaseObs};
+    use crate::controller::{issued, InstanceObs, PhaseObs};
     use rand::SeedableRng;
 
     /// A 3-point grid shaped like the real tables: prefill compute-bound
@@ -254,7 +249,7 @@ mod tests {
             ],
             5,
         );
-        let cmds = d.control(&o, &[], &mut rng);
+        let cmds = issued(&[], |c| d.control(&o, c, &mut rng));
         assert_eq!(
             cmds,
             vec![
@@ -277,7 +272,7 @@ mod tests {
             ],
             90,
         );
-        assert!(d.control(&o, &[], &mut rng).is_empty());
+        assert!(issued(&[], |c| d.control(&o, c, &mut rng)).is_empty());
     }
 
     #[test]
@@ -287,7 +282,7 @@ mod tests {
         // No fresh arrivals, but a deep standing queue: the drain term
         // dominates and the down-clocked slot is retuned to nominal.
         let o = obs(vec![slot(Mode::Live, Phase::Mixed, 0, 200)], 0);
-        let cmds = d.control(&o, &[], &mut rng);
+        let cmds = issued(&[], |c| d.control(&o, c, &mut rng));
         assert_eq!(cmds, vec![Command::SetClock { slot: 0, clock: 2 }]);
     }
 
@@ -314,7 +309,7 @@ mod tests {
             decode_capacity_rps: 2.0,
             kv_backlog_us: 0,
         });
-        let cmds = d.control(&o, &[], &mut rng);
+        let cmds = issued(&[], |c| d.control(&o, c, &mut rng));
         assert!(cmds.contains(&Command::SetClock { slot: 0, clock: 1 }));
         for s in 1..4 {
             assert!(
@@ -349,7 +344,7 @@ mod tests {
             },
             Command::Park { slot: 0 },
         ];
-        let cmds = d.control(&o, &pending, &mut rng);
+        let cmds = issued(&pending, |c| d.control(&o, c, &mut rng));
         assert_eq!(cmds, vec![Command::SetClock { slot: 1, clock: 0 }]);
     }
 
@@ -359,7 +354,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut o = obs(vec![slot(Mode::Live, Phase::Mixed, 0, 0)], 0);
         o.clock_points = Vec::new();
-        assert!(d.control(&o, &[], &mut rng).is_empty());
+        assert!(issued(&[], |c| d.control(&o, c, &mut rng)).is_empty());
         assert!(d.ewma_rps().is_none(), "no state accrues while inactive");
     }
 
@@ -368,10 +363,10 @@ mod tests {
         let mut d = DvfsController::new(DvfsConfig::default());
         let mut rng = StdRng::seed_from_u64(1);
         let busy = obs(vec![slot(Mode::Live, Phase::Mixed, 2, 0)], 400);
-        d.control(&busy, &[], &mut rng);
+        issued(&[], |c| d.control(&busy, c, &mut rng));
         let spike = d.ewma_rps().unwrap();
         let quiet = obs(vec![slot(Mode::Live, Phase::Mixed, 2, 0)], 0);
-        let cmds = d.control(&quiet, &[], &mut rng);
+        let cmds = issued(&[], |c| d.control(&quiet, c, &mut rng));
         let after = d.ewma_rps().unwrap();
         assert!(after > 0.0 && after < spike);
         // The smoothed spike (48 rps vs 1.84 rps ceiling) still pins

@@ -1,7 +1,7 @@
 //! The fleet-scope half of the two-level control plane: cross-cell
 //! observations, per-cell directives, and the [`FleetController`] trait.
 //!
-//! The cell-scope [`Controller`](crate::Controller) stack is strictly
+//! The cell-scope [`ControllerStack`](crate::ControllerStack) is strictly
 //! cell-local — that locality is what lets the engine shard cells across
 //! threads and stay byte-identical at any thread count. A fleet, though,
 //! serves one user population: a hot cell sheds best-effort load while

@@ -5,8 +5,9 @@
 //! blast radii. Those are control-plane properties, so this crate models
 //! the control plane explicitly: a **control tick** runs between the
 //! fleet engine's data ticks, observing each cell ([`CellObs`]) and
-//! issuing [`Command`]s through three policy modules wired into a common
-//! [`Controller`] trait:
+//! issuing [`Command`]s from the cell's [`ControllerStack`]: the policy
+//! modules its [`CtrlConfig`] enables, run in a fixed order, each
+//! appending to one command buffer:
 //!
 //! - [`autoscale::Autoscaler`] — reactive scaling of each cell's live
 //!   instance pool against observed traffic, with warm/cold scale-out
@@ -14,6 +15,8 @@
 //!   total demand outruns even the fully scaled-out cell,
 //!   [`PriorityClass::BestEffort`] traffic is shed before the guaranteed
 //!   classes feel pressure;
+//! - [`dvfs::DvfsController`] — serving-time clocks: each pool runs at
+//!   the lowest SLO-feasible operating point that still covers demand;
 //! - [`power::PowerGater`] — decides what parked capacity costs, reusing
 //!   [`litegpu_cluster::power_mgmt::Policy`]: DVFS-only fleets keep
 //!   parked instances at their idle floor, gating fleets power them off;
@@ -21,13 +24,13 @@
 //!   instances, weighted by free capacity, so failures and parking don't
 //!   strand traffic.
 //!
-//! All three are **phase-aware**: on a Splitwise-style phase-split fleet
-//! (the data plane sets [`CellObs::phase_split`] and tags each slot with
-//! a [`Phase`]), the autoscaler sizes the prefill and decode pools
-//! independently and rebalances the partition with
-//! [`Command::SetPhase`], and the router grants queue room to the
-//! prefill pool only — decode instances receive their work over the
-//! cell's KV link, never the front door.
+//! The policies are **phase-aware**: on a Splitwise-style phase-split
+//! fleet (the data plane sets [`CellObs::phase_split`] and tags each
+//! slot with a [`Phase`]), the autoscaler sizes the prefill and decode
+//! pools independently and rebalances the partition with
+//! [`Command::SetPhase`], DVFS picks a clock per pool, and the router
+//! grants queue room to the prefill pool only — decode instances receive
+//! their work over the cell's KV link, never the front door.
 //!
 //! The control plane is **two-level**: above the per-cell stack, the
 //! [`fleet`] module defines the fleet-scope [`FleetController`] trait —
@@ -51,7 +54,7 @@ pub mod route;
 
 pub use autoscale::{Autoscaler, AutoscalerConfig};
 pub use controller::{
-    CellObs, ClockPoint, Command, Controller, InstanceObs, Mode, Phase, PhaseObs, PriorityClass,
+    CellObs, ClockPoint, Command, InstanceObs, Mode, Phase, PhaseObs, PriorityClass,
 };
 pub use dvfs::{DvfsConfig, DvfsController};
 pub use fleet::{BalancerConfig, CellDirective, FleetCellObs, FleetController, FleetObs};
@@ -198,19 +201,10 @@ impl CtrlConfig {
     /// Instantiates one cell's controller stack (fresh policy state).
     pub fn build(&self) -> ControllerStack {
         ControllerStack {
-            controllers: [
-                self.autoscaler
-                    .map(|c| Box::new(Autoscaler::new(c)) as Box<dyn Controller>),
-                self.dvfs
-                    .map(|c| Box::new(DvfsController::new(c)) as Box<dyn Controller>),
-                self.power
-                    .map(|c| Box::new(PowerGater::new(c)) as Box<dyn Controller>),
-                self.router
-                    .map(|c| Box::new(Router::new(c)) as Box<dyn Controller>),
-            ]
-            .into_iter()
-            .flatten()
-            .collect(),
+            autoscaler: self.autoscaler.map(Autoscaler::new),
+            dvfs: self.dvfs.map(DvfsController::new),
+            power: self.power.map(PowerGater::new),
+            router: self.router.map(Router::new),
         }
     }
 }
@@ -284,44 +278,39 @@ impl CtrlConfigBuilder {
     }
 }
 
-/// An ordered stack of policy modules driving one cell.
+/// The policies driving one cell, each present when its configuration
+/// enables it.
 ///
 /// Policies run in a fixed order (autoscaler → DVFS → power gater →
-/// router); each sees the commands emitted earlier in the same control
-/// tick, so e.g. the DVFS policy tunes the pool partition the autoscaler
-/// just decided, and the gater keeps the warm pool consistent with this
-/// tick's parks.
+/// router) and append to one command buffer, so each sees the commands
+/// issued earlier in the same control tick: e.g. the DVFS policy tunes
+/// the pool partition the autoscaler just decided, and the gater keeps
+/// the warm pool consistent with this tick's parks.
+#[derive(Debug, Clone)]
 pub struct ControllerStack {
-    controllers: Vec<Box<dyn Controller>>,
+    autoscaler: Option<Autoscaler>,
+    dvfs: Option<DvfsController>,
+    power: Option<PowerGater>,
+    router: Option<Router>,
 }
 
 impl ControllerStack {
-    /// Runs every policy for one control tick and returns the combined
-    /// command list, in emission order.
-    pub fn control(&mut self, obs: &CellObs, rng: &mut StdRng) -> Vec<Command> {
-        let mut cmds = Vec::new();
-        for c in &mut self.controllers {
-            let more = c.control(obs, &cmds, rng);
-            cmds.extend(more);
+    /// Runs every policy for one control tick, leaving their commands in
+    /// `cmds` in issue order (whatever `cmds` held before is cleared).
+    pub fn control(&mut self, obs: &CellObs, cmds: &mut Vec<Command>, rng: &mut StdRng) {
+        cmds.clear();
+        if let Some(p) = &mut self.autoscaler {
+            p.control(obs, cmds, rng);
         }
-        cmds
-    }
-
-    /// Number of active policy modules.
-    pub fn len(&self) -> usize {
-        self.controllers.len()
-    }
-
-    /// Whether the stack has no policies (control ticks are no-ops).
-    pub fn is_empty(&self) -> bool {
-        self.controllers.is_empty()
-    }
-}
-
-impl core::fmt::Debug for ControllerStack {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        let names: Vec<&str> = self.controllers.iter().map(|c| c.name()).collect();
-        write!(f, "ControllerStack({names:?})")
+        if let Some(p) = &mut self.dvfs {
+            p.control(obs, cmds, rng);
+        }
+        if let Some(p) = &mut self.power {
+            p.control(obs, cmds, rng);
+        }
+        if let Some(p) = &mut self.router {
+            p.control(obs, cmds, rng);
+        }
     }
 }
 
@@ -330,12 +319,23 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
+    /// Which policies a built stack holds, in run order: autoscaler,
+    /// DVFS, power gater, router.
+    fn policies(s: &ControllerStack) -> [bool; 4] {
+        [
+            s.autoscaler.is_some(),
+            s.dvfs.is_some(),
+            s.power.is_some(),
+            s.router.is_some(),
+        ]
+    }
+
     #[test]
     fn demo_config_validates_and_labels() {
         let c = CtrlConfig::demo(Policy::GateToEfficiency);
         c.validate().unwrap();
         assert_eq!(c.label(), "autoscale+gate(GateToEfficiency)+route");
-        assert_eq!(c.build().len(), 3);
+        assert_eq!(policies(&c.build()), [true, false, true, true]);
         let d = CtrlConfig::demo(Policy::DvfsAll);
         assert_eq!(d.label(), "autoscale+gate(DvfsAll)+route");
     }
@@ -401,7 +401,10 @@ mod tests {
                 },
             ],
         };
-        let cmds = stack.control(&obs, &mut rng);
+        // The stack clears the buffer before its first policy runs.
+        let mut cmds = vec![Command::Activate { slot: 0 }];
+        stack.control(&obs, &mut cmds, &mut rng);
+        assert!(!cmds.contains(&Command::Activate { slot: 0 }));
         assert!(cmds.contains(&Command::Park { slot: 1 }));
         assert!(cmds.contains(&Command::SetWarm { slot: 1 }));
         // Router ran on the *observed* modes (both live), so the weight
@@ -411,7 +414,7 @@ mod tests {
             .iter()
             .any(|c| matches!(c, Command::SetWeights { weights } if weights.len() == 2)));
         let empty = CtrlConfig::builder().build();
-        assert!(empty.build().is_empty());
+        assert_eq!(policies(&empty.build()), [false; 4]);
         assert_eq!(empty.label(), "none");
     }
 
@@ -435,7 +438,7 @@ mod tests {
             "autoscale+dvfs+gate(GateToEfficiency)+route+balancer"
         );
         // The balancer runs at the fleet scope, not in the per-cell stack.
-        assert_eq!(c.build().len(), 4);
+        assert_eq!(policies(&c.build()), [true; 4]);
     }
 
     #[test]
@@ -453,7 +456,7 @@ mod tests {
         let c = CtrlConfig::demo(Policy::GateToEfficiency).with_dvfs();
         c.validate().unwrap();
         assert_eq!(c.label(), "autoscale+dvfs+gate(GateToEfficiency)+route");
-        assert_eq!(c.build().len(), 4);
+        assert_eq!(policies(&c.build()), [true; 4]);
         let mut bad = c.clone();
         bad.dvfs.as_mut().unwrap().target_util = 0.0;
         assert!(bad.validate().is_err());

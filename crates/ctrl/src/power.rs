@@ -9,7 +9,7 @@
 //! parked instances power off entirely, except for a configurable warm
 //! pool kept powered to hide the cold-boot latency from the autoscaler.
 
-use crate::controller::{CellObs, Command, Controller, Mode};
+use crate::controller::{CellObs, Command, Mode};
 use litegpu_cluster::power_mgmt::Policy;
 use rand::rngs::StdRng;
 
@@ -50,15 +50,12 @@ impl PowerGater {
     pub fn gates(&self) -> bool {
         self.cfg.policy != Policy::DvfsAll
     }
-}
 
-impl Controller for PowerGater {
-    fn name(&self) -> &'static str {
-        "gate"
-    }
-
-    fn control(&mut self, obs: &CellObs, pending: &[Command], _rng: &mut StdRng) -> Vec<Command> {
-        // The parked set once pending commands land: currently parked
+    /// Runs one control tick: appends a `SetWarm` or `SetCold` for every
+    /// slot parked once the commands already in `cmds` (those earlier
+    /// policies issued this tick) land.
+    pub fn control(&mut self, obs: &CellObs, cmds: &mut Vec<Command>, _rng: &mut StdRng) {
+        // The parked set once this tick's commands land: currently parked
         // slots, plus this tick's parks, minus this tick's activations.
         let mut parked: Vec<u32> = obs
             .slots
@@ -67,7 +64,7 @@ impl Controller for PowerGater {
             .filter(|(_, s)| matches!(s.mode, Mode::Warm | Mode::Cold))
             .map(|(i, _)| i as u32)
             .collect();
-        for cmd in pending {
+        for cmd in cmds.iter() {
             match cmd {
                 Command::Park { slot } => parked.push(*slot),
                 Command::Activate { slot } => parked.retain(|s| s != slot),
@@ -82,24 +79,20 @@ impl Controller for PowerGater {
         } else {
             parked.len() // DVFS-only: everything parked stays powered.
         };
-        parked
-            .into_iter()
-            .enumerate()
-            .map(|(rank, slot)| {
-                if rank < warm_quota {
-                    Command::SetWarm { slot }
-                } else {
-                    Command::SetCold { slot }
-                }
-            })
-            .collect()
+        cmds.extend(parked.into_iter().enumerate().map(|(rank, slot)| {
+            if rank < warm_quota {
+                Command::SetWarm { slot }
+            } else {
+                Command::SetCold { slot }
+            }
+        }));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::controller::InstanceObs;
+    use crate::controller::{issued, InstanceObs};
     use rand::SeedableRng;
 
     fn obs(modes: &[Mode]) -> CellObs {
@@ -134,7 +127,7 @@ mod tests {
         });
         let mut rng = StdRng::seed_from_u64(1);
         let o = obs(&[Mode::Live, Mode::Cold, Mode::Warm, Mode::Warm]);
-        let cmds = g.control(&o, &[], &mut rng);
+        let cmds = issued(&[], |c| g.control(&o, c, &mut rng));
         assert_eq!(
             cmds,
             vec![
@@ -154,7 +147,7 @@ mod tests {
         assert!(!g.gates());
         let mut rng = StdRng::seed_from_u64(1);
         let o = obs(&[Mode::Cold, Mode::Live, Mode::Cold]);
-        let cmds = g.control(&o, &[], &mut rng);
+        let cmds = issued(&[], |c| g.control(&o, c, &mut rng));
         assert_eq!(
             cmds,
             vec![Command::SetWarm { slot: 0 }, Command::SetWarm { slot: 2 }]
@@ -174,7 +167,7 @@ mod tests {
             Command::Activate { slot: 2 },
             Command::SetWeights { weights: vec![] },
         ];
-        let cmds = g.control(&o, &pending, &mut rng);
+        let cmds = issued(&pending, |c| g.control(&o, c, &mut rng));
         // Parked set after pending: {1, 3}; warm pool of 2 covers both.
         assert_eq!(
             cmds,

@@ -11,7 +11,7 @@
 //! thread count. The snapshot refreshes only at control ticks, modeling a
 //! load balancer with periodically-updated backend stats.
 
-use crate::controller::{CellObs, Command, Controller, Mode, Phase};
+use crate::controller::{CellObs, Command, Mode, Phase};
 use rand::rngs::StdRng;
 
 /// Router policy parameters.
@@ -42,14 +42,9 @@ impl Router {
     pub fn new(cfg: RouterConfig) -> Self {
         Self { cfg }
     }
-}
 
-impl Controller for Router {
-    fn name(&self) -> &'static str {
-        "route"
-    }
-
-    fn control(&mut self, obs: &CellObs, _pending: &[Command], _rng: &mut StdRng) -> Vec<Command> {
+    /// Runs one control tick: appends the cell's routing-weight snapshot.
+    pub fn control(&mut self, obs: &CellObs, cmds: &mut Vec<Command>, _rng: &mut StdRng) {
         let weights = obs
             .slots
             .iter()
@@ -68,7 +63,7 @@ impl Controller for Router {
                 _ => 0,
             })
             .collect();
-        vec![Command::SetWeights { weights }]
+        cmds.push(Command::SetWeights { weights });
     }
 }
 
@@ -170,7 +165,7 @@ pub fn apportion_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::controller::InstanceObs;
+    use crate::controller::{issued, InstanceObs};
     use rand::{Rng, SeedableRng};
 
     /// The sort-based largest-remainder split that [`apportion_into`]
@@ -245,7 +240,7 @@ mod tests {
                 },
             ],
         };
-        let cmds = r.control(&obs, &[], &mut rng);
+        let cmds = issued(&[], |c| r.control(&obs, c, &mut rng));
         assert_eq!(
             cmds,
             vec![Command::SetWeights {
@@ -285,7 +280,7 @@ mod tests {
                 },
             ],
         };
-        let cmds = r.control(&obs, &[], &mut rng);
+        let cmds = issued(&[], |c| r.control(&obs, c, &mut rng));
         assert_eq!(
             cmds,
             vec![Command::SetWeights {
@@ -327,7 +322,7 @@ mod tests {
                 },
             ],
         };
-        let cmds = r.control(&obs, &[], &mut rng);
+        let cmds = issued(&[], |c| r.control(&obs, c, &mut rng));
         assert_eq!(
             cmds,
             vec![Command::SetWeights {

@@ -427,8 +427,10 @@ pub(crate) struct CellSim<'a> {
     allow_best_effort: bool,
     kv: Option<KvLinkState>,
     traffic: CellTraffic,
-    /// The policy stack (`None` without a control plane).
+    /// The policy stack (`None` without a control plane) and the
+    /// command buffer each control tick refills and drains.
     ctl: Option<CellCtl>,
+    cmds: Vec<Command>,
     chaos: Option<&'a CellChaos>,
     /// The thermal clamps [`Self::windows`] recomputes, before they
     /// commit to the slots.
@@ -564,6 +566,7 @@ impl<'a> CellSim<'a> {
             traffic,
             next_ctrl: shared.ctrl_every,
             ctl,
+            cmds: Vec::new(),
             chaos,
             clamp_scratch: vec![u8::MAX; n],
             partitioned: false,
@@ -1099,8 +1102,9 @@ impl<'a> CellSim<'a> {
                 ));
             }
         };
+        c.stack.control(&obs, &mut self.cmds, &mut c.rng);
         let (insts, acc, trace) = (&self.insts, &mut self.acc, &mut self.trace);
-        for cmd in c.stack.control(&obs, &mut c.rng) {
+        for cmd in self.cmds.drain(..) {
             match cmd {
                 Command::Activate { slot } => {
                     let s = slot as usize;
