@@ -26,7 +26,6 @@
 //! pool at the decode pool's expense without changing fleet size.
 
 use crate::controller::{CellObs, Command, Mode, Phase, PriorityClass};
-use rand::rngs::StdRng;
 
 /// Autoscaler policy parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -112,7 +111,7 @@ impl Autoscaler {
 
     /// Runs one control tick: appends this tick's admission, scaling and
     /// phase-partition commands to `cmds`.
-    pub fn control(&mut self, obs: &CellObs, cmds: &mut Vec<Command>, _rng: &mut StdRng) {
+    pub fn control(&mut self, obs: &CellObs, cmds: &mut Vec<Command>) {
         let interval = obs.interval_s.max(1e-9);
         let be = obs.arrived_by_class[PriorityClass::BestEffort.index()];
         // Untagged arrivals (legacy single-class callers leave
@@ -261,7 +260,6 @@ impl Autoscaler {
 mod tests {
     use super::*;
     use crate::controller::{issued, InstanceObs};
-    use rand::SeedableRng;
 
     fn obs(slots: Vec<InstanceObs>, arrived: u64) -> CellObs {
         CellObs {
@@ -291,11 +289,10 @@ mod tests {
     #[test]
     fn parks_idle_slots_under_low_demand() {
         let mut a = Autoscaler::new(AutoscalerConfig::default());
-        let mut rng = StdRng::seed_from_u64(1);
         // 4 live, all idle, 5 arrivals in 5 s = 1 rps; capacity at 70%
         // utilization is 1.4 rps/instance => 1 instance suffices.
         let o = obs(vec![slot(Mode::Live, 0, 0); 4], 5);
-        let cmds = issued(&[], |c| a.control(&o, c, &mut rng));
+        let cmds = issued(&[], |c| a.control(&o, c));
         assert_eq!(
             cmds,
             vec![
@@ -312,7 +309,6 @@ mod tests {
             min_live: 2,
             ..Default::default()
         });
-        let mut rng = StdRng::seed_from_u64(1);
         // Zero demand, but slot 2 is busy: only idle slots park, and not
         // below min_live.
         let o = obs(
@@ -324,7 +320,7 @@ mod tests {
             ],
             0,
         );
-        let cmds = issued(&[], |c| a.control(&o, c, &mut rng));
+        let cmds = issued(&[], |c| a.control(&o, c));
         assert_eq!(
             cmds,
             vec![Command::Park { slot: 3 }, Command::Park { slot: 1 }]
@@ -334,24 +330,22 @@ mod tests {
     #[test]
     fn chaos_losses_raise_the_scale_down_floor() {
         let mut a = Autoscaler::new(AutoscalerConfig::default());
-        let mut rng = StdRng::seed_from_u64(1);
         // Zero demand over 4 idle live slots would normally park down to
         // min_live = 1; with 2 slots inside an announced chaos window the
         // floor rises to 3 so the cell keeps replacement capacity live.
         let mut o = obs(vec![slot(Mode::Live, 0, 0); 4], 0);
         o.chaos_down = 2;
-        let cmds = issued(&[], |c| a.control(&o, c, &mut rng));
+        let cmds = issued(&[], |c| a.control(&o, c));
         assert_eq!(cmds, vec![Command::Park { slot: 3 }]);
         // The same cell without the campaign parks all the way down.
         let mut b = Autoscaler::new(AutoscalerConfig::default());
         let o = obs(vec![slot(Mode::Live, 0, 0); 4], 0);
-        assert_eq!(issued(&[], |c| b.control(&o, c, &mut rng)).len(), 3);
+        assert_eq!(issued(&[], |c| b.control(&o, c)).len(), 3);
     }
 
     #[test]
     fn activates_warm_before_cold_on_demand_spike() {
         let mut a = Autoscaler::new(AutoscalerConfig::default());
-        let mut rng = StdRng::seed_from_u64(1);
         // 28 arrivals in 5 s = 5.6 rps; at 1.4 rps/instance that needs
         // all 4 healthy slots. One live, one booting => two activations.
         let o = obs(
@@ -364,7 +358,7 @@ mod tests {
             ],
             28,
         );
-        let cmds = issued(&[], |c| a.control(&o, c, &mut rng));
+        let cmds = issued(&[], |c| a.control(&o, c));
         assert_eq!(
             cmds,
             vec![Command::Activate { slot: 2 }, Command::Activate { slot: 1 }]
@@ -374,24 +368,22 @@ mod tests {
     #[test]
     fn backlog_forces_scale_out_even_with_quiet_arrivals() {
         let mut a = Autoscaler::new(AutoscalerConfig::default());
-        let mut rng = StdRng::seed_from_u64(1);
         let o = obs(
             vec![slot(Mode::Live, 10, 4), slot(Mode::Cold, 0, 0)],
             0, // No fresh arrivals, but a standing backlog.
         );
-        let cmds = issued(&[], |c| a.control(&o, c, &mut rng));
+        let cmds = issued(&[], |c| a.control(&o, c));
         assert_eq!(cmds, vec![Command::Activate { slot: 1 }]);
     }
 
     #[test]
     fn ewma_smooths_demand() {
         let mut a = Autoscaler::new(AutoscalerConfig::default());
-        let mut rng = StdRng::seed_from_u64(1);
         let o1 = obs(vec![slot(Mode::Live, 0, 0); 2], 100);
-        issued(&[], |c| a.control(&o1, c, &mut rng));
+        issued(&[], |c| a.control(&o1, c));
         let after_spike = a.ewma_rps().unwrap();
         let o2 = obs(vec![slot(Mode::Live, 0, 0); 2], 0);
-        issued(&[], |c| a.control(&o2, c, &mut rng));
+        issued(&[], |c| a.control(&o2, c));
         let after_quiet = a.ewma_rps().unwrap();
         assert!(after_quiet > 0.0, "EWMA should remember the spike");
         assert!(after_quiet < after_spike);
@@ -403,22 +395,20 @@ mod tests {
             max_step: 1,
             ..Default::default()
         });
-        let mut rng = StdRng::seed_from_u64(1);
         let o = obs(vec![slot(Mode::Live, 0, 0); 6], 0);
-        assert_eq!(issued(&[], |c| a.control(&o, c, &mut rng)).len(), 1);
+        assert_eq!(issued(&[], |c| a.control(&o, c)).len(), 1);
     }
 
     #[test]
     fn pressure_sheds_best_effort_before_guaranteed() {
         let mut a = Autoscaler::new(AutoscalerConfig::default());
-        let mut rng = StdRng::seed_from_u64(1);
         // 2 healthy slots carry 2 × 1.4 = 2.8 rps at target utilization.
         // Guaranteed 10/5 s = 2 rps fits; +best-effort 10/5 s = 2 rps
         // does not => revoke best-effort admission and size only against
         // the guaranteed demand.
         let mut o = obs(vec![slot(Mode::Live, 0, 1); 2], 20);
         o.arrived_by_class = [5, 5, 10];
-        let cmds = issued(&[], |c| a.control(&o, c, &mut rng));
+        let cmds = issued(&[], |c| a.control(&o, c));
         assert!(cmds.contains(&Command::SetAdmission {
             allow_best_effort: false
         }));
@@ -432,11 +422,11 @@ mod tests {
         // exactly once (idempotent state, not re-asserted every tick).
         let mut quiet = obs(vec![slot(Mode::Live, 0, 1); 2], 0);
         quiet.arrived_by_class = [0; 3];
-        let cmds = issued(&[], |c| a.control(&quiet, c, &mut rng));
+        let cmds = issued(&[], |c| a.control(&quiet, c));
         assert!(cmds.contains(&Command::SetAdmission {
             allow_best_effort: true
         }));
-        let cmds = issued(&[], |c| a.control(&quiet, c, &mut rng));
+        let cmds = issued(&[], |c| a.control(&quiet, c));
         assert!(!cmds
             .iter()
             .any(|c| matches!(c, Command::SetAdmission { .. })));
@@ -446,7 +436,6 @@ mod tests {
     fn phase_split_sizes_pools_and_reasserts_partition() {
         use crate::controller::PhaseObs;
         let mut a = Autoscaler::new(AutoscalerConfig::default());
-        let mut rng = StdRng::seed_from_u64(1);
         // 28 arrivals / 5 s = 5.6 rps. Prefill capacity 8 rps/inst at
         // 70% util = 5.6 ⇒ 1 prefill slot; decode capacity 2 rps at 70%
         // = 1.4 ⇒ 4 decode slots ⇒ desired live = 5 of 6 healthy.
@@ -474,7 +463,7 @@ mod tests {
             decode_capacity_rps: 2.0,
             kv_backlog_us: 0,
         });
-        let cmds = issued(&[], |c| a.control(&o, c, &mut rng));
+        let cmds = issued(&[], |c| a.control(&o, c));
         // The partition converges to: slot 0 prefill, slots 1..6 decode.
         assert!(cmds.contains(&Command::SetPhase {
             slot: 0,
@@ -498,7 +487,6 @@ mod tests {
     fn phase_split_keeps_one_slot_per_pool_even_when_quiet() {
         use crate::controller::PhaseObs;
         let mut a = Autoscaler::new(AutoscalerConfig::default());
-        let mut rng = StdRng::seed_from_u64(1);
         // Zero demand on a 4-slot split cell: the cell still keeps two
         // live slots (one per pool) and the partition stays 1 + rest.
         let mut o = obs(vec![slot(Mode::Live, 0, 0); 4], 0);
@@ -510,7 +498,7 @@ mod tests {
             decode_capacity_rps: 4.0,
             kv_backlog_us: 0,
         });
-        let cmds = issued(&[], |c| a.control(&o, c, &mut rng));
+        let cmds = issued(&[], |c| a.control(&o, c));
         let parks = cmds
             .iter()
             .filter(|c| matches!(c, Command::Park { .. }))
@@ -528,10 +516,9 @@ mod tests {
             shed_best_effort: false,
             ..Default::default()
         });
-        let mut rng = StdRng::seed_from_u64(1);
         let mut o = obs(vec![slot(Mode::Live, 0, 1); 2], 100);
         o.arrived_by_class = [0, 0, 100];
-        let cmds = issued(&[], |c| a.control(&o, c, &mut rng));
+        let cmds = issued(&[], |c| a.control(&o, c));
         assert!(!cmds
             .iter()
             .any(|c| matches!(c, Command::SetAdmission { .. })));
@@ -541,14 +528,13 @@ mod tests {
     #[test]
     fn untagged_arrivals_count_as_guaranteed() {
         let mut a = Autoscaler::new(AutoscalerConfig::default());
-        let mut rng = StdRng::seed_from_u64(1);
         // Legacy callers leave arrived_by_class zeroed: all arrivals are
         // treated as guaranteed, and admission control never triggers a
         // best-effort shed that would be a no-op anyway — even though
         // 20 rps massively overloads the 2-slot cell.
         let mut o = obs(vec![slot(Mode::Live, 0, 1); 2], 100);
         o.arrived_by_class = [0; 3];
-        let cmds = issued(&[], |c| a.control(&o, c, &mut rng));
+        let cmds = issued(&[], |c| a.control(&o, c));
         assert!((a.ewma_rps().unwrap() - 20.0).abs() < 1e-9);
         assert!(!cmds
             .iter()

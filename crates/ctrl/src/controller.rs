@@ -6,8 +6,8 @@
 //! applies the [`Command`]s it issues. Everything a controller can see and
 //! do is strictly cell-local, which is what lets controlled fleets keep
 //! the engine's byte-identical-at-any-shard-count guarantee: per-cell
-//! controller state lives inside the shard partition and randomized
-//! policies draw from the cell's own RNG stream.
+//! controller state lives inside the shard partition, and every policy
+//! is a deterministic function of its observations and its own state.
 
 /// Scheduling class of a traffic source, ordered from most to least
 /// protected.

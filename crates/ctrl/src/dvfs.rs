@@ -24,7 +24,6 @@
 //! ([`CellObs::clock_points`] is empty) the controller stands down.
 
 use crate::controller::{CellObs, ClockPoint, Command, Mode, Phase};
-use rand::rngs::StdRng;
 
 /// DVFS policy parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -96,7 +95,7 @@ impl DvfsController {
     /// Runs one control tick: appends a `SetClock` for every serving slot
     /// whose pool's point changes. The entries already in `cmds` are the
     /// commands earlier policies issued this tick.
-    pub fn control(&mut self, obs: &CellObs, cmds: &mut Vec<Command>, _rng: &mut StdRng) {
+    pub fn control(&mut self, obs: &CellObs, cmds: &mut Vec<Command>) {
         // Nominal-only data planes price no alternative points.
         if obs.clock_points.len() < 2 {
             return;
@@ -176,7 +175,6 @@ impl DvfsController {
 mod tests {
     use super::*;
     use crate::controller::{issued, InstanceObs, PhaseObs};
-    use rand::SeedableRng;
 
     /// A 3-point grid shaped like the real tables: prefill compute-bound
     /// (scale ~ clock), decode memory-bound (scale ~ 1), lowest point
@@ -238,7 +236,6 @@ mod tests {
     #[test]
     fn quiet_cell_downclocks_to_lowest_feasible_point() {
         let mut d = DvfsController::new(DvfsConfig::default());
-        let mut rng = StdRng::seed_from_u64(1);
         // 2 live mixed slots at nominal (index 2), 1 rps of demand
         // against 2 × 2 rps: even the lowest point covers it, but index 0
         // is TTFT-infeasible for mixed serving => index 1.
@@ -249,7 +246,7 @@ mod tests {
             ],
             5,
         );
-        let cmds = issued(&[], |c| d.control(&o, c, &mut rng));
+        let cmds = issued(&[], |c| d.control(&o, c));
         assert_eq!(
             cmds,
             vec![
@@ -262,7 +259,6 @@ mod tests {
     #[test]
     fn demand_pressure_holds_nominal_clock() {
         let mut d = DvfsController::new(DvfsConfig::default());
-        let mut rng = StdRng::seed_from_u64(1);
         // 18 rps against 2 × 2 rps × 0.92: nothing fits, nominal stays —
         // and slots already at nominal get no command (idempotent).
         let o = obs(
@@ -272,24 +268,22 @@ mod tests {
             ],
             90,
         );
-        assert!(issued(&[], |c| d.control(&o, c, &mut rng)).is_empty());
+        assert!(issued(&[], |c| d.control(&o, c)).is_empty());
     }
 
     #[test]
     fn backlog_forces_clocks_back_up() {
         let mut d = DvfsController::new(DvfsConfig::default());
-        let mut rng = StdRng::seed_from_u64(1);
         // No fresh arrivals, but a deep standing queue: the drain term
         // dominates and the down-clocked slot is retuned to nominal.
         let o = obs(vec![slot(Mode::Live, Phase::Mixed, 0, 200)], 0);
-        let cmds = issued(&[], |c| d.control(&o, c, &mut rng));
+        let cmds = issued(&[], |c| d.control(&o, c));
         assert_eq!(cmds, vec![Command::SetClock { slot: 0, clock: 2 }]);
     }
 
     #[test]
     fn split_pools_pick_different_points() {
         let mut d = DvfsController::new(DvfsConfig::default());
-        let mut rng = StdRng::seed_from_u64(1);
         // Prefill capacity is high (8 rps/inst) and index 0 is
         // prefill-infeasible => prefill pool lands on index 1; decode
         // (2 rps/inst, memory-bound scale ≈ 1) absorbs the same demand at
@@ -309,7 +303,7 @@ mod tests {
             decode_capacity_rps: 2.0,
             kv_backlog_us: 0,
         });
-        let cmds = issued(&[], |c| d.control(&o, c, &mut rng));
+        let cmds = issued(&[], |c| d.control(&o, c));
         assert!(cmds.contains(&Command::SetClock { slot: 0, clock: 1 }));
         for s in 1..4 {
             assert!(
@@ -322,7 +316,6 @@ mod tests {
     #[test]
     fn pending_phase_moves_and_parks_are_respected() {
         let mut d = DvfsController::new(DvfsConfig::default());
-        let mut rng = StdRng::seed_from_u64(1);
         let mut o = obs(
             vec![
                 slot(Mode::Live, Phase::Prefill, 2, 0),
@@ -344,29 +337,27 @@ mod tests {
             },
             Command::Park { slot: 0 },
         ];
-        let cmds = issued(&pending, |c| d.control(&o, c, &mut rng));
+        let cmds = issued(&pending, |c| d.control(&o, c));
         assert_eq!(cmds, vec![Command::SetClock { slot: 1, clock: 0 }]);
     }
 
     #[test]
     fn stands_down_without_a_clock_grid() {
         let mut d = DvfsController::new(DvfsConfig::default());
-        let mut rng = StdRng::seed_from_u64(1);
         let mut o = obs(vec![slot(Mode::Live, Phase::Mixed, 0, 0)], 0);
         o.clock_points = Vec::new();
-        assert!(issued(&[], |c| d.control(&o, c, &mut rng)).is_empty());
+        assert!(issued(&[], |c| d.control(&o, c)).is_empty());
         assert!(d.ewma_rps().is_none(), "no state accrues while inactive");
     }
 
     #[test]
     fn ewma_remembers_spikes() {
         let mut d = DvfsController::new(DvfsConfig::default());
-        let mut rng = StdRng::seed_from_u64(1);
         let busy = obs(vec![slot(Mode::Live, Phase::Mixed, 2, 0)], 400);
-        issued(&[], |c| d.control(&busy, c, &mut rng));
+        issued(&[], |c| d.control(&busy, c));
         let spike = d.ewma_rps().unwrap();
         let quiet = obs(vec![slot(Mode::Live, Phase::Mixed, 2, 0)], 0);
-        let cmds = issued(&[], |c| d.control(&quiet, c, &mut rng));
+        let cmds = issued(&[], |c| d.control(&quiet, c));
         let after = d.ewma_rps().unwrap();
         assert!(after > 0.0 && after < spike);
         // The smoothed spike (48 rps vs 1.84 rps ceiling) still pins

@@ -62,8 +62,6 @@ pub use litegpu_cluster::power_mgmt::Policy;
 pub use power::{PowerConfig, PowerGater};
 pub use route::{apportion, apportion_into, Router, RouterConfig};
 
-use rand::rngs::StdRng;
-
 /// Control-plane configuration: which policies run, and how often.
 ///
 /// `#[non_exhaustive]`: construct one with [`CtrlConfig::builder`] (or
@@ -297,19 +295,19 @@ pub struct ControllerStack {
 impl ControllerStack {
     /// Runs every policy for one control tick, leaving their commands in
     /// `cmds` in issue order (whatever `cmds` held before is cleared).
-    pub fn control(&mut self, obs: &CellObs, cmds: &mut Vec<Command>, rng: &mut StdRng) {
+    pub fn control(&mut self, obs: &CellObs, cmds: &mut Vec<Command>) {
         cmds.clear();
         if let Some(p) = &mut self.autoscaler {
-            p.control(obs, cmds, rng);
+            p.control(obs, cmds);
         }
         if let Some(p) = &mut self.dvfs {
-            p.control(obs, cmds, rng);
+            p.control(obs, cmds);
         }
         if let Some(p) = &mut self.power {
-            p.control(obs, cmds, rng);
+            p.control(obs, cmds);
         }
         if let Some(p) = &mut self.router {
-            p.control(obs, cmds, rng);
+            p.control(obs, cmds);
         }
     }
 }
@@ -317,7 +315,6 @@ impl ControllerStack {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     /// Which policies a built stack holds, in run order: autoscaler,
     /// DVFS, power gater, router.
@@ -373,7 +370,6 @@ mod tests {
         // router zeroes the weights of non-live slots.
         let cfg = CtrlConfig::demo(Policy::GateToEfficiency);
         let mut stack = cfg.build();
-        let mut rng = StdRng::seed_from_u64(3);
         let obs = CellObs {
             tick: 12,
             interval_s: 5.0,
@@ -403,7 +399,7 @@ mod tests {
         };
         // The stack clears the buffer before its first policy runs.
         let mut cmds = vec![Command::Activate { slot: 0 }];
-        stack.control(&obs, &mut cmds, &mut rng);
+        stack.control(&obs, &mut cmds);
         assert!(!cmds.contains(&Command::Activate { slot: 0 }));
         assert!(cmds.contains(&Command::Park { slot: 1 }));
         assert!(cmds.contains(&Command::SetWarm { slot: 1 }));

@@ -11,7 +11,6 @@
 
 use crate::controller::{CellObs, Command, Mode};
 use litegpu_cluster::power_mgmt::Policy;
-use rand::rngs::StdRng;
 
 /// Power-gating policy parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,7 +53,7 @@ impl PowerGater {
     /// Runs one control tick: appends a `SetWarm` or `SetCold` for every
     /// slot parked once the commands already in `cmds` (those earlier
     /// policies issued this tick) land.
-    pub fn control(&mut self, obs: &CellObs, cmds: &mut Vec<Command>, _rng: &mut StdRng) {
+    pub fn control(&mut self, obs: &CellObs, cmds: &mut Vec<Command>) {
         // The parked set once this tick's commands land: currently parked
         // slots, plus this tick's parks, minus this tick's activations.
         let mut parked: Vec<u32> = obs
@@ -93,7 +92,6 @@ impl PowerGater {
 mod tests {
     use super::*;
     use crate::controller::{issued, InstanceObs};
-    use rand::SeedableRng;
 
     fn obs(modes: &[Mode]) -> CellObs {
         CellObs {
@@ -125,9 +123,8 @@ mod tests {
             policy: Policy::GateToEfficiency,
             warm_pool: 1,
         });
-        let mut rng = StdRng::seed_from_u64(1);
         let o = obs(&[Mode::Live, Mode::Cold, Mode::Warm, Mode::Warm]);
-        let cmds = issued(&[], |c| g.control(&o, c, &mut rng));
+        let cmds = issued(&[], |c| g.control(&o, c));
         assert_eq!(
             cmds,
             vec![
@@ -145,9 +142,8 @@ mod tests {
             warm_pool: 1,
         });
         assert!(!g.gates());
-        let mut rng = StdRng::seed_from_u64(1);
         let o = obs(&[Mode::Cold, Mode::Live, Mode::Cold]);
-        let cmds = issued(&[], |c| g.control(&o, c, &mut rng));
+        let cmds = issued(&[], |c| g.control(&o, c));
         assert_eq!(
             cmds,
             vec![Command::SetWarm { slot: 0 }, Command::SetWarm { slot: 2 }]
@@ -160,14 +156,13 @@ mod tests {
             policy: Policy::GateIdle,
             warm_pool: 2,
         });
-        let mut rng = StdRng::seed_from_u64(1);
         let o = obs(&[Mode::Live, Mode::Live, Mode::Warm, Mode::Cold]);
         let pending = vec![
             Command::Park { slot: 1 },
             Command::Activate { slot: 2 },
             Command::SetWeights { weights: vec![] },
         ];
-        let cmds = issued(&pending, |c| g.control(&o, c, &mut rng));
+        let cmds = issued(&pending, |c| g.control(&o, c));
         // Parked set after pending: {1, 3}; warm pool of 2 covers both.
         assert_eq!(
             cmds,

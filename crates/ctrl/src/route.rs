@@ -12,7 +12,6 @@
 //! load balancer with periodically-updated backend stats.
 
 use crate::controller::{CellObs, Command, Mode, Phase};
-use rand::rngs::StdRng;
 
 /// Router policy parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,7 +43,7 @@ impl Router {
     }
 
     /// Runs one control tick: appends the cell's routing-weight snapshot.
-    pub fn control(&mut self, obs: &CellObs, cmds: &mut Vec<Command>, _rng: &mut StdRng) {
+    pub fn control(&mut self, obs: &CellObs, cmds: &mut Vec<Command>) {
         let weights = obs
             .slots
             .iter()
@@ -166,6 +165,7 @@ pub fn apportion_into(
 mod tests {
     use super::*;
     use crate::controller::{issued, InstanceObs};
+    use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     /// The sort-based largest-remainder split that [`apportion_into`]
@@ -198,7 +198,6 @@ mod tests {
     #[test]
     fn weights_track_free_capacity_of_live_slots() {
         let mut r = Router::new(RouterConfig::default());
-        let mut rng = StdRng::seed_from_u64(1);
         let obs = CellObs {
             tick: 0,
             interval_s: 5.0,
@@ -240,7 +239,7 @@ mod tests {
                 },
             ],
         };
-        let cmds = issued(&[], |c| r.control(&obs, c, &mut rng));
+        let cmds = issued(&[], |c| r.control(&obs, c));
         assert_eq!(
             cmds,
             vec![Command::SetWeights {
@@ -252,7 +251,6 @@ mod tests {
     #[test]
     fn decode_pool_slots_get_no_queue_room() {
         let mut r = Router::new(RouterConfig::default());
-        let mut rng = StdRng::seed_from_u64(1);
         let obs = CellObs {
             tick: 0,
             interval_s: 5.0,
@@ -280,7 +278,7 @@ mod tests {
                 },
             ],
         };
-        let cmds = issued(&[], |c| r.control(&obs, c, &mut rng));
+        let cmds = issued(&[], |c| r.control(&obs, c));
         assert_eq!(
             cmds,
             vec![Command::SetWeights {
@@ -294,7 +292,6 @@ mod tests {
         let mut r = Router::new(RouterConfig {
             weight_by_free_capacity: false,
         });
-        let mut rng = StdRng::seed_from_u64(1);
         let obs = CellObs {
             tick: 0,
             interval_s: 5.0,
@@ -322,7 +319,7 @@ mod tests {
                 },
             ],
         };
-        let cmds = issued(&[], |c| r.control(&obs, c, &mut rng));
+        let cmds = issued(&[], |c| r.control(&obs, c));
         assert_eq!(
             cmds,
             vec![Command::SetWeights {

@@ -129,7 +129,7 @@ pub(crate) struct CellTraffic {
 
 impl CellTraffic {
     /// Distinct stream constant so per-(cell, tenant) arrival streams
-    /// never alias the per-instance or cell-control streams.
+    /// never alias the per-instance streams.
     const STREAM: u64 = 0x7E4A_4D7A_11C0_FFEE;
 
     pub(crate) fn new(seed: u64, cell_idx: u32, cfg: &FleetConfig) -> Self {

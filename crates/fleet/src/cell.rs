@@ -12,8 +12,8 @@ use crate::engine::Shared;
 use crate::state::{CellState, InstanceState, KvLinkState, TenantTotals, Totals, TraceSink};
 use crate::window::{CellPlan, CellSnapshot};
 use litegpu_ctrl::{
-    apportion_into, CellObs, Command, CtrlConfig, FleetCellObs, InstanceObs, Mode, Phase, PhaseObs,
-    PriorityClass,
+    apportion_into, CellObs, Command, ControllerStack, CtrlConfig, FleetCellObs, InstanceObs, Mode,
+    Phase, PhaseObs, PriorityClass,
 };
 use litegpu_telemetry::profile::{
     PHASE_CHAOS, PHASE_CONTROL, PHASE_KV, PHASE_LIFECYCLE, PHASE_ROUTE, PHASE_SAMPLE, PHASE_SERVE,
@@ -21,8 +21,6 @@ use litegpu_telemetry::profile::{
 use litegpu_telemetry::{
     MetricId, MetricKind, PhaseProfile, SeriesRecorder, SpanSampler, TraceEvent,
 };
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Instant;
@@ -155,29 +153,6 @@ impl Slot {
     /// exists.
     fn clock_idx(&self) -> usize {
         self.clock.min(self.clamp) as usize
-    }
-}
-
-/// One cell's control-plane runtime: the policy stack and the cell's own
-/// RNG stream. Lives entirely inside the shard partition; the slot state
-/// the stack manages lives in the cell.
-struct CellCtl {
-    stack: litegpu_ctrl::ControllerStack,
-    rng: StdRng,
-}
-
-impl CellCtl {
-    /// Distinct stream constant so cell-control RNG streams never alias
-    /// the per-instance streams (which mix with a different odd constant).
-    const STREAM: u64 = 0x5EED_C311_0C7A_11E5;
-
-    fn new(ctrl: &CtrlConfig, seed: u64, cell_idx: u32) -> Self {
-        Self {
-            stack: ctrl.build(),
-            rng: StdRng::seed_from_u64(
-                seed ^ Self::STREAM ^ (cell_idx as u64).wrapping_mul(0xD1B5_4A32_D192_ED03),
-            ),
-        }
     }
 }
 
@@ -429,7 +404,7 @@ pub(crate) struct CellSim<'a> {
     traffic: CellTraffic,
     /// The policy stack (`None` without a control plane) and the
     /// command buffer each control tick refills and drains.
-    ctl: Option<CellCtl>,
+    ctl: Option<ControllerStack>,
     cmds: Vec<Command>,
     chaos: Option<&'a CellChaos>,
     /// The thermal clamps [`Self::windows`] recomputes, before they
@@ -525,7 +500,7 @@ impl<'a> CellSim<'a> {
                 accrued: 0,
             })
             .collect();
-        let ctl = cfg.ctrl.as_ref().map(|c| CellCtl::new(c, seed, cell_idx));
+        let ctl = cfg.ctrl.as_ref().map(CtrlConfig::build);
         let chaos = shared.chaos.get(cell_idx as usize);
         // Resolve this cell's metric ids once: re-resolution across
         // cells is idempotent, and the tick loop then samples by index.
@@ -1053,7 +1028,7 @@ impl<'a> CellSim<'a> {
         // replacement capacity live instead of parking it into the
         // blast radius.
         let chaos_down = self.chaos_down();
-        let Some(c) = self.ctl.as_mut() else {
+        let Some(stack) = self.ctl.as_mut() else {
             return;
         };
         let mut obs = CellObs::new(tick, shared.ctrl_every as f64 * shared.cfg.tick_s);
@@ -1102,7 +1077,7 @@ impl<'a> CellSim<'a> {
                 ));
             }
         };
-        c.stack.control(&obs, &mut self.cmds, &mut c.rng);
+        stack.control(&obs, &mut self.cmds);
         let (insts, acc, trace) = (&self.insts, &mut self.acc, &mut self.trace);
         for cmd in self.cmds.drain(..) {
             match cmd {

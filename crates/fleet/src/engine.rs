@@ -27,9 +27,9 @@
 //! per-priority-class arrival counts) and issues commands — autoscaler
 //! parks/activations (with warm/cold boot latency), power-gating of
 //! parked instances, routing-weight refreshes, and admission changes.
-//! All controller state is per-cell, lives inside the cell, and draws
-//! from the cell's own RNG stream, so controlled runs keep the
-//! byte-identical guarantee. A cell without a control plane runs the same
+//! All controller state is per-cell and lives inside the cell, and no
+//! policy draws randomness, so controlled runs keep the byte-identical
+//! guarantee. A cell without a control plane runs the same
 //! code with default slot state — every slot live, at weight 1 and the
 //! nominal clock — except that a down instance keeps its equal share of
 //! the split: no router means stranded traffic.
