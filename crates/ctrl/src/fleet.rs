@@ -1,5 +1,6 @@
 //! The fleet-scope half of the two-level control plane: cross-cell
-//! observations, per-cell directives, and the [`FleetController`] trait.
+//! observations, per-cell directives, and the spill-over balancer that
+//! turns the one into the other ([`BalancerConfig::plan`]).
 //!
 //! The cell-scope [`ControllerStack`](crate::ControllerStack) is strictly
 //! cell-local — that locality is what lets the engine shard cells across
@@ -12,11 +13,11 @@
 //!    the same data-tick boundary and takes a read-only [`FleetObs`]
 //!    (per-cell queue depth, up/live slots, KV-link backlog, chaos
 //!    state). Cells in the same data tick still never see each other.
-//! 2. **Pure function** — one [`FleetController`] turns the snapshot
+//! 2. **Pure function** — [`BalancerConfig::plan`] turns the snapshot
 //!    into per-cell [`CellDirective`]s. The function is deterministic
-//!    (no RNG, no clocks, no ambient state beyond the controller's own
-//!    fields), so the same snapshot always yields the same directives
-//!    regardless of which worker thread computes them.
+//!    (no RNG, no clocks, no state beyond the configuration), so the
+//!    same snapshot always yields the same directives regardless of
+//!    which worker thread computes them.
 //! 3. **Commands** — the engine applies the directives to the *next*
 //!    fleet window: admission quotas clamp what each cell admits, and
 //!    spill-over routes redirect a bounded fraction of a hot cell's
@@ -117,10 +118,7 @@ impl FleetObs {
 
 /// What the fleet scope asks one cell to do for the next fleet window.
 ///
-/// Directives are advisory and bounded: the engine sanitizes them
-/// (unknown cells dropped, self-spill dropped, permille clamped to
-/// 1000), and a cell with no directive behaves exactly as an isolated
-/// cell would.
+/// A cell with no directive behaves exactly as an isolated cell would.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub struct CellDirective {
@@ -149,68 +147,6 @@ impl CellDirective {
             ..Default::default()
         }
     }
-}
-
-/// A deterministic fleet-scope control policy.
-///
-/// `plan` runs once per fleet tick over a read-only [`FleetObs`] and
-/// returns per-cell directives for the next fleet window. It must be a
-/// pure function of the snapshot and the controller's own state: no
-/// randomness, no clocks, no I/O — the engine calls it on exactly one
-/// thread per fleet tick, but *which* thread is unspecified, and the
-/// byte-identical-at-any-thread-count guarantee rests on the answer
-/// never depending on that.
-///
-/// # Examples
-///
-/// A minimal controller that caps every cell's admissions at its queue
-/// capacity and spills from the hottest cell to the coldest:
-///
-/// ```
-/// use litegpu_ctrl::fleet::{CellDirective, FleetCellObs, FleetController, FleetObs};
-///
-/// struct Cap;
-///
-/// impl FleetController for Cap {
-///     fn name(&self) -> &'static str {
-///         "cap"
-///     }
-///
-///     fn plan(&mut self, obs: &FleetObs) -> Vec<CellDirective> {
-///         let hot = obs.cells.iter().enumerate().max_by_key(|(_, c)| c.queued);
-///         let cold = obs.cells.iter().enumerate().min_by_key(|(_, c)| c.queued);
-///         let (Some((hot, _)), Some((cold, _))) = (hot, cold) else {
-///             return Vec::new();
-///         };
-///         let mut d = CellDirective::new(hot as u32);
-///         d.admission_quota = Some(obs.max_queue as u64 * obs.cells[hot].live as u64);
-///         if hot != cold {
-///             d.spill_permille = 250; // redirect up to 25% of arrivals
-///             d.spill_to = vec![(cold as u32, 1)];
-///         }
-///         vec![d]
-///     }
-/// }
-///
-/// let mut obs = FleetObs::new(0, 60.0);
-/// obs.max_queue = 8;
-/// let mut hot = FleetCellObs::new();
-/// hot.queued = 100;
-/// hot.live = 4;
-/// let mut cold = FleetCellObs::new();
-/// cold.live = 4;
-/// obs.cells = vec![hot, cold];
-///
-/// let plan = Cap.plan(&obs);
-/// assert_eq!(plan[0].cell, 0);
-/// assert_eq!(plan[0].spill_to, vec![(1, 1)]);
-/// ```
-pub trait FleetController {
-    /// Short policy name (for labels and reports).
-    fn name(&self) -> &'static str;
-
-    /// Computes per-cell directives for the next fleet window.
-    fn plan(&mut self, obs: &FleetObs) -> Vec<CellDirective>;
 }
 
 /// Configuration of the built-in spill-over balancer (and the fleet-tick
@@ -271,37 +207,41 @@ impl BalancerConfig {
         Ok(())
     }
 
-    /// Builds the spill-over balancer this configuration describes.
-    pub fn build(&self) -> Box<dyn FleetController + Send> {
-        Box::new(SpillBalancer { cfg: *self })
-    }
-}
-
-/// The built-in fleet policy: queue-deficit spill-over with optional
-/// admission quotas.
-///
-/// Per fleet tick it classifies cells against the fleet-mean queue
-/// depth: cells above `hot_factor ×` mean spill up to `spill_permille`
-/// of their next-window arrivals; cells at or below the mean with live
-/// capacity, no active chaos window, and (on phase-split fleets) KV-link
-/// slack receive it, weighted by free queue room. With finite
-/// `quota_headroom` every cell also gets an admission quota proportional
-/// to its live serving capacity.
-pub struct SpillBalancer {
-    cfg: BalancerConfig,
-}
-
-impl FleetController for SpillBalancer {
-    fn name(&self) -> &'static str {
-        "spill"
-    }
-
-    fn plan(&mut self, obs: &FleetObs) -> Vec<CellDirective> {
+    /// The built-in fleet policy, queue-deficit spill-over with optional
+    /// admission quotas: per-cell directives for the next fleet window.
+    ///
+    /// Per fleet tick it classifies cells against the fleet-mean queue
+    /// depth: cells above `hot_factor ×` mean spill up to
+    /// `spill_permille` of their next-window arrivals; cells at or below
+    /// the mean with live capacity, no active chaos window, and (on
+    /// phase-split fleets) KV-link slack receive it, weighted by free
+    /// queue room. With finite `quota_headroom` every cell also gets an
+    /// admission quota proportional to its live serving capacity.
+    ///
+    /// ```
+    /// use litegpu_ctrl::{BalancerConfig, FleetCellObs, FleetObs};
+    ///
+    /// let mut obs = FleetObs::new(0, 60.0);
+    /// obs.max_queue = 8;
+    /// let mut hot = FleetCellObs::new();
+    /// hot.queued = 100;
+    /// hot.live = 4;
+    /// let mut cold = FleetCellObs::new();
+    /// cold.live = 4;
+    /// obs.cells = vec![hot, cold];
+    ///
+    /// // The hot cell spills 30% of its arrivals to the cold one.
+    /// let plan = BalancerConfig::default().plan(&obs);
+    /// assert_eq!(plan.len(), 1);
+    /// assert_eq!((plan[0].cell, plan[0].spill_permille), (0, 300));
+    /// assert_eq!(plan[0].spill_to, vec![(1, 32)]);
+    /// ```
+    pub fn plan(&self, obs: &FleetObs) -> Vec<CellDirective> {
         let mean = obs.queued_mean();
         // Hot threshold in integer arithmetic: queued > hot_factor × mean,
         // computed as queued × 1000 > mean × round(hot_factor × 1000) so
         // the comparison is exact and platform-independent.
-        let hot_factor_mill = (self.cfg.hot_factor * 1000.0).round() as u128;
+        let hot_factor_mill = (self.hot_factor * 1000.0).round() as u128;
         let receivers: Vec<(u32, u64)> = obs
             .cells
             .iter()
@@ -310,7 +250,7 @@ impl FleetController for SpillBalancer {
                 c.queued <= mean
                     && c.live > 0
                     && c.chaos_down == 0
-                    && (!obs.phase_split || c.kv_backlog_us <= self.cfg.kv_slack_us)
+                    && (!obs.phase_split || c.kv_backlog_us <= self.kv_slack_us)
             })
             .map(|(i, c)| {
                 let room = (c.live as u64 * obs.max_queue as u64).saturating_sub(c.queued);
@@ -319,7 +259,7 @@ impl FleetController for SpillBalancer {
             .collect();
         let mut out = Vec::new();
         for (i, c) in obs.cells.iter().enumerate() {
-            let hot = self.cfg.spill_permille > 0
+            let hot = self.spill_permille > 0
                 && c.queued > mean
                 && (c.queued as u128) * 1000 > (mean as u128) * hot_factor_mill;
             let spill_to: Vec<(u32, u64)> = if hot {
@@ -331,9 +271,9 @@ impl FleetController for SpillBalancer {
             } else {
                 Vec::new()
             };
-            let quota = if self.cfg.quota_headroom.is_finite() {
+            let quota = if self.quota_headroom.is_finite() {
                 let cap = obs.capacity_rps_per_instance * c.live as f64 * obs.interval_s;
-                Some((cap * self.cfg.quota_headroom).ceil() as u64)
+                Some((cap * self.quota_headroom).ceil() as u64)
             } else {
                 None
             };
@@ -343,7 +283,7 @@ impl FleetController for SpillBalancer {
             let mut d = CellDirective::new(i as u32);
             d.admission_quota = quota;
             if !spill_to.is_empty() {
-                d.spill_permille = self.cfg.spill_permille;
+                d.spill_permille = self.spill_permille;
                 d.spill_to = spill_to;
             }
             out.push(d);
@@ -404,9 +344,8 @@ mod tests {
 
     #[test]
     fn spill_balancer_targets_hot_cells_only() {
-        let mut b = BalancerConfig::default().build();
         // Mean queue = (900 + 0×7) / 8 = 112; hot threshold 1.5× = 168.
-        let plan = b.plan(&obs(&[900, 0, 0, 0, 0, 0, 0, 0]));
+        let plan = BalancerConfig::default().plan(&obs(&[900, 0, 0, 0, 0, 0, 0, 0]));
         assert_eq!(plan.len(), 1);
         assert_eq!(plan[0].cell, 0);
         assert_eq!(plan[0].spill_permille, 300);
@@ -419,19 +358,19 @@ mod tests {
 
     #[test]
     fn spill_balancer_is_quiet_on_balanced_fleets() {
-        let mut b = BalancerConfig::default().build();
-        assert!(b.plan(&obs(&[50, 50, 50, 50])).is_empty());
+        assert!(BalancerConfig::default()
+            .plan(&obs(&[50, 50, 50, 50]))
+            .is_empty());
     }
 
     #[test]
     fn spill_balancer_skips_chaos_and_kv_congested_receivers() {
         let cfg = BalancerConfig::default();
-        let mut b = cfg.build();
         let mut o = obs(&[900, 0, 0, 0]);
         o.phase_split = true;
         o.cells[1].chaos_down = 2;
         o.cells[2].kv_backlog_us = cfg.kv_slack_us + 1;
-        let plan = b.plan(&o);
+        let plan = cfg.plan(&o);
         assert_eq!(plan.len(), 1);
         assert_eq!(plan[0].spill_to, vec![(3, 800)]);
     }
@@ -442,8 +381,7 @@ mod tests {
             quota_headroom: 1.5,
             ..Default::default()
         };
-        let mut b = cfg.build();
-        let plan = b.plan(&obs(&[50, 50]));
+        let plan = cfg.plan(&obs(&[50, 50]));
         // Balanced fleet: no spill, but every cell gets a quota of
         // 2 rps × 8 live × 60 s × 1.5 = 1440.
         assert_eq!(plan.len(), 2);
@@ -456,12 +394,11 @@ mod tests {
 
     #[test]
     fn spill_balancer_receiver_weight_is_free_queue_room() {
-        let mut b = BalancerConfig::default().build();
         let mut o = obs(&[900, 100, 0]);
         o.cells[1].queued = 100;
         // Mean = 333; cell 1 (queued 100) and cell 2 (queued 0) are both
         // receivers, weighted by 8×100 − queued.
-        let plan = b.plan(&o);
+        let plan = BalancerConfig::default().plan(&o);
         assert_eq!(plan[0].spill_to, vec![(1, 700), (2, 800)]);
     }
 

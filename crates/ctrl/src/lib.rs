@@ -33,10 +33,10 @@
 //! their work over the cell's KV link, never the front door.
 //!
 //! The control plane is **two-level**: above the per-cell stack, the
-//! [`fleet`] module defines the fleet-scope [`FleetController`] trait —
-//! once per fleet tick it sees a read-only [`FleetObs`] snapshot of
-//! every cell and emits per-cell [`CellDirective`]s (admission quotas
-//! and cross-cell spill-over routes). See the [`fleet`] module docs for
+//! [`fleet`] module's spill-over balancer ([`BalancerConfig::plan`])
+//! runs once per fleet tick — it sees a read-only [`FleetObs`] snapshot
+//! of every cell and issues per-cell [`CellDirective`]s (admission
+//! quotas and cross-cell spill-over routes). See the [`fleet`] module docs for
 //! the snapshot → pure function → commands contract that keeps fleet
 //! feedback compatible with byte-identical sharded execution.
 //!
@@ -57,7 +57,7 @@ pub use controller::{
     CellObs, ClockPoint, Command, InstanceObs, Mode, Phase, PhaseObs, PriorityClass,
 };
 pub use dvfs::{DvfsConfig, DvfsController};
-pub use fleet::{BalancerConfig, CellDirective, FleetCellObs, FleetController, FleetObs};
+pub use fleet::{BalancerConfig, CellDirective, FleetCellObs, FleetObs};
 pub use litegpu_cluster::power_mgmt::Policy;
 pub use power::{PowerConfig, PowerGater};
 pub use route::{apportion, apportion_into, Router, RouterConfig};

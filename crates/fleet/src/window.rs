@@ -10,7 +10,7 @@ use crate::arrivals::ArrivalTable;
 use crate::cell::{CellSim, ProfTimer};
 use crate::engine::Shared;
 use crate::state::Totals;
-use litegpu_ctrl::{BalancerConfig, FleetCellObs, FleetController, FleetObs};
+use litegpu_ctrl::{BalancerConfig, FleetCellObs, FleetObs};
 use litegpu_telemetry::profile::PHASE_MERGE;
 use litegpu_telemetry::{SeriesRecorder, TraceEvent};
 use std::ops::Range;
@@ -55,7 +55,7 @@ pub(crate) struct CellPlan {
 /// ties to the lowest index).
 fn plan_fleet(
     shared: &Shared<'_>,
-    controller: &mut (dyn FleetController + Send),
+    bal: &BalancerConfig,
     bal_window_s: f64,
     b: u32,
     snaps: Vec<CellSnapshot>,
@@ -70,40 +70,27 @@ fn plan_fleet(
         obs.cells.push(s.obs);
         windows.push(s.window);
     }
-    let directives = controller.plan(&obs);
+    let directives = bal.plan(&obs);
     let mut plans: Vec<CellPlan> = (0..cells).map(|_| CellPlan::default()).collect();
     // Admission-order position per tenant, for the destination-side sort.
     let mut pos_of = vec![0u16; shared.classes.len()];
     for (pos, &ti) in shared.priority_order.iter().enumerate() {
         pos_of[ti as usize] = pos as u16;
     }
-    // Directives are sanitized here, not trusted: unknown cells are
-    // dropped, the last directive per cell wins, self/unknown spill
-    // targets are filtered, and the permille is capped at 1000.
-    let mut chosen: Vec<Option<usize>> = vec![None; cells];
-    for (i, d) in directives.iter().enumerate() {
-        if (d.cell as usize) < cells {
-            chosen[d.cell as usize] = Some(i);
-        }
-    }
+    // The directives apply as issued: `plan` issues at most one per
+    // cell, in cell order; it spills only to other cells, each at weight
+    // ≥ 1, and sets a nonzero permille exactly when it spills; and
+    // `validate`, which every run passes first, bounds the permille by
+    // 1000.
     let mut staged: Vec<(u32, u16, u32, u32, u16, u64)> = Vec::new();
-    for (src, pick) in chosen.iter().enumerate() {
-        let Some(di) = pick else { continue };
-        let d = &directives[*di];
+    for d in &directives {
+        let src = d.cell as usize;
         plans[src].quota = d.admission_quota;
-        let p = u64::from(d.spill_permille.min(1000));
+        let p = u64::from(d.spill_permille);
         if p == 0 {
             continue;
         }
-        let targets: Vec<(u32, u64)> = d
-            .spill_to
-            .iter()
-            .copied()
-            .filter(|&(dst, w)| (dst as usize) < cells && dst != d.cell && w > 0)
-            .collect();
-        if targets.is_empty() {
-            continue;
-        }
+        let targets = &d.spill_to;
         let wsum: u64 = targets.iter().map(|&(_, w)| w).sum();
         let mut given = vec![0u64; targets.len()];
         let mut spilled = 0u64;
@@ -148,13 +135,13 @@ fn plan_fleet(
 /// Why a planner lock can fail: another worker panicked holding it.
 const POISONED: &str = "a fleet worker panicked holding a planner lock";
 
-/// The fleet-tick rendezvous of a balanced run: the fleet controller,
-/// one snapshot slot and one plan slot per cell, and the barrier the
-/// workers meet at. Each cell's slots are written and read by its owning
-/// worker and the leader only, so the locks are uncontended; they make
-/// the hand-off race-free.
+/// The fleet-tick rendezvous of a balanced run: the balancer, one
+/// snapshot slot and one plan slot per cell, and the barrier the workers
+/// meet at. Each cell's slots are written and read by its owning worker
+/// and the leader only, so the locks are uncontended; they make the
+/// hand-off race-free.
 struct Planner {
-    controller: Mutex<Box<dyn FleetController + Send>>,
+    bal: BalancerConfig,
     window_s: f64,
     barrier: Barrier,
     snaps: Vec<Mutex<Option<CellSnapshot>>>,
@@ -164,7 +151,7 @@ struct Planner {
 impl Planner {
     fn new(bal: &BalancerConfig, cells: u32, threads: u32, window_s: f64) -> Self {
         Self {
-            controller: Mutex::new(bal.build()),
+            bal: *bal,
             window_s,
             barrier: Barrier::new(threads as usize),
             snaps: (0..cells).map(|_| Mutex::new(None)).collect(),
@@ -191,8 +178,7 @@ impl Planner {
                         .expect("every cell published")
                 })
                 .collect();
-            let mut ctl = self.controller.lock().expect(POISONED);
-            let plans = plan_fleet(shared, ctl.as_mut(), self.window_s, b, published);
+            let plans = plan_fleet(shared, &self.bal, self.window_s, b, published);
             for (slot, plan) in self.plans.iter().zip(plans) {
                 *slot.lock().expect(POISONED) = Some(plan);
             }
@@ -279,7 +265,7 @@ impl Worker {
 ///
 /// Under a balancer every window edge is a snapshot → pure function →
 /// commands cycle: each cell runs to the edge and publishes a read-only
-/// snapshot, exactly one thread runs the [`FleetController`] over the
+/// snapshot, exactly one thread runs [`BalancerConfig::plan`] over the
 /// assembled [`FleetObs`] (cells never read each other's state — only
 /// the planner sees the fleet), and each cell applies its own plan at
 /// the start of the next window. Apply, run, draw and publish happen in
