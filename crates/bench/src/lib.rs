@@ -269,7 +269,7 @@ pub mod cli {
         }
     }
 
-    use litegpu_fleet::ctrl::{BalancerConfig, CtrlConfig};
+    use litegpu_fleet::ctrl::BalancerConfig;
     use litegpu_fleet::FleetConfig;
 
     /// The shared fleet-scope balancer flag set: `--balancer` turns the
@@ -360,10 +360,8 @@ pub mod cli {
                 cfg.cell_rate_multipliers = skew_multipliers(cfg.num_cells(), hot, mult);
             }
             if self.enabled {
-                cfg.ctrl = Some(match cfg.ctrl.take() {
-                    Some(c) => c.with_balancer(self.config()),
-                    None => CtrlConfig::builder().balancer(self.config()).build(),
-                });
+                let ctrl = cfg.ctrl.take().unwrap_or_default();
+                cfg.ctrl = Some(ctrl.with_balancer(self.config()));
             }
         }
 

@@ -189,12 +189,7 @@ pub struct PhaseObs {
 ///
 /// Built by the data plane from cell-local state only; controllers must
 /// not assume anything about other cells.
-///
-/// `#[non_exhaustive]`: the data plane constructs one with
-/// [`CellObs::new`] and fills the public fields in; downstream crates
-/// keep compiling when an observation field is added.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CellObs {
     /// Data tick at which this control tick runs.
     pub tick: u32,
@@ -226,26 +221,6 @@ pub struct CellObs {
 }
 
 impl CellObs {
-    /// An empty observation at `tick` covering `interval_s` seconds.
-    ///
-    /// The struct is `#[non_exhaustive]`, so this is the only way to
-    /// build one outside `litegpu-ctrl`; callers fill the remaining
-    /// public fields in afterwards.
-    pub fn new(tick: u32, interval_s: f64) -> Self {
-        CellObs {
-            tick,
-            interval_s,
-            arrived_since_last: 0,
-            arrived_by_class: [0; 3],
-            capacity_rps_per_instance: 0.0,
-            max_queue: 0,
-            chaos_down: 0,
-            phase_split: None,
-            clock_points: Vec::new(),
-            slots: Vec::new(),
-        }
-    }
-
     /// Slots currently live (serving).
     pub fn live(&self) -> u32 {
         self.slots.iter().filter(|s| s.mode == Mode::Live).count() as u32

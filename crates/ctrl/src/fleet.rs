@@ -36,7 +36,6 @@
 /// observes — enough to rank cells by load and KV slack, cheap enough to
 /// publish at every fleet tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[non_exhaustive]
 pub struct FleetCellObs {
     /// Requests queued across the cell's slots.
     pub queued: u64,
@@ -57,20 +56,12 @@ pub struct FleetCellObs {
     pub chaos_down: u32,
 }
 
-impl FleetCellObs {
-    /// An empty per-cell observation; callers fill the public fields in.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// A read-only snapshot of the whole fleet at a fleet-tick boundary.
 ///
 /// Built by the engine with every cell paused at the same data tick;
 /// `cells` is indexed by cell id, so the same fleet always produces the
 /// same snapshot bytes regardless of shard or thread count.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FleetObs {
     /// Data tick at which this fleet tick runs.
     pub tick: u32,
@@ -88,19 +79,6 @@ pub struct FleetObs {
 }
 
 impl FleetObs {
-    /// An empty snapshot at `tick` covering `interval_s` seconds;
-    /// callers fill the remaining public fields in.
-    pub fn new(tick: u32, interval_s: f64) -> Self {
-        FleetObs {
-            tick,
-            interval_s,
-            phase_split: false,
-            capacity_rps_per_instance: 0.0,
-            max_queue: 0,
-            cells: Vec::new(),
-        }
-    }
-
     /// Total queued requests across the fleet.
     pub fn queued_total(&self) -> u64 {
         self.cells.iter().map(|c| c.queued).sum()
@@ -120,7 +98,6 @@ impl FleetObs {
 ///
 /// A cell with no directive behaves exactly as an isolated cell would.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[non_exhaustive]
 pub struct CellDirective {
     /// Cell id this directive targets.
     pub cell: u32,
@@ -137,16 +114,6 @@ pub struct CellDirective {
     /// are apportioned by weighted deficit (largest weighted shortfall
     /// first), which is deterministic and starvation-free.
     pub spill_to: Vec<(u32, u64)>,
-}
-
-impl CellDirective {
-    /// A no-op directive for `cell`; callers fill the public fields in.
-    pub fn new(cell: u32) -> Self {
-        CellDirective {
-            cell,
-            ..Default::default()
-        }
-    }
 }
 
 /// Configuration of the built-in spill-over balancer (and the fleet-tick
@@ -221,14 +188,17 @@ impl BalancerConfig {
     /// ```
     /// use litegpu_ctrl::{BalancerConfig, FleetCellObs, FleetObs};
     ///
-    /// let mut obs = FleetObs::new(0, 60.0);
-    /// obs.max_queue = 8;
-    /// let mut hot = FleetCellObs::new();
-    /// hot.queued = 100;
-    /// hot.live = 4;
-    /// let mut cold = FleetCellObs::new();
-    /// cold.live = 4;
-    /// obs.cells = vec![hot, cold];
+    /// let cell = |queued| FleetCellObs {
+    ///     queued,
+    ///     live: 4,
+    ///     ..FleetCellObs::default()
+    /// };
+    /// let obs = FleetObs {
+    ///     interval_s: 60.0,
+    ///     max_queue: 8,
+    ///     cells: vec![cell(100), cell(0)],
+    ///     ..FleetObs::default()
+    /// };
     ///
     /// // The hot cell spills 30% of its arrivals to the cold one.
     /// let plan = BalancerConfig::default().plan(&obs);
@@ -280,13 +250,16 @@ impl BalancerConfig {
             if quota.is_none() && spill_to.is_empty() {
                 continue;
             }
-            let mut d = CellDirective::new(i as u32);
-            d.admission_quota = quota;
-            if !spill_to.is_empty() {
-                d.spill_permille = self.spill_permille;
-                d.spill_to = spill_to;
-            }
-            out.push(d);
+            out.push(CellDirective {
+                cell: i as u32,
+                admission_quota: quota,
+                spill_permille: if spill_to.is_empty() {
+                    0
+                } else {
+                    self.spill_permille
+                },
+                spill_to,
+            });
         }
         out
     }
@@ -297,20 +270,21 @@ mod tests {
     use super::*;
 
     fn obs(queues: &[u64]) -> FleetObs {
-        let mut o = FleetObs::new(0, 60.0);
-        o.capacity_rps_per_instance = 2.0;
-        o.max_queue = 100;
-        o.cells = queues
-            .iter()
-            .map(|&q| {
-                let mut c = FleetCellObs::new();
-                c.queued = q;
-                c.up = 8;
-                c.live = 8;
-                c
-            })
-            .collect();
-        o
+        FleetObs {
+            interval_s: 60.0,
+            capacity_rps_per_instance: 2.0,
+            max_queue: 100,
+            cells: queues
+                .iter()
+                .map(|&queued| FleetCellObs {
+                    queued,
+                    up: 8,
+                    live: 8,
+                    ..FleetCellObs::default()
+                })
+                .collect(),
+            ..FleetObs::default()
+        }
     }
 
     #[test]
@@ -400,14 +374,5 @@ mod tests {
         // receivers, weighted by 8×100 − queued.
         let plan = BalancerConfig::default().plan(&o);
         assert_eq!(plan[0].spill_to, vec![(1, 700), (2, 800)]);
-    }
-
-    #[test]
-    fn directive_new_is_noop() {
-        let d = CellDirective::new(7);
-        assert_eq!(d.cell, 7);
-        assert!(d.admission_quota.is_none());
-        assert_eq!(d.spill_permille, 0);
-        assert!(d.spill_to.is_empty());
     }
 }

@@ -64,11 +64,20 @@ pub use route::{apportion, apportion_into, Router, RouterConfig};
 
 /// Control-plane configuration: which policies run, and how often.
 ///
-/// `#[non_exhaustive]`: construct one with [`CtrlConfig::builder`] (or
-/// [`CtrlConfig::demo`]) so the next policy addition is not a breaking
-/// change across every bin and test.
+/// The default is the empty control plane: 5 s control ticks, every
+/// policy off.
+///
+/// ```
+/// use litegpu_ctrl::{BalancerConfig, CtrlConfig, RouterConfig};
+///
+/// let cfg = CtrlConfig {
+///     router: Some(RouterConfig::default()),
+///     balancer: Some(BalancerConfig::default()),
+///     ..CtrlConfig::default()
+/// };
+/// assert_eq!(cfg.label(), "route+balancer");
+/// ```
 #[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
 pub struct CtrlConfig {
     /// Seconds between control ticks (rounded to whole data ticks by the
     /// engine, minimum one).
@@ -90,35 +99,33 @@ pub struct CtrlConfig {
     pub balancer: Option<BalancerConfig>,
 }
 
-impl CtrlConfig {
-    /// A builder starting from the empty control plane (5 s control
-    /// ticks, no policies).
-    ///
-    /// ```
-    /// use litegpu_ctrl::{BalancerConfig, CtrlConfig, RouterConfig};
-    ///
-    /// let cfg = CtrlConfig::builder()
-    ///     .route(RouterConfig::default())
-    ///     .balancer(BalancerConfig::default())
-    ///     .build();
-    /// assert_eq!(cfg.label(), "route+balancer");
-    /// ```
-    pub fn builder() -> CtrlConfigBuilder {
-        CtrlConfigBuilder::default()
+impl Default for CtrlConfig {
+    fn default() -> Self {
+        CtrlConfig {
+            control_interval_s: 5.0,
+            autoscaler: None,
+            dvfs: None,
+            power: None,
+            router: None,
+            balancer: None,
+        }
     }
+}
 
+impl CtrlConfig {
     /// The demo control plane: 5 s control ticks, default autoscaler and
     /// router, and the given power policy — [`Policy::DvfsAll`] for
     /// monolithic-GPU fleets, [`Policy::GateToEfficiency`] for Lite.
     pub fn demo(policy: Policy) -> Self {
-        Self::builder()
-            .autoscale(AutoscalerConfig::default())
-            .power(PowerConfig {
+        CtrlConfig {
+            autoscaler: Some(AutoscalerConfig::default()),
+            power: Some(PowerConfig {
                 policy,
                 warm_pool: 1,
-            })
-            .route(RouterConfig::default())
-            .build()
+            }),
+            router: Some(RouterConfig::default()),
+            ..Self::default()
+        }
     }
 
     /// Adds the default serving-time DVFS policy to this configuration.
@@ -204,75 +211,6 @@ impl CtrlConfig {
             power: self.power.map(PowerGater::new),
             router: self.router.map(Router::new),
         }
-    }
-}
-
-/// Builder for [`CtrlConfig`] (which is `#[non_exhaustive]` and so
-/// cannot be constructed literally outside this crate).
-///
-/// Starts from the empty control plane: 5 s control ticks, every policy
-/// off. Each setter enables one policy; `build` returns the finished
-/// configuration (validate separately with [`CtrlConfig::validate`]).
-#[derive(Debug, Clone)]
-pub struct CtrlConfigBuilder {
-    cfg: CtrlConfig,
-}
-
-impl Default for CtrlConfigBuilder {
-    fn default() -> Self {
-        CtrlConfigBuilder {
-            cfg: CtrlConfig {
-                control_interval_s: 5.0,
-                autoscaler: None,
-                dvfs: None,
-                power: None,
-                router: None,
-                balancer: None,
-            },
-        }
-    }
-}
-
-impl CtrlConfigBuilder {
-    /// Sets the seconds between control ticks.
-    pub fn control_interval(mut self, seconds: f64) -> Self {
-        self.cfg.control_interval_s = seconds;
-        self
-    }
-
-    /// Enables the reactive autoscaler.
-    pub fn autoscale(mut self, cfg: AutoscalerConfig) -> Self {
-        self.cfg.autoscaler = Some(cfg);
-        self
-    }
-
-    /// Enables serving-time DVFS.
-    pub fn dvfs(mut self, cfg: DvfsConfig) -> Self {
-        self.cfg.dvfs = Some(cfg);
-        self
-    }
-
-    /// Enables power gating of parked instances.
-    pub fn power(mut self, cfg: PowerConfig) -> Self {
-        self.cfg.power = Some(cfg);
-        self
-    }
-
-    /// Enables cell-level arrival routing.
-    pub fn route(mut self, cfg: RouterConfig) -> Self {
-        self.cfg.router = Some(cfg);
-        self
-    }
-
-    /// Enables the fleet-scope spill-over balancer.
-    pub fn balancer(mut self, cfg: BalancerConfig) -> Self {
-        self.cfg.balancer = Some(cfg);
-        self
-    }
-
-    /// Returns the finished configuration.
-    pub fn build(self) -> CtrlConfig {
-        self.cfg
     }
 }
 
@@ -409,24 +347,24 @@ mod tests {
         assert!(cmds
             .iter()
             .any(|c| matches!(c, Command::SetWeights { weights } if weights.len() == 2)));
-        let empty = CtrlConfig::builder().build();
+        let empty = CtrlConfig::default();
         assert_eq!(policies(&empty.build()), [false; 4]);
         assert_eq!(empty.label(), "none");
     }
 
     #[test]
-    fn builder_assembles_every_policy() {
-        let c = CtrlConfig::builder()
-            .control_interval(2.5)
-            .autoscale(AutoscalerConfig::default())
-            .dvfs(DvfsConfig::default())
-            .power(PowerConfig {
+    fn config_with_every_policy_validates_labels_and_builds() {
+        let c = CtrlConfig {
+            control_interval_s: 2.5,
+            autoscaler: Some(AutoscalerConfig::default()),
+            dvfs: Some(DvfsConfig::default()),
+            power: Some(PowerConfig {
                 policy: Policy::GateToEfficiency,
                 warm_pool: 1,
-            })
-            .route(RouterConfig::default())
-            .balancer(BalancerConfig::default())
-            .build();
+            }),
+            router: Some(RouterConfig::default()),
+            balancer: Some(BalancerConfig::default()),
+        };
         c.validate().unwrap();
         assert_eq!(c.control_interval_s, 2.5);
         assert_eq!(
@@ -439,9 +377,7 @@ mod tests {
 
     #[test]
     fn balancer_config_validated_through_ctrl_config() {
-        let mut c = CtrlConfig::builder()
-            .balancer(BalancerConfig::default())
-            .build();
+        let mut c = CtrlConfig::default().with_balancer(BalancerConfig::default());
         c.validate().unwrap();
         c.balancer.as_mut().unwrap().spill_permille = 1001;
         assert!(c.validate().is_err());

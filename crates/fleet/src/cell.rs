@@ -1031,36 +1031,39 @@ impl<'a> CellSim<'a> {
         let Some(stack) = self.ctl.as_mut() else {
             return;
         };
-        let mut obs = CellObs::new(tick, shared.ctrl_every as f64 * shared.cfg.tick_s);
-        obs.arrived_since_last = core::mem::take(&mut self.arrived_since);
-        obs.arrived_by_class = core::mem::take(&mut self.arrived_by_class);
-        obs.capacity_rps_per_instance = shared.cap_rps;
-        obs.max_queue = shared.knobs.max_queue;
-        obs.chaos_down = chaos_down;
-        obs.phase_split = shared.split.as_ref().map(|s| PhaseObs {
-            prefill_capacity_rps: s.prefill_capacity_rps,
-            decode_capacity_rps: s.decode_capacity_rps,
-            kv_backlog_us: self.kv.as_ref().map_or(0, |k| k.backlog_us(t_start_us)),
-        });
-        obs.clock_points = shared.clock_points.clone();
-        obs.slots = (self.slots.iter().zip(&self.insts))
-            .map(|(s, inst)| InstanceObs {
-                mode: if !inst.up {
-                    Mode::Down
-                } else {
-                    match s.mode {
-                        SlotMode::Live => Mode::Live,
-                        SlotMode::Warm => Mode::Warm,
-                        SlotMode::Cold => Mode::Cold,
-                        SlotMode::Booting { .. } => Mode::Booting,
-                    }
-                },
-                phase: s.phase,
-                clock: s.clock,
-                queued: inst.queued(),
-                active: inst.active(),
-            })
-            .collect();
+        let obs = CellObs {
+            tick,
+            interval_s: shared.ctrl_every as f64 * shared.cfg.tick_s,
+            arrived_since_last: core::mem::take(&mut self.arrived_since),
+            arrived_by_class: core::mem::take(&mut self.arrived_by_class),
+            capacity_rps_per_instance: shared.cap_rps,
+            max_queue: shared.knobs.max_queue,
+            chaos_down,
+            phase_split: shared.split.as_ref().map(|s| PhaseObs {
+                prefill_capacity_rps: s.prefill_capacity_rps,
+                decode_capacity_rps: s.decode_capacity_rps,
+                kv_backlog_us: self.kv.as_ref().map_or(0, |k| k.backlog_us(t_start_us)),
+            }),
+            clock_points: shared.clock_points.clone(),
+            slots: (self.slots.iter().zip(&self.insts))
+                .map(|(s, inst)| InstanceObs {
+                    mode: if !inst.up {
+                        Mode::Down
+                    } else {
+                        match s.mode {
+                            SlotMode::Live => Mode::Live,
+                            SlotMode::Warm => Mode::Warm,
+                            SlotMode::Cold => Mode::Cold,
+                            SlotMode::Booting { .. } => Mode::Booting,
+                        }
+                    },
+                    phase: s.phase,
+                    clock: s.clock,
+                    queued: inst.queued(),
+                    active: inst.active(),
+                })
+                .collect(),
+        };
         // Every state-*changing* command becomes one control-plane trace
         // instant, emitted by the arm that applies it (so tracing costs
         // nothing on the no-op path). Policies re-assert idempotent
@@ -1549,7 +1552,7 @@ impl<'a> CellSim<'a> {
     /// may spill: everything drawn and not yet routed, since
     /// [`Self::draw`] has just drawn exactly that window.
     pub(crate) fn publish(&mut self, b: u32) -> CellSnapshot {
-        let mut obs = FleetCellObs::new();
+        let mut obs = FleetCellObs::default();
         for inst in &self.insts {
             obs.queued += inst.queued();
             obs.active += inst.active() as u64;

@@ -61,10 +61,14 @@ fn plan_fleet(
     snaps: Vec<CellSnapshot>,
 ) -> Vec<CellPlan> {
     let cells = snaps.len();
-    let mut obs = FleetObs::new(b, bal_window_s);
-    obs.phase_split = shared.split.is_some();
-    obs.capacity_rps_per_instance = shared.cap_rps;
-    obs.max_queue = shared.knobs.max_queue;
+    let mut obs = FleetObs {
+        tick: b,
+        interval_s: bal_window_s,
+        phase_split: shared.split.is_some(),
+        capacity_rps_per_instance: shared.cap_rps,
+        max_queue: shared.knobs.max_queue,
+        cells: Vec::new(),
+    };
     let mut windows: Vec<Vec<(u32, u16, u64)>> = Vec::with_capacity(cells);
     for s in snaps {
         obs.cells.push(s.obs);

@@ -72,11 +72,10 @@ fn router_recovers_traffic_stranded_by_failures() {
     legacy.horizon_s = 2.0 * 3600.0;
     legacy.failure_acceleration = 300_000.0;
     let mut routed = legacy.clone();
-    routed.ctrl = Some(
-        litegpu_repro::ctrl::CtrlConfig::builder()
-            .route(litegpu_repro::ctrl::RouterConfig::default())
-            .build(),
-    );
+    routed.ctrl = Some(litegpu_repro::ctrl::CtrlConfig {
+        router: Some(litegpu_repro::ctrl::RouterConfig::default()),
+        ..Default::default()
+    });
     let a = run(&legacy, 3).unwrap();
     let b = run(&routed, 3).unwrap();
     assert_eq!(b.controller, "route");

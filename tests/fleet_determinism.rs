@@ -6,7 +6,7 @@
 //! conservation laws for the priority-aware largest-remainder routing.
 
 use litegpu_repro::chaos::{compile, Campaign, CampaignKind, DomainPlan};
-use litegpu_repro::ctrl::{BalancerConfig, CtrlConfig, PriorityClass};
+use litegpu_repro::ctrl::{BalancerConfig, PriorityClass};
 use litegpu_repro::fleet::{
     run, run_sharded, run_sharded_full, FleetConfig, LengthDist, ServingMode, TelemetryConfig,
     Tenant, TrafficPattern, WorkloadSpec,
@@ -299,10 +299,7 @@ fn with_balancer(cfg: &FleetConfig) -> FleetConfig {
     let mut bal = BalancerConfig::default();
     bal.hot_factor = 1.1;
     bal.interval_s = 30.0;
-    c.ctrl = Some(match c.ctrl {
-        Some(ctrl) => ctrl.with_balancer(bal),
-        None => CtrlConfig::builder().balancer(bal).build(),
-    });
+    c.ctrl = Some(c.ctrl.unwrap_or_default().with_balancer(bal));
     c
 }
 
