@@ -77,17 +77,6 @@ pub enum Phase {
     Decode,
 }
 
-impl Phase {
-    /// Stable lowercase label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            Phase::Mixed => "mixed",
-            Phase::Prefill => "prefill",
-            Phase::Decode => "decode",
-        }
-    }
-}
-
 /// Administrative and health state of one instance slot, as observed by
 /// controllers at a control tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -239,14 +228,6 @@ impl CellObs {
         self.slots.iter().filter(|s| s.mode != Mode::Down).count() as u32
     }
 
-    /// Live slots currently in the given phase.
-    pub fn live_in_phase(&self, phase: Phase) -> u32 {
-        self.slots
-            .iter()
-            .filter(|s| s.mode == Mode::Live && s.phase == phase)
-            .count() as u32
-    }
-
     /// Total queued requests across the cell.
     pub fn queued_total(&self) -> u64 {
         self.slots.iter().map(|s| s.queued).sum()
@@ -325,37 +306,6 @@ pub enum Command {
     },
 }
 
-impl Command {
-    /// Stable snake_case command name (trace-event labels, logs).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Command::Activate { .. } => "activate",
-            Command::Park { .. } => "park",
-            Command::SetWarm { .. } => "set_warm",
-            Command::SetCold { .. } => "set_cold",
-            Command::SetWeights { .. } => "set_weights",
-            Command::SetAdmission { .. } => "set_admission",
-            Command::SetPhase { .. } => "set_phase",
-            Command::SetClock { .. } => "set_clock",
-        }
-    }
-
-    /// The cell-local slot the command targets, when it targets one
-    /// (cell-wide commands like `SetWeights`/`SetAdmission` return
-    /// `None`).
-    pub fn slot(&self) -> Option<u32> {
-        match *self {
-            Command::Activate { slot }
-            | Command::Park { slot }
-            | Command::SetWarm { slot }
-            | Command::SetCold { slot }
-            | Command::SetPhase { slot, .. }
-            | Command::SetClock { slot, .. } => Some(slot),
-            Command::SetWeights { .. } | Command::SetAdmission { .. } => None,
-        }
-    }
-}
-
 /// The commands one policy's `control` issues after `pending`: runs it on
 /// a buffer that already holds `pending` and returns only what it
 /// appended.
@@ -369,45 +319,6 @@ pub(crate) fn issued(pending: &[Command], control: impl FnOnce(&mut Vec<Command>
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn command_kind_and_slot_cover_every_variant() {
-        let cmds = [
-            (Command::Activate { slot: 3 }, "activate", Some(3)),
-            (Command::Park { slot: 1 }, "park", Some(1)),
-            (Command::SetWarm { slot: 0 }, "set_warm", Some(0)),
-            (Command::SetCold { slot: 9 }, "set_cold", Some(9)),
-            (
-                Command::SetWeights { weights: vec![1] },
-                "set_weights",
-                None,
-            ),
-            (
-                Command::SetAdmission {
-                    allow_best_effort: false,
-                },
-                "set_admission",
-                None,
-            ),
-            (
-                Command::SetPhase {
-                    slot: 2,
-                    phase: Phase::Prefill,
-                },
-                "set_phase",
-                Some(2),
-            ),
-            (
-                Command::SetClock { slot: 4, clock: 1 },
-                "set_clock",
-                Some(4),
-            ),
-        ];
-        for (cmd, kind, slot) in cmds {
-            assert_eq!(cmd.kind(), kind);
-            assert_eq!(cmd.slot(), slot);
-        }
-    }
 
     #[test]
     fn priority_classes_are_ordered_and_indexed() {
@@ -466,15 +377,6 @@ mod tests {
         assert_eq!(obs.booting(), 1);
         assert_eq!(obs.healthy(), 3);
         assert_eq!(obs.queued_total(), 10);
-        assert_eq!(obs.live_in_phase(Phase::Prefill), 1);
-        assert_eq!(obs.live_in_phase(Phase::Decode), 0);
-    }
-
-    #[test]
-    fn phase_labels_are_stable() {
-        assert_eq!(Phase::Mixed.label(), "mixed");
-        assert_eq!(Phase::Prefill.label(), "prefill");
-        assert_eq!(Phase::Decode.label(), "decode");
     }
 
     #[test]
