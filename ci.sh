@@ -17,6 +17,15 @@ lint() {
 
   echo "==> cargo doc --workspace --no-deps (deny warnings)"
   RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+
+  # perfbench is a workspace of its own that builds against the crates'
+  # public API, so a crate change that breaks it or leaves it lint-dirty
+  # shows up only here.
+  echo "==> cargo fmt --check (perfbench)"
+  cargo fmt --manifest-path perfbench/Cargo.toml --check
+
+  echo "==> cargo clippy --all-targets -- -D warnings (perfbench)"
+  CARGO_TARGET_DIR=.bench_build cargo clippy --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 }
 
 build_test() {
@@ -26,11 +35,11 @@ build_test() {
   echo "==> cargo build --release --examples (workspace)"
   cargo build --workspace --release --examples
 
-  echo "==> cargo test -q (workspace)"
+  echo "==> cargo test -q (workspace, doc-tests included)"
   cargo test --workspace -q
 
-  echo "==> cargo test --doc (workspace doc-tests)"
-  cargo test --workspace --doc -q
+  echo "==> perfbench self-tests (release)"
+  CARGO_TARGET_DIR=.bench_build cargo test --release --manifest-path perfbench/Cargo.toml -q
 
   echo "==> fleet determinism + scale smoke (sim_fleet)"
   cargo run --release -q -p litegpu-bench --bin sim_fleet -- \
