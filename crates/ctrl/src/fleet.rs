@@ -200,7 +200,9 @@ impl BalancerConfig {
     ///     ..FleetObs::default()
     /// };
     ///
-    /// // The hot cell spills 30% of its arrivals to the cold one.
+    /// // Queue 100 against a mean of 50 is hot: the cell spills 300‰ of
+    /// // its next-window arrivals to the cold one, weighted by that
+    /// // cell's free queue room (4 live × 8).
     /// let plan = BalancerConfig::default().plan(&obs);
     /// assert_eq!(plan.len(), 1);
     /// assert_eq!((plan[0].cell, plan[0].spill_permille), (0, 300));

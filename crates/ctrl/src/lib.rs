@@ -36,9 +36,9 @@
 //! [`fleet`] module's spill-over balancer ([`BalancerConfig::plan`])
 //! runs once per fleet tick — it sees a read-only [`FleetObs`] snapshot
 //! of every cell and issues per-cell [`CellDirective`]s (admission
-//! quotas and cross-cell spill-over routes). See the [`fleet`] module docs for
-//! the snapshot → pure function → commands contract that keeps fleet
-//! feedback compatible with byte-identical sharded execution.
+//! quotas and cross-cell spill-over routes). See the [`fleet`] module
+//! docs for the snapshot → pure function → commands contract that keeps
+//! fleet feedback compatible with byte-identical sharded execution.
 //!
 //! Everything is strictly cell-local and integer-exact where it touches
 //! the data plane (largest-remainder apportionment, integer energy
