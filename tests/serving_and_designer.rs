@@ -115,3 +115,59 @@ fn custom_designs_compose_with_serving() {
         rb.tbt_p50_s
     );
 }
+
+/// FNV-1a 64-bit over `bytes`: a dependency-free digest that changes
+/// whenever a single byte does.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Pins the per-step DES's report bytes at seed 42, so a refactor of
+/// `simulate` that drifts one byte of any report fails here. The stress
+/// row injects 4 failures at 60 per instance-hour, one of them absorbed
+/// by the single spare.
+#[test]
+fn des_reports_match_goldens() {
+    use litegpu_repro::sim::failover::FailurePlan;
+    let mut stress = ServingConfig::splitwise_lite_demo();
+    stress.failures = FailurePlan {
+        failures_per_instance_hour: 60.0,
+        ..FailurePlan::stress(1)
+    };
+    let golden = [
+        (
+            "splitwise_h100_demo",
+            ServingConfig::splitwise_h100_demo(),
+            0x6a4bd1c71e833a07u64,
+        ),
+        (
+            "splitwise_lite_demo",
+            ServingConfig::splitwise_lite_demo(),
+            0x2a1b2c52978ffed1,
+        ),
+        (
+            "monolithic_h100_demo",
+            ServingConfig::monolithic_h100_demo(),
+            0x89e5df944f579718,
+        ),
+        ("splitwise_lite_stress", stress, 0x4199b72b835d496e),
+    ];
+    let mut drift = Vec::new();
+    for (name, cfg, want) in golden {
+        let report = simulate(&cfg, 42).expect("des run");
+        let got = fnv1a64(serde_json::to_string_pretty(&report).unwrap().as_bytes());
+        if got != want {
+            drift.push(format!("{name}: got {got:#018x}, golden {want:#018x}"));
+        }
+    }
+    assert!(
+        drift.is_empty(),
+        "DES reports drifted:\n{}",
+        drift.join("\n")
+    );
+}
