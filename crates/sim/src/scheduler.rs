@@ -239,7 +239,8 @@ pub fn simulate(cfg: &ServingConfig, seed: u64) -> Result<ServingReport> {
     let mut spares_free = cfg.failures.spares as i64;
     let mut failures_seen = 0usize;
     let mut spare_hits = 0usize;
-    let mut completion_t: Vec<(u64, SimTime)> = requests.iter().map(|r| (r.id, 0)).collect();
+    // Latest completion so far: the only completion time the report reads.
+    let mut last_done: SimTime = 0;
 
     // Helper closures can't borrow insts mutably twice; use fns instead.
     fn route_request(insts: &mut [Inst], overflow: &mut VecDeque<Request>, r: Request) {
@@ -426,16 +427,14 @@ pub fn simulate(cfg: &ServingConfig, seed: u64) -> Result<ServingReport> {
                 for s in insts[inst].running.iter_mut() {
                     s.remaining = s.remaining.saturating_sub(1);
                     if s.remaining == 0 {
-                        done.push((s.id, s.arrival));
+                        done.push(s.arrival);
                     }
                 }
                 insts[inst].running.retain(|s| s.remaining > 0);
-                for (id, arrival) in done {
+                for arrival in done {
                     completed += 1;
                     e2e.record(to_secs(now - arrival));
-                    if let Some(slot) = completion_t.iter_mut().find(|(rid, _)| *rid == id) {
-                        slot.1 = now;
-                    }
+                    last_done = last_done.max(now);
                 }
                 kick(
                     &mut insts,
@@ -520,7 +519,7 @@ pub fn simulate(cfg: &ServingConfig, seed: u64) -> Result<ServingReport> {
     let drained_at = insts
         .iter()
         .flat_map(|s| s.down_since)
-        .chain(completion_t.iter().map(|&(_, t)| t))
+        .chain([last_done])
         .max()
         .unwrap_or(0)
         .max(1);
