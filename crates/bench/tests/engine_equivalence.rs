@@ -3,7 +3,10 @@
 //! the 3-tenant workload) plus the fleet-balancer, rolling-drain,
 //! power-domain, admission-quota, controller-less and balancer-only
 //! paths must keep producing the exact report, series and trace bytes
-//! pinned below — at 1, 2 and 8 threads.
+//! pinned below — on 8 shards at 1, 2 and 8 threads, and on 3 shards
+//! over 2 threads. The 3-shard layout has uneven shard bounds (cells
+//! 0/2/5/8) with two shards on one worker: which cells a worker merges
+//! together depends on shards and threads both.
 //!
 //! The first six rows' series/trace hashes were generated from the
 //! original per-tick engine, before the event-queue rewrite; their
@@ -31,6 +34,10 @@
 //! row whose control plane has no cell policy at all. Its cells still
 //! take control ticks that issue no command, and a down slot loses its
 //! share of the split as on a controlled fleet; the row pins that.
+//! `balancer_flat` runs the balancer on an unskewed fleet, where every
+//! cell reads the shared full-cell arrival plans that the planner
+//! refills between windows. `off_split_chaos` is the controller-less
+//! phase-split fleet under rack outages.
 //! Any engine change that drifts a single byte of any artifact fails
 //! here.
 //!
@@ -198,13 +205,30 @@ const GOLDEN: &[(&str, &[&str], u64, u64, u64)] = &[
         0x700ecc4a9f3ea0e0,
         0x07788e4a4aef7a21,
     ),
+    (
+        "balancer_flat",
+        &["--serving", "mono", "--balancer"],
+        0x0b8b28805d39bbb3,
+        0x0b20a8765ef5acdd,
+        0x46d5daf1ebfb7116,
+    ),
+    (
+        "off_split_chaos",
+        &["--ctrl", "off", "--serving", "split", "--chaos", "rack"],
+        0xffe53e35bf3b9898,
+        0xb5d6fd9f3868508c,
+        0xa9ae3f3ed52fc62f,
+    ),
 ];
 
-fn run_combo(combo: &str, flags: &[&str], threads: u32) -> (u64, u64, u64) {
+/// `(shards, threads)` of every golden run.
+const LAYOUTS: [(u32, u32); 4] = [(8, 1), (8, 2), (8, 8), (3, 2)];
+
+fn run_combo(combo: &str, flags: &[&str], shards: u32, threads: u32) -> (u64, u64, u64) {
     let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
     std::fs::create_dir_all(&dir).expect("tmpdir");
-    let series = dir.join(format!("eq_series_{combo}_t{threads}.jsonl"));
-    let trace = dir.join(format!("eq_trace_{combo}_t{threads}.json"));
+    let series = dir.join(format!("eq_series_{combo}_s{shards}t{threads}.jsonl"));
+    let trace = dir.join(format!("eq_trace_{combo}_s{shards}t{threads}.json"));
     let out = Command::new(env!("CARGO_BIN_EXE_sim_fleet"))
         .args([
             "--gpu",
@@ -222,12 +246,11 @@ fn run_combo(combo: &str, flags: &[&str], threads: u32) -> (u64, u64, u64) {
             "--workload",
             "multi",
             "--no-baseline",
-            "--shards",
-            "8",
             "--seed",
             "42",
         ])
         .args(flags)
+        .args(["--shards", &shards.to_string()])
         .args(["--threads", &threads.to_string()])
         .args(["--series", series.to_str().unwrap()])
         .args(["--series-dt", "60000000"])
@@ -237,7 +260,7 @@ fn run_combo(combo: &str, flags: &[&str], threads: u32) -> (u64, u64, u64) {
         .expect("sim_fleet runs");
     assert!(
         out.status.success(),
-        "sim_fleet {combo} t{threads} failed:\n{}",
+        "sim_fleet {combo} s{shards}t{threads} failed:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
     let stdout = String::from_utf8(out.stdout).expect("utf8 report");
@@ -252,8 +275,8 @@ fn event_engine_matches_tick_loop_goldens() {
     let print = std::env::var("ENGINE_GOLDEN_PRINT").is_ok();
     let mut drift = Vec::new();
     for &(combo, flags, report_g, series_g, trace_g) in GOLDEN {
-        for threads in [1u32, 2, 8] {
-            let (report, series, trace) = run_combo(combo, flags, threads);
+        for (shards, threads) in LAYOUTS {
+            let (report, series, trace) = run_combo(combo, flags, shards, threads);
             if print && threads == 1 {
                 println!("(\"{combo}\", ..., {report:#018x}, {series:#018x}, {trace:#018x}),");
             }
@@ -264,7 +287,7 @@ fn event_engine_matches_tick_loop_goldens() {
             ] {
                 if got != want {
                     drift.push(format!(
-                        "{combo} t{threads} {name}: got {got:#018x}, golden {want:#018x}"
+                        "{combo} s{shards}t{threads} {name}: got {got:#018x}, golden {want:#018x}"
                     ));
                 }
             }
