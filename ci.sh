@@ -35,6 +35,8 @@ build_test() {
   echo "==> cargo build --release --examples (workspace)"
   cargo build --workspace --release --examples
 
+  # The byte contract: the engine_equivalence goldens pin report, series
+  # and trace bytes at every shard/thread layout they run.
   echo "==> cargo test -q (workspace, doc-tests included)"
   cargo test --workspace -q
 
@@ -44,12 +46,6 @@ build_test() {
   echo "==> fleet determinism + scale smoke (sim_fleet)"
   cargo run --release -q -p litegpu-bench --bin sim_fleet -- \
     --gpu lite --instances 200 --hours 2 --quiet-json
-
-  echo "==> fleet-scale smoke: 100k instances through the event-queue scheduler"
-  cargo run --release -q -p litegpu-bench --bin sim_fleet -- \
-    --gpu lite --instances 100000 --cell-size 64 --hours 2 --rate 0.0005 \
-    --control-interval 300 --ctrl auto --workload multi --serving mono \
-    --no-baseline --shards 0 --threads 4 --seed 42 --quiet-json
 
   echo "==> phase-split smoke: split-vs-mono headline + KV accounting (sim_fleet --serving split)"
   cargo run --release -q -p litegpu-bench --bin sim_fleet -- \
@@ -85,9 +81,6 @@ build_test() {
   echo "==> TCO smoke: design-space sweep, Pareto frontier + H100-vs-Lite \$/Mtoken headline (sim_tco --smoke)"
   cargo run --release -q -p litegpu-bench --bin sim_tco -- \
     --smoke --quiet-json
-
-  echo "==> determinism: byte-identical FleetReport at 1/2/8 threads, serving/control combos with and without chaos"
-  ./scripts/check_determinism.sh
 
   echo "==> perf smoke: commit-stamped BENCH_fleet.json (base + dvfs + fleet100k) vs checked-in baseline, >20% regression gate"
   ./scripts/perf_smoke.sh

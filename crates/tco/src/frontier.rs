@@ -7,7 +7,7 @@
 //! shard/thread shape (`num_cells()` shards, one thread) and results are
 //! reassembled into design order before any aggregation — so the
 //! [`TcoReport`] bytes are identical at any `threads` setting, and
-//! `scripts/check_determinism.sh` diffs them at 1/2/8.
+//! `tests/tco_frontier.rs` compares them at 1/2/8.
 
 use crate::design::{DesignPoint, SweepBase};
 use crate::model::{breakdown_for, slo_tokens, CostBreakdown, TcoModel};
