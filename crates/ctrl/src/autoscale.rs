@@ -5,10 +5,11 @@
 //! — one for the guaranteed classes ([`PriorityClass::Interactive`] +
 //! [`PriorityClass::Batch`]), one for [`PriorityClass::BestEffort`] —
 //! adds a backlog-drain term, and converts the demand into a target live
-//! count against the per-instance capacity at a configured utilization
+//! count against the per-instance capacity at a fixed utilization
 //! ceiling. Scale-out is not free: activations pay the warm or cold boot
-//! latency (the data plane picks which from the slot's mode), which is
-//! exactly the elasticity cost the warm pool exists to hide.
+//! latency ([`WARM_START_S`], [`COLD_START_S`]; the data plane picks
+//! which from the slot's mode), which is exactly the elasticity cost the
+//! warm pool exists to hide.
 //!
 //! Admission control is the priority-aware half: when even the fully
 //! scaled-out cell could not serve total demand at the target
@@ -27,48 +28,22 @@
 
 use crate::controller::{CellObs, Command, Mode, Phase, PriorityClass};
 
-/// Autoscaler policy parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AutoscalerConfig {
-    /// Utilization ceiling the live pool is sized against (demand /
-    /// capacity at this utilization), in `(0, 1]`.
-    pub target_util: f64,
-    /// EWMA smoothing factor per control tick, in `(0, 1]` (1 = no
-    /// smoothing).
-    pub ewma_alpha: f64,
-    /// Live instances the cell never scales below.
-    pub min_live: u32,
-    /// Most activations or parks issued per control tick.
-    pub max_step: u32,
-    /// Boot latency of a power-gated (cold) instance, seconds.
-    pub cold_start_s: f64,
-    /// Boot latency of a warm (powered, parked) instance, seconds.
-    pub warm_start_s: f64,
-    /// Whether to shed best-effort traffic when total demand exceeds the
-    /// fully-scaled-out cell's capacity (priority-aware admission
-    /// control). When `false` the autoscaler never issues
-    /// [`Command::SetAdmission`].
-    pub shed_best_effort: bool,
-}
+/// Utilization ceiling the live pool is sized against (demand /
+/// capacity at this utilization).
+const TARGET_UTIL: f64 = 0.7;
+/// EWMA smoothing factor per control tick (1 would be no smoothing).
+const EWMA_ALPHA: f64 = 0.4;
+/// Live instances the cell never scales below.
+const MIN_LIVE: u32 = 1;
+/// Boot latency of a power-gated (cold) instance, seconds.
+pub const COLD_START_S: f64 = 120.0;
+/// Boot latency of a warm (powered, parked) instance, seconds.
+pub const WARM_START_S: f64 = 5.0;
 
-impl Default for AutoscalerConfig {
-    fn default() -> Self {
-        Self {
-            target_util: 0.7,
-            ewma_alpha: 0.4,
-            min_live: 1,
-            max_step: u32::MAX,
-            cold_start_s: 120.0,
-            warm_start_s: 5.0,
-            shed_best_effort: true,
-        }
-    }
-}
-
-/// The reactive autoscaler (one per cell; holds the EWMA state).
+/// The reactive autoscaler (one per cell; holds the EWMA state). The
+/// default has no demand history and admits best-effort traffic.
 #[derive(Debug, Clone)]
 pub struct Autoscaler {
-    cfg: AutoscalerConfig,
     /// Smoothed guaranteed-class (interactive + batch) arrival rate.
     ewma_guaranteed_rps: Option<f64>,
     /// Smoothed best-effort arrival rate.
@@ -77,17 +52,17 @@ pub struct Autoscaler {
     allow_best_effort: bool,
 }
 
-impl Autoscaler {
-    /// Builds an autoscaler with no demand history.
-    pub fn new(cfg: AutoscalerConfig) -> Self {
+impl Default for Autoscaler {
+    fn default() -> Self {
         Self {
-            cfg,
             ewma_guaranteed_rps: None,
             ewma_best_effort_rps: None,
             allow_best_effort: true,
         }
     }
+}
 
+impl Autoscaler {
     /// Smoothed total cell demand estimate, requests/s (for
     /// tests/diagnostics).
     pub fn ewma_rps(&self) -> Option<f64> {
@@ -102,10 +77,10 @@ impl Autoscaler {
         self.allow_best_effort
     }
 
-    fn smooth(&self, prev: Option<f64>, rate: f64) -> f64 {
+    fn smooth(prev: Option<f64>, rate: f64) -> f64 {
         match prev {
             None => rate,
-            Some(p) => self.cfg.ewma_alpha * rate + (1.0 - self.cfg.ewma_alpha) * p,
+            Some(p) => EWMA_ALPHA * rate + (1.0 - EWMA_ALPHA) * p,
         }
     }
 
@@ -119,8 +94,8 @@ impl Autoscaler {
         let guaranteed = obs.arrived_since_last.saturating_sub(be);
         let g_rate = guaranteed as f64 / interval;
         let be_rate = be as f64 / interval;
-        let ewma_g = self.smooth(self.ewma_guaranteed_rps, g_rate);
-        let ewma_be = self.smooth(self.ewma_best_effort_rps, be_rate);
+        let ewma_g = Self::smooth(self.ewma_guaranteed_rps, g_rate);
+        let ewma_be = Self::smooth(self.ewma_best_effort_rps, be_rate);
         self.ewma_guaranteed_rps = Some(ewma_g);
         self.ewma_best_effort_rps = Some(ewma_be);
 
@@ -129,13 +104,13 @@ impl Autoscaler {
         let backlog_rps = obs.queued_total() as f64 / interval;
         let demand_guaranteed = ewma_g + backlog_rps;
         let demand_total = demand_guaranteed + ewma_be;
-        let cap = (obs.capacity_rps_per_instance * self.cfg.target_util).max(1e-9);
+        let cap = (obs.capacity_rps_per_instance * TARGET_UTIL).max(1e-9);
         let healthy = obs.healthy();
         // Announced chaos losses raise the floor: the cell holds that
         // many extra slots live as replacement capacity instead of
         // parking them into the blast radius. Campaign-free cells see
         // `chaos_down == 0` and behave exactly as before.
-        let floor = (self.cfg.min_live + obs.chaos_down).min(healthy);
+        let floor = (MIN_LIVE + obs.chaos_down).min(healthy);
 
         // Admission: shed best effort only when even every healthy
         // instance could not carry total demand at the target
@@ -143,7 +118,7 @@ impl Autoscaler {
         // With no best-effort demand at all, revoking admission would be
         // a no-op that misrepresents the cell's state, so don't.
         let fits = (demand_total / cap).ceil() as u32 <= healthy;
-        let allow = !self.cfg.shed_best_effort || fits || ewma_be <= 0.0;
+        let allow = fits || ewma_be <= 0.0;
         let admission_changed = allow != self.allow_best_effort;
         self.allow_best_effort = allow;
         let demand_rps = if allow {
@@ -158,8 +133,8 @@ impl Autoscaler {
         // size the single pool as before.
         let (desired, prefill_target) = match &obs.phase_split {
             Some(ps) => {
-                let cap_p = (ps.prefill_capacity_rps * self.cfg.target_util).max(1e-9);
-                let cap_d = (ps.decode_capacity_rps * self.cfg.target_util).max(1e-9);
+                let cap_p = (ps.prefill_capacity_rps * TARGET_UTIL).max(1e-9);
+                let cap_d = (ps.decode_capacity_rps * TARGET_UTIL).max(1e-9);
                 let need_p = ((demand_rps / cap_p).ceil() as u32).max(1);
                 let need_d = ((demand_rps / cap_d).ceil() as u32).max(1);
                 // A split cell needs at least one slot per pool.
@@ -197,7 +172,7 @@ impl Autoscaler {
         if desired > planned {
             // Scale out: warm slots first (fast boot), then cold, both in
             // ascending slot order so the choice is deterministic.
-            let need = (desired - planned).min(self.cfg.max_step) as usize;
+            let need = (desired - planned) as usize;
             let parked = |want: Mode| {
                 obs.slots
                     .iter()
@@ -211,7 +186,7 @@ impl Autoscaler {
         } else if desired < live {
             // Scale in: park idle live slots, highest slot first, so the
             // low-numbered slots act as the cell's stable primaries.
-            let excess = (live - desired).min(self.cfg.max_step) as usize;
+            let excess = (live - desired) as usize;
             let idle = obs
                 .slots
                 .iter()
@@ -288,7 +263,7 @@ mod tests {
 
     #[test]
     fn parks_idle_slots_under_low_demand() {
-        let mut a = Autoscaler::new(AutoscalerConfig::default());
+        let mut a = Autoscaler::default();
         // 4 live, all idle, 5 arrivals in 5 s = 1 rps; capacity at 70%
         // utilization is 1.4 rps/instance => 1 instance suffices.
         let o = obs(vec![slot(Mode::Live, 0, 0); 4], 5);
@@ -305,12 +280,9 @@ mod tests {
 
     #[test]
     fn respects_min_live_and_busy_slots() {
-        let mut a = Autoscaler::new(AutoscalerConfig {
-            min_live: 2,
-            ..Default::default()
-        });
-        // Zero demand, but slot 2 is busy: only idle slots park, and not
-        // below min_live.
+        let mut a = Autoscaler::default();
+        // Zero demand, but slot 2 is busy: only idle slots park, down to
+        // the floor of one live slot, which the busy slot fills.
         let o = obs(
             vec![
                 slot(Mode::Live, 0, 0),
@@ -323,13 +295,17 @@ mod tests {
         let cmds = issued(&[], |c| a.control(&o, c));
         assert_eq!(
             cmds,
-            vec![Command::Park { slot: 3 }, Command::Park { slot: 1 }]
+            vec![
+                Command::Park { slot: 3 },
+                Command::Park { slot: 1 },
+                Command::Park { slot: 0 }
+            ]
         );
     }
 
     #[test]
     fn chaos_losses_raise_the_scale_down_floor() {
-        let mut a = Autoscaler::new(AutoscalerConfig::default());
+        let mut a = Autoscaler::default();
         // Zero demand over 4 idle live slots would normally park down to
         // min_live = 1; with 2 slots inside an announced chaos window the
         // floor rises to 3 so the cell keeps replacement capacity live.
@@ -338,14 +314,14 @@ mod tests {
         let cmds = issued(&[], |c| a.control(&o, c));
         assert_eq!(cmds, vec![Command::Park { slot: 3 }]);
         // The same cell without the campaign parks all the way down.
-        let mut b = Autoscaler::new(AutoscalerConfig::default());
+        let mut b = Autoscaler::default();
         let o = obs(vec![slot(Mode::Live, 0, 0); 4], 0);
         assert_eq!(issued(&[], |c| b.control(&o, c)).len(), 3);
     }
 
     #[test]
     fn activates_warm_before_cold_on_demand_spike() {
-        let mut a = Autoscaler::new(AutoscalerConfig::default());
+        let mut a = Autoscaler::default();
         // 28 arrivals in 5 s = 5.6 rps; at 1.4 rps/instance that needs
         // all 4 healthy slots. One live, one booting => two activations.
         let o = obs(
@@ -367,7 +343,7 @@ mod tests {
 
     #[test]
     fn backlog_forces_scale_out_even_with_quiet_arrivals() {
-        let mut a = Autoscaler::new(AutoscalerConfig::default());
+        let mut a = Autoscaler::default();
         let o = obs(
             vec![slot(Mode::Live, 10, 4), slot(Mode::Cold, 0, 0)],
             0, // No fresh arrivals, but a standing backlog.
@@ -378,7 +354,7 @@ mod tests {
 
     #[test]
     fn ewma_smooths_demand() {
-        let mut a = Autoscaler::new(AutoscalerConfig::default());
+        let mut a = Autoscaler::default();
         let o1 = obs(vec![slot(Mode::Live, 0, 0); 2], 100);
         issued(&[], |c| a.control(&o1, c));
         let after_spike = a.ewma_rps().unwrap();
@@ -390,18 +366,8 @@ mod tests {
     }
 
     #[test]
-    fn max_step_caps_actions() {
-        let mut a = Autoscaler::new(AutoscalerConfig {
-            max_step: 1,
-            ..Default::default()
-        });
-        let o = obs(vec![slot(Mode::Live, 0, 0); 6], 0);
-        assert_eq!(issued(&[], |c| a.control(&o, c)).len(), 1);
-    }
-
-    #[test]
     fn pressure_sheds_best_effort_before_guaranteed() {
-        let mut a = Autoscaler::new(AutoscalerConfig::default());
+        let mut a = Autoscaler::default();
         // 2 healthy slots carry 2 × 1.4 = 2.8 rps at target utilization.
         // Guaranteed 10/5 s = 2 rps fits; +best-effort 10/5 s = 2 rps
         // does not => revoke best-effort admission and size only against
@@ -435,7 +401,7 @@ mod tests {
     #[test]
     fn phase_split_sizes_pools_and_reasserts_partition() {
         use crate::controller::PhaseObs;
-        let mut a = Autoscaler::new(AutoscalerConfig::default());
+        let mut a = Autoscaler::default();
         // 28 arrivals / 5 s = 5.6 rps. Prefill capacity 8 rps/inst at
         // 70% util = 5.6 ⇒ 1 prefill slot; decode capacity 2 rps at 70%
         // = 1.4 ⇒ 4 decode slots ⇒ desired live = 5 of 6 healthy.
@@ -486,7 +452,7 @@ mod tests {
     #[test]
     fn phase_split_keeps_one_slot_per_pool_even_when_quiet() {
         use crate::controller::PhaseObs;
-        let mut a = Autoscaler::new(AutoscalerConfig::default());
+        let mut a = Autoscaler::default();
         // Zero demand on a 4-slot split cell: the cell still keeps two
         // live slots (one per pool) and the partition stays 1 + rest.
         let mut o = obs(vec![slot(Mode::Live, 0, 0); 4], 0);
@@ -511,23 +477,8 @@ mod tests {
     }
 
     #[test]
-    fn shedding_can_be_disabled() {
-        let mut a = Autoscaler::new(AutoscalerConfig {
-            shed_best_effort: false,
-            ..Default::default()
-        });
-        let mut o = obs(vec![slot(Mode::Live, 0, 1); 2], 100);
-        o.arrived_by_class = [0, 0, 100];
-        let cmds = issued(&[], |c| a.control(&o, c));
-        assert!(!cmds
-            .iter()
-            .any(|c| matches!(c, Command::SetAdmission { .. })));
-        assert!(a.allows_best_effort());
-    }
-
-    #[test]
     fn untagged_arrivals_count_as_guaranteed() {
-        let mut a = Autoscaler::new(AutoscalerConfig::default());
+        let mut a = Autoscaler::default();
         // Legacy callers leave arrived_by_class zeroed: all arrivals are
         // treated as guaranteed, and admission control never triggers a
         // best-effort shed that would be a no-op anyway — even though

@@ -52,7 +52,7 @@ pub mod fleet;
 pub mod power;
 pub mod route;
 
-pub use autoscale::{Autoscaler, AutoscalerConfig};
+pub use autoscale::Autoscaler;
 pub use controller::{
     CellObs, ClockPoint, Command, InstanceObs, Mode, Phase, PhaseObs, PriorityClass,
 };
@@ -82,9 +82,9 @@ pub struct CtrlConfig {
     /// Seconds between control ticks (rounded to whole data ticks by the
     /// engine, minimum one).
     pub control_interval_s: f64,
-    /// Autoscaler policy; requires `router` (parked instances' traffic
+    /// Runs the autoscaler; requires `router` (parked instances' traffic
     /// must be re-routed somewhere).
-    pub autoscaler: Option<AutoscalerConfig>,
+    pub autoscaler: bool,
     /// Serving-time DVFS: per-pool operating-point selection for live
     /// instances. Takes effect only on a data plane that priced a clock
     /// grid (`FleetConfig` enables that whenever this is set).
@@ -103,7 +103,7 @@ impl Default for CtrlConfig {
     fn default() -> Self {
         CtrlConfig {
             control_interval_s: 5.0,
-            autoscaler: None,
+            autoscaler: false,
             dvfs: None,
             power: None,
             router: None,
@@ -118,7 +118,7 @@ impl CtrlConfig {
     /// monolithic-GPU fleets, [`Policy::GateToEfficiency`] for Lite.
     pub fn demo(policy: Policy) -> Self {
         CtrlConfig {
-            autoscaler: Some(AutoscalerConfig::default()),
+            autoscaler: true,
             power: Some(PowerConfig {
                 policy,
                 warm_pool: 1,
@@ -146,22 +146,8 @@ impl CtrlConfig {
         if !(self.control_interval_s.is_finite() && self.control_interval_s > 0.0) {
             return Err("control_interval_s must be finite and positive");
         }
-        if self.autoscaler.is_some() && self.router.is_none() {
+        if self.autoscaler && self.router.is_none() {
             return Err("the autoscaler requires the router: parked instances' arrivals must be rebalanced to live ones");
-        }
-        if let Some(a) = &self.autoscaler {
-            if !(a.target_util > 0.0 && a.target_util <= 1.0) {
-                return Err("autoscaler target_util must be in (0, 1]");
-            }
-            if !(a.ewma_alpha > 0.0 && a.ewma_alpha <= 1.0) {
-                return Err("autoscaler ewma_alpha must be in (0, 1]");
-            }
-            if !(a.cold_start_s.is_finite() && a.cold_start_s >= 0.0) {
-                return Err("autoscaler cold_start_s must be finite and non-negative");
-            }
-            if !(a.warm_start_s.is_finite() && a.warm_start_s >= 0.0) {
-                return Err("autoscaler warm_start_s must be finite and non-negative");
-            }
         }
         if let Some(d) = &self.dvfs {
             if !(d.target_util > 0.0 && d.target_util <= 1.0) {
@@ -181,7 +167,7 @@ impl CtrlConfig {
     /// `autoscale+gate(GateToEfficiency)+route`.
     pub fn label(&self) -> String {
         let mut parts = Vec::new();
-        if self.autoscaler.is_some() {
+        if self.autoscaler {
             parts.push("autoscale".to_string());
         }
         if self.dvfs.is_some() {
@@ -206,7 +192,7 @@ impl CtrlConfig {
     /// Instantiates one cell's controller stack (fresh policy state).
     pub fn build(&self) -> ControllerStack {
         ControllerStack {
-            autoscaler: self.autoscaler.map(Autoscaler::new),
+            autoscaler: self.autoscaler.then(Autoscaler::default),
             dvfs: self.dvfs.map(DvfsController::new),
             power: self.power.map(PowerGater::new),
             router: self.router.map(Router::new),
@@ -280,7 +266,7 @@ mod tests {
         let mut c = CtrlConfig::demo(Policy::GateToEfficiency);
         c.router = None;
         assert!(c.validate().is_err());
-        c.autoscaler = None;
+        c.autoscaler = false;
         c.validate().unwrap(); // Gating alone is fine.
         assert_eq!(c.label(), "gate(GateToEfficiency)");
     }
@@ -289,15 +275,6 @@ mod tests {
     fn bad_parameters_rejected() {
         let mut c = CtrlConfig::demo(Policy::DvfsAll);
         c.control_interval_s = 0.0;
-        assert!(c.validate().is_err());
-        let mut c = CtrlConfig::demo(Policy::DvfsAll);
-        c.autoscaler.as_mut().unwrap().target_util = 1.5;
-        assert!(c.validate().is_err());
-        let mut c = CtrlConfig::demo(Policy::DvfsAll);
-        c.autoscaler.as_mut().unwrap().ewma_alpha = 0.0;
-        assert!(c.validate().is_err());
-        let mut c = CtrlConfig::demo(Policy::DvfsAll);
-        c.autoscaler.as_mut().unwrap().cold_start_s = f64::NAN;
         assert!(c.validate().is_err());
     }
 
@@ -356,7 +333,7 @@ mod tests {
     fn config_with_every_policy_validates_labels_and_builds() {
         let c = CtrlConfig {
             control_interval_s: 2.5,
-            autoscaler: Some(AutoscalerConfig::default()),
+            autoscaler: true,
             dvfs: Some(DvfsConfig::default()),
             power: Some(PowerConfig {
                 policy: Policy::GateToEfficiency,
