@@ -16,7 +16,7 @@
 //!    prices serving, against the tightest per-tenant TTFT/TBT target),
 //!    and
 //! 2. retains enough throughput: `demand ≤ serving × capacity ×
-//!    scale(point) × target_util`.
+//!    scale(point) × 0.92`, a utilization ceiling.
 //!
 //! Selection is deterministic and strictly cell-local, so DVFS-controlled
 //! fleets keep the engine's byte-identical-report-at-any-shard-count
@@ -25,45 +25,23 @@
 
 use crate::controller::{CellObs, ClockPoint, Command, Mode, Phase};
 
-/// DVFS policy parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DvfsConfig {
-    /// Utilization ceiling at the chosen operating point, in `(0, 1]`:
-    /// a point is eligible only while smoothed demand stays below this
-    /// fraction of the pool's down-clocked capacity. Higher than the
-    /// autoscaler's sizing target on purpose — the autoscaler provisions
-    /// slack, DVFS converts the slack it dares into energy.
-    pub target_util: f64,
-    /// EWMA smoothing factor per control tick, in `(0, 1]` (1 = no
-    /// smoothing).
-    pub ewma_alpha: f64,
-}
+/// Utilization ceiling at the chosen operating point: a point is
+/// eligible only while smoothed demand stays below this fraction of the
+/// pool's down-clocked capacity. Higher than the autoscaler's sizing
+/// target on purpose — the autoscaler provisions slack, DVFS converts
+/// the slack it dares into energy.
+const TARGET_UTIL: f64 = 0.92;
+/// EWMA smoothing factor per control tick (1 would be no smoothing).
+const EWMA_ALPHA: f64 = 0.4;
 
-impl Default for DvfsConfig {
-    fn default() -> Self {
-        Self {
-            target_util: 0.92,
-            ewma_alpha: 0.4,
-        }
-    }
-}
-
-/// The per-cell DVFS policy (holds the demand EWMA).
-#[derive(Debug, Clone)]
+/// The per-cell DVFS policy (holds the demand EWMA; the default has no
+/// demand history).
+#[derive(Debug, Clone, Default)]
 pub struct DvfsController {
-    cfg: DvfsConfig,
     ewma_rps: Option<f64>,
 }
 
 impl DvfsController {
-    /// Builds a DVFS controller with no demand history.
-    pub fn new(cfg: DvfsConfig) -> Self {
-        Self {
-            cfg,
-            ewma_rps: None,
-        }
-    }
-
     /// Smoothed cell demand estimate, requests/s (for tests/diagnostics).
     pub fn ewma_rps(&self) -> Option<f64> {
         self.ewma_rps
@@ -72,7 +50,6 @@ impl DvfsController {
     /// Lowest eligible clock index for a pool of `serving` instances of
     /// nominal per-instance capacity `cap_rps`, given smoothed demand.
     fn pick(
-        &self,
         points: &[ClockPoint],
         phase: Phase,
         demand_rps: f64,
@@ -84,7 +61,7 @@ impl DvfsController {
             return nominal;
         }
         for (ci, p) in points.iter().enumerate() {
-            let capacity = serving as f64 * cap_rps * p.scale(phase) * self.cfg.target_util;
+            let capacity = serving as f64 * cap_rps * p.scale(phase) * TARGET_UTIL;
             if p.slo_ok(phase) && demand_rps <= capacity {
                 return ci as u8;
             }
@@ -104,7 +81,7 @@ impl DvfsController {
         let rate = obs.arrived_since_last as f64 / interval;
         let ewma = match self.ewma_rps {
             None => rate,
-            Some(p) => self.cfg.ewma_alpha * rate + (1.0 - self.cfg.ewma_alpha) * p,
+            Some(p) => EWMA_ALPHA * rate + (1.0 - EWMA_ALPHA) * p,
         };
         self.ewma_rps = Some(ewma);
         // Standing backlog must drain within a control interval: it adds
@@ -158,7 +135,7 @@ impl DvfsController {
                 (Phase::Decode, Some(ps)) => ps.decode_capacity_rps,
                 _ => obs.capacity_rps_per_instance,
             };
-            let want = self.pick(&obs.clock_points, phase, demand, count, cap_rps);
+            let want = Self::pick(&obs.clock_points, phase, demand, count, cap_rps);
             for (i, slot) in obs.slots.iter().enumerate() {
                 if phases[i] == phase && serving[i] && slot.clock != want {
                     cmds.push(Command::SetClock {
@@ -235,7 +212,7 @@ mod tests {
 
     #[test]
     fn quiet_cell_downclocks_to_lowest_feasible_point() {
-        let mut d = DvfsController::new(DvfsConfig::default());
+        let mut d = DvfsController::default();
         // 2 live mixed slots at nominal (index 2), 1 rps of demand
         // against 2 × 2 rps: even the lowest point covers it, but index 0
         // is TTFT-infeasible for mixed serving => index 1.
@@ -258,7 +235,7 @@ mod tests {
 
     #[test]
     fn demand_pressure_holds_nominal_clock() {
-        let mut d = DvfsController::new(DvfsConfig::default());
+        let mut d = DvfsController::default();
         // 18 rps against 2 × 2 rps × 0.92: nothing fits, nominal stays —
         // and slots already at nominal get no command (idempotent).
         let o = obs(
@@ -273,7 +250,7 @@ mod tests {
 
     #[test]
     fn backlog_forces_clocks_back_up() {
-        let mut d = DvfsController::new(DvfsConfig::default());
+        let mut d = DvfsController::default();
         // No fresh arrivals, but a deep standing queue: the drain term
         // dominates and the down-clocked slot is retuned to nominal.
         let o = obs(vec![slot(Mode::Live, Phase::Mixed, 0, 200)], 0);
@@ -283,7 +260,7 @@ mod tests {
 
     #[test]
     fn split_pools_pick_different_points() {
-        let mut d = DvfsController::new(DvfsConfig::default());
+        let mut d = DvfsController::default();
         // Prefill capacity is high (8 rps/inst) and index 0 is
         // prefill-infeasible => prefill pool lands on index 1; decode
         // (2 rps/inst, memory-bound scale ≈ 1) absorbs the same demand at
@@ -315,7 +292,7 @@ mod tests {
 
     #[test]
     fn pending_phase_moves_and_parks_are_respected() {
-        let mut d = DvfsController::new(DvfsConfig::default());
+        let mut d = DvfsController::default();
         let mut o = obs(
             vec![
                 slot(Mode::Live, Phase::Prefill, 2, 0),
@@ -343,7 +320,7 @@ mod tests {
 
     #[test]
     fn stands_down_without_a_clock_grid() {
-        let mut d = DvfsController::new(DvfsConfig::default());
+        let mut d = DvfsController::default();
         let mut o = obs(vec![slot(Mode::Live, Phase::Mixed, 0, 0)], 0);
         o.clock_points = Vec::new();
         assert!(issued(&[], |c| d.control(&o, c)).is_empty());
@@ -352,7 +329,7 @@ mod tests {
 
     #[test]
     fn ewma_remembers_spikes() {
-        let mut d = DvfsController::new(DvfsConfig::default());
+        let mut d = DvfsController::default();
         let busy = obs(vec![slot(Mode::Live, Phase::Mixed, 2, 0)], 400);
         issued(&[], |c| d.control(&busy, c));
         let spike = d.ewma_rps().unwrap();

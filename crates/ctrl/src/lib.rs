@@ -56,7 +56,7 @@ pub use autoscale::Autoscaler;
 pub use controller::{
     CellObs, ClockPoint, Command, InstanceObs, Mode, Phase, PhaseObs, PriorityClass,
 };
-pub use dvfs::{DvfsConfig, DvfsController};
+pub use dvfs::DvfsController;
 pub use fleet::{BalancerConfig, CellDirective, FleetCellObs, FleetObs};
 pub use litegpu_cluster::power_mgmt::Policy;
 pub use power::{PowerConfig, PowerGater};
@@ -85,10 +85,10 @@ pub struct CtrlConfig {
     /// Runs the autoscaler; requires `router` (parked instances' traffic
     /// must be re-routed somewhere).
     pub autoscaler: bool,
-    /// Serving-time DVFS: per-pool operating-point selection for live
-    /// instances. Takes effect only on a data plane that priced a clock
-    /// grid (`FleetConfig` enables that whenever this is set).
-    pub dvfs: Option<DvfsConfig>,
+    /// Runs serving-time DVFS: per-pool operating-point selection for
+    /// live instances. Takes effect only on a data plane that priced a
+    /// clock grid (`FleetConfig` enables that whenever this is set).
+    pub dvfs: bool,
     /// Power-gating policy for parked instances.
     pub power: Option<PowerConfig>,
     /// Cell-level arrival routing.
@@ -104,7 +104,7 @@ impl Default for CtrlConfig {
         CtrlConfig {
             control_interval_s: 5.0,
             autoscaler: false,
-            dvfs: None,
+            dvfs: false,
             power: None,
             router: None,
             balancer: None,
@@ -130,7 +130,7 @@ impl CtrlConfig {
 
     /// Adds the default serving-time DVFS policy to this configuration.
     pub fn with_dvfs(mut self) -> Self {
-        self.dvfs = Some(DvfsConfig::default());
+        self.dvfs = true;
         self
     }
 
@@ -149,14 +149,6 @@ impl CtrlConfig {
         if self.autoscaler && self.router.is_none() {
             return Err("the autoscaler requires the router: parked instances' arrivals must be rebalanced to live ones");
         }
-        if let Some(d) = &self.dvfs {
-            if !(d.target_util > 0.0 && d.target_util <= 1.0) {
-                return Err("dvfs target_util must be in (0, 1]");
-            }
-            if !(d.ewma_alpha > 0.0 && d.ewma_alpha <= 1.0) {
-                return Err("dvfs ewma_alpha must be in (0, 1]");
-            }
-        }
         if let Some(b) = &self.balancer {
             b.validate()?;
         }
@@ -170,7 +162,7 @@ impl CtrlConfig {
         if self.autoscaler {
             parts.push("autoscale".to_string());
         }
-        if self.dvfs.is_some() {
+        if self.dvfs {
             parts.push("dvfs".to_string());
         }
         if let Some(p) = &self.power {
@@ -193,7 +185,7 @@ impl CtrlConfig {
     pub fn build(&self) -> ControllerStack {
         ControllerStack {
             autoscaler: self.autoscaler.then(Autoscaler::default),
-            dvfs: self.dvfs.map(DvfsController::new),
+            dvfs: self.dvfs.then(DvfsController::default),
             power: self.power.map(PowerGater::new),
             router: self.router.map(Router::new),
         }
@@ -334,7 +326,7 @@ mod tests {
         let c = CtrlConfig {
             control_interval_s: 2.5,
             autoscaler: true,
-            dvfs: Some(DvfsConfig::default()),
+            dvfs: true,
             power: Some(PowerConfig {
                 policy: Policy::GateToEfficiency,
                 warm_pool: 1,
@@ -366,11 +358,5 @@ mod tests {
         c.validate().unwrap();
         assert_eq!(c.label(), "autoscale+dvfs+gate(GateToEfficiency)+route");
         assert_eq!(policies(&c.build()), [true; 4]);
-        let mut bad = c.clone();
-        bad.dvfs.as_mut().unwrap().target_util = 0.0;
-        assert!(bad.validate().is_err());
-        let mut bad = c;
-        bad.dvfs.as_mut().unwrap().ewma_alpha = 1.5;
-        assert!(bad.validate().is_err());
     }
 }

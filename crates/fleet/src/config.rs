@@ -557,7 +557,7 @@ impl FleetConfig {
     /// Whether the control plane runs the serving-time DVFS policy (which
     /// is what makes the engine price a full clock grid).
     pub fn dvfs_enabled(&self) -> bool {
-        self.ctrl.as_ref().is_some_and(|c| c.dvfs.is_some())
+        self.ctrl.as_ref().is_some_and(|c| c.dvfs)
     }
 
     /// Integer per-instance power rates (mW), for exact energy

@@ -297,8 +297,8 @@ mod tests {
             l.ctrl.as_ref().unwrap().power.as_ref().unwrap().policy,
             Policy::GateToEfficiency
         );
-        assert!(h.ctrl.as_ref().unwrap().dvfs.is_none());
-        assert!(l.ctrl.as_ref().unwrap().dvfs.is_some());
+        assert!(!h.ctrl.as_ref().unwrap().dvfs);
+        assert!(l.ctrl.as_ref().unwrap().dvfs);
     }
 
     #[test]
