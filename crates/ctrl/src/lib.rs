@@ -20,9 +20,9 @@
 //! - [`power::PowerGater`] — decides what parked capacity costs, reusing
 //!   [`litegpu_cluster::power_mgmt::Policy`]: DVFS-only fleets keep
 //!   parked instances at their idle floor, gating fleets power them off;
-//! - [`route::Router`] — rebalances each cell's arrivals across its live
-//!   instances, weighted by free capacity, so failures and parking don't
-//!   strand traffic.
+//! - [`route::control`] — the router: rebalances each cell's arrivals
+//!   across its live instances, weighted by free capacity, so failures
+//!   and parking don't strand traffic.
 //!
 //! The policies are **phase-aware**: on a Splitwise-style phase-split
 //! fleet (the data plane sets [`CellObs::phase_split`] and tags each
@@ -60,7 +60,7 @@ pub use dvfs::DvfsController;
 pub use fleet::{BalancerConfig, CellDirective, FleetCellObs, FleetObs};
 pub use litegpu_cluster::power_mgmt::Policy;
 pub use power::{PowerConfig, PowerGater};
-pub use route::{apportion, apportion_into, Router, RouterConfig};
+pub use route::{apportion, apportion_into};
 
 /// Control-plane configuration: which policies run, and how often.
 ///
@@ -68,10 +68,10 @@ pub use route::{apportion, apportion_into, Router, RouterConfig};
 /// policy off.
 ///
 /// ```
-/// use litegpu_ctrl::{BalancerConfig, CtrlConfig, RouterConfig};
+/// use litegpu_ctrl::{BalancerConfig, CtrlConfig};
 ///
 /// let cfg = CtrlConfig {
-///     router: Some(RouterConfig::default()),
+///     router: true,
 ///     balancer: Some(BalancerConfig::default()),
 ///     ..CtrlConfig::default()
 /// };
@@ -91,8 +91,8 @@ pub struct CtrlConfig {
     pub dvfs: bool,
     /// Power-gating policy for parked instances.
     pub power: Option<PowerConfig>,
-    /// Cell-level arrival routing.
-    pub router: Option<RouterConfig>,
+    /// Runs cell-level arrival routing.
+    pub router: bool,
     /// Fleet-scope balancer: cross-cell spill-over routing and admission
     /// quotas, run once per fleet tick (see [`fleet`]). `None` keeps
     /// cells fully isolated.
@@ -106,7 +106,7 @@ impl Default for CtrlConfig {
             autoscaler: false,
             dvfs: false,
             power: None,
-            router: None,
+            router: false,
             balancer: None,
         }
     }
@@ -123,7 +123,7 @@ impl CtrlConfig {
                 policy,
                 warm_pool: 1,
             }),
-            router: Some(RouterConfig::default()),
+            router: true,
             ..Self::default()
         }
     }
@@ -146,7 +146,7 @@ impl CtrlConfig {
         if !(self.control_interval_s.is_finite() && self.control_interval_s > 0.0) {
             return Err("control_interval_s must be finite and positive");
         }
-        if self.autoscaler && self.router.is_none() {
+        if self.autoscaler && !self.router {
             return Err("the autoscaler requires the router: parked instances' arrivals must be rebalanced to live ones");
         }
         if let Some(b) = &self.balancer {
@@ -168,7 +168,7 @@ impl CtrlConfig {
         if let Some(p) = &self.power {
             parts.push(format!("gate({:?})", p.policy));
         }
-        if self.router.is_some() {
+        if self.router {
             parts.push("route".to_string());
         }
         if self.balancer.is_some() {
@@ -187,7 +187,7 @@ impl CtrlConfig {
             autoscaler: self.autoscaler.then(Autoscaler::default),
             dvfs: self.dvfs.then(DvfsController::default),
             power: self.power.map(PowerGater::new),
-            router: self.router.map(Router::new),
+            router: self.router,
         }
     }
 }
@@ -205,7 +205,7 @@ pub struct ControllerStack {
     autoscaler: Option<Autoscaler>,
     dvfs: Option<DvfsController>,
     power: Option<PowerGater>,
-    router: Option<Router>,
+    router: bool,
 }
 
 impl ControllerStack {
@@ -222,8 +222,8 @@ impl ControllerStack {
         if let Some(p) = &mut self.power {
             p.control(obs, cmds);
         }
-        if let Some(p) = &mut self.router {
-            p.control(obs, cmds);
+        if self.router {
+            route::control(obs, cmds);
         }
     }
 }
@@ -239,7 +239,7 @@ mod tests {
             s.autoscaler.is_some(),
             s.dvfs.is_some(),
             s.power.is_some(),
-            s.router.is_some(),
+            s.router,
         ]
     }
 
@@ -256,7 +256,7 @@ mod tests {
     #[test]
     fn autoscaler_without_router_rejected() {
         let mut c = CtrlConfig::demo(Policy::GateToEfficiency);
-        c.router = None;
+        c.router = false;
         assert!(c.validate().is_err());
         c.autoscaler = false;
         c.validate().unwrap(); // Gating alone is fine.
@@ -331,7 +331,7 @@ mod tests {
                 policy: Policy::GateToEfficiency,
                 warm_pool: 1,
             }),
-            router: Some(RouterConfig::default()),
+            router: true,
             balancer: Some(BalancerConfig::default()),
         };
         c.validate().unwrap();

@@ -4,7 +4,7 @@
 //! Without a router, each instance owns its arrival stream, so a failed
 //! or parked instance strands its traffic. The router turns the cell into
 //! a single arrival pool: at every control tick it snapshots per-slot
-//! weights (free queue capacity by default), and the data plane
+//! weights (free queue capacity), and the data plane
 //! apportions each tick's cell-level Poisson draw across the currently
 //! live slots with the largest-remainder method — pure integer
 //! arithmetic, so the split is exactly reproducible at any shard or
@@ -13,57 +13,24 @@
 
 use crate::controller::{CellObs, Command, Mode, Phase};
 
-/// Router policy parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RouterConfig {
-    /// Weight live slots by free queue capacity (`true`, the default) or
-    /// uniformly (`false` — a round-robin-style baseline for quantifying
-    /// what capacity-aware routing buys).
-    pub weight_by_free_capacity: bool,
-}
-
-impl Default for RouterConfig {
-    fn default() -> Self {
-        Self {
-            weight_by_free_capacity: true,
-        }
-    }
-}
-
-/// The per-cell router.
-#[derive(Debug, Clone)]
-pub struct Router {
-    cfg: RouterConfig,
-}
-
-impl Router {
-    /// Builds the router.
-    pub fn new(cfg: RouterConfig) -> Self {
-        Self { cfg }
-    }
-
-    /// Runs one control tick: appends the cell's routing-weight snapshot.
-    pub fn control(&mut self, obs: &CellObs, cmds: &mut Vec<Command>) {
-        let weights = obs
-            .slots
-            .iter()
-            .map(|s| match s.mode {
-                // Queue room is granted per pool: on a phase-split cell
-                // only the prefill pool receives routed arrivals — the
-                // decode pool's work arrives over the KV link, never the
-                // front door.
-                Mode::Live if s.phase != Phase::Decode => {
-                    if self.cfg.weight_by_free_capacity {
-                        (obs.max_queue as u64).saturating_sub(s.queued)
-                    } else {
-                        1
-                    }
-                }
-                _ => 0,
-            })
-            .collect();
-        cmds.push(Command::SetWeights { weights });
-    }
+/// Runs one control tick of the router: appends the cell's routing-weight
+/// snapshot, in which each live slot outside the decode pool weighs its
+/// free queue room and every other slot weighs zero.
+pub fn control(obs: &CellObs, cmds: &mut Vec<Command>) {
+    let weights = obs
+        .slots
+        .iter()
+        .map(|s| match s.mode {
+            // Queue room is granted per pool: on a phase-split cell only
+            // the prefill pool receives routed arrivals — the decode
+            // pool's work arrives over the KV link, never the front door.
+            Mode::Live if s.phase != Phase::Decode => {
+                (obs.max_queue as u64).saturating_sub(s.queued)
+            }
+            _ => 0,
+        })
+        .collect();
+    cmds.push(Command::SetWeights { weights });
 }
 
 /// Splits `n` items over integer `weights` proportionally, using the
@@ -197,7 +164,6 @@ mod tests {
 
     #[test]
     fn weights_track_free_capacity_of_live_slots() {
-        let mut r = Router::new(RouterConfig::default());
         let obs = CellObs {
             tick: 0,
             interval_s: 5.0,
@@ -239,7 +205,7 @@ mod tests {
                 },
             ],
         };
-        let cmds = issued(&[], |c| r.control(&obs, c));
+        let cmds = issued(&[], |c| control(&obs, c));
         assert_eq!(
             cmds,
             vec![Command::SetWeights {
@@ -250,7 +216,6 @@ mod tests {
 
     #[test]
     fn decode_pool_slots_get_no_queue_room() {
-        let mut r = Router::new(RouterConfig::default());
         let obs = CellObs {
             tick: 0,
             interval_s: 5.0,
@@ -278,52 +243,11 @@ mod tests {
                 },
             ],
         };
-        let cmds = issued(&[], |c| r.control(&obs, c));
+        let cmds = issued(&[], |c| control(&obs, c));
         assert_eq!(
             cmds,
             vec![Command::SetWeights {
                 weights: vec![8, 0]
-            }]
-        );
-    }
-
-    #[test]
-    fn uniform_mode_ignores_queue_depth() {
-        let mut r = Router::new(RouterConfig {
-            weight_by_free_capacity: false,
-        });
-        let obs = CellObs {
-            tick: 0,
-            interval_s: 5.0,
-            arrived_since_last: 0,
-            arrived_by_class: [0; 3],
-            capacity_rps_per_instance: 2.0,
-            max_queue: 10,
-            chaos_down: 0,
-            phase_split: None,
-            clock_points: Vec::new(),
-            slots: vec![
-                InstanceObs {
-                    mode: Mode::Live,
-                    phase: Phase::Mixed,
-                    clock: 0,
-                    queued: 9,
-                    active: 0,
-                },
-                InstanceObs {
-                    mode: Mode::Live,
-                    phase: Phase::Mixed,
-                    clock: 0,
-                    queued: 0,
-                    active: 0,
-                },
-            ],
-        };
-        let cmds = issued(&[], |c| r.control(&obs, c));
-        assert_eq!(
-            cmds,
-            vec![Command::SetWeights {
-                weights: vec![1, 1]
             }]
         );
     }

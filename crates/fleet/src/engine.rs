@@ -897,7 +897,7 @@ mod tests {
         ));
         // Control-plane validation is wired through too.
         let mut c = small_ctrl_cfg();
-        c.ctrl.as_mut().unwrap().router = None;
+        c.ctrl.as_mut().unwrap().router = false;
         let err = run_sharded(&c, 1, 1, 1).unwrap_err();
         assert!(matches!(err, FleetError::Ctrl(_)));
     }

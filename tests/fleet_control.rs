@@ -73,7 +73,7 @@ fn router_recovers_traffic_stranded_by_failures() {
     legacy.failure_acceleration = 300_000.0;
     let mut routed = legacy.clone();
     routed.ctrl = Some(litegpu_repro::ctrl::CtrlConfig {
-        router: Some(litegpu_repro::ctrl::RouterConfig::default()),
+        router: true,
         ..Default::default()
     });
     let a = run(&legacy, 3).unwrap();
