@@ -52,7 +52,7 @@ pub mod fleet;
 pub mod power;
 pub mod route;
 
-pub use autoscale::Autoscaler;
+pub use autoscale::{Autoscaler, COLD_START_S, WARM_START_S};
 pub use controller::{
     CellObs, ClockPoint, Command, InstanceObs, Mode, Phase, PhaseObs, PriorityClass,
 };
@@ -113,7 +113,7 @@ impl Default for CtrlConfig {
 }
 
 impl CtrlConfig {
-    /// The demo control plane: 5 s control ticks, default autoscaler and
+    /// The demo control plane: 5 s control ticks, the autoscaler and the
     /// router, and the given power policy — [`Policy::DvfsAll`] for
     /// monolithic-GPU fleets, [`Policy::GateToEfficiency`] for Lite.
     pub fn demo(policy: Policy) -> Self {
@@ -128,7 +128,7 @@ impl CtrlConfig {
         }
     }
 
-    /// Adds the default serving-time DVFS policy to this configuration.
+    /// Adds serving-time DVFS to this configuration.
     pub fn with_dvfs(mut self) -> Self {
         self.dvfs = true;
         self
@@ -192,8 +192,7 @@ impl CtrlConfig {
     }
 }
 
-/// The policies driving one cell, each present when its configuration
-/// enables it.
+/// The policies driving one cell: those its [`CtrlConfig`] turns on.
 ///
 /// Policies run in a fixed order (autoscaler → DVFS → power gater →
 /// router) and append to one command buffer, so each sees the commands

@@ -1091,12 +1091,8 @@ impl<'a> CellSim<'a> {
                         Some(SlotMode::Cold) => shared.boot_us.1,
                         _ => continue,
                     };
-                    self.slots[s].mode = if boot_us == 0 {
-                        SlotMode::Live
-                    } else {
-                        SlotMode::Booting {
-                            until_us: t_start_us.saturating_add(boot_us),
-                        }
+                    self.slots[s].mode = SlotMode::Booting {
+                        until_us: t_start_us.saturating_add(boot_us),
                     };
                     acc.scale_ups += 1;
                     trace_cmd(trace, "activate", slot);

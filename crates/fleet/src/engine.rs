@@ -119,8 +119,7 @@ use crate::state::{FailureRates, ServeKnobs, Totals};
 use crate::window::run_windows;
 use crate::Result;
 use litegpu_cluster::power_mgmt;
-use litegpu_ctrl::autoscale::{COLD_START_S, WARM_START_S};
-use litegpu_ctrl::{ClockPoint, PriorityClass};
+use litegpu_ctrl::{ClockPoint, PriorityClass, COLD_START_S, WARM_START_S};
 use litegpu_roofline::StepCostTable;
 use litegpu_telemetry::profile::PHASE_MERGE;
 use litegpu_telemetry::{PhaseProfile, SeriesRecorder, TraceEvent};
@@ -278,11 +277,8 @@ pub fn run_sharded_full(
         ctrl_every: cfg.ctrl.as_ref().map_or(u32::MAX, |c| {
             ((c.control_interval_s / cfg.tick_s).round() as u32).max(1)
         }),
-        boot_us: if cfg.ctrl.as_ref().is_some_and(|c| c.autoscaler) {
-            (us(WARM_START_S), us(COLD_START_S))
-        } else {
-            (0, 0)
-        },
+        // Read only by `Activate`, which only the autoscaler issues.
+        boot_us: (us(WARM_START_S), us(COLD_START_S)),
         split: match &cfg.serving {
             ServingMode::Monolithic => None,
             ServingMode::PhaseSplit {
