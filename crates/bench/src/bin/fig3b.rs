@@ -3,7 +3,7 @@ use litegpu_roofline::EngineParams;
 
 fn main() {
     let params = EngineParams::paper_defaults();
-    let (fig, exp) = litegpu::experiments::fig3b(&params).expect("figure 3a generation");
+    let (fig, exp) = litegpu::experiments::fig3b(&params).expect("figure 3b generation");
     let series: Vec<(String, Vec<f64>)> = fig
         .gpu_types
         .iter()

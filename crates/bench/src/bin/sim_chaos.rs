@@ -24,14 +24,17 @@
 //!           [--rack-kw K] [--racks-per-domain N]
 //!           [--seed N] [--shards N] [--threads N]
 //!           [--series] [--series-dt US]
-//!           [--balancer] [--skew HxM]
+//!           [--balancer] [--balancer-interval S] [--spill-permille N]
+//!           [--hot-factor F] [--quota-headroom F] [--kv-slack-us N]
+//!           [--skew HxM]
 //!           [--smoke] [--quiet-json]
 //! ```
 //!
 //! `--balancer` attaches the fleet-scope spill-over balancer to both
 //! fleets (each otherwise uncontrolled), and `--skew HxM` skews the
 //! per-cell demand — together they show whether cross-cell spill-over
-//! keeps absorbing correlated outages when demand is uneven.
+//! keeps absorbing correlated outages when demand is uneven. The five
+//! flags after `--balancer` tune it (they need `--balancer`).
 //!
 //! `--instances` sizes the H100 fleet (the Lite fleet gets 4x). `--rate`
 //! is the H100 per-instance request rate (Lite instances carry a quarter

@@ -47,11 +47,11 @@
 //!
 //! `--series PATH` records the deterministic telemetry time series for
 //! each primary fleet (autoscaler pool sizes, queue depth, sheds, clock
-//! distribution, energy rate, ...) every `--series-dt` integer µs of simulated time
-//! (default 60) and writes one JSONL file per fleet with the fleet name
-//! before the extension (`out.jsonl` → `out_h100.jsonl`, `out_lite.jsonl`)
-//! — the when-did-the-autoscaler-lag view the end-of-run report can't
-//! show.
+//! distribution, energy rate, ...) every `--series-dt` integer µs of
+//! simulated time (default 60000000 = 60 s) and writes one JSONL file
+//! per fleet with the fleet name before the extension (`out.jsonl` →
+//! `out_h100.jsonl`, `out_lite.jsonl`) — the when-did-the-autoscaler-lag
+//! view the end-of-run report can't show.
 
 use litegpu_fleet::{
     run, run_sharded_full, spares_for_target, FleetConfig, PriorityClass, ServingMode,

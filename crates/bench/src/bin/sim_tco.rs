@@ -22,13 +22,16 @@
 //! sim_tco [--equiv N] [--rate R] [--hours H] [--accel A]
 //!         [--seed N] [--threads N] [--grid standard|smoke]
 //!         [--usd-per-kwh X] [--amort-years Y]
-//!         [--balancer] [--skew HxM]
+//!         [--balancer] [--balancer-interval S] [--spill-permille N]
+//!         [--hot-factor F] [--quota-headroom F] [--kv-slack-us N]
+//!         [--skew HxM]
 //!         [--series PATH] [--quiet-json] [--smoke]
 //! ```
 //!
 //! `--balancer` / `--skew HxM` price the whole grid under skewed demand
 //! with (or without) the fleet-scope spill-over balancer stacked on each
-//! candidate — the $/token cost of cell isolation under uneven load.
+//! candidate — the $/token cost of cell isolation under uneven load. The
+//! five flags after `--balancer` tune it (they need `--balancer`).
 //!
 //! `--equiv` sizes the fleet in H100-equivalents (divisor-`d` candidates
 //! run `d×` the instances at `1/d` the per-instance rate — same silicon,
