@@ -307,8 +307,9 @@ mod tests {
     fn chaos_losses_raise_the_scale_down_floor() {
         let mut a = Autoscaler::default();
         // Zero demand over 4 idle live slots would normally park down to
-        // min_live = 1; with 2 slots inside an announced chaos window the
-        // floor rises to 3 so the cell keeps replacement capacity live.
+        // the floor of one live slot; with 2 slots inside an announced
+        // chaos window the floor rises to 3 so the cell keeps replacement
+        // capacity live.
         let mut o = obs(vec![slot(Mode::Live, 0, 0); 4], 0);
         o.chaos_down = 2;
         let cmds = issued(&[], |c| a.control(&o, c));

@@ -309,7 +309,7 @@ mod tests {
         assert!(!cmds.contains(&Command::Activate { slot: 0 }));
         assert!(cmds.contains(&Command::Park { slot: 1 }));
         assert!(cmds.contains(&Command::SetWarm { slot: 1 }));
-        // Router ran on the *observed* modes (both live), so the weight
+        // The router ran on the *observed* modes (both live), so the weight
         // snapshot still covers both; the data plane masks non-live slots
         // per data tick.
         assert!(cmds
