@@ -63,7 +63,7 @@ fn autoscaled_fleet_saves_energy_and_holds_slos_against_fixed_fleet() {
 
 #[test]
 fn router_recovers_traffic_stranded_by_failures() {
-    // Router only (no autoscaler), under heavy failure injection: the
+    // Routing only (no autoscaler), under heavy failure injection: the
     // uncontrolled fleet strands arrivals on down instances, the routed
     // fleet steers them to live ones.
     let mut legacy = FleetConfig::lite_demo();
