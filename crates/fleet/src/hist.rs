@@ -5,14 +5,23 @@
 //! does) would not scale, and merging sorted vectors across shards would
 //! be order-sensitive. This histogram is HDR-style: log₂ major buckets
 //! with [`LatencyHistogram::SUB_BITS`] linear sub-buckets each, bounding
-//! relative quantile error at ~12.5% while supporting O(buckets)
-//! order-independent merging with pure integer arithmetic — the property
-//! the engine's byte-identical-at-any-shard-count guarantee rests on.
+//! relative quantile error at ~12.5% while supporting order-independent
+//! merging with pure integer arithmetic — the property the engine's
+//! byte-identical-at-any-shard-count guarantee rests on.
+//!
+//! A histogram costs what it holds: it allocates its buckets at the
+//! first sample (or merge) that needs them, and clearing and merging
+//! touch only the range of buckets that hold samples.
 
 /// A fixed-shape latency histogram (values in microseconds).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct LatencyHistogram {
+    /// Every bucket, or empty until the first sample lands.
     counts: Vec<u64>,
+    /// The occupied buckets `lo..hi`: the first and one past the last
+    /// nonzero count (`BUCKETS..0` while empty).
+    lo: usize,
+    hi: usize,
     total: u64,
     /// Exact weighted sum of recorded values, for exact means.
     sum_us: u128,
@@ -24,6 +33,18 @@ impl Default for LatencyHistogram {
     }
 }
 
+/// Equal recorded samples, whatever the buckets' allocation state.
+impl PartialEq for LatencyHistogram {
+    fn eq(&self, other: &Self) -> bool {
+        self.total == other.total
+            && self.sum_us == other.sum_us
+            && self.lo == other.lo
+            && self.occupied() == other.occupied()
+    }
+}
+
+impl Eq for LatencyHistogram {}
+
 impl LatencyHistogram {
     /// Linear sub-buckets per octave: 2^3 = 8.
     pub const SUB_BITS: u32 = 3;
@@ -31,10 +52,13 @@ impl LatencyHistogram {
     /// Bucket count: 64 octaves × 8 sub-buckets.
     const BUCKETS: usize = 64 * Self::SUB as usize;
 
-    /// Creates an empty histogram.
+    /// Creates an empty histogram; it allocates nothing until a sample
+    /// lands.
     pub fn new() -> Self {
         Self {
-            counts: vec![0; Self::BUCKETS],
+            counts: Vec::new(),
+            lo: Self::BUCKETS,
+            hi: 0,
             total: 0,
             sum_us: 0,
         }
@@ -62,14 +86,43 @@ impl LatencyHistogram {
         lo + width / 2
     }
 
+    /// The counts of the occupied buckets, `lo..hi` (empty while
+    /// nothing is recorded).
+    fn occupied(&self) -> &[u64] {
+        self.counts.get(self.lo..self.hi).unwrap_or(&[])
+    }
+
+    /// Makes room for samples in buckets `lo..hi`, allocating every
+    /// bucket on first use.
+    fn widen(&mut self, lo: usize, hi: usize) {
+        if self.counts.is_empty() {
+            self.counts = vec![0; Self::BUCKETS];
+        }
+        self.lo = self.lo.min(lo);
+        self.hi = self.hi.max(hi);
+    }
+
     /// Records `weight` samples of `us` microseconds.
     pub fn record(&mut self, us: u64, weight: u64) {
         if weight == 0 {
             return;
         }
-        self.counts[Self::bucket_of(us)] += weight;
+        let b = Self::bucket_of(us);
+        self.widen(b, b + 1);
+        self.counts[b] += weight;
         self.total += weight;
         self.sum_us += us as u128 * weight as u128;
+    }
+
+    /// Removes every sample, keeping the buckets' allocation.
+    pub fn clear(&mut self) {
+        if let Some(occupied) = self.counts.get_mut(self.lo..self.hi) {
+            occupied.fill(0);
+        }
+        self.lo = Self::BUCKETS;
+        self.hi = 0;
+        self.total = 0;
+        self.sum_us = 0;
     }
 
     /// Total recorded weight.
@@ -112,7 +165,7 @@ impl LatencyHistogram {
         // bucket instead of the true maximum.
         let rank = (((p / 100.0) * self.total as f64).ceil().max(1.0) as u64).min(self.total);
         let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
+        for (i, &c) in (self.lo..).zip(self.occupied()) {
             seen += c;
             if seen >= rank {
                 return Self::bucket_value(i);
@@ -128,8 +181,12 @@ impl LatencyHistogram {
 
     /// Adds all of `other`'s samples into `self` (order-independent).
     pub fn merge(&mut self, other: &Self) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
+        let from = other.occupied();
+        if !from.is_empty() {
+            self.widen(other.lo, other.hi);
+            for (a, b) in self.counts[other.lo..other.hi].iter_mut().zip(from) {
+                *a += b;
+            }
         }
         self.total += other.total;
         self.sum_us += other.sum_us;
@@ -139,6 +196,51 @@ impl LatencyHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn histograms_allocate_at_their_first_sample() {
+        let mut h = LatencyHistogram::default();
+        assert_eq!(h.counts.capacity(), 0);
+        // Merging an empty histogram allocates nothing either.
+        h.merge(&LatencyHistogram::new());
+        assert_eq!(h.counts.capacity(), 0);
+        assert_eq!(h, LatencyHistogram::new());
+        h.record(3_000, 2);
+        assert_eq!(h.counts.len(), LatencyHistogram::BUCKETS);
+    }
+
+    #[test]
+    fn clear_forgets_samples_and_keeps_buckets() {
+        let mut h = LatencyHistogram::new();
+        h.record(40, 3);
+        h.record(9_000_000, 1);
+        h.clear();
+        assert_eq!(h, LatencyHistogram::new());
+        assert_eq!(h.counts.len(), LatencyHistogram::BUCKETS);
+        assert!(h.counts.iter().all(|&c| c == 0));
+        h.record(500, 4);
+        let mut fresh = LatencyHistogram::new();
+        fresh.record(500, 4);
+        assert_eq!(h, fresh);
+        assert_eq!(h.percentile_us(50.0), fresh.percentile_us(50.0));
+    }
+
+    #[test]
+    fn merge_widens_the_occupied_range_both_ways() {
+        let mut mid = LatencyHistogram::new();
+        mid.record(5_000, 1);
+        let mut wide = LatencyHistogram::new();
+        wide.record(2, 1);
+        wide.record(80_000_000, 1);
+        mid.merge(&wide);
+        let mut whole = LatencyHistogram::new();
+        for us in [2, 5_000, 80_000_000] {
+            whole.record(us, 1);
+        }
+        assert_eq!(mid, whole);
+        assert_eq!(mid.percentile_us(0.0), 2);
+        assert_eq!(mid.percentile_us(100.0), whole.percentile_us(100.0));
+    }
 
     #[test]
     fn empty_histogram_is_zero() {
