@@ -153,9 +153,26 @@ fn poisson_small(rng: &mut StdRng, lambda: f64) -> u64 {
 }
 
 /// Knuth's product method given the precomputed threshold `l = e^-λ`.
+///
+/// The first step is inlined: its product is `1.0 · u`, which is `u`
+/// exactly, and at a small λ almost every draw ends there, so a zero
+/// costs one uniform and one compare. [`knuth_rest`] continues the same
+/// product from there.
+#[inline(always)]
 fn knuth(rng: &mut StdRng, l: f64) -> u64 {
-    let mut k = 0u64;
-    let mut p = 1.0f64;
+    let p = rng.random::<f64>();
+    if p <= l {
+        return 0;
+    }
+    knuth_rest(rng, l, p)
+}
+
+/// Knuth's product method after a first step that did not end it: `p`
+/// is the product so far. Not `#[cold]`: streams with a mean of several
+/// arrivals per draw take it on every draw.
+#[inline(never)]
+fn knuth_rest(rng: &mut StdRng, l: f64, mut p: f64) -> u64 {
+    let mut k = 1u64;
     loop {
         p *= rng.random::<f64>();
         if p <= l {
@@ -427,16 +444,30 @@ mod tests {
         // across the sentinel, single-Knuth, chunk-boundary and chunked
         // branches. Interleaving a marker draw after every count pins
         // the stream position, not just the values.
-        for lambda in [-1.0, 0.0, 0.05, 3.0, 16.0, 16.5, 200.0, f64::NAN] {
+        //
+        // At λ = 1e-12, e^-λ is 1 − 1e-12, above all but a
+        // one-in-a-trillion share of uniforms; at λ = 1e-17 it rounds to
+        // 1.0, above every uniform. Each draw then ends at Knuth's
+        // inlined first step with a count of 0.
+        for lambda in [
+            -1.0,
+            0.0,
+            1e-17,
+            1e-12,
+            0.05,
+            3.0,
+            16.0,
+            16.5,
+            200.0,
+            f64::NAN,
+        ] {
             let plan = PoissonPlan::new(lambda);
             let mut a = StdRng::seed_from_u64(11);
             let mut b = StdRng::seed_from_u64(11);
             for i in 0..200 {
-                assert_eq!(
-                    poisson(&mut a, lambda),
-                    plan.draw(&mut b),
-                    "lambda {lambda} draw {i}"
-                );
+                let n = poisson(&mut a, lambda);
+                assert_eq!(n, plan.draw(&mut b), "lambda {lambda} draw {i}");
+                assert!(lambda >= 1e-9 || n == 0, "lambda {lambda} draw {i}: {n}");
                 assert_eq!(
                     a.random::<u64>(),
                     b.random::<u64>(),
