@@ -26,13 +26,11 @@
 //! [`Command::SetPhase`] — so a prompt-heavy shift grows the prefill
 //! pool at the decode pool's expense without changing fleet size.
 
-use crate::controller::{CellObs, Command, Mode, Phase, PriorityClass};
+use crate::controller::{ewma, CellObs, Command, Mode, Phase, PriorityClass};
 
 /// Utilization ceiling the live pool is sized against (demand /
 /// capacity at this utilization).
 const TARGET_UTIL: f64 = 0.7;
-/// EWMA smoothing factor per control tick (1 would be no smoothing).
-const EWMA_ALPHA: f64 = 0.4;
 /// Live instances the cell never scales below.
 const MIN_LIVE: u32 = 1;
 /// Boot latency of a power-gated (cold) instance, seconds.
@@ -77,13 +75,6 @@ impl Autoscaler {
         self.allow_best_effort
     }
 
-    fn smooth(prev: Option<f64>, rate: f64) -> f64 {
-        match prev {
-            None => rate,
-            Some(p) => EWMA_ALPHA * rate + (1.0 - EWMA_ALPHA) * p,
-        }
-    }
-
     /// Runs one control tick: appends this tick's admission, scaling and
     /// phase-partition commands to `cmds`.
     pub fn control(&mut self, obs: &CellObs, cmds: &mut Vec<Command>) {
@@ -94,8 +85,8 @@ impl Autoscaler {
         let guaranteed = obs.arrived_since_last.saturating_sub(be);
         let g_rate = guaranteed as f64 / interval;
         let be_rate = be as f64 / interval;
-        let ewma_g = Self::smooth(self.ewma_guaranteed_rps, g_rate);
-        let ewma_be = Self::smooth(self.ewma_best_effort_rps, be_rate);
+        let ewma_g = ewma(self.ewma_guaranteed_rps, g_rate);
+        let ewma_be = ewma(self.ewma_best_effort_rps, be_rate);
         self.ewma_guaranteed_rps = Some(ewma_g);
         self.ewma_best_effort_rps = Some(ewma_be);
 

@@ -9,6 +9,19 @@
 //! controller state lives inside the shard partition, and every policy
 //! is a deterministic function of its observations and its own state.
 
+/// EWMA smoothing factor per control tick (1 would be no smoothing).
+const EWMA_ALPHA: f64 = 0.4;
+
+/// One control tick of the demand EWMA every smoothing policy keeps:
+/// the first observed `rate` seeds it (`prev` is `None`), then each tick
+/// moves it to `α·rate + (1−α)·prev`.
+pub(crate) fn ewma(prev: Option<f64>, rate: f64) -> f64 {
+    match prev {
+        None => rate,
+        Some(p) => EWMA_ALPHA * rate + (1.0 - EWMA_ALPHA) * p,
+    }
+}
+
 /// Scheduling class of a traffic source, ordered from most to least
 /// protected.
 ///

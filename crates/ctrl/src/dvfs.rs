@@ -23,7 +23,7 @@
 //! guarantee. On fleets whose data plane priced only the nominal clock
 //! ([`CellObs::clock_points`] is empty) the controller stands down.
 
-use crate::controller::{CellObs, ClockPoint, Command, Mode, Phase};
+use crate::controller::{ewma, CellObs, ClockPoint, Command, Mode, Phase};
 
 /// Utilization ceiling at the chosen operating point: a point is
 /// eligible only while smoothed demand stays below this fraction of the
@@ -31,9 +31,6 @@ use crate::controller::{CellObs, ClockPoint, Command, Mode, Phase};
 /// target on purpose — the autoscaler provisions slack, DVFS converts
 /// the slack it dares into energy.
 const TARGET_UTIL: f64 = 0.92;
-/// EWMA smoothing factor per control tick (1 would be no smoothing).
-const EWMA_ALPHA: f64 = 0.4;
-
 /// The per-cell DVFS policy (holds the demand EWMA; the default has no
 /// demand history).
 #[derive(Debug, Clone, Default)]
@@ -79,14 +76,11 @@ impl DvfsController {
         }
         let interval = obs.interval_s.max(1e-9);
         let rate = obs.arrived_since_last as f64 / interval;
-        let ewma = match self.ewma_rps {
-            None => rate,
-            Some(p) => EWMA_ALPHA * rate + (1.0 - EWMA_ALPHA) * p,
-        };
-        self.ewma_rps = Some(ewma);
+        let smoothed = ewma(self.ewma_rps, rate);
+        self.ewma_rps = Some(smoothed);
         // Standing backlog must drain within a control interval: it adds
         // to demand, pushing clocks back toward nominal under pressure.
-        let demand = ewma + obs.queued_total() as f64 / interval;
+        let demand = smoothed + obs.queued_total() as f64 / interval;
 
         // Work on the pool partition as it will stand after the commands
         // already issued this tick: the autoscaler runs first in the
