@@ -281,11 +281,14 @@ pub enum Command {
         /// Cell-local slot id.
         slot: u32,
     },
-    /// Replace the cell's routing weights (one entry per slot; arrivals
-    /// are apportioned over live slots proportionally to their weight).
-    SetWeights {
-        /// Per-slot weights, indexed by cell-local slot id.
-        weights: Vec<u64>,
+    /// Set one slot's routing weight (arrivals are apportioned over live
+    /// slots proportionally to their weight). The router issues one per
+    /// slot each control tick.
+    SetWeight {
+        /// Cell-local slot id.
+        slot: u32,
+        /// The slot's new weight.
+        weight: u64,
     },
     /// Set the cell's admission policy for [`PriorityClass::BestEffort`]
     /// traffic. While disallowed, the data plane sheds every best-effort

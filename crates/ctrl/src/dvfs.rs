@@ -31,17 +31,32 @@ use crate::controller::{ewma, CellObs, ClockPoint, Command, Mode, Phase};
 /// target on purpose — the autoscaler provisions slack, DVFS converts
 /// the slack it dares into energy.
 const TARGET_UTIL: f64 = 0.92;
+
 /// The per-cell DVFS policy (holds the demand EWMA; the default has no
 /// demand history).
 #[derive(Debug, Clone, Default)]
 pub struct DvfsController {
     ewma_rps: Option<f64>,
+    /// Each slot's phase and whether it serves once the commands issued
+    /// earlier in the tick land: scratch, refilled every tick.
+    phases: Vec<Phase>,
+    serving: Vec<bool>,
 }
 
 impl DvfsController {
     /// Smoothed cell demand estimate, requests/s (for tests/diagnostics).
     pub fn ewma_rps(&self) -> Option<f64> {
         self.ewma_rps
+    }
+
+    /// Forgets the demand history, as a fresh default does, keeping the
+    /// scratch buffers.
+    pub fn reset(&mut self) {
+        *self = Self {
+            phases: std::mem::take(&mut self.phases),
+            serving: std::mem::take(&mut self.serving),
+            ..Self::default()
+        };
     }
 
     /// Lowest eligible clock index for a pool of `serving` instances of
@@ -85,12 +100,11 @@ impl DvfsController {
         // Work on the pool partition as it will stand after the commands
         // already issued this tick: the autoscaler runs first in the
         // stack, so its SetPhase moves and activations are decided.
-        let mut phases: Vec<Phase> = obs.slots.iter().map(|s| s.phase).collect();
-        let mut serving: Vec<bool> = obs
-            .slots
-            .iter()
-            .map(|s| matches!(s.mode, Mode::Live | Mode::Booting))
-            .collect();
+        let (phases, serving) = (&mut self.phases, &mut self.serving);
+        phases.clear();
+        phases.extend(obs.slots.iter().map(|s| s.phase));
+        serving.clear();
+        serving.extend((obs.slots.iter()).map(|s| matches!(s.mode, Mode::Live | Mode::Booting)));
         for cmd in cmds.iter() {
             match cmd {
                 Command::SetPhase { slot, phase } => {
@@ -118,7 +132,7 @@ impl DvfsController {
         for phase in [Phase::Mixed, Phase::Prefill, Phase::Decode] {
             let count = phases
                 .iter()
-                .zip(&serving)
+                .zip(serving.iter())
                 .filter(|(p, s)| **p == phase && **s)
                 .count() as u32;
             if count == 0 {

@@ -208,6 +208,21 @@ pub struct ControllerStack {
 }
 
 impl ControllerStack {
+    /// Returns every policy to the state [`CtrlConfig::build`] gives it —
+    /// no demand history, best-effort traffic admitted — keeping the
+    /// policies' scratch buffers, so a stack can serve cell after cell
+    /// without allocating them again.
+    pub fn reset(&mut self) {
+        if let Some(p) = &mut self.autoscaler {
+            *p = Autoscaler::default();
+        }
+        if let Some(p) = &mut self.dvfs {
+            p.reset();
+        }
+        // The gater keeps nothing across ticks but its scratch list, and
+        // the router keeps nothing at all.
+    }
+
     /// Runs every policy for one control tick, leaving their commands in
     /// `cmds` in issue order (whatever `cmds` held before is cleared).
     pub fn control(&mut self, obs: &CellObs, cmds: &mut Vec<Command>) {
@@ -312,12 +327,64 @@ mod tests {
         // The router ran on the *observed* modes (both live), so the weight
         // snapshot still covers both; the data plane masks non-live slots
         // per data tick.
-        assert!(cmds
-            .iter()
-            .any(|c| matches!(c, Command::SetWeights { weights } if weights.len() == 2)));
+        let weighted = cmds.iter().filter_map(|c| match c {
+            Command::SetWeight { slot, .. } => Some(*slot),
+            _ => None,
+        });
+        assert_eq!(weighted.collect::<Vec<_>>(), [0, 1]);
         let empty = CtrlConfig::default();
         assert_eq!(policies(&empty.build()), [false; 4]);
         assert_eq!(empty.label(), "none");
+    }
+
+    #[test]
+    fn reset_stack_acts_like_a_fresh_build() {
+        let cfg = CtrlConfig::demo(Policy::GateToEfficiency).with_dvfs();
+        let point = |clock: f64| ClockPoint {
+            clock,
+            mixed_scale: clock,
+            prefill_scale: clock,
+            decode_scale: clock,
+            prefill_slo_ok: true,
+            decode_slo_ok: true,
+        };
+        let obs = |arrived: u64, best_effort: u64| CellObs {
+            tick: 0,
+            interval_s: 5.0,
+            arrived_since_last: arrived,
+            arrived_by_class: [arrived - best_effort, 0, best_effort],
+            capacity_rps_per_instance: 2.0,
+            max_queue: 50,
+            chaos_down: 0,
+            phase_split: None,
+            clock_points: vec![point(0.5), point(0.75), point(1.0)],
+            slots: vec![
+                InstanceObs {
+                    mode: Mode::Live,
+                    phase: Phase::Mixed,
+                    clock: 2,
+                    queued: 0,
+                    active: 0,
+                };
+                4
+            ],
+        };
+        // A best-effort flood revokes admission and leaves demand history
+        // in the autoscaler and in DVFS.
+        let mut used = cfg.build();
+        let mut cmds = Vec::new();
+        used.control(&obs(1000, 900), &mut cmds);
+        assert!(cmds.contains(&Command::SetAdmission {
+            allow_best_effort: false
+        }));
+        used.reset();
+        let mut fresh = cfg.build();
+        let mut want = Vec::new();
+        for (arrived, best_effort) in [(2, 0), (40, 10), (0, 0)] {
+            used.control(&obs(arrived, best_effort), &mut cmds);
+            fresh.control(&obs(arrived, best_effort), &mut want);
+            assert_eq!(cmds, want);
+        }
     }
 
     #[test]

@@ -37,12 +37,18 @@ impl Default for PowerConfig {
 #[derive(Debug, Clone)]
 pub struct PowerGater {
     cfg: PowerConfig,
+    /// The parked slots once this tick's commands land: scratch,
+    /// refilled every tick.
+    parked: Vec<u32>,
 }
 
 impl PowerGater {
     /// Builds the gater.
     pub fn new(cfg: PowerConfig) -> Self {
-        Self { cfg }
+        Self {
+            cfg,
+            parked: Vec::new(),
+        }
     }
 
     /// Whether the policy can power parked instances off at all.
@@ -54,15 +60,16 @@ impl PowerGater {
     /// slot parked once the commands already in `cmds` (those earlier
     /// policies issued this tick) land.
     pub fn control(&mut self, obs: &CellObs, cmds: &mut Vec<Command>) {
+        let gates = self.gates();
         // The parked set once this tick's commands land: currently parked
         // slots, plus this tick's parks, minus this tick's activations.
-        let mut parked: Vec<u32> = obs
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| matches!(s.mode, Mode::Warm | Mode::Cold))
-            .map(|(i, _)| i as u32)
-            .collect();
+        let parked = &mut self.parked;
+        parked.clear();
+        parked.extend(
+            (obs.slots.iter().enumerate())
+                .filter(|(_, s)| matches!(s.mode, Mode::Warm | Mode::Cold))
+                .map(|(i, _)| i as u32),
+        );
         for cmd in cmds.iter() {
             match cmd {
                 Command::Park { slot } => parked.push(*slot),
@@ -73,12 +80,12 @@ impl PowerGater {
         parked.sort_unstable();
         parked.dedup();
 
-        let warm_quota = if self.gates() {
+        let warm_quota = if gates {
             self.cfg.warm_pool as usize
         } else {
             parked.len() // DVFS-only: everything parked stays powered.
         };
-        cmds.extend(parked.into_iter().enumerate().map(|(rank, slot)| {
+        cmds.extend(parked.iter().enumerate().map(|(rank, &slot)| {
             if rank < warm_quota {
                 Command::SetWarm { slot }
             } else {
@@ -160,7 +167,7 @@ mod tests {
         let pending = vec![
             Command::Park { slot: 1 },
             Command::Activate { slot: 2 },
-            Command::SetWeights { weights: vec![] },
+            Command::SetWeight { slot: 0, weight: 5 },
         ];
         let cmds = issued(&pending, |c| g.control(&o, c));
         // Parked set after pending: {1, 3}; warm pool of 2 covers both.

@@ -14,23 +14,22 @@
 use crate::controller::{CellObs, Command, Mode, Phase};
 
 /// Runs one control tick of the router: appends the cell's routing-weight
-/// snapshot, in which each live slot outside the decode pool weighs its
-/// free queue room and every other slot weighs zero.
+/// snapshot, one [`Command::SetWeight`] per slot in slot order, in which
+/// each live slot outside the decode pool weighs its free queue room and
+/// every other slot weighs zero.
 pub fn control(obs: &CellObs, cmds: &mut Vec<Command>) {
-    let weights = obs
-        .slots
-        .iter()
-        .map(|s| match s.mode {
-            // Queue room is granted per pool: on a phase-split cell only
-            // the prefill pool receives routed arrivals — the decode
-            // pool's work arrives over the KV link, never the front door.
-            Mode::Live if s.phase != Phase::Decode => {
-                (obs.max_queue as u64).saturating_sub(s.queued)
-            }
-            _ => 0,
-        })
-        .collect();
-    cmds.push(Command::SetWeights { weights });
+    let weights = obs.slots.iter().map(|s| match s.mode {
+        // Queue room is granted per pool: on a phase-split cell only the
+        // prefill pool receives routed arrivals — the decode pool's work
+        // arrives over the KV link, never the front door.
+        Mode::Live if s.phase != Phase::Decode => (obs.max_queue as u64).saturating_sub(s.queued),
+        _ => 0,
+    });
+    cmds.extend(
+        (0..)
+            .zip(weights)
+            .map(|(slot, weight)| Command::SetWeight { slot, weight }),
+    );
 }
 
 /// Splits `n` items over integer `weights` proportionally, using the
@@ -162,6 +161,15 @@ mod tests {
         shares
     }
 
+    /// The router's weight snapshot: one `SetWeight` per slot, in slot
+    /// order.
+    fn set_weights(weights: &[u64]) -> Vec<Command> {
+        (0..)
+            .zip(weights)
+            .map(|(slot, &weight)| Command::SetWeight { slot, weight })
+            .collect()
+    }
+
     #[test]
     fn weights_track_free_capacity_of_live_slots() {
         let obs = CellObs {
@@ -206,12 +214,7 @@ mod tests {
             ],
         };
         let cmds = issued(&[], |c| control(&obs, c));
-        assert_eq!(
-            cmds,
-            vec![Command::SetWeights {
-                weights: vec![7, 0, 0, 0]
-            }]
-        );
+        assert_eq!(cmds, set_weights(&[7, 0, 0, 0]));
     }
 
     #[test]
@@ -244,12 +247,7 @@ mod tests {
             ],
         };
         let cmds = issued(&[], |c| control(&obs, c));
-        assert_eq!(
-            cmds,
-            vec![Command::SetWeights {
-                weights: vec![8, 0]
-            }]
-        );
+        assert_eq!(cmds, set_weights(&[8, 0]));
     }
 
     #[test]

@@ -402,9 +402,11 @@ pub(crate) struct CellSim<'a> {
     allow_best_effort: bool,
     kv: Option<KvLinkState>,
     traffic: CellTraffic,
-    /// The policy stack (`None` without a control plane) and the
-    /// command buffer each control tick refills and drains.
+    /// The policy stack (`None` without a control plane), the
+    /// observation each control tick refreshes and the command buffer it
+    /// refills and drains.
     ctl: Option<ControllerStack>,
+    obs: CellObs,
     cmds: Vec<Command>,
     chaos: Option<&'a CellChaos>,
     /// The thermal clamps [`Self::windows`] recomputes, before they
@@ -541,6 +543,10 @@ impl<'a> CellSim<'a> {
             traffic,
             next_ctrl: shared.ctrl_every,
             ctl,
+            obs: CellObs {
+                clock_points: shared.clock_points.clone(),
+                ..CellObs::default()
+            },
             cmds: Vec::new(),
             chaos,
             clamp_scratch: vec![u8::MAX; n],
@@ -1031,7 +1037,29 @@ impl<'a> CellSim<'a> {
         let Some(stack) = self.ctl.as_mut() else {
             return;
         };
-        let obs = CellObs {
+        // Refresh the cell's one observation in place: its two lists keep
+        // their buffers, and the clock grid is the run's.
+        let mut slots = core::mem::take(&mut self.obs.slots);
+        slots.clear();
+        slots.extend(
+            (self.slots.iter().zip(&self.insts)).map(|(s, inst)| InstanceObs {
+                mode: if !inst.up {
+                    Mode::Down
+                } else {
+                    match s.mode {
+                        SlotMode::Live => Mode::Live,
+                        SlotMode::Warm => Mode::Warm,
+                        SlotMode::Cold => Mode::Cold,
+                        SlotMode::Booting { .. } => Mode::Booting,
+                    }
+                },
+                phase: s.phase,
+                clock: s.clock,
+                queued: inst.queued(),
+                active: inst.active(),
+            }),
+        );
+        self.obs = CellObs {
             tick,
             interval_s: shared.ctrl_every as f64 * shared.cfg.tick_s,
             arrived_since_last: core::mem::take(&mut self.arrived_since),
@@ -1044,25 +1072,8 @@ impl<'a> CellSim<'a> {
                 decode_capacity_rps: s.decode_capacity_rps,
                 kv_backlog_us: self.kv.as_ref().map_or(0, |k| k.backlog_us(t_start_us)),
             }),
-            clock_points: shared.clock_points.clone(),
-            slots: (self.slots.iter().zip(&self.insts))
-                .map(|(s, inst)| InstanceObs {
-                    mode: if !inst.up {
-                        Mode::Down
-                    } else {
-                        match s.mode {
-                            SlotMode::Live => Mode::Live,
-                            SlotMode::Warm => Mode::Warm,
-                            SlotMode::Cold => Mode::Cold,
-                            SlotMode::Booting { .. } => Mode::Booting,
-                        }
-                    },
-                    phase: s.phase,
-                    clock: s.clock,
-                    queued: inst.queued(),
-                    active: inst.active(),
-                })
-                .collect(),
+            clock_points: core::mem::take(&mut self.obs.clock_points),
+            slots,
         };
         // Every state-*changing* command becomes one control-plane trace
         // instant, emitted by the arm that applies it (so tracing costs
@@ -1080,8 +1091,12 @@ impl<'a> CellSim<'a> {
                 ));
             }
         };
-        stack.control(&obs, &mut self.cmds);
+        stack.control(&self.obs, &mut self.cmds);
         let (insts, acc, trace) = (&self.insts, &mut self.acc, &mut self.trace);
+        // Whether any `SetWeight` changed a weight: the router re-sends
+        // every slot's weight, traced as one instant when the snapshot
+        // changed.
+        let mut reweighted = false;
         for cmd in self.cmds.drain(..) {
             match cmd {
                 Command::Activate { slot } => {
@@ -1128,13 +1143,10 @@ impl<'a> CellSim<'a> {
                         trace_cmd(trace, "set_cold", slot);
                     }
                 }
-                Command::SetWeights { weights } if weights.len() == insts.len() => {
-                    let old = self.slots.iter().map(|s| s.weight);
-                    if trace.is_some() && !old.eq(weights.iter().copied()) {
-                        trace_cmd(trace, "set_weights", u32::MAX);
-                    }
-                    for (s, w) in self.slots.iter_mut().zip(weights) {
-                        s.weight = w;
+                Command::SetWeight { slot, weight } => {
+                    if let Some(s) = self.slots.get_mut(slot as usize) {
+                        reweighted |= s.weight != weight;
+                        s.weight = weight;
                     }
                 }
                 Command::SetAdmission { allow_best_effort } => {
@@ -1176,6 +1188,9 @@ impl<'a> CellSim<'a> {
                 // doesn't know is ignored (commands are advisory).
                 _ => {}
             }
+        }
+        if reweighted {
+            trace_cmd(trace, "set_weights", u32::MAX);
         }
         self.next_ctrl = self.next_ctrl.saturating_add(shared.ctrl_every);
         self.next_boot = next_boot_tick(&self.slots, shared.knobs.tick_us, shared.ticks);
