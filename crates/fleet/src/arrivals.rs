@@ -125,6 +125,9 @@ pub(crate) struct CellTraffic {
     scale: Option<f64>,
     /// Every tick before this one has been drawn.
     pub(crate) drawn: u32,
+    /// [`Self::draw`]'s `(tick, admission position, tenant, count)`
+    /// scratch.
+    evs: Vec<(u32, u16, u16, u64)>,
 }
 
 impl CellTraffic {
@@ -132,19 +135,32 @@ impl CellTraffic {
     /// never alias the per-instance streams.
     const STREAM: u64 = 0x7E4A_4D7A_11C0_FFEE;
 
-    pub(crate) fn new(seed: u64, cell_idx: u32, cfg: &FleetConfig) -> Self {
+    /// Cell `cell_idx`'s streams, nothing drawn yet. `spare`, a finished
+    /// cell's traffic, lends its stream and scratch buffers: the streams
+    /// are re-seeded in place.
+    pub(crate) fn new(
+        seed: u64,
+        cell_idx: u32,
+        cfg: &FleetConfig,
+        spare: Option<&mut Self>,
+    ) -> Self {
+        let (mut rngs, mut evs) = spare.map_or_else(Default::default, |s| {
+            (std::mem::take(&mut s.rngs), std::mem::take(&mut s.evs))
+        });
+        rngs.clear();
+        rngs.extend((0..cfg.workload.tenants.len()).map(|t| {
+            StdRng::seed_from_u64(
+                seed ^ Self::STREAM
+                    ^ (cell_idx as u64).wrapping_mul(0xD1B5_4A32_D192_ED03)
+                    ^ (t as u64 + 1).wrapping_mul(0x94D0_49BB_1331_11EB),
+            )
+        }));
+        evs.clear();
         Self {
-            rngs: (0..cfg.workload.tenants.len())
-                .map(|t| {
-                    StdRng::seed_from_u64(
-                        seed ^ Self::STREAM
-                            ^ (cell_idx as u64).wrapping_mul(0xD1B5_4A32_D192_ED03)
-                            ^ (t as u64 + 1).wrapping_mul(0x94D0_49BB_1331_11EB),
-                    )
-                })
-                .collect(),
+            rngs,
             scale: arrival_scale(cfg, cell_idx),
             drawn: 0,
+            evs,
         }
     }
 
@@ -171,7 +187,8 @@ impl CellTraffic {
     ) {
         let lo = self.drawn;
         let ks = (lo - table.lo) as usize..(hi - table.lo) as usize;
-        let mut evs: Vec<(u32, u16, u16, u64)> = Vec::new();
+        let evs = &mut self.evs;
+        evs.clear();
         for (pos, &ti) in shared.priority_order.iter().enumerate() {
             let t = ti as usize;
             let rng = &mut self.rngs[t];
@@ -199,13 +216,7 @@ impl CellTraffic {
             }
         }
         evs.sort_unstable_by_key(|&(k, pos, _, _)| (k, pos));
-        let batches = evs.into_iter().map(|(k, _, ti, n)| (k, ti, n));
-        if out.is_empty() {
-            // Collects in place, into the allocation `evs` already holds.
-            *out = batches.collect();
-        } else {
-            out.extend(batches);
-        }
+        out.extend(evs.iter().map(|&(k, _, ti, n)| (k, ti, n)));
         self.drawn = hi;
     }
 }

@@ -371,6 +371,38 @@ fn next_boot_tick(slots: &[Slot], tick_us: u64, ticks: u32) -> u32 {
         .map_or(u32::MAX, |us| tick_or_never(us, tick_us, ticks))
 }
 
+/// A heap buffer a cell takes over from its worker's finished cell.
+trait Buffer: Default {
+    /// Drops the contents, keeping the capacity.
+    fn empty(&mut self);
+}
+
+impl<T> Buffer for Vec<T> {
+    fn empty(&mut self) {
+        self.clear();
+    }
+}
+
+impl<T: Ord> Buffer for BinaryHeap<T> {
+    fn empty(&mut self) {
+        self.clear();
+    }
+}
+
+/// The buffer `field` picks out of the worker's finished cell, emptied
+/// with its capacity kept; a new, empty one before the worker's first
+/// cell.
+fn reused<'a, B: Buffer>(
+    spare: &mut Option<CellSim<'a>>,
+    field: for<'s> fn(&'s mut CellSim<'a>) -> &'s mut B,
+) -> B {
+    let mut b = spare
+        .as_mut()
+        .map_or_else(B::default, |s| std::mem::take(field(s)));
+    b.empty();
+    b
+}
+
 /// One cell's complete simulation state, stepped through the horizon in
 /// resumable windows.
 ///
@@ -384,7 +416,10 @@ fn next_boot_tick(slots: &[Slot], tick_us: u64, ticks: u32) -> u32 {
 /// builds a cell on first touch, runs it window by window
 /// ([`CellSim::run_until`]), applies the fleet plan between windows
 /// ([`CellSim::publish`] / [`CellSim::apply_plan`]), and at the horizon
-/// merges it into its worker ([`CellSim::finalize`]) and drops it.
+/// merges it into its worker ([`CellSim::finalize`]). The finished cell
+/// then lends its heap buffers to the worker's next cell, which
+/// [`CellSim::new`] builds in its place, so a worker allocates them once
+/// however many cells it runs.
 pub(crate) struct CellSim<'a> {
     pub(crate) shared: &'a Shared<'a>,
     pub(crate) cell_idx: u32,
@@ -463,6 +498,12 @@ pub(crate) struct CellSim<'a> {
 }
 
 impl<'a> CellSim<'a> {
+    /// Builds cell `cell_idx` at tick 0 and draws its arrivals up to `hi`
+    /// from `table`. `spare`, the worker's finished cell, lends every
+    /// heap buffer it holds; the cell is otherwise built exactly as
+    /// without one; in particular its RNG streams are seeded from global
+    /// indices, so reuse cannot move a draw.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         shared: &'a Shared<'a>,
         seed: u64,
@@ -471,6 +512,7 @@ impl<'a> CellSim<'a> {
         hi: u32,
         series: Option<&mut SeriesRecorder>,
         prof: &mut ProfTimer,
+        mut spare: Option<Self>,
     ) -> Self {
         let cfg = shared.cfg;
         let n_tenants = cfg.workload.tenants.len();
@@ -478,31 +520,46 @@ impl<'a> CellSim<'a> {
         let tel = &cfg.telemetry;
         let first = cell_idx * cfg.cell_size;
         let last = (first + cfg.cell_size).min(cfg.instances);
-        let insts: Vec<InstanceState> = (first..last)
-            .map(|g| InstanceState::new(seed, g as u64, &shared.rates, n_tenants))
-            .collect();
+        let old = spare.as_mut();
+        let mut insts = old.map_or_else(Vec::new, |s| std::mem::take(&mut s.insts));
+        insts.truncate((last - first) as usize);
+        for (inst, g) in insts.iter_mut().zip(first..) {
+            *inst = InstanceState::new(seed, g as u64, &shared.rates, n_tenants, Some(&mut *inst));
+        }
+        let built = first + insts.len() as u32;
+        insts.extend(
+            (built..last)
+                .map(|g| InstanceState::new(seed, g as u64, &shared.rates, n_tenants, None)),
+        );
         let n = insts.len();
         // Phase roles: monolithic cells are all-Mixed; split cells start
         // at the configured fraction (prefill pool on the low-indexed
         // stable primaries) and the phase-aware autoscaler rebalances.
         let np = shared.split.map(|s| s.prefill_slots(n));
-        let slots = (0..n)
-            .map(|i| Slot {
-                phase: match np {
-                    None => Phase::Mixed,
-                    Some(np) if i < np => Phase::Prefill,
-                    Some(_) => Phase::Decode,
-                },
-                mode: SlotMode::Live,
-                weight: 1,
-                clock: shared.nominal_ci,
-                drained: false,
-                clamp: u8::MAX,
-                chaos_outed: false,
-                accrued: 0,
-            })
-            .collect();
-        let ctl = cfg.ctrl.as_ref().map(CtrlConfig::build);
+        let mut slots = reused(&mut spare, |s| &mut s.slots);
+        slots.extend((0..n).map(|i| Slot {
+            phase: match np {
+                None => Phase::Mixed,
+                Some(np) if i < np => Phase::Prefill,
+                Some(_) => Phase::Decode,
+            },
+            mode: SlotMode::Live,
+            weight: 1,
+            clock: shared.nominal_ci,
+            drained: false,
+            clamp: u8::MAX,
+            chaos_outed: false,
+            accrued: 0,
+        }));
+        // A finished cell's stack ran the same policies: reset, it is a
+        // fresh build that keeps its scratch buffers.
+        let ctl = match spare.as_mut().and_then(|s| s.ctl.take()) {
+            Some(mut stack) => {
+                stack.reset();
+                Some(stack)
+            }
+            None => cfg.ctrl.as_ref().map(CtrlConfig::build),
+        };
         let chaos = shared.chaos.get(cell_idx as usize);
         // Resolve this cell's metric ids once: re-resolution across
         // cells is idempotent, and the tick loop then samples by index.
@@ -515,70 +572,96 @@ impl<'a> CellSim<'a> {
                 tel.per_cell_series.then_some(cell_idx),
             )
         });
-        // The first window of arrivals, drawn as the cell is built and
-        // before its remaining buffers: drawing it after them measurably
-        // raised the peak RSS of one-window runs (heap placement). Later
-        // windows come from `Self::draw`.
-        let mut traffic = CellTraffic::new(seed, cell_idx, cfg);
-        let mut arrivals = Vec::new();
+        // The first window of arrivals. Later windows come from
+        // `Self::draw`.
+        let mut traffic =
+            CellTraffic::new(seed, cell_idx, cfg, spare.as_mut().map(|s| &mut s.traffic));
+        let mut arrivals = reused(&mut spare, |s| &mut s.arrivals);
         prof.reset();
         traffic.draw(shared, table, hi, &mut arrivals);
         prof.mark(PHASE_ROUTE);
-        let acc = Totals::new(n_tenants, shared.lut.num_clocks());
+        let acc = match spare.as_mut() {
+            Some(s) => {
+                let mut acc = std::mem::take(&mut s.acc);
+                acc.clear();
+                acc
+            }
+            None => Totals::new(n_tenants, shared.lut.num_clocks()),
+        };
+        let mut snap = reused(&mut spare, |s| &mut s.snap);
+        snap.extend(counter_values(&acc));
+        let mut clock_points = reused(&mut spare, |s| &mut s.obs.clock_points);
+        clock_points.extend_from_slice(&shared.clock_points);
+        let mut clamp_scratch = reused(&mut spare, |s| &mut s.clamp_scratch);
+        clamp_scratch.resize(n, u8::MAX);
+        let mut tenant_scratch = reused(&mut spare, |s| &mut s.tenant_scratch);
+        tenant_scratch.resize(n_tenants, 0);
+        let mut member = reused(&mut spare, |s| &mut s.busy.member);
+        member.resize(n, false);
         let mut sim = Self {
             shared,
             cell_idx,
-            snap: counter_values(&acc).collect(),
+            snap,
             acc,
-            cell: CellState::new(cfg.spares_per_cell, cfg.repair_crews_per_cell),
+            cell: CellState::new(
+                cfg.spares_per_cell,
+                cfg.repair_crews_per_cell,
+                spare.as_mut().map(|s| &mut s.cell),
+            ),
             insts,
             slots,
             arrived_since: 0,
             arrived_by_class: [0; 3],
             allow_best_effort: true,
-            kv: shared
-                .split
-                .as_ref()
-                .map(|s| KvLinkState::new(s.kv_bytes_per_s, s.kv_max_backlog_us)),
+            kv: shared.split.as_ref().map(|s| {
+                let link = spare.as_mut().and_then(|s| s.kv.as_mut());
+                KvLinkState::new(s.kv_bytes_per_s, s.kv_max_backlog_us, link)
+            }),
             traffic,
             next_ctrl: shared.ctrl_every,
             ctl,
             obs: CellObs {
-                clock_points: shared.clock_points.clone(),
+                clock_points,
+                slots: reused(&mut spare, |s| &mut s.obs.slots),
                 ..CellObs::default()
             },
-            cmds: Vec::new(),
+            cmds: reused(&mut spare, |s| &mut s.cmds),
             chaos,
-            clamp_scratch: vec![u8::MAX; n],
+            clamp_scratch,
             partitioned: false,
             forced_down: false,
             outage_ptr: 0,
             edge_ptr: 0,
-            trace: (tel.trace_every > 0).then(|| TraceSink {
-                buf: Vec::new(),
-                sampler: SpanSampler::new(tel.trace_every),
-                cell: cell_idx,
+            trace: (tel.trace_every > 0).then(|| {
+                let old = spare.as_mut().and_then(|s| s.trace.as_mut());
+                let mut buf = old.map_or_else(Vec::new, |ts| std::mem::take(&mut ts.buf));
+                buf.clear();
+                TraceSink {
+                    buf,
+                    sampler: SpanSampler::new(tel.trace_every),
+                    cell: cell_idx,
+                }
             }),
             series_ids,
-            tenant_scratch: vec![0; n_tenants],
-            heap: BinaryHeap::new(),
+            tenant_scratch,
+            heap: reused(&mut spare, |s| &mut s.heap),
             busy: BusySet {
-                member: vec![false; n],
-                list: Vec::new(),
+                member,
+                list: reused(&mut spare, |s| &mut s.busy.list),
             },
-            lifecycle_now: Vec::new(),
+            lifecycle_now: reused(&mut spare, |s| &mut s.lifecycle_now),
             arrivals,
             arr_ptr: 0,
-            eff: Vec::with_capacity(n),
-            shares: Vec::with_capacity(n),
-            scratch: Vec::with_capacity(n),
+            eff: reused(&mut spare, |s| &mut s.eff),
+            shares: reused(&mut spare, |s| &mut s.shares),
+            scratch: reused(&mut spare, |s| &mut s.scratch),
             quota_left: u64::MAX,
             window_arrived: 0,
             next_boot: u32::MAX,
             next_sample: shared.series_every.checked_sub(1).unwrap_or(u32::MAX),
             kv_next: u32::MAX,
             kv_blocked: false,
-            kv_cands: Vec::new(),
+            kv_cands: reused(&mut spare, |s| &mut s.kv_cands),
             decode_retry: false,
             tick: 0,
         };
@@ -1616,9 +1699,10 @@ impl<'a> CellSim<'a> {
     }
 
     /// End-of-horizon accounting: closes every remaining idle span,
-    /// books pending downtime and in-flight KV bytes, and hands back the
-    /// cell's totals and trace events.
-    pub(crate) fn finalize(mut self) -> (Totals, Vec<TraceEvent>) {
+    /// books pending downtime and in-flight KV bytes, merges the cell's
+    /// totals into `acc` and moves its trace events to `trace`. The cell
+    /// is finished then; its buffers can serve the worker's next cell.
+    pub(crate) fn finalize(&mut self, acc: &mut Totals, trace: &mut Vec<TraceEvent>) {
         let ticks = self.shared.ticks;
         self.accrue_all(ticks);
         let horizon_us = ticks as u64 * self.shared.knobs.tick_us;
@@ -1628,6 +1712,9 @@ impl<'a> CellSim<'a> {
         if let Some(link) = &self.kv {
             self.acc.kv_bytes_inflight_end += link.inflight_bytes();
         }
-        (self.acc, self.trace.map_or_else(Vec::new, |ts| ts.buf))
+        acc.merge(&self.acc);
+        if let Some(ts) = self.trace.as_mut() {
+            trace.append(&mut ts.buf);
+        }
     }
 }

@@ -155,12 +155,14 @@ pub(crate) struct TenantTotals {
 }
 
 impl TenantTotals {
-    pub fn new() -> Self {
-        Self {
-            ttft: LatencyHistogram::new(),
-            e2e: LatencyHistogram::new(),
+    /// Zeroes every accumulator in place, keeping the histograms'
+    /// buckets.
+    fn clear(&mut self) {
+        *self = Self {
+            ttft: cleared(&mut self.ttft),
+            e2e: cleared(&mut self.e2e),
             ..Default::default()
-        }
+        };
     }
 
     /// Adds `other` into `self` (associative, commutative).
@@ -234,13 +236,20 @@ pub(crate) struct KvLinkState {
 }
 
 impl KvLinkState {
-    pub fn new(bytes_per_s: u64, max_backlog_us: u64) -> Self {
+    /// An idle link. `spare`, a finished cell's link, lends its queues
+    /// (emptied, capacity kept).
+    pub fn new(bytes_per_s: u64, max_backlog_us: u64, spare: Option<&mut Self>) -> Self {
+        let (mut queue, mut ttfts) = spare.map_or_else(Default::default, |s| {
+            (std::mem::take(&mut s.queue), std::mem::take(&mut s.ttfts))
+        });
+        queue.clear();
+        ttfts.clear();
         Self {
             bytes_per_s: bytes_per_s.max(1),
             max_backlog_us,
             free_us: 0,
-            queue: VecDeque::new(),
-            ttfts: VecDeque::new(),
+            queue,
+            ttfts,
         }
     }
 
@@ -454,17 +463,40 @@ pub(crate) struct Totals {
     pub per_tenant: Vec<TenantTotals>,
 }
 
+/// `h` moved out and emptied, its buckets kept.
+fn cleared(h: &mut LatencyHistogram) -> LatencyHistogram {
+    let mut h = std::mem::take(h);
+    h.clear();
+    h
+}
+
 impl Totals {
     pub fn new(n_tenants: usize, n_clocks: usize) -> Self {
         Self {
-            ttft: LatencyHistogram::new(),
-            tbt: LatencyHistogram::new(),
-            e2e: LatencyHistogram::new(),
-            kv_delay: LatencyHistogram::new(),
             clock_ticks: vec![0; n_clocks.max(1)],
-            per_tenant: (0..n_tenants).map(|_| TenantTotals::new()).collect(),
+            per_tenant: vec![TenantTotals::default(); n_tenants],
             ..Default::default()
         }
+    }
+
+    /// Zeroes every accumulator in place, keeping the heap buffers: the
+    /// clock-tick counts, the per-tenant slots and the histograms'
+    /// buckets. Every other field comes from `Default`, so a field added
+    /// later is zeroed too.
+    pub fn clear(&mut self) {
+        let mut clock_ticks = std::mem::take(&mut self.clock_ticks);
+        clock_ticks.fill(0);
+        let mut per_tenant = std::mem::take(&mut self.per_tenant);
+        per_tenant.iter_mut().for_each(TenantTotals::clear);
+        *self = Self {
+            clock_ticks,
+            per_tenant,
+            ttft: cleared(&mut self.ttft),
+            tbt: cleared(&mut self.tbt),
+            e2e: cleared(&mut self.e2e),
+            kv_delay: cleared(&mut self.kv_delay),
+            ..Default::default()
+        };
     }
 
     /// Adds `other` into `self` (associative, commutative).
@@ -570,12 +602,25 @@ pub(crate) struct CellState {
 }
 
 impl CellState {
-    pub fn new(spares: u32, crews: u32) -> Self {
+    /// A cell with every spare free and every crew idle. `spare`, a
+    /// finished cell's state, lends its heaps (emptied, capacity kept).
+    pub fn new(spares: u32, crews: u32, spare: Option<&mut Self>) -> Self {
+        let (mut repairs, mut crew_free, mut pending) = spare.map_or_else(Default::default, |s| {
+            (
+                std::mem::take(&mut s.repairs),
+                std::mem::take(&mut s.crews),
+                std::mem::take(&mut s.pending),
+            )
+        });
+        repairs.clear();
+        crew_free.clear();
+        crew_free.extend((0..crews.max(1)).map(|_| Reverse(0)));
+        pending.clear();
         Self {
             spares_free: spares,
-            repairs: BinaryHeap::new(),
-            crews: (0..crews.max(1)).map(|_| Reverse(0)).collect(),
-            pending: BinaryHeap::new(),
+            repairs,
+            crews: crew_free,
+            pending,
             seq: 0,
         }
     }
@@ -688,18 +733,37 @@ pub(crate) struct InstanceState {
 impl InstanceState {
     /// Builds an instance with its own RNG stream derived from
     /// `(seed, global_index)` — the derivation must not depend on the
-    /// shard layout.
-    pub fn new(seed: u64, global_index: u64, rates: &FailureRates, n_tenants: usize) -> Self {
+    /// shard layout. `spare`, an instance of a finished cell, lends its
+    /// queue, cohort heap and per-tenant counts (emptied, capacity kept).
+    pub fn new(
+        seed: u64,
+        global_index: u64,
+        rates: &FailureRates,
+        n_tenants: usize,
+        spare: Option<&mut Self>,
+    ) -> Self {
         let mut rng =
             StdRng::seed_from_u64(seed ^ global_index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let next_failure_us = rates.next_interval_us(&mut rng);
+        let (mut queue, mut cohorts, mut active_by_tenant) =
+            spare.map_or_else(Default::default, |s| {
+                (
+                    std::mem::take(&mut s.queue),
+                    std::mem::take(&mut s.cohorts),
+                    std::mem::take(&mut s.active_by_tenant),
+                )
+            });
+        queue.clear();
+        cohorts.clear();
+        active_by_tenant.clear();
+        active_by_tenant.resize(n_tenants, 0);
         Self {
             rng,
-            queue: VecDeque::new(),
+            queue,
             queued: 0,
-            cohorts: BinaryHeap::new(),
+            cohorts,
             active: 0,
-            active_by_tenant: vec![0; n_tenants],
+            active_by_tenant,
             steps_done: 0,
             carry_us: 0,
             up: true,
@@ -1283,7 +1347,7 @@ mod tests {
         let lut = lut();
         let knobs = knobs();
         let mut acc = Totals::new(1, 1);
-        let mut inst = InstanceState::new(1, 0, &no_failures(), 1);
+        let mut inst = InstanceState::new(1, 0, &no_failures(), 1, None);
         for tick in 0..120u32 {
             poisson_arrivals(&mut inst, tick, 2.0, &knobs, &mut acc);
             inst.serve(tick, &lut, &knobs, Phase::Mixed, 0, None, None, &mut acc);
@@ -1307,7 +1371,7 @@ mod tests {
         let mut knobs = knobs();
         knobs.max_queue = 5;
         let mut acc = Totals::new(1, 1);
-        let mut inst = InstanceState::new(2, 0, &no_failures(), 1);
+        let mut inst = InstanceState::new(2, 0, &no_failures(), 1, None);
         // Down instance: arrivals accumulate, nothing serves.
         inst.up = false;
         inst.down_until_us = u64::MAX;
@@ -1350,7 +1414,7 @@ mod tests {
             ],
         };
         let mut acc = Totals::new(2, 1);
-        let mut inst = InstanceState::new(3, 0, &no_failures(), 2);
+        let mut inst = InstanceState::new(3, 0, &no_failures(), 2, None);
         for tick in 0..200u32 {
             for tenant in 0..2u16 {
                 acc.arrived += 1;
@@ -1390,7 +1454,7 @@ mod tests {
         knobs.tenants[0].output_len = LengthDist::geometric(5000);
         knobs.tick_us = lut.prefill_us(2);
         let mut acc = Totals::new(1, 1);
-        let mut inst = InstanceState::new(8, 0, &no_failures(), 1);
+        let mut inst = InstanceState::new(8, 0, &no_failures(), 1, None);
         inst.push_arrivals(0, 1, 0, &knobs, &mut acc);
         inst.push_arrivals(0, 1, 0, &knobs, &mut acc);
         inst.serve(0, &lut, &knobs, Phase::Mixed, 0, None, None, &mut acc);
@@ -1404,7 +1468,7 @@ mod tests {
             ..knobs.clone()
         };
         let mut acc = Totals::new(2, 1);
-        let mut inst = InstanceState::new(8, 0, &no_failures(), 2);
+        let mut inst = InstanceState::new(8, 0, &no_failures(), 2, None);
         inst.push_arrivals(0, 1, 0, &knobs2, &mut acc);
         inst.push_arrivals(0, 1, 1, &knobs2, &mut acc);
         inst.serve(0, &lut, &knobs2, Phase::Mixed, 0, None, None, &mut acc);
@@ -1440,7 +1504,7 @@ mod tests {
 
     #[test]
     fn spare_pool_accounting_hits_then_misses_then_reclaims() {
-        let mut cell = CellState::new(1, 1);
+        let mut cell = CellState::new(1, 1, None);
         // First failure takes the only spare; the dead unit joins the
         // crew queue as pool replenishment.
         assert!(cell.try_take_spare());
@@ -1466,7 +1530,7 @@ mod tests {
     fn finite_crews_serialize_repairs_fifo_by_ready_time() {
         // One crew, two jobs: the later-ready job (even if enqueued
         // first) waits for the crew to finish the earlier-ready one.
-        let mut cell = CellState::new(0, 1);
+        let mut cell = CellState::new(0, 1, None);
         cell.enqueue_repair(5_000, 1, false);
         cell.enqueue_repair(1_000, 0, false);
         let jobs = cell.dispatch_repairs(10_000, 100_000);
@@ -1482,7 +1546,7 @@ mod tests {
         cell.enqueue_repair(999_000, 2, false);
         assert!(cell.dispatch_repairs(500_000, 100_000).is_empty());
         // With two crews the same two jobs run in parallel.
-        let mut wide = CellState::new(0, 2);
+        let mut wide = CellState::new(0, 2, None);
         wide.enqueue_repair(5_000, 1, false);
         wide.enqueue_repair(1_000, 0, false);
         let jobs = wide.dispatch_repairs(10_000, 100_000);
@@ -1501,8 +1565,8 @@ mod tests {
             repair_us: 3_600_000_000,
         };
         let mut acc = Totals::new(1, 1);
-        let mut cell = CellState::new(1, 1);
-        let mut inst = InstanceState::new(3, 0, &rates, 1);
+        let mut cell = CellState::new(1, 1, None);
+        let mut inst = InstanceState::new(3, 0, &rates, 1, None);
         // Long outputs so the cohorts are still decoding when the
         // failure fires.
         let mut knobs = knobs;
@@ -1546,8 +1610,8 @@ mod tests {
             repair_us: 10_000_000,
         };
         let mut acc = Totals::new(1, 1);
-        let mut cell = CellState::new(0, 1);
-        let mut inst = InstanceState::new(4, 0, &rates, 1);
+        let mut cell = CellState::new(0, 1, None);
+        let mut inst = InstanceState::new(4, 0, &rates, 1, None);
         inst.next_failure_us = 500_000;
         inst.lifecycle(0, 0, 1_000_000, &rates, &mut cell, &mut acc);
         assert_eq!(acc.spare_misses, 1);
@@ -1570,7 +1634,7 @@ mod tests {
     #[test]
     fn kv_link_prices_queues_and_backpressures() {
         // 1 MB/s link: a 1 MB transfer takes exactly 1 s of link time.
-        let mut link = KvLinkState::new(1_000_000, 1_500_000);
+        let mut link = KvLinkState::new(1_000_000, 1_500_000, None);
         let mut acc = Totals::new(1, 1);
         let tk = knobs().tenants[0];
         link.ttfts.push_back((200_000, 1));
@@ -1606,8 +1670,8 @@ mod tests {
         let lut = lut();
         let knobs = knobs();
         let mut acc = Totals::new(1, 1);
-        let mut link = KvLinkState::new(1_000_000_000_000, 1_000_000);
-        let mut inst = InstanceState::new(5, 0, &no_failures(), 1);
+        let mut link = KvLinkState::new(1_000_000_000_000, 1_000_000, None);
+        let mut inst = InstanceState::new(5, 0, &no_failures(), 1, None);
         acc.arrived += 4;
         acc.per_tenant[0].arrived += 4;
         inst.push_arrivals(0, 4, 0, &knobs, &mut acc);
@@ -1642,7 +1706,7 @@ mod tests {
         let lut = lut();
         let knobs = knobs();
         let mut acc = Totals::new(1, 1);
-        let mut inst = InstanceState::new(6, 0, &no_failures(), 1);
+        let mut inst = InstanceState::new(6, 0, &no_failures(), 1, None);
         // Queued prompts on a decode instance must not prefill.
         inst.push_arrivals(0, 2, 0, &knobs, &mut acc);
         inst.serve(0, &lut, &knobs, Phase::Decode, 0, None, None, &mut acc);
@@ -1672,8 +1736,8 @@ mod tests {
         let lut = lut();
         let knobs = knobs();
         let mut acc = Totals::new(1, 1);
-        let mut decode = InstanceState::new(7, 0, &no_failures(), 1);
-        let mut prefill = InstanceState::new(7, 1, &no_failures(), 1);
+        let mut decode = InstanceState::new(7, 0, &no_failures(), 1, None);
+        let mut prefill = InstanceState::new(7, 1, &no_failures(), 1, None);
         // Failure-requeued runs sit on the decode instance's queue.
         acc.arrived += 5;
         acc.per_tenant[0].arrived += 5;
@@ -1699,7 +1763,7 @@ mod tests {
         let mut knobs = knobs();
         knobs.tick_us = 2_000_000;
         let mut acc = Totals::new(1, 1);
-        let mut inst = InstanceState::new(8, 0, &no_failures(), 1);
+        let mut inst = InstanceState::new(8, 0, &no_failures(), 1, None);
         // Seed a running batch, then add fresh prompts.
         inst.admit_decode_cohort(&KvTransfer {
             complete_us: 0,
@@ -1744,5 +1808,48 @@ mod tests {
         assert_eq!(ab.ttft.total(), 12);
         assert_eq!(ab.per_tenant[0].arrived, 7);
         assert_eq!(ab.per_tenant[1].ttft.total(), 3);
+    }
+
+    #[test]
+    fn cleared_totals_equal_fresh_ones() {
+        let mut t = Totals::new(2, 3);
+        t.arrived = 5;
+        t.by_kind[2] = 1;
+        t.clock_ticks[1] = 9;
+        t.spill_flow.insert((0, 1), 4);
+        t.e2e.record(1000, 5);
+        t.kv_delay.record(7, 1);
+        t.per_tenant[1].completed = 2;
+        t.per_tenant[1].ttft.record(500, 2);
+        t.clear();
+        assert_eq!(t, Totals::new(2, 3));
+        // The histograms start over: a merge sees only new samples.
+        t.e2e.record(2000, 1);
+        let mut fresh = Totals::new(2, 3);
+        fresh.merge(&t);
+        assert_eq!(fresh.e2e.total(), 1);
+        assert_eq!(fresh.e2e.percentile_us(0.0), t.e2e.percentile_us(0.0));
+    }
+
+    #[test]
+    fn rebuilt_instances_and_cells_start_like_new_ones() {
+        let lut = lut();
+        let knobs = knobs();
+        let mut acc = Totals::new(1, 1);
+        let mut used = InstanceState::new(5, 3, &no_failures(), 1, None);
+        used.push_arrivals(0, 6, 0, &knobs, &mut acc);
+        used.serve(0, &lut, &knobs, Phase::Mixed, 0, None, None, &mut acc);
+        assert!(!used.is_idle());
+        let rebuilt = InstanceState::new(9, 4, &no_failures(), 1, Some(&mut used));
+        let fresh = InstanceState::new(9, 4, &no_failures(), 1, None);
+        assert_eq!(format!("{rebuilt:?}"), format!("{fresh:?}"));
+        let mut cell = CellState::new(1, 2, None);
+        cell.enqueue_repair(0, 0, false);
+        assert!(cell.try_take_spare());
+        let rebuilt = CellState::new(1, 2, Some(&mut cell));
+        assert_eq!(
+            format!("{rebuilt:?}"),
+            format!("{:?}", CellState::new(1, 2, None))
+        );
     }
 }

@@ -229,29 +229,28 @@ impl Worker {
 
     /// Runs `sim` to the window edge `b`. Short of the horizon the cell
     /// draws its arrivals up to `b_next` from `table`, publishes its
-    /// snapshot for the planner and comes back to stay live; at the
-    /// horizon it is finalized, merged into this worker and dropped.
-    fn step<'a>(
+    /// snapshot for the planner and stays live (`true`); at the horizon
+    /// it is finalized and merged into this worker (`false`), and its
+    /// buffers are free for the worker's next cell.
+    fn step(
         &mut self,
-        mut sim: CellSim<'a>,
+        sim: &mut CellSim<'_>,
         b: u32,
         b_next: u32,
         planner: Option<&Planner>,
         table: &RwLock<ArrivalTable>,
-    ) -> Option<CellSim<'a>> {
+    ) -> bool {
         sim.run_until(b, self.series.as_mut(), &mut self.prof);
         if b < sim.shared.ticks {
             let p = planner.expect("only a balancer cuts the horizon into windows");
             sim.draw(&table.read().expect(POISONED), b_next, &mut self.prof);
             p.publish(sim.cell_idx, sim.publish(b));
-            return Some(sim);
+            return true;
         }
         self.prof.reset();
-        let (acc, trace) = sim.finalize();
-        self.acc.merge(&acc);
-        self.trace.extend(trace);
+        sim.finalize(&mut self.acc, &mut self.trace);
         self.prof.mark(PHASE_MERGE);
-        None
+        false
     }
 }
 
@@ -264,8 +263,11 @@ impl Worker {
 /// `w, w + threads, …`; shard `s` holds cells
 /// `[s·cells/shards, (s+1)·cells/shards)`. A worker builds each of its
 /// cells on first touch and, once a cell reaches the horizon, merges its
-/// totals into the worker's and drops it, so a one-window run holds one
-/// cell per worker at a time.
+/// totals into the worker's and keeps it as its spare: the worker's next
+/// cell is rebuilt from the spare's buffers ([`CellSim::new`]). So a
+/// one-window run holds one cell per worker and allocates its buffers
+/// once per worker; a balanced run keeps every cell live until the last
+/// window.
 ///
 /// Under a balancer every window edge is a snapshot → pure function →
 /// commands cycle: each cell runs to the edge and publishes a read-only
@@ -308,10 +310,11 @@ pub(crate) fn run_windows(
     let worker = |w: u32| -> Worker {
         let mut wk = Worker::new(shared);
         let mut live = Vec::new();
+        let mut spare = None;
         let mut b = next(0);
         for s in (w..shards).step_by(threads as usize) {
             for c in bounds(s)..bounds(s + 1) {
-                let sim = CellSim::new(
+                let mut sim = CellSim::new(
                     shared,
                     seed,
                     c,
@@ -319,8 +322,13 @@ pub(crate) fn run_windows(
                     b,
                     wk.series.as_mut(),
                     &mut wk.prof,
+                    spare.take(),
                 );
-                live.extend(wk.step(sim, b, next(b), planner, table));
+                if wk.step(&mut sim, b, next(b), planner, table) {
+                    live.push(sim);
+                } else {
+                    spare = Some(sim);
+                }
             }
         }
         while b < ticks {
@@ -329,7 +337,9 @@ pub(crate) fn run_windows(
             b = next(b);
             for mut sim in std::mem::take(&mut live) {
                 sim.apply_plan(p.take(sim.cell_idx));
-                live.extend(wk.step(sim, b, next(b), planner, table));
+                if wk.step(&mut sim, b, next(b), planner, table) {
+                    live.push(sim);
+                }
             }
         }
         // Pre-sort this worker's events on its own thread: the merge then
