@@ -9,6 +9,7 @@
 //! identical for any shard/thread partition.
 
 use std::collections::BTreeMap;
+use std::fmt::Write;
 
 /// How a metric's per-window values combine and read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -182,12 +183,14 @@ impl SeriesRecorder {
     /// end instant. Purely integer content over a deterministic metric
     /// order, so the bytes are shard/thread-invariant.
     pub fn to_jsonl(&self) -> String {
+        // Numbers are written straight into `out`: writing to a `String`
+        // cannot fail.
         let mut out = String::new();
-        out.push_str("{\"schema\":\"litegpu-series-v1\",\"dt_us\":");
-        out.push_str(&self.dt_us.to_string());
-        out.push_str(",\"windows\":");
-        out.push_str(&self.windows.to_string());
-        out.push_str(",\"metrics\":[");
+        let _ = write!(
+            out,
+            "{{\"schema\":\"litegpu-series-v1\",\"dt_us\":{},\"windows\":{},\"metrics\":[",
+            self.dt_us, self.windows
+        );
         for (i, name) in self.names().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -211,13 +214,9 @@ impl SeriesRecorder {
         }
         out.push_str("]}\n");
         for w in 0..self.windows {
-            out.push_str("{\"t_us\":");
-            out.push_str(&((w as u64 + 1) * self.dt_us).to_string());
+            let _ = write!(out, "{{\"t_us\":{}", (w as u64 + 1) * self.dt_us);
             for (name, m) in self.sorted() {
-                out.push_str(",\"");
-                out.push_str(name);
-                out.push_str("\":");
-                out.push_str(&m.values[w].to_string());
+                let _ = write!(out, ",\"{name}\":{}", m.values[w]);
             }
             out.push_str("}\n");
         }
@@ -234,10 +233,10 @@ impl SeriesRecorder {
         }
         out.push('\n');
         for w in 0..self.windows {
-            out.push_str(&((w as u64 + 1) * self.dt_us).to_string());
+            // Writing to a `String` cannot fail.
+            let _ = write!(out, "{}", (w as u64 + 1) * self.dt_us);
             for (_, m) in self.sorted() {
-                out.push(',');
-                out.push_str(&m.values[w].to_string());
+                let _ = write!(out, ",{}", m.values[w]);
             }
             out.push('\n');
         }
