@@ -72,15 +72,22 @@ fn byte_identical_json_across_1_4_8_shards() {
 
 #[test]
 fn byte_identical_json_across_thread_counts() {
-    let cfg = test_cfg();
-    let base = run_sharded(&cfg, 7, 8, 1).expect("single-threaded");
-    for threads in [2u32, 4, 8] {
-        let r = run_sharded(&cfg, 7, 8, threads).expect("multi-threaded");
-        assert_eq!(r.to_json(), base.to_json(), "threads = {threads}");
+    // 61 instances end in a 5-instance tail cell. On 8 threads each
+    // worker builds its one cell fresh; on 1 thread the one worker
+    // rebuilds its finished cell seven times, last into the smaller tail.
+    for instances in [64, 61] {
+        let mut cfg = test_cfg();
+        cfg.instances = instances;
+        let base = run_sharded(&cfg, 7, 8, 1).expect("single-threaded");
+        for threads in [2u32, 4, 8] {
+            let r = run_sharded(&cfg, 7, 8, threads).expect("multi-threaded");
+            let at = format!("instances = {instances}, threads = {threads}");
+            assert_eq!(r.to_json(), base.to_json(), "{at}");
+        }
+        // And the auto-parallel entry point agrees too.
+        let auto = run(&cfg, 7).expect("auto run");
+        assert_eq!(auto.to_json(), base.to_json(), "instances = {instances}");
     }
-    // And the auto-parallel entry point agrees too.
-    let auto = run(&cfg, 7).expect("auto run");
-    assert_eq!(auto.to_json(), base.to_json());
 }
 
 #[test]
