@@ -43,7 +43,7 @@ build_test() {
   echo "==> perfbench self-tests (release)"
   CARGO_TARGET_DIR=.bench_build cargo test --release --manifest-path perfbench/Cargo.toml -q
 
-  echo "==> fleet determinism + scale smoke (sim_fleet)"
+  echo "==> fleet run smoke: one 200-instance, 2 h Lite fleet runs to completion (sim_fleet)"
   cargo run --release -q -p litegpu-bench --bin sim_fleet -- \
     --gpu lite --instances 200 --hours 2 --quiet-json
 
