@@ -500,9 +500,9 @@ pub(crate) struct CellSim<'a> {
 impl<'a> CellSim<'a> {
     /// Builds cell `cell_idx` at tick 0 and draws its arrivals up to `hi`
     /// from `table`. `spare`, the worker's finished cell, lends every
-    /// heap buffer it holds; the cell is otherwise built exactly as
-    /// without one; in particular its RNG streams are seeded from global
-    /// indices, so reuse cannot move a draw.
+    /// heap buffer it holds, emptied. Nothing else carries over, and the
+    /// RNG streams are seeded from global indices, so reuse cannot move a
+    /// draw.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         shared: &'a Shared<'a>,
@@ -520,8 +520,7 @@ impl<'a> CellSim<'a> {
         let tel = &cfg.telemetry;
         let first = cell_idx * cfg.cell_size;
         let last = (first + cfg.cell_size).min(cfg.instances);
-        let old = spare.as_mut();
-        let mut insts = old.map_or_else(Vec::new, |s| std::mem::take(&mut s.insts));
+        let mut insts = (spare.as_mut()).map_or_else(Vec::new, |s| std::mem::take(&mut s.insts));
         insts.truncate((last - first) as usize);
         for (inst, g) in insts.iter_mut().zip(first..) {
             *inst = InstanceState::new(seed, g as u64, &shared.rates, n_tenants, Some(&mut *inst));

@@ -39,10 +39,12 @@
 //! horizon without a balancer — and each worker thread advances its
 //! cells window by window. A cell is built on first touch and owns every
 //! counter it accumulates; at the horizon it merges into its worker's
-//! totals and is dropped, so a balancer-free run holds one cell per
-//! worker at a time, with that cell's working set hot in cache. The
-//! per-tick arrival means come from one `ArrivalTable` per run that
-//! covers only the ticks the current window sweep draws.
+//! totals and stays with the worker as its spare, whose buffers the
+//! worker's next cell is rebuilt from. So a balancer-free run holds one
+//! cell per worker, with that cell's working set hot in cache, and
+//! allocates its buffers once per worker. The per-tick arrival means
+//! come from one `ArrivalTable` per run that covers only the ticks the
+//! current window sweep draws.
 //!
 //! Within a window the per-cell hot loop (`CellSim::run_until`) is an
 //! **event-queue scheduler**, not a per-tick scan. Each processed tick
@@ -87,9 +89,14 @@
 //! without division, a KV delivery scans only the decode slots gathered
 //! for its call, and a chaos tick pops due outages from a cursor and
 //! recomputes window state only past a window edge.
-//! The hot path evaluates no roofline, allocates nothing beyond queue
-//! churn and takes no lock per tick (a cell reads the shared
-//! `ArrivalTable` once per window).
+//! The hot path evaluates no roofline and takes no lock per tick (a cell
+//! reads the shared `ArrivalTable` once per window). Nor does it
+//! allocate: cells, their histograms and their control ticks reuse their
+//! buffers, which grow only when a cell needs more room than the
+//! worker's earlier cells did. What allocates is the run's setup (the
+//! step-cost table build above all), a series run's per-cell metric-id
+//! resolution, each repair dispatch and, under a balancer, the
+//! snapshots and plans of every window.
 //!
 //! # Where the code lives
 //!
