@@ -51,7 +51,7 @@ impl DvfsController {
 
     /// Forgets the demand history, as a fresh default does, keeping the
     /// scratch buffers.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         *self = Self {
             phases: std::mem::take(&mut self.phases),
             serving: std::mem::take(&mut self.serving),

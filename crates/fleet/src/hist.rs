@@ -115,7 +115,7 @@ impl LatencyHistogram {
     }
 
     /// Removes every sample, keeping the buckets' allocation.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         if let Some(occupied) = self.counts.get_mut(self.lo..self.hi) {
             occupied.fill(0);
         }
