@@ -130,14 +130,41 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// Pins the per-step DES's report bytes at seed 42, so a refactor of
 /// `simulate` that drifts one byte of any report fails here. The stress
 /// row injects 4 failures at 60 per instance-hour, one of them absorbed
-/// by the single spare.
+/// by the single spare. The last two rows reach every failure branch of
+/// the event loop:
+///
+/// - `split_churn` fails a phase-split fleet every few seconds with
+///   million-token prompts, so a KV hand-off outlasts the gap between
+///   failures. Requests wait in the overflow queue while no prefill
+///   instance is up and drain from it on recovery, a prefill completes
+///   on an instance that failed meanwhile, and KV lands on a decode
+///   instance that is down.
+/// - `mono_fast_swap` fails monolithic instances with a spare swap
+///   shorter than one step, so an instance is back up while the step
+///   it started before failing is still in flight.
 #[test]
 fn des_reports_match_goldens() {
     use litegpu_repro::sim::failover::FailurePlan;
+    use litegpu_repro::sim::request::LengthDist;
     let mut stress = ServingConfig::splitwise_lite_demo();
     stress.failures = FailurePlan {
         failures_per_instance_hour: 60.0,
         ..FailurePlan::stress(1)
+    };
+    let mut split_churn = ServingConfig::splitwise_h100_demo();
+    split_churn.workload.prompt = LengthDist::Fixed(1_000_000);
+    split_churn.failures = FailurePlan {
+        failures_per_instance_hour: 600.0,
+        repair_s: 20.0,
+        spare_swap_s: 5.0,
+        ..FailurePlan::stress(1)
+    };
+    let mut mono_fast_swap = ServingConfig::monolithic_h100_demo();
+    mono_fast_swap.failures = FailurePlan {
+        failures_per_instance_hour: 600.0,
+        spares: 8,
+        spare_swap_s: 0.001,
+        repair_s: 20.0,
     };
     let golden = [
         (
@@ -156,6 +183,8 @@ fn des_reports_match_goldens() {
             0x89e5df944f579718,
         ),
         ("splitwise_lite_stress", stress, 0x4199b72b835d496e),
+        ("split_churn", split_churn, 0x0d43d01575186cc3),
+        ("mono_fast_swap", mono_fast_swap, 0x24d69536450f8e67),
     ];
     let mut drift = Vec::new();
     for (name, cfg, want) in golden {
