@@ -12,9 +12,11 @@
 //!   deterministic under a seed).
 //! - [`request`]: Poisson request generator with configurable
 //!   prompt/output lengths (the paper's 1500-token median prompt).
-//! - [`server`]: a model instance — a tensor-parallel GPU group with
-//!   roofline-priced prefill and decode steps and continuous batching.
-//! - [`scheduler`]: monolithic vs. Splitwise-style phase-split serving.
+//! - [`server`]: the timing model — prefill, decode-step and KV
+//!   hand-off times of a tensor-parallel GPU group, priced by the
+//!   roofline engine once per run.
+//! - [`scheduler`]: the event loop — continuous batching, monolithic vs.
+//!   Splitwise-style phase-split serving, failures and hot spares.
 //! - [`failover`]: failure injection and hot-spare pools.
 //! - [`stats`]: latency percentiles, SLO attainment, goodput.
 //!

@@ -1,10 +1,25 @@
 //! The serving event loop: monolithic vs. Splitwise-style phase-split
 //! scheduling, with failure injection and hot spares.
+//!
+//! [`simulate`] runs one private `Sim` until its event queue drains. The
+//! `Sim` owns the queue, the instances and what they share: one
+//! [`InstanceModel`] (every instance has the same GPU, group size and
+//! model), the requests that found no prefill-capable instance up, the
+//! prefilled sequences waiting for decode batch room, the latency
+//! samples and the counters. Each event kind has its own handler method,
+//! and the run loop only dispatches. A running sequence is its
+//! [`Request`], whose `output_len` counts down the tokens still to
+//! generate.
+//!
+//! The queue breaks ties by insertion order, so the order in which the
+//! handlers schedule events is part of the report bytes.
+//! `tests/serving_and_designer.rs::des_reports_match_goldens` pins them
+//! at seed 42, with rows that reach every failure branch.
 
 use crate::des::{to_secs, EventQueue, SimTime};
 use crate::failover::FailurePlan;
 use crate::request::{Request, Workload};
-use crate::server::{ActiveSeq, InstanceModel};
+use crate::server::InstanceModel;
 use crate::stats::Samples;
 use crate::{Result, SimError};
 use litegpu_roofline::EngineParams;
@@ -105,11 +120,17 @@ pub struct ServingReport {
     pub drained_at_s: f64,
     /// Output tokens per second over the drain interval.
     pub throughput_tps: f64,
-    /// Median time to first token, seconds.
+    /// Median time to first token, seconds. TTFT ends when the request's
+    /// prefill batch completes. On a phase-split run it therefore
+    /// excludes the KV hand-off to a decode instance and any wait for
+    /// decode batch room. The fleet engine (`litegpu-fleet`) records
+    /// phase-split TTFT at KV delivery instead, so its TTFT includes
+    /// both.
     pub ttft_p50_s: f64,
-    /// 99th-percentile TTFT, seconds.
+    /// 99th-percentile TTFT, seconds (measured as for `ttft_p50_s`).
     pub ttft_p99_s: f64,
-    /// Fraction of requests meeting the TTFT SLO.
+    /// Fraction of TTFT samples meeting the TTFT SLO (measured as for
+    /// `ttft_p50_s`).
     pub ttft_attainment: f64,
     /// Median per-step time between tokens, seconds.
     pub tbt_p50_s: f64,
@@ -136,9 +157,10 @@ enum Role {
 
 struct Inst {
     role: Role,
-    model: InstanceModel,
     queue: VecDeque<Request>,
-    running: Vec<ActiveSeq>,
+    /// Sequences decoding here; a running request's `output_len` counts
+    /// the tokens it has still to generate.
+    running: Vec<Request>,
     in_transit: u32,
     busy: bool,
     up: bool,
@@ -148,15 +170,15 @@ struct Inst {
 }
 
 enum Ev {
-    Arrival(usize),
+    Arrival(Request),
     PrefillDone {
         inst: usize,
         epoch: u64,
-        seqs: Vec<ActiveSeq>,
+        seqs: Vec<Request>,
     },
     TransferDone {
         inst: usize,
-        seqs: Vec<ActiveSeq>,
+        seqs: Vec<Request>,
     },
     StepDone {
         inst: usize,
@@ -168,390 +190,354 @@ enum Ev {
     SpareBack,
 }
 
+/// One serving run: the event queue, the instances and what they share
+/// (one timing model, the overflow and pending-decode queues, the
+/// latency samples and the counters). Each event kind has its own
+/// handler. The queue breaks ties by insertion order, so the handlers'
+/// order of `schedule_in` calls is part of the report bytes.
+struct Sim<'a> {
+    cfg: &'a ServingConfig,
+    model: InstanceModel,
+    q: EventQueue<Ev>,
+    insts: Vec<Inst>,
+    /// Requests that arrived while no prefill-capable instance was up.
+    overflow: VecDeque<Request>,
+    /// Prefilled sequences waiting for decode batch room.
+    decode_pending: VecDeque<Request>,
+    ttft: Samples,
+    tbt: Samples,
+    e2e: Samples,
+    arrived: usize,
+    completed: usize,
+    generated: u64,
+    spares_free: u32,
+    failures: usize,
+    spare_hits: usize,
+    /// Latest completion so far: the only completion time the report
+    /// reads.
+    last_done: SimTime,
+}
+
 /// Runs a serving simulation to completion (all arrivals drained).
 pub fn simulate(cfg: &ServingConfig, seed: u64) -> Result<ServingReport> {
-    if cfg.instances == 0 || cfg.max_prefill_batch == 0 {
-        return Err(SimError::InvalidParameter {
-            name: "instances/max_prefill_batch",
-            value: 0.0,
-        });
+    let mut sim = Sim::new(cfg, seed)?;
+    while let Some((_, ev)) = sim.q.pop() {
+        match ev {
+            Ev::Arrival(r) => sim.arrival(r),
+            Ev::PrefillDone { inst, epoch, seqs } => sim.prefill_done(inst, epoch, seqs),
+            Ev::TransferDone { inst, seqs } => sim.transfer_done(inst, seqs),
+            Ev::StepDone { inst, epoch, step } => sim.step_done(inst, epoch, step),
+            Ev::Fail(inst) => sim.fail(inst),
+            Ev::Recover(inst) => sim.recover(inst),
+            Ev::SpareBack => sim.spare_back(),
+        }
     }
-    let roles: Vec<Role> = match cfg.scheduler {
-        SchedulerKind::Monolithic => vec![Role::Both; cfg.instances as usize],
-        SchedulerKind::PhaseSplit { prefill_instances } => {
+    Ok(sim.report())
+}
+
+impl<'a> Sim<'a> {
+    /// Validates `cfg`, builds the run's one timing model and schedules
+    /// every arrival, then every failure.
+    fn new(cfg: &'a ServingConfig, seed: u64) -> Result<Self> {
+        if cfg.instances == 0 || cfg.max_prefill_batch == 0 {
+            return Err(SimError::InvalidParameter {
+                name: "instances/max_prefill_batch",
+                value: 0.0,
+            });
+        }
+        if let SchedulerKind::PhaseSplit { prefill_instances } = cfg.scheduler {
             if prefill_instances == 0 || prefill_instances >= cfg.instances {
                 return Err(SimError::InvalidParameter {
                     name: "prefill_instances",
                     value: prefill_instances as f64,
                 });
             }
-            (0..cfg.instances)
-                .map(|i| {
-                    if i < prefill_instances {
+        }
+        let model = InstanceModel::new(
+            cfg.gpu.clone(),
+            cfg.gpus_per_instance,
+            cfg.arch.clone(),
+            cfg.params,
+        )?;
+        let insts: Vec<Inst> = (0..cfg.instances)
+            .map(|i| Inst {
+                role: match cfg.scheduler {
+                    SchedulerKind::Monolithic => Role::Both,
+                    SchedulerKind::PhaseSplit { prefill_instances } if i < prefill_instances => {
                         Role::Prefill
-                    } else {
-                        Role::Decode
                     }
-                })
-                .collect()
+                    SchedulerKind::PhaseSplit { .. } => Role::Decode,
+                },
+                queue: VecDeque::new(),
+                running: Vec::new(),
+                in_transit: 0,
+                busy: false,
+                up: true,
+                epoch: 0,
+                down_since: None,
+                downtime: 0,
+            })
+            .collect();
+        let requests = cfg.workload.generate(cfg.horizon_s, seed)?;
+        let mut q = EventQueue::new();
+        for r in &requests {
+            q.schedule_at(r.arrival, Ev::Arrival(*r));
         }
-    };
-
-    let mut insts: Vec<Inst> = Vec::new();
-    for role in &roles {
-        insts.push(Inst {
-            role: *role,
-            model: InstanceModel::new(
-                cfg.gpu.clone(),
-                cfg.gpus_per_instance,
-                cfg.arch.clone(),
-                cfg.params,
-            )?,
-            queue: VecDeque::new(),
-            running: Vec::new(),
-            in_transit: 0,
-            busy: false,
-            up: true,
-            epoch: 0,
-            down_since: None,
-            downtime: 0,
-        });
+        for (t, inst) in cfg.failures.generate(insts.len(), cfg.horizon_s, seed)? {
+            q.schedule_at(t, Ev::Fail(inst));
+        }
+        Ok(Self {
+            cfg,
+            model,
+            q,
+            insts,
+            overflow: VecDeque::new(),
+            decode_pending: VecDeque::new(),
+            ttft: Samples::new(),
+            tbt: Samples::new(),
+            e2e: Samples::new(),
+            arrived: requests.len(),
+            completed: 0,
+            generated: 0,
+            spares_free: cfg.failures.spares,
+            failures: 0,
+            spare_hits: 0,
+            last_done: 0,
+        })
     }
 
-    let requests = cfg.workload.generate(cfg.horizon_s, seed)?;
-    let failures = cfg.failures.generate(insts.len(), cfg.horizon_s, seed)?;
-
-    let mut q: EventQueue<Ev> = EventQueue::new();
-    for (i, r) in requests.iter().enumerate() {
-        q.schedule_at(r.arrival, Ev::Arrival(i));
-    }
-    for &(t, inst) in &failures {
-        q.schedule_at(t, Ev::Fail(inst));
-    }
-
-    let mut ttft = Samples::new();
-    let mut tbt = Samples::new();
-    let mut e2e = Samples::new();
-    let mut overflow: VecDeque<Request> = VecDeque::new();
-    let mut decode_pending: VecDeque<ActiveSeq> = VecDeque::new();
-    let mut completed = 0usize;
-    let mut generated: u64 = 0;
-    let mut spares_free = cfg.failures.spares as i64;
-    let mut failures_seen = 0usize;
-    let mut spare_hits = 0usize;
-    // Latest completion so far: the only completion time the report reads.
-    let mut last_done: SimTime = 0;
-
-    // Helper closures can't borrow insts mutably twice; use fns instead.
-    fn route_request(insts: &mut [Inst], overflow: &mut VecDeque<Request>, r: Request) {
-        let target = insts
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.up && matches!(s.role, Role::Both | Role::Prefill))
-            .min_by_key(|(_, s)| s.queue.len())
-            .map(|(i, _)| i);
+    /// Queues `r` on the up prefill-capable instance with the shortest
+    /// queue (the first of equals), or in `overflow` while none is up.
+    fn route(&mut self, r: Request) {
+        let target = self
+            .insts
+            .iter_mut()
+            .filter(|s| s.up && s.role != Role::Decode)
+            .min_by_key(|s| s.queue.len());
         match target {
-            Some(i) => insts[i].queue.push_back(r),
-            None => overflow.push_back(r),
+            Some(s) => s.queue.push_back(r),
+            None => self.overflow.push_back(r),
         }
     }
 
-    fn kick(
-        insts: &mut [Inst],
-        q: &mut EventQueue<Ev>,
-        decode_pending: &mut VecDeque<ActiveSeq>,
-        i: usize,
-        max_prefill_batch: u32,
-    ) -> Result<()> {
-        // Pull pending decode work into spare capacity first.
-        if matches!(insts[i].role, Role::Decode | Role::Both) && insts[i].up {
-            while !decode_pending.is_empty()
-                && (insts[i].running.len() as u32 + insts[i].in_transit) < insts[i].model.max_batch
-            {
-                let s = decode_pending.pop_front().expect("non-empty");
-                insts[i].running.push(s);
-            }
+    /// Gives instance `inst` its next launch. A decode-capable instance
+    /// that is up first pulls pending decode work into its free batch
+    /// room. An idle instance then prefills from its queue (a monolithic
+    /// one only while its batch has room), else steps its running batch.
+    fn kick(&mut self, inst: usize) {
+        let (max_batch, max_prefill_batch) = (self.model.max_batch, self.cfg.max_prefill_batch);
+        let s = &mut self.insts[inst];
+        if s.role != Role::Prefill && s.up {
+            let room = max_batch.saturating_sub(s.running.len() as u32 + s.in_transit) as usize;
+            let n = room.min(self.decode_pending.len());
+            s.running.extend(self.decode_pending.drain(..n));
         }
-        if !insts[i].up || insts[i].busy {
-            return Ok(());
+        if !s.up || s.busy {
+            return;
         }
-        let can_prefill = matches!(insts[i].role, Role::Both | Role::Prefill)
-            && !insts[i].queue.is_empty()
-            && (insts[i].role != Role::Both
-                || (insts[i].running.len() as u32) < insts[i].model.max_batch);
-        if can_prefill {
-            let cap = match insts[i].role {
-                Role::Both => insts[i].model.max_batch - insts[i].running.len() as u32,
+        let running = s.running.len() as u32;
+        if s.role != Role::Decode
+            && !s.queue.is_empty()
+            && (s.role != Role::Both || running < max_batch)
+        {
+            let cap = match s.role {
+                Role::Both => max_batch - running,
                 _ => max_prefill_batch,
             };
-            let b = (insts[i].queue.len() as u32)
-                .min(max_prefill_batch)
-                .min(cap)
-                .max(1);
-            let mut seqs = Vec::with_capacity(b as usize);
-            for _ in 0..b {
-                let r = insts[i].queue.pop_front().expect("checked non-empty");
-                seqs.push(ActiveSeq {
-                    id: r.id,
-                    arrival: r.arrival,
-                    prompt_len: r.prompt_len,
-                    remaining: r.output_len,
-                });
-            }
-            let t = insts[i].model.prefill_time(b)?;
-            let epoch = insts[i].epoch;
-            insts[i].busy = true;
-            q.schedule_in(
-                t,
-                Ev::PrefillDone {
-                    inst: i,
-                    epoch,
-                    seqs,
-                },
-            );
-            return Ok(());
-        }
-        if matches!(insts[i].role, Role::Both | Role::Decode) && !insts[i].running.is_empty() {
-            let b = insts[i].running.len() as u32;
-            let t = insts[i].model.decode_step_time(b)?;
-            let epoch = insts[i].epoch;
-            insts[i].busy = true;
-            q.schedule_in(
-                t,
-                Ev::StepDone {
-                    inst: i,
-                    epoch,
-                    step: t,
-                },
-            );
-        }
-        Ok(())
-    }
-
-    while let Some((now, ev)) = q.pop() {
-        match ev {
-            Ev::Arrival(idx) => {
-                let r = requests[idx];
-                route_request(&mut insts, &mut overflow, r);
-                for i in 0..insts.len() {
-                    kick(
-                        &mut insts,
-                        &mut q,
-                        &mut decode_pending,
-                        i,
-                        cfg.max_prefill_batch,
-                    )?;
-                }
-            }
-            Ev::PrefillDone { inst, epoch, seqs } => {
-                if !insts[inst].up || insts[inst].epoch != epoch {
-                    // The instance died mid-prefill: treat the batch as
-                    // fresh arrivals elsewhere (KV lost).
-                    for s in seqs {
-                        route_request(
-                            &mut insts,
-                            &mut overflow,
-                            Request {
-                                id: s.id,
-                                arrival: s.arrival,
-                                prompt_len: s.prompt_len,
-                                output_len: s.remaining,
-                            },
-                        );
-                    }
-                } else {
-                    insts[inst].busy = false;
-                    for s in &seqs {
-                        ttft.record(to_secs(now - s.arrival));
-                    }
-                    match insts[inst].role {
-                        Role::Both => insts[inst].running.extend(seqs),
-                        _ => {
-                            // Stream KV to the least-loaded decode instance.
-                            let t_x = insts[inst].model.kv_transfer_time(
-                                seqs.iter().map(|s| s.prompt_len).max().unwrap_or(1),
-                            );
-                            let target = insts
-                                .iter()
-                                .enumerate()
-                                .filter(|(_, s)| s.up && s.role == Role::Decode)
-                                .filter(|(_, s)| {
-                                    (s.running.len() as u32 + s.in_transit + seqs.len() as u32)
-                                        <= s.model.max_batch
-                                })
-                                .min_by_key(|(_, s)| s.running.len() + s.in_transit as usize)
-                                .map(|(i, _)| i);
-                            match target {
-                                Some(d) => {
-                                    insts[d].in_transit += seqs.len() as u32;
-                                    q.schedule_in(t_x, Ev::TransferDone { inst: d, seqs });
-                                }
-                                None => decode_pending.extend(seqs),
-                            }
-                        }
-                    }
-                }
-                for i in 0..insts.len() {
-                    kick(
-                        &mut insts,
-                        &mut q,
-                        &mut decode_pending,
-                        i,
-                        cfg.max_prefill_batch,
-                    )?;
-                }
-            }
-            Ev::TransferDone { inst, seqs } => {
-                insts[inst].in_transit = insts[inst].in_transit.saturating_sub(seqs.len() as u32);
-                if insts[inst].up {
-                    insts[inst].running.extend(seqs);
-                } else {
-                    decode_pending.extend(seqs);
-                }
-                kick(
-                    &mut insts,
-                    &mut q,
-                    &mut decode_pending,
-                    inst,
-                    cfg.max_prefill_batch,
-                )?;
-            }
-            Ev::StepDone { inst, epoch, step } => {
-                if !insts[inst].up || insts[inst].epoch != epoch {
-                    continue;
-                }
-                insts[inst].busy = false;
-                tbt.record(to_secs(step));
-                generated += insts[inst].running.len() as u64;
-                let mut done = Vec::new();
-                for s in insts[inst].running.iter_mut() {
-                    s.remaining = s.remaining.saturating_sub(1);
-                    if s.remaining == 0 {
-                        done.push(s.arrival);
-                    }
-                }
-                insts[inst].running.retain(|s| s.remaining > 0);
-                for arrival in done {
-                    completed += 1;
-                    e2e.record(to_secs(now - arrival));
-                    last_done = last_done.max(now);
-                }
-                kick(
-                    &mut insts,
-                    &mut q,
-                    &mut decode_pending,
-                    inst,
-                    cfg.max_prefill_batch,
-                )?;
-            }
-            Ev::Fail(inst) => {
-                if !insts[inst].up {
-                    continue;
-                }
-                failures_seen += 1;
-                insts[inst].up = false;
-                insts[inst].busy = false;
-                insts[inst].epoch += 1;
-                insts[inst].down_since = Some(now);
-                // Requeue everything the instance held; generation restarts
-                // from prefill (the KV cache died with the instance).
-                let queued: Vec<Request> = insts[inst].queue.drain(..).collect();
-                let running: Vec<ActiveSeq> = insts[inst].running.drain(..).collect();
-                for r in queued {
-                    route_request(&mut insts, &mut overflow, r);
-                }
-                for s in running {
-                    route_request(
-                        &mut insts,
-                        &mut overflow,
-                        Request {
-                            id: s.id,
-                            arrival: s.arrival,
-                            prompt_len: s.prompt_len,
-                            output_len: s.remaining,
-                        },
-                    );
-                }
-                let spare = spares_free > 0;
-                if spare {
-                    spares_free -= 1;
-                    spare_hits += 1;
-                    q.schedule_in(cfg.failures.recovery_delay(false), Ev::SpareBack);
-                }
-                q.schedule_in(cfg.failures.recovery_delay(spare), Ev::Recover(inst));
-                for i in 0..insts.len() {
-                    kick(
-                        &mut insts,
-                        &mut q,
-                        &mut decode_pending,
-                        i,
-                        cfg.max_prefill_batch,
-                    )?;
-                }
-            }
-            Ev::Recover(inst) => {
-                insts[inst].up = true;
-                if let Some(since) = insts[inst].down_since.take() {
-                    insts[inst].downtime += now - since;
-                }
-                while let Some(r) = overflow.pop_front() {
-                    route_request(&mut insts, &mut overflow, r);
-                    if overflow.back().map(|b| b.id) == Some(r.id) {
-                        break; // Routing bounced it straight back: stop.
-                    }
-                }
-                for i in 0..insts.len() {
-                    kick(
-                        &mut insts,
-                        &mut q,
-                        &mut decode_pending,
-                        i,
-                        cfg.max_prefill_batch,
-                    )?;
-                }
-            }
-            Ev::SpareBack => {
-                spares_free += 1;
-            }
+            let b = (s.queue.len() as u32).min(max_prefill_batch).min(cap);
+            let seqs: Vec<Request> = s.queue.drain(..b as usize).collect();
+            let (epoch, t) = (s.epoch, self.model.prefill_time(b));
+            s.busy = true;
+            self.q.schedule_in(t, Ev::PrefillDone { inst, epoch, seqs });
+        } else if s.role != Role::Prefill && running > 0 {
+            let (epoch, step) = (s.epoch, self.model.decode_step_time(running));
+            s.busy = true;
+            self.q.schedule_in(step, Ev::StepDone { inst, epoch, step });
         }
     }
 
-    let drained_at = insts
-        .iter()
-        .flat_map(|s| s.down_since)
-        .chain([last_done])
-        .max()
-        .unwrap_or(0)
-        .max(1);
-    let total_time: SimTime = drained_at * insts.len() as u64;
-    let downtime: SimTime = insts
-        .iter()
-        .map(|s| {
-            s.downtime
-                + s.down_since
-                    .map(|d| drained_at.saturating_sub(d))
-                    .unwrap_or(0)
-        })
-        .sum();
-    let slo = cfg.params.constraints;
-    Ok(ServingReport {
-        arrived: requests.len(),
-        completed,
-        generated_tokens: generated,
-        horizon_s: cfg.horizon_s,
-        drained_at_s: to_secs(drained_at),
-        throughput_tps: generated as f64 / to_secs(drained_at),
-        ttft_p50_s: ttft.percentile(50.0),
-        ttft_p99_s: ttft.percentile(99.0),
-        ttft_attainment: ttft.attainment(slo.ttft_max_s),
-        tbt_p50_s: tbt.percentile(50.0),
-        tbt_p99_s: tbt.percentile(99.0),
-        tbt_attainment: tbt.attainment(slo.tbt_max_s),
-        e2e_p50_s: e2e.percentile(50.0),
-        availability: 1.0 - downtime as f64 / total_time as f64,
-        failures: failures_seen,
-        spare_hits,
-    })
+    fn kick_all(&mut self) {
+        for i in 0..self.insts.len() {
+            self.kick(i);
+        }
+    }
+
+    fn arrival(&mut self, r: Request) {
+        self.route(r);
+        self.kick_all();
+    }
+
+    /// A prefill batch finished on instance `inst`. A batch from before
+    /// the instance failed lost its KV and is routed again. Otherwise its
+    /// first tokens are out (TTFT) and it starts decoding: in place on a
+    /// monolithic instance, else after a KV hand-off to the least-loaded
+    /// decode instance with batch room, or from `decode_pending` while
+    /// none has room.
+    fn prefill_done(&mut self, inst: usize, epoch: u64, seqs: Vec<Request>) {
+        let now = self.q.now();
+        let s = &mut self.insts[inst];
+        if !s.up || s.epoch != epoch {
+            for r in seqs {
+                self.route(r);
+            }
+        } else {
+            s.busy = false;
+            for r in &seqs {
+                self.ttft.record(to_secs(now - r.arrival));
+            }
+            if s.role == Role::Both {
+                s.running.extend(seqs);
+            } else {
+                let t_x = self
+                    .model
+                    .kv_transfer_time(seqs.iter().map(|r| r.prompt_len).max().unwrap_or(1));
+                let (n, max_batch) = (seqs.len() as u32, self.model.max_batch);
+                let target = self
+                    .insts
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, d)| d.up && d.role == Role::Decode)
+                    .filter(|(_, d)| d.running.len() as u32 + d.in_transit + n <= max_batch)
+                    .min_by_key(|(_, d)| d.running.len() + d.in_transit as usize)
+                    .map(|(i, _)| i);
+                match target {
+                    Some(inst) => {
+                        self.insts[inst].in_transit += n;
+                        self.q.schedule_in(t_x, Ev::TransferDone { inst, seqs });
+                    }
+                    None => self.decode_pending.extend(seqs),
+                }
+            }
+        }
+        self.kick_all();
+    }
+
+    /// A KV hand-off landed on decode instance `inst`; if it went down
+    /// meanwhile, the sequences wait in `decode_pending` instead.
+    fn transfer_done(&mut self, inst: usize, seqs: Vec<Request>) {
+        let s = &mut self.insts[inst];
+        s.in_transit = s.in_transit.saturating_sub(seqs.len() as u32);
+        if s.up {
+            s.running.extend(seqs);
+        } else {
+            self.decode_pending.extend(seqs);
+        }
+        self.kick(inst);
+    }
+
+    /// A decode step of `step` µs finished on instance `inst`: one token
+    /// per running sequence. A step begun before the instance failed is
+    /// ignored, even if the instance is up again.
+    fn step_done(&mut self, inst: usize, epoch: u64, step: SimTime) {
+        let now = self.q.now();
+        let s = &mut self.insts[inst];
+        if !s.up || s.epoch != epoch {
+            return;
+        }
+        s.busy = false;
+        self.tbt.record(to_secs(step));
+        self.generated += s.running.len() as u64;
+        s.running.retain_mut(|r| {
+            r.output_len = r.output_len.saturating_sub(1);
+            if r.output_len > 0 {
+                return true;
+            }
+            self.completed += 1;
+            self.e2e.record(to_secs(now - r.arrival));
+            self.last_done = now;
+            false
+        });
+        self.kick(inst);
+    }
+
+    /// Instance `inst` fails (unless already down). Everything it held is
+    /// routed again, its queue first, and generation restarts from
+    /// prefill: the KV cache died with the instance. It recovers after a
+    /// spare swap when a spare is free, else after a repair.
+    fn fail(&mut self, inst: usize) {
+        let s = &mut self.insts[inst];
+        if !s.up {
+            return;
+        }
+        self.failures += 1;
+        s.up = false;
+        s.busy = false;
+        s.epoch += 1;
+        s.down_since = Some(self.q.now());
+        let queued = std::mem::take(&mut s.queue);
+        let running = std::mem::take(&mut s.running);
+        for r in queued.into_iter().chain(running) {
+            self.route(r);
+        }
+        let (plan, spare) = (self.cfg.failures, self.spares_free > 0);
+        if spare {
+            self.spares_free -= 1;
+            self.spare_hits += 1;
+            self.q
+                .schedule_in(plan.recovery_delay(false), Ev::SpareBack);
+        }
+        self.q
+            .schedule_in(plan.recovery_delay(spare), Ev::Recover(inst));
+        self.kick_all();
+    }
+
+    /// Instance `inst` is back up; requests parked in `overflow` are
+    /// routed again until one bounces straight back.
+    fn recover(&mut self, inst: usize) {
+        let s = &mut self.insts[inst];
+        s.up = true;
+        if let Some(since) = s.down_since.take() {
+            s.downtime += self.q.now() - since;
+        }
+        while let Some(r) = self.overflow.pop_front() {
+            self.route(r);
+            if self.overflow.back() == Some(&r) {
+                break;
+            }
+        }
+        self.kick_all();
+    }
+
+    /// The unit a spare replaced is repaired and joins the spare pool.
+    fn spare_back(&mut self) {
+        self.spares_free += 1;
+    }
+
+    fn report(&self) -> ServingReport {
+        // Instances still down at the end extend the run to their
+        // failure time and count as down from then on.
+        let drained_at = self
+            .insts
+            .iter()
+            .filter_map(|s| s.down_since)
+            .fold(self.last_done, SimTime::max)
+            .max(1);
+        let total_time = drained_at * self.insts.len() as u64;
+        let downtime: SimTime = self
+            .insts
+            .iter()
+            .map(|s| s.downtime + s.down_since.map_or(0, |d| drained_at - d))
+            .sum();
+        let slo = self.cfg.params.constraints;
+        ServingReport {
+            arrived: self.arrived,
+            completed: self.completed,
+            generated_tokens: self.generated,
+            horizon_s: self.cfg.horizon_s,
+            drained_at_s: to_secs(drained_at),
+            throughput_tps: self.generated as f64 / to_secs(drained_at),
+            ttft_p50_s: self.ttft.percentile(50.0),
+            ttft_p99_s: self.ttft.percentile(99.0),
+            ttft_attainment: self.ttft.attainment(slo.ttft_max_s),
+            tbt_p50_s: self.tbt.percentile(50.0),
+            tbt_p99_s: self.tbt.percentile(99.0),
+            tbt_attainment: self.tbt.attainment(slo.tbt_max_s),
+            e2e_p50_s: self.e2e.percentile(50.0),
+            availability: 1.0 - downtime as f64 / total_time as f64,
+            failures: self.failures,
+            spare_hits: self.spare_hits,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
-//! Model-instance timing: a tensor-parallel GPU group whose step costs
-//! come from the roofline engine.
+//! The timing model: prefill, decode-step and KV hand-off times of a
+//! tensor-parallel GPU group, with step costs from the roofline engine.
 
 use crate::des::{secs, SimTime};
 use crate::Result;
@@ -10,7 +10,8 @@ use litegpu_workload::{kv, ModelArch};
 /// Timing oracle for one instance configuration (GPU type × group size ×
 /// model). Step costs come from a precomputed
 /// [`litegpu_roofline::StepCostTable`], so the simulator's hot loop never
-/// re-evaluates the roofline model.
+/// re-evaluates the roofline model. Every instance of a serving run has
+/// the same configuration, so a run builds one model and shares it.
 #[derive(Debug, Clone)]
 pub struct InstanceModel {
     /// GPU type.
@@ -41,14 +42,16 @@ impl InstanceModel {
         })
     }
 
-    /// Time to prefill a batch of prompts (at the workload prompt length).
-    pub fn prefill_time(&mut self, batch: u32) -> Result<SimTime> {
-        Ok(self.table.prefill_us(batch.clamp(1, self.max_batch)))
+    /// Time to prefill a batch of prompts (at the workload prompt length);
+    /// the table clamps `batch` to its prefill capacity.
+    pub fn prefill_time(&self, batch: u32) -> SimTime {
+        self.table.prefill_us(batch)
     }
 
-    /// Time for one decode step over `batch` running sequences.
-    pub fn decode_step_time(&mut self, batch: u32) -> Result<SimTime> {
-        Ok(self.table.decode_step_us(batch))
+    /// Time for one decode step over `batch` running sequences; the table
+    /// clamps `batch` to `max_batch`.
+    pub fn decode_step_time(&self, batch: u32) -> SimTime {
+        self.table.decode_step_us(batch)
     }
 
     /// Time to stream one request's KV cache to another instance
@@ -59,19 +62,6 @@ impl InstanceModel {
         let per_gpu = bytes / self.gpus as f64;
         secs(per_gpu / self.spec.net_bytes_per_s()).max(1)
     }
-}
-
-/// A sequence being served.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ActiveSeq {
-    /// Originating request id.
-    pub id: u64,
-    /// Arrival time of the request.
-    pub arrival: SimTime,
-    /// Prompt length, tokens.
-    pub prompt_len: u32,
-    /// Output tokens still to generate.
-    pub remaining: u32,
 }
 
 #[cfg(test)]
@@ -104,29 +94,26 @@ mod tests {
 
     #[test]
     fn prefill_time_grows_with_batch() {
-        let mut m = model();
-        let t1 = m.prefill_time(1).unwrap();
-        let t8 = m.prefill_time(8).unwrap();
+        let m = model();
+        let t1 = m.prefill_time(1);
+        let t8 = m.prefill_time(8);
         assert!(t8 > t1);
-        // Cache hit returns the same value.
-        assert_eq!(m.prefill_time(8).unwrap(), t8);
+        // A lookup is a pure function of the batch.
+        assert_eq!(m.prefill_time(8), t8);
     }
 
     #[test]
     fn decode_step_in_tens_of_ms() {
-        let mut m = model();
-        let t = m.decode_step_time(32).unwrap();
+        let m = model();
+        let t = m.decode_step_time(32);
         assert!(t > 1_000 && t < 100_000, "t = {t} µs");
     }
 
     #[test]
     fn batch_clamped_to_capacity() {
-        let mut m = model();
+        let m = model();
         let cap = m.max_batch;
-        assert_eq!(
-            m.decode_step_time(cap).unwrap(),
-            m.decode_step_time(cap + 1000).unwrap()
-        );
+        assert_eq!(m.decode_step_time(cap), m.decode_step_time(cap + 1000));
     }
 
     #[test]
