@@ -12,6 +12,8 @@
 //! request spans nest by phase, and KV-transfer/decode legs are async
 //! spans keyed by the RNG-free span id.
 
+use std::fmt::Write;
+
 /// Chrome trace-event phase of one event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Ph {
@@ -212,37 +214,31 @@ pub fn render_chrome_trace(events: &mut [TraceEvent]) -> String {
     events.sort_unstable();
     let mut out = String::with_capacity(events.len() * 110 + 64);
     out.push_str("{\"traceEvents\":[");
+    // Fields are written straight into `out`: writing to a `String`
+    // cannot fail.
     for (i, e) in events.iter().enumerate() {
         if i > 0 {
             out.push_str(",\n");
         }
-        out.push_str("{\"name\":\"");
-        out.push_str(e.name);
-        out.push_str("\",\"cat\":\"");
-        out.push_str(e.cat);
-        out.push_str("\",\"ph\":\"");
-        out.push(e.ph.code());
-        out.push_str("\",\"ts\":");
-        out.push_str(&e.ts_us.to_string());
+        let _ = write!(
+            out,
+            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"{}\",\"ts\":{}",
+            e.name,
+            e.cat,
+            e.ph.code(),
+            e.ts_us
+        );
         if e.ph == Ph::Complete {
-            out.push_str(",\"dur\":");
-            out.push_str(&e.dur_us.to_string());
+            let _ = write!(out, ",\"dur\":{}", e.dur_us);
         }
-        out.push_str(",\"pid\":");
-        out.push_str(&e.pid.to_string());
-        out.push_str(",\"tid\":");
-        out.push_str(&e.tid.to_string());
+        let _ = write!(out, ",\"pid\":{},\"tid\":{}", e.pid, e.tid);
         if matches!(e.ph, Ph::AsyncBegin | Ph::AsyncEnd) {
-            out.push_str(",\"id\":\"");
-            out.push_str(&format!("{:#x}", e.id));
-            out.push('"');
+            let _ = write!(out, ",\"id\":\"{:#x}\"", e.id);
         }
         if e.ph == Ph::Instant {
             out.push_str(",\"s\":\"t\"");
         }
-        out.push_str(",\"args\":{\"v\":");
-        out.push_str(&e.arg.to_string());
-        out.push_str("}}");
+        let _ = write!(out, ",\"args\":{{\"v\":{}}}}}", e.arg);
     }
     out.push_str("],\"displayTimeUnit\":\"ms\"}\n");
     out
