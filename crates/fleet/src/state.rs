@@ -319,14 +319,7 @@ impl KvLinkState {
         acc.kv_bytes_delivered += job.bytes;
         let delay = now_us.saturating_sub(job.ready_us);
         for (wait_us, w) in self.ttfts.drain(..job.ttft_runs as usize) {
-            let ttft = wait_us + delay;
-            acc.ttft.record(ttft, w);
-            let tt = &mut acc.per_tenant[job.tenant as usize];
-            tt.ttft.record(ttft, w);
-            tt.ttft_recorded += w;
-            if ttft <= tk.ttft_slo_us {
-                tt.ttft_slo_ok += w;
-            }
+            acc.record_ttft(job.tenant, wait_us + delay, w, tk.ttft_slo_us);
         }
     }
 
@@ -497,6 +490,19 @@ impl Totals {
             kv_delay: cleared(&mut self.kv_delay),
             ..Default::default()
         };
+    }
+
+    /// Records `weight` first tokens of `tenant`, each `us` µs after its
+    /// arrival: into the fleet and tenant TTFT histograms, and into the
+    /// tenant's TTFT count and, within `slo_us`, its SLO count.
+    pub fn record_ttft(&mut self, tenant: u16, us: u64, weight: u64, slo_us: u64) {
+        self.ttft.record(us, weight);
+        let tt = &mut self.per_tenant[tenant as usize];
+        tt.ttft.record(us, weight);
+        tt.ttft_recorded += weight;
+        if us <= slo_us {
+            tt.ttft_slo_ok += weight;
+        }
     }
 
     /// Adds `other` into `self` (associative, commutative).
@@ -1050,13 +1056,7 @@ impl InstanceState {
                 if !front.retry {
                     let wait_us = (tick as u64 - front.arrival_tick as u64) * knobs.tick_us + cost;
                     if phase == Phase::Mixed {
-                        acc.ttft.record(wait_us, take as u64);
-                        let tt = &mut acc.per_tenant[tenant as usize];
-                        tt.ttft.record(wait_us, take as u64);
-                        tt.ttft_recorded += take as u64;
-                        if wait_us <= tk.ttft_slo_us {
-                            tt.ttft_slo_ok += take as u64;
-                        }
+                        acc.record_ttft(tenant, wait_us, take as u64, tk.ttft_slo_us);
                     } else if let Some(link) = kv.as_deref_mut() {
                         link.ttfts.push_back((wait_us, take as u64));
                         ttft_runs += 1;
