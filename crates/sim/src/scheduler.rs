@@ -125,7 +125,7 @@ pub struct ServingReport {
     /// excludes the KV hand-off to a decode instance and any wait for
     /// decode batch room. The fleet engine (`litegpu-fleet`) records
     /// phase-split TTFT at KV delivery instead, so its TTFT includes
-    /// both.
+    /// both. A request prefilled again after a failure is sampled again.
     pub ttft_p50_s: f64,
     /// 99th-percentile TTFT, seconds (measured as for `ttft_p50_s`).
     pub ttft_p99_s: f64,
