@@ -1324,6 +1324,21 @@ mod tests {
         }
     }
 
+    /// A tenant-0 cohort ready at time 0, as a launch builds it.
+    fn cohort(count: u32, out_len: u64, bytes: u64, ttft_runs: u32) -> KvTransfer {
+        KvTransfer {
+            complete_us: 0,
+            ready_us: 0,
+            tenant: 0,
+            count,
+            out_len,
+            oldest_arrival_tick: 0,
+            bytes,
+            span: 0,
+            ttft_runs,
+        }
+    }
+
     /// Draws Poisson arrivals from the instance's own RNG and pushes
     /// them, the way pre-router tests drove instances directly.
     fn poisson_arrivals(
@@ -1756,33 +1771,37 @@ mod tests {
 
     #[test]
     fn monolithic_prefill_stretches_first_decode_gap() {
-        // A Mixed instance that prefills and decodes in one tick must
-        // record one stretched token gap (prefill interference); a
-        // Decode instance running the same batch must not.
+        // A Mixed instance that prefills and decodes in one tick records
+        // one stretched token gap (prefill interference), so exactly that
+        // step's tokens miss a TBT SLO of one unstretched step; a Decode
+        // instance running the same batch stretches nothing.
         let lut = lut();
         let mut knobs = knobs();
         knobs.tick_us = 2_000_000;
-        let mut acc = Totals::new(1, 1);
-        let mut inst = InstanceState::new(8, 0, &no_failures(), 1, None);
-        // Seed a running batch, then add fresh prompts.
-        inst.admit_decode_cohort(&KvTransfer {
-            complete_us: 0,
-            ready_us: 0,
-            tenant: 0,
-            count: 8,
-            out_len: 1_000,
-            oldest_arrival_tick: 0,
-            bytes: 0,
-            span: 0,
-            ttft_runs: 0,
-        });
-        inst.push_arrivals(0, 4, 0, &knobs, &mut acc);
-        inst.serve(0, &lut, &knobs, Phase::Mixed, 0, None, None, &mut acc);
-        let prefill_cost = lut.prefill_us(4);
+        knobs.tenants[0].output_len = LengthDist::geometric(5000);
         let d = lut.decode_step_us(12);
-        // The TBT histogram saw at least one sample ≥ prefill + step.
-        assert!(acc.tbt.percentile_us(100.0) >= prefill_cost + d - d / 8);
-        assert!(acc.decode_steps > 0);
+        knobs.tenants[0].tbt_slo_us = d;
+        let serve = |phase, running| {
+            let mut acc = Totals::new(1, 1);
+            let mut inst = InstanceState::new(8, 0, &no_failures(), 1, None);
+            inst.admit_decode_cohort(&cohort(running, 1_000, 0, 0));
+            inst.push_arrivals(0, 4, 0, &knobs, &mut acc);
+            inst.serve(0, &lut, &knobs, phase, 0, None, None, &mut acc);
+            acc
+        };
+        // 8 running sequences plus the 4 prefilled this tick.
+        let mixed = serve(Phase::Mixed, 8);
+        assert!(mixed.decode_steps > 1);
+        assert_eq!(mixed.tbt.total(), mixed.decode_steps);
+        assert!(mixed.tbt.percentile_us(100.0) >= lut.prefill_us(4) + d - d / 8);
+        let t = &mixed.per_tenant[0];
+        assert_eq!(t.tbt_slo_ok_tokens, t.generated_tokens - 12);
+        // The same 12 sequences delivered to a Decode instance.
+        let decode = serve(Phase::Decode, 12);
+        assert!(decode.decode_steps > 1);
+        assert_eq!(decode.tbt.total(), decode.decode_steps);
+        let t = &decode.per_tenant[0];
+        assert_eq!(t.tbt_slo_ok_tokens, t.generated_tokens);
     }
 
     #[test]
