@@ -503,10 +503,8 @@ impl<'a> CellSim<'a> {
     /// heap buffer it holds, emptied. Nothing else carries over, and the
     /// RNG streams are seeded from global indices, so reuse cannot move a
     /// draw.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         shared: &'a Shared<'a>,
-        seed: u64,
         cell_idx: u32,
         table: &ArrivalTable,
         hi: u32,
@@ -514,7 +512,7 @@ impl<'a> CellSim<'a> {
         prof: &mut ProfTimer,
         mut spare: Option<Self>,
     ) -> Self {
-        let cfg = shared.cfg;
+        let (cfg, seed) = (shared.cfg, shared.seed);
         let n_tenants = cfg.workload.tenants.len();
         let tick_us = shared.knobs.tick_us;
         let tel = &cfg.telemetry;

@@ -155,6 +155,8 @@ impl SplitShared {
 /// Read-only per-run context shared by every shard.
 pub(crate) struct Shared<'a> {
     pub(crate) cfg: &'a FleetConfig,
+    /// The run seed: every RNG stream derives from it and a global index.
+    pub(crate) seed: u64,
     pub(crate) lut: &'a StepCostTable,
     /// Ticks in the horizon.
     pub(crate) ticks: u32,
@@ -264,6 +266,7 @@ pub fn run_sharded_full(
     let us = |s: f64| (s * 1e6).round() as u64;
     let shared = Shared {
         cfg,
+        seed,
         lut: &lut,
         ticks,
         // The series grid: whole ticks per window, trailing partial
@@ -313,7 +316,7 @@ pub fn run_sharded_full(
     let cells = cfg.num_cells();
     let shards = shards.clamp(1, cells);
     let threads = threads.clamp(1, shards);
-    let workers = run_windows(&shared, seed, shards, threads);
+    let workers = run_windows(&shared, shards, threads);
 
     // Merge in fixed worker order. Totals and series merge by integer
     // addition and the trace gets a total-order sort afterwards, so the

@@ -289,12 +289,7 @@ impl Worker {
 /// total-order sort (trace), so the merged result is byte-identical for
 /// any `(shards, threads)` and any window length that moves no work
 /// between cells.
-pub(crate) fn run_windows(
-    shared: &Shared<'_>,
-    seed: u64,
-    shards: u32,
-    threads: u32,
-) -> Vec<Worker> {
+pub(crate) fn run_windows(shared: &Shared<'_>, shards: u32, threads: u32) -> Vec<Worker> {
     let cfg = shared.cfg;
     let (cells, ticks) = (cfg.num_cells(), shared.ticks);
     let bal = cfg.ctrl.as_ref().and_then(|c| c.balancer.as_ref());
@@ -316,7 +311,6 @@ pub(crate) fn run_windows(
             for c in bounds(s)..bounds(s + 1) {
                 let mut sim = CellSim::new(
                     shared,
-                    seed,
                     c,
                     &table.read().expect(POISONED),
                     b,
