@@ -329,12 +329,10 @@ pub(crate) fn run_windows(shared: &Shared<'_>, shards: u32, threads: u32) -> Vec
             let p = planner.expect("only a balancer cuts the horizon into windows");
             p.plan(shared, b, table, next(b)..next(next(b)));
             b = next(b);
-            for mut sim in std::mem::take(&mut live) {
+            live.retain_mut(|sim| {
                 sim.apply_plan(p.take(sim.cell_idx));
-                if wk.step(&mut sim, b, next(b), planner, table) {
-                    live.push(sim);
-                }
-            }
+                wk.step(sim, b, next(b), planner, table)
+            });
         }
         // Pre-sort this worker's events on its own thread: the merge then
         // sees one sorted run per worker, which the stable sort there
