@@ -853,7 +853,6 @@ impl<'a> CellSim<'a> {
     /// so spare recovery lands at window end + swap; either way the
     /// repair crew is requested for window end.
     fn outages(&mut self, ch: &CellChaos) {
-        let tick_us = self.shared.knobs.tick_us;
         let tick = self.tick;
         while let Some(&(t, oi)) = ch.outage_ticks.get(self.outage_ptr) {
             if t > tick as u64 {
@@ -872,26 +871,30 @@ impl<'a> CellSim<'a> {
                     continue;
                 }
                 self.accrue(iu, tick);
-                self.acc.failures += 1;
                 self.acc.by_kind[*kind] += 1;
-                let spare = self.cell.try_take_spare();
-                let until = if spare {
-                    self.acc.spare_hits += 1;
-                    end.saturating_add(self.shared.rates.swap_us.max(1))
-                } else {
-                    self.acc.spare_misses += 1;
-                    u64::MAX
-                };
-                self.insts[iu].force_down(*start, until, &mut self.acc);
-                self.cell.enqueue_repair(*end, li, spare);
-                self.wake(self.insts[iu].down_until_at_us().div_ceil(tick_us), li);
-                // The repair job becomes dispatchable at the first tick
-                // whose start reaches the window end.
-                self.wake(end.div_ceil(tick_us).max(tick as u64 + 1), u32::MAX);
-                self.forced_down = true;
-                self.busy.remove(iu);
+                let rates = &self.shared.rates;
+                self.insts[iu].fail(li, *start, *end, rates, &mut self.cell, &mut self.acc);
+                self.downed(iu, *end);
             }
         }
+    }
+
+    /// Follow-ups of slot `iu` going down at this tick with its repair
+    /// job workable from `ready_us`: wakes the slot at its recovery and
+    /// the crew dispatch at the first tick whose start reaches `ready_us`
+    /// (the next tick at the earliest: this tick's dispatch already ran),
+    /// flags the tick for the decode re-route sweep, and drops the slot
+    /// from the busy set.
+    fn downed(&mut self, iu: usize, ready_us: u64) {
+        let tick_us = self.shared.knobs.tick_us;
+        let recovery = self.insts[iu].down_until_at_us().div_ceil(tick_us);
+        self.wake(recovery, iu as u32);
+        self.wake(
+            ready_us.div_ceil(tick_us).max(self.tick as u64 + 1),
+            u32::MAX,
+        );
+        self.forced_down = true;
+        self.busy.remove(iu);
     }
 
     /// The windowed campaign state at this tick: partitions, drains and
@@ -1021,13 +1024,8 @@ impl<'a> CellSim<'a> {
             );
             let up = self.insts[iu].up;
             if was_up && !up {
-                self.forced_down = true;
-                self.wake(self.insts[iu].down_until_at_us().div_ceil(tick_us), i);
-                // The failure enqueued a repair job, dispatchable at the
-                // next tick at the earliest (this tick's dispatch already
-                // ran).
-                self.wake(tick as u64 + 1, u32::MAX);
-                self.busy.remove(iu);
+                // The repair job is workable within this tick.
+                self.downed(iu, t_start);
             } else if !was_up && up {
                 // Recovered. The lifecycle returns after a recovery, so a
                 // next-failure time already in the past still fails no

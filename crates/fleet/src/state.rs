@@ -795,9 +795,11 @@ impl InstanceState {
         }
     }
 
-    /// Failure/repair lifecycle for the tick starting at `tick_start_us`.
-    /// `local_idx` is the instance's cell-local index (the handle crew
-    /// dispatches use to schedule its recovery).
+    /// Failure/repair lifecycle for the tick starting at `tick_start_us`:
+    /// a recovery due by the tick's start, or an independent failure
+    /// within the tick ([`Self::fail`]). `local_idx` is the instance's
+    /// cell-local index (the handle crew dispatches use to schedule its
+    /// recovery).
     pub fn lifecycle(
         &mut self,
         local_idx: u32,
@@ -824,34 +826,42 @@ impl InstanceState {
         if self.next_failure_us >= tick_end_us {
             return;
         }
-        // The instance fails this tick. The whole instance goes down —
-        // the paper's instance-wide blast radius — and its KV caches die
-        // with it: running cohorts requeue for a fresh prefill. With a
-        // spare free the instance returns after the swap delay and the
-        // failed unit joins the crew queue as pool replenishment; with
-        // none, the instance itself waits for a repair crew (recovery
-        // time is set when a crew picks the job up).
         let fail_at = self.next_failure_us.max(tick_start_us);
-        acc.failures += 1;
         acc.by_kind[0] += 1; // DomainKind::Independent.
-        if cell.try_take_spare() {
-            acc.spare_hits += 1;
-            self.force_down(fail_at, fail_at.saturating_add(rates.swap_us.max(1)), acc);
-            cell.enqueue_repair(fail_at, local_idx, true);
-        } else {
-            acc.spare_misses += 1;
-            self.force_down(fail_at, u64::MAX, acc);
-            cell.enqueue_repair(fail_at, local_idx, false);
-        }
+        self.fail(local_idx, fail_at, fail_at, rates, cell, acc);
     }
 
-    /// Takes the instance down at `fail_at` until `down_until_us`
-    /// (`u64::MAX` = until a crew dispatch schedules recovery), flushing
-    /// running cohorts back to the queue as retries.
-    pub fn force_down(&mut self, fail_at: u64, down_until_us: u64, acc: &mut Totals) {
+    /// Takes the instance down at `fail_at`, its repair job workable from
+    /// `ready_us`: the failure time itself for an independent failure,
+    /// the window end for a correlated outage (crews cannot enter a dark
+    /// rack). The whole instance goes down — the paper's instance-wide
+    /// blast radius — and its KV caches die with it: running cohorts
+    /// requeue for a fresh prefill. With a spare free the instance
+    /// returns a swap delay after `ready_us` and the failed unit joins the
+    /// crew queue as pool replenishment; with none, the instance itself
+    /// waits for a repair crew (recovery time is set when a crew picks the
+    /// job up). The caller books the failure's kind in `by_kind`.
+    pub fn fail(
+        &mut self,
+        local_idx: u32,
+        fail_at: u64,
+        ready_us: u64,
+        rates: &FailureRates,
+        cell: &mut CellState,
+        acc: &mut Totals,
+    ) {
+        acc.failures += 1;
+        let spare = cell.try_take_spare();
+        self.down_until_us = if spare {
+            acc.spare_hits += 1;
+            ready_us.saturating_add(rates.swap_us.max(1))
+        } else {
+            acc.spare_misses += 1;
+            u64::MAX
+        };
+        cell.enqueue_repair(ready_us, local_idx, spare);
         self.up = false;
         self.down_since_us = fail_at;
-        self.down_until_us = down_until_us;
         self.carry_us = 0;
         let mut flushed = 0u64;
         // Keep the original arrival tick (and tenant) so end-to-end
@@ -1802,6 +1812,48 @@ mod tests {
         assert_eq!(decode.tbt.total(), decode.decode_steps);
         let t = &decode.per_tenant[0];
         assert_eq!(t.tbt_slo_ok_tokens, t.generated_tokens);
+    }
+
+    #[test]
+    fn outage_failures_wait_for_the_window_end() {
+        // Two instances go down in an outage from 1 000 µs to 5 000 µs,
+        // with one spare and one crew: the swap and both repairs wait for
+        // the window to close.
+        let rates = FailureRates {
+            mean_interval_us: 0.0,
+            swap_us: 100,
+            repair_us: 1_000,
+        };
+        let mut acc = Totals::new(1, 1);
+        let mut cell = CellState::new(1, 1, None);
+        let mut insts: Vec<_> = (0..2)
+            .map(|g| InstanceState::new(9, g, &rates, 1, None))
+            .collect();
+        for (li, inst) in insts.iter_mut().enumerate() {
+            inst.fail(li as u32, 1_000, 5_000, &rates, &mut cell, &mut acc);
+            assert!(!inst.up);
+        }
+        assert_eq!((acc.failures, acc.spare_hits, acc.spare_misses), (2, 1, 1));
+        assert_eq!(
+            insts[0].down_until_at_us(),
+            5_100,
+            "swapped after the window"
+        );
+        assert_eq!(insts[1].down_until_at_us(), u64::MAX, "waits for a crew");
+        assert_eq!(
+            insts[1].pending_downtime_us(10_000),
+            9_000,
+            "down from 1 000"
+        );
+        assert!(cell.dispatch_repairs(4_999, rates.repair_us).is_empty());
+        let jobs = cell.dispatch_repairs(5_000, rates.repair_us);
+        let jobs: Vec<_> = jobs
+            .iter()
+            .map(|j| (j.local_idx, j.done_us, j.replenish))
+            .collect();
+        assert_eq!(jobs, [(0, 6_000, true), (1, 7_000, false)]);
+        cell.reclaim_repaired(6_000);
+        assert_eq!(cell.spares_free, 1);
     }
 
     #[test]
