@@ -181,13 +181,16 @@ impl TenantTotals {
     }
 }
 
-/// One prefill→decode KV-cache hand-off in flight on a cell's KV link
-/// (phase-split serving): a whole prefill cohort, priced at prompt-length
-/// × bytes-per-token, waiting out its serialization + queueing delay
-/// before the decode pool may pick it up.
+/// One prefill launch's cohort. On a phase-split cell it is the
+/// prefill→decode KV-cache hand-off in flight on the cell's KV link,
+/// priced at prompt length × bytes-per-token and waiting out its
+/// serialization and queueing delay before the decode pool may pick it
+/// up. On a monolithic cell the launching instance admits it into its own
+/// decode batch at once ([`InstanceState::admit_decode_cohort`]).
 #[derive(Debug, Clone)]
 pub(crate) struct KvTransfer {
-    /// Link time at which the transfer lands, µs.
+    /// Link time at which the transfer lands, µs (set by
+    /// [`KvLinkState::enqueue`]).
     pub complete_us: u64,
     /// Time the hand-off entered the link, µs (TTFT measures from here
     /// until actual delivery into the decode pool).
@@ -263,44 +266,24 @@ impl KvLinkState {
         self.backlog_us(now_us) > self.max_backlog_us
     }
 
-    /// Prices and enqueues one cohort's KV hand-off, recording the link
-    /// accounting (bytes, busy time, queueing + serialization delay).
-    /// TTFT is *not* recorded here: it waits for
-    /// [`KvLinkState::record_delivery`], so time spent head-of-line for
-    /// decode batch room lands in it too. The cohort's `ttft_runs` TTFT
-    /// entries are already pushed onto the link's TTFT FIFO.
-    #[allow(clippy::too_many_arguments)]
-    pub fn enqueue(
-        &mut self,
-        ready_us: u64,
-        tenant: u16,
-        count: u32,
-        out_len: u64,
-        oldest_arrival_tick: u32,
-        bytes: u64,
-        span: u64,
-        ttft_runs: u32,
-        acc: &mut Totals,
-    ) {
+    /// Prices and enqueues one cohort's KV hand-off, setting its
+    /// `complete_us` and recording the link accounting (bytes, busy time,
+    /// queueing + serialization delay). TTFT is *not* recorded here: it
+    /// waits for [`KvLinkState::record_delivery`], so time spent
+    /// head-of-line for decode batch room lands in it too. The cohort's
+    /// `ttft_runs` TTFT entries are already pushed onto the link's TTFT
+    /// FIFO.
+    pub fn enqueue(&mut self, mut job: KvTransfer, acc: &mut Totals) {
         let service =
-            ((bytes as u128 * 1_000_000).div_ceil(self.bytes_per_s as u128) as u64).max(1);
-        let complete = self.free_us.max(ready_us) + service;
-        self.free_us = complete;
+            ((job.bytes as u128 * 1_000_000).div_ceil(self.bytes_per_s as u128) as u64).max(1);
+        job.complete_us = self.free_us.max(job.ready_us) + service;
+        self.free_us = job.complete_us;
         acc.kv_transfers += 1;
-        acc.kv_bytes_queued += bytes;
+        acc.kv_bytes_queued += job.bytes;
         acc.kv_link_busy_us += service;
-        acc.kv_delay.record(complete - ready_us, count as u64);
-        self.queue.push_back(KvTransfer {
-            complete_us: complete,
-            ready_us,
-            tenant,
-            count,
-            out_len,
-            oldest_arrival_tick,
-            bytes,
-            span,
-            ttft_runs,
-        });
+        acc.kv_delay
+            .record(job.complete_us - job.ready_us, job.count as u64);
+        self.queue.push_back(job);
     }
 
     /// Records the delivery into the decode pool, at `now_us`, of the
@@ -1079,13 +1062,28 @@ impl InstanceState {
                     self.queue.pop_front();
                 }
             }
-            let out_len = tk.output_len.sample(&mut self.rng) as u64;
             // Span identity is pure simulation state: every launch gets
             // `(global index << 32) | launch counter` whether or not a
             // trace sink is attached (so traced and untraced runs step
             // through identical states).
             let span = ((self.g as u64) << 32) | self.launches as u64;
             self.launches = self.launches.wrapping_add(1);
+            // Hand-offs enter the link at tick-start resolution: the
+            // link's backlog then measures genuine transfer queueing
+            // only, never the instance's own within-tick serving
+            // progression (which would spuriously trip back-pressure on
+            // an idle link).
+            let job = KvTransfer {
+                complete_us: 0,
+                ready_us: t_start_us,
+                tenant,
+                count: b,
+                out_len: tk.output_len.sample(&mut self.rng) as u64,
+                oldest_arrival_tick: oldest,
+                bytes: tk.kv_bytes_per_req * b as u64,
+                span,
+                ttft_runs,
+            };
             if let Some(ts) = trace.as_deref_mut() {
                 if ts.sampler.sampled(span) {
                     let queued_since_us = oldest as u64 * knobs.tick_us;
@@ -1119,41 +1117,17 @@ impl InstanceState {
                             ts.cell,
                             self.g,
                             span,
-                            tk.kv_bytes_per_req * b as u64,
+                            job.bytes,
                         ));
                     }
                 }
             }
             if phase == Phase::Mixed {
-                self.cohorts.push(Reverse((
-                    self.steps_done + out_len,
-                    oldest,
-                    tenant,
-                    b,
-                    span,
-                )));
-                self.active += b;
-                self.active_by_tenant[tenant as usize] += b;
+                self.admit_decode_cohort(&job);
             } else {
-                let link = kv
-                    .as_deref_mut()
-                    .expect("prefill-phase instances always have a cell KV link");
-                // Hand-offs enter the link at tick-start resolution: the
-                // link's backlog then measures genuine transfer queueing
-                // only, never the instance's own within-tick serving
-                // progression (which would spuriously trip back-pressure
-                // on an idle link).
-                link.enqueue(
-                    t_start_us,
-                    tenant,
-                    b,
-                    out_len,
-                    oldest,
-                    tk.kv_bytes_per_req * b as u64,
-                    span,
-                    ttft_runs,
-                    acc,
-                );
+                kv.as_deref_mut()
+                    .expect("prefill-phase instances always have a cell KV link")
+                    .enqueue(job, acc);
             }
         }
 
@@ -1663,7 +1637,7 @@ mod tests {
         let mut acc = Totals::new(1, 1);
         let tk = knobs().tenants[0];
         link.ttfts.push_back((200_000, 1));
-        link.enqueue(0, 0, 1, 100, 0, 1_000_000, 0, 1, &mut acc);
+        link.enqueue(cohort(1, 100, 1_000_000, 1), &mut acc);
         assert_eq!(acc.kv_transfers, 1);
         assert_eq!(acc.kv_bytes_queued, 1_000_000);
         assert_eq!(acc.kv_link_busy_us, 1_000_000);
@@ -1671,7 +1645,7 @@ mod tests {
         // waits land in it too).
         assert_eq!(acc.per_tenant[0].ttft_recorded, 0);
         // Second transfer queues behind the first: delay 2 s.
-        link.enqueue(0, 0, 1, 100, 0, 1_000_000, 0, 0, &mut acc);
+        link.enqueue(cohort(1, 100, 1_000_000, 0), &mut acc);
         assert_eq!(link.backlog_us(0), 2_000_000);
         assert!(link.backlogged(0), "2 s backlog > 1.5 s threshold");
         assert!(!link.backlogged(1_000_000));
@@ -1738,17 +1712,7 @@ mod tests {
         assert_eq!(inst.active(), 0);
         assert_eq!(inst.queued(), 2);
         // Delivered cohorts decode to completion.
-        inst.admit_decode_cohort(&KvTransfer {
-            complete_us: 0,
-            ready_us: 0,
-            tenant: 0,
-            count: 3,
-            out_len: 10,
-            oldest_arrival_tick: 0,
-            bytes: 3_000_000,
-            span: 0,
-            ttft_runs: 0,
-        });
+        inst.admit_decode_cohort(&cohort(3, 10, 3_000_000, 0));
         assert_eq!(inst.active(), 3);
         inst.serve(1, &lut, &knobs, Phase::Decode, 0, None, None, &mut acc);
         assert_eq!(acc.completed, 3);
