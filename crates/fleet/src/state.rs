@@ -683,11 +683,30 @@ impl CellState {
     }
 }
 
-/// One model instance's simulation state.
 /// `(finish_at_step, arrival_tick, tenant, count, span)` — the min-heap
 /// key for running cohorts.
 type CohortKey = (u64, u32, u16, u32, u64);
 
+/// One [`InstanceState::serve`] call, shared by its prefill and decode
+/// halves.
+struct ServeTick<'a> {
+    tick: u32,
+    /// The tick's start, µs.
+    t_start_us: u64,
+    lut: &'a StepCostTable,
+    knobs: &'a ServeKnobs,
+    /// The operating point: an index into the table's clock grid.
+    ci: usize,
+    /// Serving time left this tick, µs.
+    budget: u64,
+    /// What the work served so far would have taken at the nominal
+    /// clock, µs.
+    nominal_us: u64,
+    trace: Option<&'a mut TraceSink>,
+    acc: &'a mut Totals,
+}
+
+/// One model instance's simulation state.
 #[derive(Debug)]
 pub(crate) struct InstanceState {
     rng: StdRng,
@@ -937,13 +956,19 @@ impl InstanceState {
     /// have taken at the nominal clock (the counterfactual the
     /// energy-saved accounting is measured against).
     ///
+    /// The tick runs the prefill half ([`Self::prefill`]) unless the
+    /// instance only decodes, then the decode half ([`Self::decode`])
+    /// unless it only prefills. `kv`, the cell's KV link, is `Some`
+    /// exactly on phase-split cells, whose slots are Prefill or Decode; a
+    /// monolithic cell's slots are all Mixed.
+    ///
     /// - [`Phase::Mixed`] interleaves prefill (prioritized) and decode,
     ///   as a conventional continuous-batching server does; the tick's
     ///   prefill time stretches the first following decode step's token
     ///   gap (prefill interference — the Splitwise p99-TBT motivation).
     /// - [`Phase::Prefill`] runs prefill only and hands each completed
-    ///   cohort to the cell's KV link (`kv` must be `Some`); a backlogged
-    ///   link back-pressures the launch loop.
+    ///   cohort to the cell's KV link; a backlogged link back-pressures
+    ///   the launch loop.
     /// - [`Phase::Decode`] runs pure decode steps over cohorts delivered
     ///   via [`InstanceState::admit_decode_cohort`], with no prefill
     ///   interference ever.
@@ -955,67 +980,84 @@ impl InstanceState {
         knobs: &ServeKnobs,
         phase: Phase,
         clock: u8,
-        mut kv: Option<&mut KvLinkState>,
-        mut trace: Option<&mut TraceSink>,
+        kv: Option<&mut KvLinkState>,
+        trace: Option<&mut TraceSink>,
         acc: &mut Totals,
     ) -> (u64, u64) {
         if !self.up {
             return (0, 0);
         }
-        if self.queued == 0 && self.active == 0 {
+        if self.is_idle() {
             self.carry_us = 0;
             return (0, 0);
         }
-        let ci = clock as usize;
-        let nom = lut.nominal_clock_idx();
         let budget0 = knobs.tick_us + self.carry_us;
-        let mut budget = budget0;
-        let mut nominal_spent = 0u64;
-        let t_start_us = tick as u64 * knobs.tick_us;
-        let mut kv_stalled = false;
+        let mut cx = ServeTick {
+            tick,
+            t_start_us: tick as u64 * knobs.tick_us,
+            lut,
+            knobs,
+            ci: clock as usize,
+            budget: budget0,
+            nominal_us: 0,
+            trace,
+            acc,
+        };
+        let mut stalled = false;
+        if phase != Phase::Decode {
+            debug_assert_eq!(kv.is_some(), phase == Phase::Prefill);
+            stalled = self.prefill(&mut cx, kv);
+        }
+        if phase != Phase::Prefill {
+            // What prefill spent: 0 unless this is a Mixed instance.
+            let stall_us = budget0 - cx.budget;
+            self.decode(&mut cx, stall_us);
+        }
+        self.carry_us = if self.is_idle() || stalled {
+            0
+        } else {
+            cx.budget
+        };
+        (budget0 - cx.budget, cx.nominal_us)
+    }
 
-        // Prefill first, as the small simulator does. One launch serves
-        // one tenant (so it prices that tenant's prompts and samples its
-        // output-length distribution) but batches across *adjacent*
-        // same-tenant queue runs — without that, low-rate traffic whose
-        // per-tick runs are 1-2 requests would never amortize a prefill
-        // launch the way the engine's capacity estimate assumes.
-        let mut prefill_spent = 0u64;
-        while phase != Phase::Decode
-            && self.queued > 0
-            && (phase == Phase::Prefill || self.active < lut.max_batch)
-        {
+    /// The prefill half of [`Self::serve`], which runs first, as in the
+    /// small simulator: it launches while requests wait, the decode batch
+    /// has room and the budget covers the next launch. One launch serves
+    /// one tenant (so it prices that tenant's prompts and samples its
+    /// output-length distribution) but batches across *adjacent*
+    /// same-tenant queue runs — without that, low-rate traffic whose
+    /// per-tick runs are 1-2 requests would never amortize a prefill
+    /// launch the way the engine's capacity estimate assumes. Each
+    /// launch's cohort goes to the KV link `kv` when there is one, and
+    /// into this instance's own decode batch otherwise. Returns whether a
+    /// backlogged link stalled the launches.
+    fn prefill(&mut self, cx: &mut ServeTick<'_>, mut kv: Option<&mut KvLinkState>) -> bool {
+        let (lut, knobs) = (cx.lut, cx.knobs);
+        let at_nominal = cx.ci == lut.nominal_clock_idx();
+        // A slot changes phase only while idle, the link delivers only to
+        // decode slots, and a failure empties the batch: a prefill-pool
+        // instance never holds a decode batch.
+        debug_assert!(kv.is_none() || self.active == 0);
+        while self.queued > 0 && self.active < lut.max_batch {
             // A saturated KV link back-pressures the prefill pool: the
             // prompts stay queued, their wait grows, and the eventual
             // TTFT absorbs it. Stalled time is wasted, not banked.
-            if let Some(link) = kv.as_deref_mut() {
-                if link.backlogged(t_start_us) {
-                    acc.kv_backpressure_stalls += 1;
-                    kv_stalled = true;
-                    break;
-                }
+            if kv.as_deref().is_some_and(|l| l.backlogged(cx.t_start_us)) {
+                cx.acc.kv_backpressure_stalls += 1;
+                return true;
             }
             let tenant = self.queue.front().expect("queued > 0 implies a run").tenant;
             let tk = knobs.tenants[tenant as usize];
             // Admission is bounded by the table's prefill capacity too:
             // charging a larger batch at a clamped (smaller-batch) price
-            // would undercount prefill time. A dedicated prefill instance
-            // holds no decode batch, so only the launch caps apply.
-            let cap = if phase == Phase::Mixed {
-                knobs
-                    .max_prefill_batch
-                    .min(lut.max_batch - self.active)
-                    .min(lut.max_prefill_batch)
-            } else {
-                // A dedicated prefill instance holds no decode batch, but
-                // its cohorts must still fit a decode instance's batch
-                // limit — a larger cohort could never be delivered and
-                // would wedge the cell's KV FIFO behind it forever.
-                knobs
-                    .max_prefill_batch
-                    .min(lut.max_prefill_batch)
-                    .min(lut.max_batch)
-            };
+            // would undercount prefill time. A prefill-pool instance's
+            // cohorts must still fit a decode instance's batch limit — a
+            // larger cohort could never be delivered and would wedge the
+            // cell's KV FIFO behind it forever.
+            let cap = (knobs.max_prefill_batch)
+                .min(lut.max_prefill_batch)
+                .min(lut.max_batch - self.active);
             let mut b = 0u32;
             for run in &self.queue {
                 if run.tenant != tenant || b >= cap {
@@ -1023,36 +1065,38 @@ impl InstanceState {
                 }
                 b += run.count.min(cap - b);
             }
-            let cost = tk.prefill_cost_us(lut.prefill_us_at(ci, b));
-            if budget < cost {
+            let cost = tk.prefill_cost_us(lut.prefill_us_at(cx.ci, b));
+            if cx.budget < cost {
                 break;
             }
-            budget -= cost;
-            prefill_spent += cost;
-            nominal_spent += if ci == nom {
+            cx.budget -= cost;
+            // At the nominal clock the counterfactual is the cost itself.
+            cx.nominal_us += if at_nominal {
                 cost
             } else {
                 tk.prefill_cost_us(lut.prefill_us(b))
             };
-            // Pop b across the runs, recording TTFT per non-retry run
-            // (each run keeps its own queueing delay); the cohort's e2e
-            // clock starts at the oldest popped run's arrival. Under
-            // phase-split, TTFT is deferred to the KV-link hand-off so
-            // the transfer delay lands in it.
-            let mut ttft_runs = 0u32;
-            let mut oldest = tick;
-            let mut remaining = b;
+            // Pop b across the runs. Each non-retry run keeps its own
+            // queueing delay for TTFT: recorded now without a link, and
+            // queued on the link's TTFT FIFO with one, so that the
+            // hand-off delay lands in it at delivery. The cohort's e2e
+            // clock starts at the oldest popped run's arrival.
+            let (mut oldest, mut ttft_runs, mut remaining) = (cx.tick, 0u32, b);
             while remaining > 0 {
                 let front = self.queue.front_mut().expect("b covers queued");
                 let take = front.count.min(remaining);
                 oldest = oldest.min(front.arrival_tick);
                 if !front.retry {
-                    let wait_us = (tick as u64 - front.arrival_tick as u64) * knobs.tick_us + cost;
-                    if phase == Phase::Mixed {
-                        acc.record_ttft(tenant, wait_us, take as u64, tk.ttft_slo_us);
-                    } else if let Some(link) = kv.as_deref_mut() {
-                        link.ttfts.push_back((wait_us, take as u64));
-                        ttft_runs += 1;
+                    let wait_us =
+                        (cx.tick as u64 - front.arrival_tick as u64) * knobs.tick_us + cost;
+                    match kv.as_deref_mut() {
+                        Some(link) => {
+                            link.ttfts.push_back((wait_us, take as u64));
+                            ttft_runs += 1;
+                        }
+                        None => cx
+                            .acc
+                            .record_ttft(tenant, wait_us, take as u64, tk.ttft_slo_us),
                     }
                 }
                 front.count -= take;
@@ -1075,7 +1119,7 @@ impl InstanceState {
             // an idle link).
             let job = KvTransfer {
                 complete_us: 0,
-                ready_us: t_start_us,
+                ready_us: cx.t_start_us,
                 tenant,
                 count: b,
                 out_len: tk.output_len.sample(&mut self.rng) as u64,
@@ -1084,106 +1128,90 @@ impl InstanceState {
                 span,
                 ttft_runs,
             };
-            if let Some(ts) = trace.as_deref_mut() {
-                if ts.sampler.sampled(span) {
-                    let queued_since_us = oldest as u64 * knobs.tick_us;
-                    ts.buf.push(TraceEvent::complete(
-                        "req",
-                        "queue",
-                        queued_since_us,
-                        t_start_us - queued_since_us,
-                        ts.cell,
-                        self.g,
-                        tenant as u64,
-                    ));
-                    ts.buf.push(TraceEvent::complete(
-                        "req", "prefill", t_start_us, cost, ts.cell, self.g, b as u64,
-                    ));
-                    if phase == Phase::Mixed {
-                        ts.buf.push(TraceEvent::async_begin(
-                            "req",
-                            "decode",
-                            t_start_us + cost,
-                            ts.cell,
-                            self.g,
-                            span,
-                            b as u64,
-                        ));
-                    } else {
-                        ts.buf.push(TraceEvent::async_begin(
-                            "req",
-                            "kv_transfer",
-                            t_start_us,
-                            ts.cell,
-                            self.g,
-                            span,
-                            job.bytes,
-                        ));
-                    }
-                }
+            if let Some(ts) = cx
+                .trace
+                .as_deref_mut()
+                .filter(|ts| ts.sampler.sampled(span))
+            {
+                let queued_since_us = oldest as u64 * knobs.tick_us;
+                let (t0, g) = (cx.t_start_us, self.g);
+                ts.buf.push(TraceEvent::complete(
+                    "req",
+                    "queue",
+                    queued_since_us,
+                    t0 - queued_since_us,
+                    ts.cell,
+                    g,
+                    tenant as u64,
+                ));
+                ts.buf.push(TraceEvent::complete(
+                    "req", "prefill", t0, cost, ts.cell, g, b as u64,
+                ));
+                // The async leg: the hand-off from tick start, or the
+                // local decode from the launch's end.
+                let (leg, at, arg) = if kv.is_some() {
+                    ("kv_transfer", t0, job.bytes)
+                } else {
+                    ("decode", t0 + cost, b as u64)
+                };
+                ts.buf.push(TraceEvent::async_begin(
+                    "req", leg, at, ts.cell, g, span, arg,
+                ));
             }
-            if phase == Phase::Mixed {
-                self.admit_decode_cohort(&job);
-            } else {
-                kv.as_deref_mut()
-                    .expect("prefill-phase instances always have a cell KV link")
-                    .enqueue(job, acc);
+            match kv.as_deref_mut() {
+                Some(link) => link.enqueue(job, cx.acc),
+                None => self.admit_decode_cohort(&job),
             }
         }
+        false
+    }
 
-        // Decode: run whole steps until the budget or the batch runs out,
-        // popping cohorts as they finish so the batch (and so the step
-        // time) stays current. Step time is shared by the whole batch;
-        // token attribution and TBT-SLO accounting are per tenant. On a
-        // Mixed instance the tick's prefill launches sat between decode
-        // steps, so the first step's token gap stretches by the prefill
-        // time; dedicated decode instances never pay that.
-        let mut stall_us = prefill_spent;
-        while phase != Phase::Prefill && self.active > 0 {
-            let d = lut.decode_step_us_at(ci, self.active);
-            let affordable = budget / d;
+    /// The decode half of [`Self::serve`]: runs whole steps until the
+    /// budget or the batch runs out, popping cohorts as they finish so
+    /// the batch (and so the step time) stays current. Step time is
+    /// shared by the whole batch; token attribution and TBT-SLO
+    /// accounting are per tenant. `stall_us`, the tick's prefill time,
+    /// stretches the first step's token gap: on a Mixed instance the
+    /// launches sat between decode steps, and a Decode instance passes 0.
+    fn decode(&mut self, cx: &mut ServeTick<'_>, mut stall_us: u64) {
+        let (lut, knobs) = (cx.lut, cx.knobs);
+        let at_nominal = cx.ci == lut.nominal_clock_idx();
+        while self.active > 0 {
+            let d = lut.decode_step_us_at(cx.ci, self.active);
+            let affordable = cx.budget / d;
             if affordable == 0 {
                 break;
             }
             let next_finish = self
                 .cohorts
                 .peek()
-                .map(|Reverse((f, _, _, _, _))| *f)
+                .map(|Reverse((f, ..))| *f)
                 .expect("active > 0 implies cohorts");
             let run = affordable.min(next_finish - self.steps_done).max(1);
             self.steps_done += run;
-            budget -= run * d;
-            nominal_spent += run
-                * if ci == nom {
+            cx.budget -= run * d;
+            cx.nominal_us += run
+                * if at_nominal {
                     d
                 } else {
                     lut.decode_step_us(self.active)
                 };
+            let acc = &mut *cx.acc;
             acc.generated_tokens += run * self.active as u64;
             acc.decode_steps += run;
-            if stall_us > 0 {
-                acc.tbt.record(d + stall_us, 1);
-                if run > 1 {
-                    acc.tbt.record(d, run - 1);
-                }
-            } else {
-                acc.tbt.record(d, run);
-            }
+            // The steps the stall stretches: the run's first, if any.
+            let stalled = u64::from(stall_us > 0);
+            acc.tbt.record(d + stall_us, stalled);
+            acc.tbt.record(d, run - stalled);
             for (t, &a) in self.active_by_tenant.iter().enumerate() {
-                if a == 0 {
-                    continue;
-                }
-                let tokens = run * a as u64;
                 let tt = &mut acc.per_tenant[t];
-                tt.generated_tokens += tokens;
+                tt.generated_tokens += run * a as u64;
                 let slo = knobs.tenants[t].tbt_slo_us;
-                // The first step of the tick carries the prefill stall.
-                let stalled_tokens = if stall_us > 0 { a as u64 } else { 0 };
                 if d + stall_us <= slo {
-                    tt.tbt_slo_ok_tokens += stalled_tokens;
+                    tt.tbt_slo_ok_tokens += stalled * a as u64;
                 }
                 if d <= slo {
-                    tt.tbt_slo_ok_tokens += tokens - stalled_tokens;
+                    tt.tbt_slo_ok_tokens += (run - stalled) * a as u64;
                 }
             }
             stall_us = 0;
@@ -1197,34 +1225,30 @@ impl InstanceState {
                 self.active -= count;
                 self.active_by_tenant[tenant as usize] -= count;
                 acc.completed += count as u64;
-                let e2e_us = (tick as u64 + 1)
+                let e2e_us = (cx.tick as u64 + 1)
                     .saturating_sub(arrival_tick as u64)
                     .saturating_mul(knobs.tick_us);
                 acc.e2e.record(e2e_us, count as u64);
                 let tt = &mut acc.per_tenant[tenant as usize];
                 tt.completed += count as u64;
                 tt.e2e.record(e2e_us, count as u64);
-                if let Some(ts) = trace.as_deref_mut() {
-                    if ts.sampler.sampled(span) {
-                        ts.buf.push(TraceEvent::async_end(
-                            "req",
-                            "decode",
-                            (tick as u64 + 1) * knobs.tick_us,
-                            ts.cell,
-                            self.g,
-                            span,
-                            count as u64,
-                        ));
-                    }
+                if let Some(ts) = cx
+                    .trace
+                    .as_deref_mut()
+                    .filter(|ts| ts.sampler.sampled(span))
+                {
+                    ts.buf.push(TraceEvent::async_end(
+                        "req",
+                        "decode",
+                        (cx.tick as u64 + 1) * knobs.tick_us,
+                        ts.cell,
+                        self.g,
+                        span,
+                        count as u64,
+                    ));
                 }
             }
         }
-        self.carry_us = if (self.queued == 0 && self.active == 0) || kv_stalled {
-            0
-        } else {
-            budget
-        };
-        (budget0 - budget, nominal_spent)
     }
 
     /// Admits a transferred cohort into this (decode-phase) instance's
