@@ -888,11 +888,9 @@ impl<'a> CellSim<'a> {
     fn downed(&mut self, iu: usize, ready_us: u64) {
         let tick_us = self.shared.knobs.tick_us;
         let recovery = self.insts[iu].down_until_at_us().div_ceil(tick_us);
+        let dispatch = ready_us.div_ceil(tick_us).max(self.tick as u64 + 1);
         self.wake(recovery, iu as u32);
-        self.wake(
-            ready_us.div_ceil(tick_us).max(self.tick as u64 + 1),
-            u32::MAX,
-        );
+        self.wake(dispatch, u32::MAX);
         self.forced_down = true;
         self.busy.remove(iu);
     }
@@ -1040,10 +1038,11 @@ impl<'a> CellSim<'a> {
         // A failed decode instance's requeued work (KV lost) must go
         // back through the prefill pool — decode slots never prefill, so
         // anything the lifecycle parked on their queue re-routes.
-        // Decode-side queues only ever appear through a force-down flush,
-        // so the sweep is due exactly on force-down ticks and while a
-        // previous sweep left work unplaced (`decode_retry` then forces
-        // every tick until the pool can take it).
+        // Decode-side queues only ever appear through the flush in
+        // `InstanceState::fail`, so the sweep is due exactly on ticks
+        // with a failure (`forced_down`) and while a previous sweep left
+        // work unplaced (`decode_retry` then forces every tick until the
+        // pool can take it).
         //
         // Target: the least-queued prefill slot that is up and actually
         // serving, ties to the lowest index; parking the work behind a

@@ -1055,7 +1055,8 @@ impl InstanceState {
             // cohorts must still fit a decode instance's batch limit — a
             // larger cohort could never be delivered and would wedge the
             // cell's KV FIFO behind it forever.
-            let cap = (knobs.max_prefill_batch)
+            let cap = knobs
+                .max_prefill_batch
                 .min(lut.max_prefill_batch)
                 .min(lut.max_batch - self.active);
             let mut b = 0u32;
