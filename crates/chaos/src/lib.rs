@@ -25,7 +25,7 @@
 //!   limit. H100s run near their cooling class's ceiling and clamp
 //!   hard; Lite-GPUs sit far below the forced-air limit and often ride
 //!   the same excursion through at full clock.
-//! - [`run_campaign`] runs a config under a campaign, and
+//! - [`run_campaign_full`] runs a config under a campaign, and
 //!   [`ChaosReport`] collects the per-fleet [`CampaignOutcome`]s
 //!   (availability, per-tenant SLO attainment, energy, spares consumed,
 //!   MTTR) that the `sim_chaos` binary sweeps.
@@ -33,7 +33,7 @@
 use litegpu_cluster::DomainTopology;
 use litegpu_fleet::engine::{ChaosSpec, DomainEvent, DomainEventKind, FleetConfig};
 use litegpu_fleet::report::{FailureBreakdown, FleetReport};
-use litegpu_fleet::{run_sharded, run_sharded_full, FleetRun};
+use litegpu_fleet::{run_sharded_full, FleetRun};
 use litegpu_specs::cooling::CoolingClass;
 use litegpu_specs::power::PowerModel;
 use litegpu_specs::GpuSpec;
@@ -183,17 +183,6 @@ pub struct Campaign {
 }
 
 impl Campaign {
-    /// A demo campaign of the given kind: four events of ten minutes at
-    /// half-strength cooling.
-    pub fn demo(kind: CampaignKind) -> Self {
-        Campaign {
-            kind,
-            events: 4,
-            duration_s: 600.0,
-            intensity: 0.5,
-        }
-    }
-
     fn validate(&self) -> Result<()> {
         if self.events == 0 {
             return Err(ChaosError::InvalidParameter {
@@ -382,25 +371,10 @@ pub fn compile(
     Ok(ChaosSpec { events })
 }
 
-/// Compiles the campaign into `cfg` and runs the fleet.
-pub fn run_campaign(
-    cfg: &FleetConfig,
-    plan: &DomainPlan,
-    campaign: &Campaign,
-    seed: u64,
-    shards: u32,
-    threads: u32,
-) -> Result<FleetReport> {
-    let spec = compile(cfg, plan, campaign, seed)?;
-    let mut c = cfg.clone();
-    c.chaos = spec;
-    Ok(run_sharded(&c, seed, shards, threads)?)
-}
-
-/// [`run_campaign`] plus whatever telemetry `cfg.telemetry` asked for
-/// (availability series, trace of the campaign's outages/repairs,
-/// engine profile) — the recovery-timeline view the per-campaign table
-/// cannot show.
+/// Compiles the campaign into `cfg` and runs the fleet, with whatever
+/// telemetry `cfg.telemetry` asked for (availability series, trace of the
+/// campaign's outages/repairs, engine profile) — the recovery-timeline
+/// view the per-campaign table cannot show.
 pub fn run_campaign_full(
     cfg: &FleetConfig,
     plan: &DomainPlan,
@@ -530,8 +504,18 @@ impl ChaosReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use litegpu_fleet::run;
+    use litegpu_fleet::{run, run_sharded};
     use proptest::prelude::*;
+
+    /// Four events of ten minutes at half-strength cooling.
+    fn demo(kind: CampaignKind) -> Campaign {
+        Campaign {
+            kind,
+            events: 4,
+            duration_s: 600.0,
+            intensity: 0.5,
+        }
+    }
 
     fn cfg() -> FleetConfig {
         let mut c = FleetConfig::h100_demo();
@@ -547,7 +531,7 @@ mod tests {
         let c = cfg();
         let plan = DomainPlan::default();
         for kind in CampaignKind::ALL {
-            let camp = Campaign::demo(kind);
+            let camp = demo(kind);
             let a = compile(&c, &plan, &camp, 7).unwrap();
             let b = compile(&c, &plan, &camp, 7).unwrap();
             assert_eq!(a, b, "{kind:?} schedule must be seed-deterministic");
@@ -560,7 +544,7 @@ mod tests {
         let c = cfg();
         let plan = DomainPlan::default();
         for kind in CampaignKind::ALL {
-            let spec = compile(&c, &plan, &Campaign::demo(kind), 3).unwrap();
+            let spec = compile(&c, &plan, &demo(kind), 3).unwrap();
             let mut with = c.clone();
             with.chaos = spec;
             with.validate().unwrap();
@@ -572,7 +556,7 @@ mod tests {
         let c = cfg();
         let plan = DomainPlan::default();
         let topo = topology(&c, &plan).unwrap();
-        let spec = compile(&c, &plan, &Campaign::demo(CampaignKind::RackOutages), 11).unwrap();
+        let spec = compile(&c, &plan, &demo(CampaignKind::RackOutages), 11).unwrap();
         let sizes: Vec<usize> = (0..topo.num_racks())
             .map(|r| topo.rack_instances(r).len())
             .collect();
@@ -588,7 +572,7 @@ mod tests {
         let spec = compile(
             &c,
             &DomainPlan::default(),
-            &Campaign::demo(CampaignKind::RollingDrain),
+            &demo(CampaignKind::RollingDrain),
             1,
         )
         .unwrap();
@@ -629,7 +613,9 @@ mod tests {
             duration_s: 300.0,
             intensity: 0.5,
         };
-        let report = run_campaign(&c, &DomainPlan::default(), &camp, 5, 2, 2).unwrap();
+        let report = run_campaign_full(&c, &DomainPlan::default(), &camp, 5, 2, 2)
+            .unwrap()
+            .report;
         let chaos = report
             .chaos
             .as_ref()
@@ -650,13 +636,13 @@ mod tests {
     fn invalid_campaigns_rejected() {
         let c = cfg();
         let plan = DomainPlan::default();
-        let mut camp = Campaign::demo(CampaignKind::RackOutages);
+        let mut camp = demo(CampaignKind::RackOutages);
         camp.events = 0;
         assert!(compile(&c, &plan, &camp, 1).is_err());
-        let mut camp = Campaign::demo(CampaignKind::RackOutages);
+        let mut camp = demo(CampaignKind::RackOutages);
         camp.duration_s = c.horizon_s * 2.0;
         assert!(compile(&c, &plan, &camp, 1).is_err());
-        let mut camp = Campaign::demo(CampaignKind::ThermalExcursions);
+        let mut camp = demo(CampaignKind::ThermalExcursions);
         camp.intensity = 0.0;
         assert!(compile(&c, &plan, &camp, 1).is_err());
         let mut plan_bad = plan;

@@ -25,56 +25,6 @@
 
 use crate::{ClusterError, Result};
 
-/// The kind of failure domain an event (or a failure tally) belongs to.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
-pub enum DomainKind {
-    /// An i.i.d. per-instance failure (the AFR Poisson process).
-    Independent,
-    /// A whole-rack loss (power feed, top-of-rack switch).
-    Rack,
-    /// A power-domain loss (breaker/feeder trip spanning several racks).
-    Power,
-    /// A network partition isolating one or more cells.
-    Partition,
-    /// A thermal excursion clamping clocks below nominal.
-    Thermal,
-}
-
-impl DomainKind {
-    /// All kinds, in the canonical breakdown order.
-    pub const ALL: [DomainKind; 5] = [
-        DomainKind::Independent,
-        DomainKind::Rack,
-        DomainKind::Power,
-        DomainKind::Partition,
-        DomainKind::Thermal,
-    ];
-
-    /// Stable index into breakdown arrays (`[u64; 5]` tallies).
-    pub fn index(&self) -> usize {
-        match self {
-            DomainKind::Independent => 0,
-            DomainKind::Rack => 1,
-            DomainKind::Power => 2,
-            DomainKind::Partition => 3,
-            DomainKind::Thermal => 4,
-        }
-    }
-
-    /// Human-readable label used in reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            DomainKind::Independent => "independent",
-            DomainKind::Rack => "rack",
-            DomainKind::Power => "power",
-            DomainKind::Partition => "partition",
-            DomainKind::Thermal => "thermal",
-        }
-    }
-}
-
 /// A fleet's physical failure-domain topology, derived deterministically
 /// from instance count and per-instance/per-rack power budgets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -155,27 +105,22 @@ impl DomainTopology {
         let hi = self.rack_instances(last).end;
         lo..hi.max(lo)
     }
-
-    /// Capacity fraction stranded by the loss of rack `r`.
-    pub fn rack_stranded_fraction(&self, rack: u32) -> f64 {
-        self.rack_instances(rack).len() as f64 / self.instances as f64
-    }
-
-    /// Mean stranded capacity fraction over all racks — the expected
-    /// blast radius of a uniformly random rack loss.
-    pub fn mean_rack_stranded_fraction(&self) -> f64 {
-        let racks = self.num_racks();
-        (0..racks)
-            .map(|r| self.rack_stranded_fraction(r))
-            .sum::<f64>()
-            / racks as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Mean capacity fraction stranded by one rack loss over all racks —
+    /// the expected blast radius of a uniformly random rack loss.
+    fn mean_rack_stranded_fraction(t: &DomainTopology) -> f64 {
+        let racks = t.num_racks();
+        (0..racks)
+            .map(|r| t.rack_instances(r).len() as f64 / t.instances as f64)
+            .sum::<f64>()
+            / racks as f64
+    }
 
     #[test]
     fn rack_spans_cover_the_fleet_without_gaps() {
@@ -251,7 +196,7 @@ mod tests {
             }
             prop_assert_eq!(h.fleet_mw(), l.fleet_mw());
             prop_assert_eq!(h.num_racks(), l.num_racks());
-            let (hf, lf) = (h.mean_rack_stranded_fraction(), l.mean_rack_stranded_fraction());
+            let (hf, lf) = (mean_rack_stranded_fraction(&h), mean_rack_stranded_fraction(&l));
             prop_assert!(
                 lf < hf,
                 "lite mean stranded {} must beat h100 {} (rack {} mW)",

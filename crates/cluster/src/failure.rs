@@ -17,8 +17,7 @@ use rand::{Rng, SeedableRng};
 /// Hours per year (failure-rate bookkeeping).
 pub const HOURS_PER_YEAR: f64 = 8760.0;
 
-// # Unit convention (shared with `litegpu_sim::failover` and
-// `litegpu_fleet`)
+// # Unit convention (shared with `litegpu_fleet`)
 //
 // An AFR in this suite is an *annualized Poisson rate* — expected failure
 // events per GPU per year — not a probability. For the small per-hour

@@ -1,21 +1,17 @@
 //! Cluster-management models for the `litegpu` suite: the systems
 //! opportunities of §3.
 //!
-//! The paper argues Lite-GPUs unlock finer-grained resource management,
-//! better power proportionality, and smaller failure blast radii. This
-//! crate makes each argument executable:
+//! The paper argues Lite-GPUs unlock better power proportionality and
+//! smaller failure blast radii. This crate makes each argument
+//! executable:
 //!
 //! - [`node`]: node/rack/cluster composition and aggregate budgets.
-//! - [`alloc`]: a GPU allocator that quantifies the fragmentation cost of
-//!   coarse allocation units (big GPUs) vs. fine ones (Lite-GPUs).
 //! - [`power_mgmt`]: load-following policies — whole-GPU DVFS vs.
 //!   per-Lite-GPU gating — evaluated over diurnal load traces.
 //! - [`failure`]: Monte-Carlo failure injection with area-dependent
 //!   failure rates, blast-radius accounting and hot-spare provisioning.
 //! - [`domain`]: correlated failure domains (instance → rack → power
 //!   domain) with straddle-collateral blast-radius accounting.
-//! - [`datacenter`]: rack-level power/cooling composition (the "no liquid
-//!   cooling" argument).
 //!
 //! # Examples
 //!
@@ -29,16 +25,12 @@
 //! assert!((rel.blast_radius_fraction() - 0.125).abs() < 1e-12);
 //! ```
 
-pub mod alloc;
-pub mod datacenter;
 pub mod domain;
 pub mod failure;
-pub mod memory_pool;
 pub mod node;
 pub mod power_mgmt;
 
-pub use alloc::{AllocOutcome, Allocator, GpuRequest};
-pub use domain::{DomainKind, DomainTopology};
+pub use domain::DomainTopology;
 pub use failure::{ClusterReliability, FailureModel, MonteCarloAvailability};
 pub use node::ClusterSpec;
 

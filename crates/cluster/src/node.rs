@@ -1,7 +1,6 @@
 //! Node, rack and cluster composition.
 
 use crate::{check_positive, Result};
-use litegpu_specs::cooling::CoolingClass;
 use litegpu_specs::GpuSpec;
 
 /// A homogeneous GPU cluster description.
@@ -54,41 +53,6 @@ impl ClusterSpec {
     pub fn total_gpus(&self) -> u32 {
         self.gpus_per_node * self.nodes
     }
-
-    /// Aggregate peak compute, FLOP/s.
-    pub fn total_flops(&self) -> f64 {
-        self.total_gpus() as f64 * self.gpu.flops()
-    }
-
-    /// Aggregate HBM capacity, bytes.
-    pub fn total_mem_bytes(&self) -> f64 {
-        self.total_gpus() as f64 * self.gpu.mem_capacity_bytes()
-    }
-
-    /// Aggregate HBM bandwidth, bytes/s.
-    pub fn total_mem_bw(&self) -> f64 {
-        self.total_gpus() as f64 * self.gpu.mem_bytes_per_s()
-    }
-
-    /// Peak power draw: GPUs at TDP plus node overheads, W.
-    pub fn peak_power_w(&self) -> f64 {
-        self.total_gpus() as f64 * self.gpu.tdp_w + self.nodes as f64 * self.node_overhead_w
-    }
-
-    /// Idle power draw, W.
-    pub fn idle_power_w(&self) -> f64 {
-        self.total_gpus() as f64 * self.gpu.idle_power_w + self.nodes as f64 * self.node_overhead_w
-    }
-
-    /// Cooling class required per GPU package.
-    pub fn package_cooling(&self) -> CoolingClass {
-        CoolingClass::required_for(self.gpu.tdp_w)
-    }
-
-    /// Total SMs in the cluster.
-    pub fn total_sms(&self) -> u32 {
-        self.total_gpus() * self.gpu.sms
-    }
 }
 
 #[cfg(test)]
@@ -100,20 +64,13 @@ mod tests {
         // 8 H100 vs 32 Lite: same FLOPS, memory, bandwidth, SMs.
         let h = ClusterSpec::h100_node();
         let l = ClusterSpec::lite_node();
-        assert_eq!(h.total_flops(), l.total_flops());
-        assert_eq!(h.total_mem_bytes(), l.total_mem_bytes());
-        assert!((h.total_mem_bw() - l.total_mem_bw()).abs() / h.total_mem_bw() < 0.01);
-        assert_eq!(h.total_sms(), l.total_sms());
-    }
-
-    #[test]
-    fn peak_power_similar_but_cooling_differs() {
-        let h = ClusterSpec::h100_node();
-        let l = ClusterSpec::lite_node();
-        // Same silicon, same aggregate TDP.
-        assert!((h.peak_power_w() - l.peak_power_w()).abs() / h.peak_power_w() < 0.01);
-        // But the H100 package needs a stronger cooling class.
-        assert!(l.package_cooling() < h.package_cooling());
+        let total = |c: &ClusterSpec, per_gpu: f64| c.total_gpus() as f64 * per_gpu;
+        assert_eq!(total(&h, h.gpu.flops()), total(&l, l.gpu.flops()));
+        let (hm, lm) = (h.gpu.mem_capacity_bytes(), l.gpu.mem_capacity_bytes());
+        assert_eq!(total(&h, hm), total(&l, lm));
+        let (hb, lb) = (h.gpu.mem_bytes_per_s(), l.gpu.mem_bytes_per_s());
+        assert!((total(&h, hb) - total(&l, lb)).abs() / total(&h, hb) < 0.01);
+        assert_eq!(h.total_gpus() * h.gpu.sms, l.total_gpus() * l.gpu.sms);
     }
 
     #[test]
@@ -122,11 +79,5 @@ mod tests {
         assert!(ClusterSpec::new(gpu.clone(), 0, 1, 0.0).is_err());
         assert!(ClusterSpec::new(gpu.clone(), 8, 0, 0.0).is_err());
         assert!(ClusterSpec::new(gpu, 8, 1, -5.0).is_err());
-    }
-
-    #[test]
-    fn idle_below_peak() {
-        let h = ClusterSpec::h100_node();
-        assert!(h.idle_power_w() < h.peak_power_w());
     }
 }

@@ -202,7 +202,9 @@ mod tests {
         let h = power_at_load(&c, Policy::GateToEfficiency, 1.0).unwrap();
         assert!((a - b).abs() < 1e-9);
         assert!((a - h).abs() < 1e-9);
-        assert!((a - c.peak_power_w()).abs() < 1e-9);
+        // Every GPU at TDP plus the node overheads.
+        let peak = c.total_gpus() as f64 * c.gpu.tdp_w + c.nodes as f64 * c.node_overhead_w;
+        assert!((a - peak).abs() < 1e-9);
     }
 
     #[test]

@@ -61,20 +61,6 @@ impl Default for Autoscaler {
 }
 
 impl Autoscaler {
-    /// Smoothed total cell demand estimate, requests/s (for
-    /// tests/diagnostics).
-    pub fn ewma_rps(&self) -> Option<f64> {
-        match (self.ewma_guaranteed_rps, self.ewma_best_effort_rps) {
-            (None, None) => None,
-            (g, b) => Some(g.unwrap_or(0.0) + b.unwrap_or(0.0)),
-        }
-    }
-
-    /// Whether best-effort traffic is currently admitted.
-    pub fn allows_best_effort(&self) -> bool {
-        self.allow_best_effort
-    }
-
     /// Runs one control tick: appends this tick's admission, scaling and
     /// phase-partition commands to `cmds`.
     pub fn control(&mut self, obs: &CellObs, cmds: &mut Vec<Command>) {
@@ -349,10 +335,11 @@ mod tests {
         let mut a = Autoscaler::default();
         let o1 = obs(vec![slot(Mode::Live, 0, 0); 2], 100);
         issued(&[], |c| a.control(&o1, c));
-        let after_spike = a.ewma_rps().unwrap();
+        // `obs` tags every arrival guaranteed.
+        let after_spike = a.ewma_guaranteed_rps.unwrap();
         let o2 = obs(vec![slot(Mode::Live, 0, 0); 2], 0);
         issued(&[], |c| a.control(&o2, c));
-        let after_quiet = a.ewma_rps().unwrap();
+        let after_quiet = a.ewma_guaranteed_rps.unwrap();
         assert!(after_quiet > 0.0, "EWMA should remember the spike");
         assert!(after_quiet < after_spike);
     }
@@ -370,7 +357,7 @@ mod tests {
         assert!(cmds.contains(&Command::SetAdmission {
             allow_best_effort: false
         }));
-        assert!(!a.allows_best_effort());
+        assert!(!a.allow_best_effort);
         // Guaranteed demand alone (2 rps) fits the 2 live slots: no
         // scale action is possible anyway (no parked slots), and no park
         // happens either.
@@ -478,10 +465,10 @@ mod tests {
         let mut o = obs(vec![slot(Mode::Live, 0, 1); 2], 100);
         o.arrived_by_class = [0; 3];
         let cmds = issued(&[], |c| a.control(&o, c));
-        assert!((a.ewma_rps().unwrap() - 20.0).abs() < 1e-9);
+        assert!((a.ewma_guaranteed_rps.unwrap() - 20.0).abs() < 1e-9);
         assert!(!cmds
             .iter()
             .any(|c| matches!(c, Command::SetAdmission { .. })));
-        assert!(a.allows_best_effort());
+        assert!(a.allow_best_effort);
     }
 }

@@ -44,13 +44,6 @@ pub enum PriorityClass {
 }
 
 impl PriorityClass {
-    /// Every class, in admission order (most protected first).
-    pub const ALL: [PriorityClass; 3] = [
-        PriorityClass::Interactive,
-        PriorityClass::Batch,
-        PriorityClass::BestEffort,
-    ];
-
     /// Dense index for per-class arrays (`Interactive` = 0).
     pub fn index(self) -> usize {
         match self {
@@ -340,7 +333,12 @@ mod tests {
     fn priority_classes_are_ordered_and_indexed() {
         assert!(PriorityClass::Interactive < PriorityClass::Batch);
         assert!(PriorityClass::Batch < PriorityClass::BestEffort);
-        for (i, c) in PriorityClass::ALL.iter().enumerate() {
+        let all = [
+            PriorityClass::Interactive,
+            PriorityClass::Batch,
+            PriorityClass::BestEffort,
+        ];
+        for (i, c) in all.iter().enumerate() {
             assert_eq!(c.index(), i);
         }
         assert_eq!(PriorityClass::BestEffort.label(), "best-effort");

@@ -44,11 +44,6 @@ pub struct DvfsController {
 }
 
 impl DvfsController {
-    /// Smoothed cell demand estimate, requests/s (for tests/diagnostics).
-    pub fn ewma_rps(&self) -> Option<f64> {
-        self.ewma_rps
-    }
-
     /// Forgets the demand history, as a fresh default does, keeping the
     /// scratch buffers.
     pub(crate) fn reset(&mut self) {
@@ -332,7 +327,7 @@ mod tests {
         let mut o = obs(vec![slot(Mode::Live, Phase::Mixed, 0, 0)], 0);
         o.clock_points = Vec::new();
         assert!(issued(&[], |c| d.control(&o, c)).is_empty());
-        assert!(d.ewma_rps().is_none(), "no state accrues while inactive");
+        assert!(d.ewma_rps.is_none(), "no state accrues while inactive");
     }
 
     #[test]
@@ -340,10 +335,10 @@ mod tests {
         let mut d = DvfsController::default();
         let busy = obs(vec![slot(Mode::Live, Phase::Mixed, 2, 0)], 400);
         issued(&[], |c| d.control(&busy, c));
-        let spike = d.ewma_rps().unwrap();
+        let spike = d.ewma_rps.unwrap();
         let quiet = obs(vec![slot(Mode::Live, Phase::Mixed, 2, 0)], 0);
         let cmds = issued(&[], |c| d.control(&quiet, c));
-        let after = d.ewma_rps().unwrap();
+        let after = d.ewma_rps.unwrap();
         assert!(after > 0.0 && after < spike);
         // The smoothed spike (48 rps vs 1.84 rps ceiling) still pins
         // nominal: no retune commands on a nominal-clocked slot.

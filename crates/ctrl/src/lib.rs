@@ -60,7 +60,7 @@ pub use dvfs::DvfsController;
 pub use fleet::{BalancerConfig, CellDirective, FleetCellObs, FleetObs};
 pub use litegpu_cluster::power_mgmt::Policy;
 pub use power::{PowerConfig, PowerGater};
-pub use route::{apportion, apportion_into};
+pub use route::apportion_into;
 
 /// Control-plane configuration: which policies run, and how often.
 ///

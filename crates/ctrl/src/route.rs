@@ -35,20 +35,14 @@ pub fn control(obs: &CellObs, cmds: &mut Vec<Command>) {
 /// Splits `n` items over integer `weights` proportionally, using the
 /// largest-remainder method: every entry gets `⌊n·wᵢ/W⌋`, and the
 /// leftover items go to the largest remainders (ties to the lowest slot).
-/// Returns all zeros when the weights sum to zero. Exact: the shares
+/// Writes all zeros when the weights sum to zero. Exact: the shares
 /// always sum to `n` (when any weight is positive), with no floating
 /// point anywhere.
-pub fn apportion(n: u64, weights: &[u64]) -> Vec<u64> {
-    let mut shares = Vec::new();
-    let mut scratch = Vec::new();
-    apportion_into(n, weights, &mut shares, &mut scratch);
-    shares
-}
-
-/// In-place variant of [`apportion`] for hot loops: writes the shares
-/// into `shares` and uses `scratch` to rank the remainders, so a caller
-/// that reuses both buffers (e.g. the fleet engine's per-tick routing)
-/// performs no allocation once they have grown to the slot count.
+///
+/// The shares land in `shares`, and `scratch` ranks the remainders, so a
+/// caller that reuses both buffers (e.g. the fleet engine's per-tick
+/// routing) performs no allocation once they have grown to the slot
+/// count.
 ///
 /// Cost: one pass over the weights, with no division when every floor
 /// share is zero (`n · max w < Σw`, the usual batch of a few requests
@@ -133,6 +127,14 @@ mod tests {
     use crate::controller::{issued, InstanceObs};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// [`apportion_into`] into fresh buffers.
+    fn apportion(n: u64, weights: &[u64]) -> Vec<u64> {
+        let mut shares = Vec::new();
+        let mut scratch = Vec::new();
+        apportion_into(n, weights, &mut shares, &mut scratch);
+        shares
+    }
 
     /// The sort-based largest-remainder split that [`apportion_into`]
     /// replaced: every slot's floor share and remainder in 128-bit

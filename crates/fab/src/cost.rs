@@ -76,12 +76,6 @@ impl DieCostModel {
         }
     }
 
-    /// Overrides the defect density (defects/cm²).
-    pub fn with_defect_density(mut self, d0: f64) -> Result<Self> {
-        self.defect_density = check_non_negative("defect_density", d0)?;
-        Ok(self)
-    }
-
     /// Gross dies per wafer (exact grid placement).
     pub fn gross_dies(&self) -> Result<usize> {
         self.wafer.gross_dies(&self.die)
@@ -108,7 +102,7 @@ impl DieCostModel {
     /// use litegpu_fab::yield_model::YieldModel;
     ///
     /// let h100 = DieCostModel::new(
-    ///     DieGeometry::square(814.0).unwrap(),
+    ///     DieGeometry::with_aspect(814.0, 1.0).unwrap(),
     ///     ProcessNode::N4,
     ///     YieldModel::Poisson,
     /// );
@@ -119,12 +113,6 @@ impl DieCostModel {
         let good = self.good_dies_per_wafer()?;
         check_positive("good dies per wafer", good)?;
         Ok(self.node.wafer_cost_usd() / good)
-    }
-
-    /// Silicon cost per mm² of *good* silicon, a size-independence check:
-    /// for small dies this approaches `wafer_cost / usable_area`.
-    pub fn cost_per_good_mm2(&self) -> Result<f64> {
-        Ok(self.cost_per_good_die()? / self.die.area_mm2())
     }
 }
 
@@ -336,7 +324,7 @@ mod tests {
 
     fn h100_die_model() -> DieCostModel {
         DieCostModel::new(
-            DieGeometry::square(814.0).unwrap(),
+            DieGeometry::with_aspect(814.0, 1.0).unwrap(),
             ProcessNode::N4,
             YieldModel::Poisson,
         )
@@ -456,18 +444,21 @@ mod tests {
     fn cost_per_good_mm2_smaller_for_small_dies() {
         let big = h100_die_model();
         let small = DieCostModel::new(
-            DieGeometry::square(814.0 / 4.0).unwrap(),
+            DieGeometry::with_aspect(814.0 / 4.0, 1.0).unwrap(),
             ProcessNode::N4,
             YieldModel::Poisson,
         );
-        assert!(small.cost_per_good_mm2().unwrap() < big.cost_per_good_mm2().unwrap());
+        let per_mm2 = |m: &DieCostModel| m.cost_per_good_die().unwrap() / m.die.area_mm2();
+        assert!(per_mm2(&small) < per_mm2(&big));
     }
 
     #[test]
-    fn defect_density_override() {
-        let m = h100_die_model().with_defect_density(0.0).unwrap();
+    fn zero_defect_density_yields_every_die() {
+        let m = DieCostModel {
+            defect_density: 0.0,
+            ..h100_die_model()
+        };
         assert!((m.yield_fraction() - 1.0).abs() < 1e-12);
-        assert!(h100_die_model().with_defect_density(-0.1).is_err());
     }
 
     proptest! {
@@ -475,32 +466,17 @@ mod tests {
         fn silicon_saving_positive_for_any_reasonable_d0(d0 in 0.02..0.5f64) {
             let h100_die = DieGeometry::with_aspect(814.0, 1.1).unwrap();
             let lite_die = h100_die.shrink(4).unwrap();
-            let big = DieCostModel::new(h100_die, ProcessNode::N4, YieldModel::Poisson)
-                .with_defect_density(d0).unwrap();
-            let lite = DieCostModel::new(lite_die, ProcessNode::N4, YieldModel::Poisson)
-                .with_defect_density(d0).unwrap();
+            let big = DieCostModel {
+                defect_density: d0,
+                ..DieCostModel::new(h100_die, ProcessNode::N4, YieldModel::Poisson)
+            };
+            let lite = DieCostModel {
+                defect_density: d0,
+                ..DieCostModel::new(lite_die, ProcessNode::N4, YieldModel::Poisson)
+            };
             let saving =
                 1.0 - 4.0 * lite.cost_per_good_die().unwrap() / big.cost_per_good_die().unwrap();
             prop_assert!(saving > 0.0, "saving = {saving} at d0 = {d0}");
-        }
-
-        #[test]
-        fn bigger_dies_never_cheaper_per_mm2(
-            area in 50.0..1200.0f64,
-            growth in 1.05..4.0f64,
-            d0 in 0.02..0.5f64,
-        ) {
-            // Uses the smooth analytic dies-per-wafer estimator: the exact
-            // grid count has discrete packing jumps that make per-mm2 cost
-            // locally non-monotone (a real effect, tested elsewhere).
-            let wafer = Wafer::w300();
-            let cost_per_mm2 = |a: f64| {
-                let die = DieGeometry::square(a).unwrap();
-                let dpw = wafer.gross_dies_analytic(&die).unwrap();
-                let y = YieldModel::Murphy.yield_fraction(a, d0);
-                ProcessNode::N5.wafer_cost_usd() / (dpw * y) / a
-            };
-            prop_assert!(cost_per_mm2(area) <= cost_per_mm2(area * growth) * 1.001);
         }
     }
 }

@@ -15,9 +15,6 @@
 //!   (after Teets, 1996).
 //! - [`cost`]: wafer cost → cost per good die → packaged GPU cost,
 //!   including interposer (CoWoS-class) and HBM stack accounting.
-//! - [`binning`]: partial-good die harvesting (selling dies with a few
-//!   defective SMs disabled), which narrows — but does not close — the
-//!   yield gap between large and small dies.
 //!
 //! # Examples
 //!
@@ -34,15 +31,13 @@
 //! assert!((ratio - 1.8).abs() < 0.1, "paper claims ~1.8x, got {ratio}");
 //! ```
 
-pub mod binning;
 pub mod cost;
 pub mod wafer;
 pub mod yield_model;
 
-pub use binning::BinningPolicy;
 pub use cost::{DieCostModel, ManufacturingComparison, PackageCostModel, ProcessNode};
 pub use wafer::{DieGeometry, Wafer};
-pub use yield_model::{RadialDefectProfile, YieldModel};
+pub use yield_model::YieldModel;
 
 /// Errors produced by fab-model construction and evaluation.
 #[derive(Debug, Clone, PartialEq)]

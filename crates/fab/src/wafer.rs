@@ -1,14 +1,8 @@
 //! Wafer geometry and dies-per-wafer computation.
 //!
-//! Two estimators are provided:
-//!
-//! - [`Wafer::gross_dies_analytic`] — the classic closed-form approximation
-//!   used by most die-per-wafer calculators,
-//!   `DPW = π·r²/S − π·d/√(2·S)` with `S` the die area including scribe.
-//! - [`Wafer::gross_dies`] — an exact rectangular grid placement that counts
-//!   dies whose four corners all fall inside the usable radius. This is what
-//!   a real shot map does, and it is also the basis for the radial yield
-//!   model in [`crate::yield_model`], which needs per-die positions.
+//! [`Wafer::gross_dies`] is an exact rectangular grid placement that counts
+//! dies whose four corners all fall inside the usable radius. This is what
+//! a real shot map does.
 
 use crate::{check_non_negative, check_positive, FabError, Result};
 
@@ -45,16 +39,6 @@ impl DieGeometry {
         })
     }
 
-    /// Creates a square die with the given area in mm².
-    ///
-    /// This is the convention used throughout the Lite-GPU paper, which
-    /// reasons about dies purely by area (e.g. "1/4th of an H100-like die").
-    pub fn square(area_mm2: f64) -> Result<Self> {
-        let area = check_positive("die area_mm2", area_mm2)?;
-        let side = area.sqrt();
-        Self::new(side, side, DEFAULT_SCRIBE_MM)
-    }
-
     /// Creates a rectangular die with the given area and aspect ratio
     /// (width / height).
     pub fn with_aspect(area_mm2: f64, aspect: f64) -> Result<Self> {
@@ -72,11 +56,6 @@ impl DieGeometry {
     /// Die perimeter in mm — the "shoreline" that bounds escape bandwidth.
     pub fn perimeter_mm(&self) -> f64 {
         2.0 * (self.width_mm + self.height_mm)
-    }
-
-    /// Footprint on the wafer including the scribe lane, in mm².
-    pub fn footprint_mm2(&self) -> f64 {
-        (self.width_mm + self.scribe_mm) * (self.height_mm + self.scribe_mm)
     }
 
     /// Horizontal pitch (width + scribe) in mm.
@@ -138,73 +117,24 @@ impl Wafer {
         }
     }
 
-    /// Creates a wafer with explicit diameter and edge exclusion.
-    pub fn new(diameter_mm: f64, edge_exclusion_mm: f64) -> Result<Self> {
-        let d = check_positive("wafer diameter_mm", diameter_mm)?;
-        let e = check_non_negative("wafer edge_exclusion_mm", edge_exclusion_mm)?;
-        if 2.0 * e >= d {
-            return Err(FabError::InvalidParameter {
-                name: "wafer edge_exclusion_mm",
-                value: e,
-            });
-        }
-        Ok(Self {
-            diameter_mm: d,
-            edge_exclusion_mm: e,
-        })
-    }
-
     /// Usable radius (diameter/2 minus edge exclusion), mm.
     pub fn usable_radius_mm(&self) -> f64 {
         self.diameter_mm / 2.0 - self.edge_exclusion_mm
-    }
-
-    /// Usable area in mm².
-    pub fn usable_area_mm2(&self) -> f64 {
-        let r = self.usable_radius_mm();
-        core::f64::consts::PI * r * r
-    }
-
-    /// Classic analytic dies-per-wafer approximation.
-    ///
-    /// `DPW = π·r²/S − π·(2r)/√(2·S)`, where `S` is the die footprint
-    /// including scribe. The second term approximates edge losses.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use litegpu_fab::wafer::{DieGeometry, Wafer};
-    /// let wafer = Wafer::w300();
-    /// let h100 = DieGeometry::square(814.0).unwrap();
-    /// let dpw = wafer.gross_dies_analytic(&h100).unwrap();
-    /// assert!(dpw > 55.0 && dpw < 75.0, "H100-class dies per 300mm wafer, got {dpw}");
-    /// ```
-    pub fn gross_dies_analytic(&self, die: &DieGeometry) -> Result<f64> {
-        let s = die.footprint_mm2();
-        let r = self.usable_radius_mm();
-        if die.pitch_x_mm() > 2.0 * r || die.pitch_y_mm() > 2.0 * r {
-            return Err(FabError::DieTooLarge {
-                die_area_mm2: die.area_mm2(),
-                usable_diameter_mm: 2.0 * r,
-            });
-        }
-        let area_term = core::f64::consts::PI * r * r / s;
-        let edge_term = core::f64::consts::PI * (2.0 * r) / (2.0 * s).sqrt();
-        Ok((area_term - edge_term).max(0.0))
     }
 
     /// Exact gross die count by rectangular grid placement.
     ///
     /// Dies are placed on a regular grid centred on the wafer; a die counts
     /// if all four corners fall within the usable radius. This matches how
-    /// shot maps are laid out in practice and agrees with the analytic
-    /// approximation to within a few percent for realistic die sizes.
+    /// shot maps are laid out in practice and agrees with the classic
+    /// closed-form approximation to within a few percent for realistic die
+    /// sizes.
     pub fn gross_dies(&self, die: &DieGeometry) -> Result<usize> {
         Ok(self.die_sites(die)?.len())
     }
 
     /// Enumerates all die sites that fit on the wafer, with their centre
-    /// positions (for radial yield models).
+    /// positions.
     pub fn die_sites(&self, die: &DieGeometry) -> Result<Vec<DieSite>> {
         let r = self.usable_radius_mm();
         let px = die.pitch_x_mm();
@@ -255,9 +185,19 @@ impl Default for Wafer {
 mod tests {
     use super::*;
 
+    /// The classic closed-form dies-per-wafer approximation most
+    /// calculators use, `DPW = π·r²/S − π·(2r)/√(2·S)` with `S` the die
+    /// footprint including scribe: the oracle for the exact grid count.
+    fn gross_dies_analytic(w: &Wafer, die: &DieGeometry) -> f64 {
+        let s = die.pitch_x_mm() * die.pitch_y_mm();
+        let r = w.usable_radius_mm();
+        let pi = core::f64::consts::PI;
+        (pi * r * r / s - pi * (2.0 * r) / (2.0 * s).sqrt()).max(0.0)
+    }
+
     #[test]
     fn square_die_geometry() {
-        let d = DieGeometry::square(100.0).unwrap();
+        let d = DieGeometry::with_aspect(100.0, 1.0).unwrap();
         assert!((d.width_mm - 10.0).abs() < 1e-12);
         assert!((d.area_mm2() - 100.0).abs() < 1e-12);
         assert!((d.perimeter_mm() - 40.0).abs() < 1e-12);
@@ -283,32 +223,23 @@ mod tests {
     fn shrink_by_four_doubles_total_perimeter() {
         // The paper's shoreline argument: 4 dies of 1/4 area have 2x the
         // total perimeter of the original die.
-        let d = DieGeometry::square(814.0).unwrap();
+        let d = DieGeometry::with_aspect(814.0, 1.0).unwrap();
         let s = d.shrink(4).unwrap();
         let ratio = 4.0 * s.perimeter_mm() / d.perimeter_mm();
         assert!((ratio - 2.0).abs() < 1e-9);
     }
 
     #[test]
-    fn wafer_validation() {
-        assert!(Wafer::new(300.0, 3.0).is_ok());
-        assert!(Wafer::new(0.0, 3.0).is_err());
-        assert!(Wafer::new(300.0, -1.0).is_err());
-        assert!(Wafer::new(300.0, 150.0).is_err());
-    }
-
-    #[test]
     fn usable_area() {
         let w = Wafer::w300();
         assert!((w.usable_radius_mm() - 147.0).abs() < 1e-12);
-        assert!(w.usable_area_mm2() > 67_000.0 && w.usable_area_mm2() < 68_000.0);
     }
 
     #[test]
     fn analytic_close_to_exact_for_h100_class() {
         let w = Wafer::w300();
-        let die = DieGeometry::square(814.0).unwrap();
-        let analytic = w.gross_dies_analytic(&die).unwrap();
+        let die = DieGeometry::with_aspect(814.0, 1.0).unwrap();
+        let analytic = gross_dies_analytic(&w, &die);
         let exact = w.gross_dies(&die).unwrap() as f64;
         let rel = (analytic - exact).abs() / exact;
         assert!(rel < 0.15, "analytic {analytic} vs exact {exact}");
@@ -319,7 +250,7 @@ mod tests {
         // Quartering the die more than quadruples the die count because
         // edge losses shrink.
         let w = Wafer::w300();
-        let big = DieGeometry::square(814.0).unwrap();
+        let big = DieGeometry::with_aspect(814.0, 1.0).unwrap();
         let small = big.shrink(4).unwrap();
         let n_big = w.gross_dies(&big).unwrap();
         let n_small = w.gross_dies(&small).unwrap();
@@ -337,13 +268,12 @@ mod tests {
             w.gross_dies(&die),
             Err(FabError::DieTooLarge { .. })
         ));
-        assert!(w.gross_dies_analytic(&die).is_err());
     }
 
     #[test]
     fn sites_lie_within_usable_radius() {
         let w = Wafer::w300();
-        let die = DieGeometry::square(100.0).unwrap();
+        let die = DieGeometry::with_aspect(100.0, 1.0).unwrap();
         for site in w.die_sites(&die).unwrap() {
             assert!(site.radius_mm <= w.usable_radius_mm());
         }

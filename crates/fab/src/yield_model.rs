@@ -4,13 +4,7 @@
 //! die area `A` and defect density `D0`. The Lite-GPU paper's §2 claim
 //! ("yield rate can be increased by 1.8× when a H100-like compute die area
 //! is reduced by 1/4th") is what the Poisson model predicts at
-//! `D0 ≈ 0.1 /cm²` — and the other models bracket it. The
-//! [`RadialDefectProfile`] implements the radially degrading defect density
-//! of Teets (1996), which penalises large dies slightly more because they
-//! are forced to occupy more of the dirty wafer edge.
-
-use crate::wafer::{DieGeometry, Wafer};
-use crate::{check_non_negative, check_positive, Result};
+//! `D0 ≈ 0.1 /cm²` — and the other models bracket it.
 
 /// A defect-limited die yield model.
 ///
@@ -112,68 +106,6 @@ impl YieldModel {
     }
 }
 
-/// Radially varying defect density, after Teets (1996).
-///
-/// `D(r) = D0 · (1 + (edge_factor − 1) · (r/R)^2)`, with `R` the usable
-/// wafer radius. The wafer edge is dirtier than the centre; large dies
-/// cannot avoid the edge, so their effective yield degrades faster than the
-/// uniform models predict.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct RadialDefectProfile {
-    /// Defect density at the wafer centre, per cm².
-    pub d0_center_per_cm2: f64,
-    /// Multiplier on defect density at the usable-radius edge (≥ 1).
-    pub edge_factor: f64,
-}
-
-impl RadialDefectProfile {
-    /// Creates a radial profile; `edge_factor` must be ≥ 1.
-    pub fn new(d0_center_per_cm2: f64, edge_factor: f64) -> Result<Self> {
-        let d0 = check_non_negative("d0_center_per_cm2", d0_center_per_cm2)?;
-        let ef = check_positive("edge_factor", edge_factor)?;
-        Ok(Self {
-            d0_center_per_cm2: d0,
-            edge_factor: ef.max(1.0),
-        })
-    }
-
-    /// Defect density at radial position `r_mm` on the given wafer.
-    pub fn density_at(&self, wafer: &Wafer, r_mm: f64) -> f64 {
-        let rel = (r_mm / wafer.usable_radius_mm()).clamp(0.0, 1.0);
-        self.d0_center_per_cm2 * (1.0 + (self.edge_factor - 1.0) * rel * rel)
-    }
-
-    /// Expected number of *good* dies per wafer under this profile: each die
-    /// site is evaluated at its own local defect density with `model`.
-    pub fn good_dies_per_wafer(
-        &self,
-        wafer: &Wafer,
-        die: &DieGeometry,
-        model: YieldModel,
-    ) -> Result<f64> {
-        let sites = wafer.die_sites(die)?;
-        Ok(sites
-            .iter()
-            .map(|s| model.yield_fraction(die.area_mm2(), self.density_at(wafer, s.radius_mm)))
-            .sum())
-    }
-
-    /// Wafer-average yield fraction (good dies / gross dies).
-    pub fn average_yield(
-        &self,
-        wafer: &Wafer,
-        die: &DieGeometry,
-        model: YieldModel,
-    ) -> Result<f64> {
-        let sites = wafer.die_sites(die)?;
-        if sites.is_empty() {
-            return Ok(0.0);
-        }
-        let good = self.good_dies_per_wafer(wafer, die, model)?;
-        Ok(good / sites.len() as f64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,48 +158,6 @@ mod tests {
     #[test]
     fn murphy_small_ad_limit_is_one() {
         assert!((YieldModel::Murphy.yield_fraction(1e-9, 1e-9) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn radial_profile_density_grows_with_radius() {
-        let w = Wafer::w300();
-        let p = RadialDefectProfile::new(0.1, 3.0).unwrap();
-        assert!(p.density_at(&w, 0.0) < p.density_at(&w, 100.0));
-        assert!((p.density_at(&w, w.usable_radius_mm()) - 0.3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn radial_profile_average_yield_below_center_yield() {
-        let w = Wafer::w300();
-        let p = RadialDefectProfile::new(0.1, 3.0).unwrap();
-        let die = DieGeometry::square(H100_AREA).unwrap();
-        let avg = p.average_yield(&w, &die, YieldModel::Poisson).unwrap();
-        let center = YieldModel::Poisson.yield_fraction(H100_AREA, 0.1);
-        assert!(avg < center);
-    }
-
-    #[test]
-    fn radial_profile_split_gain_exceeds_uniform_gain() {
-        // The Teets effect: small dies gain slightly more than the uniform
-        // model predicts because they harvest the clean wafer centre better.
-        let w = Wafer::w300();
-        let p = RadialDefectProfile::new(0.1, 3.0).unwrap();
-        let big = DieGeometry::square(H100_AREA).unwrap();
-        let small = big.shrink(4).unwrap();
-        let y_big = p.average_yield(&w, &big, YieldModel::Poisson).unwrap();
-        let y_small = p.average_yield(&w, &small, YieldModel::Poisson).unwrap();
-        let radial_gain = y_small / y_big;
-        let uniform_gain = YieldModel::Poisson.split_yield_gain(H100_AREA, 0.1, 4);
-        assert!(
-            radial_gain > uniform_gain * 0.99,
-            "radial {radial_gain} vs uniform {uniform_gain}"
-        );
-    }
-
-    #[test]
-    fn edge_factor_below_one_is_clamped() {
-        let p = RadialDefectProfile::new(0.1, 0.5).unwrap();
-        assert!((p.edge_factor - 1.0).abs() < 1e-12);
     }
 
     proptest! {

@@ -861,7 +861,7 @@ impl<'a> CellSim<'a> {
             debug_assert_eq!(t, tick as u64, "every outage start tick is a wakeup");
             self.outage_ptr += 1;
             let (kind, start, end, locals) = &ch.outages[oi];
-            let power = *kind == 2; // DomainKind::Power.
+            let power = *kind == 2; // The power-domain slot of `by_kind`.
             let name = if power { "power_outage" } else { "rack_outage" };
             let lead = locals.first().copied().unwrap_or(0);
             self.emit_window(name, *start, *end, lead, locals.len() as u64);
@@ -922,7 +922,7 @@ impl<'a> CellSim<'a> {
             if active(start, end) {
                 self.partitioned = true;
                 if first(start) {
-                    self.acc.by_kind[3] += 1; // DomainKind::Partition.
+                    self.acc.by_kind[3] += 1; // Partition.
                     self.emit_window("partition", start, end, 0, self.insts.len() as u64);
                 }
             }
@@ -957,7 +957,7 @@ impl<'a> CellSim<'a> {
         for &(start, end, cci, ref locals) in &ch.thermals {
             if active(start, end) {
                 if first(start) {
-                    self.acc.by_kind[4] += 1; // DomainKind::Thermal.
+                    self.acc.by_kind[4] += 1; // Thermal.
                     let lead = locals.first().copied().unwrap_or(0);
                     self.emit_window("thermal", start, end, lead, locals.len() as u64);
                 }

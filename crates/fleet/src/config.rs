@@ -77,8 +77,7 @@ impl KvLink {
     }
 }
 
-/// The kind of a scheduled correlated-failure (chaos) event, mirroring
-/// `litegpu_cluster::domain::DomainKind`'s correlated kinds.
+/// The kind of a scheduled correlated-failure (chaos) event.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DomainEventKind {
     /// A whole rack goes dark: every affected instance is forced down
@@ -105,8 +104,8 @@ pub enum DomainEventKind {
 }
 
 impl DomainEventKind {
-    /// Index into the `by_kind` failure-breakdown array (shared with
-    /// `litegpu_cluster::domain::DomainKind::index`).
+    /// Index into the `by_kind` failure-breakdown array (see
+    /// `Totals::by_kind`).
     pub(crate) fn breakdown_index(&self) -> usize {
         match self {
             DomainEventKind::RackLoss => 1,

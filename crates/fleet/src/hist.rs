@@ -130,26 +130,12 @@ impl LatencyHistogram {
         self.total
     }
 
-    /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
     /// Exact weighted sum of recorded values, microseconds. Together
     /// with [`LatencyHistogram::total`] this is what telemetry series
     /// snapshots difference per window (count and sum deltas are
     /// additive across shards; percentiles are not).
     pub fn sum_us(&self) -> u128 {
         self.sum_us
-    }
-
-    /// Exact mean of recorded values, seconds (0 when empty).
-    pub fn mean_s(&self) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        (self.sum_us / self.total as u128) as f64 / 1e6
-            + ((self.sum_us % self.total as u128) as f64 / self.total as f64) / 1e6
     }
 
     /// The `p`-th percentile (nearest-rank over buckets), microseconds.
@@ -245,9 +231,9 @@ mod tests {
     #[test]
     fn empty_histogram_is_zero() {
         let h = LatencyHistogram::new();
-        assert!(h.is_empty());
+        assert_eq!(h.total(), 0);
         assert_eq!(h.percentile_us(50.0), 0);
-        assert_eq!(h.mean_s(), 0.0);
+        assert_eq!(h.sum_us(), 0);
     }
 
     #[test]
@@ -325,11 +311,11 @@ mod tests {
     }
 
     #[test]
-    fn mean_is_exact() {
+    fn sum_is_exact() {
         let mut h = LatencyHistogram::new();
         h.record(1_000_000, 1);
         h.record(3_000_000, 1);
-        assert!((h.mean_s() - 2.0).abs() < 1e-9);
+        assert_eq!((h.total(), h.sum_us()), (2, 4_000_000));
     }
 
     #[test]

@@ -211,8 +211,8 @@ pub struct DvfsReport {
     pub energy_saved_frac: f64,
 }
 
-/// Instance-down attribution by failure-domain kind, in
-/// `litegpu_cluster::domain::DomainKind` order. Always present, so
+/// Instance-down attribution by failure-domain kind, in the order of
+/// `Totals::by_kind`. Always present, so
 /// availability claims are attributable even on chaos-free runs (where
 /// everything lands in `independent`).
 #[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -677,36 +677,6 @@ impl FleetReport {
         }
     }
 
-    /// One-line chaos summary (campaign runs), or a note that the run
-    /// carried no campaign.
-    pub fn chaos_summary(&self) -> String {
-        match &self.chaos {
-            None => "chaos: n/a (no campaign)".to_string(),
-            Some(c) => {
-                let b = &self.failure_breakdown;
-                format!(
-                    "chaos: downs {} independent / {} rack / {} power, {} partition + {} \
-                     thermal windows, {} drained ({} restored), {} partition-shed, {} repairs \
-                     dispatched (mean crew wait {:.1} s, {} crews/cell), MTTR {:.1} s over {} \
-                     restores",
-                    b.independent,
-                    b.rack,
-                    b.power,
-                    b.partition_events,
-                    b.thermal_events,
-                    c.drains,
-                    c.drain_restores,
-                    c.partition_shed,
-                    c.repairs_dispatched,
-                    c.repair_wait_mean_s,
-                    c.crews_per_cell,
-                    c.mttr_s,
-                    c.restores,
-                )
-            }
-        }
-    }
-
     /// Multi-line per-tenant SLO table (name, class, volumes, shed and
     /// attainment), for binaries and examples.
     pub fn tenant_summary(&self) -> String {
@@ -938,7 +908,6 @@ mod tests {
         let json = r.to_json();
         assert!(json.contains("\"chaos\": null"));
         assert!(json.contains("failure_breakdown"));
-        assert_eq!(r.chaos_summary(), "chaos: n/a (no campaign)");
     }
 
     #[test]
@@ -968,9 +937,6 @@ mod tests {
         assert_eq!(c.restores, 5);
         assert!((c.mttr_s - 6.0).abs() < 1e-12);
         assert_eq!(c.crews_per_cell, 2);
-        let s = r.chaos_summary();
-        assert!(s.contains("4 rack"));
-        assert!(s.contains("MTTR 6.0 s"));
         for key in ["partition_shed", "repair_wait_mean_s", "mttr_s"] {
             assert!(r.to_json().contains(key), "missing {key}");
         }

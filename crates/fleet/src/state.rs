@@ -363,10 +363,11 @@ pub(crate) struct Totals {
     pub routing_shed: u64,
     /// Best-effort arrivals shed by admission control under pressure.
     pub admission_shed: u64,
-    /// Failure breakdown by `litegpu_cluster::domain::DomainKind` index:
-    /// independent / rack / power slots count instance-downs (they sum to
-    /// `failures`); the partition and thermal slots count chaos events
-    /// observed (those degrade service without downing instances).
+    /// Failure breakdown by domain kind, in the order independent, rack,
+    /// power, partition, thermal: the independent / rack / power slots
+    /// count instance-downs (they sum to `failures`); the partition and
+    /// thermal slots count chaos events observed (those degrade service
+    /// without downing instances).
     pub by_kind: [u64; 5],
     /// Of `routing_shed`, arrivals shed because the cell was partitioned.
     pub partition_shed: u64,
@@ -829,7 +830,7 @@ impl InstanceState {
             return;
         }
         let fail_at = self.next_failure_us.max(tick_start_us);
-        acc.by_kind[0] += 1; // DomainKind::Independent.
+        acc.by_kind[0] += 1; // Independent.
         self.fail(local_idx, fail_at, fail_at, rates, cell, acc);
     }
 
@@ -1380,7 +1381,7 @@ mod tests {
         assert!(acc.completed > 0, "completed = {}", acc.completed);
         assert!(acc.generated_tokens > acc.completed);
         assert_eq!(acc.rejected, 0);
-        assert!(!acc.ttft.is_empty() && !acc.tbt.is_empty());
+        assert!(acc.ttft.total() > 0 && acc.tbt.total() > 0);
         // The single tenant owns everything the fleet served.
         let t = &acc.per_tenant[0];
         assert_eq!(t.completed, acc.completed);

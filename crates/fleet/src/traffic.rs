@@ -30,34 +30,25 @@ pub enum TrafficPattern {
     /// Replayable trace: `(time_s, multiplier)` points, piecewise-linear,
     /// clamped at both ends. Points must be sorted by non-decreasing time
     /// (a duplicate time is a step change) with finite, non-negative
-    /// multipliers — build through [`TrafficPattern::trace`] to have that
-    /// checked, or call [`TrafficPattern::validate`] before running (the
-    /// fleet engine validates every pattern it is given).
+    /// multipliers — call [`TrafficPattern::validate`] to have that
+    /// checked (the fleet engine validates every pattern it is given).
     Trace(Vec<(f64, f64)>),
 }
 
 impl TrafficPattern {
-    /// Builds a validated [`TrafficPattern::Trace`]: points must be
-    /// non-empty, sorted by non-decreasing finite time, with finite
-    /// non-negative multipliers.
+    /// Checks the pattern's structural contract (see each variant's
+    /// documentation). `Constant` always passes; `Diurnal` requires a
+    /// finite non-negative amplitude and a finite peak hour; `Trace`
+    /// points must be non-empty, sorted by non-decreasing finite time,
+    /// with finite non-negative multipliers.
     ///
     /// ```
     /// use litegpu_fleet::TrafficPattern;
     ///
-    /// let ramp = TrafficPattern::trace(vec![(0.0, 0.2), (600.0, 1.6)]).unwrap();
+    /// let ramp = TrafficPattern::Trace(vec![(0.0, 0.2), (600.0, 1.6)]);
     /// assert!(ramp.validate().is_ok());
-    /// assert!(TrafficPattern::trace(vec![(600.0, 1.0), (0.0, 2.0)]).is_err());
+    /// assert!(TrafficPattern::Trace(vec![(600.0, 1.0), (0.0, 2.0)]).validate().is_err());
     /// ```
-    pub fn trace(points: Vec<(f64, f64)>) -> Result<Self, &'static str> {
-        let p = TrafficPattern::Trace(points);
-        p.validate()?;
-        Ok(p)
-    }
-
-    /// Checks the pattern's structural contract (see each variant's
-    /// documentation). `Constant` always passes; `Diurnal` requires a
-    /// finite non-negative amplitude and a finite peak hour; `Trace`
-    /// requires the [`TrafficPattern::trace`] invariants.
     pub fn validate(&self) -> Result<(), &'static str> {
         match self {
             TrafficPattern::Constant => Ok(()),
@@ -304,7 +295,7 @@ mod tests {
 
     #[test]
     fn trace_interpolates_and_clamps() {
-        let t = TrafficPattern::trace(vec![(100.0, 1.0), (200.0, 3.0)]).unwrap();
+        let t = TrafficPattern::Trace(vec![(100.0, 1.0), (200.0, 3.0)]);
         assert_eq!(t.multiplier_at(0.0), 1.0);
         assert_eq!(t.multiplier_at(300.0), 3.0);
         assert!((t.multiplier_at(150.0) - 2.0).abs() < 1e-9);
@@ -313,22 +304,38 @@ mod tests {
     #[test]
     fn trace_constructor_rejects_malformed_traces() {
         // Empty.
-        assert!(TrafficPattern::trace(vec![]).is_err());
+        assert!(TrafficPattern::Trace(vec![]).validate().is_err());
         // Unsorted times.
-        assert!(TrafficPattern::trace(vec![(10.0, 1.0), (5.0, 1.0)]).is_err());
+        assert!(TrafficPattern::Trace(vec![(10.0, 1.0), (5.0, 1.0)])
+            .validate()
+            .is_err());
         // Non-finite time or multiplier.
-        assert!(TrafficPattern::trace(vec![(f64::NAN, 1.0)]).is_err());
-        assert!(TrafficPattern::trace(vec![(0.0, 1.0), (f64::INFINITY, 1.0)]).is_err());
-        assert!(TrafficPattern::trace(vec![(0.0, f64::NAN)]).is_err());
-        assert!(TrafficPattern::trace(vec![(0.0, f64::INFINITY)]).is_err());
+        assert!(TrafficPattern::Trace(vec![(f64::NAN, 1.0)])
+            .validate()
+            .is_err());
+        assert!(
+            TrafficPattern::Trace(vec![(0.0, 1.0), (f64::INFINITY, 1.0)])
+                .validate()
+                .is_err()
+        );
+        assert!(TrafficPattern::Trace(vec![(0.0, f64::NAN)])
+            .validate()
+            .is_err());
+        assert!(TrafficPattern::Trace(vec![(0.0, f64::INFINITY)])
+            .validate()
+            .is_err());
         // Negative multiplier.
-        assert!(TrafficPattern::trace(vec![(0.0, -0.5)]).is_err());
+        assert!(TrafficPattern::Trace(vec![(0.0, -0.5)]).validate().is_err());
         // A well-formed trace passes: single point, ramp, and a
         // duplicate time (a step change — `multiplier_at` handles the
         // zero-width segment explicitly, so it stays legal).
-        assert!(TrafficPattern::trace(vec![(0.0, 0.0)]).is_ok());
-        assert!(TrafficPattern::trace(vec![(0.0, 0.2), (60.0, 1.6)]).is_ok());
-        assert!(TrafficPattern::trace(vec![(10.0, 1.0), (10.0, 2.0)]).is_ok());
+        assert!(TrafficPattern::Trace(vec![(0.0, 0.0)]).validate().is_ok());
+        assert!(TrafficPattern::Trace(vec![(0.0, 0.2), (60.0, 1.6)])
+            .validate()
+            .is_ok());
+        assert!(TrafficPattern::Trace(vec![(10.0, 1.0), (10.0, 2.0)])
+            .validate()
+            .is_ok());
     }
 
     #[test]

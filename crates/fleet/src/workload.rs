@@ -120,7 +120,7 @@ impl Tenant {
 /// };
 /// spec.validate().unwrap();
 /// // Shares are relative: "chat" owns 3/4 of the 2.0 req/s base rate.
-/// assert!((spec.tenant_rate_at(0, 0.0) - 1.5).abs() < 1e-12);
+/// assert_eq!(spec.share_fractions(), vec![0.75, 0.25]);
 /// ```
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct WorkloadSpec {
@@ -139,20 +139,6 @@ impl WorkloadSpec {
             amplitude: 0.6,
             peak_hour: 15.0,
         };
-        Self {
-            rate_per_instance_s,
-            tenants: vec![Tenant::new(
-                "default",
-                pattern,
-                1.0,
-                PriorityClass::Interactive,
-            )],
-        }
-    }
-
-    /// Flat single-tenant traffic at the given per-instance rate.
-    pub fn constant(rate_per_instance_s: f64) -> Self {
-        let pattern = TrafficPattern::Constant;
         Self {
             rate_per_instance_s,
             tenants: vec![Tenant::new(
@@ -221,8 +207,7 @@ impl WorkloadSpec {
     }
 
     /// Every tenant's normalized share of the base rate, in `[0, 1]`,
-    /// indexed by tenant id. Computes the denominator once — prefer this
-    /// over per-index [`WorkloadSpec::share_fraction`] in loops.
+    /// indexed by tenant id.
     pub fn share_fractions(&self) -> Vec<f64> {
         let total = self.share_total();
         self.tenants
@@ -235,24 +220,6 @@ impl WorkloadSpec {
                 }
             })
             .collect()
-    }
-
-    /// Tenant `idx`'s normalized share of the base rate, in `[0, 1]`.
-    pub fn share_fraction(&self, idx: usize) -> f64 {
-        let total = self.share_total();
-        if total > 0.0 {
-            self.tenants[idx].rate_share / total
-        } else {
-            0.0
-        }
-    }
-
-    /// Tenant `idx`'s per-instance arrival rate at time `t_s`,
-    /// requests/second.
-    pub fn tenant_rate_at(&self, idx: usize, t_s: f64) -> f64 {
-        self.rate_per_instance_s
-            * self.share_fraction(idx)
-            * self.tenants[idx].pattern.multiplier_at(t_s)
     }
 
     /// Share-weighted mean output length, tokens (capacity estimates use
@@ -306,11 +273,7 @@ mod tests {
         assert_eq!(spec.tenants[0].ttft_slo_s, None);
         assert!((spec.mean_output_len() - 500.0).abs() < 1e-9);
         // The one tenant carries the whole modulated rate.
-        let pattern = &spec.tenants[0].pattern;
-        for t_s in [0.0, 3.0 * 3600.0, 15.0 * 3600.0] {
-            let want = 1.5 * pattern.multiplier_at(t_s);
-            assert!((spec.tenant_rate_at(0, t_s) - want).abs() < 1e-12);
-        }
+        assert_eq!(spec.share_fractions(), vec![1.0]);
     }
 
     #[test]
@@ -327,12 +290,9 @@ mod tests {
                 Tenant::new("b", TrafficPattern::Constant, 1.0, PriorityClass::Batch),
             ],
         };
-        assert!((spec.share_fraction(0) - 0.75).abs() < 1e-12);
-        assert!((spec.tenant_rate_at(0, 0.0) - 1.5).abs() < 1e-12);
-        assert!((spec.tenant_rate_at(1, 0.0) - 0.5).abs() < 1e-12);
-        // Total across tenants is the base rate.
-        let total: f64 = (0..2).map(|i| spec.tenant_rate_at(i, 0.0)).sum();
-        assert!((total - 2.0).abs() < 1e-12);
+        assert!((spec.share_total() - 4.0).abs() < 1e-12);
+        // Shares are relative and sum to one across tenants.
+        assert_eq!(spec.share_fractions(), vec![0.75, 0.25]);
     }
 
     #[test]
@@ -422,10 +382,17 @@ mod tests {
     fn multi_tenant_demo_covers_every_priority_class() {
         let spec = WorkloadSpec::multi_tenant_demo(2.0);
         let classes: Vec<PriorityClass> = spec.tenants.iter().map(|t| t.priority).collect();
-        assert_eq!(classes, PriorityClass::ALL.to_vec());
+        assert_eq!(
+            classes,
+            [
+                PriorityClass::Interactive,
+                PriorityClass::Batch,
+                PriorityClass::BestEffort
+            ]
+        );
         // Shares sum the base rate back up.
-        let total: f64 = (0..3).map(|i| spec.tenant_rate_at(i, 12.0 * 3600.0)).sum();
-        assert!(total > 0.0 && total.is_finite());
+        let total: f64 = spec.share_fractions().iter().sum();
+        assert!((total - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -136,35 +136,6 @@ pub fn collective_cost(
     })
 }
 
-/// Ring all-reduce wall-clock time (the common fast path).
-pub fn ring_allreduce_time(n: u32, bytes: f64, bw: f64, alpha: f64) -> f64 {
-    collective_cost(
-        CollectiveOp::AllReduce,
-        CollectiveAlgorithm::Ring,
-        n,
-        bytes,
-        bw,
-        alpha,
-    )
-    .map(|c| c.time_s)
-    .unwrap_or(f64::INFINITY)
-}
-
-/// Auto-algorithm all-reduce time (NCCL-style heuristic) — what the
-/// roofline engine uses for tensor-parallel collectives.
-pub fn auto_allreduce_time(n: u32, bytes: f64, bw: f64, alpha: f64) -> f64 {
-    collective_cost(
-        CollectiveOp::AllReduce,
-        CollectiveAlgorithm::Auto,
-        n,
-        bytes,
-        bw,
-        alpha,
-    )
-    .map(|c| c.time_s)
-    .unwrap_or(f64::INFINITY)
-}
-
 fn log2_ceil(n: u32) -> u32 {
     32 - (n.max(1) - 1).leading_zeros()
 }
@@ -183,6 +154,20 @@ pub fn allreduce_lower_bound(n: u32, bytes: f64, bw: f64) -> f64 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Ring all-reduce wall-clock time at 1 µs per hop.
+    fn ring_allreduce(n: u32, bytes: f64, bw: f64) -> f64 {
+        collective_cost(
+            CollectiveOp::AllReduce,
+            CollectiveAlgorithm::Ring,
+            n,
+            bytes,
+            bw,
+            1e-6,
+        )
+        .unwrap()
+        .time_s
+    }
 
     #[test]
     fn log2_ceil_values() {
@@ -351,8 +336,8 @@ mod tests {
             b1 in 1.0..1e8f64,
             extra in 1.0..1e8f64,
         ) {
-            let t1 = ring_allreduce_time(n, b1, 100e9, 1e-6);
-            let t2 = ring_allreduce_time(n, b1 + extra, 100e9, 1e-6);
+            let t1 = ring_allreduce(n, b1, 100e9);
+            let t2 = ring_allreduce(n, b1 + extra, 100e9);
             prop_assert!(t2 > t1);
         }
 
@@ -362,8 +347,8 @@ mod tests {
             bytes in 1.0..1e8f64,
             bw in 1e9..1e11f64,
         ) {
-            let t1 = ring_allreduce_time(n, bytes, bw, 1e-6);
-            let t2 = ring_allreduce_time(n, bytes, 2.0 * bw, 1e-6);
+            let t1 = ring_allreduce(n, bytes, bw);
+            let t2 = ring_allreduce(n, bytes, 2.0 * bw);
             prop_assert!(t2 <= t1);
         }
     }

@@ -5,9 +5,6 @@
 //! (§3), so the quality of the network model decides whether the paper's
 //! performance story holds. This crate provides:
 //!
-//! - [`link`]: link technologies — electrical (NVLink-class copper),
-//!   pluggable optics, and the co-packaged optics (CPO) the paper bets on —
-//!   with bandwidth, reach, per-bit energy and latency.
 //! - [`switching`]: packet vs. circuit switch models; reproduces §3's claim
 //!   that circuit switching is >50% more energy-efficient with lower
 //!   latency and higher radix.
@@ -15,29 +12,34 @@
 //!   reduce-scatter / all-to-all under ring and tree algorithms, the
 //!   traffic generated by tensor parallelism.
 //! - [`topology`]: direct-connect groups, flat switched fabrics and
-//!   two-tier fabrics; hop counts, switch counts and oversubscription.
-//! - [`energy`]: traffic → joules accounting used by the power analyses.
+//!   two-tier fabrics; endpoint capacity and switch counts.
 //!
 //! # Examples
 //!
 //! ```
-//! use litegpu_net::collective::{ring_allreduce_time, CollectiveCost};
+//! use litegpu_net::collective::collective_cost;
+//! use litegpu_net::{CollectiveAlgorithm, CollectiveOp};
 //!
 //! // 32-way ring all-reduce of 1 MiB at 112.5 GB/s per direction:
-//! let t = ring_allreduce_time(32, 1.0e6, 112.5e9, 500e-9);
-//! assert!(t > 0.0 && t < 1e-3);
+//! let cost = collective_cost(
+//!     CollectiveOp::AllReduce,
+//!     CollectiveAlgorithm::Ring,
+//!     32,
+//!     1.0e6,
+//!     112.5e9,
+//!     500e-9,
+//! )
+//! .unwrap();
+//! assert!(cost.time_s > 0.0 && cost.time_s < 1e-3);
 //! ```
 
 pub mod collective;
 pub mod cost;
-pub mod energy;
-pub mod link;
 pub mod switching;
 pub mod topology;
 
 pub use collective::{CollectiveAlgorithm, CollectiveCost, CollectiveOp};
 pub use cost::FabricCostModel;
-pub use link::LinkTech;
 pub use switching::{CircuitSwitch, PacketSwitch, SwitchComparison};
 pub use topology::Topology;
 

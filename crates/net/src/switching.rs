@@ -47,16 +47,6 @@ impl PacketSwitch {
         }
         Ok(())
     }
-
-    /// Aggregate bandwidth, GB/s.
-    pub fn aggregate_gbps(&self) -> f64 {
-        self.radix as f64 * self.port_bw_gbps
-    }
-
-    /// Power at full load, W.
-    pub fn power_at_full_load_w(&self) -> f64 {
-        self.aggregate_gbps() * 1e9 * 8.0 * self.energy_pj_per_bit * 1e-12
-    }
 }
 
 /// An optical circuit switch (Sirius/OCS-class): no per-packet processing,
@@ -91,18 +81,6 @@ impl CircuitSwitch {
         }
     }
 
-    /// A MEMS-based OCS (TPUv4-style): very high radix but slow (ms-scale)
-    /// reconfiguration.
-    pub fn mems_class() -> Self {
-        Self {
-            radix: 320,
-            port_bw_gbps: 100.0,
-            energy_pj_per_bit: 8.0,
-            latency_s: 30e-9,
-            reconfigure_s: 10e-3,
-        }
-    }
-
     /// Validates the parameters.
     pub fn validate(&self) -> Result<()> {
         check_positive("port_bw_gbps", self.port_bw_gbps)?;
@@ -116,16 +94,6 @@ impl CircuitSwitch {
             });
         }
         Ok(())
-    }
-
-    /// Aggregate bandwidth, GB/s.
-    pub fn aggregate_gbps(&self) -> f64 {
-        self.radix as f64 * self.port_bw_gbps
-    }
-
-    /// Power at full load, W.
-    pub fn power_at_full_load_w(&self) -> f64 {
-        self.aggregate_gbps() * 1e9 * 8.0 * self.energy_pj_per_bit * 1e-12
     }
 }
 
@@ -177,7 +145,6 @@ mod tests {
     fn default_models_validate() {
         PacketSwitch::tomahawk_class().validate().unwrap();
         CircuitSwitch::sirius_class().validate().unwrap();
-        CircuitSwitch::mems_class().validate().unwrap();
     }
 
     #[test]
@@ -194,27 +161,6 @@ mod tests {
         assert!(cmp.latency_advantage_s > 0.0);
         assert!(cmp.radix_ratio > 1.0);
         assert!(cmp.paper_claims_hold());
-    }
-
-    #[test]
-    fn mems_tradeoff_is_reconfiguration_time() {
-        // TPU-style OCS: even higher radix, but ms-scale reconfiguration -
-        // the "long reconfiguration periods" §5 attributes to TPU fabrics.
-        let mems = CircuitSwitch::mems_class();
-        let sirius = CircuitSwitch::sirius_class();
-        assert!(mems.radix >= sirius.radix);
-        assert!(mems.reconfigure_s > 1e4 * sirius.reconfigure_s);
-    }
-
-    #[test]
-    fn power_at_full_load() {
-        let p = PacketSwitch::tomahawk_class();
-        // 6400 GB/s * 8 * 18 pJ = 921.6 W.
-        assert!((p.power_at_full_load_w() - 921.6).abs() < 0.1);
-        let c = CircuitSwitch::sirius_class();
-        let per_gbps_packet = p.power_at_full_load_w() / p.aggregate_gbps();
-        let per_gbps_circuit = c.power_at_full_load_w() / c.aggregate_gbps();
-        assert!(per_gbps_circuit < 0.5 * per_gbps_packet);
     }
 
     #[test]

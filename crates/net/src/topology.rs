@@ -4,8 +4,8 @@
 //! direct-connect group replacing each big GPU ("an approximation to the
 //! original network, though it eliminates the benefits of the smaller
 //! blast radius"), (b) a flat switched network over the whole cluster, or
-//! (c) a hierarchical fabric. This module models hop counts, switch
-//! counts, bisection and blast-radius coupling for each.
+//! (c) a hierarchical fabric. This module models endpoint capacity and
+//! switch counts for each.
 
 use crate::{NetError, Result};
 
@@ -97,15 +97,6 @@ impl Topology {
         }
     }
 
-    /// Switch hops between two endpoints (worst case).
-    pub fn max_hops(&self) -> u32 {
-        match self {
-            Topology::DirectGroup { .. } => 0, // Point-to-point links.
-            Topology::FlatSwitched { .. } => 1,
-            Topology::Hierarchical { .. } => 3, // leaf -> spine -> leaf.
-        }
-    }
-
     /// Number of switches needed to connect `endpoints`.
     pub fn switch_count(&self, endpoints: u32) -> Result<u32> {
         self.validate()?;
@@ -130,26 +121,6 @@ impl Topology {
                 leaves + uplinks_per_leaf.min(leaves.max(1))
             }
         })
-    }
-
-    /// Effective per-endpoint bandwidth fraction under a uniform all-to-all
-    /// pattern (1.0 = full bisection).
-    pub fn bisection_fraction(&self) -> f64 {
-        match self {
-            Topology::DirectGroup { .. } => 1.0,
-            Topology::FlatSwitched { .. } => 1.0,
-            Topology::Hierarchical {
-                oversubscription, ..
-            } => 1.0 / oversubscription,
-        }
-    }
-
-    /// Whether a single endpoint failure can degrade endpoints outside its
-    /// own group — the paper's blast-radius coupling: a direct-connect
-    /// group dies together (its links are point-to-point), a switched
-    /// fabric isolates failures.
-    pub fn failure_couples_group(&self) -> bool {
-        matches!(self, Topology::DirectGroup { .. })
     }
 }
 
@@ -180,9 +151,7 @@ mod tests {
     #[test]
     fn direct_group_properties() {
         let t = Topology::DirectGroup { group_size: 4 };
-        assert_eq!(t.max_hops(), 0);
         assert_eq!(t.switch_count(4).unwrap(), 0);
-        assert!(t.failure_couples_group());
         assert_eq!(t.max_endpoints(), 4);
     }
 
@@ -192,7 +161,6 @@ mod tests {
         assert_eq!(t.max_endpoints(), 256);
         assert_eq!(t.switch_count(256).unwrap(), 1);
         assert!(t.switch_count(257).is_err());
-        assert!(!t.failure_couples_group());
     }
 
     #[test]
@@ -203,14 +171,11 @@ mod tests {
             oversubscription: 1.0,
         };
         assert!(t.max_endpoints() > 1000);
-        assert_eq!(t.max_hops(), 3);
-        assert_eq!(t.bisection_fraction(), 1.0);
         let over = Topology::Hierarchical {
             leaf_radix: 64,
             spine_radix: 64,
             oversubscription: 2.0,
         };
-        assert!(over.bisection_fraction() < 1.0);
         assert!(over.max_endpoints() > t.max_endpoints());
     }
 
@@ -233,6 +198,6 @@ mod tests {
         let ocs = crate::switching::CircuitSwitch::sirius_class();
         let t = Topology::FlatSwitched { radix: ocs.radix };
         assert!(t.max_endpoints() >= 32);
-        assert_eq!(t.max_hops(), 1);
+        assert_eq!(t.switch_count(32).unwrap(), 1);
     }
 }

@@ -15,7 +15,7 @@ impl TextTable {
     /// ```
     /// use litegpu_plot::table::TextTable;
     /// let mut t = TextTable::new(&["GPU", "TFLOPS"]);
-    /// t.row(&["H100", "2000"]);
+    /// t.row_owned(vec!["H100".into(), "2000".into()]);
     /// let s = t.render();
     /// assert!(s.contains("H100"));
     /// assert!(s.lines().count() >= 3);
@@ -28,31 +28,12 @@ impl TextTable {
     }
 
     /// Appends a row (missing cells are blank; extras are truncated).
-    pub fn row(&mut self, cells: &[&str]) -> &mut Self {
-        let mut r: Vec<String> = cells.iter().map(|s| s.to_string()).collect();
-        r.resize(self.headers.len(), String::new());
-        r.truncate(self.headers.len());
-        self.rows.push(r);
-        self
-    }
-
-    /// Appends a row of already-owned strings.
     pub fn row_owned(&mut self, cells: Vec<String>) -> &mut Self {
         let mut r = cells;
         r.resize(self.headers.len(), String::new());
         r.truncate(self.headers.len());
         self.rows.push(r);
         self
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Renders the table: header, separator, rows. The first column is
@@ -99,11 +80,15 @@ impl TextTable {
 mod tests {
     use super::*;
 
+    fn row(t: &mut TextTable, cells: &[&str]) {
+        t.row_owned(cells.iter().map(|c| c.to_string()).collect());
+    }
+
     #[test]
     fn renders_aligned_columns() {
         let mut t = TextTable::new(&["name", "value"]);
-        t.row(&["short", "1"]);
-        t.row(&["a-much-longer-name", "12345"]);
+        row(&mut t, &["short", "1"]);
+        row(&mut t, &["a-much-longer-name", "12345"]);
         let s = t.render();
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 4);
@@ -114,9 +99,9 @@ mod tests {
     #[test]
     fn missing_and_extra_cells_normalized() {
         let mut t = TextTable::new(&["a", "b", "c"]);
-        t.row(&["only-one"]);
-        t.row(&["1", "2", "3", "4-extra"]);
-        assert_eq!(t.len(), 2);
+        row(&mut t, &["only-one"]);
+        row(&mut t, &["1", "2", "3", "4-extra"]);
+        assert_eq!(t.rows.len(), 2);
         let s = t.render();
         assert!(!s.contains("4-extra"));
     }
@@ -124,14 +109,14 @@ mod tests {
     #[test]
     fn empty_table_renders_header_only() {
         let t = TextTable::new(&["x"]);
-        assert!(t.is_empty());
+        assert!(t.rows.is_empty());
         assert_eq!(t.render().lines().count(), 2);
     }
 
     #[test]
     fn unicode_width_counted_by_chars() {
         let mut t = TextTable::new(&["µs", "val"]);
-        t.row(&["1.5 µs", "2"]);
+        row(&mut t, &["1.5 µs", "2"]);
         let s = t.render();
         assert!(s.contains("µs"));
     }

@@ -6,7 +6,6 @@
 //! paper's §4 results.
 
 use crate::params::EngineParams;
-use crate::{Result, RooflineError};
 use litegpu_specs::GpuSpec;
 use litegpu_workload::{kv, parallel, ModelArch};
 
@@ -30,25 +29,6 @@ pub fn kv_bytes_per_seq_per_gpu(
 ) -> f64 {
     context as f64
         * kv::bytes_per_token_per_gpu_with_policy(arch, params.precision, tp, params.gqa_policy)
-}
-
-/// Whether the model's weights alone fit at TP degree `tp`.
-pub fn weights_fit(spec: &GpuSpec, arch: &ModelArch, tp: u32, params: &EngineParams) -> bool {
-    weight_bytes_per_gpu(arch, tp, params) <= usable_bytes_per_gpu(spec, params)
-}
-
-/// The smallest TP degree at which the weights fit (no KV slack yet).
-pub fn min_gpus(spec: &GpuSpec, arch: &ModelArch, params: &EngineParams) -> Result<u32> {
-    for tp in 1..=spec.max_gpus {
-        if weights_fit(spec, arch, tp, params) {
-            return Ok(tp);
-        }
-    }
-    Err(RooflineError::DoesNotFit {
-        model: arch.name.clone(),
-        gpu: spec.name.clone(),
-        gpus: spec.max_gpus,
-    })
 }
 
 /// Maximum batch size whose KV cache fits beside the weights at TP degree
@@ -95,20 +75,27 @@ mod tests {
     use litegpu_workload::models;
     use proptest::prelude::*;
 
+    /// The smallest TP degree at which the weights fit (no KV slack yet).
+    fn min_gpus(spec: &GpuSpec, arch: &ModelArch, params: &EngineParams) -> Option<u32> {
+        (1..=spec.max_gpus).find(|&tp| {
+            weight_bytes_per_gpu(arch, tp, params) <= usable_bytes_per_gpu(spec, params)
+        })
+    }
+
     #[test]
     fn min_gpus_match_model_sizes() {
         let p = EngineParams::paper_defaults();
         // FP8: bytes == params. H100 (76 GB usable): 70B needs 1, 175B
         // needs 3, 405B needs 6.
         let h = catalog::h100();
-        assert_eq!(min_gpus(&h, &models::llama3_70b(), &p).unwrap(), 1);
-        assert_eq!(min_gpus(&h, &models::gpt3_175b(), &p).unwrap(), 3);
-        assert_eq!(min_gpus(&h, &models::llama3_405b(), &p).unwrap(), 6);
+        assert_eq!(min_gpus(&h, &models::llama3_70b(), &p), Some(1));
+        assert_eq!(min_gpus(&h, &models::gpt3_175b(), &p), Some(3));
+        assert_eq!(min_gpus(&h, &models::llama3_405b(), &p), Some(6));
         // Lite (19 GB usable): 70B needs 4, 175B needs 10, 405B needs 22.
         let l = catalog::lite_base();
-        assert_eq!(min_gpus(&l, &models::llama3_70b(), &p).unwrap(), 4);
-        assert_eq!(min_gpus(&l, &models::gpt3_175b(), &p).unwrap(), 10);
-        assert_eq!(min_gpus(&l, &models::llama3_405b(), &p).unwrap(), 22);
+        assert_eq!(min_gpus(&l, &models::llama3_70b(), &p), Some(4));
+        assert_eq!(min_gpus(&l, &models::gpt3_175b(), &p), Some(10));
+        assert_eq!(min_gpus(&l, &models::llama3_405b(), &p), Some(22));
     }
 
     #[test]
@@ -140,10 +127,7 @@ mod tests {
         let p = EngineParams::paper_defaults();
         let mut small = catalog::lite_base();
         small.max_gpus = 8; // 8 x 19 GB usable < 405 GB.
-        assert!(matches!(
-            min_gpus(&small, &models::llama3_405b(), &p),
-            Err(RooflineError::DoesNotFit { .. })
-        ));
+        assert_eq!(min_gpus(&small, &models::llama3_405b(), &p), None);
     }
 
     #[test]

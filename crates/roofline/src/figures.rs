@@ -54,14 +54,6 @@ impl Figure3 {
             .iter()
             .find(|p| p.model == model && p.gpu == gpu)
     }
-
-    /// The normalized series for one model, in GPU-type order.
-    pub fn normalized_series(&self, model: &str) -> Vec<f64> {
-        self.gpu_types
-            .iter()
-            .filter_map(|g| self.point(model, g).map(|p| p.normalized))
-            .collect()
-    }
 }
 
 /// Builds a Figure-3-style panel for an arbitrary model list and GPU-type
@@ -153,7 +145,11 @@ mod tests {
         assert_eq!(f.models.len(), 3);
         assert_eq!(f.gpu_types.len(), 4);
         for m in &f.models {
-            let series = f.normalized_series(m);
+            let series: Vec<f64> = f
+                .gpu_types
+                .iter()
+                .filter_map(|g| f.point(m, g).map(|p| p.normalized))
+                .collect();
             assert_eq!(series.len(), 4);
             assert!((series[0] - 1.0).abs() < 1e-12, "H100 normalizes to 1");
         }

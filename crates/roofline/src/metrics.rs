@@ -1,8 +1,4 @@
-//! Derived metrics: normalization and energy-per-token.
-
-use crate::params::EngineParams;
-use litegpu_specs::power::PowerModel;
-use litegpu_specs::GpuSpec;
+//! Derived metrics: normalization.
 
 /// Normalizes a series so that the entry named `baseline` equals 1.0.
 ///
@@ -24,48 +20,9 @@ pub fn normalize_to(series: &[(String, f64)], baseline: &str) -> Option<Vec<(Str
     Some(series.iter().map(|(n, v)| (n.clone(), v / base)).collect())
 }
 
-/// Energy per generated/processed token, joules, for a group of `gpus`
-/// running a phase of `duration_s` that produces `tokens`.
-///
-/// Assumes the binding resource keeps the group near full utilization
-/// while the phase runs (the configuration search already maximizes
-/// utilization). Network energy is not included here — see
-/// [`litegpu_net::energy`] for fabric-side accounting.
-pub fn energy_per_token_j(
-    spec: &GpuSpec,
-    gpus: u32,
-    duration_s: f64,
-    tokens: f64,
-    _params: &EngineParams,
-) -> f64 {
-    if tokens <= 0.0 || duration_s <= 0.0 {
-        return 0.0;
-    }
-    let model = PowerModel::for_spec(spec);
-    let power = model.power_w(1.0, 1.0) * gpus as f64;
-    power * duration_s / tokens
-}
-
-/// Tokens per joule (the reciprocal view used in efficiency plots).
-pub fn tokens_per_joule(
-    spec: &GpuSpec,
-    gpus: u32,
-    duration_s: f64,
-    tokens: f64,
-    params: &EngineParams,
-) -> f64 {
-    let e = energy_per_token_j(spec, gpus, duration_s, tokens, params);
-    if e <= 0.0 {
-        0.0
-    } else {
-        1.0 / e
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use litegpu_specs::catalog;
 
     #[test]
     fn normalize_basics() {
@@ -81,22 +38,5 @@ mod tests {
         assert!(normalize_to(&series, "missing").is_none());
         let zero = vec![("H100".to_string(), 0.0)];
         assert!(normalize_to(&zero, "H100").is_none());
-    }
-
-    #[test]
-    fn energy_per_token_sane() {
-        let p = EngineParams::paper_defaults();
-        // 8 H100s for 1 s producing 4000 tokens: 5600 J / 4000 = 1.4 J/tok.
-        let e = energy_per_token_j(&catalog::h100(), 8, 1.0, 4000.0, &p);
-        assert!((e - 1.4).abs() < 1e-9);
-        assert_eq!(energy_per_token_j(&catalog::h100(), 8, 1.0, 0.0, &p), 0.0);
-    }
-
-    #[test]
-    fn tokens_per_joule_reciprocal() {
-        let p = EngineParams::paper_defaults();
-        let e = energy_per_token_j(&catalog::h100(), 4, 0.5, 1000.0, &p);
-        let t = tokens_per_joule(&catalog::h100(), 4, 0.5, 1000.0, &p);
-        assert!((e * t - 1.0).abs() < 1e-9);
     }
 }

@@ -224,12 +224,6 @@ impl StepCostTable {
         self.decode_step_us_at(self.nominal_clock_idx(), batch)
     }
 
-    /// Generated tokens per second at `batch` (batch / step time).
-    pub fn decode_tokens_per_s(&self, batch: u32) -> f64 {
-        let b = batch.clamp(1, self.max_batch) as f64;
-        b * 1e6 / self.decode_step_us(batch) as f64
-    }
-
     /// Number of sampled batch sizes.
     pub fn grid_len(&self) -> usize {
         self.batches.len()
@@ -344,7 +338,8 @@ mod tests {
     #[test]
     fn tokens_per_s_grows_with_batch() {
         let t = table();
-        assert!(t.decode_tokens_per_s(32) > t.decode_tokens_per_s(1));
+        // Tokens per second is batch / step time.
+        assert!(32 * t.decode_step_us(1) > t.decode_step_us(32));
     }
 
     #[test]

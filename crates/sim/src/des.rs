@@ -90,16 +90,6 @@ impl<E> EventQueue<E> {
             (t, e)
         })
     }
-
-    /// Pending event count.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -151,7 +141,6 @@ mod tests {
         q.pop();
         q.schedule_in(50, "b");
         assert_eq!(q.pop().unwrap().0, 1050);
-        assert!(q.is_empty());
-        assert_eq!(q.len(), 0);
+        assert!(q.pop().is_none());
     }
 }

@@ -48,31 +48,6 @@ impl FailurePlan {
         }
     }
 
-    /// Derives a plan from the cluster-level
-    /// [`litegpu_cluster::failure::FailureModel`], bridging its
-    /// *annualized* rates to this simulator's *per-hour* rates (the shared
-    /// unit convention documented in `litegpu_cluster::failure`).
-    ///
-    /// `acceleration` scales the failure rate only — `1.0` is the real
-    /// hardware rate (roughly one failure per instance-year; invisible in
-    /// a minutes-long run), larger values compress years of failure
-    /// behaviour into short horizons while keeping swap/repair times real.
-    pub fn from_failure_model(
-        model: &litegpu_cluster::failure::FailureModel,
-        spec: &litegpu_specs::GpuSpec,
-        gpus_per_instance: u32,
-        spares: u32,
-        acceleration: f64,
-    ) -> Self {
-        Self {
-            failures_per_instance_hour: model.failures_per_instance_hour(spec, gpus_per_instance)
-                * acceleration,
-            spares,
-            spare_swap_s: model.spare_swap_hours * 3600.0,
-            repair_s: model.mttr_hours * 3600.0,
-        }
-    }
-
     /// Pre-generates failure times for `instances` instances over
     /// `horizon_s`, as `(time, instance)` pairs sorted by time.
     pub fn generate(
@@ -145,24 +120,6 @@ mod tests {
             assert!(w[0].0 <= w[1].0);
         }
         assert!(ev.iter().all(|&(_, i)| i < 3));
-    }
-
-    #[test]
-    fn from_failure_model_bridges_annualized_rates() {
-        let spec = litegpu_specs::catalog::h100();
-        let model = litegpu_cluster::failure::FailureModel::default_for(&spec);
-        let plan = FailurePlan::from_failure_model(&model, &spec, 8, 2, 1.0);
-        // 8 GPUs x 5% AFR / 8760 h.
-        assert!((plan.failures_per_instance_hour - 8.0 * 0.05 / 8760.0).abs() < 1e-12);
-        assert_eq!(plan.spares, 2);
-        assert!((plan.repair_s - model.mttr_hours * 3600.0).abs() < 1e-9);
-        assert!((plan.spare_swap_s - model.spare_swap_hours * 3600.0).abs() < 1e-9);
-        // Acceleration scales the rate linearly.
-        let fast = FailurePlan::from_failure_model(&model, &spec, 8, 2, 1000.0);
-        assert!(
-            (fast.failures_per_instance_hour / plan.failures_per_instance_hour - 1000.0).abs()
-                < 1e-6
-        );
     }
 
     #[test]

@@ -54,15 +54,6 @@ impl LengthDist {
             }
         }
     }
-
-    /// Expected value of the distribution.
-    pub fn mean(&self) -> f64 {
-        match self {
-            LengthDist::Fixed(n) => *n as f64,
-            LengthDist::Uniform { min, max } => (*min as f64 + *max as f64) / 2.0,
-            LengthDist::GeometricMean(mean) => *mean as f64,
-        }
-    }
 }
 
 /// A Poisson request source.

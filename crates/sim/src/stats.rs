@@ -19,25 +19,6 @@ impl Samples {
         }
     }
 
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// True when no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// Mean of the samples (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.values.is_empty() {
-            0.0
-        } else {
-            self.values.iter().sum::<f64>() / self.values.len() as f64
-        }
-    }
-
     /// The `p`-th percentile (nearest-rank; `p` in `[0, 100]`; 0 when
     /// empty).
     ///
@@ -68,11 +49,6 @@ impl Samples {
         }
         self.values.iter().filter(|&&v| v <= threshold).count() as f64 / self.values.len() as f64
     }
-
-    /// Maximum sample (0 when empty).
-    pub fn max(&self) -> f64 {
-        self.values.iter().copied().fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]
@@ -83,11 +59,9 @@ mod tests {
     #[test]
     fn empty_stats_are_zeroes() {
         let s = Samples::new();
-        assert!(s.is_empty());
-        assert_eq!(s.mean(), 0.0);
+        assert!(s.values.is_empty());
         assert_eq!(s.percentile(50.0), 0.0);
         assert_eq!(s.attainment(1.0), 1.0);
-        assert_eq!(s.max(), 0.0);
     }
 
     #[test]
@@ -119,7 +93,7 @@ mod tests {
         s.record(f64::NAN);
         s.record(f64::INFINITY);
         s.record(1.0);
-        assert_eq!(s.len(), 1);
+        assert_eq!(s.values, vec![1.0]);
     }
 
     proptest! {

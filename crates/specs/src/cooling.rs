@@ -41,18 +41,6 @@ impl CoolingClass {
         }
     }
 
-    /// Relative facility cost factor (1.0 = forced air), capturing the
-    /// plumbing/CDU overhead the paper wants to avoid.
-    pub fn facility_cost_factor(&self) -> f64 {
-        match self {
-            CoolingClass::PassiveAir => 0.8,
-            CoolingClass::ForcedAir => 1.0,
-            CoolingClass::AdvancedAir => 1.3,
-            CoolingClass::Liquid => 1.8,
-            CoolingClass::Immersion => 2.5,
-        }
-    }
-
     /// The cheapest class able to remove `power_w` per package.
     ///
     /// # Examples
@@ -74,17 +62,6 @@ impl CoolingClass {
         .into_iter()
         .find(|c| c.limit_w() >= power_w)
         .unwrap_or(CoolingClass::Immersion)
-    }
-
-    /// All classes in capability order.
-    pub fn all() -> [CoolingClass; 5] {
-        [
-            CoolingClass::PassiveAir,
-            CoolingClass::ForcedAir,
-            CoolingClass::AdvancedAir,
-            CoolingClass::Liquid,
-            CoolingClass::Immersion,
-        ]
     }
 }
 
@@ -118,10 +95,15 @@ mod tests {
 
     #[test]
     fn classes_ordered_by_limit() {
-        let all = CoolingClass::all();
+        let all = [
+            CoolingClass::PassiveAir,
+            CoolingClass::ForcedAir,
+            CoolingClass::AdvancedAir,
+            CoolingClass::Liquid,
+            CoolingClass::Immersion,
+        ];
         for w in all.windows(2) {
             assert!(w[0].limit_w() < w[1].limit_w());
-            assert!(w[0].facility_cost_factor() < w[1].facility_cost_factor());
         }
     }
 

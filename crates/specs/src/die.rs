@@ -12,7 +12,7 @@
 //! [`ShorelineBudget`] turns a die geometry plus a per-mm escape-bandwidth
 //! figure into a checkable budget for memory + network allocations.
 
-use crate::{check_positive, Result, SpecError};
+use crate::{Result, SpecError};
 use litegpu_fab::wafer::DieGeometry;
 
 /// Escape bandwidth per millimetre of die edge, in GB/s per mm.
@@ -44,15 +44,6 @@ impl ShorelineBudget {
         }
     }
 
-    /// Budget with an explicit escape-bandwidth figure (e.g. a co-packaged
-    /// optics projection).
-    pub fn with_escape(die: &DieGeometry, escape_gbps_per_mm: f64) -> Result<Self> {
-        Ok(Self {
-            perimeter_mm: die.perimeter_mm(),
-            escape_gbps_per_mm: check_positive("escape_gbps_per_mm", escape_gbps_per_mm)?,
-        })
-    }
-
     /// Total off-die bandwidth this shoreline can carry, GB/s.
     pub fn total_gbps(&self) -> f64 {
         self.perimeter_mm * self.escape_gbps_per_mm
@@ -66,7 +57,7 @@ impl ShorelineBudget {
     /// use litegpu_fab::wafer::DieGeometry;
     /// use litegpu_specs::die::ShorelineBudget;
     ///
-    /// let lite_die = DieGeometry::square(814.0 / 4.0).unwrap();
+    /// let lite_die = DieGeometry::with_aspect(814.0 / 4.0, 1.0).unwrap();
     /// let budget = ShorelineBudget::for_die(&lite_die);
     /// // Lite+MemBW+NetBW (Table 1): 1675 + 225 GB/s fits the doubled shoreline.
     /// assert!(budget.check_allocation(1675.0, 225.0).is_ok());
@@ -92,33 +83,13 @@ impl ShorelineBudget {
     }
 }
 
-/// Shoreline-to-area gain from splitting a die into `n` equal parts:
-/// `total_perimeter_after / perimeter_before = √n` (aspect preserved).
-///
-/// # Examples
-///
-/// ```
-/// assert!((litegpu_specs::die::split_shoreline_gain(4) - 2.0).abs() < 1e-12);
-/// ```
-pub fn split_shoreline_gain(n: u32) -> f64 {
-    (n.max(1) as f64).sqrt()
-}
-
-/// Bandwidth-to-compute gain from a split, assuming compute scales with
-/// area and off-die bandwidth scales with shoreline: also `√n`.
-///
-/// The paper's headline example: `n = 4` → 2× bandwidth-to-compute.
-pub fn split_bandwidth_to_compute_gain(n: u32) -> f64 {
-    split_shoreline_gain(n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
 
     fn h100_die() -> DieGeometry {
-        DieGeometry::square(814.0).unwrap()
+        DieGeometry::with_aspect(814.0, 1.0).unwrap()
     }
 
     #[test]
@@ -170,36 +141,24 @@ mod tests {
     }
 
     #[test]
-    fn split_gains() {
-        assert!((split_shoreline_gain(1) - 1.0).abs() < 1e-12);
-        assert!((split_shoreline_gain(4) - 2.0).abs() < 1e-12);
-        assert!((split_shoreline_gain(16) - 4.0).abs() < 1e-12);
-        assert_eq!(split_shoreline_gain(0), 1.0);
-    }
-
-    #[test]
     fn custom_escape_bandwidth() {
         let die = h100_die();
-        let optical = ShorelineBudget::with_escape(&die, 334.0).unwrap();
         let electrical = ShorelineBudget::for_die(&die);
+        let optical = ShorelineBudget {
+            escape_gbps_per_mm: 334.0,
+            ..electrical
+        };
         assert!((optical.total_gbps() / electrical.total_gbps() - 10.0).abs() < 1e-9);
-        assert!(ShorelineBudget::with_escape(&die, 0.0).is_err());
     }
 
     proptest! {
-        #[test]
-        fn split_gain_is_sqrt_n(n in 1u32..64) {
-            let g = split_shoreline_gain(n);
-            prop_assert!((g * g - n as f64).abs() < 1e-9);
-        }
-
         #[test]
         fn utilization_consistent_with_check(
             mem in 1.0..5000.0f64,
             net in 1.0..2000.0f64,
             area in 100.0..1000.0f64,
         ) {
-            let die = DieGeometry::square(area).unwrap();
+            let die = DieGeometry::with_aspect(area, 1.0).unwrap();
             let b = ShorelineBudget::for_die(&die);
             let fits = b.check_allocation(mem, net).is_ok();
             let util = b.utilization(mem, net);

@@ -85,33 +85,12 @@ impl GpuSpec {
         units::gb_to_bytes(self.mem_capacity_gb)
     }
 
-    /// Peak compute per SM, FLOP/s.
-    pub fn flops_per_sm(&self) -> f64 {
-        self.flops() / self.sms as f64
-    }
-
     /// Memory bandwidth-to-compute ratio, bytes per FLOP.
     ///
     /// The paper's Lite-GPU thesis is that this ratio can double when die
     /// area is quartered (shoreline effect).
     pub fn mem_bw_per_flop(&self) -> f64 {
         self.mem_bytes_per_s() / self.flops()
-    }
-
-    /// Network bandwidth-to-compute ratio, bytes per FLOP.
-    pub fn net_bw_per_flop(&self) -> f64 {
-        self.net_bytes_per_s() / self.flops()
-    }
-
-    /// Arithmetic intensity (FLOP/byte) at which this GPU transitions from
-    /// memory-bound to compute-bound — the roofline ridge point.
-    pub fn ridge_point(&self) -> f64 {
-        self.flops() / self.mem_bytes_per_s()
-    }
-
-    /// Package power density, W per mm² of compute silicon.
-    pub fn power_density_w_per_mm2(&self) -> f64 {
-        self.tdp_w / (self.die.area_mm2() * self.dies_per_package as f64)
     }
 
     /// Returns a renamed copy (for derived configurations).
@@ -133,9 +112,6 @@ mod tests {
         assert_eq!(h.flops(), 2.0e15);
         assert_eq!(h.mem_bytes_per_s(), 3.352e12);
         assert_eq!(h.mem_capacity_bytes(), 80e9);
-        // Ridge point for FP8 H100: 2000e12/3352e9 ~ 597 FLOP/byte.
-        assert!((h.ridge_point() - 596.7).abs() < 1.0);
-        assert!((h.flops_per_sm() - 2.0e15 / 132.0).abs() < 1e6);
     }
 
     #[test]
@@ -171,8 +147,9 @@ mod tests {
         // preserved; the cooling win is per-package watts, not density.
         let h = catalog::h100();
         let l = catalog::lite_base();
-        let rel = (h.power_density_w_per_mm2() - l.power_density_w_per_mm2()).abs()
-            / h.power_density_w_per_mm2();
+        // Package watts per mm² of compute silicon.
+        let density = |g: &crate::GpuSpec| g.tdp_w / (g.die.area_mm2() * g.dies_per_package as f64);
+        let rel = (density(&h) - density(&l)).abs() / density(&h);
         assert!(rel < 0.05, "relative density delta {rel}");
     }
 

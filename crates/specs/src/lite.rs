@@ -10,7 +10,7 @@
 //! customization is validated against the physical budgets
 //! ([`crate::die::ShorelineBudget`], [`crate::cooling`]).
 
-use crate::cooling::{self, CoolingClass};
+use crate::cooling::CoolingClass;
 use crate::die::ShorelineBudget;
 use crate::gpu::GpuSpec;
 use crate::power::PowerModel;
@@ -144,12 +144,6 @@ impl LiteDerivation {
         spec.validate()?;
         Ok(spec)
     }
-
-    /// Cooling-limited sustained overclock headroom of the base Lite spec.
-    pub fn overclock_headroom(&self) -> Result<f64> {
-        let base = self.base("tmp")?;
-        Ok(cooling::assess(&base)?.max_sustained_clock)
-    }
 }
 
 #[cfg(test)]
@@ -245,7 +239,9 @@ mod tests {
 
     #[test]
     fn headroom_allows_ten_percent() {
-        let h = derivation().overclock_headroom().unwrap();
+        // The cooling-limited sustained clock of the base Lite spec.
+        let base = derivation().base("Lite").unwrap();
+        let h = crate::cooling::assess(&base).unwrap().max_sustained_clock;
         assert!(h >= 1.1, "headroom = {h}");
     }
 

@@ -14,9 +14,6 @@ pub const BYTES_PER_GB: f64 = 1e9;
 /// FLOP/s per TFLOPS.
 pub const FLOPS_PER_TFLOPS: f64 = 1e12;
 
-/// Seconds per millisecond.
-pub const SECONDS_PER_MS: f64 = 1e-3;
-
 /// Converts TFLOPS to FLOP/s.
 ///
 /// # Examples
@@ -36,40 +33,6 @@ pub fn gb_to_bytes(gb: f64) -> f64 {
 /// Converts GB/s to bytes/s.
 pub fn gbps_to_bytes_per_s(gbps: f64) -> f64 {
     gbps * BYTES_PER_GB
-}
-
-/// Converts seconds to milliseconds.
-pub fn s_to_ms(seconds: f64) -> f64 {
-    seconds / SECONDS_PER_MS
-}
-
-/// Converts milliseconds to seconds.
-pub fn ms_to_s(ms: f64) -> f64 {
-    ms * SECONDS_PER_MS
-}
-
-/// Formats a byte count with a binary-free, human-readable SI suffix.
-///
-/// # Examples
-///
-/// ```
-/// assert_eq!(litegpu_specs::units::format_bytes(1.5e9), "1.50 GB");
-/// assert_eq!(litegpu_specs::units::format_bytes(2.0e3), "2.00 KB");
-/// ```
-pub fn format_bytes(bytes: f64) -> String {
-    const UNITS: [(&str, f64); 5] = [
-        ("PB", 1e15),
-        ("TB", 1e12),
-        ("GB", 1e9),
-        ("MB", 1e6),
-        ("KB", 1e3),
-    ];
-    for (suffix, scale) in UNITS {
-        if bytes.abs() >= scale {
-            return format!("{:.2} {suffix}", bytes / scale);
-        }
-    }
-    format!("{bytes:.0} B")
 }
 
 /// Formats a duration in seconds with an adaptive unit (s / ms / µs / ns).
@@ -101,15 +64,6 @@ mod tests {
         assert_eq!(gb_to_bytes(80.0), 80e9);
         assert_eq!(gbps_to_bytes_per_s(3.352), 3.352e9);
         assert_eq!(tflops_to_flops(0.5), 5e11);
-        assert!((ms_to_s(s_to_ms(0.42)) - 0.42).abs() < 1e-12);
-    }
-
-    #[test]
-    fn byte_formatting_covers_ranges() {
-        assert_eq!(format_bytes(500.0), "500 B");
-        assert_eq!(format_bytes(2.5e6), "2.50 MB");
-        assert_eq!(format_bytes(3.0e12), "3.00 TB");
-        assert_eq!(format_bytes(1.2e15), "1.20 PB");
     }
 
     #[test]

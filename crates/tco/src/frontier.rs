@@ -321,28 +321,6 @@ impl TcoReport {
         }
         out
     }
-
-    /// Human summary of the headline comparison.
-    pub fn summary(&self) -> String {
-        match &self.headline {
-            Some(h) => format!(
-                "tco: best H100 {} ${:.2}/Mtok vs best Lite {} ${:.2}/Mtok (ratio {:.3}); \
-                 {} points, {} on frontier",
-                h.h100,
-                h.h100_usd_per_mtoken,
-                h.lite,
-                h.lite_usd_per_mtoken,
-                h.lite_over_h100,
-                self.points.len(),
-                self.frontier.len(),
-            ),
-            None => format!(
-                "tco: {} points, {} on frontier (no H100-vs-Lite headline)",
-                self.points.len(),
-                self.frontier.len()
-            ),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -423,7 +401,6 @@ mod tests {
         assert_eq!(h.h100_usd_per_mtoken, 3.0);
         assert_eq!(h.lite_usd_per_mtoken, 2.0);
         assert!((h.lite_over_h100 - 2.0 / 3.0).abs() < 1e-12);
-        assert!(r.summary().contains("best H100"));
         // Frontier points are flagged and the CSV has one row each.
         let csv = r.frontier_csv();
         assert_eq!(csv.lines().count(), 1 + r.frontier.len());

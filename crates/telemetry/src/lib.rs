@@ -28,4 +28,4 @@ pub mod trace;
 
 pub use profile::{PhaseProfile, PHASES};
 pub use series::{Metric, MetricId, MetricKind, SeriesRecorder};
-pub use trace::{render_chrome_trace, span_sampled, validate_json, Ph, SpanSampler, TraceEvent};
+pub use trace::{render_chrome_trace, validate_json, Ph, SpanSampler, TraceEvent};

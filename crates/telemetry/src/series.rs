@@ -115,7 +115,8 @@ impl SeriesRecorder {
     }
 
     /// Accumulates `value` at `window` by id (out-of-range windows are
-    /// ignored, as in [`SeriesRecorder::add`]).
+    /// ignored — the horizon's trailing partial window is dropped by
+    /// construction).
     #[inline]
     pub fn add_at(&mut self, id: MetricId, window: usize, value: u64) {
         if window < self.windows {
@@ -133,15 +134,6 @@ impl SeriesRecorder {
         self.windows
     }
 
-    /// Accumulates `value` into `name` at `window` (out-of-range windows
-    /// are ignored — the horizon's trailing partial window is dropped by
-    /// construction). The metric is created on first touch; `kind` must
-    /// stay consistent across touches.
-    pub fn add(&mut self, name: &str, kind: MetricKind, window: usize, value: u64) {
-        let id = self.id(name, kind);
-        self.add_at(id, window, value);
-    }
-
     /// Looks a metric up by name.
     pub fn get(&self, name: &str) -> Option<&Metric> {
         self.index.get(name).map(|&i| &self.metrics[i])
@@ -150,16 +142,6 @@ impl SeriesRecorder {
     /// Metric names in export (lexicographic) order.
     pub fn names(&self) -> impl Iterator<Item = &str> {
         self.index.keys().map(String::as_str)
-    }
-
-    /// Number of distinct metrics.
-    pub fn len(&self) -> usize {
-        self.metrics.len()
-    }
-
-    /// True when no metric was ever touched.
-    pub fn is_empty(&self) -> bool {
-        self.metrics.is_empty()
     }
 
     /// Adds `other` into `self` elementwise (associative, commutative —
@@ -248,6 +230,12 @@ impl SeriesRecorder {
 mod tests {
     use super::*;
 
+    /// Accumulates by name, registering the metric on first touch.
+    fn add(r: &mut SeriesRecorder, name: &str, kind: MetricKind, window: usize, value: u64) {
+        let id = r.id(name, kind);
+        r.add_at(id, window, value);
+    }
+
     #[test]
     fn id_based_accumulation_matches_named() {
         let mut by_name = SeriesRecorder::new(10, 4);
@@ -256,8 +244,8 @@ mod tests {
         let a = by_id.id("arrived", MetricKind::Counter);
         assert_eq!(q, by_id.id("queued", MetricKind::Gauge), "ids are stable");
         for w in 0..5 {
-            by_name.add("queued", MetricKind::Gauge, w, 3);
-            by_name.add("arrived", MetricKind::Counter, w, w as u64);
+            add(&mut by_name, "queued", MetricKind::Gauge, w, 3);
+            add(&mut by_name, "arrived", MetricKind::Counter, w, w as u64);
             by_id.add_at(q, w, 3);
             by_id.add_at(a, w, w as u64);
         }
@@ -268,12 +256,12 @@ mod tests {
     #[test]
     fn add_accumulates_and_ignores_out_of_range() {
         let mut r = SeriesRecorder::new(1_000_000, 3);
-        r.add("queued", MetricKind::Gauge, 0, 5);
-        r.add("queued", MetricKind::Gauge, 0, 2);
-        r.add("queued", MetricKind::Gauge, 2, 9);
-        r.add("queued", MetricKind::Gauge, 3, 99); // dropped
+        add(&mut r, "queued", MetricKind::Gauge, 0, 5);
+        add(&mut r, "queued", MetricKind::Gauge, 0, 2);
+        add(&mut r, "queued", MetricKind::Gauge, 2, 9);
+        add(&mut r, "queued", MetricKind::Gauge, 3, 99); // dropped
         assert_eq!(r.get("queued").unwrap().values, vec![7, 0, 9]);
-        assert_eq!(r.len(), 1);
+        assert_eq!(r.metrics.len(), 1);
     }
 
     #[test]
@@ -281,7 +269,7 @@ mod tests {
         let mk = |vals: &[(usize, u64)], name: &str| {
             let mut r = SeriesRecorder::new(10, 4);
             for &(w, v) in vals {
-                r.add(name, MetricKind::Counter, w, v);
+                add(&mut r, name, MetricKind::Counter, w, v);
             }
             r
         };
@@ -295,7 +283,7 @@ mod tests {
         assert_eq!(ab.get("arrived").unwrap().values, vec![1, 5, 7, 0]);
         // A metric only one shard saw merges as if the other held zeros.
         let mut c = SeriesRecorder::new(10, 4);
-        c.add("shed", MetricKind::Counter, 3, 2);
+        add(&mut c, "shed", MetricKind::Counter, 3, 2);
         ab.merge(&c);
         assert_eq!(ab.get("shed").unwrap().values, vec![0, 0, 0, 2]);
     }
@@ -303,8 +291,8 @@ mod tests {
     #[test]
     fn jsonl_and_csv_are_integer_and_ordered() {
         let mut r = SeriesRecorder::new(60_000_000, 2);
-        r.add("b_gauge", MetricKind::Gauge, 0, 11);
-        r.add("a_count", MetricKind::Counter, 1, 7);
+        add(&mut r, "b_gauge", MetricKind::Gauge, 0, 11);
+        add(&mut r, "a_count", MetricKind::Counter, 1, 7);
         let jsonl = r.to_jsonl();
         let mut lines = jsonl.lines();
         let head = lines.next().unwrap();

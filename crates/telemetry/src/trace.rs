@@ -157,19 +157,15 @@ impl TraceEvent {
     }
 }
 
-/// Whether a span id is in the 1-in-`every` trace sample. Span ids pack
+/// The 1-in-`every` trace sample of span ids. Span ids pack
 /// `(instance_global_index << 32) | launch_counter`; sampling keys on
 /// the launch counter so every instance contributes evenly. `every == 0`
-/// disables tracing entirely. Hot paths should hold a [`SpanSampler`]
-/// instead of calling this per span.
-pub fn span_sampled(span: u64, every: u32) -> bool {
-    SpanSampler::new(every).sampled(span)
-}
-
-/// Division-free 1-in-`every` span sampling for per-launch hot paths:
-/// the divisibility test is a wrapping multiply against a precomputed
-/// constant (D. Lemire's fast remainder check), so a sampler in the
-/// serve loop costs one multiply per span instead of a 64-bit division.
+/// disables tracing entirely.
+///
+/// Division-free for per-launch hot paths: the divisibility test is a
+/// wrapping multiply against a precomputed constant (D. Lemire's fast
+/// remainder check), so a sampler in the serve loop costs one multiply
+/// per span instead of a 64-bit division.
 #[derive(Debug, Clone, Copy)]
 pub struct SpanSampler {
     every: u32,
@@ -189,13 +185,8 @@ impl SpanSampler {
         Self { every, m }
     }
 
-    /// The configured sampling period.
-    pub fn every(&self) -> u32 {
-        self.every
-    }
-
-    /// Whether `span` is in the sample — exactly
-    /// [`span_sampled`]`(span, self.every())`.
+    /// Whether `span` is in the sample: whether its launch counter (the
+    /// low 32 bits) is a multiple of `every`.
     #[inline]
     pub fn sampled(&self, span: u64) -> bool {
         match self.every {
@@ -432,17 +423,18 @@ mod tests {
 
     #[test]
     fn span_sampling_keys_on_launch_counter() {
-        assert!(!span_sampled(5, 0)); // disabled
-        assert!(span_sampled((7u64 << 32) | 64, 64));
-        assert!(!span_sampled((7u64 << 32) | 65, 64));
-        assert!(span_sampled(u64::MAX, 1)); // every launch
+        let sampled = |span, every| SpanSampler::new(every).sampled(span);
+        assert!(!sampled(5, 0)); // disabled
+        assert!(sampled((7u64 << 32) | 64, 64));
+        assert!(!sampled((7u64 << 32) | 65, 64));
+        assert!(sampled(u64::MAX, 1)); // every launch
     }
 
     #[test]
     fn sampler_matches_the_modulo_definition() {
         for every in [0u32, 1, 2, 3, 5, 7, 64, 100, 4096, 9999, u32::MAX] {
             let s = SpanSampler::new(every);
-            assert_eq!(s.every(), every);
+            assert_eq!(s.every, every);
             for low in (0u64..5000).chain([u32::MAX as u64 - 1, u32::MAX as u64]) {
                 let span = (42u64 << 32) | low;
                 let want = every > 0 && low % every as u64 == 0;

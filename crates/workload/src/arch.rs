@@ -78,16 +78,6 @@ impl ModelArch {
         Ok(())
     }
 
-    /// Query heads per KV head (the GQA group size; 1 for MHA).
-    pub fn gqa_group(&self) -> u32 {
-        self.heads / self.kv_heads
-    }
-
-    /// Whether the model uses grouped-query attention.
-    pub fn is_gqa(&self) -> bool {
-        self.kv_heads < self.heads
-    }
-
     /// Attention parameters per layer: Q and O are `d×(heads·head_dim)`;
     /// K and V are `d×(kv_heads·head_dim)`.
     pub fn attn_params_per_layer(&self) -> f64 {
@@ -157,16 +147,6 @@ mod tests {
         let mut a = models::llama3_70b();
         a.kv_heads = 7; // 64 % 7 != 0
         assert!(a.validate().is_err());
-    }
-
-    #[test]
-    fn gqa_bookkeeping() {
-        let llama = models::llama3_70b();
-        assert!(llama.is_gqa());
-        assert_eq!(llama.gqa_group(), 8);
-        let gpt3 = models::gpt3_175b();
-        assert!(!gpt3.is_gqa());
-        assert_eq!(gpt3.gqa_group(), 1);
     }
 
     #[test]

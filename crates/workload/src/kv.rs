@@ -7,7 +7,6 @@
 //! TP degree exceeds the KV-head count.
 
 use crate::arch::ModelArch;
-use crate::parallel::kv_shard_fraction;
 use crate::precision::Precision;
 
 /// KV-cache bytes per token across all layers (unsharded).
@@ -24,18 +23,12 @@ pub fn bytes_per_token(arch: &ModelArch, precision: Precision) -> f64 {
     arch.layers as f64 * arch.kv_elems_per_token_per_layer() * precision.bytes()
 }
 
-/// KV-cache bytes per token *per GPU* at tensor-parallel degree `tp`,
-/// under head-sharding.
+/// KV-cache bytes per token *per GPU* at tensor-parallel degree `tp`
+/// under an explicit sharding policy.
 ///
-/// For `tp ≤ kv_heads` the cache shards perfectly; beyond that every GPU
-/// must hold at least one KV head per layer, so the per-GPU share stops
-/// shrinking (and the aggregate cache grows — see
-/// [`crate::parallel::kv_replication_factor`]).
-pub fn bytes_per_token_per_gpu(arch: &ModelArch, precision: Precision, tp: u32) -> f64 {
-    bytes_per_token(arch, precision) * kv_shard_fraction(arch, tp)
-}
-
-/// KV-cache bytes per token per GPU under an explicit sharding policy.
+/// Under head-sharding, for `tp ≤ kv_heads` the cache shards perfectly;
+/// beyond that every GPU must hold at least one KV head per layer, so the
+/// per-GPU share stops shrinking (and the aggregate cache grows).
 pub fn bytes_per_token_per_gpu_with_policy(
     arch: &ModelArch,
     precision: Precision,
@@ -45,30 +38,17 @@ pub fn bytes_per_token_per_gpu_with_policy(
     bytes_per_token(arch, precision) * crate::parallel::kv_fraction_with_policy(arch, tp, policy)
 }
 
-/// Total KV bytes for a batch of sequences at the given context length.
-pub fn batch_bytes(arch: &ModelArch, precision: Precision, batch: u32, context: u32) -> f64 {
-    batch as f64 * context as f64 * bytes_per_token(arch, precision)
-}
-
-/// Maximum tokens of KV cache a per-GPU budget can hold at TP degree `tp`.
-pub fn capacity_tokens_per_gpu(
-    arch: &ModelArch,
-    precision: Precision,
-    tp: u32,
-    budget_bytes: f64,
-) -> f64 {
-    let per_tok = bytes_per_token_per_gpu(arch, precision, tp);
-    if per_tok <= 0.0 {
-        return 0.0;
-    }
-    (budget_bytes / per_tok).max(0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::models;
+    use crate::parallel::GqaPolicy;
     use proptest::prelude::*;
+
+    /// Per-GPU FP8 KV bytes per token at degree `tp` under head-sharding.
+    fn bytes_per_token_per_gpu(arch: &ModelArch, tp: u32) -> f64 {
+        bytes_per_token_per_gpu_with_policy(arch, Precision::Fp8, tp, GqaPolicy::HeadShard)
+    }
 
     #[test]
     fn llama70_kv_is_small_per_token() {
@@ -81,41 +61,24 @@ mod tests {
     fn sharding_perfect_up_to_kv_heads() {
         let arch = models::llama3_70b(); // 8 KV heads.
         let full = bytes_per_token(&arch, Precision::Fp8);
-        assert!((bytes_per_token_per_gpu(&arch, Precision::Fp8, 8) - full / 8.0).abs() < 1e-9);
+        assert!((bytes_per_token_per_gpu(&arch, 8) - full / 8.0).abs() < 1e-9);
         // Beyond 8 GPUs the per-GPU share plateaus at 1/8.
-        assert!((bytes_per_token_per_gpu(&arch, Precision::Fp8, 32) - full / 8.0).abs() < 1e-9);
+        assert!((bytes_per_token_per_gpu(&arch, 32) - full / 8.0).abs() < 1e-9);
     }
 
     #[test]
     fn mha_shards_to_high_degrees() {
         let arch = models::gpt3_175b(); // 96 KV heads.
         let full = bytes_per_token(&arch, Precision::Fp8);
-        assert!((bytes_per_token_per_gpu(&arch, Precision::Fp8, 32) - full / 32.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn batch_bytes_scales() {
-        let arch = models::llama3_70b();
-        let one = batch_bytes(&arch, Precision::Fp8, 1, 1000);
-        let many = batch_bytes(&arch, Precision::Fp8, 10, 1000);
-        assert!((many - 10.0 * one).abs() < 1e-6);
-    }
-
-    #[test]
-    fn capacity_inverts_footprint() {
-        let arch = models::gpt3_175b();
-        let per_tok = bytes_per_token_per_gpu(&arch, Precision::Fp8, 8);
-        let tokens = capacity_tokens_per_gpu(&arch, Precision::Fp8, 8, per_tok * 1234.0);
-        assert!((tokens - 1234.0).abs() < 1e-6);
-        assert_eq!(capacity_tokens_per_gpu(&arch, Precision::Fp8, 8, 0.0), 0.0);
+        assert!((bytes_per_token_per_gpu(&arch, 32) - full / 32.0).abs() < 1e-9);
     }
 
     proptest! {
         #[test]
         fn per_gpu_share_never_increases_with_tp(tp in 1u32..64) {
             for arch in models::all() {
-                let a = bytes_per_token_per_gpu(&arch, Precision::Fp8, tp);
-                let b = bytes_per_token_per_gpu(&arch, Precision::Fp8, tp + 1);
+                let a = bytes_per_token_per_gpu(&arch, tp);
+                let b = bytes_per_token_per_gpu(&arch, tp + 1);
                 prop_assert!(b <= a + 1e-9);
             }
         }

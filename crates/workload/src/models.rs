@@ -75,7 +75,8 @@ pub fn figure3_models() -> Vec<ModelArch> {
 }
 
 /// Every model in the catalog.
-pub fn all() -> Vec<ModelArch> {
+#[cfg(test)]
+pub(crate) fn all() -> Vec<ModelArch> {
     vec![llama3_8b(), llama3_70b(), gpt3_175b(), llama3_405b()]
 }
 

@@ -57,14 +57,6 @@ pub fn kv_fraction_with_policy(arch: &ModelArch, tp: u32, policy: GqaPolicy) -> 
     }
 }
 
-/// The KV storage/traffic replication factor at TP degree `tp`:
-/// `tp / min(tp, kv_heads)` (1 when the cache shards perfectly).
-pub fn kv_replication_factor(arch: &ModelArch, tp: u32) -> f64 {
-    let tp = tp.max(1) as f64;
-    let kv = arch.kv_heads.max(1) as f64;
-    tp / tp.min(kv)
-}
-
 /// One stage's per-GPU work plus the collective that follows it.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ShardedStage {
@@ -101,25 +93,6 @@ impl TensorParallel {
             });
         }
         Ok(Self { degree })
-    }
-
-    /// Shards a phase's work across the group using the default
-    /// [`GqaPolicy::HeadShard`] KV partitioning.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use litegpu_workload::{models, parallel::TensorParallel, stage::PhaseWork, Precision};
-    /// let arch = models::llama3_70b();
-    /// let phase = PhaseWork::decode(&arch, Precision::Fp8, 8, 1500).unwrap();
-    /// let tp = TensorParallel::new(8).unwrap();
-    /// let sharded = tp.shard(&arch, &phase).unwrap();
-    /// // Per-GPU FLOPs are 1/8 of the total.
-    /// assert!((sharded.per_gpu_flops() - phase.total_flops() / 8.0).abs()
-    ///         / phase.total_flops() < 0.01);
-    /// ```
-    pub fn shard(&self, arch: &ModelArch, phase: &PhaseWork) -> Result<ShardedPhase> {
-        self.shard_with_policy(arch, phase, GqaPolicy::HeadShard)
     }
 
     /// Shards a phase's work across the group under an explicit KV
@@ -229,55 +202,6 @@ impl TensorParallel {
     }
 }
 
-impl ShardedPhase {
-    /// Per-GPU FLOPs across all layers and finals.
-    pub fn per_gpu_flops(&self) -> f64 {
-        self.layers as f64 * self.per_layer.iter().map(|s| s.per_gpu.flops).sum::<f64>()
-            + self.finals.iter().map(|s| s.per_gpu.flops).sum::<f64>()
-    }
-
-    /// Per-GPU HBM bytes across all layers and finals.
-    pub fn per_gpu_mem_bytes(&self) -> f64 {
-        self.layers as f64
-            * self
-                .per_layer
-                .iter()
-                .map(|s| s.per_gpu.mem_bytes())
-                .sum::<f64>()
-            + self
-                .finals
-                .iter()
-                .map(|s| s.per_gpu.mem_bytes())
-                .sum::<f64>()
-    }
-
-    /// Aggregate HBM bytes across the whole TP group — grows past the
-    /// unsharded total once replication or activation duplication bites.
-    pub fn aggregate_mem_bytes(&self) -> f64 {
-        self.per_gpu_mem_bytes() * self.degree as f64
-    }
-
-    /// Total all-reduce payload bytes per phase (layers × per-layer
-    /// collectives).
-    pub fn total_all_reduce_bytes(&self) -> f64 {
-        self.layers as f64
-            * self
-                .per_layer
-                .iter()
-                .map(|s| s.all_reduce_bytes)
-                .sum::<f64>()
-            + self.finals.iter().map(|s| s.all_reduce_bytes).sum::<f64>()
-    }
-
-    /// Number of collectives per layer (should be 2 for degree > 1).
-    pub fn collectives_per_layer(&self) -> usize {
-        self.per_layer
-            .iter()
-            .filter(|s| s.all_reduce_bytes > 0.0)
-            .count()
-    }
-}
-
 /// Model weight bytes resident on each GPU at TP degree `tp` (weights shard
 /// essentially perfectly; embeddings shard by vocab).
 pub fn weight_bytes_per_gpu(arch: &ModelArch, precision: crate::Precision, tp: u32) -> f64 {
@@ -291,6 +215,36 @@ mod tests {
     use crate::precision::Precision;
     use proptest::prelude::*;
 
+    impl ShardedPhase {
+        /// Sum of `f` over every stage execution: each per-layer stage
+        /// once per layer, each final stage once.
+        fn total(&self, f: impl Fn(&ShardedStage) -> f64) -> f64 {
+            self.layers as f64 * self.per_layer.iter().map(&f).sum::<f64>()
+                + self.finals.iter().map(&f).sum::<f64>()
+        }
+
+        fn per_gpu_flops(&self) -> f64 {
+            self.total(|s| s.per_gpu.flops)
+        }
+
+        fn per_gpu_mem_bytes(&self) -> f64 {
+            self.total(|s| s.per_gpu.mem_bytes())
+        }
+
+        /// HBM bytes across the whole TP group.
+        fn aggregate_mem_bytes(&self) -> f64 {
+            self.per_gpu_mem_bytes() * self.degree as f64
+        }
+    }
+
+    /// `phase` sharded `degree` ways under [`GqaPolicy::HeadShard`].
+    fn head_shard(arch: &ModelArch, phase: &PhaseWork, degree: u32) -> ShardedPhase {
+        TensorParallel::new(degree)
+            .unwrap()
+            .shard_with_policy(arch, phase, GqaPolicy::HeadShard)
+            .unwrap()
+    }
+
     #[test]
     fn degree_zero_rejected() {
         assert!(TensorParallel::new(0).is_err());
@@ -301,10 +255,7 @@ mod tests {
         let arch = models::llama3_70b();
         let phase = PhaseWork::prefill(&arch, Precision::Fp8, 4, 1500).unwrap();
         for t in [1u32, 2, 4, 8, 16, 32] {
-            let sh = TensorParallel::new(t)
-                .unwrap()
-                .shard(&arch, &phase)
-                .unwrap();
+            let sh = head_shard(&arch, &phase, t);
             let total = sh.per_gpu_flops() * t as f64;
             assert!(
                 (total - phase.total_flops()).abs() / phase.total_flops() < 1e-9,
@@ -317,18 +268,17 @@ mod tests {
     fn two_all_reduces_per_layer() {
         let arch = models::llama3_70b();
         let phase = PhaseWork::decode(&arch, Precision::Fp8, 8, 1500).unwrap();
-        let sh = TensorParallel::new(8)
-            .unwrap()
-            .shard(&arch, &phase)
-            .unwrap();
-        assert_eq!(sh.collectives_per_layer(), 2);
+        let collectives = |sh: &ShardedPhase| {
+            sh.per_layer
+                .iter()
+                .filter(|s| s.all_reduce_bytes > 0.0)
+                .count()
+        };
+        assert_eq!(collectives(&head_shard(&arch, &phase, 8)), 2);
         // Degree 1: no collectives at all.
-        let sh1 = TensorParallel::new(1)
-            .unwrap()
-            .shard(&arch, &phase)
-            .unwrap();
-        assert_eq!(sh1.collectives_per_layer(), 0);
-        assert_eq!(sh1.total_all_reduce_bytes(), 0.0);
+        let sh1 = head_shard(&arch, &phase, 1);
+        assert_eq!(collectives(&sh1), 0);
+        assert_eq!(sh1.total(|s| s.all_reduce_bytes), 0.0);
     }
 
     #[test]
@@ -336,10 +286,7 @@ mod tests {
         // Decode step, batch 8: each all-reduce moves ~batch*d bytes.
         let arch = models::llama3_70b();
         let phase = PhaseWork::decode(&arch, Precision::Fp8, 8, 1500).unwrap();
-        let sh = TensorParallel::new(8)
-            .unwrap()
-            .shard(&arch, &phase)
-            .unwrap();
+        let sh = head_shard(&arch, &phase, 8);
         let expected = 8.0 * arch.d_model as f64 * Precision::Fp8.bytes();
         let out_stage = &sh.per_layer[2];
         assert!((out_stage.all_reduce_bytes - expected).abs() / expected < 1e-9);
@@ -350,24 +297,17 @@ mod tests {
         // Llama3-70B has 8 KV heads: at TP=32 the KV cache is replicated
         // 4x, so aggregate decode memory traffic grows.
         let arch = models::llama3_70b();
-        assert_eq!(kv_replication_factor(&arch, 8), 1.0);
-        assert_eq!(kv_replication_factor(&arch, 32), 4.0);
+        assert_eq!(8.0 * kv_shard_fraction(&arch, 8), 1.0);
+        assert_eq!(32.0 * kv_shard_fraction(&arch, 32), 4.0);
         let phase = PhaseWork::decode(&arch, Precision::Fp8, 64, 2000).unwrap();
-        let sh8 = TensorParallel::new(8)
-            .unwrap()
-            .shard(&arch, &phase)
-            .unwrap();
-        let sh32 = TensorParallel::new(32)
-            .unwrap()
-            .shard(&arch, &phase)
-            .unwrap();
+        let sh8 = head_shard(&arch, &phase, 8);
+        let sh32 = head_shard(&arch, &phase, 32);
         assert!(sh32.aggregate_mem_bytes() > sh8.aggregate_mem_bytes());
     }
 
     #[test]
     fn mha_model_has_no_replication_at_32() {
         let gpt3 = models::gpt3_175b();
-        assert_eq!(kv_replication_factor(&gpt3, 32), 1.0);
         assert_eq!(kv_shard_fraction(&gpt3, 32), 1.0 / 32.0);
     }
 
@@ -377,10 +317,7 @@ mod tests {
         // activations) stays small for prefill.
         let arch = models::llama3_70b();
         let phase = PhaseWork::prefill(&arch, Precision::Fp8, 4, 1500).unwrap();
-        let sh = TensorParallel::new(4)
-            .unwrap()
-            .shard(&arch, &phase)
-            .unwrap();
+        let sh = head_shard(&arch, &phase, 4);
         let overhead = sh.aggregate_mem_bytes() / phase.total_mem_bytes();
         assert!(overhead < 1.35, "overhead = {overhead}");
         assert!(overhead >= 1.0);
@@ -400,8 +337,8 @@ mod tests {
         fn per_gpu_quantities_decrease_with_degree(t in 1u32..32) {
             let arch = models::gpt3_175b();
             let phase = PhaseWork::decode(&arch, Precision::Fp8, 16, 1000).unwrap();
-            let a = TensorParallel::new(t).unwrap().shard(&arch, &phase).unwrap();
-            let b = TensorParallel::new(t + 1).unwrap().shard(&arch, &phase).unwrap();
+            let a = head_shard(&arch, &phase, t);
+            let b = head_shard(&arch, &phase, t + 1);
             prop_assert!(b.per_gpu_flops() <= a.per_gpu_flops() + 1e-6);
             prop_assert!(b.per_gpu_mem_bytes() <= a.per_gpu_mem_bytes() * 1.001);
         }
@@ -410,7 +347,7 @@ mod tests {
         fn aggregate_at_least_unsharded(t in 1u32..48) {
             for arch in [models::llama3_70b(), models::gpt3_175b()] {
                 let phase = PhaseWork::decode(&arch, Precision::Fp8, 8, 1500).unwrap();
-                let sh = TensorParallel::new(t).unwrap().shard(&arch, &phase).unwrap();
+                let sh = head_shard(&arch, &phase, t);
                 prop_assert!(
                     sh.aggregate_mem_bytes() >= phase.total_mem_bytes() * 0.999,
                     "aggregate must not fall below unsharded total"

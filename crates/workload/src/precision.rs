@@ -36,21 +36,6 @@ impl Precision {
             Precision::Fp32 => 4.0,
         }
     }
-
-    /// Relative dense-compute throughput versus FP8 on an H100-class
-    /// tensor core (FP8 = 1.0, FP16/BF16 = 0.5, FP32 ≈ 0.03).
-    pub fn relative_flops(&self) -> f64 {
-        match self {
-            Precision::Fp8 => 1.0,
-            Precision::Fp16 | Precision::Bf16 => 0.5,
-            Precision::Fp32 => 0.03,
-        }
-    }
-
-    /// The default evaluation precision of the paper (FP8).
-    pub fn paper_default() -> Self {
-        Precision::Fp8
-    }
 }
 
 #[cfg(test)]
@@ -63,16 +48,5 @@ mod tests {
         assert_eq!(Precision::Fp16.bytes(), 2.0);
         assert_eq!(Precision::Bf16.bytes(), 2.0);
         assert_eq!(Precision::Fp32.bytes(), 4.0);
-    }
-
-    #[test]
-    fn throughput_ordering() {
-        assert!(Precision::Fp8.relative_flops() > Precision::Fp16.relative_flops());
-        assert!(Precision::Fp16.relative_flops() > Precision::Fp32.relative_flops());
-    }
-
-    #[test]
-    fn paper_default_is_fp8() {
-        assert_eq!(Precision::paper_default(), Precision::Fp8);
     }
 }

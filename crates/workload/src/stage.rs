@@ -36,16 +36,6 @@ pub enum StageKind {
 }
 
 impl StageKind {
-    /// Stages of one transformer layer, in execution order.
-    pub fn layer_stages() -> [StageKind; 4] {
-        [
-            StageKind::QkvProj,
-            StageKind::Attention,
-            StageKind::OutProj,
-            StageKind::Mlp,
-        ]
-    }
-
     /// Short display label.
     pub fn label(&self) -> &'static str {
         match self {
@@ -87,26 +77,6 @@ impl StageWork {
             + self.kv_read_bytes
             + self.kv_write_bytes
     }
-
-    /// Arithmetic intensity, FLOP per HBM byte.
-    pub fn arithmetic_intensity(&self) -> f64 {
-        let mem = self.mem_bytes();
-        if mem == 0.0 {
-            f64::INFINITY
-        } else {
-            self.flops / mem
-        }
-    }
-
-    fn scaled(mut self, factor: f64) -> Self {
-        self.flops *= factor;
-        self.weight_bytes *= factor;
-        self.act_read_bytes *= factor;
-        self.act_write_bytes *= factor;
-        self.kv_read_bytes *= factor;
-        self.kv_write_bytes *= factor;
-        self
-    }
 }
 
 /// The work of one full inference phase (prefill of a batch, or one decode
@@ -132,10 +102,12 @@ impl PhaseWork {
     ///
     /// ```
     /// use litegpu_workload::{models, stage::PhaseWork, Precision};
-    /// let w = PhaseWork::prefill(&models::llama3_70b(), Precision::Fp8, 4, 1500).unwrap();
-    /// // Prefill FLOPs ~ 2 * params * tokens (plus attention).
-    /// let approx = 2.0 * models::llama3_70b().total_params() * (4.0 * 1500.0);
-    /// assert!(w.total_flops() > approx * 0.9 && w.total_flops() < approx * 1.5);
+    /// let arch = models::llama3_70b();
+    /// let w = PhaseWork::prefill(&arch, Precision::Fp8, 4, 1500).unwrap();
+    /// // A layer's prefill FLOPs ~ 2 * its params * tokens (plus attention).
+    /// let layer_flops: f64 = w.per_layer.iter().map(|s| s.flops).sum();
+    /// let approx = 2.0 * arch.params_per_layer() * (4.0 * 1500.0);
+    /// assert!(layer_flops > approx && layer_flops < approx * 1.35);
     /// ```
     pub fn prefill(
         arch: &ModelArch,
@@ -294,34 +266,6 @@ impl PhaseWork {
             tokens: b,
         })
     }
-
-    /// Total FLOPs across all layers and final stages.
-    pub fn total_flops(&self) -> f64 {
-        self.layers as f64 * self.per_layer.iter().map(|s| s.flops).sum::<f64>()
-            + self.finals.iter().map(|s| s.flops).sum::<f64>()
-    }
-
-    /// Total HBM bytes across all layers and final stages.
-    pub fn total_mem_bytes(&self) -> f64 {
-        self.layers as f64 * self.per_layer.iter().map(|s| s.mem_bytes()).sum::<f64>()
-            + self.finals.iter().map(|s| s.mem_bytes()).sum::<f64>()
-    }
-
-    /// Phase-level arithmetic intensity, FLOP/byte.
-    pub fn arithmetic_intensity(&self) -> f64 {
-        self.total_flops() / self.total_mem_bytes()
-    }
-
-    /// Returns the phase with all per-stage quantities scaled by `factor`
-    /// (used by tests and sensitivity sweeps).
-    pub fn scaled(&self, factor: f64) -> Self {
-        Self {
-            per_layer: self.per_layer.iter().map(|s| s.scaled(factor)).collect(),
-            finals: self.finals.iter().map(|s| s.scaled(factor)).collect(),
-            layers: self.layers,
-            tokens: self.tokens,
-        }
-    }
 }
 
 fn check_pos(name: &'static str, v: u32) -> Result<()> {
@@ -337,6 +281,20 @@ mod tests {
     use super::*;
     use crate::models;
     use proptest::prelude::*;
+
+    impl PhaseWork {
+        /// Total FLOPs across all layers and final stages.
+        pub(crate) fn total_flops(&self) -> f64 {
+            self.layers as f64 * self.per_layer.iter().map(|s| s.flops).sum::<f64>()
+                + self.finals.iter().map(|s| s.flops).sum::<f64>()
+        }
+
+        /// Total HBM bytes across all layers and final stages.
+        pub(crate) fn total_mem_bytes(&self) -> f64 {
+            self.layers as f64 * self.per_layer.iter().map(|s| s.mem_bytes()).sum::<f64>()
+                + self.finals.iter().map(|s| s.mem_bytes()).sum::<f64>()
+        }
+    }
 
     #[test]
     fn prefill_flops_close_to_2_params_tokens() {
@@ -378,8 +336,9 @@ mod tests {
         let arch = models::llama3_70b();
         let pre = PhaseWork::prefill(&arch, Precision::Fp8, 8, 1500).unwrap();
         let dec = PhaseWork::decode(&arch, Precision::Fp8, 8, 1500).unwrap();
-        assert!(pre.arithmetic_intensity() > 600.0);
-        assert!(dec.arithmetic_intensity() < 30.0);
+        let intensity = |w: &PhaseWork| w.total_flops() / w.total_mem_bytes();
+        assert!(intensity(&pre) > 600.0);
+        assert!(intensity(&dec) < 30.0);
     }
 
     #[test]
@@ -430,11 +389,16 @@ mod tests {
 
     #[test]
     fn stage_labels_unique() {
-        let mut labels: Vec<_> = StageKind::layer_stages()
-            .iter()
-            .map(|s| s.label())
-            .collect();
-        labels.push(StageKind::LmHead.label());
+        let labels: Vec<_> = [
+            StageKind::QkvProj,
+            StageKind::Attention,
+            StageKind::OutProj,
+            StageKind::Mlp,
+            StageKind::LmHead,
+        ]
+        .iter()
+        .map(|s| s.label())
+        .collect();
         let mut dedup = labels.clone();
         dedup.dedup();
         assert_eq!(labels.len(), dedup.len());
@@ -472,7 +436,7 @@ mod tests {
         ) {
             let arch = models::llama3_8b();
             let w = PhaseWork::prefill(&arch, Precision::Fp8, b, s).unwrap();
-            let ai = w.arithmetic_intensity();
+            let ai = w.total_flops() / w.total_mem_bytes();
             prop_assert!(ai.is_finite() && ai > 0.0);
         }
     }

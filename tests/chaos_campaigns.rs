@@ -6,8 +6,7 @@
 //! availability under the very same rack-outage campaign.
 
 use litegpu_repro::chaos::{
-    compile, outcome, run_campaign, run_campaign_full, Campaign, CampaignKind, ChaosReport,
-    DomainPlan,
+    compile, outcome, run_campaign_full, Campaign, CampaignKind, ChaosReport, DomainPlan,
 };
 use litegpu_repro::fleet::{run, run_sharded, FleetConfig, TelemetryConfig, WorkloadSpec};
 
@@ -81,7 +80,7 @@ fn chaos_reports_byte_identical_across_shards_and_threads() {
 #[test]
 fn rack_campaign_attributes_losses_and_dispatches_crews() {
     let cfg = h100_fleet();
-    let r = run_campaign(
+    let r = run_campaign_full(
         &cfg,
         &DomainPlan::default(),
         &campaign(CampaignKind::RackOutages),
@@ -89,7 +88,8 @@ fn rack_campaign_attributes_losses_and_dispatches_crews() {
         4,
         2,
     )
-    .unwrap();
+    .unwrap()
+    .report;
     let b = &r.failure_breakdown;
     assert!(b.rack > 0, "rack losses must be attributed");
     assert_eq!(b.independent + b.rack + b.power, r.failures);
@@ -114,7 +114,7 @@ fn rack_campaign_attributes_losses_and_dispatches_crews() {
 #[test]
 fn partition_campaign_sheds_and_conserves() {
     let cfg = h100_fleet();
-    let r = run_campaign(
+    let r = run_campaign_full(
         &cfg,
         &DomainPlan::default(),
         &campaign(CampaignKind::NetworkPartitions),
@@ -122,7 +122,8 @@ fn partition_campaign_sheds_and_conserves() {
         6,
         2,
     )
-    .unwrap();
+    .unwrap()
+    .report;
     let chaos = r.chaos.as_ref().unwrap();
     assert!(chaos.partition_shed > 0, "partitioned cells must shed");
     assert!(r.failure_breakdown.partition_events > 0);
@@ -134,7 +135,7 @@ fn partition_campaign_sheds_and_conserves() {
 #[test]
 fn drain_campaign_counts_waves_and_restores() {
     let cfg = h100_fleet();
-    let r = run_campaign(
+    let r = run_campaign_full(
         &cfg,
         &DomainPlan::default(),
         &campaign(CampaignKind::RollingDrain),
@@ -142,7 +143,8 @@ fn drain_campaign_counts_waves_and_restores() {
         4,
         4,
     )
-    .unwrap();
+    .unwrap()
+    .report;
     let chaos = r.chaos.as_ref().unwrap();
     assert_eq!(
         chaos.drains,
@@ -159,7 +161,7 @@ fn drain_campaign_counts_waves_and_restores() {
 #[test]
 fn thermal_campaign_clamps_without_downs() {
     let cfg = h100_fleet();
-    let r = run_campaign(
+    let r = run_campaign_full(
         &cfg,
         &DomainPlan::default(),
         &campaign(CampaignKind::ThermalExcursions),
@@ -167,7 +169,8 @@ fn thermal_campaign_clamps_without_downs() {
         4,
         2,
     )
-    .unwrap();
+    .unwrap()
+    .report;
     assert!(r.failure_breakdown.thermal_events > 0);
     assert_eq!(r.failure_breakdown.rack + r.failure_breakdown.power, 0);
     assert_eq!(
@@ -250,8 +253,12 @@ fn lite_rides_out_rack_outages_better_than_h100() {
             "lite must strand strictly less per rack: {fl} vs {fh}"
         );
     }
-    let rh = run_campaign(&h100, &plan, &camp, 23, 4, 2).unwrap();
-    let rl = run_campaign(&lite, &plan, &camp, 23, 4, 2).unwrap();
+    let rh = run_campaign_full(&h100, &plan, &camp, 23, 4, 2)
+        .unwrap()
+        .report;
+    let rl = run_campaign_full(&lite, &plan, &camp, 23, 4, 2)
+        .unwrap()
+        .report;
     assert!(
         rl.availability > rh.availability,
         "lite {} must beat h100 {}",

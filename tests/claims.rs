@@ -8,7 +8,6 @@ use litegpu_repro::fab::cost::h100_vs_lite_comparison;
 use litegpu_repro::fab::yield_model::YieldModel;
 use litegpu_repro::net::switching::{CircuitSwitch, PacketSwitch, SwitchComparison};
 use litegpu_repro::specs::catalog;
-use litegpu_repro::specs::die::split_bandwidth_to_compute_gain;
 
 #[test]
 fn c1_yield_gain_approx_1_8x() {
@@ -36,7 +35,6 @@ fn c2_shoreline_doubles_at_quarter_area() {
     // §2: "reducing the die area to 1/4th doubles the perimeter exposed
     // to the four dies, yielding a cluster with 2x the
     // bandwidth-to-compute ratio".
-    assert!((split_bandwidth_to_compute_gain(4) - 2.0).abs() < 1e-12);
     let h100 = catalog::h100();
     let lite4_perimeter = 4.0 * h100.die.shrink(4).unwrap().perimeter_mm();
     assert!((lite4_perimeter / h100.die.perimeter_mm() - 2.0).abs() < 1e-9);

@@ -27,8 +27,7 @@ fn test_cfg() -> FleetConfig {
 /// outputs, and a best-effort scavenger that admission control may shed
 /// at the ramp.
 fn mixed_workload(rate: f64) -> WorkloadSpec {
-    let ramp = TrafficPattern::trace(vec![(0.0, 0.2), (600.0, 0.2), (900.0, 1.6), (1800.0, 1.6)])
-        .expect("valid trace");
+    let ramp = TrafficPattern::Trace(vec![(0.0, 0.2), (600.0, 0.2), (900.0, 1.6), (1800.0, 1.6)]);
     let mut chat = Tenant::new("chat", ramp.clone(), 5.0, PriorityClass::Interactive);
     chat.output_len = LengthDist::geometric(300);
     let mut batch = Tenant::new("batch", TrafficPattern::Constant, 3.0, PriorityClass::Batch);

@@ -2,7 +2,10 @@
 //! independently must agree.
 
 use litegpu_repro::fab::wafer::DieGeometry;
-use litegpu_repro::net::collective::{allreduce_lower_bound, ring_allreduce_time};
+use litegpu_repro::net::collective::{
+    allreduce_lower_bound, collective_cost, CollectiveAlgorithm, CollectiveOp,
+    AUTO_TREE_THRESHOLD_BYTES,
+};
 use litegpu_repro::prelude::*;
 use litegpu_repro::roofline::{capacity, EngineParams};
 use litegpu_repro::specs::die::ShorelineBudget;
@@ -79,18 +82,48 @@ fn engine_collective_time_respects_net_lower_bound() {
 
 #[test]
 fn ring_allreduce_time_consistent_between_crates() {
-    // net's convenience wrapper equals the generic collective cost.
-    let direct = ring_allreduce_time(16, 1e6, 100e9, 1e-6);
-    let c = litegpu_repro::net::collective::collective_cost(
-        litegpu_repro::net::collective::CollectiveOp::AllReduce,
-        litegpu_repro::net::collective::CollectiveAlgorithm::Ring,
-        16,
-        1e6,
-        100e9,
-        1e-6,
-    )
-    .unwrap();
-    assert!((direct - c.time_s).abs() < 1e-15);
+    // The roofline engine's network time for a TP-8 decode is exactly
+    // net's all-reduce cost per stage plus the switch latency, summed
+    // over every stage that carries an all-reduce (each layer has two,
+    // the LM head none).
+    let p = EngineParams::paper_defaults();
+    let arch = models::llama3_70b();
+    let phase = PhaseWork::decode(&arch, Precision::Fp8, 128, 2000).unwrap();
+    let sh = TensorParallel::new(8)
+        .unwrap()
+        .shard_with_policy(&arch, &phase, GqaPolicy::FullShard)
+        .unwrap();
+    let spec = catalog::lite_base();
+    let t = litegpu_repro::roofline::engine::price_phase(&spec, &sh, OverlapMode::ComputeMem, &p)
+        .unwrap();
+    let stage_net = |stages: &[parallel::ShardedStage]| -> f64 {
+        stages
+            .iter()
+            .filter(|s| s.all_reduce_bytes > 0.0)
+            .map(|s| {
+                // A 1 MiB payload: `Auto` picks the ring algorithm.
+                assert!(s.all_reduce_bytes >= AUTO_TREE_THRESHOLD_BYTES);
+                let c = collective_cost(
+                    CollectiveOp::AllReduce,
+                    CollectiveAlgorithm::Auto,
+                    8,
+                    s.all_reduce_bytes,
+                    spec.net_bytes_per_s(),
+                    p.alpha_hop_s,
+                )
+                .unwrap();
+                c.time_s + p.alpha_sw_s
+            })
+            .sum()
+    };
+    let reducing = sh.per_layer.iter().filter(|s| s.all_reduce_bytes > 0.0);
+    assert_eq!(reducing.count(), 2);
+    let expect = sh.layers as f64 * stage_net(&sh.per_layer) + stage_net(&sh.finals);
+    assert!(
+        (t.net_s - expect).abs() <= 1e-12 * expect,
+        "{} vs {expect}",
+        t.net_s
+    );
 }
 
 #[test]
