@@ -48,9 +48,15 @@
 //! of every kind in one cell, a window ending past the horizon and an
 //! outage on the last tick.
 //!
+//! Each `sim_fleet` child runs with `CARGO_TARGET_DIR` set to
+//! `CARGO_TARGET_TMPDIR`, so its `experiments/fleet_lite.json` lands
+//! there rather than in the crate's own directory.
+//!
 //! Regenerate (only when an *intentional* semantic change lands):
 //! `ENGINE_GOLDEN_PRINT=1 cargo test -p litegpu-bench --test
-//! engine_equivalence -- --nocapture` and paste the printed table.
+//! engine_equivalence -- --nocapture` and paste the printed table. The
+//! same switch prints `cli_equivalence`'s table, so `ENGINE_GOLDEN_PRINT=1
+//! cargo test -p litegpu-bench -- --nocapture` regenerates both files.
 
 use litegpu_fleet::engine::{
     run_sharded_full, ChaosSpec, DomainEvent, DomainEventKind, FleetConfig, TelemetryConfig,
@@ -256,6 +262,7 @@ fn run_combo(combo: &str, flags: &[&str], shards: u32, threads: u32) -> (u64, u6
         .args(["--series-dt", "60000000"])
         .args(["--trace", trace.to_str().unwrap()])
         .args(["--trace-every", "16"])
+        .env("CARGO_TARGET_DIR", &dir)
         .output()
         .expect("sim_fleet runs");
     assert!(
