@@ -16,19 +16,7 @@
 //! MTTR) to stderr and emits one deterministic `ChaosReport` JSON to
 //! stdout and `target/experiments/chaos_<kind>.json`. The same seed
 //! produces byte-identical JSON at any `--shards`/`--threads` setting.
-//!
-//! ```text
-//! sim_chaos [--campaign rack|power|partition|thermal|drain|all]
-//!           [--instances N] [--hours H] [--rate R] [--accel A]
-//!           [--events N] [--duration S] [--intensity F]
-//!           [--rack-kw K] [--racks-per-domain N]
-//!           [--seed N] [--shards N] [--threads N]
-//!           [--series] [--series-dt US]
-//!           [--balancer] [--balancer-interval S] [--spill-permille N]
-//!           [--hot-factor F] [--quota-headroom F] [--kv-slack-us N]
-//!           [--skew HxM]
-//!           [--smoke] [--quiet-json]
-//! ```
+//! `sim_chaos --help` lists every flag with its default.
 //!
 //! `--balancer` attaches the fleet-scope spill-over balancer to both
 //! fleets (each otherwise uncontrolled), and `--skew HxM` skews the
@@ -48,85 +36,29 @@
 //! Availability dips sit exactly inside the campaign's outage windows —
 //! `tests/chaos_campaigns.rs` asserts as much.
 
+use litegpu_bench::cli::{self, Balancer, Engine};
 use litegpu_chaos::{outcome, run_campaign_full, Campaign, CampaignKind, ChaosReport, DomainPlan};
-use litegpu_fleet::{FleetConfig, FleetReport, FleetRun, TelemetryConfig};
+use litegpu_fleet::{FleetConfig, FleetReport};
 
-struct Args {
-    campaign: String,
-    instances: u32,
-    hours: f64,
-    rate: f64,
-    accel: f64,
-    events: u32,
-    duration: f64,
-    intensity: f64,
-    rack_kw: f64,
-    racks_per_domain: u32,
-    common: litegpu_bench::cli::CommonArgs,
-    bal: litegpu_bench::cli::BalancerArgs,
-    series: bool,
-    quiet_json: bool,
-}
-
-fn parse_args() -> Args {
-    let mut a = Args {
-        campaign: "all".into(),
-        instances: 96,
-        hours: 4.0,
-        rate: 2.0,
-        accel: 2_000.0,
-        events: 4,
-        duration: 600.0,
-        intensity: 0.5,
-        rack_kw: 10.0,
-        racks_per_domain: 4,
-        common: litegpu_bench::cli::CommonArgs::new(&[
-            "--seed",
-            "--shards",
-            "--threads",
-            "--series-dt",
-        ]),
-        bal: litegpu_bench::cli::BalancerArgs::default(),
-        series: false,
-        quiet_json: false,
-    };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let value = |i: &mut usize| litegpu_bench::cli::value(&argv, i);
-    use litegpu_bench::cli::parsed;
-    while i < argv.len() {
-        let flag = argv[i].clone();
-        match flag.as_str() {
-            "--campaign" => a.campaign = value(&mut i),
-            "--instances" => a.instances = parsed(&flag, value(&mut i)),
-            "--hours" => a.hours = parsed(&flag, value(&mut i)),
-            "--rate" => a.rate = parsed(&flag, value(&mut i)),
-            "--accel" => a.accel = parsed(&flag, value(&mut i)),
-            "--events" => a.events = parsed(&flag, value(&mut i)),
-            "--duration" => a.duration = parsed(&flag, value(&mut i)),
-            "--intensity" => a.intensity = parsed(&flag, value(&mut i)),
-            "--rack-kw" => a.rack_kw = parsed(&flag, value(&mut i)),
-            "--racks-per-domain" => a.racks_per_domain = parsed(&flag, value(&mut i)),
-            "--series" => a.series = true,
-            "--smoke" => {
-                a.instances = 24;
-                a.hours = 0.5;
-                a.accel = 10_000.0;
-                a.events = 2;
-                a.duration = 300.0;
-            }
-            "--quiet-json" => a.quiet_json = true,
-            other => {
-                if !a.common.try_parse(&argv, &mut i) && !a.bal.try_parse(&argv, &mut i) {
-                    eprintln!("unknown argument: {other}");
-                    std::process::exit(2);
-                }
-            }
-        }
-        i += 1;
+litegpu_bench::flags! {
+    /// `sim_chaos`'s flags.
+    struct Args {
+        campaign: String = "--campaign" "rack|power|partition|thermal|drain|all" "all"
+            "the campaign kind to sweep, or all five",
+        instances: u32 = "--instances" "N" "96" smoke "24" "H100 instances (the Lite fleet gets 4x)",
+        hours: f64 = "--hours" "H" "4" smoke "0.5" "simulated horizon, hours",
+        rate: f64 = "--rate" "R" "2" "H100 requests/s per instance (Lite carries a quarter)",
+        accel: f64 = "--accel" "A" "2000" smoke "10000" "failure-rate acceleration",
+        events: u32 = "--events" "N" "4" smoke "2" "events per campaign",
+        duration: f64 = "--duration" "S" "600" smoke "300" "seconds per event",
+        intensity: f64 = "--intensity" "F" "0.5" "event intensity",
+        rack_kw: f64 = "--rack-kw" "K" "10" "rack power, kW",
+        racks_per_domain: u32 = "--racks-per-domain" "N" "4" "racks per power domain",
+        series: bool = "--series" "" ""
+            "write each campaign's per-fleet series to target/experiments/",
+        ..engine: Engine,
+        ..bal: Balancer,
     }
-    a.bal.warn_if_ignored();
-    a
 }
 
 /// The silicon-equal single-GPU pair (H100 vs 4x Lite on the same
@@ -142,36 +74,12 @@ fn fleet_pair(a: &Args) -> [(&'static str, FleetConfig); 2] {
     };
     let mut pair = litegpu_bench::fleet_pair::pair_configs(&base, false);
     for (_, cfg) in &mut pair {
+        cfg.telemetry = a.engine.telemetry(a.series);
         // Skew + balancer attach per fleet so each gets multipliers
         // sized to its own cell count.
         a.bal.apply(cfg);
     }
     pair
-}
-
-fn run_one(
-    name: &str,
-    cfg: &FleetConfig,
-    camp: &Campaign,
-    plan: &DomainPlan,
-    a: &Args,
-) -> FleetRun {
-    let threads = litegpu_bench::fleet_pair::threads_or_auto(a.common.threads);
-    let shards = litegpu_bench::fleet_pair::shards_or_cells(a.common.shards, cfg);
-    let mut cfg = cfg.clone();
-    if a.series {
-        cfg.telemetry = TelemetryConfig {
-            series_dt_us: a.common.series_dt_us,
-            ..TelemetryConfig::default()
-        };
-    }
-    match run_campaign_full(&cfg, plan, camp, a.common.seed, shards, threads) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("campaign {} / fleet {name}: {e}", camp.kind.label());
-            std::process::exit(1);
-        }
-    }
 }
 
 fn print_table(camp: &Campaign, rows: &[(&str, &FleetReport)]) {
@@ -225,24 +133,24 @@ fn print_table(camp: &Campaign, rows: &[(&str, &FleetReport)]) {
 }
 
 fn main() {
-    let a = parse_args();
-    let kinds: Vec<CampaignKind> = if a.campaign == "all" {
-        CampaignKind::ALL.to_vec()
-    } else {
-        match CampaignKind::from_slug(&a.campaign) {
-            Some(k) => vec![k],
-            None => {
-                eprintln!(
-                    "unknown --campaign {} (expected rack|power|partition|thermal|drain|all)",
-                    a.campaign
-                );
-                std::process::exit(2);
-            }
-        }
+    let (a, given) = cli::parse::<Args>(&[]);
+    a.bal.warn_if_ignored(&given);
+    // The parser accepts only the slugs and `all`, which is none of them.
+    let kinds = match CampaignKind::from_slug(&a.campaign) {
+        Some(kind) => vec![kind],
+        None => CampaignKind::ALL.to_vec(),
     };
     let plan = DomainPlan {
         rack_kw: a.rack_kw,
         racks_per_power_domain: a.racks_per_domain,
+    };
+    let run = |name: &str, cfg: &FleetConfig, camp: &Campaign| {
+        let (shards, threads) = a.engine.layout(cfg);
+        let what = format!("campaign {} / fleet {name}", camp.kind.label());
+        cli::or_exit(
+            &what,
+            run_campaign_full(cfg, &plan, camp, a.engine.run.seed, shards, threads),
+        )
     };
     let [(_, h100), (_, lite)] = fleet_pair(&a);
     for kind in kinds {
@@ -252,8 +160,8 @@ fn main() {
             duration_s: a.duration,
             intensity: a.intensity,
         };
-        let run_h = run_one("h100", &h100, &camp, &plan, &a);
-        let run_l = run_one("lite", &lite, &camp, &plan, &a);
+        let run_h = run("h100", &h100, &camp);
+        let run_l = run("lite", &lite, &camp);
         let (rh, rl) = (&run_h.report, &run_l.report);
         print_table(&camp, &[("h100", rh), ("lite", rl)]);
         // The recovery timeline: one availability series per fleet so
@@ -283,16 +191,11 @@ fn main() {
         );
         let report = ChaosReport::new(
             &camp,
-            a.common.seed,
+            a.engine.run.seed,
             vec![outcome("h100", rh), outcome("lite", rl)],
         );
-        let json = report.to_json();
-        if !a.quiet_json {
-            println!("{json}");
-        }
-        let dir = litegpu_bench::experiments_dir();
-        if std::fs::create_dir_all(&dir).is_ok() {
-            let _ = std::fs::write(dir.join(format!("chaos_{}.json", kind.slug())), &json);
-        }
+        a.engine
+            .run
+            .emit_json(&format!("chaos_{}.json", kind.slug()), &report.to_json());
     }
 }

@@ -1,7 +1,7 @@
 //! Shared plumbing for the experiment binaries: artifact output under
-//! `target/experiments/`.
+//! `target/experiments/`, the silicon-equal fleet pairs, and the fleet
+//! bins' declared flags ([`flags!`], [`cli`]).
 
-use std::io::Write;
 use std::path::PathBuf;
 
 /// Directory where experiment binaries drop machine-readable artifacts.
@@ -12,22 +12,22 @@ pub fn experiments_dir() -> PathBuf {
     p
 }
 
+/// Writes `contents` to `target/experiments/<name>`. Artifact output
+/// is best-effort: a failure is ignored.
+fn save_experiment(name: &str, contents: &str) {
+    let dir = experiments_dir();
+    if std::fs::create_dir_all(&dir).is_ok() {
+        let _ = std::fs::write(dir.join(name), contents);
+    }
+}
+
 /// Prints an experiment to stdout and writes companion artifacts
 /// (`<id>.txt` plus any `(name, contents)` extras such as JSON or SVG).
 pub fn emit(exp: &litegpu::experiments::Experiment, extras: &[(String, String)]) {
     println!("=== {} ===\n{}", exp.title, exp.output);
-    let dir = experiments_dir();
-    if std::fs::create_dir_all(&dir).is_err() {
-        return; // Artifact output is best-effort.
-    }
-    let write = |name: &str, contents: &str| {
-        if let Ok(mut f) = std::fs::File::create(dir.join(name)) {
-            let _ = f.write_all(contents.as_bytes());
-        }
-    };
-    write(&format!("{}.txt", exp.id), &exp.output);
+    save_experiment(&format!("{}.txt", exp.id), &exp.output);
     for (name, contents) in extras {
-        write(name, contents);
+        save_experiment(name, contents);
     }
 }
 
@@ -128,259 +128,491 @@ pub mod fleet_pair {
             (name, cfg)
         })
     }
-
-    /// Resolves a `--threads` argument: `0` means every available core.
-    pub fn threads_or_auto(requested: u32) -> u32 {
-        if requested > 0 {
-            requested
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get() as u32)
-                .unwrap_or(1)
-        }
-    }
-
-    /// Resolves a `--shards` argument: `0` means one shard per repair
-    /// cell (the engine's natural partition).
-    pub fn shards_or_cells(requested: u32, cfg: &FleetConfig) -> u32 {
-        if requested > 0 {
-            requested
-        } else {
-            cfg.num_cells()
-        }
-    }
 }
 
-/// Minimal flag-parsing helpers shared by the experiment binaries
-/// (`sim_fleet`, `sim_ctrl`, ...). Both exit with status 2 on bad input,
-/// which is the binaries' established CLI contract.
+/// Declares a struct of command-line flags for [`cli::parse`], one line
+/// per flag:
+///
+/// ```text
+/// field: Type = "--name" "PLACEHOLDER" "default" [smoke "value"] "help",
+/// ```
+///
+/// then one line per embedded group of flags, `..field: Group,`. An
+/// empty placeholder makes a switch; a placeholder `a|b|c` accepts only
+/// those values. An empty default leaves the field at its `Default`.
+/// `smoke` gives the value `--smoke` sets. The parser and `--help` both
+/// read this one declaration.
+#[macro_export]
+macro_rules! flags {
+    ($(#[$meta:meta])* $vis:vis struct $name:ident {
+        $($field:ident: $ty:ty = $flag:literal $value:literal $default:literal
+            $(smoke $smoke:literal)? $help:literal,)*
+        $(..$group:ident: $group_ty:ty,)*
+    }) => {
+        $(#[$meta])*
+        #[derive(Default)]
+        $vis struct $name {
+            $(#[doc = $help] pub $field: $ty,)*
+            $(#[doc = "An embedded group of flags."] pub $group: $group_ty,)*
+        }
+
+        impl $crate::cli::Flags for $name {
+            fn visit(&mut self, f: &mut dyn FnMut(&$crate::cli::Flag, &mut dyn $crate::cli::Value)) {
+                $(f(
+                    &$crate::cli::Flag {
+                        name: $flag,
+                        value: $value,
+                        default: $default,
+                        smoke: None$(.or(Some($smoke)))?,
+                        help: $help,
+                    },
+                    &mut self.$field,
+                );)*
+                $($crate::cli::Flags::visit(&mut self.$group, f);)*
+            }
+        }
+    };
+}
+
+/// The fleet bins' command line: the parser and `--help` for structs
+/// declared with [`flags!`](crate::flags), the value types they parse
+/// into, and the flag groups `sim_fleet`, `sim_ctrl`, `sim_chaos` and
+/// `sim_tco` share. A bad argument exits with status 2, a failed run
+/// with status 1.
 pub mod cli {
-    /// Returns the value following the flag at `argv[*i]`, advancing `i`
-    /// past it; exits when the flag is the last token.
-    pub fn value(argv: &[String], i: &mut usize) -> String {
-        *i += 1;
-        argv.get(*i).cloned().unwrap_or_else(|| {
-            eprintln!("missing value for {}", argv[*i - 1]);
-            std::process::exit(2);
-        })
-    }
-
-    /// Parses a flag's raw value, exiting with a diagnostic on failure.
-    pub fn parsed<T: std::str::FromStr>(flag: &str, raw: String) -> T {
-        raw.parse().unwrap_or_else(|_| {
-            eprintln!("invalid value for {flag}: {raw}");
-            std::process::exit(2);
-        })
-    }
-
-    /// The one shared parse path for `--series-dt`: a positive integer
-    /// number of **simulated microseconds** per series sample window
-    /// (e.g. `60000000` = 60 s windows). Every binary that exposes the
-    /// flag routes through here so the unit can never drift between
-    /// bins, docs and the engine's `TelemetryConfig::series_dt_us`.
-    pub fn series_dt_us(flag: &str, raw: String) -> u64 {
-        let us: u64 = raw.parse().unwrap_or_else(|_| {
-            eprintln!("invalid value for {flag}: {raw} (expected integer µs of simulated time)");
-            std::process::exit(2);
-        });
-        if us == 0 {
-            eprintln!("{flag} must be >= 1 µs of simulated time");
-            std::process::exit(2);
-        }
-        us
-    }
-
-    /// Stderr-only warnings for flags a binary accepts but the chosen
-    /// mode ignores (e.g. phase flags on a monolithic run). Never
-    /// changes behavior or artifact bytes — stdout and exit status are
-    /// untouched.
-    pub fn warn_ignored(argv: &[String], context: &str, flags: &[&str]) {
-        for flag in flags {
-            if argv.iter().any(|a| a == flag) {
-                eprintln!("# warning: {flag} is ignored {context}");
-            }
-        }
-    }
-
-    /// The CLI surface the fleet-scale binaries (`sim_fleet`,
-    /// `sim_ctrl`, `sim_chaos`, `sim_tco`) used to re-implement
-    /// flag-by-flag: seed, parallelism shape, and the series/perf
-    /// artifact paths. Each binary enables exactly the subset it wires
-    /// up, so a flag outside the subset still exits 2 as an unknown
-    /// argument instead of being silently accepted.
-    pub struct CommonArgs {
-        enabled: &'static [&'static str],
-        /// Simulation seed (`--seed`, default 42).
-        pub seed: u64,
-        /// Shard count (`--shards`, 0 = one per repair cell).
-        pub shards: u32,
-        /// Worker threads (`--threads`, 0 = every available core).
-        pub threads: u32,
-        /// Series artifact path (`--series`).
-        pub series: Option<String>,
-        /// Series sample window, simulated µs (`--series-dt`).
-        pub series_dt_us: u64,
-        /// Perf artifact path (`--perf-json`).
-        pub perf_json: Option<String>,
-    }
-
-    impl CommonArgs {
-        /// Every shared flag, for binaries that wire the full surface.
-        pub const ALL: &'static [&'static str] = &[
-            "--seed",
-            "--shards",
-            "--threads",
-            "--series",
-            "--series-dt",
-            "--perf-json",
-        ];
-
-        /// Defaults matching every binary's historical values, with the
-        /// given flags enabled.
-        pub fn new(enabled: &'static [&'static str]) -> Self {
-            CommonArgs {
-                enabled,
-                seed: 42,
-                shards: 0,
-                threads: 0,
-                series: None,
-                series_dt_us: 60_000_000,
-                perf_json: None,
-            }
-        }
-
-        /// Attempts to consume `argv[*i]` (plus its value) as one of the
-        /// enabled shared flags; returns whether it did.
-        pub fn try_parse(&mut self, argv: &[String], i: &mut usize) -> bool {
-            let flag = argv[*i].clone();
-            if !self.enabled.contains(&flag.as_str()) {
-                return false;
-            }
-            match flag.as_str() {
-                "--seed" => self.seed = parsed(&flag, value(argv, i)),
-                "--shards" => self.shards = parsed(&flag, value(argv, i)),
-                "--threads" => self.threads = parsed(&flag, value(argv, i)),
-                "--series" => self.series = Some(value(argv, i)),
-                "--series-dt" => self.series_dt_us = series_dt_us(&flag, value(argv, i)),
-                "--perf-json" => self.perf_json = Some(value(argv, i)),
-                _ => unreachable!("enabled flags are a subset of the handled set"),
-            }
-            true
-        }
-    }
-
     use litegpu_fleet::ctrl::BalancerConfig;
-    use litegpu_fleet::FleetConfig;
+    use litegpu_fleet::{
+        run_sharded_full, FleetConfig, FleetRun, ServingMode, TelemetryConfig, WorkloadSpec,
+    };
 
-    /// The shared fleet-scope balancer flag set: `--balancer` turns the
-    /// two-level control plane on, the knob flags override
-    /// [`BalancerConfig`] defaults, and `--skew HxM` makes the first `H`
-    /// cells hot at `M`x their arrival rate with the cold remainder
-    /// scaled down so the fleet-total demand is unchanged (e.g.
-    /// `--skew 2x2.5` on 8 cells gives the canonical 2-hot/6-cold mix
-    /// with the cold cells at 0.5x).
-    #[derive(Default)]
-    pub struct BalancerArgs {
-        /// `--balancer` was passed.
-        pub enabled: bool,
-        /// `--balancer-interval S` (fleet-tick seconds).
-        pub interval_s: Option<f64>,
-        /// `--spill-permille N` (bounded redirect fraction).
-        pub spill_permille: Option<u16>,
-        /// `--hot-factor F` (hot threshold vs fleet-mean queue).
-        pub hot_factor: Option<f64>,
-        /// `--quota-headroom F` (admission quota multiple).
-        pub quota_headroom: Option<f64>,
-        /// `--kv-slack-us N` (phase-split spill eligibility).
-        pub kv_slack_us: Option<u64>,
-        /// `--skew HxM` as `(hot_cells, hot_multiplier)`.
-        pub skew: Option<(u32, f64)>,
+    /// One declared flag.
+    pub struct Flag {
+        /// The flag itself, `--name`.
+        pub name: &'static str,
+        /// Value placeholder; empty for a switch. A placeholder `a|b|c`
+        /// lists the only values accepted.
+        pub value: &'static str,
+        /// Default value, parsed like one given on the command line;
+        /// empty for none.
+        pub default: &'static str,
+        /// The value `--smoke` sets, if any.
+        pub smoke: Option<&'static str>,
+        /// One-line description for `--help`.
+        pub help: &'static str,
     }
 
-    impl BalancerArgs {
-        /// Attempts to consume `argv[*i]` as one of the balancer flags;
-        /// returns whether it did.
-        pub fn try_parse(&mut self, argv: &[String], i: &mut usize) -> bool {
-            let flag = argv[*i].clone();
-            match flag.as_str() {
-                "--balancer" => self.enabled = true,
-                "--balancer-interval" => self.interval_s = Some(parsed(&flag, value(argv, i))),
-                "--spill-permille" => self.spill_permille = Some(parsed(&flag, value(argv, i))),
-                "--hot-factor" => self.hot_factor = Some(parsed(&flag, value(argv, i))),
-                "--quota-headroom" => self.quota_headroom = Some(parsed(&flag, value(argv, i))),
-                "--kv-slack-us" => self.kv_slack_us = Some(parsed(&flag, value(argv, i))),
-                "--skew" => {
-                    let raw = value(argv, i);
-                    let parts = raw.split_once('x').unwrap_or_else(|| {
-                        eprintln!("invalid value for --skew: {raw} (expected HxM, e.g. 2x2.5)");
-                        std::process::exit(2);
-                    });
-                    self.skew = Some((parsed("--skew", parts.0.into()), {
-                        let m: f64 = parsed("--skew", parts.1.into());
-                        if !(m.is_finite() && m >= 1.0) {
-                            eprintln!("--skew hot multiplier must be >= 1");
-                            std::process::exit(2);
-                        }
-                        m
-                    }));
+    /// A field a flag parses into.
+    pub trait Value {
+        /// Parses `raw` (empty for a switch) into the field, or returns
+        /// the message to exit with.
+        fn set(&mut self, flag: &Flag, raw: &str) -> Result<(), String>;
+    }
+
+    /// A struct of flags, declared with [`flags!`](crate::flags).
+    pub trait Flags: Default {
+        /// Calls `f` with each declared flag and the field it fills, in
+        /// declaration order, embedded groups last.
+        fn visit(&mut self, f: &mut dyn FnMut(&Flag, &mut dyn Value));
+    }
+
+    fn parse_value<T: std::str::FromStr>(flag: &Flag, raw: &str) -> Result<T, String> {
+        raw.parse()
+            .map_err(|_| format!("invalid value for {}: {raw}", flag.name))
+    }
+
+    macro_rules! from_str_value {
+        ($($t:ty),*) => {$(
+            impl Value for $t {
+                fn set(&mut self, flag: &Flag, raw: &str) -> Result<(), String> {
+                    *self = parse_value(flag, raw)?;
+                    Ok(())
                 }
-                _ => return false,
             }
-            true
+        )*};
+    }
+    from_str_value!(u16, u32, u64, f64);
+
+    /// A switch: present means `true`.
+    impl Value for bool {
+        fn set(&mut self, _: &Flag, _: &str) -> Result<(), String> {
+            *self = true;
+            Ok(())
+        }
+    }
+
+    /// Any text, or one of the placeholder's `a|b|c` choices.
+    impl Value for String {
+        fn set(&mut self, flag: &Flag, raw: &str) -> Result<(), String> {
+            if flag.value.contains('|') && !flag.value.split('|').any(|c| c == raw) {
+                return Err(format!(
+                    "unknown {} {raw} (expected {})",
+                    flag.name, flag.value
+                ));
+            }
+            *self = raw.to_string();
+            Ok(())
+        }
+    }
+
+    /// A flag with no default: `None` until given.
+    impl<T: Value + Default> Value for Option<T> {
+        fn set(&mut self, flag: &Flag, raw: &str) -> Result<(), String> {
+            self.insert(T::default()).set(flag, raw)
+        }
+    }
+
+    /// `--series-dt`: a positive integer number of **simulated
+    /// microseconds** per series sample window (e.g. `60000000` = 60 s
+    /// windows), the unit of the engine's
+    /// `TelemetryConfig::series_dt_us`.
+    #[derive(Default)]
+    pub struct SeriesDt(pub u64);
+
+    impl Value for SeriesDt {
+        fn set(&mut self, flag: &Flag, raw: &str) -> Result<(), String> {
+            let us: u64 = raw.parse().map_err(|_| {
+                format!(
+                    "invalid value for {}: {raw} (expected integer µs of simulated time)",
+                    flag.name
+                )
+            })?;
+            if us == 0 {
+                return Err(format!("{} must be >= 1 µs of simulated time", flag.name));
+            }
+            self.0 = us;
+            Ok(())
+        }
+    }
+
+    /// `--skew HxM`: the first `hot` cells at `mult`x their arrival rate
+    /// (see [`skew_multipliers`]).
+    #[derive(Default)]
+    pub struct Skew {
+        /// Hot cells, counted from cell 0.
+        pub hot: u32,
+        /// The hot cells' rate multiplier, at least 1.
+        pub mult: f64,
+    }
+
+    impl Value for Skew {
+        fn set(&mut self, flag: &Flag, raw: &str) -> Result<(), String> {
+            let (hot, mult) = raw.split_once('x').ok_or_else(|| {
+                format!(
+                    "invalid value for {}: {raw} (expected HxM, e.g. 2x2.5)",
+                    flag.name
+                )
+            })?;
+            self.hot = parse_value(flag, hot)?;
+            self.mult = parse_value(flag, mult)?;
+            if !(self.mult.is_finite() && self.mult >= 1.0) {
+                return Err(format!("{} hot multiplier must be >= 1", flag.name));
+            }
+            Ok(())
+        }
+    }
+
+    /// The flags given on the command line.
+    pub struct Given(pub(crate) Vec<&'static str>);
+
+    impl Given {
+        /// Warns (stderr only) about each flag of group `G` that was
+        /// given although it is ignored in `context`. Never changes
+        /// behavior or artifact bytes.
+        pub fn warn_ignored<G: Flags>(&self, context: &str) {
+            G::default().visit(&mut |flag, _| {
+                if self.0.contains(&flag.name) {
+                    eprintln!("# warning: {} is ignored {context}", flag.name);
+                }
+            });
+        }
+    }
+
+    /// Prints `message` and exits 2, the status of a bad command line.
+    pub fn fail(message: String) -> ! {
+        eprintln!("{message}");
+        std::process::exit(2);
+    }
+
+    /// A flag's default: the bin's override in `defaults`, else the
+    /// declared one.
+    fn default_of<'a>(flag: &'a Flag, defaults: &[(&str, &'a str)]) -> &'a str {
+        defaults
+            .iter()
+            .find(|(name, _)| *name == flag.name)
+            .map_or(flag.default, |&(_, value)| value)
+    }
+
+    /// Parses this process's arguments into `T`; see [`parse_args`].
+    pub fn parse<T: Flags>(defaults: &[(&str, &str)]) -> (T, Given) {
+        let argv: Vec<String> = std::env::args().collect();
+        parse_args(&argv, defaults)
+    }
+
+    /// Parses `argv` (the program name first) into `T`. Every flag
+    /// starts at its default, where `defaults` overrides the declared
+    /// ones by name; then each argument sets its flag in order, so a
+    /// later flag overrides an earlier one. `--smoke`, in a struct that
+    /// declares smoke values, sets each of them where it stands.
+    /// `--help` prints the usage on stdout and exits 0; an unknown
+    /// flag, a missing value or a bad value exits 2.
+    pub fn parse_args<T: Flags>(argv: &[String], defaults: &[(&str, &str)]) -> (T, Given) {
+        let mut args = T::default();
+        args.visit(&mut |flag, field| {
+            let default = default_of(flag, defaults);
+            if !default.is_empty() {
+                field.set(flag, default).expect("declared defaults parse");
+            }
+        });
+        let mut given = Vec::new();
+        let mut i = 1;
+        while i < argv.len() {
+            let arg = argv[i].as_str();
+            if arg == "--help" {
+                print!("{}", usage::<T>(&argv[0], defaults));
+                std::process::exit(0);
+            }
+            let mut known = false;
+            args.visit(&mut |flag, field| {
+                let raw = if arg == flag.name {
+                    given.push(flag.name);
+                    if flag.value.is_empty() {
+                        ""
+                    } else {
+                        i += 1;
+                        match argv.get(i) {
+                            Some(raw) => raw.as_str(),
+                            None => fail(format!("missing value for {arg}")),
+                        }
+                    }
+                } else if let (Some(raw), "--smoke") = (flag.smoke, arg) {
+                    raw
+                } else {
+                    return;
+                };
+                known = true;
+                field.set(flag, raw).unwrap_or_else(|e| fail(e));
+            });
+            if !known {
+                fail(format!("unknown argument: {arg}"));
+            }
+            i += 1;
+        }
+        (args, Given(given))
+    }
+
+    /// The `--help` text: one line per declared flag with its
+    /// placeholder, default, smoke value and help.
+    fn usage<T: Flags>(program: &str, defaults: &[(&str, &str)]) -> String {
+        let bin = std::path::Path::new(program)
+            .file_name()
+            .map_or(program.into(), |name| name.to_string_lossy());
+        let mut out = format!("usage: {bin} [FLAG]...\n");
+        let mut smoke = false;
+        let mut line = |usage: &str, help: &str| out += &format!("  {usage:<26}  {help}\n");
+        T::default().visit(&mut |flag, _| {
+            let mut help = flag.help.to_string();
+            let default = default_of(flag, defaults);
+            if !default.is_empty() {
+                help += &format!(" (default {default})");
+            }
+            if let Some(value) = flag.smoke {
+                smoke = true;
+                help += &format!(" (--smoke {value})");
+            }
+            line(format!("{} {}", flag.name, flag.value).trim_end(), &help);
+        });
+        if smoke {
+            line("--smoke", "set the --smoke values above, in place");
+        }
+        out
+    }
+
+    crate::flags! {
+        /// Seed, worker threads and the report on stdout: every fleet
+        /// bin.
+        pub struct Run {
+            seed: u64 = "--seed" "N" "42" "simulation seed",
+            threads: u32 = "--threads" "N" "0" "worker threads; 0 is every available core",
+            quiet_json: bool = "--quiet-json" "" "" "report JSON to target/experiments/ only",
+        }
+    }
+
+    impl Run {
+        /// The worker threads: `--threads`, or every available core.
+        pub fn threads(&self) -> u32 {
+            if self.threads > 0 {
+                self.threads
+            } else {
+                std::thread::available_parallelism().map_or(1, |n| n.get() as u32)
+            }
         }
 
+        /// Prints a report's JSON on stdout unless `--quiet-json`, and
+        /// writes it to `target/experiments/<file>` (best-effort).
+        pub fn emit_json(&self, file: &str, json: &str) {
+            if !self.quiet_json {
+                println!("{json}");
+            }
+            crate::save_experiment(file, json);
+        }
+    }
+
+    crate::flags! {
+        /// The sharded engine's layout and series window: `sim_fleet`,
+        /// `sim_ctrl` and `sim_chaos`.
+        pub struct Engine {
+            shards: u32 = "--shards" "N" "0" "shards; 0 is one per repair cell",
+            series_dt: SeriesDt = "--series-dt" "US" "60000000" "series window, simulated µs",
+            ..run: Run,
+        }
+    }
+
+    impl Engine {
+        /// `(shards, threads)` for `cfg`: `--shards`, or one shard per
+        /// repair cell (the engine's natural partition), and
+        /// [`Run::threads`].
+        pub fn layout(&self, cfg: &FleetConfig) -> (u32, u32) {
+            let shards = if self.shards > 0 {
+                self.shards
+            } else {
+                cfg.num_cells()
+            };
+            (shards, self.run.threads())
+        }
+
+        /// Runs `cfg` on [`Engine::layout`] and returns the run with its
+        /// wall time in seconds; exits 1 with `{what}: {error}` if the
+        /// run fails.
+        pub fn run_fleet(&self, what: &str, cfg: &FleetConfig) -> (FleetRun, f64) {
+            let (shards, threads) = self.layout(cfg);
+            let start = std::time::Instant::now();
+            let run = or_exit(what, run_sharded_full(cfg, self.run.seed, shards, threads));
+            (run, start.elapsed().as_secs_f64())
+        }
+
+        /// The telemetry that records the series every `--series-dt`
+        /// when `series` is on, and nothing otherwise.
+        pub fn telemetry(&self, series: bool) -> TelemetryConfig {
+            TelemetryConfig {
+                series_dt_us: if series { self.series_dt.0 } else { 0 },
+                ..TelemetryConfig::default()
+            }
+        }
+    }
+
+    /// Unwraps a run's result, or exits 1 with `{what}: {error}`.
+    pub fn or_exit<T, E: std::fmt::Display>(what: &str, result: Result<T, E>) -> T {
+        result.unwrap_or_else(|e| {
+            eprintln!("{what}: {e}");
+            std::process::exit(1);
+        })
+    }
+
+    crate::flags! {
+        /// The fleet shape `sim_fleet` and `sim_ctrl` both map onto a
+        /// [`FleetConfig`] ([`Shape::apply`]).
+        pub struct Shape {
+            instances: u32 = "--instances" "N" "1000" "instances per fleet",
+            hours: f64 = "--hours" "H" "24" "simulated horizon, hours",
+            rate: f64 = "--rate" "R" "1.5" "base request rate per instance, req/s",
+            accel: f64 = "--accel" "A" "200" "failure-rate acceleration",
+            cell_size: u32 = "--cell-size" "N" "20" "instances per repair cell",
+            tick: f64 = "--tick" "S" "1" "simulation tick, seconds",
+            workload: String = "--workload" "single|multi" "single" "one or three demo tenants",
+            serving: String = "--serving" "mono|split" "mono" "monolithic, or prefill/decode pools",
+            ..ctrl: CtrlKnobs,
+        }
+    }
+
+    crate::flags! {
+        /// Knobs of a cell control plane, ignored on a fleet without one.
+        pub struct CtrlKnobs {
+            control_interval: f64 = "--control-interval" "S" "5" "seconds between control ticks",
+            warm_pool: u32 = "--warm-pool" "N" "1" "parked instances kept warm per cell",
+        }
+    }
+
+    impl Shape {
+        /// Maps the shape onto `cfg`: size, horizon, workload, failure
+        /// acceleration, cells, tick, phase-split serving with the demo
+        /// defaults, and the knobs of the control plane `cfg` carries.
+        pub fn apply(&self, cfg: &mut FleetConfig) {
+            cfg.instances = self.instances;
+            cfg.horizon_s = self.hours * 3600.0;
+            cfg.workload = match self.workload.as_str() {
+                "multi" => WorkloadSpec::multi_tenant_demo(self.rate),
+                _ => WorkloadSpec::diurnal_demo(self.rate),
+            };
+            cfg.failure_acceleration = self.accel;
+            cfg.cell_size = self.cell_size;
+            cfg.tick_s = self.tick;
+            if self.serving == "split" {
+                cfg.serving = ServingMode::split_demo(&cfg.gpu, cfg.gpus_per_instance);
+            }
+            if let Some(ctrl) = cfg.ctrl.as_mut() {
+                ctrl.control_interval_s = self.ctrl.control_interval;
+                if let Some(power) = ctrl.power.as_mut() {
+                    power.warm_pool = self.ctrl.warm_pool;
+                }
+            }
+        }
+    }
+
+    crate::flags! {
+        /// The fleet-scope spill-over balancer and demand skew: every
+        /// fleet bin.
+        pub struct Balancer {
+            balancer: bool = "--balancer" "" "" "add the fleet-scope spill-over balancer",
+            skew: Option<Skew> = "--skew" "HxM" "" "first H cells at M x rate, same fleet demand",
+            ..knobs: BalancerKnobs,
+        }
+    }
+
+    crate::flags! {
+        /// Overrides of [`BalancerConfig`]'s defaults; each needs
+        /// `--balancer`.
+        pub struct BalancerKnobs {
+            interval_s: Option<f64> = "--balancer-interval" "S" "" "seconds between fleet ticks",
+            spill_permille: Option<u16> = "--spill-permille" "N" "" "spill cap, permille",
+            hot_factor: Option<f64> = "--hot-factor" "F" "" "hot threshold, x the fleet-mean queue",
+            quota_headroom: Option<f64> = "--quota-headroom" "F" "" "admission quota headroom",
+            kv_slack_us: Option<u64> = "--kv-slack-us" "N" "" "KV slack a split spill needs, µs",
+        }
+    }
+
+    impl Balancer {
         /// The balancer configuration the knob flags resolve to.
         pub fn config(&self) -> BalancerConfig {
-            let mut b = BalancerConfig::default();
-            if let Some(v) = self.interval_s {
-                b.interval_s = v;
-            }
-            if let Some(v) = self.spill_permille {
-                b.spill_permille = v;
-            }
-            if let Some(v) = self.hot_factor {
-                b.hot_factor = v;
-            }
-            if let Some(v) = self.quota_headroom {
-                b.quota_headroom = v;
-            }
-            if let Some(v) = self.kv_slack_us {
-                b.kv_slack_us = v;
-            }
+            let (k, mut b) = (&self.knobs, BalancerConfig::default());
+            b.interval_s = k.interval_s.unwrap_or(b.interval_s);
+            b.spill_permille = k.spill_permille.unwrap_or(b.spill_permille);
+            b.hot_factor = k.hot_factor.unwrap_or(b.hot_factor);
+            b.quota_headroom = k.quota_headroom.unwrap_or(b.quota_headroom);
+            b.kv_slack_us = k.kv_slack_us.unwrap_or(b.kv_slack_us);
             b
         }
 
-        /// Applies the skew multipliers and (when `--balancer` was
-        /// passed) attaches the fleet-scope balancer on top of whatever
-        /// cell-scope control the config already carries. Call after the
-        /// instance count and cell size are final — the multiplier
-        /// vector is sized to `num_cells()`.
+        /// Applies the skew multipliers and (with `--balancer`) attaches
+        /// the fleet-scope balancer on top of whatever cell-scope control
+        /// the config already carries. Call after the instance count and
+        /// cell size are final — the multiplier vector is sized to
+        /// `num_cells()`. Prints nothing: sweeps call it per design from
+        /// several threads.
         pub fn apply(&self, cfg: &mut FleetConfig) {
-            if let Some((hot, mult)) = self.skew {
-                cfg.cell_rate_multipliers = skew_multipliers(cfg.num_cells(), hot, mult);
+            if let Some(skew) = &self.skew {
+                cfg.cell_rate_multipliers = skew_multipliers(cfg.num_cells(), skew.hot, skew.mult);
             }
-            if self.enabled {
+            if self.balancer {
                 let ctrl = cfg.ctrl.take().unwrap_or_default();
                 cfg.ctrl = Some(ctrl.with_balancer(self.config()));
             }
         }
 
-        /// Warns (stderr only) when balancer knobs were passed without
-        /// `--balancer` — they would otherwise be silently ignored.
-        pub fn warn_if_ignored(&self) {
-            if self.enabled {
-                return;
-            }
-            for (flag, passed) in [
-                ("--balancer-interval", self.interval_s.is_some()),
-                ("--spill-permille", self.spill_permille.is_some()),
-                ("--hot-factor", self.hot_factor.is_some()),
-                ("--quota-headroom", self.quota_headroom.is_some()),
-                ("--kv-slack-us", self.kv_slack_us.is_some()),
-            ] {
-                if passed {
-                    eprintln!("# warning: {flag} is ignored without --balancer");
-                }
+        /// Warns (stderr only) about knob flags given without
+        /// `--balancer`, which would otherwise be silently ignored.
+        pub fn warn_if_ignored(&self, given: &Given) {
+            if !self.balancer {
+                given.warn_ignored::<BalancerKnobs>("without --balancer");
             }
         }
     }
@@ -465,56 +697,103 @@ mod tests {
         assert_eq!(cli::skew_multipliers(2, 5, 3.0), vec![3.0, 3.0]);
     }
 
-    #[test]
-    fn common_args_parse_enabled_subset_only() {
-        let argv: Vec<String> = ["--seed", "7", "--threads", "3"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let mut c = cli::CommonArgs::new(&["--seed"]);
-        let mut i = 0;
-        assert!(c.try_parse(&argv, &mut i));
-        assert_eq!((c.seed, i), (7, 1));
-        i = 2;
-        assert!(!c.try_parse(&argv, &mut i), "--threads not enabled");
-        assert_eq!(c.threads, 0);
-        let mut all = cli::CommonArgs::new(cli::CommonArgs::ALL);
-        i = 2;
-        assert!(all.try_parse(&argv, &mut i));
-        assert_eq!(all.threads, 3);
+    fn argv(args: &[&str]) -> Vec<String> {
+        std::iter::once("bin")
+            .chain(args.iter().copied())
+            .map(String::from)
+            .collect()
+    }
+
+    crate::flags! {
+        /// A struct with every kind of field the parser fills.
+        struct Probe {
+            count: u32 = "--count" "N" "7" smoke "1" "a number",
+            mode: String = "--mode" "a|b" "a" smoke "b" "a choice",
+            path: Option<String> = "--path" "PATH" "" "optional text",
+            on: bool = "--on" "" "" "a switch",
+            ..shape: cli::Shape,
+        }
     }
 
     #[test]
-    fn balancer_args_resolve_config_and_attach() {
-        let argv: Vec<String> = ["--balancer", "--spill-permille", "450", "--skew", "2x2.5"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let mut b = cli::BalancerArgs::default();
-        let mut i = 0;
-        while i < argv.len() {
-            assert!(b.try_parse(&argv, &mut i), "{}", argv[i]);
-            i += 1;
+    fn flags_parse_in_order_from_their_defaults() {
+        let (p, _) = cli::parse_args::<Probe>(&argv(&[]), &[("--instances", "500")]);
+        assert_eq!(
+            (p.count, p.mode.as_str(), p.path, p.on),
+            (7, "a", None, false)
+        );
+        assert_eq!((p.shape.instances, p.shape.rate), (500, 1.5));
+        assert_eq!(p.shape.ctrl.warm_pool, 1);
+        // A later flag overrides an earlier one, and --smoke sets its
+        // values where it stands.
+        let (p, given) = cli::parse_args::<Probe>(
+            &argv(&[
+                "--count", "3", "--smoke", "--mode", "a", "--path", "x", "--on",
+            ]),
+            &[],
+        );
+        assert_eq!((p.count, p.mode.as_str()), (1, "a"));
+        assert_eq!((p.path.as_deref(), p.on), (Some("x"), true));
+        let (p, _) = cli::parse_args::<Probe>(&argv(&["--smoke", "--count", "3"]), &[]);
+        assert_eq!((p.count, p.mode.as_str()), (3, "b"));
+        // Only flags given by name count as given.
+        assert_eq!(given.0, ["--count", "--mode", "--path", "--on"]);
+    }
+
+    #[test]
+    fn bad_values_name_their_flag() {
+        let flag = |name, value| cli::Flag {
+            name,
+            value,
+            default: "",
+            smoke: None,
+            help: "",
+        };
+        let mut n = 0u32;
+        assert_eq!(
+            cli::Value::set(&mut n, &flag("--n", "N"), "x"),
+            Err("invalid value for --n: x".to_string())
+        );
+        let mut s = String::new();
+        assert_eq!(
+            cli::Value::set(&mut s, &flag("--mode", "a|b"), "c"),
+            Err("unknown --mode c (expected a|b)".to_string())
+        );
+        let mut dt = cli::SeriesDt::default();
+        assert!(cli::Value::set(&mut dt, &flag("--series-dt", "US"), "0").is_err());
+        let mut skew = cli::Skew::default();
+        for bad in ["2", "2x0.5", "ax2"] {
+            assert!(cli::Value::set(&mut skew, &flag("--skew", "HxM"), bad).is_err());
         }
-        assert!(b.enabled);
+    }
+
+    #[test]
+    fn balancer_flags_resolve_config_and_attach() {
+        let (b, _) = cli::parse_args::<cli::Balancer>(
+            &argv(&["--balancer", "--spill-permille", "450", "--skew", "2x2.5"]),
+            &[],
+        );
+        assert!(b.balancer);
         assert_eq!(b.config().spill_permille, 450);
-        assert_eq!(b.skew, Some((2, 2.5)));
         let mut cfg = litegpu_fleet::FleetConfig::lite_demo();
         cfg.instances = 64;
         cfg.cell_size = 8;
         b.apply(&mut cfg);
-        assert_eq!(cfg.cell_rate_multipliers.len(), 8);
+        assert_eq!(cfg.cell_rate_multipliers, cli::skew_multipliers(8, 2, 2.5));
         let ctrl = cfg.ctrl.expect("balancer attaches a control plane");
         assert_eq!(ctrl.balancer.expect("balancer set").spill_permille, 450);
         assert_eq!(ctrl.label(), "balancer");
     }
 
     #[test]
-    fn parallelism_defaults_resolve() {
-        assert_eq!(fleet_pair::threads_or_auto(3), 3);
-        assert!(fleet_pair::threads_or_auto(0) >= 1);
+    fn engine_layout_defaults_resolve() {
         let cfg = litegpu_fleet::FleetConfig::h100_demo();
-        assert_eq!(fleet_pair::shards_or_cells(5, &cfg), 5);
-        assert_eq!(fleet_pair::shards_or_cells(0, &cfg), cfg.num_cells());
+        let (engine, _) = cli::parse_args::<cli::Engine>(&argv(&[]), &[]);
+        let (shards, threads) = engine.layout(&cfg);
+        assert_eq!(shards, cfg.num_cells());
+        assert!(threads >= 1);
+        let (engine, _) =
+            cli::parse_args::<cli::Engine>(&argv(&["--shards", "5", "--threads", "3"]), &[]);
+        assert_eq!(engine.layout(&cfg), (5, 3));
     }
 }

@@ -18,6 +18,11 @@
 //! `sim_tco` row prices the smoke grid under a skewed, balanced fleet
 //! and writes the frontier CSV.
 //!
+//! Two more tests pin the command line itself, for all four fleet bins:
+//! `--help` lists exactly the flags each bin accepted before `--help`
+//! existed, each with a placeholder if and only if it takes a value; and
+//! an unknown flag or a value flag given last still exits 2.
+//!
 //! Regenerate (only when an *intentional* change lands):
 //! `ENGINE_GOLDEN_PRINT=1 cargo test -p litegpu-bench --test
 //! cli_equivalence -- --nocapture` and paste the printed table. The same
@@ -200,4 +205,181 @@ fn fleet_bins_match_cli_goldens() {
         "CLI output drifted from the pinned goldens:\n{}",
         drift.join("\n")
     );
+}
+
+/// The balancer flags every fleet bin accepts: the switch, then the
+/// flags that take a value.
+const BALANCER: (&str, [&str; 6]) = (
+    "--balancer",
+    [
+        "--balancer-interval",
+        "--spill-permille",
+        "--hot-factor",
+        "--quota-headroom",
+        "--kv-slack-us",
+        "--skew",
+    ],
+);
+
+/// `(bin, flags that take a value, switches)`: what each fleet bin
+/// accepted before `--help` existed, balancer flags aside.
+const ACCEPTED: &[(&str, &[&str], &[&str])] = &[
+    (
+        env!("CARGO_BIN_EXE_sim_fleet"),
+        &[
+            "--gpu",
+            "--instances",
+            "--hours",
+            "--rate",
+            "--accel",
+            "--spares-per-cell",
+            "--cell-size",
+            "--tick",
+            "--ctrl",
+            "--control-interval",
+            "--warm-pool",
+            "--workload",
+            "--serving",
+            "--prefill-fraction",
+            "--kv-gbps",
+            "--kv-backlog",
+            "--chaos",
+            "--trace",
+            "--trace-every",
+            "--seed",
+            "--shards",
+            "--threads",
+            "--series",
+            "--series-dt",
+            "--perf-json",
+        ],
+        &[
+            "--dvfs",
+            "--no-baseline",
+            "--quiet-json",
+            "--series-per-cell",
+            "--profile",
+        ],
+    ),
+    (
+        env!("CARGO_BIN_EXE_sim_ctrl"),
+        &[
+            "--instances",
+            "--serving",
+            "--hours",
+            "--rate",
+            "--accel",
+            "--cell-size",
+            "--tick",
+            "--control-interval",
+            "--warm-pool",
+            "--workload",
+            "--spares-target",
+            "--max-spares",
+            "--seed",
+            "--shards",
+            "--threads",
+            "--series",
+            "--series-dt",
+        ],
+        &["--dvfs", "--quiet-json"],
+    ),
+    (
+        env!("CARGO_BIN_EXE_sim_chaos"),
+        &[
+            "--campaign",
+            "--instances",
+            "--hours",
+            "--rate",
+            "--accel",
+            "--events",
+            "--duration",
+            "--intensity",
+            "--rack-kw",
+            "--racks-per-domain",
+            "--seed",
+            "--shards",
+            "--threads",
+            "--series-dt",
+        ],
+        &["--series", "--smoke", "--quiet-json"],
+    ),
+    (
+        env!("CARGO_BIN_EXE_sim_tco"),
+        &[
+            "--equiv",
+            "--rate",
+            "--hours",
+            "--accel",
+            "--grid",
+            "--usd-per-kwh",
+            "--amort-years",
+            "--seed",
+            "--threads",
+            "--series",
+        ],
+        &["--quiet-json", "--smoke"],
+    ),
+];
+
+/// Runs `bin` with `args` and returns `(exit code, stdout, stderr)`.
+fn run_bin(bin: &str, args: &[&str]) -> (Option<i32>, String, String) {
+    let out = Command::new(bin)
+        .args(args)
+        .env("CARGO_TARGET_DIR", env!("CARGO_TARGET_TMPDIR"))
+        .output()
+        .expect("bin runs");
+    let text = |bytes: Vec<u8>| String::from_utf8(bytes).expect("utf8 output");
+    (out.status.code(), text(out.stdout), text(out.stderr))
+}
+
+#[test]
+fn help_lists_exactly_the_accepted_flags() {
+    for &(bin, values, switches) in ACCEPTED {
+        let (code, stdout, stderr) = run_bin(bin, &["--help"]);
+        assert_eq!((code, stderr.as_str()), (Some(0), ""), "{bin} --help");
+        // Each flag line is `  --name [PLACEHOLDER]  help`: the usage
+        // column ends at the first double space.
+        let mut listed: Vec<(String, bool)> = stdout
+            .lines()
+            .filter(|line| line.starts_with("  --"))
+            .map(|line| {
+                let usage = line.trim_start().split("  ").next().unwrap();
+                let mut words = usage.split(' ');
+                let name = words.next().unwrap().to_string();
+                (name, words.next().is_some())
+            })
+            .collect();
+        let mut want: Vec<(String, bool)> = values
+            .iter()
+            .chain(&BALANCER.1)
+            .map(|f| (f.to_string(), true))
+            .chain(
+                switches
+                    .iter()
+                    .chain(&[BALANCER.0])
+                    .map(|f| (f.to_string(), false)),
+            )
+            .collect();
+        listed.sort();
+        want.sort();
+        assert_eq!(listed, want, "{bin} --help: (flag, takes a value)");
+    }
+}
+
+#[test]
+fn bad_command_lines_exit_2() {
+    for &(bin, _, _) in ACCEPTED {
+        for (args, message) in [
+            (&["--no-such-flag"][..], "unknown argument: --no-such-flag"),
+            (&["--seed"][..], "missing value for --seed"),
+        ] {
+            let (code, stdout, stderr) = run_bin(bin, args);
+            assert_eq!(code, Some(2), "{bin} {args:?}: {stderr}");
+            assert!(
+                stdout.is_empty() && stderr.contains(message),
+                "{bin} {args:?}: {stderr}"
+            );
+        }
+    }
 }
