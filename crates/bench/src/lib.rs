@@ -31,6 +31,38 @@ pub fn emit(exp: &litegpu::experiments::Experiment, extras: &[(String, String)])
     }
 }
 
+/// Renders Figure 3a or 3b as a grouped bar chart of normalized
+/// tokens/s/SM per model and GPU type titled `svg_title`, and emits the
+/// figure's text, JSON and SVG, each named after its id.
+pub fn emit_fig3(
+    fig: &litegpu_roofline::figures::Figure3,
+    exp: &litegpu::experiments::Experiment,
+    svg_title: &str,
+) {
+    let series: Vec<(String, Vec<f64>)> = fig
+        .gpu_types
+        .iter()
+        .map(|g| {
+            (
+                g.clone(),
+                fig.models
+                    .iter()
+                    .map(|m| fig.point(m, g).map(|p| p.normalized).unwrap_or(0.0))
+                    .collect(),
+            )
+        })
+        .collect();
+    let svg =
+        litegpu_plot::svg::grouped_bar_svg(svg_title, &fig.models, &series).unwrap_or_default();
+    emit(
+        exp,
+        &[
+            (format!("{}.json", exp.id), to_json(fig)),
+            (format!("{}.svg", exp.id), svg),
+        ],
+    );
+}
+
 /// Serializes any serde value to pretty JSON (best-effort).
 pub fn to_json<T: serde::Serialize>(value: &T) -> String {
     serde_json::to_string_pretty(value).unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"))
