@@ -245,13 +245,7 @@ impl CellObs {
 /// Commands are applied in emission order; a command that does not match
 /// the slot's current mode (e.g. parking an already-parked slot) is
 /// ignored, so controllers may re-assert state idempotently.
-///
-/// `#[non_exhaustive]`: data planes outside this crate must keep a
-/// wildcard arm when matching, so a new command variant is not a
-/// breaking change (unknown commands are ignored, which is safe — every
-/// command is advisory).
 #[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
 pub enum Command {
     /// Start activating a parked slot (warm or cold boot latency is
     /// decided by the data plane from the slot's current mode).

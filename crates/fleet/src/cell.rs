@@ -1261,9 +1261,6 @@ impl<'a> CellSim<'a> {
                         trace_cmd(trace, "set_clock", slot);
                     }
                 }
-                // `Command` is #[non_exhaustive]; a variant this engine
-                // doesn't know is ignored (commands are advisory).
-                _ => {}
             }
         }
         if reweighted {
