@@ -126,14 +126,22 @@ mod tests {
 
     #[test]
     fn oversized_fleets_tile_into_more_fabric_instances() {
+        // Radix-4 leaves split 2 down, 2 up; 4 spines: 8 endpoints per
+        // fabric on 4 leaves + 2 spines.
         let m = FabricCostModel {
-            topology: Topology::FlatSwitched { radix: 16 },
+            topology: Topology::Hierarchical {
+                leaf_radix: 4,
+                spine_radix: 4,
+                oversubscription: 1.0,
+            },
             ..FabricCostModel::paper_default()
         };
-        // 40 endpoints on radix-16 switches need ceil(40/16) = 3 fabrics.
-        let c = m.capex_usd(40, 100.0).unwrap();
+        assert_eq!(m.topology.max_endpoints(), 8);
+        // 20 endpoints tile into fabrics of 8, 8 and 4 endpoints: 6 + 6
+        // switches, then 2 leaves + 2 spines.
+        let c = m.capex_usd(20, 100.0).unwrap();
         let expected =
-            40.0 * (m.usd_per_endpoint + 100.0 * m.usd_per_gb_s) + 3.0 * m.usd_per_switch;
+            20.0 * (m.usd_per_endpoint + 100.0 * m.usd_per_gb_s) + 16.0 * m.usd_per_switch;
         assert!((c - expected).abs() < 1e-9, "got {c}, want {expected}");
     }
 

@@ -5,25 +5,15 @@
 //! original network, though it eliminates the benefits of the smaller
 //! blast radius"), (b) a flat switched network over the whole cluster, or
 //! (c) a hierarchical fabric. This module models endpoint capacity and
-//! switch counts for each.
+//! switch counts for (c), the fabric the TCO model prices
+//! ([`FabricCostModel`](crate::cost::FabricCostModel)); (a) and (b) are
+//! not modeled.
 
 use crate::{NetError, Result};
 
 /// A Lite-GPU cluster fabric.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub enum Topology {
-    /// Full mesh among the `group_size` Lite-GPUs replacing one big GPU;
-    /// inter-group traffic uses the pre-existing fabric.
-    DirectGroup {
-        /// Lite-GPUs per group (the replacement ratio, 4 in the paper).
-        group_size: u32,
-    },
-    /// One flat switching stage over the whole cluster (possible with
-    /// high-radix optical circuit switches).
-    FlatSwitched {
-        /// Switch radix.
-        radix: u32,
-    },
     /// Two-tier leaf/spine fabric.
     Hierarchical {
         /// Leaf switch radix.
@@ -38,63 +28,37 @@ pub enum Topology {
 impl Topology {
     /// Validates structural parameters.
     pub fn validate(&self) -> Result<()> {
-        match self {
-            Topology::DirectGroup { group_size } => {
-                if *group_size < 2 {
-                    return Err(NetError::InvalidParameter {
-                        name: "group_size",
-                        value: *group_size as f64,
-                    });
-                }
-            }
-            Topology::FlatSwitched { radix } => {
-                if *radix < 2 {
-                    return Err(NetError::InvalidParameter {
-                        name: "radix",
-                        value: *radix as f64,
-                    });
-                }
-            }
-            Topology::Hierarchical {
-                leaf_radix,
-                spine_radix,
-                oversubscription,
-            } => {
-                if *leaf_radix < 2 || *spine_radix < 2 {
-                    return Err(NetError::InvalidParameter {
-                        name: "leaf/spine radix",
-                        value: *leaf_radix.min(spine_radix) as f64,
-                    });
-                }
-                if !oversubscription.is_finite() || *oversubscription < 1.0 {
-                    return Err(NetError::InvalidParameter {
-                        name: "oversubscription",
-                        value: *oversubscription,
-                    });
-                }
-            }
+        let Topology::Hierarchical {
+            leaf_radix,
+            spine_radix,
+            oversubscription,
+        } = self;
+        if *leaf_radix < 2 || *spine_radix < 2 {
+            return Err(NetError::InvalidParameter {
+                name: "leaf/spine radix",
+                value: *leaf_radix.min(spine_radix) as f64,
+            });
+        }
+        if !oversubscription.is_finite() || *oversubscription < 1.0 {
+            return Err(NetError::InvalidParameter {
+                name: "oversubscription",
+                value: *oversubscription,
+            });
         }
         Ok(())
     }
 
     /// Maximum endpoints the topology supports in one fabric instance.
     pub fn max_endpoints(&self) -> u32 {
-        match self {
-            Topology::DirectGroup { group_size } => *group_size,
-            Topology::FlatSwitched { radix } => *radix,
-            Topology::Hierarchical {
-                leaf_radix,
-                spine_radix,
-                oversubscription,
-            } => {
-                // Each leaf splits its ports between hosts and uplinks
-                // according to the oversubscription ratio; spines connect
-                // one port per leaf.
-                let down =
-                    (*leaf_radix as f64 * oversubscription / (1.0 + oversubscription)).floor();
-                (down as u32).saturating_mul(*spine_radix)
-            }
-        }
+        let Topology::Hierarchical {
+            leaf_radix,
+            spine_radix,
+            oversubscription,
+        } = self;
+        // Each leaf splits its ports between hosts and uplinks according
+        // to the oversubscription ratio; spines connect one port per leaf.
+        let down = (*leaf_radix as f64 * oversubscription / (1.0 + oversubscription)).floor();
+        (down as u32).saturating_mul(*spine_radix)
     }
 
     /// Number of switches needed to connect `endpoints`.
@@ -106,21 +70,15 @@ impl Topology {
                 capacity: self.max_endpoints(),
             });
         }
-        Ok(match self {
-            Topology::DirectGroup { .. } => 0,
-            Topology::FlatSwitched { .. } => 1,
-            Topology::Hierarchical {
-                leaf_radix,
-                oversubscription,
-                ..
-            } => {
-                let down =
-                    (*leaf_radix as f64 * oversubscription / (1.0 + oversubscription)).floor();
-                let leaves = (endpoints as f64 / down).ceil() as u32;
-                let uplinks_per_leaf = *leaf_radix - down as u32;
-                leaves + uplinks_per_leaf.min(leaves.max(1))
-            }
-        })
+        let Topology::Hierarchical {
+            leaf_radix,
+            oversubscription,
+            ..
+        } = self;
+        let down = (*leaf_radix as f64 * oversubscription / (1.0 + oversubscription)).floor();
+        let leaves = (endpoints as f64 / down).ceil() as u32;
+        let uplinks_per_leaf = *leaf_radix - down as u32;
+        Ok(leaves + uplinks_per_leaf.min(leaves.max(1)))
     }
 }
 
@@ -130,8 +88,13 @@ mod tests {
 
     #[test]
     fn validation() {
-        assert!(Topology::DirectGroup { group_size: 1 }.validate().is_err());
-        assert!(Topology::FlatSwitched { radix: 1 }.validate().is_err());
+        assert!(Topology::Hierarchical {
+            leaf_radix: 1,
+            spine_radix: 32,
+            oversubscription: 1.0
+        }
+        .validate()
+        .is_err());
         assert!(Topology::Hierarchical {
             leaf_radix: 32,
             spine_radix: 32,
@@ -146,21 +109,6 @@ mod tests {
         }
         .validate()
         .is_ok());
-    }
-
-    #[test]
-    fn direct_group_properties() {
-        let t = Topology::DirectGroup { group_size: 4 };
-        assert_eq!(t.switch_count(4).unwrap(), 0);
-        assert_eq!(t.max_endpoints(), 4);
-    }
-
-    #[test]
-    fn flat_switched_hosts_up_to_radix() {
-        let t = Topology::FlatSwitched { radix: 256 };
-        assert_eq!(t.max_endpoints(), 256);
-        assert_eq!(t.switch_count(256).unwrap(), 1);
-        assert!(t.switch_count(257).is_err());
     }
 
     #[test]
@@ -189,15 +137,8 @@ mod tests {
         let small = t.switch_count(64).unwrap();
         let big = t.switch_count(1024).unwrap();
         assert!(big > small);
-    }
-
-    #[test]
-    fn high_radix_circuit_switch_flattens_the_lite_cluster() {
-        // 32 Lite-GPUs (one H100 8-GPU cluster replaced) fit a single
-        // Sirius-class switch: the flat network of §3.
-        let ocs = crate::switching::CircuitSwitch::sirius_class();
-        let t = Topology::FlatSwitched { radix: ocs.radix };
-        assert!(t.max_endpoints() >= 32);
-        assert_eq!(t.switch_count(32).unwrap(), 1);
+        // One fabric instance hosts at most its capacity.
+        assert!(t.switch_count(t.max_endpoints()).is_ok());
+        assert!(t.switch_count(t.max_endpoints() + 1).is_err());
     }
 }

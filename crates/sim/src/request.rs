@@ -28,13 +28,6 @@ pub struct Request {
 pub enum LengthDist {
     /// Every request has the same length.
     Fixed(u32),
-    /// Uniform between bounds (inclusive).
-    Uniform {
-        /// Lower bound.
-        min: u32,
-        /// Upper bound.
-        max: u32,
-    },
     /// Geometric-tailed around a mean (production-ish skew).
     GeometricMean(u32),
 }
@@ -43,10 +36,6 @@ impl LengthDist {
     fn sample(&self, rng: &mut StdRng) -> u32 {
         match self {
             LengthDist::Fixed(n) => (*n).max(1),
-            LengthDist::Uniform { min, max } => {
-                let (lo, hi) = ((*min).max(1), (*max).max(*min).max(1));
-                rng.random_range(lo..=hi)
-            }
             LengthDist::GeometricMean(mean) => {
                 let mean = (*mean).max(1) as f64;
                 let u: f64 = rng.random::<f64>().max(1e-12);
@@ -117,7 +106,6 @@ impl Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn deterministic_under_seed() {
@@ -171,17 +159,5 @@ mod tests {
         assert!(w.generate(10.0, 1).is_err());
         let w = Workload::paper_coding(1.0);
         assert!(w.generate(0.0, 1).is_err());
-    }
-
-    proptest! {
-        #[test]
-        fn uniform_respects_bounds(min in 1u32..100, span in 0u32..100) {
-            let d = LengthDist::Uniform { min, max: min + span };
-            let mut rng = StdRng::seed_from_u64(4);
-            for _ in 0..50 {
-                let v = d.sample(&mut rng);
-                prop_assert!(v >= min && v <= min + span);
-            }
-        }
     }
 }
