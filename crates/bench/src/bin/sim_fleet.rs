@@ -69,7 +69,7 @@ litegpu_bench::flags! {
         spares_per_cell: u32 = "--spares-per-cell" "N" "1" "spare instances per cell",
         ctrl: String = "--ctrl" "off|auto|dvfs|gate" "off"
             "cell control plane; auto gives each GPU type its §3 power policy",
-        dvfs: bool = "--dvfs" "" "" "serving-time DVFS on the control plane (needs --ctrl)",
+        dvfs: bool = "--dvfs" "" "" "serving-time DVFS on the control plane",
         no_baseline: bool = "--no-baseline" "" "" "skip the monolithic twin of a phase-split fleet",
         chaos: Option<String> = "--chaos" "rack|power|partition|thermal|drain" ""
             "compile a small demo campaign of this kind into every fleet",
@@ -79,7 +79,7 @@ litegpu_bench::flags! {
         trace: Option<String> = "--trace" "PATH" ""
             "write the first fleet's Chrome trace (open in Perfetto)",
         trace_every: u32 = "--trace-every" "N" "64" "trace 1 request span in N",
-        profile: bool = "--profile" "" "" "time the engine phases (stderr and --perf-json)",
+        profile: bool = "--profile" "" "" "time the engine phases, on stderr and in the perf artifact",
         perf_json: Option<String> = "--perf-json" "PATH" ""
             "write the first fleet's instance-ticks and wall time",
         ..split: Split,
